@@ -89,15 +89,12 @@ func runForkTrial(m *forkMutation, initrd []byte) TrialReport {
 		blob := fk.Src.Blob()
 		off := m.off % blob.Len()
 		if m.kind == "bitflip" {
-			blob.Corrupt(off, m.mask) // the dirty parent page
-		}
-		serve() // the fork attempt against the (possibly) dirtied parent
-		if m.kind == "bitflip" {
-			// The blob is a process-interned artifact shared with every
-			// other trial that captures the same donor content: undo the
-			// XOR so the tamper cannot leak across trials.
+			// The dirty parent page. The blob belongs to this trial's fork
+			// container alone (every capture freezes a fresh one), so the
+			// tamper cannot leak into other trials.
 			blob.Corrupt(off, m.mask)
 		}
+		serve() // the fork attempt against the (possibly) dirtied parent
 		serve() // recovery: the evicted pool must re-seed cold, honestly
 	})
 	eng.Run()

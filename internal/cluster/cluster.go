@@ -586,12 +586,16 @@ func (c *Cluster) stage(p *sim.Proc, s *HostShard, img *Image, simg *fleet.Image
 		// the whole image — transfer plus a constant delta-validate
 		// charge instead of a full O(image) hash pass.
 		p.Sleep(c.cfg.Model.Hash(snapshot.SealedDeltaValidateLen))
-		snap, err := snapshot.DecodeSealed(img.sealed)
-		if err != nil {
+		// Decoding is the integrity check on the bytes that crossed the
+		// fabric; the decoded ciphertext itself is dropped, because forks
+		// alias the publisher's container and nothing replays it.
+		if _, err := snapshot.DecodeSealed(img.sealed); err != nil {
 			return fmt.Errorf("cluster: adopting warm snapshot on %s: %w", s.Name, err)
 		}
 		if !simg.HasWarm() {
-			simg.AdoptWarmFork(snap, img.donor, img.fork)
+			if err := simg.AdoptWarmFork(img.donor, img.fork); err != nil {
+				return fmt.Errorf("cluster: adopting warm snapshot on %s: %w", s.Name, err)
+			}
 			img.donorOf[s.Index] = img.donorHost
 			c.adoptions++
 			c.cfg.Telemetry.Counter("severifast_cluster_warm_adoptions_total",

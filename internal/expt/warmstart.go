@@ -81,24 +81,9 @@ func WarmStart(opts Options) (*Table, error) {
 			}
 			// Warm restore into a fresh machine.
 			start := p.Now()
-			m := host.NewMachine(p, donor.Mem.Size(), donor.Level)
-			if donor.Level.Encrypted() {
-				m.PrepSEVHost(p)
-				pol := sev.DefaultPolicy()
-				pol.NoKeySharing = false
-				ctx, err := host.PSP.LaunchStartShared(p, m.Mem, donor.Launch, donor.Level, pol)
-				if err != nil {
-					runErr = err
-					return
-				}
-				m.Launch = ctx
-			}
-			if err := snapshot.Restore(p, m, images[0]); err != nil {
+			if _, err := snapshot.WarmRestore(p, host, donor, images[0]); err != nil {
 				runErr = err
 				return
-			}
-			if donor.Level.Encrypted() {
-				p.Sleep(host.Model.Pvalidate(len(images[0].Pages)*4096, host.PvalidatePageSize()))
 			}
 			warm = p.Now().Sub(start)
 		})

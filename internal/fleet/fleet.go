@@ -1,12 +1,13 @@
 // Package fleet is a concurrent microVM boot orchestrator: requests are
 // admitted into a bounded worker pool with per-tenant fair queueing and
 // backpressure, and each boot is served through the fastest available
-// tier — a warm shared-key snapshot restore (§7), a cold boot with
-// memoized measurement artifacts (the measured-image cache), or a full
-// cold boot including the measurement pass. All scheduling, queueing, and
-// retry backoff runs in internal/sim virtual time, so fleet runs are
-// deterministic and PSP contention between concurrent launches emerges
-// from the shared host model rather than from host-OS scheduling.
+// tier — a warm fork of a measured donor's shared-key snapshot (§7), a
+// cold boot with memoized measurement artifacts (the measured-image
+// cache), or a full cold boot including the measurement pass. All
+// scheduling, queueing, and retry backoff runs in internal/sim virtual
+// time, so fleet runs are deterministic and PSP contention between
+// concurrent launches emerges from the shared host model rather than
+// from host-OS scheduling.
 package fleet
 
 import (
@@ -25,7 +26,6 @@ import (
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/policy"
-	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
@@ -64,6 +64,10 @@ var (
 	ErrWarmInvalidated = errors.New("fleet: warm pool invalidated mid-boot")
 )
 
+// errNoForkContainer refuses a warm-tier adoption that carries no fork
+// container (or no donor launch context to inherit key and digest from).
+var errNoForkContainer = errors.New("fleet: warm adoption without a fork container")
+
 // Config sizes the orchestrator.
 type Config struct {
 	// Name prefixes the orchestrator's simulation process names
@@ -84,16 +88,10 @@ type Config struct {
 	// launching with a key-sharing policy, which is visible in the
 	// measurement.
 	EnableWarm bool
-	// LegacyCopyRestore forces the warm tier onto the pre-fork path:
-	// ciphertext replay through snapshot.Restore and a fresh
-	// InitialDigest-based launch context. Virtual time is identical to
-	// the fork path by construction; the flag exists so the fork-vs-copy
-	// equality test can prove it, and as a one-release escape hatch.
-	LegacyCopyRestore bool
 	// WarmPoolSize caps the standby pool Prewarm may build per image
 	// (forked guests held ready so a warm boot pops a machine instead of
 	// forking inline). 0 disables standbys: every warm boot forks on
-	// demand, which keeps virtual timing identical to the copy path.
+	// demand.
 	WarmPoolSize int
 	// Standalone disables the worker pool: no worker processes are
 	// spawned and Submit rejects everything. Callers drive boots
@@ -216,8 +214,10 @@ type Image struct {
 	key    Key
 	hashes measure.ComponentHashes
 
-	// Warm-tier state, populated after the first cold boot.
-	snap      *snapshot.Image
+	// Warm-tier state, populated after the first cold boot (or adopted
+	// from another host): the fork container is the warm parent, and the
+	// donor's launch context holds the shared key and measured digest.
+	// Both are set or both are nil.
 	donor     *kvm.Machine
 	fork      *snapshot.Fork
 	capturing bool
@@ -236,61 +236,46 @@ func (img *Image) CacheKey() Key { return img.key }
 func (img *Image) Spec() ImageSpec { return img.spec }
 
 // HasWarm reports whether the image's warm tier is seeded: either this
-// orchestrator captured a snapshot after a cold boot, or one was adopted
-// from another host via AdoptWarm.
-func (img *Image) HasWarm() bool { return img.snap != nil }
+// orchestrator captured a fork container after a cold boot, or one was
+// adopted from another host via AdoptWarmFork.
+func (img *Image) HasWarm() bool { return img.fork != nil }
 
-// WarmState returns the image's warm-tier snapshot and the donor machine
-// whose launch context holds the shared memory-encryption key, or nils if
-// the warm tier is not seeded. A cluster publishing the warm pool across
-// hosts seals the snapshot (snapshot.EncodeSealed) before it leaves the
-// host.
+// WarmState returns the fork container's transport snapshot and the donor
+// machine whose launch context holds the shared memory-encryption key, or
+// nils if the warm tier is not seeded. A cluster publishing the warm pool
+// across hosts seals the snapshot (snapshot.EncodeSealed) before it leaves
+// the host.
 func (img *Image) WarmState() (*snapshot.Image, *kvm.Machine) {
-	return img.snap, img.donor
-}
-
-// AdoptWarm seeds the image's warm tier from another host's capture: snap
-// is the (transferred, seal-verified) snapshot and donor the machine whose
-// launch context carries the shared key. Adoption models the sealed-channel
-// key transport of a cross-host warm pool; subsequent boots of the image on
-// this orchestrator restore warm instead of cold-booting. A warm tier that
-// is already seeded is left untouched. Callers gating boots on a KBS must
-// ensure the warm-restore reference digest was provisioned — the donor
-// host's capture does this when broker and cluster share a reference store.
-func (img *Image) AdoptWarm(snap *snapshot.Image, donor *kvm.Machine) {
-	if snap == nil || donor == nil || img.snap != nil {
-		return
+	if img.fork == nil {
+		return nil, nil
 	}
-	img.snap, img.donor = snap, donor
-	// Rebuild the fork source from the donor so adopted warm tiers fork
-	// too. The donor's launch context must be finished for forks to
-	// inherit its digest; otherwise the image stays on the copy path.
-	if donor.Launch != nil && donor.Launch.State() == psp.StateRunning {
-		if src, err := donor.Mem.ExportForkSource(); err == nil {
-			img.fork = &snapshot.Fork{Img: snap, Src: src, Digest: donor.Launch.Digest()}
-		}
-	}
-}
-
-// AdoptWarmFork is AdoptWarm with the donor host's fork container passed
-// through, so the adopting host skips the O(image) fork-source rebuild:
-// the interned blob and its verified root digest travel with the sealed
-// snapshot. A nil fork falls back to AdoptWarm's rebuild.
-func (img *Image) AdoptWarmFork(snap *snapshot.Image, donor *kvm.Machine, fork *snapshot.Fork) {
-	if fork == nil {
-		img.AdoptWarm(snap, donor)
-		return
-	}
-	if snap == nil || donor == nil || img.snap != nil {
-		return
-	}
-	img.snap, img.donor, img.fork = snap, donor, fork
+	return img.fork.Img, img.donor
 }
 
 // ForkState returns the image's fork container, or nil when the warm
-// tier is unseeded or copy-only. Clusters replicating the warm pool ship
-// it alongside the sealed snapshot so adopting hosts fork directly.
+// tier is unseeded. Clusters replicating the warm pool ship it alongside
+// the sealed snapshot so adopting hosts fork directly.
 func (img *Image) ForkState() *snapshot.Fork { return img.fork }
+
+// AdoptWarmFork seeds the image's warm tier from another host's capture:
+// fork is the donor host's fork container (its blob and verified root
+// digest travel with the sealed snapshot) and donor the machine whose
+// launch context carries the shared key. Adoption models the
+// sealed-channel key transport of a cross-host warm pool; subsequent
+// boots of the image on this orchestrator fork instead of cold-booting,
+// attesting with the donor's measured digest. A warm tier that is already
+// seeded is left untouched. The fork container is the only representation
+// of a warm parent: an adoption without one is refused, never downgraded
+// to ciphertext replay.
+func (img *Image) AdoptWarmFork(donor *kvm.Machine, fork *snapshot.Fork) error {
+	if donor == nil || donor.Launch == nil || fork == nil || fork.Img == nil || fork.Src == nil {
+		return fmt.Errorf("%w: image %q", errNoForkContainer, img.Name)
+	}
+	if img.fork == nil {
+		img.donor, img.fork = donor, fork
+	}
+	return nil
+}
 
 // Request is one boot demand.
 type Request struct {
@@ -670,9 +655,8 @@ func (o *Orchestrator) finish(p *sim.Proc, r *request) {
 func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, error) {
 	img := r.Image
 	// Tier 1: warm boot — a prewarmed standby if the pool holds one,
-	// otherwise a fork (or legacy copy restore) from the image's
-	// shared-key snapshot.
-	if o.cfg.EnableWarm && img.snap != nil {
+	// otherwise a fork from the image's shared-key snapshot.
+	if o.cfg.EnableWarm && img.fork != nil {
 		r.warmEpoch = img.warmEpoch
 		if o.bootFault() {
 			return TierWarm, o.injectFault(p)
@@ -740,23 +724,13 @@ func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, error) {
 	// fork-ready snapshot. Forked boots inherit the donor's launch
 	// digest, which the measured-image cache already provisioned into
 	// the key broker — no extra reference value is needed.
-	if o.cfg.EnableWarm && img.snap == nil && !img.capturing {
+	if o.cfg.EnableWarm && img.fork == nil && !img.capturing {
 		img.capturing = true
 		fork, err := snapshot.CaptureFork(p, res.Machine, res.LaunchDigest)
 		if err != nil {
 			return tier, err
 		}
-		img.snap, img.donor, img.fork = fork.Img, res.Machine, fork
-		if o.cfg.KBS != nil && o.cfg.LegacyCopyRestore {
-			// Legacy copy restores replay ciphertext without digest
-			// extension, so their launch digest is the level/policy
-			// initial value. Allow it explicitly — it is still derived,
-			// not hand-listed.
-			warmDigest := psp.InitialDigest(img.spec.Policy, img.spec.Level)
-			if err := o.cfg.KBS.Provision(warmDigest, img.Name+" warm restore"); err != nil {
-				return tier, fmt.Errorf("fleet: provisioning warm reference value: %w", err)
-			}
-		}
+		img.donor, img.fork = res.Machine, fork
 	}
 	return tier, o.admit(p, r, tier, res.Machine)
 }
@@ -869,54 +843,37 @@ func (o *Orchestrator) degradedRecover(p *sim.Proc, r *request, img *Image, mism
 	return TierCold, o.admit(p, r, TierCold, res.Machine)
 }
 
-// warmRestore clones a guest from the image's donor snapshot. The fork
-// path (default when the fork source is present) opens the launch with
-// LaunchStartFork — donor key, ASID, and launch digest — and populates
-// memory by CoW page aliasing; the legacy path copy-restores ciphertext
-// under a fresh InitialDigest context. Both charge the same virtual
-// time: identical PSP command, identical restore span and byte count,
-// identical pvalidate pass. Only the host wall clock (and the digest
-// provenance) differ. A fork source tampered since capture is refused
-// and the image's whole warm pool is invalidated, so the next boot of
-// the image re-seeds cold from measured bytes.
+// warmRestore forks a guest from the image's warm parent: the launch
+// opens with LaunchStartFork — donor key, ASID, and launch digest — and
+// memory is populated by CoW page aliasing, then re-validated. A fork
+// source tampered since capture is refused and the image's whole warm
+// pool is invalidated, so the next boot of the image re-seeds cold from
+// measured bytes.
 func (o *Orchestrator) warmRestore(p *sim.Proc, img *Image) (*kvm.Machine, error) {
 	// Capture the pool state up front: an eviction landing during the
 	// virtual-time yields below (a revocation storm invalidating the
 	// pool mid-restore) must not tear the restore out from under us.
 	// The guest is built from the captured state and then refused by
 	// the pool-epoch check at admit time, so it is never served.
-	snap, donor, fork := img.snap, img.donor, img.fork
-	m := o.host.NewMachine(p, snap.Size, img.spec.Level)
+	donor, fork := img.donor, img.fork
+	m := o.host.NewMachine(p, fork.Src.Size(), img.spec.Level)
 	m.Timeline.Annotate("vmm", "firecracker")
 	m.Timeline.Annotate("scheme", "warm-restore")
 	m.Timeline.Annotate("level", img.spec.Level.String())
 	m.PrepSEVHost(p)
-	forked := fork != nil && !o.cfg.LegacyCopyRestore
-	var ctx *psp.GuestContext
-	var err error
-	if forked {
-		ctx, err = o.host.PSP.LaunchStartFork(p, m.Mem, donor.Launch, img.spec.Level, img.spec.Policy)
-	} else {
-		ctx, err = o.host.PSP.LaunchStartShared(p, m.Mem, donor.Launch, img.spec.Level, img.spec.Policy)
-	}
+	ctx, err := o.host.PSP.LaunchStartFork(p, m.Mem, donor.Launch, img.spec.Level, img.spec.Policy)
 	if err != nil {
 		return nil, err
 	}
 	m.Launch = ctx
 	m.Timeline.Annotate("asid", fmt.Sprintf("%d", ctx.ASID()))
-	if forked {
-		if err := fork.Restore(p, m); err != nil {
-			if errors.Is(err, guestmem.ErrForkTampered) {
-				o.EvictWarm(img)
-			}
-			return nil, err
+	if err := fork.Restore(p, m); err != nil {
+		if errors.Is(err, guestmem.ErrForkTampered) {
+			o.EvictWarm(img)
 		}
-	} else {
-		if err := snapshot.Restore(p, m, snap); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
-	p.Sleep(o.host.Model.Pvalidate(len(snap.Pages)*4096, o.host.PvalidatePageSize()))
+	p.Sleep(o.host.Model.Pvalidate(len(fork.Src.Pages())*guestmem.PageSize, o.host.PvalidatePageSize()))
 	if _, err := ctx.LaunchFinish(p); err != nil {
 		return nil, err
 	}
@@ -930,7 +887,7 @@ func (o *Orchestrator) warmRestore(p *sim.Proc, img *Image) (*kvm.Machine, error
 // inline. It must run on a simulation process and requires a seeded
 // warm tier. Returns how many standbys were added.
 func (o *Orchestrator) Prewarm(p *sim.Proc, img *Image, n int) (int, error) {
-	if !o.cfg.EnableWarm || img.snap == nil {
+	if !o.cfg.EnableWarm || img.fork == nil {
 		return 0, fmt.Errorf("fleet: prewarm of %q: warm tier not seeded", img.Name)
 	}
 	added := 0
@@ -951,12 +908,12 @@ func (o *Orchestrator) Prewarm(p *sim.Proc, img *Image, n int) (int, error) {
 // StandbyCount reports the image's current prewarmed-standby depth.
 func (o *Orchestrator) StandbyCount(img *Image) int { return len(o.standby[img.key]) }
 
-// EvictWarm invalidates an image's entire warm pool: the snapshot, the
-// fork source, the donor, and any prewarmed standbys. Called on fork
+// EvictWarm invalidates an image's entire warm pool: the fork container,
+// the donor, and any prewarmed standbys. Called on fork
 // tamper detection and by operators re-registering an image; the next
 // boot re-seeds the pool from a fresh measured cold boot.
 func (o *Orchestrator) EvictWarm(img *Image) {
-	img.snap, img.donor, img.fork = nil, nil, nil
+	img.donor, img.fork = nil, nil
 	img.capturing = false
 	img.warmEpoch++
 	delete(o.standby, img.key)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -8,33 +9,29 @@ import (
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/sim"
-	"github.com/severifast/severifast/internal/trace"
+	"github.com/severifast/severifast/internal/snapshot"
+	"github.com/severifast/severifast/internal/telemetry"
 )
 
-// forkRun is everything one warm-fleet run produces that the fork path
-// must keep byte-identical to the legacy copy path: the served tier and
-// launch digest sequence and the per-tier virtual latencies.
-type forkRun struct {
-	tiers   []Tier
-	digests [][32]byte
-	cold    trace.Series
-	warm    trace.Series
-	host    *kvm.Host
-}
-
-func runWarmFleet(t *testing.T, legacy bool) forkRun {
-	t.Helper()
+// TestForkVsColdEquality is the acceptance proof for the snapshot-fork
+// warm tier: one cold boot seeds the pool, every later boot forks, and
+// every boot of the image — cold or forked — attests with the cold
+// boot's measured launch digest. (That a fork charges exactly the
+// virtual time of a §7 copy restore is proven where both primitives
+// live: internal/snapshot's TestForkRestoreEqualsCopyRestore.)
+func TestForkVsColdEquality(t *testing.T) {
 	eng := sim.NewEngine()
 	host := kvm.NewHost(eng, costmodel.Default(), 1)
-	var run forkRun
-	run.host = host
+	var (
+		tiers   []Tier
+		digests [][32]byte
+	)
 	o := New(eng, host, Config{
-		Workers:           1,
-		EnableWarm:        true,
-		LegacyCopyRestore: legacy,
+		Workers:    1,
+		EnableWarm: true,
 		OnServed: func(_ *sim.Proc, m *kvm.Machine, tier Tier) {
-			run.tiers = append(run.tiers, tier)
-			run.digests = append(run.digests, m.Launch.Digest())
+			tiers = append(tiers, tier)
+			digests = append(digests, m.Launch.Digest())
 		},
 	})
 	img, err := o.RegisterImage("fn", kernelgen.Lupine(), kernelgen.BuildInitrd(7, 1<<20))
@@ -47,67 +44,106 @@ func runWarmFleet(t *testing.T, legacy bool) forkRun {
 		Images:           []*Image{img},
 		Seed:             11,
 	})
-	m := o.Metrics()
-	run.cold = append(trace.Series{}, m.Latency[TierCold]...)
-	run.warm = append(trace.Series{}, m.Latency[TierWarm]...)
-	return run
-}
 
-// TestForkVsColdEquality is the acceptance proof for the snapshot-fork
-// warm path: the forked run and the legacy ciphertext-copy run must be
-// indistinguishable in virtual time and in every launch digest — only
-// host wall-clock work differs. It also proves the fork path actually
-// ran (CoW fork adoptions recorded) and the legacy path did not.
-func TestForkVsColdEquality(t *testing.T) {
-	fork := runWarmFleet(t, false)
-	legacy := runWarmFleet(t, true)
-
-	if len(fork.tiers) != len(legacy.tiers) {
-		t.Fatalf("served %d vs %d boots", len(fork.tiers), len(legacy.tiers))
+	want := []Tier{TierCold, TierWarm, TierWarm, TierWarm}
+	if len(tiers) != len(want) {
+		t.Fatalf("served %d boots, want %d", len(tiers), len(want))
 	}
-	for i := range fork.tiers {
-		if fork.tiers[i] != legacy.tiers[i] {
-			t.Fatalf("boot %d tier %v (fork) != %v (legacy)", i, fork.tiers[i], legacy.tiers[i])
+	for i := range want {
+		if tiers[i] != want[i] {
+			t.Fatalf("boot %d served %v, want %v", i, tiers[i], want[i])
 		}
-		// Cold boots must measure identically in both modes. Warm boots
-		// differ in provenance by design: a fork inherits the donor's
-		// measured digest, where a copy restore opens a fresh shared-key
-		// context with the initial digest.
-		if fork.tiers[i] != TierWarm && fork.digests[i] != legacy.digests[i] {
-			t.Fatalf("boot %d launch digest diverged between fork and copy restore", i)
-		}
-	}
-	// The fork path's O(1) digest reuse: every boot of the image — cold
-	// or forked — carries the cold boot's measured digest.
-	for i, d := range fork.digests {
-		if d != fork.digests[0] {
+		if digests[i] != digests[0] {
 			t.Fatalf("boot %d digest differs from the cold boot's", i)
 		}
 	}
-	if len(fork.cold) != len(legacy.cold) || len(fork.warm) != len(legacy.warm) {
-		t.Fatalf("latency series lengths diverged: cold %d/%d warm %d/%d",
-			len(fork.cold), len(legacy.cold), len(fork.warm), len(legacy.warm))
+	if digests[0] == [32]byte{} {
+		t.Fatal("cold boot was not measured")
 	}
-	for i := range fork.warm {
-		if fork.warm[i] != legacy.warm[i] {
-			t.Fatalf("warm boot %d virtual latency %v (fork) != %v (legacy)",
-				i, fork.warm[i], legacy.warm[i])
+	m := o.Metrics()
+	for i, warm := range m.Latency[TierWarm] {
+		if warm >= m.Latency[TierCold][0] {
+			t.Fatalf("forked boot %d took %v, cold boot %v", i, warm, m.Latency[TierCold][0])
 		}
 	}
-	for i := range fork.cold {
-		if fork.cold[i] != legacy.cold[i] {
-			t.Fatalf("cold boot %d virtual latency %v (fork) != %v (legacy)",
-				i, fork.cold[i], legacy.cold[i])
-		}
+	_, counters := host.HostStats.Snapshot()
+	if counters["guestmem.fork.adopted"] == 0 {
+		t.Fatal("warm boots never adopted a fork source")
+	}
+}
+
+// serveSync boots img once on a standalone orchestrator and returns the
+// tier served.
+func serveSync(t *testing.T, eng *sim.Engine, o *Orchestrator, img *Image) (tier Tier) {
+	t.Helper()
+	eng.Go("serve", func(p *sim.Proc) {
+		o.Serve(p, Request{Tenant: "t0", Image: img, Done: func(_ *sim.Proc, got Tier, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			tier = got
+		}})
+	})
+	eng.Run()
+	return tier
+}
+
+// TestAdoptWithoutForkContainerRefused: the fork container is the only
+// representation of a warm parent. An adoption that carries a donor but
+// no container is refused with errNoForkContainer — never downgraded to
+// replaying ciphertext — and the image keeps booting cold.
+func TestAdoptWithoutForkContainerRefused(t *testing.T) {
+	var donor *kvm.Machine
+	engA, a, imgA := testFleet(t, Config{Standalone: true, EnableWarm: true,
+		OnServed: func(_ *sim.Proc, m *kvm.Machine, _ Tier) { donor = m }})
+	serveSync(t, engA, a, imgA)
+	fork := imgA.ForkState()
+	if donor == nil || fork == nil {
+		t.Fatal("cold boot captured no fork container")
 	}
 
-	_, forkCounters := fork.host.HostStats.Snapshot()
-	_, legacyCounters := legacy.host.HostStats.Snapshot()
-	if forkCounters["guestmem.fork.adopted"] == 0 {
-		t.Fatal("fork run never adopted a fork source")
+	engB, b, imgB := testFleet(t, Config{Standalone: true, EnableWarm: true})
+	for name, adopt := range map[string]func() error{
+		"nil container":  func() error { return imgB.AdoptWarmFork(donor, nil) },
+		"no fork source": func() error { return imgB.AdoptWarmFork(donor, &snapshot.Fork{Img: fork.Img, Digest: fork.Digest}) },
+		"nil donor":      func() error { return imgB.AdoptWarmFork(nil, fork) },
+	} {
+		if err := adopt(); !errors.Is(err, errNoForkContainer) {
+			t.Fatalf("%s: adoption error = %v, want errNoForkContainer", name, err)
+		}
+		if imgB.HasWarm() {
+			t.Fatalf("%s: refused adoption seeded the warm tier", name)
+		}
 	}
-	if legacyCounters["guestmem.fork.adopted"] != 0 {
-		t.Fatalf("legacy run adopted %d forks, want 0", legacyCounters["guestmem.fork.adopted"])
+	if tier := serveSync(t, engB, b, imgB); tier != TierCold {
+		t.Fatalf("boot after refused adoption served %v, want cold", tier)
+	}
+}
+
+// TestEvictWarmReleasesForkBlob: a fork blob is referenced only by its
+// fork container, so capture→evict cycles must not grow the process
+// intern table (which would pin tens of MiB per evicted image forever).
+func TestEvictWarmReleasesForkBlob(t *testing.T) {
+	eng, o, img := testFleet(t, Config{Standalone: true, EnableWarm: true})
+	cycle := func() {
+		t.Helper()
+		serveSync(t, eng, o, img)
+		if !img.HasWarm() {
+			t.Fatal("cold boot did not capture a fork container")
+		}
+		o.EvictWarm(img)
+	}
+	interned := func() int64 {
+		_, counters := telemetry.DefaultHostRecorder.Snapshot()
+		return counters["artifact.interned"]
+	}
+	cycle() // interns the image's canonical kernel/initrd/payload buffers once
+	before := interned()
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if after := interned(); after != before {
+		t.Fatalf("artifact.interned grew %d -> %d over 4 capture/evict cycles", before, after)
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -306,5 +308,73 @@ func TestKBSWarmTierAttested(t *testing.T) {
 	warm := m.Latency[TierWarm].Percentile(50)
 	if warm >= cold {
 		t.Fatalf("attested warm restore (%v) not faster than cold boot (%v)", warm, cold)
+	}
+}
+
+// TestKBSRefStoreHoldsOnlyMeasuredDigests: the broker's reference store is
+// derived from measured launches and nothing else. After a warm,
+// broker-gated run over K images it holds exactly K digests, and a guest
+// that opened a shared-key launch context but measured nothing — its
+// report carries the content-free psp.InitialDigest — is denied for its
+// measurement even though its platform evidence is honest.
+func TestKBSRefStoreHoldsOnlyMeasuredDigests(t *testing.T) {
+	const images = 3
+	eng, o, img0, broker := testKBSFleet(t, Config{Standalone: true, EnableWarm: true})
+	imgs := []*Image{img0}
+	for i := 1; i < images; i++ {
+		img, err := o.RegisterImage(fmt.Sprintf("fn-%d", i), kernelgen.Lupine(), kernelgen.BuildInitrd(int64(7+i), 1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs = append(imgs, img)
+	}
+	var denial error
+	eng.Go("run", func(p *sim.Proc) {
+		for _, img := range imgs {
+			for _, want := range []Tier{TierCold, TierWarm} {
+				o.Serve(p, Request{Tenant: "t0", Image: img, Done: func(_ *sim.Proc, tier Tier, err error) {
+					if err != nil || tier != want {
+						t.Errorf("%s: served %v (err %v), want %v", img.Name, tier, err, want)
+					}
+				}})
+			}
+		}
+
+		// A shared-key launch finished without a single measured page,
+		// run through the fleet's own attest exchange.
+		spec := img0.Spec()
+		_, donor := img0.WarmState()
+		m := o.host.NewMachine(p, spec.MemSize, spec.Level)
+		ctx, err := o.host.PSP.LaunchStartShared(p, m.Mem, donor.Launch, spec.Level, spec.Policy)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := ctx.LaunchFinish(p); err != nil {
+			t.Error(err)
+			return
+		}
+		if ctx.Digest() != psp.InitialDigest(spec.Policy, spec.Level) {
+			t.Error("unmeasured shared-key guest does not carry the initial digest")
+		}
+		m.Launch = ctx
+		denial = o.attestExchange(p, &request{Request: Request{Tenant: "t0"}}, m)
+	})
+	eng.Run()
+	if err := o.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := kbs.ReasonOf(denial); got != kbs.ReasonMeasurement {
+		t.Fatalf("initial-digest redeem: reason %q (err %v), want %q", got, denial, kbs.ReasonMeasurement)
+	}
+	bs, err := broker.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs.RefValues != images {
+		t.Fatalf("reference store holds %d digests, want %d (one per measured image)", bs.RefValues, images)
+	}
+	if bs.Grants != 2*images {
+		t.Fatalf("broker granted %d, want %d", bs.Grants, 2*images)
 	}
 }

@@ -1,7 +1,7 @@
 package guestmem
 
 // Snapshot-fork support: a ForkSource is one guest's resident plain
-// text, frozen into a single interned artifact so any number of later
+// text, frozen into a single immutable artifact so any number of later
 // guests can alias it copy-on-write. Where snapshot.Restore replays
 // ciphertext page by page (O(image) AES work per warm boot), AdoptFork
 // is O(resident pages) of pointer aliasing plus one O(1) root-digest
@@ -47,9 +47,12 @@ type ForkSource struct {
 }
 
 // ExportForkSource freezes the guest's resident pages — plain text, in
-// page-number order — into one interned blob and records its digest as
-// the fork root. The donor must not be mutated afterwards (fleet keeps
-// donors parked for exactly this reason).
+// page-number order — into one blob and records its digest as the fork
+// root. The blob's handle travels with the source (adopted pages carry
+// it as provenance), so it stays out of the process intern table and is
+// collected with the last fork container that references it. The donor
+// must not be mutated afterwards (fleet keeps donors parked for exactly
+// this reason).
 func (m *Memory) ExportForkSource() (*ForkSource, error) {
 	var pns []uint64
 	for pn, p := range m.pages { // dense, so pns comes out sorted
@@ -64,7 +67,7 @@ func (m *Memory) ExportForkSource() (*ForkSource, error) {
 		copy(blob[i*PageSize:], p.readable())
 		pages[i] = ForkPage{PN: pn, Off: i * PageSize, Private: p.encrypted}
 	}
-	buf := artifact.Intern(blob)
+	buf := artifact.Of(blob)
 	src := &ForkSource{size: m.size, pages: pages, blob: buf}
 	if buf != nil {
 		src.root = buf.Digest()

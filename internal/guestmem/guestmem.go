@@ -584,29 +584,6 @@ func (m *Memory) Stats() Stats {
 	return s
 }
 
-// GuestWriteAliased is GuestWrite for page-aligned bulk loads from an
-// immutable buffer: full pages alias the source copy-on-write. The guest
-// Linux model uses it to place kernel segments, so concurrent guests
-// booting the same kernel share backing store (their *ciphertext* still
-// differs per guest — it is derived from the key and address on host
-// reads).
-func (m *Memory) GuestWriteAliased(gpa uint64, data []byte, cbit bool) error {
-	if err := m.check(gpa, len(data)); err != nil {
-		return err
-	}
-	if cbit && m.key == nil {
-		return ErrNoKey
-	}
-	if cbit && m.rmp != nil {
-		base, span := rmpSpan(gpa, len(data))
-		if err := m.rmp.CheckGuestAccessRange(base, span, m.asid); err != nil {
-			return err
-		}
-	}
-	m.writeAliased(gpa, data, cbit, artifact.Lookup(data), 0)
-	return nil
-}
-
 // HostWriteArtifact is HostWriteAliased for a subrange of an interned
 // artifact: pages alias art.Bytes()[off:off+n] copy-on-write and carry
 // provenance, so later HashRange/RangeView calls over them resolve to
@@ -626,9 +603,13 @@ func (m *Memory) HostWriteArtifact(gpa uint64, art *artifact.Buf, off, n int) er
 	return nil
 }
 
-// GuestWriteArtifact is GuestWriteAliased for a subrange of an interned
-// artifact (the guest kernel loader placing ELF segments from the
-// canonical decompressed vmlinux).
+// GuestWriteArtifact is GuestWrite for page-aligned bulk loads from a
+// subrange of an immutable artifact: full pages alias
+// art.Bytes()[off:off+n] copy-on-write and carry provenance. The guest
+// Linux model uses it to place ELF segments from the canonical
+// decompressed vmlinux, so concurrent guests booting the same kernel
+// share backing store (their *ciphertext* still differs per guest — it
+// is derived from the key and address on host reads).
 func (m *Memory) GuestWriteArtifact(gpa uint64, art *artifact.Buf, off, n int, cbit bool) error {
 	data := art.Bytes()[off : off+n]
 	if err := m.check(gpa, n); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/rmp"
 )
 
@@ -376,8 +377,11 @@ func TestWriteSpanningPages(t *testing.T) {
 func TestGuestWriteAliasedSharesBacking(t *testing.T) {
 	m := New(4 << 20)
 	m.SetKey(key(20), 1)
-	buf := bytes.Repeat([]byte{5}, 4*PageSize)
-	if err := m.GuestWriteAliased(0x100000, buf, true); err != nil {
+	// A page-aligned subrange of a larger artifact: the leading page
+	// must stay out of the guest.
+	art := artifact.Of(append(bytes.Repeat([]byte{7}, PageSize), bytes.Repeat([]byte{5}, 4*PageSize)...))
+	buf := art.Bytes()[PageSize:]
+	if err := m.GuestWriteArtifact(0x100000, art, PageSize, len(buf), true); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stats().AliasedPages < 4 {
@@ -395,13 +399,13 @@ func TestGuestWriteAliasedSharesBacking(t *testing.T) {
 		t.Fatal(err)
 	}
 	if buf[0] != 5 {
-		t.Fatal("source buffer mutated through alias")
+		t.Fatal("source artifact mutated through alias")
 	}
 }
 
 func TestGuestWriteAliasedRequiresKeyForCbit(t *testing.T) {
 	m := New(1 << 20)
-	if err := m.GuestWriteAliased(0, make([]byte, PageSize), true); !errors.Is(err, ErrNoKey) {
+	if err := m.GuestWriteArtifact(0, artifact.Of(make([]byte, PageSize)), 0, PageSize, true); !errors.Is(err, ErrNoKey) {
 		t.Fatalf("err = %v, want ErrNoKey", err)
 	}
 }

@@ -182,7 +182,7 @@ func (pf *platform) invoke(p *sim.Proc, exec time.Duration) {
 		pf.stats.WarmStarts++
 		p.Sleep(500 * time.Microsecond) // dispatch into a live VM
 	} else if pf.cfg.Mode == ModeSEVWarm && pf.snap != nil {
-		if err := pf.warmRestore(p); err != nil {
+		if _, err := snapshot.WarmRestore(p, pf.host, pf.donor, pf.snap); err != nil {
 			pf.fail(err)
 			return
 		}
@@ -241,21 +241,4 @@ func (pf *platform) coldBoot(p *sim.Proc) (*firecracker.Result, error) {
 		cfg.AllowKeySharing = pf.cfg.Mode == ModeSEVWarm
 	}
 	return firecracker.Boot(p, pf.host, cfg)
-}
-
-func (pf *platform) warmRestore(p *sim.Proc) error {
-	m := pf.host.NewMachine(p, pf.snap.Size, sev.SNP)
-	m.PrepSEVHost(p)
-	pol := sev.DefaultPolicy()
-	pol.NoKeySharing = false
-	ctx, err := pf.host.PSP.LaunchStartShared(p, m.Mem, pf.donor.Launch, sev.SNP, pol)
-	if err != nil {
-		return err
-	}
-	m.Launch = ctx
-	if err := snapshot.Restore(p, m, pf.snap); err != nil {
-		return err
-	}
-	p.Sleep(pf.host.Model.Pvalidate(len(pf.snap.Pages)*4096, pf.host.PvalidatePageSize()))
-	return nil
 }

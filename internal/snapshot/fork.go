@@ -10,8 +10,9 @@ package snapshot
 // charges for the same image — the same "snapshot.restore" timeline
 // span and the same VMMLoad over the same byte count — so whether a
 // warm boot copies ciphertext or aliases plain text is invisible on
-// the virtual clock. Only the host's wall clock improves: aliasing is
-// O(resident pages) of pointer work with no per-page AES.
+// the virtual clock (TestForkRestoreEqualsCopyRestore). Only the host's
+// wall clock improves: aliasing is O(resident pages) of pointer work
+// with no per-page AES.
 
 import (
 	"fmt"

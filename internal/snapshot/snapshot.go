@@ -23,10 +23,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -194,14 +194,45 @@ func Dedup(images ...*Image) DedupStats {
 	return stats
 }
 
-// WarmStartCost estimates the restore latency for an image: the host-side
-// page replay plus, for SEV guests, the re-validation the guest must do
-// because RMP state does not survive (pvalidate over restored memory).
-func WarmStartCost(m *kvm.Machine, img *Image) time.Duration {
-	bytes := len(img.Pages) * guestmem.PageSize
-	cost := m.Host.Model.VMMLoad(bytes)
-	if img.SEV {
-		cost += m.Host.Model.Pvalidate(bytes, m.Host.PvalidatePageSize())
+// WarmRestore starts a new guest on host from a host-taken snapshot
+// instead of cold-booting — the paper's §7 copy-restore recipe. It is the
+// warm path for non-SEV guests and for the §7 experiments; a finished SEV
+// donor is forked instead (CaptureFork, psp.LaunchStartFork,
+// Fork.Restore), which costs the same virtual time and keeps the donor's
+// measured launch digest.
+//
+// For a non-SEV donor this is a plain page replay. For an SEV donor the
+// new guest opens a launch context that shares the donor's encryption
+// key under the relaxed NoKeySharing=false policy (the §6.2 trade-off,
+// visible in the measurement; the donor must have launched with it too),
+// the host replays the captured ciphertext, and the guest re-validates
+// the restored pages because RMP state does not survive. Pre-encryption,
+// measured direct boot, decompression and kernel init are all skipped.
+func WarmRestore(proc *sim.Proc, host *kvm.Host, donor *kvm.Machine, img *Image) (*kvm.Machine, error) {
+	m := host.NewMachine(proc, img.Size, donor.Level)
+	m.Timeline.Annotate("scheme", "warm-restore")
+	m.Timeline.Annotate("level", donor.Level.String())
+	encrypted := donor.Level.Encrypted()
+	if encrypted {
+		m.PrepSEVHost(proc)
+		pol := sev.DefaultPolicy()
+		pol.NoKeySharing = false
+		if donor.Level < sev.ES {
+			pol.ESRequired = false
+		}
+		ctx, err := host.PSP.LaunchStartShared(proc, m.Mem, donor.Launch, donor.Level, pol)
+		if err != nil {
+			return nil, err
+		}
+		m.Launch = ctx
 	}
-	return cost
+	if err := Restore(proc, m, img); err != nil {
+		return nil, err
+	}
+	if encrypted {
+		// The restored guest re-validates its memory before resuming.
+		proc.Sleep(host.Model.Pvalidate(len(img.Pages)*guestmem.PageSize, host.PvalidatePageSize()))
+	}
+	m.Timeline.Close(proc.Now())
+	return m, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/guestmem"
@@ -265,8 +266,21 @@ func TestWarmStartCostSEVIncludesRevalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if WarmStartCost(enc, encImg) <= WarmStartCost(plain, plainImg) {
-			t.Fatal("SEV warm start must pay re-validation on top of page replay")
+		// cost is a warm restore's latency beyond the page replay itself.
+		cost := func(donor *kvm.Machine, img *Image) time.Duration {
+			start := p.Now()
+			m, err := WarmRestore(p, h, donor, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.Now().Sub(start) - m.Timeline.Span("snapshot.restore")
+		}
+		if extra := cost(plain, plainImg); extra != 0 {
+			t.Fatalf("plain warm start paid %v beyond page replay", extra)
+		}
+		revalidate := h.Model.Pvalidate(len(encImg.Pages)*guestmem.PageSize, h.PvalidatePageSize())
+		if extra := cost(enc, encImg); revalidate <= 0 || extra < revalidate {
+			t.Fatalf("SEV warm start paid %v beyond page replay, want at least the %v re-validation", extra, revalidate)
 		}
 	})
 }

@@ -22,14 +22,12 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
-	"github.com/severifast/severifast/internal/telemetry"
 )
 
 // PoolOptions tunes a Pool beyond what Config describes.
@@ -38,11 +36,6 @@ type PoolOptions struct {
 	// Defaults to 1024. Standbys are only created by explicit Prewarm
 	// calls, so the default never changes Boot-only virtual timing.
 	WarmPoolSize int
-	// LegacyCopyRestore forces warm boots onto the pre-fork ciphertext
-	// replay path. Virtual time and launch digests are identical to the
-	// fork path by construction; the flag exists for the equality test
-	// and as a one-release escape hatch.
-	LegacyCopyRestore bool
 }
 
 // PoolStats is a point-in-time snapshot of a Pool's serving history.
@@ -70,7 +63,6 @@ type PoolStats struct {
 type Pool struct {
 	host *Host
 	cfg  Config
-	opts PoolOptions
 
 	orch *fleet.Orchestrator
 	img  *fleet.Image
@@ -81,98 +73,70 @@ type Pool struct {
 	closed     bool
 }
 
-// NewPool validates cfg, provisions a fresh host, and registers the
-// image. The orchestrator (and its measured-image cache) is created
-// eagerly so the first Boot pays only the boot, not the setup.
-func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
-	p := newPool(NewHostSeed(cfgSeed(cfg)), cfg, opts)
-	if err := p.ensureOrch(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// newPool binds a pool to an existing host without touching the host's
-// engine or telemetry: the orchestrator is created lazily, so wrapper
-// paths that never Boot through the pool (BootConcurrent's cold fan-out)
-// leave the host exactly as before the Pool API existed.
-func newPool(h *Host, cfg Config, opts PoolOptions) *Pool {
-	if opts.WarmPoolSize <= 0 {
-		opts.WarmPoolSize = 1024
-	}
-	return &Pool{host: h, cfg: cfg, opts: opts}
-}
-
 // poolTCB is the firmware level the pool's host is enrolled at when
 // Config.Attest wires an in-process key broker.
 var poolTCB = kbs.TCB{BootLoader: 2, TEE: 1, SNP: 8, Microcode: 115}
 
-// ensureOrch builds the fleet orchestrator and registers the image.
-func (p *Pool) ensureOrch() error {
-	if p.orch != nil {
-		return nil
+// NewPool validates cfg, provisions a fresh host, builds the fleet
+// orchestrator (and its measured-image cache) and registers the image,
+// so the first Boot pays only the boot, not the setup.
+func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
+	if err := cfg.fillDefaults(); err != nil {
+		return nil, err
 	}
-	if p.cfg.Scheme == SchemeQEMUOVMF {
-		return fmt.Errorf("severifast: Pool does not support %q (use Host.Boot)", p.cfg.Scheme)
+	if cfg.Scheme == SchemeQEMUOVMF {
+		return nil, fmt.Errorf("severifast: Pool does not support %q (use Host.Boot)", cfg.Scheme)
 	}
-	if p.cfg.Codec != CodecLZ4 {
-		return fmt.Errorf("severifast: Pool supports CodecLZ4 only, not %q", p.cfg.Codec)
+	if cfg.Codec != CodecLZ4 {
+		return nil, fmt.Errorf("severifast: Pool supports CodecLZ4 only, not %q", cfg.Codec)
 	}
-	preset, err := kernelgen.PresetByName(string(p.cfg.Kernel))
+	preset, err := kernelgen.PresetByName(string(cfg.Kernel))
 	if err != nil {
-		return classifyErr(err)
+		return nil, classifyErr(err)
 	}
-	level, err := sev.ParseLevel(string(p.cfg.Level))
+	level, err := sev.ParseLevel(string(cfg.Level))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.host.inner.THP = !p.cfg.DisableTHP
-	p.host.inner.HugePageValidation = p.cfg.HugePageValidation
+	if opts.WarmPoolSize <= 0 {
+		opts.WarmPoolSize = 1024
+	}
+	h := NewHostSeed(cfgSeed(cfg))
+	h.inner.THP = !cfg.DisableTHP
+	h.inner.HugePageValidation = cfg.HugePageValidation
+	p := &Pool{host: h, cfg: cfg}
 	fcfg := fleet.Config{
-		Name:              "pool",
-		Standalone:        true,
-		EnableWarm:        level.Encrypted(),
-		LegacyCopyRestore: p.opts.LegacyCopyRestore,
-		WarmPoolSize:      p.opts.WarmPoolSize,
-		Telemetry:         p.host.reg,
-		Level:             level,
-		VCPUs:             p.cfg.VCPUs,
-		MemSize:           uint64(p.cfg.MemMiB) << 20,
+		Name:         "pool",
+		Standalone:   true,
+		EnableWarm:   level.Encrypted(),
+		WarmPoolSize: opts.WarmPoolSize,
+		Telemetry:    h.reg,
+		Level:        level,
+		Scheme:       cfg.Scheme.firecracker(),
+		VCPUs:        cfg.VCPUs,
+		MemSize:      uint64(cfg.MemMiB) << 20,
 		OnServed: func(_ *sim.Proc, m *kvm.Machine, tier fleet.Tier) {
 			p.lastServed, p.lastTier = m, tier
 		},
 	}
-	switch p.cfg.Scheme {
-	case SchemeStock:
-		fcfg.Scheme = firecracker.SchemeStock
-	case SchemeSEVeriFast:
-		fcfg.Scheme = firecracker.SchemeSEVeriFastBz
-	case SchemeSEVeriFastVmlinux:
-		fcfg.Scheme = firecracker.SchemeSEVeriFastVmlinux
-	}
-	if p.cfg.Attest && level.Encrypted() {
-		auth := kbs.NewAuthority(p.host.seed ^ 0xB0B)
+	if cfg.Attest && level.Encrypted() {
+		auth := kbs.NewAuthority(h.seed ^ 0xB0B)
 		broker := kbs.NewBroker(auth.Root(), kbs.Config{
 			MinTCB:   poolTCB,
 			NonceTTL: time.Second,
-			Seed:     p.host.seed,
+			Seed:     h.seed,
 		})
-		broker.AddTenant("owner", []byte("secret-"+string(p.cfg.Kernel)))
+		broker.AddTenant("owner", []byte("secret-"+string(cfg.Kernel)))
 		fcfg.KBS = broker
-		fcfg.Enrollment = auth.Enroll(p.host.inner.PSP, "chip-pool", poolTCB)
-		fcfg.AgentSeed = p.host.seed
+		fcfg.Enrollment = auth.Enroll(h.inner.PSP, "chip-pool", poolTCB)
+		fcfg.AgentSeed = h.seed
 	}
-	p.orch = fleet.New(p.host.eng, p.host.inner, fcfg)
-	initrd := kernelgen.BuildInitrd(p.cfg.Seed, p.cfg.InitrdMiB<<20)
-	img, err := p.orch.RegisterImage(string(p.cfg.Kernel), preset, initrd)
-	if err != nil {
-		return classifyErr(err)
+	p.orch = fleet.New(h.eng, h.inner, fcfg)
+	initrd := kernelgen.BuildInitrd(cfg.Seed, cfg.InitrdMiB<<20)
+	if p.img, err = p.orch.RegisterImage(string(cfg.Kernel), preset, initrd); err != nil {
+		return nil, classifyErr(err)
 	}
-	p.img = img
-	return nil
+	return p, nil
 }
 
 // Boot serves one boot of the pool's image: cold (measured) the first
@@ -183,9 +147,6 @@ func (p *Pool) ensureOrch() error {
 func (p *Pool) Boot() (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("severifast: pool is closed")
-	}
-	if err := p.ensureOrch(); err != nil {
-		return nil, err
 	}
 	p.seq++
 	var (
@@ -236,9 +197,6 @@ func (p *Pool) Prewarm(n int) (int, error) {
 	if p.closed {
 		return 0, fmt.Errorf("severifast: pool is closed")
 	}
-	if err := p.ensureOrch(); err != nil {
-		return 0, err
-	}
 	if !p.img.HasWarm() {
 		if _, err := p.Boot(); err != nil {
 			return 0, err
@@ -264,9 +222,6 @@ func (p *Pool) Prewarm(n int) (int, error) {
 // Stats snapshots the pool's serving history.
 func (p *Pool) Stats() PoolStats {
 	var s PoolStats
-	if p.orch == nil {
-		return s
-	}
 	m := p.orch.Metrics()
 	s.ColdBoots = m.Boots[fleet.TierCold]
 	s.CachedColdBoots = m.Boots[fleet.TierCachedCold]
@@ -291,55 +246,7 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
-	if p.orch == nil {
-		return nil
-	}
 	p.orch.Close()
 	p.host.eng.Run()
 	return classifyErr(p.orch.Err())
-}
-
-// bootFanout is the Pool's compatibility mode behind Host.BootConcurrent:
-// n identical guests spawned simultaneously on the pool's host, each a
-// full independent cold boot (process names "vm-<i>", exactly the
-// pre-Pool behavior, so seeded virtual-time outputs are unchanged). It
-// never creates the orchestrator.
-func (p *Pool) bootFanout(n int) ([]*Result, error) {
-	cfg := p.cfg
-	preset, err := kernelgen.PresetByName(string(cfg.Kernel))
-	if err != nil {
-		return nil, classifyErr(err)
-	}
-	level, err := sev.ParseLevel(string(cfg.Level))
-	if err != nil {
-		return nil, err
-	}
-	art, err := kernelgen.Cached(preset)
-	if err != nil {
-		return nil, err
-	}
-	initrd := kernelgen.BuildInitrd(cfg.Seed, cfg.InitrdMiB<<20)
-	h := p.host
-	h.inner.THP = !cfg.DisableTHP
-	h.inner.HugePageValidation = cfg.HugePageValidation
-
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		h.eng.Go(fmt.Sprintf("vm-%d", i), func(pr *sim.Proc) {
-			results[i], errs[i] = h.bootOne(pr, cfg, preset, level, art, initrd)
-		})
-	}
-	h.eng.Run()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	for _, r := range results {
-		h.reg.Counter("severifast_boots_total", telemetry.A("scheme", string(cfg.Scheme))).Inc()
-		h.reg.Series("severifast_boot_seconds", telemetry.A("scheme", string(cfg.Scheme))).Observe(r.Total)
-	}
-	return results, nil
 }

@@ -79,36 +79,6 @@ func TestPoolPrewarm(t *testing.T) {
 	}
 }
 
-// TestPoolLegacyEquality is the facade-level slice of the fork-vs-cold
-// proof (the full tier/digest/latency matrix lives in internal/fleet):
-// flipping LegacyCopyRestore must not move a single virtual-time output.
-func TestPoolLegacyEquality(t *testing.T) {
-	boot := func(legacy bool) (cold, warm *severifast.Result) {
-		t.Helper()
-		pool, err := severifast.NewPool(poolConfig(), severifast.PoolOptions{LegacyCopyRestore: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pool.Close()
-		if cold, err = pool.Boot(); err != nil {
-			t.Fatal(err)
-		}
-		if warm, err = pool.Boot(); err != nil {
-			t.Fatal(err)
-		}
-		return cold, warm
-	}
-	forkCold, forkWarm := boot(false)
-	copyCold, copyWarm := boot(true)
-	if forkCold.Total != copyCold.Total || forkWarm.Total != copyWarm.Total {
-		t.Fatalf("virtual time diverged: cold %v/%v warm %v/%v",
-			forkCold.Total, copyCold.Total, forkWarm.Total, copyWarm.Total)
-	}
-	if forkCold.LaunchDigest != copyCold.LaunchDigest {
-		t.Fatal("cold launch digest diverged between fork and copy modes")
-	}
-}
-
 func TestPoolAttested(t *testing.T) {
 	cfg := poolConfig().With(severifast.WithAttestation())
 	pool, err := severifast.NewPool(cfg, severifast.PoolOptions{})

@@ -43,6 +43,7 @@ import (
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/linux"
 	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/qemu"
@@ -144,6 +145,19 @@ const (
 	// SchemeQEMUOVMF is the mainstream QEMU + OVMF reference flow.
 	SchemeQEMUOVMF Scheme = "qemu-ovmf"
 )
+
+// firecracker maps the facade's Firecracker boot flows onto the VMM's
+// scheme enum. SchemeQEMUOVMF has no counterpart; callers route it to
+// internal/qemu first.
+func (s Scheme) firecracker() firecracker.Scheme {
+	switch s {
+	case SchemeSEVeriFast:
+		return firecracker.SchemeSEVeriFastBz
+	case SchemeSEVeriFastVmlinux:
+		return firecracker.SchemeSEVeriFastVmlinux
+	}
+	return firecracker.SchemeStock
+}
 
 // Codec selects the bzImage payload compression for SchemeSEVeriFast
 // (paper Fig. 5: LZ4 decompresses ~4x faster than gzip for ~10% more
@@ -475,14 +489,10 @@ func (h *Host) Boot(cfg Config) (*Result, error) {
 }
 
 // BootConcurrent launches n identical guests simultaneously, sharing this
-// host's PSP. With SEV enabled, launches serialize on the PSP and mean
-// boot time grows linearly with n (paper Fig. 12).
-//
-// Deprecated: use Pool for running many boots of one image. BootConcurrent
-// cold boots every guest independently — each pays the full measurement
-// pass — where a Pool forks warm boots from one sealed snapshot. It
-// remains a thin wrapper over the Pool's cold fan-out mode (virtual-time
-// outputs are unchanged) and will stay for at least one release.
+// host's PSP. Every guest is a full independent cold boot paying the whole
+// measurement pass; with SEV enabled, launches serialize on the PSP and
+// mean boot time grows linearly with n (paper Fig. 12). To serve many
+// boots of one image cheaply instead, fork them from a Pool.
 func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -490,7 +500,41 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("severifast: n must be >= 1")
 	}
-	return newPool(h, cfg, PoolOptions{}).bootFanout(n)
+	preset, err := kernelgen.PresetByName(string(cfg.Kernel))
+	if err != nil {
+		return nil, classifyErr(err)
+	}
+	level, err := sev.ParseLevel(string(cfg.Level))
+	if err != nil {
+		return nil, err
+	}
+	art, err := kernelgen.Cached(preset)
+	if err != nil {
+		return nil, err
+	}
+	initrd := kernelgen.BuildInitrd(cfg.Seed, cfg.InitrdMiB<<20)
+	h.inner.THP = !cfg.DisableTHP
+	h.inner.HugePageValidation = cfg.HugePageValidation
+
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		i := i
+		h.eng.Go(fmt.Sprintf("vm-%d", i), func(pr *sim.Proc) {
+			results[i], errs[i] = h.bootOne(pr, cfg, preset, level, art, initrd)
+		})
+	}
+	h.eng.Run()
+	for _, e := range errs {
+		if e != nil {
+			return nil, e
+		}
+	}
+	for _, r := range results {
+		h.reg.Counter("severifast_boots_total", telemetry.A("scheme", string(cfg.Scheme))).Inc()
+		h.reg.Series("severifast_boot_seconds", telemetry.A("scheme", string(cfg.Scheme))).Observe(r.Total)
+	}
+	return results, nil
 }
 
 func (h *Host) bootOne(p *sim.Proc, cfg Config, preset kernelgen.Preset, level sev.Level, art *kernelgen.Artifacts, initrd []byte) (*Result, error) {
@@ -510,7 +554,7 @@ func (h *Host) bootOne(p *sim.Proc, cfg Config, preset kernelgen.Preset, level s
 		if err != nil {
 			return nil, classifyErr(err)
 		}
-		return h.qemuResult(res), nil
+		return h.result(res.Timeline, res.Breakdown, res.Report, res.Machine, res.LaunchDigest), nil
 	}
 
 	fcfg := firecracker.Config{
@@ -520,18 +564,11 @@ func (h *Host) bootOne(p *sim.Proc, cfg Config, preset kernelgen.Preset, level s
 		VCPUs:                cfg.VCPUs,
 		MemSize:              uint64(cfg.MemMiB) << 20,
 		Level:                level,
+		Scheme:               cfg.Scheme.firecracker(),
 		Codec:                bzimage.Codec(cfg.Codec),
 		PreEncryptPageTables: cfg.PreEncryptPageTables,
 		VerifierSeed:         cfg.VerifierSeed,
 		AllowKeySharing:      cfg.AllowKeySharing,
-	}
-	switch cfg.Scheme {
-	case SchemeStock:
-		fcfg.Scheme = firecracker.SchemeStock
-	case SchemeSEVeriFast:
-		fcfg.Scheme = firecracker.SchemeSEVeriFastBz
-	case SchemeSEVeriFastVmlinux:
-		fcfg.Scheme = firecracker.SchemeSEVeriFastVmlinux
 	}
 	if level.Encrypted() && !cfg.InBandHashing {
 		hashes := h.componentHashes(cfg, preset, art, initrd)
@@ -544,7 +581,7 @@ func (h *Host) bootOne(p *sim.Proc, cfg Config, preset kernelgen.Preset, level s
 	if err != nil {
 		return nil, classifyErr(err)
 	}
-	return h.fcResult(res), nil
+	return h.result(res.Timeline, res.Breakdown, res.Report, res.Machine, res.LaunchDigest), nil
 }
 
 func (h *Host) componentHashes(cfg Config, preset kernelgen.Preset, art *kernelgen.Artifacts, initrd []byte) measure.ComponentHashes {
@@ -585,32 +622,9 @@ func (h *Host) qemuAttestor(cfg Config, preset kernelgen.Preset, art *kernelgen.
 	return &attest.InProcess{Owner: owner, AgentSeed: h.seed, WantSecret: secret}
 }
 
-func (h *Host) fcResult(res *firecracker.Result) *Result {
-	b := res.Breakdown
-	out := &Result{
-		Total:            b.Total,
-		VMM:              b.VMM,
-		PreEncryption:    b.PreEncryption,
-		Firmware:         b.Firmware,
-		BootVerification: b.BootVerification,
-		BootstrapLoader:  b.BootstrapLoader,
-		LinuxBoot:        b.LinuxBoot,
-		Attestation:      b.Attestation,
-		TotalWithAttest:  b.TotalWithAttest,
-		LaunchDigest:     res.LaunchDigest,
-		CPUs:             res.Report.CPUs,
-		KernelEntry:      res.Report.Entry,
-		InitrdOK:         res.Report.InitrdOK,
-		SEVMetadataBytes: res.Machine.Mem.SEVMetadataBytes(),
-		machine:          res.Machine,
-		host:             h,
-		timeline:         res.Timeline,
-	}
-	return out
-}
-
-func (h *Host) qemuResult(res *qemu.Result) *Result {
-	b := res.Breakdown
+// result converts a finished VMM boot (firecracker's or qemu's Result,
+// which carry the same fields) into the facade's Result.
+func (h *Host) result(tl *trace.Timeline, b trace.Breakdown, rep *linux.BootReport, m *kvm.Machine, digest [32]byte) *Result {
 	return &Result{
 		Total:            b.Total,
 		VMM:              b.VMM,
@@ -621,14 +635,14 @@ func (h *Host) qemuResult(res *qemu.Result) *Result {
 		LinuxBoot:        b.LinuxBoot,
 		Attestation:      b.Attestation,
 		TotalWithAttest:  b.TotalWithAttest,
-		LaunchDigest:     res.LaunchDigest,
-		CPUs:             res.Report.CPUs,
-		KernelEntry:      res.Report.Entry,
-		InitrdOK:         res.Report.InitrdOK,
-		SEVMetadataBytes: res.Machine.Mem.SEVMetadataBytes(),
-		machine:          res.Machine,
+		LaunchDigest:     digest,
+		CPUs:             rep.CPUs,
+		KernelEntry:      rep.Entry,
+		InitrdOK:         rep.InitrdOK,
+		SEVMetadataBytes: m.Mem.SEVMetadataBytes(),
+		machine:          m,
 		host:             h,
-		timeline:         res.Timeline,
+		timeline:         tl,
 	}
 }
 
@@ -789,32 +803,11 @@ func (h *Host) WarmBoot(s *Snapshot) (*Result, error) {
 	var bootErr error
 	h.eng.Go("warmboot", func(p *sim.Proc) {
 		start := p.Now()
-		m := h.inner.NewMachine(p, s.img.Size, s.donor.Level)
-		m.Timeline.Annotate("scheme", "warm-restore")
-		m.Timeline.Annotate("level", s.donor.Level.String())
-		if s.donor.Level.Encrypted() {
-			m.PrepSEVHost(p)
-			pol := sev.DefaultPolicy()
-			pol.NoKeySharing = false
-			if s.donor.Level < sev.ES {
-				pol.ESRequired = false
-			}
-			ctx, err := h.inner.PSP.LaunchStartShared(p, m.Mem, s.donor.Launch, s.donor.Level, pol)
-			if err != nil {
-				bootErr = err
-				return
-			}
-			m.Launch = ctx
-		}
-		if err := snapshot.Restore(p, m, s.img); err != nil {
+		m, err := snapshot.WarmRestore(p, h.inner, s.donor, s.img)
+		if err != nil {
 			bootErr = err
 			return
 		}
-		if s.donor.Level.Encrypted() {
-			// The restored guest re-validates its memory before resuming.
-			p.Sleep(h.inner.Model.Pvalidate(len(s.img.Pages)*4096, h.inner.PvalidatePageSize()))
-		}
-		m.Timeline.Close(p.Now())
 		res = &Result{
 			Total:    p.Now().Sub(start),
 			machine:  m,
