@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/severifast/severifast/internal/costmodel"
@@ -11,17 +12,22 @@ import (
 )
 
 // Alloc-regression pins: the zero-copy loader work (staging-blob
-// aliasing, span RMP, memoized digests) is visible as a hard ceiling on
-// heap allocations per boot. These are deliberately generous (~25% over
-// the measured steady state) so they only trip on a regression class —
-// a per-page loop reappearing, a digest memo going cold, a fresh copy
-// of a bulk segment — not on incidental churn.
+// aliasing, span RMP, memoized digests) and the shared page directory
+// are visible as hard ceilings on heap allocations and bytes per boot.
+// The counts are deliberately generous (~25% over the measured steady
+// state) so they only trip on a regression class — a per-page loop
+// reappearing, a digest memo going cold, a fresh copy of a bulk segment
+// — not on incidental churn. The byte ceilings are looser still: counts
+// alone let a dense 512 KiB page table per guest (two allocations) go
+// unpinned for five PRs.
 const (
-	coldAllocCeilingPerBoot = 340 // measured ~259 at 64 VMs
+	coldAllocCeilingPerBoot = 265 // measured ~209 at 64 VMs
+	coldKiBCeilingPerBoot   = 900 // measured ~415; 1143 with a dense per-guest table
 	// The warm iteration amortizes one full cold seed (plan + staging
 	// blob + snapshot capture) over the fleet, so its per-boot figure
 	// sits above the steady-state fork cost.
-	warmAllocCeilingPerBoot = 580 // measured ~464 at 64 VMs
+	warmAllocCeilingPerBoot = 550 // measured ~437 at 64 VMs
+	forkKiBCeilingPerBoot   = 64  // steady state, seed excluded: measured ~5; 1021 with per-adoption page structs
 )
 
 // allocFleetIteration runs one fleet iteration — register + vms boots —
@@ -70,31 +76,55 @@ func allocFleetIteration(tb testing.TB, preset kernelgen.Preset, initrd []byte, 
 	}
 }
 
-func measureAllocsPerBoot(t *testing.T, warm bool) float64 {
+// measureFleet runs fleet iterations of vms boots and returns the heap
+// allocations and bytes (MemStats.Mallocs / TotalAlloc) of one.
+func measureFleet(t *testing.T, vms int, warm bool) (allocs, bytes float64) {
 	t.Helper()
-	const vms = 64
+	const runs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	preset := kernelgen.Lupine()
 	initrd := kernelgen.BuildInitrd(7, 4<<20)
 	// One untimed pass warms the process-lifetime caches (generated
 	// kernels, decompressed payloads, interned artifacts) exactly as
 	// HostBench's warm-up iteration does.
 	allocFleetIteration(t, preset, initrd, vms, warm)
-	avg := testing.AllocsPerRun(3, func() {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
 		allocFleetIteration(t, preset, initrd, vms, warm)
-	})
-	return avg / vms
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
+// byteRegression names what a broken byte ceiling means: per-boot bytes
+// an order of magnitude over the handful of pages a boot writes have one
+// cause.
+const byteRegression = "an O(guest-size) or O(resident-pages) allocation is back on the boot path"
+
 func TestColdBootAllocCeiling(t *testing.T) {
-	if got := measureAllocsPerBoot(t, false); got > coldAllocCeilingPerBoot {
+	const vms = 64
+	allocs, bytes := measureFleet(t, vms, false)
+	if got := allocs / vms; got > coldAllocCeilingPerBoot {
 		t.Errorf("cold path allocates %.1f per boot, ceiling %d — a zero-copy loader or digest memo regressed",
 			got, coldAllocCeilingPerBoot)
+	}
+	if got := bytes / vms / 1024; got > coldKiBCeilingPerBoot {
+		t.Errorf("cold path allocates %.0f KiB per boot, ceiling %d — %s", got, coldKiBCeilingPerBoot, byteRegression)
 	}
 }
 
 func TestWarmForkAllocCeiling(t *testing.T) {
-	if got := measureAllocsPerBoot(t, true); got > warmAllocCeilingPerBoot {
+	const vms = 64
+	allocs, bytes := measureFleet(t, vms, true)
+	if got := allocs / vms; got > warmAllocCeilingPerBoot {
 		t.Errorf("warm-fork path allocates %.1f per boot, ceiling %d — fork aliasing or digest reuse regressed",
 			got, warmAllocCeilingPerBoot)
+	}
+	// Steady state: the cold seed costs the same in a fleet twice the
+	// size, so the difference is vms forked boots and nothing else.
+	_, bytes2 := measureFleet(t, 2*vms, true)
+	if got := (bytes2 - bytes) / vms / 1024; got > forkKiBCeilingPerBoot {
+		t.Errorf("a forked boot allocates %.0f KiB, ceiling %d — %s", got, forkKiBCeilingPerBoot, byteRegression)
 	}
 }

@@ -1,0 +1,671 @@
+package guestmem
+
+import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"github.com/severifast/severifast/internal/artifact"
+	"github.com/severifast/severifast/internal/rmp"
+)
+
+// The slow reference the page directory is checked against: a map of
+// pages, each holding its own private copy of its bytes, with a per-page
+// set standing in for the RMP. It shares no code with Memory — not the
+// directory, not copy-on-write, not the cipher plumbing, not the span
+// RMP — and restates only the rules that are observable: which writes
+// alias (Stats.AliasedPages counts them), which pages a GuestCopy leaves
+// unbacked, and what each access is refused for.
+
+type refPage struct {
+	data      []byte // nil = no backing; never shared with anything
+	cow       bool
+	encrypted bool
+}
+
+type refMem struct {
+	size  uint64
+	pages map[uint64]*refPage
+	block cipher.Block
+	asid  uint32
+	snp   bool
+	owned map[uint64]bool // assigned+validated to this guest
+}
+
+func newRef(size uint64, key []byte, asid uint32, snp bool) *refMem {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		panic(err)
+	}
+	return &refMem{size: size, pages: map[uint64]*refPage{}, block: block, asid: asid, snp: snp, owned: map[uint64]bool{}}
+}
+
+func (r *refMem) page(pn uint64) *refPage {
+	p := r.pages[pn]
+	if p == nil {
+		p = &refPage{}
+		r.pages[pn] = p
+	}
+	return p
+}
+
+func (r *refMem) peek(pn uint64) refPage {
+	if p := r.pages[pn]; p != nil {
+		return *p
+	}
+	return refPage{}
+}
+
+func (p refPage) plain() []byte {
+	if p.data == nil {
+		return make([]byte, PageSize)
+	}
+	return p.data
+}
+
+func (r *refMem) transform(pn uint64, in []byte) []byte {
+	var iv [16]byte
+	binary.LittleEndian.PutUint32(iv[0:], r.asid)
+	binary.LittleEndian.PutUint64(iv[8:], pn)
+	out := make([]byte, PageSize)
+	cipher.NewCTR(r.block, iv[:]).XORKeyStream(out, in)
+	return out
+}
+
+func (r *refMem) inRange(gpa uint64, n int) bool { return gpa+uint64(n) <= r.size }
+
+// span is the pages an n-byte access at gpa touches (n >= 1).
+func span(gpa uint64, n int) (first, last uint64) {
+	return gpa / PageSize, (gpa + uint64(n) - 1) / PageSize
+}
+
+func (r *refMem) hostMayWrite(gpa uint64, n int) bool {
+	first, last := span(gpa, n)
+	for pn := first; pn <= last; pn++ {
+		if r.snp && r.owned[pn] {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refMem) guestMayTouch(gpa uint64, n int) bool {
+	first, last := span(gpa, n)
+	for pn := first; pn <= last; pn++ {
+		if r.snp && !r.owned[pn] {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refMem) write(gpa uint64, data []byte, enc bool) {
+	for i, b := range data {
+		a := gpa + uint64(i)
+		p := r.page(a / PageSize)
+		if p.data == nil {
+			p.data = make([]byte, PageSize)
+		}
+		p.data[a%PageSize] = b
+		p.cow = false
+		p.encrypted = enc
+	}
+}
+
+// writeAliased restates the aliasing rule: a full page aliases its
+// source; a sub-page write into an unbacked page aliases the artifact's
+// page when the artifact holds zeros around the written bytes.
+func (r *refMem) writeAliased(gpa uint64, data []byte, enc bool, art *artifact.Buf, artBase int) {
+	for done := 0; done < len(data); {
+		a := gpa + uint64(done)
+		off := int(a % PageSize)
+		chunk := min(PageSize-off, len(data)-done)
+		p := r.page(a / PageSize)
+		pa := artBase + done - off
+		switch {
+		case chunk == PageSize:
+			p.data = append([]byte(nil), data[done:done+PageSize]...)
+			p.cow = true
+		case p.data == nil && art != nil && pa >= 0 && pa+PageSize <= art.Len() &&
+			allZero(art.Bytes()[pa:pa+off]) && allZero(art.Bytes()[pa+off+chunk:pa+PageSize]):
+			p.data = append([]byte(nil), art.Bytes()[pa:pa+PageSize]...)
+			p.cow = true
+		default:
+			r.write(a, data[done:done+chunk], enc)
+		}
+		p.encrypted = enc
+		done += chunk
+	}
+}
+
+func (r *refMem) hostWrite(gpa uint64, data []byte, aliased bool, art *artifact.Buf, artBase int) bool {
+	if !r.inRange(gpa, len(data)) || !r.hostMayWrite(gpa, len(data)) {
+		return false
+	}
+	if aliased {
+		r.writeAliased(gpa, data, false, art, artBase)
+	} else {
+		r.write(gpa, data, false)
+	}
+	return true
+}
+
+func (r *refMem) guestWrite(gpa uint64, data []byte, cbit, aliased bool, art *artifact.Buf, artBase int) bool {
+	if !r.inRange(gpa, len(data)) || (cbit && !r.guestMayTouch(gpa, len(data))) {
+		return false
+	}
+	if aliased {
+		r.writeAliased(gpa, data, cbit, art, artBase)
+	} else {
+		r.write(gpa, data, cbit)
+	}
+	return true
+}
+
+// read assembles n bytes from gpa, each page as view renders it.
+func (r *refMem) read(gpa uint64, n int, view func(pn uint64, p refPage) []byte) []byte {
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		a := gpa + uint64(len(out))
+		off := int(a % PageSize)
+		chunk := min(PageSize-off, n-len(out))
+		out = append(out, view(a/PageSize, r.peek(a/PageSize))[off:off+chunk]...)
+	}
+	return out
+}
+
+func (r *refMem) plainRead(gpa uint64, n int) []byte {
+	return r.read(gpa, n, func(_ uint64, p refPage) []byte { return p.plain() })
+}
+
+func (r *refMem) hostRead(gpa uint64, n int) ([]byte, bool) {
+	if !r.inRange(gpa, n) {
+		return nil, false
+	}
+	return r.read(gpa, n, func(pn uint64, p refPage) []byte {
+		if p.encrypted {
+			return r.transform(pn, p.plain())
+		}
+		return p.plain()
+	}), true
+}
+
+func (r *refMem) guestRead(gpa uint64, n int, cbit bool) ([]byte, bool) {
+	if !r.inRange(gpa, n) || (cbit && !r.guestMayTouch(gpa, n)) {
+		return nil, false
+	}
+	return r.read(gpa, n, func(pn uint64, p refPage) []byte {
+		if p.encrypted != cbit {
+			return r.transform(pn, p.plain())
+		}
+		return p.plain()
+	}), true
+}
+
+func (r *refMem) guestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) bool {
+	if !r.inRange(src, n) || !r.inRange(dst, n) || (src < dst+uint64(n) && dst < src+uint64(n)) {
+		return false
+	}
+	if (srcCbit && !r.guestMayTouch(src, n)) || (dstCbit && !r.guestMayTouch(dst, n)) {
+		return false
+	}
+	full := uint64(0)
+	if dst%PageSize == 0 && src%PageSize == 0 {
+		full = uint64(n) / PageSize
+		for i := uint64(0); i < full; i++ {
+			if r.peek(src/PageSize+i).encrypted != srcCbit {
+				full = 0 // a page would move transformed: plain read-then-write
+				break
+			}
+		}
+	}
+	for i := uint64(0); i < full; i++ {
+		dp := r.page(dst/PageSize + i)
+		if sp := r.pages[src/PageSize+i]; sp != nil && sp.data != nil {
+			sp.cow = true
+			*dp = refPage{data: append([]byte(nil), sp.data...), cow: true}
+		} else {
+			*dp = refPage{}
+		}
+		dp.encrypted = dstCbit
+	}
+	if tail := n - int(full*PageSize); tail > 0 {
+		data, _ := r.guestRead(src+full*PageSize, tail, srcCbit)
+		r.write(dst+full*PageSize, data, dstCbit)
+	}
+	return true
+}
+
+// flip sets the state of every page the range touches.
+func (r *refMem) flip(gpa uint64, n int, private bool) bool {
+	if !r.inRange(gpa, n) {
+		return false
+	}
+	first, last := span(gpa, n)
+	for pn := first; pn <= last; pn++ {
+		r.page(pn).encrypted = private
+		r.owned[pn] = private
+	}
+	return true
+}
+
+func (r *refMem) restoreCiphertext(gpa uint64, ct []byte) bool {
+	if !r.inRange(gpa, len(ct)) {
+		return false
+	}
+	pn := gpa / PageSize
+	*r.page(pn) = refPage{data: r.transform(pn, ct), encrypted: true}
+	r.owned[pn] = true
+	return true
+}
+
+func (r *refMem) residentPNs() []uint64 {
+	var pns []uint64
+	for pn, p := range r.pages {
+		if p.data != nil || p.encrypted {
+			pns = append(pns, pn)
+		}
+	}
+	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	return pns
+}
+
+func (r *refMem) stats() Stats {
+	var s Stats
+	for _, p := range r.pages {
+		if p.data != nil || p.encrypted {
+			s.ResidentPages++
+		}
+		if p.cow {
+			s.AliasedPages++
+		}
+		if p.encrypted {
+			s.PrivatePages++
+		}
+	}
+	return s
+}
+
+// refSource is a reference fork source: a deep copy of the resident pages.
+type refSource struct {
+	size  uint64
+	pages map[uint64]refPage
+}
+
+func (r *refMem) export() *refSource {
+	s := &refSource{size: r.size, pages: map[uint64]refPage{}}
+	for _, pn := range r.residentPNs() {
+		p := r.pages[pn]
+		s.pages[pn] = refPage{data: append([]byte(nil), p.plain()...), encrypted: p.encrypted}
+	}
+	return s
+}
+
+func (r *refMem) adopt(s *refSource) {
+	for pn, sp := range s.pages {
+		*r.page(pn) = refPage{data: append([]byte(nil), sp.data...), cow: true, encrypted: sp.encrypted}
+		if sp.encrypted {
+			r.owned[pn] = true
+		}
+	}
+}
+
+// --- the differential driver ---
+
+// dirTestSize is two full leaves and three pages: the last leaf is
+// partial, and pages 500..530 straddle a leaf boundary.
+const dirTestSize = (2*leafPages + 3) * PageSize
+
+type guestPair struct {
+	m *Memory
+	r *refMem
+}
+
+type sourcePair struct {
+	s *ForkSource
+	r *refSource
+}
+
+// comparePages checks every per-page observable of pages [lo, hi). With
+// flagsOnly, pages the reference never touched are checked for state
+// only, not read back (a whole-guest sweep is mostly such pages).
+func comparePages(t *testing.T, g guestPair, lo, hi uint64, flagsOnly bool) {
+	t.Helper()
+	for pn := lo; pn < hi; pn++ {
+		gpa := pn * PageSize
+		rp := g.r.peek(pn)
+		if got, want := g.m.IsPrivate(gpa), rp.encrypted; got != want {
+			t.Fatalf("page %d: IsPrivate = %v, reference %v", pn, got, want)
+		}
+		if got, want := g.m.Resident(gpa+7), rp.data != nil || rp.encrypted; got != want {
+			t.Fatalf("page %d: Resident = %v, reference %v", pn, got, want)
+		}
+		if flagsOnly && g.r.pages[pn] == nil {
+			continue
+		}
+		want, _ := g.r.hostRead(gpa, PageSize)
+		if got, err := g.m.HostRead(gpa, PageSize); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("page %d: HostRead differs from reference (err %v)", pn, err)
+		}
+		for _, cbit := range []bool{false, true} {
+			want, ok := g.r.guestRead(gpa, PageSize, cbit)
+			got, err := g.m.GuestRead(gpa, PageSize, cbit)
+			if (err == nil) != ok {
+				t.Fatalf("page %d: GuestRead(cbit=%v) err = %v, reference allows = %v", pn, cbit, err, ok)
+			}
+			if ok && !bytes.Equal(got, want) {
+				t.Fatalf("page %d: GuestRead(cbit=%v) differs from reference", pn, cbit)
+			}
+		}
+	}
+}
+
+// compareWhole checks the whole-guest observables, then every page.
+func compareWhole(t *testing.T, g guestPair) {
+	t.Helper()
+	if got, want := g.m.Stats(), g.r.stats(); got != want {
+		t.Fatalf("Stats = %+v, reference %+v", got, want)
+	}
+	exp, err := g.m.ExportPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pns := g.r.residentPNs()
+	if len(exp) != len(pns) {
+		t.Fatalf("ExportPages returned %d pages, reference has %d resident", len(exp), len(pns))
+	}
+	for i, pn := range pns {
+		want, _ := g.r.hostRead(pn*PageSize, PageSize)
+		if exp[i].PN != pn || exp[i].Private != g.r.pages[pn].encrypted || !bytes.Equal(exp[i].Data, want) {
+			t.Fatalf("ExportPages[%d] (pn %d) differs from reference page %d", i, exp[i].PN, pn)
+		}
+	}
+	comparePages(t, g, 0, g.r.size/PageSize, true)
+	if g.m.Resident(g.r.size) || g.m.IsPrivate(g.r.size) {
+		t.Fatal("the first address past the guest reports backing")
+	}
+}
+
+func compareDigest(t *testing.T, g guestPair, gpa uint64, n int) {
+	t.Helper()
+	want := sha256.Sum256(g.r.plainRead(gpa, n))
+	got, err := g.m.PlainRangeDigest(gpa, n)
+	if err != nil || got != want {
+		t.Fatalf("PlainRangeDigest(%#x, %d) differs from SHA-256 of the reference bytes (err %v)", gpa, n, err)
+	}
+}
+
+// stagingArtifact is shaped like a launch plan's staging blob: page k
+// holds bytes only in [100, 900), zeros around them, so a sub-page write
+// of exactly those bytes into an unbacked page takes the aliasing branch.
+func stagingArtifact(rng *rand.Rand) *artifact.Buf {
+	b := make([]byte, 8*PageSize)
+	for k := 0; k < 8; k++ {
+		rng.Read(b[k*PageSize+100 : k*PageSize+900])
+	}
+	return artifact.Of(b)
+}
+
+func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int) {
+	rng := rand.New(rand.NewSource(seed))
+	k, asid := key(byte(seed)), uint32(5)
+	newGuest := func() guestPair {
+		m := New(dirTestSize)
+		m.SetKey(k, asid)
+		if snp {
+			m.AttachRMP(rmp.New(), asid)
+		}
+		return guestPair{m, newRef(dirTestSize, k, asid, snp)}
+	}
+	guests := []guestPair{newGuest()}
+	var sources []sourcePair
+
+	dense := make([]byte, 6*PageSize+300)
+	rng.Read(dense)
+	denseArt := artifact.Of(dense)
+	staging := stagingArtifact(rng)
+	interned := make([]byte, 2*PageSize+50)
+	rng.Read(interned)
+	internedArt := artifact.Intern(interned)
+
+	pickPN := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return uint64(rng.Intn(16))
+		case 1:
+			return 2*leafPages - 13 + uint64(rng.Intn(16)) // runs off the end now and then
+		default:
+			return leafPages - 12 + uint64(rng.Intn(30))
+		}
+	}
+	pickLen := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return 1 + rng.Intn(300)
+		case 1:
+			return PageSize
+		case 2:
+			return (1 + rng.Intn(3)) * PageSize
+		default:
+			return (1+rng.Intn(2))*PageSize + 1 + rng.Intn(500)
+		}
+	}
+	pickGPA := func() uint64 {
+		gpa := pickPN() * PageSize
+		if rng.Intn(2) == 0 {
+			gpa += uint64(rng.Intn(PageSize))
+		}
+		return gpa
+	}
+	fresh := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	agree := func(op string, err error, ok bool) {
+		t.Helper()
+		if (err == nil) != ok {
+			t.Fatalf("%s: err = %v, reference allows = %v", op, err, ok)
+		}
+	}
+
+	for i := 0; i < ops; i++ {
+		g := guests[rng.Intn(len(guests))]
+		gpa, n, cbit := pickGPA(), pickLen(), rng.Intn(2) == 0
+		op := rng.Intn(16)
+		switch op {
+		case 0:
+			data := fresh(n)
+			agree("HostWrite", g.m.HostWrite(gpa, data), g.r.hostWrite(gpa, data, false, nil, 0))
+		case 1:
+			data, art := fresh(n), (*artifact.Buf)(nil)
+			if rng.Intn(2) == 0 {
+				data, art = interned, internedArt
+			}
+			agree("HostWriteAliased", g.m.HostWriteAliased(gpa, data), g.r.hostWrite(gpa, data, true, art, 0))
+		case 2:
+			off := rng.Intn(denseArt.Len() - n + 1)
+			agree("HostWriteArtifact", g.m.HostWriteArtifact(gpa, denseArt, off, n),
+				g.r.hostWrite(gpa, dense[off:off+n], true, denseArt, off))
+		case 3: // the staging-blob shape: sub-page, GPA-congruent, zero-padded
+			pn, k := pickPN(), rng.Intn(8)
+			agree("HostWriteArtifact(staging)", g.m.HostWriteArtifact(pn*PageSize+100, staging, k*PageSize+100, 800),
+				g.r.hostWrite(pn*PageSize+100, staging.Bytes()[k*PageSize+100:k*PageSize+900], true, staging, k*PageSize+100))
+		case 4:
+			data := fresh(n)
+			agree("GuestWrite", g.m.GuestWrite(gpa, data, cbit), g.r.guestWrite(gpa, data, cbit, false, nil, 0))
+		case 5:
+			off := rng.Intn(denseArt.Len() - n + 1)
+			agree("GuestWriteArtifact", g.m.GuestWriteArtifact(gpa, denseArt, off, n, cbit),
+				g.r.guestWrite(gpa, dense[off:off+n], cbit, true, denseArt, off))
+		case 6, 7: // page-aligned three times in four: the aliasing path
+			src, dst := pickGPA(), gpa
+			if rng.Intn(4) != 0 {
+				src, dst = src&^(PageSize-1), dst&^(PageSize-1)
+			}
+			srcCbit := rng.Intn(2) == 0
+			agree("GuestCopy", g.m.GuestCopy(dst, src, n, cbit, srcCbit), g.r.guestCopy(dst, src, n, cbit, srcCbit))
+		case 8:
+			var want []byte
+			if g.r.inRange(gpa, n) {
+				want = g.r.plainRead(gpa, n)
+			}
+			got, err := g.m.LaunchUpdate(gpa, n)
+			agree("LaunchUpdate", err, g.r.flip(gpa, n, true))
+			if err == nil && !bytes.Equal(got, want) {
+				t.Fatalf("LaunchUpdate(%#x, %d) returned bytes that differ from the reference plain text", gpa, n)
+			}
+		case 9:
+			agree("LaunchUpdateFlip", g.m.LaunchUpdateFlip(gpa, n), g.r.flip(gpa, n, true))
+		case 10:
+			agree("ShareRange", g.m.ShareRange(gpa, n), g.r.flip(gpa, n, false))
+		case 11:
+			gpa &^= PageSize - 1
+			ct := fresh(PageSize)
+			agree("HostRestoreCiphertext", g.m.HostRestoreCiphertext(gpa, ct), g.r.restoreCiphertext(gpa, ct))
+		case 12: // export — from a forked child as often as from a root
+			s, err := g.m.ExportForkSource()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources = append(sources, sourcePair{s, g.r.export()})
+		case 13, 14, 15: // adopt: onto an empty guest, or over whatever g holds
+			if len(sources) == 0 {
+				continue
+			}
+			s := sources[rng.Intn(len(sources))]
+			if op != 15 {
+				g = newGuest()
+				if len(guests) < 6 {
+					guests = append(guests, g)
+				} else {
+					guests[rng.Intn(len(guests))] = g
+				}
+			}
+			if err := g.m.AdoptFork(s.s); err != nil {
+				t.Fatalf("AdoptFork: %v", err)
+			}
+			g.r.adopt(s.r)
+		}
+		// Cheap checks after every op, everything every 50.
+		if got, want := g.m.Stats(), g.r.stats(); got != want {
+			t.Fatalf("op %d (kind %d): Stats = %+v, reference %+v", i, op, got, want)
+		}
+		if pn := gpa / PageSize; pn+4 <= dirTestSize/PageSize {
+			comparePages(t, g, pn, pn+4, false)
+			compareDigest(t, g, gpa, min(n, int(dirTestSize-gpa)))
+		}
+		if i%50 == 49 {
+			for _, g := range guests {
+				compareWhole(t, g)
+			}
+		}
+	}
+	for _, g := range guests {
+		compareWhole(t, g)
+	}
+	// No amount of child activity may have reached a frozen directory.
+	for _, s := range sources {
+		if err := s.s.Verify(); err != nil {
+			t.Fatalf("a fork source no longer verifies: %v", err)
+		}
+		g := newGuest()
+		if err := g.m.AdoptFork(s.s); err != nil {
+			t.Fatal(err)
+		}
+		g.r.adopt(s.r)
+		compareWhole(t, g)
+	}
+}
+
+// TestDirectoryMatchesMapReference drives Memory and the map-of-pages
+// reference with the same seeded op stream — every write path, copies
+// within one leaf and out of shared leaves, state flips, adoption onto
+// empty and non-empty guests, re-export from forked children — and
+// requires every observable to agree, with and without an RMP.
+func TestDirectoryMatchesMapReference(t *testing.T) {
+	for _, snp := range []bool{false, true} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("snp=%v/seed=%d", snp, seed), func(t *testing.T) {
+				runDirectoryOps(t, seed, snp, 700)
+			})
+		}
+	}
+}
+
+// Sizes that are not a multiple of the 2 MiB leaf span: the last leaf
+// covers addresses past the guest, and those must read as outside it.
+func TestResidentAndIsPrivateBoundedBySize(t *testing.T) {
+	for _, size := range []uint64{257 << 20, 2<<20 + PageSize} {
+		m := New(size)
+		m.SetKey(key(1), 1)
+		last := size - PageSize
+		if err := m.HostWrite(last, []byte("last page")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LaunchUpdateFlip(last, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !m.Resident(size-1) || !m.IsPrivate(size-1) {
+			t.Fatalf("size %#x: the last byte of the guest is not resident and private", size)
+		}
+		for _, gpa := range []uint64{size, size + PageSize, (size + leafPages*PageSize - 1) &^ (PageSize - 1), ^uint64(0)} {
+			if m.Resident(gpa) || m.IsPrivate(gpa) {
+				t.Fatalf("size %#x: address %#x past the guest reports backing", size, gpa)
+			}
+		}
+		if err := m.HostWrite(size, []byte{1}); err == nil {
+			t.Fatalf("size %#x: write at the first address past the guest succeeded", size)
+		}
+	}
+}
+
+// GuestCopy's two write-on-read hazards against a shared leaf: marking
+// the source copy-on-write must not store into a frozen leaf, and taking
+// the destination for writing replaces the very leaf the source sits in.
+func TestGuestCopyInsideSharedLeaf(t *testing.T) {
+	donor := New(2 * leafPages * PageSize)
+	donor.SetKey(key(4), 2)
+	text := bytes.Repeat([]byte("frozen "), 2*PageSize/7)
+	if err := donor.HostWrite(8*PageSize, text); err != nil {
+		t.Fatal(err)
+	}
+	src, err := donor.ExportForkSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen := *src.dir[0].leaf // the leaf's page structs, by value
+
+	child := New(donor.Size())
+	child.SetKey(donor.Key(), 2)
+	if err := child.AdoptFork(src); err != nil {
+		t.Fatal(err)
+	}
+	// Source and destination in the same, still shared, leaf.
+	if err := child.GuestCopy(32*PageSize, 8*PageSize, len(text), true, false); err != nil {
+		t.Fatal(err)
+	}
+	if *src.dir[0].leaf != frozen {
+		t.Fatal("GuestCopy stored into the frozen leaf")
+	}
+	got, err := child.GuestRead(32*PageSize, len(text), true)
+	if err != nil || !bytes.Equal(got, text) {
+		t.Fatalf("copy out of a shared leaf lost the source bytes (err %v)", err)
+	}
+	// The copy aliases; a later write to the source must not show through.
+	if err := child.HostWrite(8*PageSize, []byte("thawed")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := child.GuestRead(32*PageSize, len(text), true); !bytes.Equal(got, text) {
+		t.Fatal("write to the copy's source showed through the alias")
+	}
+	if sibling := New(donor.Size()); sibling.AdoptFork(src) != nil || sibling.Resident(32*PageSize) {
+		t.Fatal("a sibling sees the child's copy")
+	}
+}

@@ -1,18 +1,21 @@
 package guestmem
 
 // Snapshot-fork support: a ForkSource is one guest's resident plain
-// text, frozen into a single immutable artifact so any number of later
-// guests can alias it copy-on-write. Where snapshot.Restore replays
-// ciphertext page by page (O(image) AES work per warm boot), AdoptFork
-// is O(resident pages) of pointer aliasing plus one O(1) root-digest
-// check — the forked guest shares the donor's key and ASID (installed
-// by psp.LaunchStartFork), so the host-visible ciphertext of every
-// aliased private page is bit-identical to what a copy restore would
-// have produced, and a write to any page breaks its alias in mutable()
-// before the bytes can diverge.
+// text, frozen into a single immutable artifact, plus a frozen page
+// directory whose pages alias that artifact copy-on-write. Where
+// snapshot.Restore replays ciphertext page by page (O(image) AES work per
+// warm boot), AdoptFork points the child's root entries at the frozen
+// leaves — one store per touched 2 MiB of guest — replays the source's
+// private-page runs into the child's RMP, and makes one O(1) root-digest
+// check. The forked guest shares the donor's key and ASID (installed by
+// psp.LaunchStartFork), so the host-visible ciphertext of every aliased
+// private page is bit-identical to what a copy restore would have
+// produced. A store to any page first copies its leaf into the child
+// (ownLeaf) and then breaks the page's alias (mutable), so neither the
+// frozen directory nor the blob can diverge.
 //
 // Soundness: the root digest is taken over the full plain-text blob at
-// capture time. AdoptFork re-checks it before aliasing a single page;
+// capture time. AdoptFork re-checks it before sharing a single leaf;
 // artifact.Corrupt (the chaos engine's tamper model) invalidates the
 // blob's digest memo, so a tampered blob re-hashes honestly and the
 // fork is refused with ErrForkTampered. A fork can therefore never go
@@ -44,33 +47,56 @@ type ForkSource struct {
 	pages []ForkPage
 	blob  *artifact.Buf
 	root  [32]byte
+
+	// Built once at export, read-only afterwards, shared by every
+	// adopter: the directory a forked guest starts from (every entry
+	// frozen, every backed page aliasing blob copy-on-write with
+	// provenance) and the maximal runs of private pages to
+	// assign+validate in the adopter's RMP.
+	dir         []dirEntry
+	privateRuns []pageRun
 }
 
+// pageRun is count consecutive pages starting at page number pn.
+type pageRun struct{ pn, count uint64 }
+
 // ExportForkSource freezes the guest's resident pages — plain text, in
-// page-number order — into one blob and records its digest as the fork
-// root. The blob's handle travels with the source (adopted pages carry
-// it as provenance), so it stays out of the process intern table and is
-// collected with the last fork container that references it. The donor
-// must not be mutated afterwards (fleet keeps donors parked for exactly
-// this reason).
+// page-number order — into one blob, records its digest as the fork
+// root, and builds the frozen directory adopters will share. The blob's
+// handle travels with the source (adopted pages carry it as provenance),
+// so it stays out of the process intern table and is collected with the
+// last fork container that references it. The donor must not be mutated
+// afterwards (fleet keeps donors parked for exactly this reason).
 func (m *Memory) ExportForkSource() (*ForkSource, error) {
-	var pns []uint64
-	for pn, p := range m.pages { // dense, so pns comes out sorted
-		if p != nil && (p.data != nil || p.encrypted) {
-			pns = append(pns, uint64(pn))
-		}
-	}
-	blob := make([]byte, len(pns)*PageSize)
-	pages := make([]ForkPage, len(pns))
-	for i, pn := range pns {
-		p := m.pages[pn]
-		copy(blob[i*PageSize:], p.readable())
-		pages[i] = ForkPage{PN: pn, Off: i * PageSize, Private: p.encrypted}
+	var pages []ForkPage
+	m.eachResident(func(pn uint64, p page) {
+		pages = append(pages, ForkPage{PN: pn, Off: len(pages) * PageSize, Private: p.encrypted})
+	})
+	blob := make([]byte, len(pages)*PageSize)
+	for _, fp := range pages {
+		copy(blob[fp.Off:], m.look(fp.PN).readable())
 	}
 	buf := artifact.Of(blob)
-	src := &ForkSource{size: m.size, pages: pages, blob: buf}
+	src := &ForkSource{size: m.size, pages: pages, blob: buf, dir: make([]dirEntry, len(m.dir))}
 	if buf != nil {
 		src.root = buf.Digest()
+	}
+	for _, fp := range pages {
+		e := &src.dir[fp.PN/leafPages]
+		if e.leaf == nil {
+			*e = dirEntry{leaf: new(leaf), frozen: true}
+		}
+		p := &e.leaf[fp.PN%leafPages]
+		p.alias(blob[fp.Off:fp.Off+PageSize], buf, fp.Off)
+		p.encrypted = fp.Private
+		if !fp.Private {
+			continue
+		}
+		if n := len(src.privateRuns); n > 0 && src.privateRuns[n-1].pn+src.privateRuns[n-1].count == fp.PN {
+			src.privateRuns[n-1].count++
+		} else {
+			src.privateRuns = append(src.privateRuns, pageRun{pn: fp.PN, count: 1})
+		}
 	}
 	m.recorder().CounterAdd("guestmem.fork.exported", 1)
 	m.recorder().CounterAdd("guestmem.fork.exported_bytes", int64(len(blob)))
@@ -105,11 +131,14 @@ func (s *ForkSource) Verify() error {
 	return nil
 }
 
-// AdoptFork populates this guest from a fork source: every source page
-// is aliased copy-on-write with artifact provenance, private pages keep
-// their state (assigned+validated under SNP). The caller must have
-// installed the donor's key and ASID first (psp.LaunchStartFork does);
-// the root digest is verified before any page is touched.
+// AdoptFork populates this guest from a fork source: the guest's root
+// entries point at the source's frozen leaves, so every source page is
+// aliased copy-on-write with artifact provenance and private pages keep
+// their state (assigned+validated under SNP, under this guest's ASID).
+// Where the guest already owns a leaf, the source's pages overlay it one
+// by one. The caller must have installed the donor's key and ASID first
+// (psp.LaunchStartFork does); the root digest is verified before any
+// leaf is shared.
 func (m *Memory) AdoptFork(src *ForkSource) error {
 	if src.size != m.size {
 		return fmt.Errorf("guestmem: fork source is %d bytes, guest is %d: %w", src.size, m.size, ErrSize)
@@ -117,41 +146,29 @@ func (m *Memory) AdoptFork(src *ForkSource) error {
 	if err := src.Verify(); err != nil {
 		return err
 	}
-	anyPrivate := false
-	for _, fp := range src.pages {
-		if fp.Private {
-			anyPrivate = true
-			break
-		}
-	}
-	if anyPrivate && m.key == nil {
+	if len(src.privateRuns) > 0 && m.key == nil {
 		return ErrNoKey
 	}
-	blob := src.blob.Bytes()
-	// Private pages land assigned+validated; contiguous runs batch into
-	// one RMP splice each instead of a per-page table write.
-	runLo, runHi := uint64(0), uint64(0) // [runLo, runHi) pending private pns
-	flush := func() {
-		if m.rmp != nil && runHi > runLo {
-			m.rmp.AssignValidatedRange(runLo*PageSize, int(runHi-runLo)*PageSize, m.asid)
+	for i, e := range src.dir {
+		if e.leaf == nil {
+			continue
 		}
-	}
-	for _, fp := range src.pages {
-		p := m.getPage(fp.PN)
-		p.data = blob[fp.Off : fp.Off+PageSize : fp.Off+PageSize]
-		p.cow = true
-		p.art, p.artOff = src.blob, fp.Off
-		p.encrypted = fp.Private
-		if fp.Private {
-			if fp.PN == runHi && runHi > runLo {
-				runHi++
-			} else {
-				flush()
-				runLo, runHi = fp.PN, fp.PN+1
+		if m.dir[i].leaf == nil {
+			m.dir[i] = e
+			continue
+		}
+		own := m.ownLeaf(uint64(i))
+		for j, p := range e.leaf {
+			if p.data != nil { // every page the source backs has data
+				own[j] = p
 			}
 		}
 	}
-	flush()
+	if m.rmp != nil {
+		for _, r := range src.privateRuns {
+			m.rmp.AssignValidatedRange(r.pn*PageSize, int(r.count)*PageSize, m.asid)
+		}
+	}
 	m.recorder().CounterAdd("guestmem.fork.adopted", 1)
 	m.recorder().CounterAdd("guestmem.fork.aliased_pages", int64(len(src.pages)))
 	return nil

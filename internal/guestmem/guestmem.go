@@ -16,6 +16,17 @@
 // observable behaviour while letting identical kernel pages be shared
 // copy-on-write across the 50-VM concurrency experiment.
 //
+// Page state lives in a two-level directory: a root with one entry per
+// 2 MiB of guest, each pointing at a leaf of 512 page structs allocated
+// on first touch. The zero page struct is an untouched page, so a guest
+// costs what it touches, not what it could address. Backing bytes may be
+// shared between guests; page *state* belongs to one guest — with one
+// exception that keeps the rule: a ForkSource's frozen leaves are
+// immutable, so any number of forked guests point their root entries at
+// them and copy a leaf into their own table before the first store to it
+// (ownLeaf). Nothing ever writes a frozen leaf after ExportForkSource
+// returns.
+//
 // When an RMP table is attached (SEV-SNP), host writes to assigned pages
 // are blocked and guest private accesses to unvalidated pages raise #VC,
 // both surfaced as errors from the access functions.
@@ -28,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/severifast/severifast/internal/artifact"
@@ -46,10 +58,11 @@ var (
 	ErrSize       = errors.New("guestmem: guest size mismatch")
 )
 
+// page is one guest page's state, three words so a 512-page leaf is
+// 12 KiB. The zero value is an untouched page: all zero, shared, no
+// provenance.
 type page struct {
-	data      []byte // PageSize bytes of plain text; nil = all zero
-	cow       bool   // data is aliased; copy before mutating
-	encrypted bool   // page is private (guest-key protected)
+	data *[PageSize]byte // plain text; nil = all zero
 
 	// Artifact provenance: when non-nil, data aliases
 	// art.Bytes()[artOff:artOff+PageSize] and the bytes are immutable
@@ -58,18 +71,46 @@ type page struct {
 	// art can never describe stale bytes. Pages without provenance are
 	// always hashed for real.
 	art    *artifact.Buf
-	artOff int
+	artOff uint32
+
+	cow       bool // data is aliased; copy before mutating
+	encrypted bool // page is private (guest-key protected)
+}
+
+// leafPages is how many pages one directory leaf covers: 2 MiB of guest,
+// the THP / huge-page-validation granule, so the regions a boot touches
+// (kernel, initrd, boot structures) each land in a handful of leaves: a
+// cold boot touches 24 of them. Smaller leaves save few bytes and cost
+// allocations (64-page leaves on cold_cached: 400 KiB and 264 allocations
+// per boot against 417 and 230).
+const leafPages = 512
+
+type leaf [leafPages]page
+
+// leafSlab is how many leaves one allocation yields. Measured on the
+// benchmark's cold_cached, in allocations per boot: leaves allocated
+// singly 248 (the dense table and page slabs this replaced: 243), by
+// fours 230, by eights 227 for no fewer bytes.
+const leafSlab = 4
+
+// dirEntry is one root slot. frozen marks a leaf that belongs to a
+// ForkSource's directory and is shared with every sibling fork: it is
+// read through freely and copied by ownLeaf before the first store.
+type dirEntry struct {
+	leaf   *leaf
+	frozen bool
 }
 
 // Memory is one guest's physical address space.
 type Memory struct {
 	size uint64
-	// pages is dense, indexed by page frame number (nil = untouched).
-	// check() bounds every gpa below size, so in-range indexing is safe;
-	// a dense slice keeps the per-page lookup off the map hash path,
-	// which dominates host CPU when booting fleets.
-	pages []*page
-	slab  []page // page structs are carved from slabs, not allocated singly
+	// dir is the root of the page directory, indexed by pn / leafPages;
+	// a nil leaf is 2 MiB of untouched pages. check() bounds every gpa
+	// below size, so in-range indexing is safe. Readers go through
+	// look(), which copies the page struct out; every store goes through
+	// getPage(), which is what keeps frozen leaves unwritten.
+	dir   []dirEntry
+	spare []leaf // leaves are carved leafSlab at a time, not allocated singly
 
 	key   []byte       // 16-byte AES key; set by LAUNCH_START via SetKey
 	block cipher.Block // AES block cached at SetKey; one per guest, not per page
@@ -87,7 +128,7 @@ type Memory struct {
 // New returns a zeroed address space of the given size (page aligned up).
 func New(size uint64) *Memory {
 	size = (size + PageSize - 1) &^ (PageSize - 1)
-	return &Memory{size: size, pages: make([]*page, size/PageSize)}
+	return &Memory{size: size, dir: make([]dirEntry, (size/PageSize+leafPages-1)/leafPages)}
 }
 
 // Size returns the guest memory size in bytes.
@@ -170,22 +211,68 @@ func rmpSpan(gpa uint64, n int) (uint64, int) {
 	return base, int(gpa + uint64(n) - base)
 }
 
-// pageSlabSize is how many page structs one slab allocation yields. A
-// boot touches tens of thousands of pages; carving their structs from
-// slabs turns the dominant per-page allocation into one per 512 pages.
-const pageSlabSize = 512
-
-func (m *Memory) getPage(pn uint64) *page {
-	p := m.pages[pn]
-	if p == nil {
-		if len(m.slab) == 0 {
-			m.slab = make([]page, pageSlabSize)
-		}
-		p = &m.slab[0]
-		m.slab = m.slab[1:]
-		m.pages[pn] = p
+// look returns a copy of page pn's state for reading. A copy, not a
+// pointer: it cannot be stored through, and it stays valid when a later
+// getPage replaces the leaf it came from.
+func (m *Memory) look(pn uint64) page {
+	l := m.dir[pn/leafPages].leaf
+	if l == nil {
+		return page{}
 	}
-	return p
+	return l[pn%leafPages]
+}
+
+// ownLeaf returns root slot i's leaf as one this guest may store to:
+// allocated on first touch, copied out of the fork source's frozen
+// directory on the first store after an adoption.
+func (m *Memory) ownLeaf(i uint64) *leaf {
+	e := &m.dir[i]
+	if e.leaf != nil && !e.frozen {
+		return e.leaf
+	}
+	if len(m.spare) == 0 {
+		m.spare = make([]leaf, leafSlab)
+	}
+	l := &m.spare[0]
+	m.spare = m.spare[1:]
+	if e.frozen {
+		*l = *e.leaf
+	}
+	e.leaf, e.frozen = l, false
+	return l
+}
+
+// getPage returns page pn for writing.
+func (m *Memory) getPage(pn uint64) *page {
+	return &m.ownLeaf(pn / leafPages)[pn%leafPages]
+}
+
+// eachResident calls fn for every page with any backing, in page-number
+// order.
+func (m *Memory) eachResident(fn func(pn uint64, p page)) {
+	for i, e := range m.dir {
+		if e.leaf == nil {
+			continue
+		}
+		for j, p := range e.leaf {
+			if p.data != nil || p.encrypted {
+				fn(uint64(i)*leafPages+uint64(j), p)
+			}
+		}
+	}
+}
+
+// alias points the page at one page of immutable bytes, copy-on-write.
+// art/off, when art is non-nil, say where b sits inside an interned
+// artifact. Provenance is only ever a shortcut to a memoized digest, so
+// an offset artOff cannot hold drops it and the page is hashed for real.
+func (p *page) alias(b []byte, art *artifact.Buf, off int) {
+	p.data = (*[PageSize]byte)(b)
+	p.cow = true
+	if uint64(off) > math.MaxUint32 {
+		art, off = nil, 0
+	}
+	p.art, p.artOff = art, uint32(off)
 }
 
 // mutable returns the page's byte slice ready for writing, materializing
@@ -194,26 +281,25 @@ func (m *Memory) getPage(pn uint64) *page {
 // source, memoized digests must no longer apply to it.
 func (p *page) mutable() []byte {
 	if p.data == nil {
-		p.data = make([]byte, PageSize)
-		p.cow = false
+		p.data = new([PageSize]byte)
 	} else if p.cow {
-		d := make([]byte, PageSize)
-		copy(d, p.data)
+		d := new([PageSize]byte)
+		*d = *p.data
 		p.data = d
-		p.cow = false
 	}
+	p.cow = false
 	p.art, p.artOff = nil, 0
-	return p.data
+	return p.data[:]
 }
 
 // zeroPage is returned when reading unbacked pages.
-var zeroPage = make([]byte, PageSize)
+var zeroPage [PageSize]byte
 
-func (p *page) readable() []byte {
-	if p == nil || p.data == nil {
-		return zeroPage
+func (p page) readable() []byte {
+	if p.data == nil {
+		return zeroPage[:]
 	}
-	return p.data
+	return p.data[:]
 }
 
 // --- Host-side accesses (VMM / hypervisor) ---
@@ -268,8 +354,8 @@ func (m *Memory) HostRead(gpa uint64, n int) ([]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		p := m.pages[pn]
-		if p != nil && p.encrypted {
+		p := m.look(pn)
+		if p.encrypted {
 			ct, err := m.cipherPage(pn, p.readable())
 			if err != nil {
 				return nil, err
@@ -329,10 +415,9 @@ func (m *Memory) GuestRead(gpa uint64, n int, cbit bool) ([]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		p := m.pages[pn]
+		p := m.look(pn)
 		src := p.readable()
-		encrypted := p != nil && p.encrypted
-		if encrypted != cbit {
+		if p.encrypted != cbit {
 			// Mapping attribute does not match page state: the engine
 			// applies the AES transform in the "wrong" direction and the
 			// reader sees ciphertext/garbage.
@@ -385,27 +470,25 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 		fullPages := uint64(n) / PageSize
 		aliasable := true
 		for i := uint64(0); i < fullPages; i++ {
-			sp := m.pages[src/PageSize+i]
-			if (sp != nil && sp.encrypted) != srcCbit {
+			if m.look(src/PageSize+i).encrypted != srcCbit {
 				aliasable = false
 				break
 			}
 		}
 		if aliasable {
 			for i := uint64(0); i < fullPages; i++ {
-				sp := m.pages[src/PageSize+i]
-				dp := m.getPage(dst/PageSize + i)
-				if sp == nil || sp.data == nil {
-					dp.data = nil
-					dp.cow = false
-					dp.art, dp.artOff = nil, 0
-				} else {
+				// sp is a copy, so the getPage calls below may replace the
+				// leaf it came from (src and dst can share one). The source
+				// becomes copy-on-write too; a page that already is — every
+				// backed page of a frozen leaf — needs no store, and getPage
+				// never hands out a frozen leaf for one.
+				sp := m.look(src/PageSize + i)
+				if sp.data != nil && !sp.cow {
+					m.getPage(src/PageSize + i).cow = true
 					sp.cow = true
-					dp.data = sp.data
-					dp.cow = true
-					dp.art, dp.artOff = sp.art, sp.artOff
 				}
-				dp.encrypted = dstCbit
+				sp.encrypted = dstCbit
+				*m.getPage(dst/PageSize + i) = sp
 			}
 			tail := n - int(fullPages*PageSize)
 			if tail == 0 {
@@ -493,9 +576,7 @@ func (m *Memory) writeAliased(gpa uint64, data []byte, encrypted bool, art *arti
 		}
 		p := m.getPage(pn)
 		if off == 0 && chunk == PageSize {
-			p.data = data[done : done+PageSize : done+PageSize]
-			p.cow = true
-			p.art, p.artOff = art, artBase+done
+			p.alias(data[done:done+PageSize], art, artBase+done)
 		} else if pa := artBase + done - off; p.data == nil && art != nil &&
 			pa >= 0 && pa+PageSize <= art.Len() &&
 			allZero(art.Bytes()[pa:pa+off]) &&
@@ -506,9 +587,7 @@ func (m *Memory) writeAliased(gpa uint64, data []byte, encrypted bool, art *arti
 			// page boundaries for exactly this): the full page content
 			// equals the artifact's page, so alias it with provenance
 			// instead of copying.
-			p.data = art.Bytes()[pa : pa+PageSize : pa+PageSize]
-			p.cow = true
-			p.art, p.artOff = art, pa
+			p.alias(art.Bytes()[pa:pa+PageSize], art, pa)
 		} else {
 			copy(p.mutable()[off:], data[done:done+chunk])
 		}
@@ -567,20 +646,15 @@ type Stats struct {
 // Stats returns current backing-store statistics.
 func (m *Memory) Stats() Stats {
 	var s Stats
-	for _, p := range m.pages {
-		if p == nil {
-			continue
-		}
-		if p.data != nil || p.encrypted {
-			s.ResidentPages++
-		}
+	m.eachResident(func(_ uint64, p page) { // cow implies data, so no aliased page is skipped
+		s.ResidentPages++
 		if p.cow {
 			s.AliasedPages++
 		}
 		if p.encrypted {
 			s.PrivatePages++
 		}
-	}
+	})
 	return s
 }
 
@@ -630,20 +704,16 @@ func (m *Memory) GuestWriteArtifact(gpa uint64, art *artifact.Buf, off, n int, c
 
 // Resident reports whether the page containing gpa has any backing.
 func (m *Memory) Resident(gpa uint64) bool {
-	if gpa/PageSize >= uint64(len(m.pages)) {
+	if gpa >= m.size {
 		return false
 	}
-	p := m.pages[gpa/PageSize]
-	return p != nil && (p.data != nil || p.encrypted)
+	p := m.look(gpa / PageSize)
+	return p.data != nil || p.encrypted
 }
 
 // IsPrivate reports whether the page containing gpa is encrypted.
 func (m *Memory) IsPrivate(gpa uint64) bool {
-	if gpa/PageSize >= uint64(len(m.pages)) {
-		return false
-	}
-	p := m.pages[gpa/PageSize]
-	return p != nil && p.encrypted
+	return gpa < m.size && m.look(gpa/PageSize).encrypted
 }
 
 // HostRestoreCiphertext replays captured ciphertext into a private page —
@@ -670,7 +740,7 @@ func (m *Memory) HostRestoreCiphertext(gpa uint64, ct []byte) error {
 		return err
 	}
 	p := m.getPage(pn)
-	p.data = pt
+	p.data = (*[PageSize]byte)(pt)
 	p.cow = false
 	p.art, p.artOff = nil, 0
 	p.encrypted = true
@@ -732,11 +802,11 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 	var art *artifact.Buf
 	base := 0
 	for pn := first; pn <= last; pn++ {
-		p := m.pages[pn]
-		if p == nil || p.art == nil {
+		p := m.look(pn)
+		if p.art == nil {
 			continue
 		}
-		cand := p.artOff - int(pn-first)*PageSize + int(gpa%PageSize)
+		cand := int(p.artOff) - int(pn-first)*PageSize + int(gpa%PageSize)
 		if art == nil {
 			art, base = p.art, cand
 		} else if p.art != art || cand != base {
@@ -758,8 +828,8 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		p := m.pages[pn]
-		if p == nil || p.art == nil {
+		p := m.look(pn)
+		if p.art == nil {
 			if !bytesEqual(p.readable()[off:off+chunk], src[done:done+chunk]) {
 				return nil, 0
 			}
@@ -804,7 +874,7 @@ func (m *Memory) PlainRangeDigest(gpa uint64, n int) ([32]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		h.Write(m.pages[pn].readable()[off : off+chunk])
+		h.Write(m.look(pn).readable()[off : off+chunk])
 		done += chunk
 	}
 	h.Sum(sum[:0])
@@ -830,8 +900,7 @@ func (m *Memory) HashRange(gpa uint64, n int, cbit bool) ([32]byte, error) {
 	}
 	allMatch := true
 	for off := gpa &^ (PageSize - 1); off < gpa+uint64(n); off += PageSize {
-		p := m.pages[off/PageSize]
-		if (p != nil && p.encrypted) != cbit {
+		if m.look(off/PageSize).encrypted != cbit {
 			allMatch = false
 			break
 		}
@@ -850,9 +919,9 @@ func (m *Memory) HashRange(gpa uint64, n int, cbit bool) ([32]byte, error) {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		p := m.pages[pn]
+		p := m.look(pn)
 		src := p.readable()
-		if (p != nil && p.encrypted) != cbit {
+		if p.encrypted != cbit {
 			if err := m.cipherPageInto(*scratch, pn, src); err != nil {
 				return sum, err
 			}
@@ -898,8 +967,7 @@ func (m *Memory) ArtifactRange(gpa uint64, n int, cbit bool) (*artifact.Buf, int
 		}
 	}
 	for off := gpa &^ (PageSize - 1); off < gpa+uint64(n); off += PageSize {
-		p := m.pages[off/PageSize]
-		if (p != nil && p.encrypted) != cbit {
+		if m.look(off/PageSize).encrypted != cbit {
 			return nil, 0, nil
 		}
 	}
@@ -948,19 +1016,17 @@ type PageExport struct {
 func (m *Memory) ExportPages() ([]PageExport, error) {
 	var pns []uint64
 	anyPrivate := false
-	for pn, p := range m.pages { // dense, so pns comes out sorted
-		if p != nil && (p.data != nil || p.encrypted) {
-			pns = append(pns, uint64(pn))
-			anyPrivate = anyPrivate || p.encrypted
-		}
-	}
+	m.eachResident(func(pn uint64, p page) {
+		pns = append(pns, pn)
+		anyPrivate = anyPrivate || p.encrypted
+	})
 	if anyPrivate && m.key == nil {
 		return nil, ErrNoKey
 	}
 	out := make([]PageExport, len(pns))
 	hostwork.Do(len(pns), func(i int) {
 		pn := pns[i]
-		p := m.pages[pn]
+		p := m.look(pn)
 		data := make([]byte, PageSize)
 		if p.encrypted {
 			m.cipherPageInto(data, pn, p.readable())

@@ -97,7 +97,7 @@ func (r *Resource) Release(e *Engine) {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
 		r.take(e)
-		e.At(e.now, func() { next.step() })
+		e.stepAt(e.now, next)
 	}
 }
 

@@ -10,8 +10,8 @@
 // Model code is written as straight-line process functions (see Engine.Go)
 // that sleep on the virtual clock and queue on shared resources. Exactly one
 // process runs at a time; the engine and the running process hand control
-// back and forth over unbuffered channels, so there is no data race between
-// processes even though they share model state.
+// back and forth as coroutines (see handoff), so there is no data race
+// between processes even though they share model state.
 package sim
 
 import (
@@ -40,11 +40,13 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a scheduled callback.
+// event is a scheduled callback, or — the common case, so it costs no
+// closure — a process to step.
 type event struct {
 	at   Time
 	seq  uint64
 	fire func()
+	proc *Proc // stepped when fire is nil
 }
 
 // eventHeap orders events by (at, seq).
@@ -122,6 +124,12 @@ func (e *Engine) At(t Time, fn func()) {
 	heap.Push(&e.events, &event{at: t, seq: e.seq, fire: fn})
 }
 
+// stepAt schedules p to run at virtual time t, which is never in the past.
+func (e *Engine) stepAt(t Time, p *Proc) {
+	e.seq++
+	heap.Push(&e.events, &event{at: t, seq: e.seq, proc: p})
+}
+
 // After schedules fn to run d from now.
 func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
@@ -139,7 +147,11 @@ func (e *Engine) Run() {
 		if ev.at > e.now {
 			e.now = ev.at
 		}
-		ev.fire()
+		if ev.fire != nil {
+			ev.fire()
+		} else {
+			ev.proc.step()
+		}
 		if e.panicked != nil {
 			panic(e.panicked)
 		}
@@ -152,11 +164,10 @@ func (e *Engine) Run() {
 // Proc is the handle a process function uses to interact with virtual time.
 // A Proc is only valid inside the process function it was passed to.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{} // engine -> process: run
-	yield  chan struct{} // process -> engine: parked or done
-	done   bool
+	eng  *Engine
+	name string
+	handoff
+	done bool
 }
 
 // Name returns the process name given to Engine.Go.
@@ -175,15 +186,9 @@ func (p *Proc) Now() Time { return p.eng.now }
 // rendezvous. fn may freely read and write model state shared with other
 // processes.
 func (e *Engine) Go(name string, fn func(p *Proc)) {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	e.procs++
-	go func() {
-		<-p.resume
+	p.start(func() {
 		defer func() {
 			if r := recover(); r != nil {
 				if e.panicked == nil {
@@ -192,27 +197,12 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 			}
 			p.done = true
 			e.procs--
-			p.yield <- struct{}{}
 		}()
 		fn(p)
-	}()
+	})
 	// First activation happens via the event queue so that processes
 	// started at the same instant run in start order.
-	e.At(e.now, func() { p.step() })
-}
-
-// step transfers control to the process and waits for it to park or finish.
-// It must only be called from engine context (inside an event callback).
-func (p *Proc) step() {
-	p.resume <- struct{}{}
-	<-p.yield
-}
-
-// park suspends the process until some event calls step again. It must only
-// be called from process context.
-func (p *Proc) park() {
-	p.yield <- struct{}{}
-	<-p.resume
+	e.stepAt(e.now, p)
 }
 
 // Sleep advances the process by d of virtual time. Negative durations are
@@ -221,7 +211,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.At(p.eng.now.Add(d), func() { p.step() })
+	p.eng.stepAt(p.eng.now.Add(d), p)
 	p.park()
 }
 
@@ -256,9 +246,7 @@ func (p *Proc) Park() Time {
 // that is not parked corrupts the engine-process rendezvous; callers must
 // track parked processes themselves (remove p from their wait list before
 // calling Wake, and never wake the same parked process twice).
-func (e *Engine) Wake(p *Proc) {
-	e.At(e.now, func() { p.step() })
-}
+func (e *Engine) Wake(p *Proc) { e.stepAt(e.now, p) }
 
 // Signal is a one-shot broadcast synchronization point: processes Wait on
 // it; Fire releases all current and future waiters.
@@ -281,8 +269,7 @@ func (s *Signal) Fire(e *Engine) {
 	}
 	s.fired = true
 	for _, w := range s.waiters {
-		w := w
-		e.At(e.now, func() { w.step() })
+		e.stepAt(e.now, w)
 	}
 	s.waiters = nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -415,5 +416,65 @@ func TestNestedProcessSpawn(t *testing.T) {
 	e.Run()
 	if len(done) != 2 || done[0] != "parent@1ms" || done[1] != "child@2ms" {
 		t.Fatalf("done = %v", done)
+	}
+}
+
+// A process switch makes nothing runnable, so it may run under any
+// thread-lock state as long as Go and Run see the same one; spawning from
+// inside a process inherits it.
+func TestRunOnLockedThread(t *testing.T) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	e := NewEngine()
+	var order []string
+	e.Go("parent", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		e.Go("child", func(c *Proc) {
+			c.Sleep(time.Millisecond)
+			order = append(order, "child")
+		})
+		p.Sleep(5 * time.Millisecond)
+		order = append(order, "parent")
+	})
+	e.Run()
+	if len(order) != 2 || order[0] != "child" || order[1] != "parent" {
+		t.Fatalf("order = %v", order)
+	}
+}
+
+// A process may block on real synchronisation (hostwork fans digests out
+// to worker goroutines and waits for them) without losing its turn.
+func TestProcessBlocksOnHostGoroutine(t *testing.T) {
+	e := NewEngine()
+	got := 0
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			ch := make(chan int)
+			go func() { ch <- i }()
+			got += <-ch
+			p.Sleep(time.Microsecond)
+		}
+	})
+	e.Run()
+	if got != 4950 || e.Now() != Time(100*time.Microsecond) {
+		t.Fatalf("got %d at %v", got, e.Now())
+	}
+}
+
+// Sleep, Wake and Signal.Fire schedule the process itself, not a closure
+// over it: one allocation (the event) per step.
+func TestStepAllocatesOnlyItsEvent(t *testing.T) {
+	const sleeps = 1000
+	perRun := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		e.Go("sleeper", func(p *Proc) {
+			for i := 0; i < sleeps; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+		e.Run()
+	})
+	if perSleep := perRun / sleeps; perSleep > 1.1 {
+		t.Fatalf("%.2f allocations per Sleep, want 1", perSleep)
 	}
 }
