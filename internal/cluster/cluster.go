@@ -8,7 +8,7 @@
 // policy (random, binpack, asid-pressure, cache-affinity), and the
 // chosen host pays for whatever image state it is missing through the
 // artifact replication layer — raw kernel/initrd bytes for a cold boot,
-// or a sealed warm-snapshot blob from the cross-host warm pool.
+// or a sealed fork container from the cross-host warm pool.
 //
 // Everything runs on one sim.Engine, so an 8-host, 512-boot run is a
 // single deterministic event sequence: same seed, same placement, same
@@ -16,7 +16,6 @@
 package cluster
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"time"
@@ -61,9 +60,9 @@ type Config struct {
 	// Policy places boots onto hosts. Defaults to asid-pressure.
 	Policy Policy
 	// EnableWarm turns on warm tiers everywhere and the cross-host warm
-	// pool: the first host to capture an image's snapshot publishes it
-	// sealed, and other hosts adopt it over the fabric instead of cold
-	// booting.
+	// pool: the first host to capture an image's fork container publishes
+	// it under its seal, and other hosts adopt it over the fabric instead
+	// of cold booting.
 	EnableWarm bool
 	// Transfer prices cross-host and origin blob movement; the zero
 	// value means artifact.DefaultTransferCost.
@@ -197,8 +196,8 @@ func (s *HostShard) pspQueue() int { return s.Host.PSP.Resource().QueueLen() }
 
 // Image is a cluster-registered function image: one fleet.Image per
 // host (same content address everywhere) plus the replication-layer
-// identities of its artifacts and, once captured, its sealed warm
-// snapshot.
+// identities of its artifacts and, once captured, its published fork
+// container.
 type Image struct {
 	Name string
 
@@ -210,16 +209,19 @@ type Image struct {
 	initrdKey  artifact.BlobKey
 	initrdSize int
 
-	// Warm-pool state, set once by the first host to capture.
+	// Warm-pool state, set by the first host to capture (and again by the
+	// first to re-capture after a withdrawal). The process holds the warm
+	// parent once, as the publisher's fork container; sealedKey is its
+	// seal at publication and sealedSize the length its sealed transport
+	// encoding would have, which is what the fabric is charged for.
 	published  bool
-	sealed     []byte
 	sealedKey  artifact.BlobKey
 	sealedSize int
 	donor      *kvm.Machine
 	fork       *snapshot.Fork
 
 	// Donor provenance for storm hygiene. donorHost is the publisher of
-	// the sealed snapshot (-1 until published); donorOf[h] is the host
+	// the sealed container (-1 until published); donorOf[h] is the host
 	// whose admitted guest seeded host h's warm pool — h itself for a
 	// local capture, donorHost for an adoption, -1 while unseeded. A
 	// revocation storm evicts every pool whose donor is now distrusted.
@@ -569,39 +571,16 @@ func (c *Cluster) admission(p *sim.Proc, s *HostShard, r *pending) error {
 }
 
 // stage makes the image bootable on the host. If the warm pool has a
-// published sealed snapshot and this host's warm tier is cold, the
-// sealed blob is replicated and adopted — integrity-checked through the
-// sealed container — and nothing else is needed: a warm restore never
-// touches the raw kernel bytes. Otherwise the cold path replicates the
-// kernel and initrd.
+// published container and this host's warm tier is cold, the container is
+// replicated and adopted, and nothing else is needed: a warm restore never
+// touches the raw kernel bytes. Otherwise — including when the
+// publication did not survive the transfer or its seal no longer matches —
+// the cold path replicates the kernel and initrd.
 func (c *Cluster) stage(p *sim.Proc, s *HostShard, img *Image, simg *fleet.Image) error {
 	if c.cfg.EnableWarm && img.published && !simg.HasWarm() {
-		if _, err := c.repl.Fetch(p, s.Index, img.sealedKey); err != nil {
+		if err := c.adoptWarm(p, s, img, simg); err != nil {
 			return err
 		}
-		// The replication layer is content-addressed: a completed Fetch
-		// already proves the blob matches img.sealedKey, which the
-		// publisher computed over the sealed bytes. Adoption therefore
-		// re-validates only the envelope (header + digest trailer), not
-		// the whole image — transfer plus a constant delta-validate
-		// charge instead of a full O(image) hash pass.
-		p.Sleep(c.cfg.Model.Hash(snapshot.SealedDeltaValidateLen))
-		// Decoding is the integrity check on the bytes that crossed the
-		// fabric; the decoded ciphertext itself is dropped, because forks
-		// alias the publisher's container and nothing replays it.
-		if _, err := snapshot.DecodeSealed(img.sealed); err != nil {
-			return fmt.Errorf("cluster: adopting warm snapshot on %s: %w", s.Name, err)
-		}
-		if !simg.HasWarm() {
-			if err := simg.AdoptWarmFork(img.donor, img.fork); err != nil {
-				return fmt.Errorf("cluster: adopting warm snapshot on %s: %w", s.Name, err)
-			}
-			img.donorOf[s.Index] = img.donorHost
-			c.adoptions++
-			c.cfg.Telemetry.Counter("severifast_cluster_warm_adoptions_total",
-				telemetry.A("host", s.Name)).Inc()
-		}
-		return nil
 	}
 	if simg.HasWarm() {
 		return nil
@@ -615,6 +594,52 @@ func (c *Cluster) stage(p *sim.Proc, s *HostShard, img *Image, simg *fleet.Image
 		}
 	}
 	return nil
+}
+
+// adoptWarm replicates the image's published container to the host and
+// seeds the host's warm tier from it. The fabric and the host are charged
+// for the sealed transport form — the transfer, then the envelope a
+// content-addressed transport leaves to re-validate — but what is adopted
+// is the publisher's fork container itself, so the integrity check is on
+// that: its seal is recomputed and compared with the key it was published
+// under, which covers the blob, page table and digest every fork on this
+// host will alias. A mismatch withdraws the publication; the caller then
+// stages the boot cold and the next capture re-publishes.
+//
+// Both the transfer and the validate charge yield virtual time, and a
+// storm may withdraw (even replace) the publication meanwhile. That is not
+// a fault of the image: the fetched container is simply no longer the one
+// on offer, and the boot goes cold.
+func (c *Cluster) adoptWarm(p *sim.Proc, s *HostShard, img *Image, simg *fleet.Image) error {
+	key := img.sealedKey
+	if _, err := c.repl.Fetch(p, s.Index, key); err != nil {
+		return err
+	}
+	p.Sleep(c.cfg.Model.Hash(snapshot.SealedDeltaValidateLen))
+	if !img.published || img.sealedKey != key || simg.HasWarm() {
+		return nil
+	}
+	if seal, err := img.fork.Seal(); err != nil || artifact.BlobKey(seal) != key {
+		c.withdrawWarm(img)
+		return nil
+	}
+	if err := simg.AdoptWarmFork(img.donor, img.fork); err != nil {
+		return fmt.Errorf("cluster: adopting warm container on %s: %w", s.Name, err)
+	}
+	img.donorOf[s.Index] = img.donorHost
+	c.adoptions++
+	c.cfg.Telemetry.Counter("severifast_cluster_warm_adoptions_total",
+		telemetry.A("host", s.Name)).Inc()
+	return nil
+}
+
+// withdrawWarm takes the image's container out of the cross-host pool so
+// no further host adopts it; pools already seeded from it are the
+// caller's business. The next capture of the image publishes afresh.
+func (c *Cluster) withdrawWarm(img *Image) {
+	img.published = false
+	img.donor, img.fork = nil, nil
+	img.donorHost = -1
 }
 
 // bootDone concludes a boot on the shard worker (or prep) process:
@@ -668,47 +693,46 @@ func (c *Cluster) asidsInUse() int {
 	return n
 }
 
-// maybePublishWarm puts a freshly captured warm snapshot into the
-// cross-host pool: sealed once (the hash pass is charged on the worker
-// that captured it), announced to the replication layer so other hosts
-// fetch it as a peer blob. Only the first capture cluster-wide
-// publishes; the sealed bytes and donor context are shared state under
-// the single-engine discipline.
+// maybePublishWarm puts a freshly captured fork container into the
+// cross-host pool under its seal, announced to the replication layer so
+// other hosts fetch it as a peer blob of the sealed transport length (the
+// hash pass over that length is charged on the worker that captured it).
+// Only the first capture cluster-wide publishes; the container and donor
+// context are shared state under the single-engine discipline.
 func (c *Cluster) maybePublishWarm(p *sim.Proc, s *HostShard, img *Image) {
 	if !c.cfg.EnableWarm || img.published {
 		return
 	}
 	simg := img.perHost[s.Index]
-	if !simg.HasWarm() {
+	fork := simg.ForkState()
+	if fork == nil {
 		return
 	}
-	snap, donor := simg.WarmState()
-	sealed, err := snapshot.EncodeSealed(snap)
+	seal, err := fork.Seal()
 	if err != nil {
 		if c.firstErr == nil {
-			c.firstErr = fmt.Errorf("cluster: sealing warm snapshot of %q: %w", img.Name, err)
+			c.firstErr = fmt.Errorf("cluster: sealing warm container of %q: %w", img.Name, err)
 		}
 		return
 	}
 	// Commit the publication before charging the seal pass: the Sleep
 	// below yields the engine, and a second boot concluding meanwhile
 	// must see published set or it would seal and publish again.
-	img.sealed = sealed
-	img.sealedKey = artifact.BlobKey(sha256.Sum256(sealed))
-	img.sealedSize = len(sealed)
-	img.donor = donor
-	img.fork = simg.ForkState()
+	img.sealedKey = artifact.BlobKey(seal)
+	img.sealedSize = snapshot.SealedLen(len(fork.Src.Pages()))
+	img.donor = simg.Donor()
+	img.fork = fork
 	img.donorHost = s.Index
 	img.published = true
 	c.captures++
 	if st := c.storm; st != nil && st.fired {
 		st.reseeds++
 	}
-	c.publishedBytes += int64(len(sealed))
-	c.repl.Publish(s.Index, img.sealedKey, len(sealed))
+	c.publishedBytes += int64(img.sealedSize)
+	c.repl.Publish(s.Index, img.sealedKey, img.sealedSize)
 	c.cfg.Telemetry.Counter("severifast_cluster_warm_publishes_total",
 		telemetry.A("host", s.Name)).Inc()
-	p.Sleep(c.cfg.Model.Hash(len(sealed)))
+	p.Sleep(c.cfg.Model.Hash(img.sealedSize))
 }
 
 // Play spawns an open-loop arrival process that replays a generated

@@ -165,7 +165,7 @@ func (c *Cluster) runDrift(p *sim.Proc, st *stormState) {
 
 // invalidateTaintedWarm evicts every warm pool seeded — locally or by
 // adoption — from a donor whose platform the storm just distrusted, and
-// withdraws tainted sealed publications so no further host adopts them.
+// withdraws tainted publications so no further host adopts them.
 // In-flight forked boots from an evicted pool are refused by the
 // fleet's pool-epoch check and retried cold.
 func (c *Cluster) invalidateTaintedWarm(st *stormState) {
@@ -183,9 +183,7 @@ func (c *Cluster) invalidateTaintedWarm(st *stormState) {
 		}
 		if img.published && img.donorHost >= 0 && c.shards[img.donorHost].revoked {
 			st.invalidatedBytes += int64(img.sealedSize)
-			img.published = false
-			img.sealed, img.donor, img.fork = nil, nil, nil
-			img.donorHost = -1
+			c.withdrawWarm(img)
 		}
 	}
 }

@@ -240,35 +240,47 @@ func (img *Image) Spec() ImageSpec { return img.spec }
 // adopted from another host via AdoptWarmFork.
 func (img *Image) HasWarm() bool { return img.fork != nil }
 
-// WarmState returns the fork container's transport snapshot and the donor
-// machine whose launch context holds the shared memory-encryption key, or
-// nils if the warm tier is not seeded. A cluster publishing the warm pool
-// across hosts seals the snapshot (snapshot.EncodeSealed) before it leaves
-// the host.
+// WarmState returns the warm parent's ciphertext transport image and the
+// donor machine whose launch context holds the shared memory-encryption
+// key, or nils if the warm tier is not seeded. The image is not held
+// anywhere: each call materialises it from the parked donor
+// (snapshot.Capture — one AES pass over the resident pages) and retains
+// nothing, so it is for the consumers that replay or encode ciphertext
+// (snapshot.WarmRestore, an out-of-process snapshot), never a boot path.
+// A donor whose pages cannot be exported also yields nils.
 func (img *Image) WarmState() (*snapshot.Image, *kvm.Machine) {
 	if img.fork == nil {
 		return nil, nil
 	}
-	return img.fork.Img, img.donor
+	snap, err := snapshot.Capture(nil, img.donor)
+	if err != nil {
+		return nil, nil
+	}
+	return snap, img.donor
 }
 
-// ForkState returns the image's fork container, or nil when the warm
-// tier is unseeded. Clusters replicating the warm pool ship it alongside
-// the sealed snapshot so adopting hosts fork directly.
+// ForkState returns the image's fork container — the one representation
+// of its warm parent — or nil when the warm tier is unseeded. A cluster
+// replicating the warm pool publishes the container under its seal
+// (snapshot.Fork.Seal) and hands the same container to adopting hosts.
 func (img *Image) ForkState() *snapshot.Fork { return img.fork }
 
+// Donor returns the parked machine whose launch context holds the warm
+// parent's shared key and measured digest, or nil when the warm tier is
+// unseeded. It travels with ForkState to an adopting host's AdoptWarmFork.
+func (img *Image) Donor() *kvm.Machine { return img.donor }
+
 // AdoptWarmFork seeds the image's warm tier from another host's capture:
-// fork is the donor host's fork container (its blob and verified root
-// digest travel with the sealed snapshot) and donor the machine whose
-// launch context carries the shared key. Adoption models the
-// sealed-channel key transport of a cross-host warm pool; subsequent
-// boots of the image on this orchestrator fork instead of cold-booting,
-// attesting with the donor's measured digest. A warm tier that is already
-// seeded is left untouched. The fork container is the only representation
-// of a warm parent: an adoption without one is refused, never downgraded
-// to ciphertext replay.
+// fork is the donor host's fork container, whose seal the caller has
+// checked, and donor the machine whose launch context carries the shared
+// key. Adoption models the sealed-channel key transport of a cross-host
+// warm pool; subsequent boots of the image on this orchestrator fork
+// instead of cold-booting, attesting with the donor's measured digest. A
+// warm tier that is already seeded is left untouched. The fork container
+// is the only representation of a warm parent: an adoption without one is
+// refused, never downgraded to ciphertext replay.
 func (img *Image) AdoptWarmFork(donor *kvm.Machine, fork *snapshot.Fork) error {
-	if donor == nil || donor.Launch == nil || fork == nil || fork.Img == nil || fork.Src == nil {
+	if donor == nil || donor.Launch == nil || fork == nil || fork.Src == nil {
 		return fmt.Errorf("%w: image %q", errNoForkContainer, img.Name)
 	}
 	if img.fork == nil {
@@ -332,6 +344,10 @@ type Orchestrator struct {
 
 	idle []*sim.Proc // parked workers
 
+	// captureFork is snapshot.CaptureFork; a field so a test can make one
+	// capture fail, which no simulated guest otherwise does.
+	captureFork func(*sim.Proc, *kvm.Machine, [32]byte) (*snapshot.Fork, error)
+
 	// enrollVer bumps on every Reenroll, so an exchange can tell whether
 	// the platform identity moved underneath it (drift re-enrollment
 	// landing mid-exchange) and classify the resulting denial as a
@@ -360,6 +376,8 @@ func New(eng *sim.Engine, host *kvm.Host, cfg Config) *Orchestrator {
 		queues:   make(map[string][]*request),
 		planning: make(map[Key]*sim.Signal),
 		standby:  make(map[Key][]*kvm.Machine),
+
+		captureFork: snapshot.CaptureFork,
 	}
 	o.brk = newBreaker(cfg.Breaker, o.met)
 	if cfg.KBS != nil {
@@ -725,8 +743,11 @@ func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, error) {
 	// digest, which the measured-image cache already provisioned into
 	// the key broker — no extra reference value is needed.
 	if o.cfg.EnableWarm && img.fork == nil && !img.capturing {
+		// capturing covers only the capture's own virtual-time yield; a
+		// failed capture must leave the image free to seed on a later boot.
 		img.capturing = true
-		fork, err := snapshot.CaptureFork(p, res.Machine, res.LaunchDigest)
+		fork, err := o.captureFork(p, res.Machine, res.LaunchDigest)
+		img.capturing = false
 		if err != nil {
 			return tier, err
 		}

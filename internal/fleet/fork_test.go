@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func TestAdoptWithoutForkContainerRefused(t *testing.T) {
 	engB, b, imgB := testFleet(t, Config{Standalone: true, EnableWarm: true})
 	for name, adopt := range map[string]func() error{
 		"nil container":  func() error { return imgB.AdoptWarmFork(donor, nil) },
-		"no fork source": func() error { return imgB.AdoptWarmFork(donor, &snapshot.Fork{Img: fork.Img, Digest: fork.Digest}) },
+		"no fork source": func() error { return imgB.AdoptWarmFork(donor, &snapshot.Fork{Digest: fork.Digest, SEV: fork.SEV}) },
 		"nil donor":      func() error { return imgB.AdoptWarmFork(nil, fork) },
 	} {
 		if err := adopt(); !errors.Is(err, errNoForkContainer) {
@@ -117,6 +118,72 @@ func TestAdoptWithoutForkContainerRefused(t *testing.T) {
 	}
 	if tier := serveSync(t, engB, b, imgB); tier != TierCold {
 		t.Fatalf("boot after refused adoption served %v, want cold", tier)
+	}
+}
+
+// TestFailedCaptureLeavesWarmTierSeedable: a capture that fails fails
+// that boot only. The image's next cold boot captures, and the boot after
+// it forks — the capturing flag is cleared on the error path, not just by
+// EvictWarm.
+func TestFailedCaptureLeavesWarmTierSeedable(t *testing.T) {
+	eng, o, img := testFleet(t, Config{Standalone: true, EnableWarm: true})
+	errCapture := errors.New("capture failed")
+	capture := o.captureFork
+	o.captureFork = func(*sim.Proc, *kvm.Machine, [32]byte) (*snapshot.Fork, error) {
+		o.captureFork = capture
+		return nil, errCapture
+	}
+	var failed error
+	eng.Go("serve", func(p *sim.Proc) {
+		o.Serve(p, Request{Tenant: "t0", Image: img, Done: func(_ *sim.Proc, _ Tier, err error) { failed = err }})
+	})
+	eng.Run()
+	if !errors.Is(failed, errCapture) || img.HasWarm() {
+		t.Fatalf("first boot: err %v, warm %v; want the capture failure and an unseeded tier", failed, img.HasWarm())
+	}
+	if tier := serveSync(t, eng, o, img); tier == TierWarm || !img.HasWarm() {
+		t.Fatalf("boot after the failed capture served %v, warm tier seeded: %v; want a cold boot that captures", tier, img.HasWarm())
+	}
+	if tier := serveSync(t, eng, o, img); tier != TierWarm {
+		t.Fatalf("boot after the capture served %v, want warm", tier)
+	}
+}
+
+// TestWarmStateMaterialisesOnDemand: the ciphertext transport image is
+// not held by the warm tier; WarmState builds it from the parked donor,
+// equal to a capture of that donor, and a fresh one on every call.
+func TestWarmStateMaterialisesOnDemand(t *testing.T) {
+	eng, o, img := testFleet(t, Config{Standalone: true, EnableWarm: true})
+	if snap, donor := img.WarmState(); snap != nil || donor != nil {
+		t.Fatal("unseeded warm tier returned warm state")
+	}
+	serveSync(t, eng, o, img)
+	snap, donor := img.WarmState()
+	fork := img.ForkState()
+	if snap == nil || donor == nil || donor != img.Donor() {
+		t.Fatal("seeded warm tier returned no warm state")
+	}
+	if snap.Size != fork.Src.Size() || len(snap.Pages) != len(fork.Src.Pages()) || snap.SEV != fork.SEV {
+		t.Fatalf("transport image: %d bytes, %d pages, SEV %v; fork container: %d, %d, %v",
+			snap.Size, len(snap.Pages), snap.SEV, fork.Src.Size(), len(fork.Src.Pages()), fork.SEV)
+	}
+	want, err := snapshot.Capture(nil, donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := snapshot.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := snapshot.Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("WarmState's image is not a capture of the donor")
+	}
+	if again, _ := img.WarmState(); again == snap {
+		t.Fatal("WarmState retained the image it built")
 	}
 }
 

@@ -22,6 +22,8 @@ package guestmem
 // live with pages that differ from the measured parent.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -47,6 +49,7 @@ type ForkSource struct {
 	pages []ForkPage
 	blob  *artifact.Buf
 	root  [32]byte
+	keyID [32]byte
 
 	// Built once at export, read-only afterwards, shared by every
 	// adopter: the directory a forked guest starts from (every entry
@@ -66,18 +69,26 @@ type pageRun struct{ pn, count uint64 }
 // handle travels with the source (adopted pages carry it as provenance),
 // so it stays out of the process intern table and is collected with the
 // last fork container that references it. The donor must not be mutated
-// afterwards (fleet keeps donors parked for exactly this reason).
+// afterwards (fleet keeps donors parked for exactly this reason). A guest
+// holding private pages without an installed key is refused with
+// ErrNoKey, as ExportPages refuses it: nothing could ever adopt the
+// source.
 func (m *Memory) ExportForkSource() (*ForkSource, error) {
 	var pages []ForkPage
+	anyPrivate := false
 	m.eachResident(func(pn uint64, p page) {
 		pages = append(pages, ForkPage{PN: pn, Off: len(pages) * PageSize, Private: p.encrypted})
+		anyPrivate = anyPrivate || p.encrypted
 	})
+	if anyPrivate && m.key == nil {
+		return nil, ErrNoKey
+	}
 	blob := make([]byte, len(pages)*PageSize)
 	for _, fp := range pages {
 		copy(blob[fp.Off:], m.look(fp.PN).readable())
 	}
 	buf := artifact.Of(blob)
-	src := &ForkSource{size: m.size, pages: pages, blob: buf, dir: make([]dirEntry, len(m.dir))}
+	src := &ForkSource{size: m.size, pages: pages, blob: buf, keyID: m.keyID(), dir: make([]dirEntry, len(m.dir))}
 	if buf != nil {
 		src.root = buf.Digest()
 	}
@@ -111,6 +122,24 @@ func (s *ForkSource) Size() uint64 { return s.size }
 
 // Root returns the digest of the plain-text blob at capture time.
 func (s *ForkSource) Root() [32]byte { return s.root }
+
+// KeyID identifies the key and ASID the source's private pages were
+// captured under: a domain-separated SHA-256 fingerprint taken once at
+// export, all zero for a keyless guest. Two captures of the same plain
+// text under different launches differ here and nowhere else, which is
+// what keeps their published seals apart (snapshot.Fork.Seal). The key
+// itself never leaves this package and the PSP, and a 128-bit key is not
+// recoverable from the fingerprint.
+func (s *ForkSource) KeyID() [32]byte { return s.keyID }
+
+// keyID fingerprints the installed key and ASID for ForkSource.KeyID.
+func (m *Memory) keyID() [32]byte {
+	if m.key == nil {
+		return [32]byte{}
+	}
+	b := append([]byte("severifast/guestmem/fork-key-id/v1\x00"), m.key...)
+	return sha256.Sum256(binary.LittleEndian.AppendUint32(b, m.asid))
+}
 
 // Blob exposes the backing artifact. The chaos engine corrupts it to
 // prove forks of a tampered parent are refused.

@@ -131,6 +131,46 @@ func TestForkSizeAndKeyChecks(t *testing.T) {
 	if err := keyless.AdoptFork(src); !errors.Is(err, ErrNoKey) {
 		t.Fatalf("AdoptFork without key = %v, want ErrNoKey", err)
 	}
+	// The export side of the same rule: private pages whose key is gone
+	// cannot be frozen into a source nobody could adopt.
+	donor.key = nil
+	if _, err := donor.ExportForkSource(); !errors.Is(err, ErrNoKey) {
+		t.Fatalf("ExportForkSource without key = %v, want ErrNoKey", err)
+	}
+}
+
+// TestForkKeyIDSeparatesLaunches: the key identity is equal for two
+// exports under one key and ASID, differs when either differs, is zero
+// for a keyless guest, and is domain-separated from a plain key hash.
+func TestForkKeyIDSeparatesLaunches(t *testing.T) {
+	export := func(key []byte, asid uint32) [32]byte {
+		m := New(1 << 20)
+		if key != nil {
+			m.SetKey(key, asid)
+		}
+		if err := m.HostWrite(0, []byte("resident")); err != nil {
+			t.Fatal(err)
+		}
+		src, err := m.ExportForkSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src.KeyID()
+	}
+	k1, k2 := bytes.Repeat([]byte{1}, 16), bytes.Repeat([]byte{2}, 16)
+	id := export(k1, 3)
+	if id != export(k1, 3) {
+		t.Fatal("same key and ASID, different identity")
+	}
+	if id == export(k2, 3) || id == export(k1, 4) {
+		t.Fatal("identity ignores the key or the ASID")
+	}
+	if export(nil, 0) != ([32]byte{}) {
+		t.Fatal("keyless guest has a key identity")
+	}
+	if id == sha256.Sum256(k1) {
+		t.Fatal("identity is the bare hash of the key, not domain-separated")
+	}
 }
 
 // A guest with no resident pages exports a source with no blob; adopting

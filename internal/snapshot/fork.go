@@ -1,18 +1,22 @@
 package snapshot
 
 // The fork container: a warm-pool entry that can stamp out new guests
-// by CoW page aliasing instead of ciphertext replay. It pairs the
-// host-visible Image (the sealable transport form — unchanged wire
-// format) with the donor's plain-text ForkSource and the donor's final
-// launch digest, which forked guests inherit via psp.LaunchStartFork.
+// by CoW page aliasing instead of ciphertext replay. It is the single
+// representation of a warm parent — the donor's plain-text ForkSource,
+// the donor's final launch digest (which forked guests inherit via
+// psp.LaunchStartFork) and whether the donor was an SEV guest. The
+// ciphertext transport Image is not part of it: only the paths that
+// replay ciphertext (WarmRestore, an out-of-process snapshot) build one,
+// with Capture.
 //
-// Virtual-time contract: Fork.Restore charges exactly what Restore
-// charges for the same image — the same "snapshot.restore" timeline
-// span and the same VMMLoad over the same byte count — so whether a
-// warm boot copies ciphertext or aliases plain text is invisible on
-// the virtual clock (TestForkRestoreEqualsCopyRestore). Only the host's
-// wall clock improves: aliasing is O(resident pages) of pointer work
-// with no per-page AES.
+// Virtual-time contract: CaptureFork charges exactly what Capture
+// charges for the same guest, and Fork.Restore exactly what Restore
+// charges for the same image — the same timeline spans and the same
+// VMMLoad over the same byte count — so whether a warm boot copies
+// ciphertext or aliases plain text is invisible on the virtual clock
+// (TestForkRestoreEqualsCopyRestore). Only the host's wall clock
+// improves: no per-page AES at capture, O(touched leaves) of pointer work
+// at restore.
 
 import (
 	"fmt"
@@ -22,30 +26,35 @@ import (
 	"github.com/severifast/severifast/internal/sim"
 )
 
-// Fork is a fork-ready sealed snapshot: the transport image, the
-// in-process alias source, and the donor's launch digest.
+// Fork is a fork-ready snapshot: the in-process alias source, the donor's
+// launch digest, and the donor's SEV flag.
 type Fork struct {
-	Img    *Image
 	Src    *guestmem.ForkSource
 	Digest [32]byte // the donor's final launch digest, inherited by forks
+	SEV    bool     // the donor was an encrypted guest (Image.SEV of its transport form)
 }
 
-// CaptureFork captures a machine as both a transport image and a fork
-// source. donorDigest is the donor's final launch digest (from
-// LaunchFinish or GuestContext.Digest); forks launched from this
-// container attest with it. The virtual-time cost is Capture's — the
-// fork-source export reuses the same resident-page walk on the host
-// side and charges nothing extra.
+// CaptureFork captures a machine as a fork container. donorDigest is the
+// donor's final launch digest (from LaunchFinish or GuestContext.Digest);
+// forks launched from this container attest with it. The virtual-time
+// cost is Capture's — the "snapshot.capture" span and a VMMLoad over the
+// resident bytes — and an encrypted guest without a key is refused with
+// guestmem.ErrNoKey as Capture refuses it, but no ciphertext is produced:
+// the host-side work is ExportForkSource's one copy of the resident plain
+// text.
 func CaptureFork(proc *sim.Proc, m *kvm.Machine, donorDigest [32]byte) (*Fork, error) {
-	img, err := Capture(proc, m)
-	if err != nil {
-		return nil, err
+	if proc != nil {
+		m.Timeline.Begin("snapshot.capture", proc.Now())
+		defer func() { m.Timeline.End("snapshot.capture", proc.Now()) }()
 	}
 	src, err := m.Mem.ExportForkSource()
 	if err != nil {
 		return nil, err
 	}
-	return &Fork{Img: img, Src: src, Digest: donorDigest}, nil
+	if proc != nil {
+		proc.Sleep(m.Host.Model.VMMLoad(len(src.Pages()) * guestmem.PageSize))
+	}
+	return &Fork{Src: src, Digest: donorDigest, SEV: m.Level.Encrypted()}, nil
 }
 
 // Restore populates a machine from the fork source. The machine must
@@ -53,7 +62,7 @@ func CaptureFork(proc *sim.Proc, m *kvm.Machine, donorDigest [32]byte) (*Fork, e
 // AdoptFork verifies the fork root before any page is aliased, so a
 // source tampered since capture is refused with
 // guestmem.ErrForkTampered. Charges are identical to Restore with the
-// paired Image: same timeline span, same VMMLoad byte count.
+// donor's transport Image: same timeline span, same VMMLoad byte count.
 func (f *Fork) Restore(proc *sim.Proc, m *kvm.Machine) error {
 	if m.Mem.Size() != f.Src.Size() {
 		return fmt.Errorf("%w: %d vs %d", ErrSize, m.Mem.Size(), f.Src.Size())

@@ -39,14 +39,23 @@ func TestForkRestoreEqualsCopyRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resident := len(fork.Img.Pages) * guestmem.PageSize
-		if len(fork.Src.Pages()) != len(fork.Img.Pages) || fork.Src.Size() != fork.Img.Size {
-			t.Fatalf("fork source covers %d pages of %d bytes, transport image %d of %d",
-				len(fork.Src.Pages()), fork.Src.Size(), len(fork.Img.Pages), fork.Img.Size)
+		// The copy recipe's ciphertext image is its own capture of the same
+		// donor; the fork container no longer carries one.
+		img, err := Capture(p, donor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident := len(img.Pages) * guestmem.PageSize
+		if len(fork.Src.Pages()) != len(img.Pages) || fork.Src.Size() != img.Size || fork.SEV != img.SEV {
+			t.Fatalf("fork source covers %d pages of %d bytes (SEV %v), transport image %d of %d (SEV %v)",
+				len(fork.Src.Pages()), fork.Src.Size(), fork.SEV, len(img.Pages), img.Size, img.SEV)
+		}
+		if c, f := donor.Timeline.Span("snapshot.capture"), 2*h.Model.VMMLoad(resident); c != f {
+			t.Fatalf("capture spans total %v, want %v: CaptureFork and Capture must charge the same VMMLoad", c, f)
 		}
 
 		start := p.Now()
-		copied, err := WarmRestore(p, h, donor, fork.Img)
+		copied, err := WarmRestore(p, h, donor, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +87,9 @@ func TestForkRestoreEqualsCopyRestore(t *testing.T) {
 		}
 
 		kinds := map[bool]int{}
-		for pn, captured := range fork.Img.Pages {
+		for pn, captured := range img.Pages {
 			gpa := pn * guestmem.PageSize
-			private := fork.Img.Private[pn]
+			private := img.Private[pn]
 			kinds[private]++
 			hostCopy, err := copied.Mem.HostRead(gpa, guestmem.PageSize)
 			if err != nil {
@@ -112,8 +121,8 @@ func TestForkRestoreEqualsCopyRestore(t *testing.T) {
 		if kinds[true] == 0 || kinds[false] == 0 {
 			t.Fatalf("donor had %d private and %d shared pages; the proof needs both", kinds[true], kinds[false])
 		}
-		if c, f := copied.Mem.Stats().ResidentPages, forked.Mem.Stats().ResidentPages; c != f || f != len(fork.Img.Pages) {
-			t.Fatalf("resident pages: copy %d, fork %d, captured %d", c, f, len(fork.Img.Pages))
+		if c, f := copied.Mem.Stats().ResidentPages, forked.Mem.Stats().ResidentPages; c != f || f != len(img.Pages) {
+			t.Fatalf("resident pages: copy %d, fork %d, captured %d", c, f, len(img.Pages))
 		}
 
 		if forked.Launch.Digest() != measured {

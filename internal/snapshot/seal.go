@@ -10,11 +10,20 @@ package snapshot
 // snapshot transport, not authentication — a host that can rewrite the
 // snapshot can rewrite the trailer, and catching that host is the launch
 // measurement's job, not the container's.
+//
+// The sealed bytes are the form a snapshot takes when it leaves the
+// process or is replayed as ciphertext. Inside one process a warm parent
+// is a Fork, and what stands in for the sealed bytes is Fork.Seal: the
+// same header and page table, with the page data replaced by the digests
+// that already root it. A fabric that moves the container is charged
+// SealedLen, the length the encoding would have had.
 
 import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
+
+	"github.com/severifast/severifast/internal/guestmem"
 )
 
 const sealTrailerLen = sha256.Size
@@ -26,6 +35,44 @@ const sealTrailerLen = sha256.Size
 // during transfer, so adoption re-checks only the envelope instead of
 // re-hashing the full image.
 const SealedDeltaValidateLen = wireHeaderLen + sealTrailerLen
+
+// SealedLen is len(EncodeSealed(img)) for an image of npages pages: what
+// a transport that ships the container is charged for.
+func SealedLen(npages int) int {
+	return wireHeaderLen + npages*wireRecordLen + sealTrailerLen
+}
+
+// Seal is the fork container's content address: SHA-256 over the wire
+// header fields (magic, SEV flag, guest size, page count), the page table
+// (page number and privacy byte of every resident page, in order), the
+// fork root, the donor's launch digest and the donor's key identity. The
+// root is verified first — O(1) while the blob's digest memo is intact, an
+// honest re-hash after artifact.Corrupt — so a container tampered since
+// capture has no seal (guestmem.ErrForkTampered) rather than a stale one.
+//
+// Everything a fork of this container will alias or inherit is under the
+// seal, so a host adopting the container checks the seal of the thing it
+// is about to use instead of decoding bytes it will not read again. The
+// key identity keeps two captures of the same image apart: their plain
+// text, page table and launch digest are equal, and only the donor's
+// fresh key tells a re-seeded publication from the one it replaces.
+func (f *Fork) Seal() ([32]byte, error) {
+	if err := f.Src.Verify(); err != nil {
+		return [32]byte{}, err
+	}
+	pages := f.Src.Pages()
+	root, keyID := f.Src.Root(), f.Src.KeyID()
+	const entryLen = wireRecordLen - guestmem.PageSize
+	b := make([]byte, 0, wireHeaderLen+len(pages)*entryLen+3*sha256.Size)
+	b = appendWireHeader(b, f.SEV, f.Src.Size(), len(pages))
+	for _, fp := range pages {
+		b = appendPageEntry(b, fp.PN, fp.Private)
+	}
+	b = append(b, root[:]...)
+	b = append(b, f.Digest[:]...)
+	b = append(b, keyID[:]...)
+	return sha256.Sum256(b), nil
+}
 
 // EncodeSealed serializes an image and appends the SHA-256 of the payload
 // as a trailer. DecodeSealed is its inverse.

@@ -1,0 +1,128 @@
+package snapshot
+
+import (
+	"errors"
+	"testing"
+
+	"github.com/severifast/severifast/internal/guestmem"
+	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/sev"
+	"github.com/severifast/severifast/internal/sim"
+)
+
+// TestSealedLenIsTheEncodingsLength: the fabric is charged SealedLen for a
+// container nobody encodes, so it must be the length the encoding would
+// have had.
+func TestSealedLenIsTheEncodingsLength(t *testing.T) {
+	synthetic := func(n int) *Image {
+		img := &Image{Size: 1 << 20, Pages: map[uint64][]byte{}, Private: map[uint64]bool{}}
+		for pn := 0; pn < n; pn++ {
+			img.Pages[uint64(pn)] = make([]byte, guestmem.PageSize)
+		}
+		return img
+	}
+	for _, img := range []*Image{synthetic(0), synthetic(1), captureSEV(t)} {
+		sealed, err := EncodeSealed(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := SealedLen(len(img.Pages)); got != len(sealed) {
+			t.Fatalf("SealedLen(%d) = %d, EncodeSealed produced %d bytes", len(img.Pages), got, len(sealed))
+		}
+	}
+}
+
+// mustSeal seals a container the test expects to be intact.
+func mustSeal(t *testing.T, f *Fork) [32]byte {
+	t.Helper()
+	seal, err := f.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seal
+}
+
+// TestSealCoversEveryField: the seal is a function of the container alone,
+// and every field a fork of it aliases or inherits moves it. Fields that
+// live inside the fork source are mutated the only way they can differ in
+// practice — by capturing a guest that differs in just that respect.
+func TestSealCoversEveryField(t *testing.T) {
+	run(t, func(p *sim.Proc, h *kvm.Host) {
+		digest := [32]byte{1, 2, 3}
+		capture := func(m *kvm.Machine) *Fork {
+			f, err := CaptureFork(p, m, digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		plainGuest := func(size uint64) *kvm.Machine {
+			m := h.NewMachine(p, size, sev.None)
+			if err := m.Mem.HostWrite(0x10000, payload(7)); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+
+		base := capture(sevGuest(t, p, h, payload(7)))
+		want := mustSeal(t, base)
+		if again := mustSeal(t, base); again != want {
+			t.Fatal("two seals of one container differ")
+		}
+		if mustSeal(t, capture(plainGuest(1<<20))) != mustSeal(t, capture(plainGuest(1<<20))) {
+			t.Fatal("equal keyless containers seal differently")
+		}
+
+		// In-place mutations of the base container. Each is its own inverse:
+		// applied twice, the seal must come back.
+		pages := base.Src.Pages()
+		inPlace := map[string]func(){
+			"one page number": func() { pages[3].PN ^= 1 },
+			"one private bit": func() { pages[3].Private = !pages[3].Private },
+			"SEV flag":        func() { base.SEV = !base.SEV },
+			"donor digest":    func() { base.Digest[31] ^= 1 },
+		}
+		for name, flip := range inPlace {
+			flip()
+			if got := mustSeal(t, base); got == want {
+				t.Errorf("%s: seal unchanged", name)
+			}
+			flip()
+			if got := mustSeal(t, base); got != want {
+				t.Errorf("%s: seal did not return after the mutation was undone", name)
+			}
+		}
+
+		// Guest size: two keyless guests with the same resident plain text.
+		small, large := capture(plainGuest(1<<20)), capture(plainGuest(2<<20))
+		if small.Src.Root() != large.Src.Root() || small.Src.KeyID() != large.Src.KeyID() {
+			t.Fatal("size case differs in more than size")
+		}
+		if mustSeal(t, small) == mustSeal(t, large) {
+			t.Error("guest size: seal unchanged")
+		}
+
+		// Key identity: a second launch of the same content draws a fresh key
+		// and nothing else differs — the re-seeded publication of an image.
+		other := capture(sevGuest(t, p, h, payload(7)))
+		if other.Src.Root() != base.Src.Root() || len(other.Src.Pages()) != len(pages) {
+			t.Fatal("key case differs in more than the key")
+		}
+		if other.Src.KeyID() == base.Src.KeyID() || other.Src.KeyID() == ([32]byte{}) {
+			t.Fatal("two launches share a key identity")
+		}
+		if mustSeal(t, other) == want {
+			t.Error("key identity: seal unchanged")
+		}
+
+		// Fork root: a blob tampered since capture has no seal at all.
+		base.Src.Blob().Corrupt(5, 0x40)
+		if got, err := base.Seal(); !errors.Is(err, guestmem.ErrForkTampered) || got == want {
+			t.Errorf("tampered blob: seal %x err %v, want ErrForkTampered", got[:4], err)
+		}
+		base.Src.Blob().Corrupt(5, 0x40)
+		if got := mustSeal(t, base); got != want {
+			t.Error("fork root: seal did not return after the blob was restored")
+		}
+	})
+}

@@ -49,33 +49,39 @@ func Encode(img *Image) ([]byte, error) {
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 
 	out := make([]byte, 0, wireHeaderLen+len(pns)*wireRecordLen)
-	out = append(out, wireMagic[:]...)
-	var flags byte
-	if img.SEV {
-		flags |= 1
-	}
-	out = append(out, flags)
-	var n [8]byte
-	le := binary.LittleEndian
-	le.PutUint64(n[:], img.Size)
-	out = append(out, n[:]...)
-	le.PutUint32(n[:4], uint32(len(pns)))
-	out = append(out, n[:4]...)
+	out = appendWireHeader(out, img.SEV, img.Size, len(pns))
 	for _, pn := range pns {
 		data := img.Pages[pn]
 		if len(data) != guestmem.PageSize {
 			return nil, fmt.Errorf("snapshot: page %d holds %d bytes, want %d", pn, len(data), guestmem.PageSize)
 		}
-		le.PutUint64(n[:], pn)
-		out = append(out, n[:]...)
-		if img.Private[pn] {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
+		out = appendPageEntry(out, pn, img.Private[pn])
 		out = append(out, data...)
 	}
 	return out, nil
+}
+
+// appendWireHeader appends the fixed header: magic, flags, guest size,
+// page count.
+func appendWireHeader(out []byte, sev bool, size uint64, npages int) []byte {
+	out = append(out, wireMagic[:]...)
+	var flags byte
+	if sev {
+		flags |= 1
+	}
+	out = append(out, flags)
+	out = binary.LittleEndian.AppendUint64(out, size)
+	return binary.LittleEndian.AppendUint32(out, uint32(npages))
+}
+
+// appendPageEntry appends the part of a page record that precedes its
+// data: page number and privacy byte.
+func appendPageEntry(out []byte, pn uint64, private bool) []byte {
+	out = binary.LittleEndian.AppendUint64(out, pn)
+	if private {
+		return append(out, 1)
+	}
+	return append(out, 0)
 }
 
 // Decode parses Encode's output. Every structural property is checked —
