@@ -45,16 +45,6 @@ func run(args []string, out io.Writer) error {
 
 		traceOut   = fs.String("trace-out", "", "also run one instrumented boot per scheme and write a Chrome trace (open in Perfetto)")
 		metricsOut = fs.String("metrics-out", "", "write the instrumented run's telemetry in Prometheus text format")
-
-		benchOut   = fs.String("bench-out", "", "run the host-time fleet benchmark and write BENCH JSON (wall-clock + allocs per boot stage) to this path; use -expt none to skip the figure experiments")
-		benchLabel = fs.String("bench-label", "dev", "label recorded in the -bench-out JSON")
-		benchVMs   = fs.Int("bench-vms", 16, "same-image boots per fleet iteration for -bench-out")
-		benchIters = fs.Int("bench-iters", 4, "timed fleet iterations for -bench-out")
-		benchWarm  = fs.Bool("bench-warm", false, "bench the snapshot-fork warm path: 1 cold seed + N-1 forked boots per iteration")
-		benchHuge  = fs.Bool("bench-hugepage", false, "run -bench-out under strict huge-page validation accounting (own virtual-time pin, mode \"cold-hugepage\")")
-
-		scalingOut     = fs.String("scaling-out", "", "sweep the warm-fork fleet across hostwork widths (1..16) and fleet sizes (16..1024) and write the curve JSON to this path")
-		coldScalingOut = fs.String("bench-cold-scaling", "", "sweep the cold fleet across hostwork widths (1..16) and fleet sizes (16..1024) and write the curve JSON to this path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,9 +72,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	want := map[string]bool{}
-	if *which == "none" {
-		want["none"] = true
-	} else if *which != "all" {
+	if *which != "all" {
 		for _, name := range strings.Split(*which, ",") {
 			want[strings.TrimSpace(name)] = true
 		}
@@ -124,48 +112,6 @@ func run(args []string, out io.Writer) error {
 		if err := writeTelemetry(out, *seed, *traceOut, *metricsOut); err != nil {
 			return err
 		}
-	}
-	if *benchOut != "" {
-		res, err := expt.HostBench(expt.HostBenchOptions{
-			Label: *benchLabel, VMs: *benchVMs, Iters: *benchIters, Warm: *benchWarm,
-			HugePage: *benchHuge,
-		})
-		if err != nil {
-			return fmt.Errorf("host bench: %w", err)
-		}
-		fmt.Fprintln(out, res)
-		if err := writeExport(*benchOut, func(w io.Writer) error {
-			return expt.WriteHostBench(w, res)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "host bench written to %s\n", *benchOut)
-	}
-	if *scalingOut != "" {
-		res, err := expt.ScalingBench(*benchLabel, nil, nil, 0)
-		if err != nil {
-			return fmt.Errorf("scaling bench: %w", err)
-		}
-		fmt.Fprintln(out, res)
-		if err := writeExport(*scalingOut, func(w io.Writer) error {
-			return expt.WriteScaling(w, res)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "scaling curve written to %s\n", *scalingOut)
-	}
-	if *coldScalingOut != "" {
-		res, err := expt.ColdScalingBench(*benchLabel, nil, nil, 0)
-		if err != nil {
-			return fmt.Errorf("cold scaling bench: %w", err)
-		}
-		fmt.Fprintln(out, res)
-		if err := writeExport(*coldScalingOut, func(w io.Writer) error {
-			return expt.WriteScaling(w, res)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "cold scaling curve written to %s\n", *coldScalingOut)
 	}
 	return nil
 }

@@ -43,8 +43,8 @@ func NewHostRecorder() *HostRecorder {
 }
 
 // DefaultHostRecorder receives stats from code with no host in scope:
-// the package-level HostStage/HostCounterAdd helpers and process-wide
-// subsystems such as the artifact intern table.
+// the package-level HostCounterAdd helper and process-wide subsystems
+// such as the artifact intern table.
 var DefaultHostRecorder = NewHostRecorder()
 
 // Stage records one wall-clock timing for a named pipeline stage.
@@ -122,15 +122,6 @@ func (r *HostRecorder) Write(w io.Writer) error {
 	return nil
 }
 
-// HostStage records one wall-clock timing on DefaultHostRecorder.
-//
-// Deprecated: stats recorded here are process-global and interleave
-// across hosts. Code with a host in scope should record on that host's
-// HostRecorder instead.
-func HostStage(name string, start time.Time) {
-	DefaultHostRecorder.Stage(name, start)
-}
-
 // HostCounterAdd bumps a named counter on DefaultHostRecorder.
 //
 // Deprecated: stats recorded here are process-global and interleave
@@ -140,26 +131,10 @@ func HostCounterAdd(name string, n int64) {
 	DefaultHostRecorder.CounterAdd(name, n)
 }
 
-// ResetHostStats zeroes DefaultHostRecorder.
-//
-// Deprecated: resets only the process-global recorder; per-host stats
-// live on each host's HostRecorder.
-func ResetHostStats() {
-	DefaultHostRecorder.Reset()
-}
-
 // HostStatsSnapshot snapshots DefaultHostRecorder.
 //
 // Deprecated: covers only the process-global recorder; per-host stats
 // live on each host's HostRecorder.
 func HostStatsSnapshot() (stages map[string]int64, counters map[string]int64) {
 	return DefaultHostRecorder.Snapshot()
-}
-
-// WriteHostStats renders DefaultHostRecorder in Prometheus-style text.
-//
-// Deprecated: covers only the process-global recorder; per-host stats
-// live on each host's HostRecorder.
-func WriteHostStats(w io.Writer) error {
-	return DefaultHostRecorder.Write(w)
 }

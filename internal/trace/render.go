@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/severifast/severifast/internal/sev"
-	simtime "github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/telemetry"
 )
 
@@ -36,23 +35,16 @@ func EventName(ev sev.TimingEvent) string {
 }
 
 // RenderTimeline draws the boot as an ASCII Gantt chart, suitable for
-// terminal output (sevf-boot -timeline). Scoped timelines render their
-// telemetry span tree — one indented row per span, instant events as
-// markers; unscoped timelines fall back to the original event-pair
-// stage rendering.
+// terminal output (sevf-boot -timeline): the telemetry span tree as
+// depth-indented rows with proportional bars, then instant events as
+// time markers. An unscoped timeline has no span tree to draw.
 func (t *Timeline) RenderTimeline(width int) string {
+	if t.root == nil {
+		return "(no events recorded)\n"
+	}
 	if width < 40 {
 		width = 72
 	}
-	if t.root != nil {
-		return t.renderSpanTree(width)
-	}
-	return t.renderEventStages(width)
-}
-
-// renderSpanTree draws the boot's span tree: depth-indented span rows
-// with proportional bars, then instant events as time markers.
-func (t *Timeline) renderSpanTree(width int) string {
 	spans := t.Spans()
 	events := t.TelemetryEvents()
 	root := t.root
@@ -136,67 +128,6 @@ func (t *Timeline) renderSpanTree(width int) string {
 	}
 	for _, e := range events {
 		fmt.Fprintf(&sb, "· %s @ %v\n", e.Name, e.At.Sub(root.Start).Round(10*time.Microsecond))
-	}
-	return sb.String()
-}
-
-// renderEventStages is the legacy renderer for unscoped timelines: one
-// row per consecutive pair of guest events.
-func (t *Timeline) renderEventStages(width int) string {
-	type stage struct {
-		name       string
-		start, end time.Duration
-	}
-	var stages []stage
-	events := append([]Event(nil), t.events...)
-	sort.Slice(events, func(i, j int) bool { return events[i].At < events[j].At })
-	if len(events) == 0 {
-		return "(no events recorded)\n"
-	}
-
-	rel := func(at simtime.Time) time.Duration { return at.Sub(t.Start) }
-	// VMM stage: timeline start to guest entry.
-	if ge, ok := t.EventAt(sev.EvGuestEntry); ok {
-		stages = append(stages, stage{"vmm", 0, rel(ge)})
-	}
-	// Each consecutive pair of guest events becomes a stage.
-	for i := 0; i+1 < len(events); i++ {
-		name := eventLabels[events[i].Ev]
-		if name == "" {
-			name = fmt.Sprintf("ev%d", events[i].Ev)
-		}
-		s := rel(events[i].At)
-		e := rel(events[i+1].At)
-		if e > s {
-			stages = append(stages, stage{name + " →", s, e})
-		}
-	}
-	total := rel(events[len(events)-1].At)
-	if total <= 0 {
-		return "(empty timeline)\n"
-	}
-
-	nameW := 0
-	for _, s := range stages {
-		if len(s.name) > nameW {
-			nameW = len(s.name)
-		}
-	}
-	barW := width - nameW - 14
-	if barW < 10 {
-		barW = 10
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "boot timeline (total %v)\n", total.Round(10*time.Microsecond))
-	for _, s := range stages {
-		startCol := int(int64(barW) * int64(s.start) / int64(total))
-		endCol := int(int64(barW) * int64(s.end) / int64(total))
-		if endCol <= startCol {
-			endCol = startCol + 1
-		}
-		bar := strings.Repeat(" ", startCol) + strings.Repeat("█", endCol-startCol)
-		fmt.Fprintf(&sb, "%-*s |%-*s| %v\n", nameW, s.name, barW, bar,
-			(s.end - s.start).Round(10*time.Microsecond))
 	}
 	return sb.String()
 }

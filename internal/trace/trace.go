@@ -32,8 +32,9 @@ const RootSpan = "vm.boot"
 // built with NewScoped is additionally a *span scope* over a telemetry
 // registry: Begin/End become nested spans on the boot's track, Record
 // also emits instant events, and the whole boot lives under one
-// RootSpan span that Close ends. New (unscoped) timelines keep the
-// original standalone behaviour.
+// RootSpan span that Close ends. An unscoped timeline (New) collects
+// the same events and durations for Breakdown but has no span tree, so
+// nothing to render.
 type Timeline struct {
 	Start  sim.Time
 	events []Event

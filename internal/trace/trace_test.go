@@ -7,12 +7,13 @@ import (
 
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
+	"github.com/severifast/severifast/internal/telemetry"
 )
 
 func ms(n int64) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
 
 func sampleTimeline() *Timeline {
-	t := New(ms(100)) // VMM exec at t=100ms
+	t := NewScoped(telemetry.NewRegistry(), "vm0", ms(100)) // VMM exec at t=100ms
 	t.Begin("preenc", ms(102))
 	t.End("preenc", ms(110))
 	t.Record(ms(112), sev.EvGuestEntry)
@@ -23,6 +24,7 @@ func sampleTimeline() *Timeline {
 	t.Record(ms(225), sev.EvInitExec)
 	t.Record(ms(225), sev.EvAttestStart)
 	t.Record(ms(425), sev.EvAttestDone)
+	t.Close(ms(425))
 	return t
 }
 
@@ -165,7 +167,7 @@ func TestCDFMonotone(t *testing.T) {
 
 func TestRenderTimeline(t *testing.T) {
 	out := sampleTimeline().RenderTimeline(80)
-	for _, want := range []string{"boot timeline", "vmm", "kernel entry", "█"} {
+	for _, want := range []string{"boot timeline (total 325ms)", "vm.boot", "  preenc", "· kernel entry @ 50ms", "█"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline render missing %q:\n%s", want, out)
 		}

@@ -453,27 +453,19 @@ func (t *Telemetry) WriteJSONSummary(w io.Writer) error { return t.reg.WriteJSON
 // byte-identical for a given seed regardless of what these report.
 //
 // The stats are scoped to this Host: two hosts in one process never
-// interleave counters. (Process-wide artifact interning counters remain
-// in the deprecated package-global recorder.)
-func (t *Telemetry) WriteHostStats(w io.Writer) error { return t.recorder().Write(w) }
+// interleave counters.
+func (t *Telemetry) WriteHostStats(w io.Writer) error { return t.rec.Write(w) }
 
 // HostStats returns a snapshot of this host's host-time instrumentation:
 // cumulative stage nanoseconds (plus "<stage>.calls" entries) and the
 // host-side cache/pool counters.
 func (t *Telemetry) HostStats() (stages, counters map[string]int64) {
-	return t.recorder().Snapshot()
+	return t.rec.Snapshot()
 }
 
 // ResetHostStats zeroes this host's host-time instrumentation, e.g.
 // between benchmark iterations.
-func (t *Telemetry) ResetHostStats() { t.recorder().Reset() }
-
-func (t *Telemetry) recorder() *telemetry.HostRecorder {
-	if t.rec != nil {
-		return t.rec
-	}
-	return telemetry.DefaultHostRecorder
-}
+func (t *Telemetry) ResetHostStats() { t.rec.Reset() }
 
 // PlatformKey returns the PSP's report-verification key (the VCEK stand-in
 // a guest owner verifies attestation reports against).
