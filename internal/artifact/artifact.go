@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -47,6 +48,8 @@ type Buf struct {
 	mu     sync.Mutex
 	full   [32]byte
 	fullOK bool
+
+	corruptions atomic.Uint32 // bumped by Corrupt
 
 	sub     sync.Map // rangeKey -> [32]byte
 	derived sync.Map // string -> *derivedEntry
@@ -217,6 +220,7 @@ func (b *Buf) Corrupt(off int, mask byte) {
 		return
 	}
 	b.data[off] ^= mask
+	b.corruptions.Add(1)
 	b.mu.Lock()
 	b.fullOK = false
 	b.mu.Unlock()
@@ -230,6 +234,12 @@ func (b *Buf) Corrupt(off int, mask byte) {
 	})
 	telemetry.HostCounterAdd("artifact.corrupted", 1)
 }
+
+// Corruptions counts the Corrupt calls that have changed the buffer. A
+// holder that recorded the count beside a digest knows, from one atomic
+// load and no lock, that the digest still describes the bytes; when the
+// count has moved it must ask Digest again.
+func (b *Buf) Corruptions() uint32 { return b.corruptions.Load() }
 
 // ResetForTest drops the intern table so tests start clean. Existing
 // *Buf values keep working; they are just no longer re-lookupable.

@@ -2,8 +2,10 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
+	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/telemetry"
 )
 
@@ -149,5 +151,38 @@ func TestSingleFamilyCampaign(t *testing.T) {
 		if tr.Outcome == Escape || tr.Outcome == Unexpected {
 			t.Fatalf("%s/%s: %s: %s", tr.Family, tr.Name, tr.Outcome, tr.Detail)
 		}
+	}
+}
+
+// TestForkFamily pins the fork family's verdicts: a bit flipped between
+// capture and fork must be Caught whether it lands in the container's
+// dirty blob or in an artifact the container only names, the untouched
+// control must be Harmless, and the process-wide kernel image the aliased
+// trial attacks must be left as it was found.
+func TestForkFamily(t *testing.T) {
+	arts, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sha256.Sum256(arts.BzImageLZ4)
+	rep, err := Run(Config{Seed: 42, Boots: 3, Trials: 2, Families: []string{"fork"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Outcome{"parent-dirty": Caught, "aliased-artifact": Caught, "pristine-control": Harmless}
+	ran := map[string]int{}
+	for _, tr := range rep.Trials {
+		ran[tr.Name]++
+		if w, ok := want[tr.Name]; !ok || tr.Family != "fork" {
+			t.Errorf("unknown fork mutation %s/%s", tr.Family, tr.Name)
+		} else if tr.Outcome != w {
+			t.Errorf("%s (%s): outcome %s, want %s: %s", tr.Name, tr.Params, tr.Outcome, w, tr.Detail)
+		}
+	}
+	if ran["parent-dirty"] != 2 || ran["aliased-artifact"] != 2 || ran["pristine-control"] != 1 {
+		t.Fatalf("fork campaign ran %v", ran)
+	}
+	if sha256.Sum256(arts.BzImageLZ4) != before {
+		t.Fatal("the aliased-artifact trial left the shared kernel image tampered")
 	}
 }

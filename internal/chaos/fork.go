@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/guestmem"
@@ -12,24 +13,31 @@ import (
 	"github.com/severifast/severifast/internal/sim"
 )
 
-// forkMutation dirties the parent's frozen plain-text blob in the window
-// between snapshot capture and fork adoption — the exact surface the
-// fork root digest exists to defend. These trials run standalone (like
-// the snapshot family): one cold boot seeds the fork container, the
-// blob is corrupted, and the next warm boot's AdoptFork must refuse
-// with ErrForkTampered and evict the warm pool; the boot after that
-// must recover cold with the honest measured digest. A fork of a
-// dirtied parent going live — with any digest — is an ESCAPE.
+// forkMutation dirties bytes the parent's frozen pages alias in the
+// window between snapshot capture and fork adoption — the exact surface
+// the fork root exists to defend. A fork container copies only the pages
+// the donor dirtied (its blob); the rest alias the image's registered
+// artifacts, so there are two places to flip a bit: the blob (bitflip)
+// and an artifact the container only names (aliased — the kernel image).
+// These trials run standalone (like the snapshot family): one cold boot
+// seeds the fork container, the bytes are corrupted, and the next warm
+// boot's AdoptFork must refuse with ErrForkTampered and evict the warm
+// pool; the boot after that must recover cold with the honest measured
+// digest. A fork of a dirtied parent going live — with any digest — is an
+// ESCAPE.
 type forkMutation struct {
-	kind string // bitflip | pristine
+	kind string // bitflip | aliased | pristine
 	off  int
 	mask byte
 }
 
 func (m *forkMutation) Family() string { return "fork" }
 func (m *forkMutation) Name() string {
-	if m.kind == "pristine" {
+	switch m.kind {
+	case "pristine":
 		return "pristine-control"
+	case "aliased":
+		return "aliased-artifact"
 	}
 	return "parent-dirty"
 }
@@ -86,15 +94,29 @@ func runForkTrial(m *forkMutation, initrd []byte) TrialReport {
 			setupErr = fmt.Errorf("cold boot left no forkable container")
 			return
 		}
-		blob := fk.Src.Blob()
-		off := m.off % blob.Len()
-		if m.kind == "bitflip" {
+		undo := func() {}
+		switch m.kind {
+		case "bitflip":
 			// The dirty parent page. The blob belongs to this trial's fork
 			// container alone (every capture freezes a fresh one), so the
 			// tamper cannot leak into other trials.
-			blob.Corrupt(off, m.mask)
+			blob := fk.Src.Blob()
+			blob.Corrupt(m.off%blob.Len(), m.mask)
+		case "aliased":
+			// The kernel image is process-wide (kernelgen.Cached), so the
+			// flip is undone as soon as the fork attempt has seen it: the
+			// recovery boot, and every later trial, must stage honest bytes.
+			kernel := artifact.Lookup(img.Spec().Kernel)
+			if kernel == nil {
+				setupErr = fmt.Errorf("the image's kernel is not an interned artifact")
+				return
+			}
+			off := m.off % kernel.Len()
+			kernel.Corrupt(off, m.mask)
+			undo = func() { kernel.Corrupt(off, m.mask) }
 		}
 		serve() // the fork attempt against the (possibly) dirtied parent
+		undo()
 		serve() // recovery: the evicted pool must re-seed cold, honestly
 	})
 	eng.Run()

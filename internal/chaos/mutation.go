@@ -155,6 +155,14 @@ func catalog(cfg Config) []Mutation {
 				mask: byte(1 + r.Intn(255)),
 			})
 		}
+		for i := 0; i < cfg.Trials; i++ {
+			r := draw()
+			muts = append(muts, &forkMutation{
+				kind: "aliased",
+				off:  r.Intn(1 << 20),
+				mask: byte(1 + r.Intn(255)),
+			})
+		}
 		draw()
 		muts = append(muts, &forkMutation{kind: "pristine"})
 	}

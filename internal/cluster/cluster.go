@@ -602,9 +602,10 @@ func (c *Cluster) stage(p *sim.Proc, s *HostShard, img *Image, simg *fleet.Image
 // content-addressed transport leaves to re-validate — but what is adopted
 // is the publisher's fork container itself, so the integrity check is on
 // that: its seal is recomputed and compared with the key it was published
-// under, which covers the blob, page table and digest every fork on this
-// host will alias. A mismatch withdraws the publication; the caller then
-// stages the boot cold and the next capture re-publishes.
+// under, which covers the page table, the digest and — through the fork
+// root — every artifact and dirty page a fork on this host will alias. A
+// mismatch withdraws the publication; the caller then stages the boot cold
+// and the next capture re-publishes.
 //
 // Both the transfer and the validate charge yield virtual time, and a
 // storm may withdraw (even replace) the publication meanwhile. That is not

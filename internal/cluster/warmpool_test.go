@@ -253,9 +253,10 @@ func TestReseededPublicationIsADifferentBlob(t *testing.T) {
 }
 
 // TestWarmParentHeldOnce: the process holds a warm parent once. One
-// capture exports one fork blob; publishing it encodes nothing; every
-// adopter forks from the publisher's container itself, and adopting costs
-// no allocation that grows with the image.
+// capture exports one fork source, copying only the pages the guest
+// dirtied; publishing it encodes nothing; every adopter forks from the
+// publisher's container itself, and adopting costs no allocation that
+// grows with the image.
 func TestWarmParentHeldOnce(t *testing.T) {
 	const hosts = 4
 	w := newWarmPool(t, hosts, []int{0}, "", 0)
@@ -281,8 +282,8 @@ func TestWarmParentHeldOnce(t *testing.T) {
 				if simg.ForkState() != fork || simg.Donor() != w.img.donor {
 					t.Errorf("%s did not adopt the publisher's container", s.Name)
 				}
-				if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-					t.Errorf("%s: adoption allocated %d bytes; an image is %d", s.Name, grew, fork.Src.Blob().Len())
+				if grew, resident := after.TotalAlloc-before.TotalAlloc, uint64(len(fork.Src.Pages())*guestmem.PageSize); grew*32 >= resident {
+					t.Errorf("%s: adoption allocated %d bytes; the image holds %d resident", s.Name, grew, resident)
 				}
 			}
 		}},
@@ -299,8 +300,49 @@ func TestWarmParentHeldOnce(t *testing.T) {
 		exported += counters["guestmem.fork.exported"]
 		exportedBytes += counters["guestmem.fork.exported_bytes"]
 	}
-	if exported != 1 || exportedBytes != int64(fork.Src.Blob().Len()) {
-		t.Fatalf("%d fork blobs / %d bytes exported for one capture and %d adoptions; want 1 / %d",
-			exported, exportedBytes, hosts-1, fork.Src.Blob().Len())
+	// exported_bytes is what the capture copied: the dirty blob, a sliver
+	// of a booted guest — the rest stays where the artifacts hold it.
+	resident := int64(len(fork.Src.Pages()) * guestmem.PageSize)
+	if exported != 1 || exportedBytes != int64(fork.Src.Blob().Len()) || exportedBytes == 0 || exportedBytes*100 >= resident {
+		t.Fatalf("%d fork sources / %d bytes copied for one capture and %d adoptions; want 1 / %d, under 1%% of the %d resident",
+			exported, exportedBytes, hosts-1, fork.Src.Blob().Len(), resident)
+	}
+}
+
+// TestTamperedAliasedArtifactRefusedAtAdoption: most of a container's
+// pages are not in its blob — they alias the image's registered artifacts,
+// which the seal covers through the fork root. A byte flipped in one of
+// them after publication fails the adopting host's seal check exactly as a
+// flip in the blob does: nothing is adopted and the publication is
+// withdrawn. With the byte restored, the next boot is served cold from
+// honest bytes and re-publishes.
+func TestTamperedAliasedArtifactRefusedAtAdoption(t *testing.T) {
+	w := newWarmPool(t, 2, []int{0, 1}, "", 0)
+	w.play(
+		step{0, w.boot},
+		step{time.Second, func(p *sim.Proc) {
+			initrd := artifact.Lookup(w.img.perHost[0].Spec().Initrd)
+			if !w.img.published || initrd == nil {
+				t.Fatal("h0 did not publish, or the image's initrd is not an interned artifact")
+			}
+			simg := w.img.perHost[1]
+			initrd.Corrupt(1000, 0x08)
+			err := w.c.adoptWarm(p, w.c.shards[1], w.img, simg)
+			initrd.Corrupt(1000, 0x08) // the buffer is shared with every test that builds this initrd
+			if err != nil || simg.HasWarm() || w.img.published || w.c.adoptions != 0 {
+				t.Errorf("adoption over a tampered initrd: err %v, adopted %v, still published %v, adoptions %d; want it refused and withdrawn",
+					err, simg.HasWarm(), w.img.published, w.c.adoptions)
+			}
+		}},
+		step{2 * time.Second, w.boot}, // h1: cold, from honest bytes
+	)
+	if err := w.c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if w.c.failed != 0 || w.c.served != 2 || w.c.shards[1].tiers[fleet.TierCold] != 1 {
+		t.Fatalf("served %d, failed %d, h1 cold %d; want both boots served, h1's cold", w.c.served, w.c.failed, w.c.shards[1].tiers[fleet.TierCold])
+	}
+	if !w.img.published || w.img.donorHost != 1 {
+		t.Fatalf("published %v by h%d; want h1's capture re-published", w.img.published, w.img.donorHost)
 	}
 }

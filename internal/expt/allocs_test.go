@@ -7,9 +7,11 @@ import (
 
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/fleet"
+	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/sim"
+	"github.com/severifast/severifast/internal/snapshot"
 )
 
 // Alloc-regression pins: the zero-copy loader work (staging-blob
@@ -133,6 +135,37 @@ func TestWarmForkAllocCeiling(t *testing.T) {
 	_, bytes2 := measureFleet(t, 2*vms, true)
 	if got := (bytes2 - bytes) / vms / 1024; got > forkKiBCeilingPerBoot {
 		t.Errorf("a forked boot allocates %.0f KiB, ceiling %d — %s", got, forkKiBCeilingPerBoot, byteRegression)
+	}
+}
+
+// TestCaptureForkAllocCeiling: capturing a booted guest as a fork
+// container costs what the guest dirtied — the frozen leaves, the page
+// table and sixteen copied pages, measured 510 KiB — not a copy of the
+// 37.7 MiB it holds.
+func TestCaptureForkAllocCeiling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng := sim.NewEngine()
+	o := fleet.New(eng, kvm.NewHost(eng, costmodel.Default(), 1), fleet.Config{Standalone: true, EnableWarm: true})
+	img, err := o.RegisterImage("fn", kernelgen.Lupine(), kernelgen.BuildInitrd(7, 4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Go("seed", func(p *sim.Proc) { o.Serve(p, fleet.Request{Tenant: "t0", Image: img}) })
+	eng.Run()
+	if err := o.Err(); err != nil || img.Donor() == nil {
+		t.Fatalf("cold boot parked no donor (err %v)", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fork, err := snapshot.CaptureFork(nil, img.Donor(), img.ForkState().Digest)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := len(fork.Src.Pages()) * guestmem.PageSize
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= 1<<20 || resident < 16<<20 {
+		t.Errorf("capturing %d resident bytes allocated %d, ceiling 1 MiB — %s", resident, got, byteRegression)
 	}
 }
 

@@ -412,7 +412,10 @@ func stagingArtifact(rng *rand.Rand) *artifact.Buf {
 	return artifact.Of(b)
 }
 
-func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int) {
+// runDirectoryOps drives Memory and the reference through ops seeded
+// operations. onExport, when non-nil, sees every fork source the stream
+// exports, with its donor still in the state it was exported from.
+func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(donor *Memory, s *ForkSource)) {
 	rng := rand.New(rand.NewSource(seed))
 	k, asid := key(byte(seed)), uint32(5)
 	newGuest := func() guestPair {
@@ -535,6 +538,9 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int) {
 				t.Fatal(err)
 			}
 			sources = append(sources, sourcePair{s, g.r.export()})
+			if onExport != nil {
+				onExport(g.m, s)
+			}
 		case 13, 14, 15: // adopt: onto an empty guest, or over whatever g holds
 			if len(sources) == 0 {
 				continue
@@ -593,7 +599,7 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 	for _, snp := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("snp=%v/seed=%d", snp, seed), func(t *testing.T) {
-				runDirectoryOps(t, seed, snp, 700)
+				runDirectoryOps(t, seed, snp, 700, nil)
 			})
 		}
 	}

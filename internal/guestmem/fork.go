@@ -1,24 +1,43 @@
 package guestmem
 
 // Snapshot-fork support: a ForkSource is one guest's resident plain
-// text, frozen into a single immutable artifact, plus a frozen page
-// directory whose pages alias that artifact copy-on-write. Where
-// snapshot.Restore replays ciphertext page by page (O(image) AES work per
-// warm boot), AdoptFork points the child's root entries at the frozen
-// leaves — one store per touched 2 MiB of guest — replays the source's
-// private-page runs into the child's RMP, and makes one O(1) root-digest
-// check. The forked guest shares the donor's key and ASID (installed by
-// psp.LaunchStartFork), so the host-visible ciphertext of every aliased
-// private page is bit-identical to what a copy restore would have
-// produced. A store to any page first copies its leaf into the child
-// (ownLeaf) and then breaks the page's alias (mutable), so neither the
-// frozen directory nor the blob can diverge.
+// text, frozen without being copied. Almost every resident page of a
+// booted guest still aliases an immutable artifact (the vmlinux, the
+// bzImage, the initrd, the launch plan's staging blob), so the source
+// records those pages as extents — runs of pages backed by consecutive
+// bytes of one artifact — and copies only the pages without provenance
+// into one small dirty blob. Capture therefore costs what the guest
+// dirtied, not what it holds.
 //
-// Soundness: the root digest is taken over the full plain-text blob at
-// capture time. AdoptFork re-checks it before sharing a single leaf;
-// artifact.Corrupt (the chaos engine's tamper model) invalidates the
-// blob's digest memo, so a tampered blob re-hashes honestly and the
-// fork is refused with ErrForkTampered. A fork can therefore never go
+// Where snapshot.Restore replays ciphertext page by page (O(image) AES
+// work per warm boot), AdoptFork points the child's root entries at the
+// source's frozen leaves — one store per touched 2 MiB of guest — replays
+// the source's private-page runs into the child's RMP, and makes one
+// O(1) root check. Forked children alias the registered artifacts with
+// their original provenance, exactly as a cold-booted guest does; only
+// the dirty pages alias the blob. The forked guest shares the donor's key
+// and ASID (installed by psp.LaunchStartFork), so the host-visible
+// ciphertext of every aliased private page is bit-identical to what a
+// copy restore would have produced. A store to any page first copies its
+// leaf into the child (ownLeaf) and then breaks the page's alias
+// (mutable), so neither the frozen directory, an artifact nor the blob
+// can diverge.
+//
+// Soundness: the fork root is SHA-256 over the digest of the extent table
+// (which page holds which bytes of which artifact, and its privacy), the
+// whole-buffer digest of every distinct artifact an extent names, in
+// first-seen order, and the digest of the dirty blob last. Those digests
+// are the ones internal/artifact memoises, and a memoised digest is sound
+// for the same reason a page's provenance is: the bytes are immutable by
+// contract, and the one thing that breaks the contract — artifact.Corrupt,
+// the chaos engine's tamper model — drops the memo, so the next Digest
+// call hashes the bytes the buffer actually holds. The root thus binds
+// exactly the bytes the frozen directory points at, as the digest of a
+// copy would. Verify's fast path compares each artifact's corruption
+// count with the one recorded at export (atomic loads, no lock); on any
+// difference it re-derives the root from the artifacts' own digests and
+// refuses with ErrForkTampered unless it is the root recorded at capture.
+// AdoptFork verifies before sharing a single leaf, so a fork can never go
 // live with pages that differ from the measured parent.
 
 import (
@@ -30,32 +49,48 @@ import (
 	"github.com/severifast/severifast/internal/artifact"
 )
 
-// ErrForkTampered reports a fork source whose blob no longer matches
-// the root digest recorded at capture.
+// ErrForkTampered reports a fork source whose artifacts or dirty blob no
+// longer match the root recorded at capture.
 var ErrForkTampered = errors.New("guestmem: fork source tampered since capture")
 
-// ForkPage locates one resident page inside a ForkSource blob.
+// ForkPage is one resident page of a ForkSource.
 type ForkPage struct {
 	PN      uint64 // guest page number
-	Off     int    // byte offset of the page's plain text inside the blob
 	Private bool   // page was in the encrypted state at capture
 }
 
-// ForkSource is a frozen copy of a guest's resident plain text,
+// extent is count resident pages from page number pn whose plain text is
+// arts[art].Bytes()[off : off+count*PageSize], all in one privacy state.
+type extent struct {
+	pn, count uint64
+	art       int // index into ForkSource.arts
+	off       int
+	private   bool
+}
+
+// ForkSource is a guest's resident plain text frozen in place,
 // fork-adoptable by any guest of the same size that shares the donor's
 // encryption key and ASID.
 type ForkSource struct {
 	size  uint64
 	pages []ForkPage
-	blob  *artifact.Buf
 	root  [32]byte
 	keyID [32]byte
 
+	// Every resident page lies in exactly one extent, in page order. arts
+	// holds the distinct buffers the extents name — the aliased artifacts
+	// and, when any page lacked provenance, the dirty blob — in first-seen
+	// order; gens is each one's corruption count when the root was taken.
+	extents []extent
+	arts    []*artifact.Buf
+	gens    []uint32
+	blob    *artifact.Buf
+
 	// Built once at export, read-only afterwards, shared by every
 	// adopter: the directory a forked guest starts from (every entry
-	// frozen, every backed page aliasing blob copy-on-write with
-	// provenance) and the maximal runs of private pages to
-	// assign+validate in the adopter's RMP.
+	// frozen, every backed page copy-on-write with provenance) and the
+	// maximal runs of private pages to assign+validate in the adopter's
+	// RMP.
 	dir         []dirEntry
 	privateRuns []pageRun
 }
@@ -63,55 +98,133 @@ type ForkSource struct {
 // pageRun is count consecutive pages starting at page number pn.
 type pageRun struct{ pn, count uint64 }
 
-// ExportForkSource freezes the guest's resident pages — plain text, in
-// page-number order — into one blob, records its digest as the fork
-// root, and builds the frozen directory adopters will share. The blob's
-// handle travels with the source (adopted pages carry it as provenance),
-// so it stays out of the process intern table and is collected with the
-// last fork container that references it. The donor must not be mutated
-// afterwards (fleet keeps donors parked for exactly this reason). A guest
-// holding private pages without an installed key is refused with
-// ErrNoKey, as ExportPages refuses it: nothing could ever adopt the
-// source.
+// ExportForkSource freezes the guest's resident pages: pages carrying
+// artifact provenance are recorded as extents of their artifact, the rest
+// are copied, in page-number order, into one dirty blob; the fork root is
+// taken over the extent table and the digests of everything it names, and
+// the frozen directory adopters will share is the donor's own page structs
+// with the dirty pages re-pointed at the blob. The blob's handle travels
+// with the source (adopted pages carry it as provenance), so it stays out
+// of the process intern table and is collected with the last fork
+// container that references it. The donor must not be mutated afterwards
+// (fleet keeps donors parked for exactly this reason). A guest holding
+// private pages without an installed key is refused with ErrNoKey, as
+// ExportPages refuses it: nothing could ever adopt the source.
 func (m *Memory) ExportForkSource() (*ForkSource, error) {
-	var pages []ForkPage
+	var npages, ndirty, nleaves int
 	anyPrivate := false
+	lastLeaf := ^uint64(0)
 	m.eachResident(func(pn uint64, p page) {
-		pages = append(pages, ForkPage{PN: pn, Off: len(pages) * PageSize, Private: p.encrypted})
+		npages++
+		if p.art == nil {
+			ndirty++
+		}
+		if pn/leafPages != lastLeaf {
+			lastLeaf = pn / leafPages
+			nleaves++
+		}
 		anyPrivate = anyPrivate || p.encrypted
 	})
 	if anyPrivate && m.key == nil {
 		return nil, ErrNoKey
 	}
-	blob := make([]byte, len(pages)*PageSize)
-	for _, fp := range pages {
-		copy(blob[fp.Off:], m.look(fp.PN).readable())
-	}
-	buf := artifact.Of(blob)
-	src := &ForkSource{size: m.size, pages: pages, blob: buf, keyID: m.keyID(), dir: make([]dirEntry, len(m.dir))}
-	if buf != nil {
-		src.root = buf.Digest()
-	}
-	for _, fp := range pages {
-		e := &src.dir[fp.PN/leafPages]
+
+	blob := make([]byte, ndirty*PageSize)
+	leaves := make([]leaf, nleaves) // one slab: the frozen leaves live and die together
+	src := &ForkSource{size: m.size, pages: make([]ForkPage, 0, npages), blob: artifact.Of(blob),
+		keyID: m.keyID(), dir: make([]dirEntry, len(m.dir))}
+	copied := 0
+	m.eachResident(func(pn uint64, p page) {
+		art, off := p.art, int(p.artOff)
+		if art == nil {
+			art, off = src.blob, copied
+			copy(blob[off:], p.readable())
+			p.alias(blob[off:off+PageSize], art, off) // an all-zero private page gets data too
+			copied += PageSize
+		}
+		p.cow = true
+		e := &src.dir[pn/leafPages]
 		if e.leaf == nil {
-			*e = dirEntry{leaf: new(leaf), frozen: true}
+			*e = dirEntry{leaf: &leaves[0], frozen: true}
+			leaves = leaves[1:]
 		}
-		p := &e.leaf[fp.PN%leafPages]
-		p.alias(blob[fp.Off:fp.Off+PageSize], buf, fp.Off)
-		p.encrypted = fp.Private
-		if !fp.Private {
-			continue
+		e.leaf[pn%leafPages] = p
+		src.pages = append(src.pages, ForkPage{PN: pn, Private: p.encrypted})
+
+		if n := len(src.extents); n > 0 && src.arts[src.extents[n-1].art] == art && src.extents[n-1].continuedBy(pn, off, p.encrypted) {
+			src.extents[n-1].count++
+		} else {
+			src.extents = append(src.extents, extent{pn: pn, count: 1, art: src.artIndex(art), off: off, private: p.encrypted})
 		}
-		if n := len(src.privateRuns); n > 0 && src.privateRuns[n-1].pn+src.privateRuns[n-1].count == fp.PN {
+		if !p.encrypted {
+			return
+		}
+		if n := len(src.privateRuns); n > 0 && src.privateRuns[n-1].pn+src.privateRuns[n-1].count == pn {
 			src.privateRuns[n-1].count++
 		} else {
-			src.privateRuns = append(src.privateRuns, pageRun{pn: fp.PN, count: 1})
+			src.privateRuns = append(src.privateRuns, pageRun{pn: pn, count: 1})
 		}
+	})
+	// Counts before digests: a Corrupt landing between the two leaves a
+	// count that no longer matches, and Verify re-derives the root.
+	src.gens = make([]uint32, len(src.arts))
+	for i, a := range src.arts {
+		src.gens[i] = a.Corruptions()
 	}
+	src.root = src.deriveRoot()
 	m.recorder().CounterAdd("guestmem.fork.exported", 1)
 	m.recorder().CounterAdd("guestmem.fork.exported_bytes", int64(len(blob)))
 	return src, nil
+}
+
+// continuedBy reports whether a page at pn, backed at off of the extent's
+// artifact, extends the extent by one.
+func (x extent) continuedBy(pn uint64, off int, private bool) bool {
+	return x.pn+x.count == pn && x.off+int(x.count)*PageSize == off && x.private == private
+}
+
+// artIndex returns art's position in s.arts, appending it when new. A
+// guest aliases a handful of artifacts, so the scan is short, and it runs
+// once per extent, not per page.
+func (s *ForkSource) artIndex(art *artifact.Buf) int {
+	for i, a := range s.arts {
+		if a == art {
+			return i
+		}
+	}
+	s.arts = append(s.arts, art)
+	return len(s.arts) - 1
+}
+
+// deriveRoot computes the fork root from the extent table and the current
+// digests of the artifacts it names: memo hits while they are intact, an
+// honest re-hash of any that artifact.Corrupt has touched.
+func (s *ForkSource) deriveRoot() [32]byte {
+	table := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(s.extents)*29), uint64(len(s.extents)))
+	for _, x := range s.extents {
+		table = binary.LittleEndian.AppendUint64(table, x.pn)
+		table = binary.LittleEndian.AppendUint64(table, x.count)
+		table = binary.LittleEndian.AppendUint32(table, uint32(x.art))
+		table = binary.LittleEndian.AppendUint64(table, uint64(x.off))
+		private := byte(0)
+		if x.private {
+			private = 1
+		}
+		table = append(table, private)
+	}
+	sum := sha256.Sum256(table)
+	b := append(make([]byte, 0, (1+len(s.arts))*sha256.Size), sum[:]...)
+	for _, a := range s.arts {
+		if a != s.blob {
+			sum = a.Digest()
+			b = append(b, sum[:]...)
+		}
+	}
+	if s.blob != nil {
+		sum = s.blob.Digest()
+		b = append(b, sum[:]...)
+	}
+	return sha256.Sum256(b)
 }
 
 // Pages returns the source's page table (read-only).
@@ -120,7 +233,7 @@ func (s *ForkSource) Pages() []ForkPage { return s.pages }
 // Size returns the donor guest's memory size.
 func (s *ForkSource) Size() uint64 { return s.size }
 
-// Root returns the digest of the plain-text blob at capture time.
+// Root returns the fork root recorded at capture.
 func (s *ForkSource) Root() [32]byte { return s.root }
 
 // KeyID identifies the key and ASID the source's private pages were
@@ -141,21 +254,24 @@ func (m *Memory) keyID() [32]byte {
 	return sha256.Sum256(binary.LittleEndian.AppendUint32(b, m.asid))
 }
 
-// Blob exposes the backing artifact. The chaos engine corrupts it to
-// prove forks of a tampered parent are refused.
+// Blob exposes the dirty blob: the copied pages, nil when every resident
+// page carried provenance. The chaos engine corrupts it to prove forks of
+// a tampered parent are refused.
 func (s *ForkSource) Blob() *artifact.Buf { return s.blob }
 
-// Verify re-hashes the blob (O(1) when the digest memo is intact) and
-// reports whether it still matches the fork root.
+// Verify reports whether everything the source's pages alias is still
+// what the fork root was taken over. While no artifact has been corrupted
+// since export that is a handful of atomic loads; otherwise the root is
+// re-derived from the artifacts' digests, so bytes restored to their
+// captured value verify again.
 func (s *ForkSource) Verify() error {
-	if s.blob == nil {
-		if len(s.pages) != 0 {
-			return fmt.Errorf("%w: %d pages with no backing blob", ErrForkTampered, len(s.pages))
+	for i, a := range s.arts {
+		if a.Corruptions() != s.gens[i] {
+			if s.deriveRoot() != s.root {
+				return ErrForkTampered
+			}
+			return nil
 		}
-		return nil
-	}
-	if s.blob.Digest() != s.root {
-		return ErrForkTampered
 	}
 	return nil
 }
@@ -166,8 +282,8 @@ func (s *ForkSource) Verify() error {
 // their state (assigned+validated under SNP, under this guest's ASID).
 // Where the guest already owns a leaf, the source's pages overlay it one
 // by one. The caller must have installed the donor's key and ASID first
-// (psp.LaunchStartFork does); the root digest is verified before any
-// leaf is shared.
+// (psp.LaunchStartFork does); the source is verified before any leaf is
+// shared.
 func (m *Memory) AdoptFork(src *ForkSource) error {
 	if src.size != m.size {
 		return fmt.Errorf("guestmem: fork source is %d bytes, guest is %d: %w", src.size, m.size, ErrSize)

@@ -2,7 +2,9 @@ package snapshot
 
 // The fork container: a warm-pool entry that can stamp out new guests
 // by CoW page aliasing instead of ciphertext replay. It is the single
-// representation of a warm parent — the donor's plain-text ForkSource,
+// representation of a warm parent — the donor's resident plain text
+// frozen in place as a ForkSource (extents of the artifacts it aliases
+// plus a blob of the few pages it dirtied),
 // the donor's final launch digest (which forked guests inherit via
 // psp.LaunchStartFork) and whether the donor was an SEV guest. The
 // ciphertext transport Image is not part of it: only the paths that
@@ -15,8 +17,8 @@ package snapshot
 // VMMLoad over the same byte count — so whether a warm boot copies
 // ciphertext or aliases plain text is invisible on the virtual clock
 // (TestForkRestoreEqualsCopyRestore). Only the host's wall clock
-// improves: no per-page AES at capture, O(touched leaves) of pointer work
-// at restore.
+// improves: no per-page AES and no copy of the image at capture, O(touched
+// leaves) of pointer work at restore.
 
 import (
 	"fmt"
@@ -39,9 +41,9 @@ type Fork struct {
 // forks launched from this container attest with it. The virtual-time
 // cost is Capture's — the "snapshot.capture" span and a VMMLoad over the
 // resident bytes — and an encrypted guest without a key is refused with
-// guestmem.ErrNoKey as Capture refuses it, but no ciphertext is produced:
-// the host-side work is ExportForkSource's one copy of the resident plain
-// text.
+// guestmem.ErrNoKey as Capture refuses it, but no ciphertext is produced
+// and the resident plain text is not copied: the host-side work is
+// ExportForkSource's, proportional to the pages the guest dirtied.
 func CaptureFork(proc *sim.Proc, m *kvm.Machine, donorDigest [32]byte) (*Fork, error) {
 	if proc != nil {
 		m.Timeline.Begin("snapshot.capture", proc.Now())

@@ -46,8 +46,9 @@ func SealedLen(npages int) int {
 // header fields (magic, SEV flag, guest size, page count), the page table
 // (page number and privacy byte of every resident page, in order), the
 // fork root, the donor's launch digest and the donor's key identity. The
-// root is verified first — O(1) while the blob's digest memo is intact, an
-// honest re-hash after artifact.Corrupt — so a container tampered since
+// root is verified first — O(1) while nothing its pages alias has been
+// corrupted, re-derived from an honest re-hash after artifact.Corrupt — so
+// a container whose dirty blob or aliased artifacts were tampered since
 // capture has no seal (guestmem.ErrForkTampered) rather than a stale one.
 //
 // Everything a fork of this container will alias or inherit is under the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/sev"
@@ -64,7 +65,19 @@ func TestSealCoversEveryField(t *testing.T) {
 			return m
 		}
 
-		base := capture(sevGuest(t, p, h, payload(7)))
+		// The SEV guest holds both kinds of page a booted guest has: ones it
+		// wrote (copied into the container's dirty blob) and ones that still
+		// alias an artifact (named by the container, not copied).
+		kernel := artifact.Of(payload(9))
+		aliasingGuest := func() *kvm.Machine {
+			m := sevGuest(t, p, h, payload(7))
+			if err := m.Mem.GuestWriteArtifact(0x40000, kernel, 0, kernel.Len(), true); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+
+		base := capture(aliasingGuest())
 		want := mustSeal(t, base)
 		if again := mustSeal(t, base); again != want {
 			t.Fatal("two seals of one container differ")
@@ -104,7 +117,7 @@ func TestSealCoversEveryField(t *testing.T) {
 
 		// Key identity: a second launch of the same content draws a fresh key
 		// and nothing else differs — the re-seeded publication of an image.
-		other := capture(sevGuest(t, p, h, payload(7)))
+		other := capture(aliasingGuest())
 		if other.Src.Root() != base.Src.Root() || len(other.Src.Pages()) != len(pages) {
 			t.Fatal("key case differs in more than the key")
 		}
@@ -115,14 +128,24 @@ func TestSealCoversEveryField(t *testing.T) {
 			t.Error("key identity: seal unchanged")
 		}
 
-		// Fork root: a blob tampered since capture has no seal at all.
-		base.Src.Blob().Corrupt(5, 0x40)
-		if got, err := base.Seal(); !errors.Is(err, guestmem.ErrForkTampered) || got == want {
-			t.Errorf("tampered blob: seal %x err %v, want ErrForkTampered", got[:4], err)
+		// Fork root: a container whose dirty blob, or an artifact its pages
+		// alias, was tampered since capture has no seal at all, and restores
+		// into nothing.
+		if base.Src.Blob().Len() >= len(base.Src.Pages())*guestmem.PageSize {
+			t.Fatal("the container copied the pages that alias the kernel artifact")
 		}
-		base.Src.Blob().Corrupt(5, 0x40)
-		if got := mustSeal(t, base); got != want {
-			t.Error("fork root: seal did not return after the blob was restored")
+		for name, buf := range map[string]*artifact.Buf{"dirty blob": base.Src.Blob(), "aliased artifact": kernel} {
+			buf.Corrupt(5, 0x40)
+			if got, err := base.Seal(); !errors.Is(err, guestmem.ErrForkTampered) || got == want {
+				t.Errorf("tampered %s: seal %x err %v, want ErrForkTampered", name, got[:4], err)
+			}
+			if err := base.Restore(p, h.NewMachine(p, base.Src.Size(), sev.SNP)); !errors.Is(err, guestmem.ErrForkTampered) {
+				t.Errorf("tampered %s: Restore = %v, want ErrForkTampered", name, err)
+			}
+			buf.Corrupt(5, 0x40)
+			if got := mustSeal(t, base); got != want {
+				t.Errorf("fork root: seal did not return after the %s was restored", name)
+			}
 		}
 	})
 }
