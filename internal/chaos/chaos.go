@@ -1,13 +1,15 @@
 // Package chaos is a deterministic, seed-driven adversary engine for the
 // whole boot path. It runs mutation campaigns — guest-memory scribbles,
-// canonical-artifact and measured-image-cache poisoning, pre-encryption
-// launch-page tampering, PSP digest truncation, snapshot corruption,
-// parent-snapshot dirtying between capture and fork,
+// canonical-artifact, plan-blob and measured-image-cache poisoning,
+// pre-encryption launch-page tampering, PSP digest truncation, snapshot
+// corruption, parent-snapshot dirtying between capture and fork,
 // key-broker evidence corruption/delay/duplication/outage,
 // policy-store subversion (forged, rescoped, expired, and revoked trust
 // claims), and TCB storms (mid-run chip revocations and floor bumps with
-// forged un-revocation and floor-restore claims riding the recovery) —
-// and an invariant oracle classifies every trial:
+// forged un-revocation and floor-restore claims riding the recovery).
+// Every family is a set of rows in one site table (site.go); Run arms
+// each row on a fresh Harness — the only world the package builds — runs
+// it, and an invariant oracle classifies the trial:
 //
 //   - Caught: the boot failed with the error class the mutation is
 //     expected to provoke (launch-digest mismatch, verifier abort, broker
@@ -33,6 +35,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/sim"
@@ -119,11 +123,25 @@ func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// Run executes a campaign: one clean reference run, then every mutation
-// in the catalog, each against a fresh harness, classified against the
-// reference.
+// unknownFamilyError refuses a campaign that names a family the catalog
+// does not have, rather than running it as an empty one.
+type unknownFamilyError string
+
+func (e unknownFamilyError) Error() string {
+	return fmt.Sprintf("chaos: unknown family %q (have: %s)", string(e), strings.Join(AllFamilies, ", "))
+}
+
+// Run executes a campaign: one clean reference run, then every site in
+// the catalog, each armed on a fresh harness, run, and classified against
+// the reference. There is one loop and one world: what "zero ESCAPE"
+// covers is exactly the site table.
 func Run(cfg Config) (*Report, error) {
 	cfg.fillDefaults()
+	for _, f := range cfg.Families {
+		if !slices.Contains(AllFamilies, f) {
+			return nil, unknownFamilyError(f)
+		}
+	}
 	// One canonical initrd for the whole campaign: every harness interns
 	// the same slice, so trials share artifact buffers the way fleet
 	// shards do — which is exactly the surface the artifact family
@@ -138,14 +156,10 @@ func Run(cfg Config) (*Report, error) {
 		Outcomes: make(map[Outcome]int),
 	}
 
-	// The clean reference: same harness, same workload, no mutation. Its
+	// The clean reference: same harness, same workload, no site armed. Its
 	// failure would mean the harness itself is broken, not the system
 	// under test.
-	cleanH, err := newHarness(initrd, cfg.Weakened)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: building clean harness: %w", err)
-	}
-	clean, err := cleanH.Run(cfg.Boots)
+	clean, err := runTrial(cfg, initrd, nil)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: clean run: %w", err)
 	}
@@ -153,19 +167,19 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("chaos: clean run had %d boot failures (first: %v)", n, clean.failures()[0])
 	}
 
-	for _, mut := range catalog(cfg) {
-		var tr TrialReport
-		if ft, ok := mut.(*forkMutation); ok {
-			tr = runForkTrial(ft, initrd)
-		} else if pt, ok := mut.(*planMutation); ok {
-			tr = runPlanTrial(pt, initrd)
-		} else if st, ok := mut.(*snapMutation); ok {
-			tr = runSnapshotTrial(st, initrd)
-		} else {
-			tr, err = runFleetTrial(cfg, mut, initrd, clean)
-			if err != nil {
-				return nil, err
-			}
+	for _, s := range catalog(cfg) {
+		res, err := runTrial(cfg, initrd, &s)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: trial %s/%s: %w", s.family, s.name, err)
+		}
+		outcome, detail := classify(s, res, clean)
+		tr := TrialReport{
+			Family:  s.family,
+			Name:    s.name,
+			Params:  s.params,
+			Outcome: outcome,
+			Detail:  detail,
+			EndNS:   int64(res.End),
 		}
 		rep.Trials = append(rep.Trials, tr)
 		rep.Outcomes[tr.Outcome]++
@@ -184,42 +198,33 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runFleetTrial arms one mutation on a fresh fleet harness, runs the
-// workload, and classifies the result against the clean reference.
-func runFleetTrial(cfg Config, mut Mutation, initrd []byte, clean *RunResult) (TrialReport, error) {
-	if cl, ok := mut.(cleaner); ok {
-		defer cl.Cleanup()
-	}
-	h, err := newHarness(initrd, cfg.Weakened)
+// runTrial builds a fresh harness, arms s on it (nil is the clean
+// reference), runs the workload, and lets the site restore whatever
+// process-global state it touched.
+func runTrial(cfg Config, initrd []byte, s *site) (*RunResult, error) {
+	h, err := newHarness(initrd, cfg.Boots, cfg.Weakened)
 	if err != nil {
-		return TrialReport{}, fmt.Errorf("chaos: building harness for %s/%s: %w", mut.Family(), mut.Name(), err)
+		return nil, err
 	}
-	mut.Arm(h)
-	res, err := h.Run(cfg.Boots)
-	if err != nil {
-		return TrialReport{}, fmt.Errorf("chaos: trial %s/%s: %w", mut.Family(), mut.Name(), err)
+	if s != nil {
+		if s.cleanup != nil {
+			defer s.cleanup()
+		}
+		s.arm(h)
 	}
-	outcome, detail := classify(mut, res, clean)
-	return TrialReport{
-		Family:  mut.Family(),
-		Name:    mut.Name(),
-		Params:  mut.Params(),
-		Outcome: outcome,
-		Detail:  detail,
-		EndNS:   int64(res.End),
-	}, nil
+	return h.Run()
 }
 
 // classify is the invariant oracle.
-func classify(mut Mutation, res, clean *RunResult) (Outcome, string) {
-	if ov, ok := mut.(verdictOverrider); ok {
-		if out, detail, decided := ov.Verdict(res, clean); decided {
+func classify(s site, res, clean *RunResult) (Outcome, string) {
+	if s.verdict != nil {
+		if out, detail, decided := s.verdict(res, clean); decided {
 			return out, detail
 		}
 	}
 	if fails := res.failures(); len(fails) > 0 {
 		for _, e := range fails {
-			if !matchesAny(e, mut.Expected()) {
+			if !matchesAny(e, s.expected) {
 				return Unexpected, fmt.Sprintf("boot failed outside the expected class: %v", e)
 			}
 		}

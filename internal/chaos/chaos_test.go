@@ -3,8 +3,12 @@ package chaos
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
+	"strings"
 	"testing"
 
+	"github.com/severifast/severifast/internal/artifact"
+	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -135,8 +139,22 @@ func TestTCBStormFamily(t *testing.T) {
 	}
 }
 
-// TestSingleFamilyCampaign: family selection restricts the catalog.
+// TestSingleFamilyCampaign: family selection restricts the catalog, and a
+// family the catalog does not have is refused, not run as an empty
+// campaign.
 func TestSingleFamilyCampaign(t *testing.T) {
+	for _, fams := range [][]string{{"bogus"}, {"snapshot", "bogus"}} {
+		rep, err := Run(Config{Seed: 7, Boots: 2, Trials: 1, Families: fams})
+		var unknown unknownFamilyError
+		if !errors.As(err, &unknown) || string(unknown) != "bogus" || rep != nil {
+			t.Fatalf("Families %v: report %v, err %v; want an unknownFamilyError naming bogus", fams, rep, err)
+		}
+		for _, f := range AllFamilies {
+			if !strings.Contains(err.Error(), f) {
+				t.Errorf("error %q does not list family %q", err, f)
+			}
+		}
+	}
 	rep, err := Run(Config{Seed: 7, Boots: 2, Trials: 1, Families: []string{"snapshot"}})
 	if err != nil {
 		t.Fatal(err)
@@ -184,5 +202,120 @@ func TestForkFamily(t *testing.T) {
 	}
 	if sha256.Sum256(arts.BzImageLZ4) != before {
 		t.Fatal("the aliased-artifact trial left the shared kernel image tampered")
+	}
+}
+
+// pinFamily runs a one-family campaign and requires exactly the named
+// sites, each the given number of times, each with its pinned outcome.
+func pinFamily(t *testing.T, family string, trials int, want map[string]Outcome, times map[string]int) {
+	t.Helper()
+	rep, err := Run(Config{Seed: 42, Boots: 3, Trials: trials, Families: []string{family}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := map[string]int{}
+	for _, tr := range rep.Trials {
+		ran[tr.Name]++
+		if w, ok := want[tr.Name]; !ok || tr.Family != family {
+			t.Errorf("unknown %s site %s/%s", family, tr.Family, tr.Name)
+		} else if tr.Outcome != w {
+			t.Errorf("%s (%s): outcome %s, want %s: %s", tr.Name, tr.Params, tr.Outcome, w, tr.Detail)
+		}
+	}
+	for name, n := range times {
+		if ran[name] != n {
+			t.Errorf("%s campaign ran %s %d time(s), want %d (all: %v)", family, name, ran[name], n, ran)
+		}
+	}
+}
+
+// TestArtifactFamily pins the artifact family's verdicts — a flipped
+// kernel byte, a poisoned cache prediction and a dirtied plan blob are
+// Caught, the untouched plan is Harmless — and that the campaign leaves
+// the process-wide kernel image as it found it.
+func TestArtifactFamily(t *testing.T) {
+	arts, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sha256.Sum256(arts.BzImageLZ4)
+	pinFamily(t, "artifact", 2,
+		map[string]Outcome{"kernel-corrupt": Caught, "cache-poison": Caught, "plan-blob-dirty": Caught, "plan-pristine-control": Harmless},
+		map[string]int{"kernel-corrupt": 2, "cache-poison": 1, "plan-blob-dirty": 2, "plan-pristine-control": 1})
+	if sha256.Sum256(arts.BzImageLZ4) != before {
+		t.Fatal("the artifact family left the shared kernel image tampered")
+	}
+}
+
+// TestPlanBlobLeftAsFound drives one plan-blob-dirty site by hand, so the
+// test can hold the staging blob the site flips: the flip must be seen by
+// boot 1 (it is refused) and the blob must be byte-identical before the
+// flip and after the trial.
+func TestPlanBlobLeftAsFound(t *testing.T) {
+	h, err := newHarness(kernelgen.BuildInitrd(7, 1<<20), 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := planBlobDirty(123457, 0x5a)
+	s.arm(h)
+	var (
+		blob          *artifact.Buf
+		before, dirty [32]byte
+	)
+	flip := h.Between
+	h.Between = func(next int, img *fleet.Image) {
+		if next == 1 {
+			for _, r := range h.Cfg.Cache.Get(img.CacheKey()).Regions {
+				if r.Art != nil && (blob == nil || r.Art.Len() > blob.Len()) {
+					blob = r.Art
+				}
+			}
+			before = sha256.Sum256(blob.Bytes())
+		}
+		flip(next, img)
+		if next == 1 {
+			dirty = sha256.Sum256(blob.Bytes())
+		}
+	}
+	res, err := h.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, detail := classify(s, res, nil); out != Caught {
+		t.Fatalf("plan-blob-dirty: %s: %s", out, detail)
+	}
+	if dirty == before {
+		t.Fatal("the site never flipped a byte of the staging blob")
+	}
+	if sha256.Sum256(blob.Bytes()) != before {
+		t.Fatal("the staging blob was not restored after the trial")
+	}
+}
+
+// TestSnapshotFamily pins the snapshot family: every byte-level tamper of
+// the sealed container is Caught, the duplicate delivery is Harmless.
+func TestSnapshotFamily(t *testing.T) {
+	pinFamily(t, "snapshot", 1,
+		map[string]Outcome{"truncate": Caught, "bitflip": Caught, "header": Caught, "extend": Caught, "duplicate": Harmless},
+		map[string]int{"truncate": 1, "bitflip": 1, "header": 1, "extend": 1, "duplicate": 1})
+}
+
+// TestEveryTrialRunsOnOneWorld: the clean reference and every trial of
+// every family are built by newHarness — there is no second world.
+func TestEveryTrialRunsOnOneWorld(t *testing.T) {
+	before := worlds.Load()
+	rep, err := Run(Config{Seed: 42, Boots: 2, Trials: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams := map[string]bool{}
+	for _, tr := range rep.Trials {
+		fams[tr.Family] = true
+	}
+	if len(fams) != len(AllFamilies) {
+		t.Fatalf("campaign covered %d families, want %d", len(fams), len(AllFamilies))
+	}
+	if got, want := worlds.Load()-before, int64(len(rep.Trials)+1); got != want {
+		t.Fatalf("campaign built %d harnesses for %d trials + the clean run, want %d", got, len(rep.Trials), want)
 	}
 }

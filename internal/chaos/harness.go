@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/severifast/severifast/internal/costmodel"
@@ -21,9 +22,12 @@ var chaosTCB = kbs.TCB{BootLoader: 2, TEE: 1, SNP: 8, Microcode: 115}
 // Harness is one trial's world: a fresh engine, host, broker, cache,
 // telemetry registry, and fleet configuration, all seeded identically for
 // every trial so that the only difference between runs is the armed
-// mutation. Mutations reach into it from Arm: schedule virtual-time
-// events on Eng, install PSP tamper hooks via Host.PSP, observe machines
-// via OnMachine, wrap Service, or subscribe to Cfg.Cache.
+// site. It is the only world the package builds: every family's trials,
+// and the clean reference, run on one. Sites reach into it from arm:
+// schedule virtual-time events on Eng, install PSP tamper hooks via
+// Host.PSP, observe machines via OnMachine or OnServed, wrap Service,
+// subscribe to Cfg.Cache, or switch the arrival shape with closedLoop and
+// register a Between step.
 type Harness struct {
 	Eng    *sim.Engine
 	Host   *kvm.Host
@@ -40,10 +44,26 @@ type Harness struct {
 	// process-interned artifact buffer the artifact family corrupts.
 	Kernel []byte
 
-	weakened bool
-	hooks    []func(*kvm.Machine)
-	served   []servedBoot
+	// Boots is how many boots Run submits: the campaign's count unless the
+	// site chooses its own.
+	Boots int
+	// OnServed, when set, observes every boot that went live with its
+	// machine, on the serving process and after the attestation gate — the
+	// instant at which the snapshot family captures and seals its donor.
+	OnServed func(p *sim.Proc, m *kvm.Machine, tier fleet.Tier)
+	// Between, when set on a closed-loop harness, runs on the arrival
+	// process after boot next-1 has returned and before boot next is
+	// served — the instant of the fork and plan-blob sites, which dirty
+	// what the first boot left behind and restore it one boot later.
+	Between func(next int, img *fleet.Image)
+
+	hooks  []func(*kvm.Machine)
+	served []servedBoot
 }
+
+// worlds counts the harnesses this process has built, so a test can pin
+// that every trial of every family ran on one.
+var worlds atomic.Int64
 
 // servedBoot is one boot that went live: its tier and the launch digest
 // the PSP actually measured, captured through fleet.Config.OnServed after
@@ -57,7 +77,8 @@ type servedBoot struct {
 // deliberately broken verifier — no digest check, no degraded fallback,
 // no key-broker gate — so tampered boots go live and the oracle's ESCAPE
 // verdict can be demonstrated.
-func newHarness(initrd []byte, weakened bool) (*Harness, error) {
+func newHarness(initrd []byte, boots int, weakened bool) (*Harness, error) {
+	worlds.Add(1)
 	eng := sim.NewEngine()
 	reg := telemetry.NewRegistry()
 	host := kvm.NewHost(eng, costmodel.Default(), 1)
@@ -70,13 +91,13 @@ func newHarness(initrd []byte, weakened bool) (*Harness, error) {
 	}
 
 	h := &Harness{
-		Eng:      eng,
-		Host:     host,
-		Reg:      reg,
-		Preset:   preset,
-		Initrd:   initrd,
-		Kernel:   art.BzImageLZ4,
-		weakened: weakened,
+		Eng:    eng,
+		Host:   host,
+		Reg:    reg,
+		Preset: preset,
+		Initrd: initrd,
+		Kernel: art.BzImageLZ4,
+		Boots:  boots,
 	}
 	host.OnNewMachine = func(m *kvm.Machine) {
 		for _, fn := range h.hooks {
@@ -93,6 +114,7 @@ func newHarness(initrd []byte, weakened bool) (*Harness, error) {
 		Telemetry:    reg,
 	}
 	if weakened {
+		// Service stays nil: no broker gate.
 		h.Cfg.InsecureSkipDigestCheck = true
 		return h, nil
 	}
@@ -121,15 +143,34 @@ func (h *Harness) OnMachine(fn func(*kvm.Machine)) {
 	h.hooks = append(h.hooks, fn)
 }
 
-// RunResult is everything the oracle compares: per-boot outcomes in
-// submission order, the served launch digests, the fleet metrics, the
-// virtual end time, and the full deterministic telemetry summary.
+// closedLoop switches the harness to its second arrival shape: boots
+// served back to back on one process (fleet Standalone mode), each
+// starting when the last returned, instead of open-loop submissions to a
+// worker pool. Sites whose instant is "between boot i and boot i+1" need
+// it. The broker gate and the degraded-mode recovery are taken off the
+// path, so that the one defense the site attacks — the fork root, the
+// launch digest, the container seal — is what refuses the boot or nothing
+// does; warm turns the snapshot-fork tier on.
+func (h *Harness) closedLoop(boots int, warm bool) {
+	h.Boots = boots
+	h.Cfg.Standalone = true
+	h.Cfg.EnableWarm = warm
+	h.Cfg.DegradedFallback = false
+	h.Service = nil
+}
+
+// RunResult is everything the oracle compares: per-boot outcomes and
+// tiers in submission order, the served launch digests, the fleet
+// metrics, the virtual end time, and the full deterministic telemetry
+// summary.
 type RunResult struct {
 	BootErrs []error
-	Served   []servedBoot
-	Metrics  *fleet.Metrics
-	End      sim.Time
-	Summary  []byte
+	// Tiers is the tier each boot was served — or refused — from.
+	Tiers   []fleet.Tier
+	Served  []servedBoot
+	Metrics *fleet.Metrics
+	End     sim.Time
+	Summary []byte
 }
 
 // failures returns the non-nil boot errors.
@@ -178,19 +219,21 @@ func (r *RunResult) fingerprint() string {
 	return fmt.Sprintf("%x", hsh.Sum(nil))
 }
 
-// Run registers the image, submits boots at fixed virtual-time spacing,
-// and drives the engine to quiescence. The orchestrator is built here —
-// after Arm — so mutations that edit Cfg (breaker policy, cache
-// subscriptions, Service wrappers) take effect.
-func (h *Harness) Run(boots int) (*RunResult, error) {
+// Run registers the image, drives the arrivals, and runs the engine to
+// quiescence. Open loop (the default) submits boots at fixed virtual-time
+// spacing to the worker pool; closed loop (Cfg.Standalone) serves them
+// back to back, running the Between step in each gap. The orchestrator is
+// built here — after arm — so sites that edit Cfg (breaker policy, cache
+// subscriptions, arrival shape) or wrap Service take effect.
+func (h *Harness) Run() (*RunResult, error) {
 	cfg := h.Cfg
 	cfg.KBS = h.Service
-	if h.weakened {
-		cfg.KBS = nil
-	}
-	res := &RunResult{BootErrs: make([]error, boots)}
+	res := &RunResult{BootErrs: make([]error, h.Boots), Tiers: make([]fleet.Tier, h.Boots)}
 	cfg.OnServed = func(p *sim.Proc, m *kvm.Machine, tier fleet.Tier) {
 		h.served = append(h.served, servedBoot{Tier: tier, Digest: m.Launch.Digest()})
+		if h.OnServed != nil {
+			h.OnServed(p, m, tier)
+		}
 	}
 	o := fleet.New(h.Eng, h.Host, cfg)
 	img, err := o.RegisterImage("fn", h.Preset, h.Initrd)
@@ -198,16 +241,23 @@ func (h *Harness) Run(boots int) (*RunResult, error) {
 		return nil, fmt.Errorf("chaos: registering image: %w", err)
 	}
 	h.Eng.Go("chaos-arrivals", func(p *sim.Proc) {
-		for i := 0; i < boots; i++ {
+		for i := 0; i < h.Boots; i++ {
 			i := i
-			err := o.Submit(p, fleet.Request{
+			req := fleet.Request{
 				Tenant: "t0",
 				Image:  img,
 				Done: func(dp *sim.Proc, tier fleet.Tier, err error) {
-					res.BootErrs[i] = err
+					res.BootErrs[i], res.Tiers[i] = err, tier
 				},
-			})
-			if err != nil {
+			}
+			if cfg.Standalone {
+				if i > 0 && h.Between != nil {
+					h.Between(i, img)
+				}
+				o.Serve(p, req)
+				continue
+			}
+			if err := o.Submit(p, req); err != nil {
 				res.BootErrs[i] = err
 			}
 			p.Sleep(2 * time.Millisecond)

@@ -5,121 +5,91 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/severifast/severifast/internal/costmodel"
-	"github.com/severifast/severifast/internal/firecracker"
-	"github.com/severifast/severifast/internal/kernelgen"
+	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
 )
 
-// snapMutation corrupts a sealed snapshot container in transit. These
-// trials run standalone — one boot, one capture, one sealed encode, one
-// mutation, one decode — because the surface under test is the container
-// integrity layer, not the fleet: DecodeSealed must refuse any byte-level
-// tamper with ErrCorrupt, and accept only the exact written bytes.
-type snapMutation struct {
-	kind string // truncate | bitflip | header | extend | duplicate
-	off  int
-	mask byte
-}
-
-func (m *snapMutation) Family() string { return "snapshot" }
-func (m *snapMutation) Name() string   { return m.kind }
-func (m *snapMutation) Params() string {
-	return fmt.Sprintf("off=%d mask=%#02x", m.off, m.mask)
-}
-func (m *snapMutation) Expected() []error { return []error{snapshot.ErrCorrupt} }
-func (m *snapMutation) Arm(*Harness)      {} // standalone; never armed on a fleet harness
-
-// runSnapshotTrial boots one SNP guest in its own virtual world, captures
-// and seals a snapshot, applies the mutation to the container bytes, and
-// classifies the decoder's reaction.
-func runSnapshotTrial(m *snapMutation, initrd []byte) TrialReport {
-	tr := TrialReport{Family: m.Family(), Name: m.Name(), Params: m.Params()}
-	fail := func(format string, args ...any) TrialReport {
-		tr.Outcome = Unexpected
-		tr.Detail = fmt.Sprintf(format, args...)
-		return tr
+// snapshotSite corrupts a sealed snapshot container in transit. The trial
+// is one closed-loop boot whose served machine is captured and sealed on
+// the spot; the mutation (kind: truncate | bitflip | header | extend |
+// duplicate) is applied to the container bytes and the decoder's reaction
+// is the verdict — the surface under test is the container integrity
+// layer, not the fleet: DecodeSealed must refuse any byte-level tamper
+// with ErrCorrupt, and accept only the exact written bytes.
+func snapshotSite(kind string, off int, mask byte) site {
+	var (
+		out    = Unexpected
+		detail = "no boot was served, so nothing was captured"
+	)
+	return site{
+		family:   "snapshot",
+		name:     kind,
+		params:   fmt.Sprintf("off=%d mask=%#02x", off, mask),
+		expected: []error{snapshot.ErrCorrupt},
+		arm: func(h *Harness) {
+			h.closedLoop(1, false)
+			h.OnServed = func(p *sim.Proc, m *kvm.Machine, _ fleet.Tier) {
+				out, detail = sealProbe(p, m, kind, off, mask)
+			}
+		},
+		verdict: func(res, _ *RunResult) (Outcome, string, bool) {
+			if err := res.BootErrs[0]; err != nil {
+				return Unexpected, fmt.Sprintf("donor boot: %v", err), true
+			}
+			return out, detail, true
+		},
 	}
+}
 
-	preset := kernelgen.Lupine()
-	art, err := kernelgen.Cached(preset)
+// sealProbe captures and seals the donor (charged in virtual time, like
+// any capture), applies the mutation to a copy of the container bytes,
+// and classifies the decoder's reaction.
+func sealProbe(p *sim.Proc, donor *kvm.Machine, kind string, off int, mask byte) (Outcome, string) {
+	img, err := snapshot.Capture(p, donor)
 	if err != nil {
-		return fail("building artifacts: %v", err)
+		return Unexpected, fmt.Sprintf("donor capture: %v", err)
 	}
-	eng := sim.NewEngine()
-	host := kvm.NewHost(eng, costmodel.Default(), 1)
-	var sealed []byte
-	var bootErr error
-	eng.Go("snap-boot", func(p *sim.Proc) {
-		res, err := firecracker.Boot(p, host, firecracker.Config{
-			Preset:    preset,
-			Artifacts: art,
-			Initrd:    initrd,
-			Level:     sev.SNP,
-			Scheme:    firecracker.SchemeSEVeriFastBz,
-		})
-		if err != nil {
-			bootErr = err
-			return
-		}
-		img, err := snapshot.Capture(p, res.Machine)
-		if err != nil {
-			bootErr = err
-			return
-		}
-		sealed, bootErr = snapshot.EncodeSealed(img)
-	})
-	eng.Run()
-	tr.EndNS = int64(eng.Now())
-	if bootErr != nil {
-		return fail("donor boot/capture: %v", bootErr)
+	sealed, err := snapshot.EncodeSealed(img)
+	if err != nil {
+		return Unexpected, fmt.Sprintf("sealing the donor's snapshot: %v", err)
 	}
 
-	mut := append([]byte(nil), sealed...)
-	switch m.kind {
+	mut := bytes.Clone(sealed)
+	switch kind {
 	case "truncate":
-		mut = mut[:m.off%len(mut)]
+		mut = mut[:off%len(mut)]
 	case "bitflip":
-		mut[m.off%len(mut)] ^= m.mask
+		mut[off%len(mut)] ^= mask
 	case "header":
-		mut[m.off%21] ^= m.mask // magic, flags, size, or npages field
+		mut[off%21] ^= mask // magic, flags, size, or npages field
 	case "extend":
-		mut = append(mut, m.mask)
+		mut = append(mut, mask)
 	case "duplicate":
 		// Delivered twice, unmodified: both decodes must succeed and agree.
 	}
 
-	img, err := snapshot.DecodeSealed(mut)
+	got, err := snapshot.DecodeSealed(mut)
 	switch {
 	case errors.Is(err, snapshot.ErrCorrupt):
-		if m.kind == "duplicate" {
-			return fail("pristine duplicate rejected: %v", err)
+		if kind == "duplicate" {
+			return Unexpected, fmt.Sprintf("pristine duplicate rejected: %v", err)
 		}
-		tr.Outcome = Caught
-		tr.Detail = fmt.Sprintf("seal refused the tampered container: %v", err)
+		return Caught, fmt.Sprintf("seal refused the tampered container: %v", err)
 	case err != nil:
-		return fail("decoder failed outside ErrCorrupt: %v", err)
-	case m.kind == "duplicate":
+		return Unexpected, fmt.Sprintf("decoder failed outside ErrCorrupt: %v", err)
+	case kind == "duplicate":
 		again, err := snapshot.DecodeSealed(mut)
 		if err != nil {
-			return fail("second decode of identical bytes failed: %v", err)
+			return Unexpected, fmt.Sprintf("second decode of identical bytes failed: %v", err)
 		}
-		if img.Size != again.Size || len(img.Pages) != len(again.Pages) {
-			tr.Outcome = Escape
-			tr.Detail = "duplicate decode of identical bytes diverged"
-			return tr
+		if got.Size != again.Size || len(got.Pages) != len(again.Pages) {
+			return Escape, "duplicate decode of identical bytes diverged"
 		}
-		tr.Outcome = Harmless
-		tr.Detail = "duplicate delivery decodes identically; idempotent by construction"
+		return Harmless, "duplicate delivery decodes identically; idempotent by construction"
 	case bytes.Equal(mut, sealed):
-		tr.Outcome = Harmless
-		tr.Detail = "mutation was the identity on these bytes"
-	default:
-		tr.Outcome = Escape
-		tr.Detail = fmt.Sprintf("%s accepted by the seal: tampered snapshot decoded cleanly", m.kind)
+		return Harmless, "mutation was the identity on these bytes"
 	}
-	return tr
+	return Escape, fmt.Sprintf("%s accepted by the seal: tampered snapshot decoded cleanly", kind)
 }

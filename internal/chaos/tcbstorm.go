@@ -28,6 +28,33 @@ func stormBumpedFloor() kbs.TCB {
 	return f
 }
 
+// stormSite is the row shape the family shares: a storm at a drawn
+// instant, refused boots expected at the fleet's admission gate (a policy
+// denial) or at the broker's exchange (a kbs denial) depending on where
+// each boot is when the storm lands — and, when escaped is set, a run
+// with zero failures is an ESCAPE no matter what was served, because the
+// storm was supposed to bite.
+func stormSite(name, params, escaped string, at time.Duration, storm func(h *Harness)) site {
+	s := site{
+		family:   "tcbstorm",
+		name:     name,
+		params:   params,
+		expected: []error{policy.ErrDenied, kbs.ErrDenied},
+		arm: func(h *Harness) {
+			h.Eng.After(at, func() { storm(h) })
+		},
+	}
+	if escaped != "" {
+		s.verdict = func(res, clean *RunResult) (Outcome, string, bool) {
+			if len(res.failures()) == 0 {
+				return Escape, escaped, true
+			}
+			return "", "", false // the default expected-class check applies
+		}
+	}
+	return s
+}
+
 // stormForgedUnrevoke revokes the enrolled chip at a drawn instant and
 // immediately injects an unsigned platform claim naming the chip — the
 // forged "un-revocation" an adversary on the store's write path would
@@ -37,39 +64,20 @@ func stormBumpedFloor() kbs.TCB {
 // sort first, so the engine does consult it). Every exchange strictly
 // after the storm must be refused; a run with zero failures means the
 // forgery worked and is an ESCAPE no matter what was served.
-type stormForgedUnrevoke struct {
-	delay time.Duration
-}
-
-func (m *stormForgedUnrevoke) Family() string { return "tcbstorm" }
-func (m *stormForgedUnrevoke) Name() string   { return "forged-unrevoke" }
-func (m *stormForgedUnrevoke) Params() string { return fmt.Sprintf("at=%s", m.delay) }
-func (m *stormForgedUnrevoke) Expected() []error {
-	// The revocation bites at the fleet's admission gate (a policy
-	// denial) or at the broker's exchange (a kbs denial), depending on
-	// where each boot is when the storm lands.
-	return []error{policy.ErrDenied, kbs.ErrDenied}
-}
-
-func (m *stormForgedUnrevoke) Arm(h *Harness) {
-	h.Eng.After(m.delay, func() {
-		_ = h.Broker.RevokeAt("chip-chaos", h.Eng.Now())
-		_ = h.Broker.Policy().Inject(policy.Claim{
-			ID:      "aaa-unrevoke-chip-chaos", // sorts ahead of every honest claim
-			Kind:    policy.KindPlatform,
-			Scope:   "*",
-			Subject: "chip-chaos",
-			Issuer:  kbs.PolicyAnchorID, // impersonates the anchor, carries no signature
-			Note:    "forged un-revocation",
+func stormForgedUnrevoke(at time.Duration) site {
+	return stormSite("forged-unrevoke", fmt.Sprintf("at=%s", at),
+		"chip revoked mid-run yet every boot served — the forged un-revocation restored trust",
+		at, func(h *Harness) {
+			_ = h.Broker.RevokeAt("chip-chaos", h.Eng.Now())
+			_ = h.Broker.Policy().Inject(policy.Claim{
+				ID:      "aaa-unrevoke-chip-chaos", // sorts ahead of every honest claim
+				Kind:    policy.KindPlatform,
+				Scope:   "*",
+				Subject: "chip-chaos",
+				Issuer:  kbs.PolicyAnchorID, // impersonates the anchor, carries no signature
+				Note:    "forged un-revocation",
+			})
 		})
-	})
-}
-
-func (m *stormForgedUnrevoke) Verdict(res, clean *RunResult) (Outcome, string, bool) {
-	if len(res.failures()) == 0 {
-		return Escape, "chip revoked mid-run yet every boot served — the forged un-revocation restored trust", true
-	}
-	return "", "", false // the default expected-class check applies
 }
 
 // stormStaleFloorReplay bumps the minimum-TCB floor above the enrolled
@@ -78,30 +86,12 @@ func (m *stormForgedUnrevoke) Verdict(res, clean *RunResult) (Outcome, string, b
 // including verdicts the broker had already cached, which die with the
 // store version. Zero failures means stale evidence kept redeeming past
 // the bump: an ESCAPE.
-type stormStaleFloorReplay struct {
-	delay time.Duration
-}
-
-func (m *stormStaleFloorReplay) Family() string { return "tcbstorm" }
-func (m *stormStaleFloorReplay) Name() string   { return "stale-floor-replay" }
-func (m *stormStaleFloorReplay) Params() string {
-	return fmt.Sprintf("at=%s floor=%s", m.delay, stormBumpedFloor())
-}
-func (m *stormStaleFloorReplay) Expected() []error {
-	return []error{policy.ErrDenied, kbs.ErrDenied}
-}
-
-func (m *stormStaleFloorReplay) Arm(h *Harness) {
-	h.Eng.After(m.delay, func() {
-		_ = h.Broker.BumpFloor(stormBumpedFloor(), h.Eng.Now())
-	})
-}
-
-func (m *stormStaleFloorReplay) Verdict(res, clean *RunResult) (Outcome, string, bool) {
-	if len(res.failures()) == 0 {
-		return Escape, "floor bumped above the platform mid-run yet every boot served — stale evidence kept redeeming", true
-	}
-	return "", "", false
+func stormStaleFloorReplay(at time.Duration) site {
+	return stormSite("stale-floor-replay", fmt.Sprintf("at=%s floor=%s", at, stormBumpedFloor()),
+		"floor bumped above the platform mid-run yet every boot served — stale evidence kept redeeming",
+		at, func(h *Harness) {
+			_ = h.Broker.BumpFloor(stormBumpedFloor(), h.Eng.Now())
+		})
 }
 
 // stormForgedFloorRestore bumps the floor and injects an unsigned
@@ -109,37 +99,21 @@ func (m *stormStaleFloorReplay) Verdict(res, clean *RunResult) (Outcome, string,
 // chosen to sort ahead of the honest bump claim so the engine consults
 // the forgery first. Signature verification must refuse it and the
 // below-floor denial must keep biting.
-type stormForgedFloorRestore struct {
-	delay time.Duration
-}
-
-func (m *stormForgedFloorRestore) Family() string { return "tcbstorm" }
-func (m *stormForgedFloorRestore) Name() string   { return "forged-floor-restore" }
-func (m *stormForgedFloorRestore) Params() string { return fmt.Sprintf("at=%s", m.delay) }
-func (m *stormForgedFloorRestore) Expected() []error {
-	return []error{policy.ErrDenied, kbs.ErrDenied}
-}
-
-func (m *stormForgedFloorRestore) Arm(h *Harness) {
-	h.Eng.After(m.delay, func() {
-		_ = h.Broker.BumpFloor(stormBumpedFloor(), h.Eng.Now())
-		_ = h.Broker.Policy().Inject(policy.Claim{
-			ID:      "aaa-floor-restore", // sorts ahead of the honest floor-bump claim
-			Kind:    policy.KindPlatform,
-			Scope:   "*",
-			Subject: "*",
-			MinTCB:  chaosTCB.Encode(),
-			Issuer:  kbs.PolicyAnchorID,
-			Note:    "forged floor restore",
+func stormForgedFloorRestore(at time.Duration) site {
+	return stormSite("forged-floor-restore", fmt.Sprintf("at=%s", at),
+		"floor bumped mid-run yet every boot served — the forged floor restore was honored",
+		at, func(h *Harness) {
+			_ = h.Broker.BumpFloor(stormBumpedFloor(), h.Eng.Now())
+			_ = h.Broker.Policy().Inject(policy.Claim{
+				ID:      "aaa-floor-restore", // sorts ahead of the honest floor-bump claim
+				Kind:    policy.KindPlatform,
+				Scope:   "*",
+				Subject: "*",
+				MinTCB:  chaosTCB.Encode(),
+				Issuer:  kbs.PolicyAnchorID,
+				Note:    "forged floor restore",
+			})
 		})
-	})
-}
-
-func (m *stormForgedFloorRestore) Verdict(res, clean *RunResult) (Outcome, string, bool) {
-	if len(res.failures()) == 0 {
-		return Escape, "floor bumped mid-run yet every boot served — the forged floor restore was honored", true
-	}
-	return "", "", false
 }
 
 // stormPristineRecovery is the Harmless control: a full recovery cycle
@@ -147,23 +121,14 @@ func (m *stormForgedFloorRestore) Verdict(res, clean *RunResult) (Outcome, strin
 // attests is revoked, and the floor is re-filed at its current value —
 // the store version moves twice, so every cached verdict and admission
 // certificate is re-derived from scratch, yet every boot must still
-// serve and the run must stay byte-identical to the clean run.
-type stormPristineRecovery struct {
-	delay time.Duration
-}
-
-func (m *stormPristineRecovery) Family() string { return "tcbstorm" }
-func (m *stormPristineRecovery) Name() string   { return "pristine-recovery" }
-func (m *stormPristineRecovery) Params() string { return fmt.Sprintf("at=%s", m.delay) }
-func (m *stormPristineRecovery) Expected() []error {
-	// Every boot must succeed; any failure is an unexpected detection.
-	return nil
-}
-
-func (m *stormPristineRecovery) Arm(h *Harness) {
-	h.Eng.After(m.delay, func() {
+// serve and the run must stay byte-identical to the clean run: any
+// failure is an unexpected detection.
+func stormPristineRecovery(at time.Duration) site {
+	s := stormSite("pristine-recovery", fmt.Sprintf("at=%s", at), "", at, func(h *Harness) {
 		now := h.Eng.Now()
 		_ = h.Broker.RevokeAt("chip-ghost", now)
 		_ = h.Broker.BumpFloor(chaosTCB, now)
 	})
+	s.expected = nil
+	return s
 }

@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -145,6 +147,65 @@ func TestSealCoversEveryField(t *testing.T) {
 			buf.Corrupt(5, 0x40)
 			if got := mustSeal(t, base); got != want {
 				t.Errorf("fork root: seal did not return after the %s was restored", name)
+			}
+		}
+	})
+}
+
+// TestSealMatchesDocumentedFieldList recomputes Fork.Seal from the field
+// list in its doc comment with nothing but sha256 and encoding/binary —
+// magic, SEV flag, guest size, page count; page number and privacy byte
+// per resident page; fork root; donor digest; key identity — so the doc
+// comment, not the package's append helpers, is what the seal is held to.
+func TestSealMatchesDocumentedFieldList(t *testing.T) {
+	documented := func(f *Fork) [32]byte {
+		h := sha256.New()
+		h.Write([]byte("SVFSNAP1"))
+		flag := []byte{0}
+		if f.SEV {
+			flag[0] = 1
+		}
+		h.Write(flag)
+		var u64 [8]byte
+		binary.LittleEndian.PutUint64(u64[:], f.Src.Size())
+		h.Write(u64[:])
+		var u32 [4]byte
+		binary.LittleEndian.PutUint32(u32[:], uint32(len(f.Src.Pages())))
+		h.Write(u32[:])
+		for _, fp := range f.Src.Pages() {
+			binary.LittleEndian.PutUint64(u64[:], fp.PN)
+			h.Write(u64[:])
+			private := []byte{0}
+			if fp.Private {
+				private[0] = 1
+			}
+			h.Write(private)
+		}
+		for _, field := range [][32]byte{f.Src.Root(), f.Digest, f.Src.KeyID()} {
+			h.Write(field[:])
+		}
+		return [32]byte(h.Sum(nil))
+	}
+	run(t, func(p *sim.Proc, h *kvm.Host) {
+		kernel := artifact.Of(payload(9))
+		aliasing := sevGuest(t, p, h, payload(7))
+		if err := aliasing.Mem.GuestWriteArtifact(0x40000, kernel, 0, kernel.Len(), true); err != nil {
+			t.Fatal(err)
+		}
+		plain := h.NewMachine(p, 1<<20, sev.None)
+		if err := plain.Mem.HostWrite(0x10000, payload(7)); err != nil {
+			t.Fatal(err)
+		}
+		for name, m := range map[string]*kvm.Machine{"SEV guest aliasing an artifact": aliasing, "keyless guest": plain} {
+			f, err := CaptureFork(p, m, [32]byte{1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.Src.Pages()) == 0 {
+				t.Fatalf("%s: nothing resident", name)
+			}
+			if got, want := mustSeal(t, f), documented(f); got != want {
+				t.Errorf("%s: Seal() = %x, the documented field list hashes to %x", name, got[:8], want[:8])
 			}
 		}
 	})
