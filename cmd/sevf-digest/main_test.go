@@ -89,4 +89,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus-flag"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// Stock boots are never measured: no digest, and no hash file either.
+	hashFile := filepath.Join(t.TempDir(), "hashes.txt")
+	for _, level := range []string{"none", "sev-snp"} {
+		err := run([]string{"-kernel", "lupine", "-initrd", "2", "-scheme", "stock", "-level", level, "-hashfile", hashFile}, &out)
+		if err == nil || !strings.Contains(err.Error(), "stock") {
+			t.Fatalf("-scheme stock -level %s: %v, want the launch's refusal", level, err)
+		}
+		if _, statErr := os.Stat(hashFile); statErr == nil {
+			t.Fatalf("-scheme stock -level %s wrote a hash file", level)
+		}
+	}
 }

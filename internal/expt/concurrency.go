@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/severifast/severifast/internal/kernelgen"
-	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/trace"
 )
@@ -40,31 +39,24 @@ func Fig12(opts Options) (*Table, error) {
 // concurrentMean launches n guests simultaneously on one shared host and
 // returns the mean boot time (to init; no attestation, as in Fig. 12).
 func concurrentMean(opts Options, preset kernelgen.Preset, sc scheme, n int) (time.Duration, error) {
-	art, err := kernelgen.Cached(preset)
+	cfg, err := sc.config(preset, opts.initrd())
 	if err != nil {
 		return 0, err
 	}
-	initrd := opts.initrd()
-	eng := sim.NewEngine()
-	host := kvm.NewHost(eng, opts.model(), opts.Seed)
-
+	w := newWorld(opts.model(), opts.Seed)
 	var series trace.Series
-	var firstErr error
 	for i := 0; i < n; i++ {
-		eng.Go(fmt.Sprintf("vm-%d", i), func(p *sim.Proc) {
-			out, err := runBootProc(p, host, preset, art, initrd, sc, nil)
+		w.spawn(fmt.Sprintf("vm-%d", i), func(p *sim.Proc) error {
+			out, err := sc.boot(p, w.host, cfg)
 			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+				return err
 			}
-			series = append(series, out.b().Total)
+			series = append(series, out.Breakdown.Total)
+			return nil
 		})
 	}
-	eng.Run()
-	if firstErr != nil {
-		return 0, firstErr
+	if err := w.run(); err != nil {
+		return 0, err
 	}
 	if len(series) != n {
 		return 0, fmt.Errorf("expt: %d of %d concurrent boots completed", len(series), n)

@@ -65,7 +65,7 @@ func bootSeries(opts Options, preset kernelgen.Preset, sc scheme, rng *rand.Rand
 		if err != nil {
 			return nil, err
 		}
-		series = append(series, out.b().TotalWithAttest)
+		series = append(series, out.Breakdown.TotalWithAttest)
 	}
 	return series, nil
 }
@@ -85,7 +85,7 @@ func Fig10(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			b := out.b()
+			b := out.Breakdown
 			fw := b.BootVerification
 			if sc.qemu {
 				fw = b.Firmware
@@ -112,7 +112,7 @@ func Fig11(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			b := out.b()
+			b := out.Breakdown
 			tab.AddRow(preset.Name, sc.name, ms(b.VMM), ms(b.BootVerification),
 				ms(b.BootstrapLoader), ms(b.LinuxBoot), ms(b.Total))
 		}

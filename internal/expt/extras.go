@@ -6,7 +6,6 @@ import (
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/sim"
 )
 
 // MemoryFootprint reproduces §6.3: the extra per-guest memory SEV costs
@@ -25,13 +24,13 @@ func MemoryFootprint(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sevMeta := out.FC.Machine.Mem.SEVMetadataBytes()
-	stockMeta := stockOut.FC.Machine.Mem.SEVMetadataBytes()
+	sevMeta := out.Machine.Mem.SEVMetadataBytes()
+	stockMeta := stockOut.Machine.Mem.SEVMetadataBytes()
 	tab.AddRow("per-guest SEV metadata (SEVeriFast)", fmt.Sprintf("%d B", sevMeta))
 	tab.AddRow("per-guest SEV metadata (stock FC)", fmt.Sprintf("%d B", stockMeta))
 	tab.AddRow("delta", fmt.Sprintf("%d B (paper: ~16 KiB)", sevMeta-stockMeta))
 	tab.AddRow("monitor binary growth", "~50 KiB (paper §6.3; constant of the port)")
-	s := out.FC.Machine.Mem.Stats()
+	s := out.Machine.Mem.Stats()
 	tab.AddRow("resident guest pages", fmt.Sprintf("%d (%d aliased, %d private)",
 		s.ResidentPages, s.AliasedPages, s.PrivatePages))
 	return tab, nil
@@ -50,11 +49,11 @@ func AblationOutOfBandHashing(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		in, err := bootVariant(opts, preset, func(c *firecracker.Config) { c.Hashes = nil })
+		in, err := bootVariant(opts, preset, func(c *firecracker.Config, _ *kvm.Host) { c.Hashes = nil })
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(preset.Name, ms(oob.b().Total), ms(in.b().Total), ms(in.b().Total-oob.b().Total))
+		tab.AddRow(preset.Name, ms(oob.Breakdown.Total), ms(in.Breakdown.Total), ms(in.Breakdown.Total-oob.Breakdown.Total))
 	}
 	return tab, nil
 }
@@ -71,12 +70,12 @@ func AblationPreEncryptPageTables(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pre, err := bootVariant(opts, preset, func(c *firecracker.Config) { c.PreEncryptPageTables = true })
+		pre, err := bootVariant(opts, preset, func(c *firecracker.Config, _ *kvm.Host) { c.PreEncryptPageTables = true })
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(preset.Name, ms(gen.b().Total), ms(pre.b().Total),
-			ms(gen.b().PreEncryption), ms(pre.b().PreEncryption))
+		tab.AddRow(preset.Name, ms(gen.Breakdown.Total), ms(pre.Breakdown.Total),
+			ms(gen.Breakdown.PreEncryption), ms(pre.Breakdown.PreEncryption))
 	}
 	return tab, nil
 }
@@ -89,73 +88,16 @@ func AblationHugePages(opts Options) (*Table, error) {
 		Columns: []string{"kernel", "thp (2MiB) verification", "4KiB verification", "delta"},
 	}
 	for _, preset := range opts.presets() {
-		with, err := bootTHP(opts, preset, true)
+		with, err := bootVariant(opts, preset, func(_ *firecracker.Config, h *kvm.Host) { h.THP = true })
 		if err != nil {
 			return nil, err
 		}
-		without, err := bootTHP(opts, preset, false)
+		without, err := bootVariant(opts, preset, func(_ *firecracker.Config, h *kvm.Host) { h.THP = false })
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(preset.Name, ms(with.b().BootVerification), ms(without.b().BootVerification),
-			ms(without.b().BootVerification-with.b().BootVerification))
+		tab.AddRow(preset.Name, ms(with.Breakdown.BootVerification), ms(without.Breakdown.BootVerification),
+			ms(without.Breakdown.BootVerification-with.Breakdown.BootVerification))
 	}
 	return tab, nil
-}
-
-// bootVariant boots SEVeriFast-bz with a config mutation applied.
-func bootVariant(opts Options, preset kernelgen.Preset, mutate func(*firecracker.Config)) (*bootOutcome, error) {
-	art, err := kernelgen.Cached(preset)
-	if err != nil {
-		return nil, err
-	}
-	initrd := opts.initrd()
-	eng := sim.NewEngine()
-	host := kvm.NewHost(eng, opts.model(), opts.Seed)
-	h := componentHashes(art, initrd, preset, firecracker.SchemeSEVeriFastBz)
-	cfg := firecracker.Config{
-		Preset:    preset,
-		Artifacts: art,
-		Initrd:    initrd,
-		Level:     schemeSEVeriFast.level,
-		Scheme:    firecracker.SchemeSEVeriFastBz,
-		Hashes:    &h,
-	}
-	mutate(&cfg)
-	var res *firecracker.Result
-	var bootErr error
-	eng.Go("boot", func(p *sim.Proc) { res, bootErr = firecracker.Boot(p, host, cfg) })
-	eng.Run()
-	if bootErr != nil {
-		return nil, bootErr
-	}
-	return &bootOutcome{FC: res}, nil
-}
-
-func bootTHP(opts Options, preset kernelgen.Preset, thp bool) (*bootOutcome, error) {
-	art, err := kernelgen.Cached(preset)
-	if err != nil {
-		return nil, err
-	}
-	initrd := opts.initrd()
-	eng := sim.NewEngine()
-	host := kvm.NewHost(eng, opts.model(), opts.Seed)
-	host.THP = thp
-	h := componentHashes(art, initrd, preset, firecracker.SchemeSEVeriFastBz)
-	cfg := firecracker.Config{
-		Preset:    preset,
-		Artifacts: art,
-		Initrd:    initrd,
-		Level:     schemeSEVeriFast.level,
-		Scheme:    firecracker.SchemeSEVeriFastBz,
-		Hashes:    &h,
-	}
-	var res *firecracker.Result
-	var bootErr error
-	eng.Go("boot", func(p *sim.Proc) { res, bootErr = firecracker.Boot(p, host, cfg) })
-	eng.Run()
-	if bootErr != nil {
-		return nil, bootErr
-	}
-	return &bootOutcome{FC: res}, nil
 }

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"github.com/severifast/severifast/internal/bootparams"
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kernelgen"
-	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/lz4"
 	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/mptable"
@@ -24,7 +24,7 @@ func Fig3(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tl := out.QEMU.Timeline
+	tl := out.Timeline
 	at := func(ev sev.TimingEvent) sim.Time {
 		t, ok := tl.EventAt(ev)
 		if !ok {
@@ -32,7 +32,7 @@ func Fig3(opts Options) (*Table, error) {
 		}
 		return t
 	}
-	b := out.b()
+	b := out.Breakdown
 	tab := &Table{
 		Title:   "Figure 3: OVMF boot process breakdown (SEV-SNP, AWS kernel)",
 		Note:    "The boot verifier is the only SEV-necessary stage; everything else is redundant bootstrap.",
@@ -81,30 +81,22 @@ func Fig4(opts Options) (*Table, error) {
 
 // preEncryptOnce measures a single LAUNCH_UPDATE_DATA of n bytes.
 func preEncryptOnce(opts Options, n int, level sev.Level) (time.Duration, error) {
-	eng := sim.NewEngine()
-	host := kvm.NewHost(eng, opts.model(), opts.Seed)
+	w := newWorld(opts.model(), opts.Seed)
 	var elapsed time.Duration
-	var err error
-	eng.Go("preenc", func(p *sim.Proc) {
+	w.spawn("preenc", func(p *sim.Proc) error {
 		mem := guestmem.New(uint64(n) + 1<<20)
-		pol := sev.DefaultPolicy()
-		if level < sev.ES {
-			pol.ESRequired = false
-		}
-		ctx, e := host.PSP.LaunchStart(p, mem, level, pol)
-		if e != nil {
-			err = e
-			return
+		ctx, err := w.host.PSP.LaunchStart(p, mem, level, firecracker.LaunchPolicy(level, false))
+		if err != nil {
+			return err
 		}
 		start := p.Now()
-		if e := ctx.LaunchUpdateData(p, 0, n, sev.PageNormal); e != nil {
-			err = e
-			return
+		if err := ctx.LaunchUpdateData(p, 0, n, sev.PageNormal); err != nil {
+			return err
 		}
 		elapsed = p.Now().Sub(start)
+		return nil
 	})
-	eng.Run()
-	return elapsed, err
+	return elapsed, w.run()
 }
 
 // Fig5 reproduces the measured-direct-boot step costs: copy, hash, and

@@ -3,37 +3,73 @@ package expt
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"github.com/severifast/severifast/internal/attest"
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/qemu"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
-	"github.com/severifast/severifast/internal/trace"
-	"github.com/severifast/severifast/internal/verifier"
 )
 
-// initrdCache shares the generated attestation initrd across experiments.
-var initrdCache sync.Map // key {seed,size} -> []byte
-
-type initrdKey struct {
-	seed int64
-	size int
+// initrd is the attestation initrd every experiment of a run shares.
+func (o Options) initrd() []byte {
+	return kernelgen.CachedInitrd(o.Seed, o.initrdSize())
 }
 
-func (o Options) initrd() []byte {
-	k := initrdKey{o.Seed, o.initrdSize()}
-	if v, ok := initrdCache.Load(k); ok {
-		return v.([]byte)
+// world is one fresh simulated host: its engine, the host on it, and the
+// first error any of its processes returned. Every experiment measures on
+// a world of its own, so no boot inherits another's PSP queue or ASIDs.
+type world struct {
+	eng  *sim.Engine
+	host *kvm.Host
+	seed int64
+	err  error
+}
+
+func newWorld(model costmodel.Model, seed int64) *world {
+	eng := sim.NewEngine()
+	return &world{eng: eng, host: kvm.NewHost(eng, model, seed), seed: seed}
+}
+
+// spawn starts fn as a simulation process of the world.
+func (w *world) spawn(name string, fn func(p *sim.Proc) error) {
+	w.eng.Go(name, func(p *sim.Proc) {
+		if err := fn(p); err != nil && w.err == nil {
+			w.err = err
+		}
+	})
+}
+
+// run drains the engine and returns the first process error.
+func (w *world) run() error {
+	w.eng.Run()
+	return w.err
+}
+
+// boot runs one boot of sc's launch cfg as the world's only process.
+// withAttest wires a guest owner that expects exactly this launch's digest
+// (skipped where there is nothing to attest with: Lupine has no networking,
+// §6.1, and a plain guest has no report).
+func (w *world) boot(sc scheme, cfg firecracker.Config, withAttest bool) (*firecracker.Result, error) {
+	if withAttest && cfg.Preset.Networking && cfg.Level.Encrypted() {
+		expected, err := sc.expectedDigest(cfg)
+		if err != nil {
+			return nil, err
+		}
+		secret := []byte("volume-key-" + cfg.Preset.Name)
+		owner := attest.NewOwner(w.host.PSP.VerificationKey(), secret, rand.New(rand.NewSource(w.seed^0xA77E57)))
+		owner.Allow(expected)
+		cfg.Attestor = &attest.InProcess{Owner: owner, AgentSeed: w.seed, WantSecret: secret}
 	}
-	b := kernelgen.BuildInitrd(o.Seed, o.initrdSize())
-	actual, _ := initrdCache.LoadOrStore(k, b)
-	return actual.([]byte)
+	var res *firecracker.Result
+	w.spawn("boot", func(p *sim.Proc) (err error) {
+		res, err = sc.boot(p, w.host, cfg)
+		return err
+	})
+	return res, w.run()
 }
 
 // scheme identifies one boot configuration under test.
@@ -51,117 +87,70 @@ var (
 	schemeQEMU        = scheme{name: "qemu-ovmf", level: sev.SNP, qemu: true}
 )
 
-// bootOnce runs one boot of (preset, scheme) on a fresh host and returns
-// its breakdown-bearing result. withAttest wires a guest owner that
-// expects exactly this configuration's launch digest.
-func bootOnce(model costmodel.Model, preset kernelgen.Preset, initrd []byte, sc scheme, seed int64, withAttest bool) (*bootOutcome, error) {
+// config is the one place an experiment's launch description is
+// assembled; ablations edit the returned value. The QEMU/OVMF flow is
+// launched from the fields it shares with Firecracker (qemuConfig).
+func (sc scheme) config(preset kernelgen.Preset, initrd []byte) (firecracker.Config, error) {
 	art, err := kernelgen.Cached(preset)
+	if err != nil {
+		return firecracker.Config{}, err
+	}
+	cfg := firecracker.Config{Preset: preset, Artifacts: art, Initrd: initrd, Level: sc.level, Scheme: sc.kind}
+	if !sc.qemu && sc.level.Encrypted() {
+		// SEVeriFast always runs with the out-of-band hash file (§4.3);
+		// the in-band ablation clears it.
+		h, err := cfg.ComponentHashes()
+		if err != nil {
+			return firecracker.Config{}, err
+		}
+		cfg.Hashes = &h
+	}
+	return cfg, nil
+}
+
+func qemuConfig(cfg firecracker.Config) qemu.Config {
+	return qemu.Config{Preset: cfg.Preset, Artifacts: cfg.Artifacts, Initrd: cfg.Initrd, Level: cfg.Level, Attestor: cfg.Attestor}
+}
+
+// expectedDigest asks the scheme's own monitor what the launch measures.
+func (sc scheme) expectedDigest(cfg firecracker.Config) ([32]byte, error) {
+	if sc.qemu {
+		return qemuConfig(cfg).ExpectedDigest()
+	}
+	return cfg.ExpectedDigest()
+}
+
+// boot executes the launch on the calling process.
+func (sc scheme) boot(p *sim.Proc, host *kvm.Host, cfg firecracker.Config) (res *firecracker.Result, err error) {
+	if sc.qemu {
+		res, err = qemu.Boot(p, host, qemuConfig(cfg))
+	} else {
+		res, err = firecracker.Boot(p, host, cfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", sc.name, cfg.Preset.Name, err)
+	}
+	return res, nil
+}
+
+// bootOnce runs one boot of (preset, scheme) on a fresh world and returns
+// its breakdown-bearing result.
+func bootOnce(model costmodel.Model, preset kernelgen.Preset, initrd []byte, sc scheme, seed int64, withAttest bool) (*firecracker.Result, error) {
+	cfg, err := sc.config(preset, initrd)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
-	host := kvm.NewHost(eng, model, seed)
-
-	attestor := buildAttestor(host, preset, art, initrd, sc, seed, withAttest)
-
-	var out *bootOutcome
-	var bootErr error
-	eng.Go("boot", func(p *sim.Proc) {
-		out, bootErr = runBootProc(p, host, preset, art, initrd, sc, attestor)
-	})
-	eng.Run()
-	return out, bootErr
+	return newWorld(model, seed).boot(sc, cfg, withAttest)
 }
 
-type bootOutcome struct {
-	FC   *firecracker.Result
-	QEMU *qemu.Result
-}
-
-// b returns the boot's phase breakdown regardless of monitor.
-func (o *bootOutcome) b() trace.Breakdown {
-	if o.QEMU != nil {
-		return o.QEMU.Breakdown
-	}
-	return o.FC.Breakdown
-}
-
-// runBootProc executes one boot on the calling process.
-func runBootProc(p *sim.Proc, host *kvm.Host, preset kernelgen.Preset, art *kernelgen.Artifacts, initrd []byte, sc scheme, attestor attest2) (*bootOutcome, error) {
-	if sc.qemu {
-		res, err := qemu.Boot(p, host, qemu.Config{
-			Preset:    preset,
-			Artifacts: art,
-			Initrd:    initrd,
-			Level:     sc.level,
-			Attestor:  attestor,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", sc.name, preset.Name, err)
-		}
-		return &bootOutcome{QEMU: res}, nil
-	}
-	cfg := firecracker.Config{
-		Preset:    preset,
-		Artifacts: art,
-		Initrd:    initrd,
-		Level:     sc.level,
-		Scheme:    sc.kind,
-		Attestor:  attestor,
-	}
-	if sc.level.Encrypted() {
-		// SEVeriFast always runs with the out-of-band hash file (§4.3);
-		// the in-band ablation overrides this.
-		h := componentHashes(art, initrd, preset, sc.kind)
-		cfg.Hashes = &h
-	}
-	res, err := firecracker.Boot(p, host, cfg)
+// bootVariant is bootOnce of SEVeriFast-bz with an ablation applied to
+// the launch config and the host before the boot.
+func bootVariant(opts Options, preset kernelgen.Preset, ablate func(*firecracker.Config, *kvm.Host)) (*firecracker.Result, error) {
+	cfg, err := schemeSEVeriFast.config(preset, opts.initrd())
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", sc.name, preset.Name, err)
+		return nil, err
 	}
-	return &bootOutcome{FC: res}, nil
-}
-
-func componentHashes(art *kernelgen.Artifacts, initrd []byte, preset kernelgen.Preset, kind firecracker.Scheme) measure.ComponentHashes {
-	kernel := art.BzImageLZ4
-	if kind == firecracker.SchemeSEVeriFastVmlinux {
-		kernel = art.VMLinux
-	}
-	return measure.HashComponents(kernel, initrd, preset.Cmdline)
-}
-
-// attest2 is the shared Attestor shape of both monitors.
-type attest2 interface {
-	Attest(proc *sim.Proc, m *kvm.Machine) error
-}
-
-// buildAttestor returns an in-process guest owner primed with the expected
-// digest for this exact configuration, or nil when attestation is off or
-// impossible (Lupine has no networking, §6.1).
-func buildAttestor(host *kvm.Host, preset kernelgen.Preset, art *kernelgen.Artifacts, initrd []byte, sc scheme, seed int64, on bool) attest2 {
-	if !on || !preset.Networking || !sc.level.Encrypted() {
-		return nil
-	}
-	secret := []byte("volume-key-" + preset.Name)
-	owner := attest.NewOwner(host.PSP.VerificationKey(), secret, rand.New(rand.NewSource(seed^0xA77E57)))
-	if sc.qemu {
-		h := measure.HashComponents(art.BzImageLZ4, initrd, preset.Cmdline)
-		owner.Allow(qemu.ExpectedDigest(1, sc.level, h))
-	} else {
-		h := componentHashes(art, initrd, preset, sc.kind)
-		expected, err := measure.ExpectedDigest(measure.Config{
-			Verifier: verifier.Image(1),
-			Hashes:   h,
-			Cmdline:  preset.Cmdline,
-			VCPUs:    1,
-			MemSize:  256 << 20,
-			Level:    sc.level,
-			Policy:   sev.DefaultPolicy(),
-		})
-		if err != nil {
-			panic("expt: expected digest: " + err.Error())
-		}
-		owner.Allow(expected)
-	}
-	return &attest.InProcess{Owner: owner, AgentSeed: seed, WantSecret: secret}
+	w := newWorld(opts.model(), opts.Seed)
+	ablate(&cfg, w.host)
+	return w.boot(schemeSEVeriFast, cfg, false)
 }

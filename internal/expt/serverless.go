@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"github.com/severifast/severifast/internal/kernelgen"
-	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/serverless"
-	"github.com/severifast/severifast/internal/sim"
 )
 
 // Serverless runs the function-platform trace the paper's introduction
@@ -31,9 +29,8 @@ func Serverless(opts Options) (*Table, error) {
 		Seed:             opts.Seed,
 	}
 	for _, mode := range []serverless.Mode{serverless.ModePlain, serverless.ModeSEVCold, serverless.ModeSEVWarm} {
-		eng := sim.NewEngine()
-		host := kvm.NewHost(eng, opts.model(), opts.Seed)
-		stats, err := serverless.Run(eng, host, serverless.Config{
+		platform := newWorld(opts.model(), opts.Seed)
+		stats, err := serverless.Run(platform.eng, platform.host, serverless.Config{
 			Mode:      mode,
 			Preset:    kernelgen.AWS(),
 			InitrdLen: opts.initrdSize(),

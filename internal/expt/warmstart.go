@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
-	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
 )
@@ -24,72 +21,47 @@ func WarmStart(opts Options) (*Table, error) {
 			"configuration", "cold boot", "warm restore", "speedup", "dedup across 3 snapshots",
 		},
 	}
-	preset := kernelgen.AWS()
-	art, err := kernelgen.Cached(preset)
-	if err != nil {
-		return nil, err
-	}
-	initrd := opts.initrd()
-
-	for _, sevOn := range []bool{false, true} {
-		eng := sim.NewEngine()
-		host := kvm.NewHost(eng, opts.model(), opts.Seed)
-
-		cfg := firecracker.Config{
-			Preset:    preset,
-			Artifacts: art,
-			Initrd:    initrd,
+	for _, sc := range []scheme{schemeStock, schemeSEVeriFast} {
+		sevOn := sc.level.Encrypted()
+		cfg, err := sc.config(kernelgen.AWS(), opts.initrd())
+		if err != nil {
+			return nil, err
 		}
-		if sevOn {
-			cfg.Level = sev.SNP
-			cfg.Scheme = firecracker.SchemeSEVeriFastBz
-			cfg.AllowKeySharing = true
-			h := componentHashes(art, initrd, preset, cfg.Scheme)
-			cfg.Hashes = &h
-		} else {
-			cfg.Level = sev.None
-			cfg.Scheme = firecracker.SchemeStock
-		}
+		cfg.AllowKeySharing = sevOn
 
-		var cold time.Duration
-		var donor *kvm.Machine
+		var cold, warm time.Duration
 		var images []*snapshot.Image
-		var warm time.Duration
-		var runErr error
-		eng.Go("warmstart", func(p *sim.Proc) {
-			res, err := firecracker.Boot(p, host, cfg)
+		w := newWorld(opts.model(), opts.Seed)
+		w.spawn("warmstart", func(p *sim.Proc) error {
+			res, err := sc.boot(p, w.host, cfg)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			cold = res.Breakdown.Total
-			donor = res.Machine
+			donor := res.Machine
 			// Three snapshots of identically-booted guests for the dedup
 			// measurement.
 			for i := 0; i < 3; i++ {
-				r, err := firecracker.Boot(p, host, cfg)
+				r, err := sc.boot(p, w.host, cfg)
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				img, err := snapshot.Capture(p, r.Machine)
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				images = append(images, img)
 			}
 			// Warm restore into a fresh machine.
 			start := p.Now()
-			if _, err := snapshot.WarmRestore(p, host, donor, images[0]); err != nil {
-				runErr = err
-				return
+			if _, err := snapshot.WarmRestore(p, w.host, donor, images[0]); err != nil {
+				return err
 			}
 			warm = p.Now().Sub(start)
+			return nil
 		})
-		eng.Run()
-		if runErr != nil {
-			return nil, runErr
+		if err := w.run(); err != nil {
+			return nil, err
 		}
 
 		stats := snapshot.Dedup(images...)

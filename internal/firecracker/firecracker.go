@@ -129,7 +129,6 @@ type Result struct {
 	Report       *linux.BootReport
 	Machine      *kvm.Machine
 	LaunchDigest [32]byte
-	Scheme       Scheme
 }
 
 // Boot runs one microVM boot to init (plus attestation when configured) on
@@ -150,6 +149,9 @@ func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 	attachDevices(m, cfg.Preset)
 	proc.Sleep(host.Model.VMMProcessStart)
 
+	if err := cfg.checkLevel(); err != nil {
+		return nil, err
+	}
 	var (
 		res *Result
 		err error
@@ -180,9 +182,6 @@ func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 // bootStock is the unmodified Firecracker path: direct boot of an
 // uncompressed vmlinux, no firmware, no verifier (paper §2.1).
 func bootStock(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Result, error) {
-	if cfg.Level != sev.None {
-		return nil, fmt.Errorf("firecracker: stock scheme cannot boot a %v guest", cfg.Level)
-	}
 	model := host.Model
 
 	// Load each ELF segment to the location it will run (§2.1 step 1).
@@ -226,53 +225,39 @@ func bootStock(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Timeline: m.Timeline, Report: rep, Machine: m, Scheme: cfg.Scheme}, nil
+	return &Result{Timeline: m.Timeline, Report: rep, Machine: m}, nil
 }
 
 // bootSEV is the SEVeriFast path (Fig. 6).
 func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Result, error) {
-	if !cfg.Level.Encrypted() {
-		return nil, fmt.Errorf("firecracker: SEVeriFast scheme requires an SEV level, got %v", cfg.Level)
-	}
 	if cfg.Plan != nil && cfg.Hashes == nil {
 		return nil, fmt.Errorf("firecracker: precomputed plan without component hashes")
 	}
 	model := host.Model
 
 	// Select the kernel image and the staging strategy.
-	kernelImage, kind, err := selectKernel(cfg)
+	kernelImage, kind, err := cfg.KernelImage()
 	if err != nil {
 		return nil, err
 	}
 
 	// Component hashes: out-of-band (free at boot time) or in-band.
-	var hashes measure.ComponentHashes
-	if cfg.Hashes != nil {
-		hashes = *cfg.Hashes
-	} else {
+	if cfg.Hashes == nil {
 		m.Timeline.Begin("hash.components", proc.Now())
-		hashes = measure.HashComponents(kernelImage, cfg.Initrd, cfg.Cmdline)
+		hashes := measure.HashComponents(kernelImage, cfg.Initrd, cfg.Cmdline)
+		cfg.Hashes = &hashes
 		proc.Sleep(model.Hash(len(kernelImage)) + model.Hash(len(cfg.Initrd)))
 		m.Timeline.End("hash.components", proc.Now())
 	}
 
-	policy := launchPolicy(cfg.Level)
-	if cfg.AllowKeySharing {
-		policy.NoKeySharing = false
-	}
+	policy := LaunchPolicy(cfg.Level, cfg.AllowKeySharing)
 	regions := cfg.Plan
 	if regions == nil {
-		regions, err = measure.Plan(measure.Config{
-			Verifier:             verifier.Image(cfg.VerifierSeed),
-			Hashes:               hashes,
-			Cmdline:              cfg.Cmdline,
-			VCPUs:                cfg.VCPUs,
-			MemSize:              cfg.MemSize,
-			Level:                cfg.Level,
-			Policy:               policy,
-			PreEncryptPageTables: cfg.PreEncryptPageTables,
-		})
+		mc, err := cfg.MeasureConfig()
 		if err != nil {
+			return nil, err
+		}
+		if regions, err = measure.Plan(mc); err != nil {
 			return nil, err
 		}
 	}
@@ -376,58 +361,127 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 		Report:       rep,
 		Machine:      m,
 		LaunchDigest: digest,
-		Scheme:       cfg.Scheme,
 	}, nil
 }
 
-func selectKernel(cfg Config) ([]byte, verifier.KernelKind, error) {
+// checkLevel refuses the scheme/level pairs no launch exists for. Boot and
+// the digest methods share it, so the digest tool refuses exactly what the
+// VMM refuses, with the VMM's error.
+func (c Config) checkLevel() error {
+	switch {
+	case c.Scheme == SchemeStock && c.Level != sev.None:
+		return fmt.Errorf("firecracker: stock scheme cannot boot a %v guest", c.Level)
+	case c.Scheme != SchemeStock && !c.Level.Encrypted():
+		return fmt.Errorf("firecracker: SEVeriFast scheme requires an SEV level, got %v", c.Level)
+	}
+	return nil
+}
+
+// KernelImage returns the kernel bytes the config's scheme and codec stage
+// for measured direct boot — the image the §4.3 kernel hash covers — and
+// how the verifier loads it. The stock scheme stages no measured kernel
+// and is refused.
+func (c Config) KernelImage() ([]byte, verifier.KernelKind, error) {
+	c.fillDefaults()
 	var (
 		img  []byte
 		kind verifier.KernelKind
 	)
-	switch cfg.Scheme {
+	switch c.Scheme {
 	case SchemeSEVeriFastBz:
 		kind = verifier.KindBzImage
-		switch cfg.Codec {
+		switch c.Codec {
 		case bzimage.CodecLZ4:
-			img = cfg.Artifacts.BzImageLZ4
+			img = c.Artifacts.BzImageLZ4
 		case bzimage.CodecGzip:
-			img = cfg.Artifacts.BzImageGzip
+			img = c.Artifacts.BzImageGzip
 		default:
-			built, err := bzimage.Build(cfg.Artifacts.VMLinux, cfg.Codec, cfg.Preset.Seed)
+			built, err := bzimage.Build(c.Artifacts.VMLinux, c.Codec, c.Preset.Seed)
 			if err != nil {
 				return nil, 0, err
 			}
 			img = built
 		}
 	case SchemeSEVeriFastVmlinux:
-		img, kind = cfg.Artifacts.VMLinux, verifier.KindVmlinux
+		img, kind = c.Artifacts.VMLinux, verifier.KindVmlinux
 	default:
-		return nil, 0, fmt.Errorf("firecracker: scheme %v has no SEV kernel", cfg.Scheme)
+		return nil, 0, fmt.Errorf("firecracker: scheme %v has no SEV kernel", c.Scheme)
 	}
 	// An artifact bundle with the selected image missing would otherwise
 	// "boot" a zero-byte kernel and fail much later inside the guest.
 	if len(img) == 0 {
-		return nil, 0, fmt.Errorf("firecracker: artifacts carry no kernel image for scheme %v", cfg.Scheme)
+		return nil, 0, fmt.Errorf("firecracker: artifacts carry no kernel image for scheme %v", c.Scheme)
 	}
 	return img, kind, nil
 }
 
-// launchPolicy picks the strongest policy the level supports.
-func launchPolicy(level sev.Level) sev.Policy {
+// ComponentHashes computes the §4.3 out-of-band hash file of the launch's
+// own components: the kernel image it stages, its initrd and its cmdline.
+// A launch Boot refuses has no hash file.
+func (c Config) ComponentHashes() (measure.ComponentHashes, error) {
+	c.fillDefaults()
+	if err := c.checkLevel(); err != nil {
+		return measure.ComponentHashes{}, err
+	}
+	kernel, _, err := c.KernelImage()
+	if err != nil {
+		return measure.ComponentHashes{}, err
+	}
+	return measure.HashComponents(kernel, c.Initrd, c.Cmdline), nil
+}
+
+// MeasureConfig is the one translation of a launch description into
+// measure's input: Boot plans from it when no Plan is supplied and
+// ExpectedDigest predicts from it, so the VMM and the digest tool cannot
+// describe different launches, and a launch Boot refuses is refused here
+// with Boot's error. Hashes, when set, are an input of the launch and taken
+// as given; nil hashes the launch's own components.
+func (c Config) MeasureConfig() (measure.Config, error) {
+	c.fillDefaults()
+	if err := c.checkLevel(); err != nil {
+		return measure.Config{}, err
+	}
+	// The stock scheme is never measured: selecting its kernel image (under
+	// ComponentHashes) is what refuses it, whether or not hashes came along.
+	if c.Hashes == nil || c.Scheme == SchemeStock {
+		h, err := c.ComponentHashes()
+		if err != nil {
+			return measure.Config{}, err
+		}
+		c.Hashes = &h
+	}
+	return measure.Config{
+		Verifier:             verifier.Image(c.VerifierSeed),
+		Hashes:               *c.Hashes,
+		Cmdline:              c.Cmdline,
+		VCPUs:                c.VCPUs,
+		MemSize:              c.MemSize,
+		Level:                c.Level,
+		Policy:               LaunchPolicy(c.Level, c.AllowKeySharing),
+		PreEncryptPageTables: c.PreEncryptPageTables,
+	}, nil
+}
+
+// ExpectedDigest is the §4.2 tool for this launch: the digest the PSP must
+// report, predicted host-side by measure from MeasureConfig.
+func (c Config) ExpectedDigest() ([32]byte, error) {
+	mc, err := c.MeasureConfig()
+	if err != nil {
+		return [32]byte{}, err
+	}
+	return measure.ExpectedDigest(mc)
+}
+
+// LaunchPolicy returns the policy a launch at the given level uses: the
+// strongest the level supports, with NoKeySharing relaxed when the guest
+// donates its key to warm-started clones. The policy is folded into the
+// launch digest, so every launcher (Boot, the QEMU flow, warm restores) and
+// every planner (the measured-image cache, the digest methods) calls this.
+func LaunchPolicy(level sev.Level, allowKeySharing bool) sev.Policy {
 	p := sev.DefaultPolicy()
 	if level < sev.ES {
 		p.ESRequired = false
 	}
-	return p
-}
-
-// LaunchPolicy returns the policy Boot will launch with for the given
-// level and key-sharing choice. Exported so planners (internal/fleet's
-// measured-image cache, digest tools) measure against the exact policy
-// the VMM uses — the policy is folded into the launch digest.
-func LaunchPolicy(level sev.Level, allowKeySharing bool) sev.Policy {
-	p := launchPolicy(level)
 	if allowKeySharing {
 		p.NoKeySharing = false
 	}

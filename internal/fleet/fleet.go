@@ -208,8 +208,7 @@ func (c *Config) fillDefaults() {
 type Image struct {
 	Name string
 
-	preset kernelgen.Preset
-	art    *kernelgen.Artifacts
+	launch firecracker.Config
 	spec   ImageSpec
 	key    Key
 	hashes measure.ComponentHashes
@@ -451,12 +450,24 @@ func (o *Orchestrator) RegisterImage(name string, preset kernelgen.Preset, initr
 	if err != nil {
 		return nil, err
 	}
-	var kernel []byte
-	switch o.cfg.Scheme {
-	case firecracker.SchemeSEVeriFastVmlinux:
-		kernel = art.VMLinux
-	default:
-		kernel = art.BzImageLZ4
+	// The image's launch description: what every cold boot of it runs
+	// (plus the cached plan), and what the spec below is read off.
+	launch := firecracker.Config{
+		Preset:    preset,
+		Artifacts: art,
+		Initrd:    initrd,
+		Cmdline:   preset.Cmdline,
+		VCPUs:     o.cfg.VCPUs,
+		MemSize:   o.cfg.MemSize,
+		Level:     o.cfg.Level,
+		Scheme:    o.cfg.Scheme,
+		// The verifier build firecracker.Config defaults to.
+		VerifierSeed:    1,
+		AllowKeySharing: o.cfg.EnableWarm,
+	}
+	kernel, _, err := launch.KernelImage()
+	if err != nil {
+		return nil, err
 	}
 	// Intern the canonical image buffers: every boot of this image stages
 	// these exact slices, so digests memoize and guest pages alias one
@@ -464,21 +475,19 @@ func (o *Orchestrator) RegisterImage(name string, preset kernelgen.Preset, initr
 	artifact.Intern(kernel)
 	artifact.Intern(initrd)
 	spec := ImageSpec{
-		Kernel:  kernel,
-		Initrd:  initrd,
-		Cmdline: preset.Cmdline,
-		VCPUs:   o.cfg.VCPUs,
-		MemSize: o.cfg.MemSize,
-		Level:   o.cfg.Level,
-		Policy:  firecracker.LaunchPolicy(o.cfg.Level, o.cfg.EnableWarm),
-		// VerifierSeed 1 matches firecracker.Config's default fill.
-		VerifierSeed: 1,
+		Kernel:       kernel,
+		Initrd:       initrd,
+		Cmdline:      launch.Cmdline,
+		VCPUs:        launch.VCPUs,
+		MemSize:      launch.MemSize,
+		Level:        launch.Level,
+		Policy:       firecracker.LaunchPolicy(launch.Level, launch.AllowKeySharing),
+		VerifierSeed: launch.VerifierSeed,
 	}
 	key, hashes := KeyOf(spec)
 	return &Image{
 		Name:   name,
-		preset: preset,
-		art:    art,
+		launch: launch,
 		spec:   spec,
 		key:    key,
 		hashes: hashes,
@@ -759,20 +768,9 @@ func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, error) {
 // bootMachine performs one cold launch of an image from its measured
 // artifacts.
 func (o *Orchestrator) bootMachine(p *sim.Proc, img *Image, mi *MeasuredImage) (*firecracker.Result, error) {
-	return firecracker.Boot(p, o.host, firecracker.Config{
-		Preset:          img.preset,
-		Artifacts:       img.art,
-		Initrd:          img.spec.Initrd,
-		Cmdline:         img.spec.Cmdline,
-		VCPUs:           img.spec.VCPUs,
-		MemSize:         img.spec.MemSize,
-		Level:           img.spec.Level,
-		Scheme:          o.cfg.Scheme,
-		Hashes:          &mi.Hashes,
-		Plan:            mi.Regions,
-		VerifierSeed:    img.spec.VerifierSeed,
-		AllowKeySharing: o.cfg.EnableWarm,
-	})
+	cfg := img.launch
+	cfg.Hashes, cfg.Plan = &mi.Hashes, mi.Regions
+	return firecracker.Boot(p, o.host, cfg)
 }
 
 // admission evaluates the request against the policy engine, reusing a

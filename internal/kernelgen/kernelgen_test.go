@@ -2,6 +2,7 @@ package kernelgen
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"github.com/severifast/severifast/internal/bzimage"
@@ -200,5 +201,61 @@ func TestCalibratedBytesHitsTarget(t *testing.T) {
 		if rel := relErr(got, target); rel > 0.08 {
 			t.Errorf("target ratio %.2f: compressed to %d, want %d (rel %.3f)", frac, got, target, rel)
 		}
+	}
+}
+
+// TestCachedInitrd: the cache returns BuildInitrd's bytes, the same slice
+// on a hit, from any goroutine, and never retains more than its fixed
+// number of buffers however many seeds pass through it.
+func TestCachedInitrd(t *testing.T) {
+	const size = 64 << 10
+	want := BuildInitrd(3, size)
+	first := CachedInitrd(3, size)
+	if !bytes.Equal(first, want) {
+		t.Fatal("cached initrd differs from BuildInitrd(3, size)")
+	}
+	if again := CachedInitrd(3, size); &again[0] != &first[0] {
+		t.Fatal("second call rebuilt the initrd instead of returning the cached slice")
+	}
+	if other := CachedInitrd(3, size/2); len(other) == len(first) {
+		t.Fatal("size is not part of the cache key")
+	}
+
+	// 8 goroutines over two keys: every caller of a key sees one slice.
+	var wg sync.WaitGroup
+	got := make([][]byte, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = CachedInitrd(int64(100+i%2), size)
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range got {
+		if &b[0] != &got[i%2][0] {
+			t.Errorf("goroutine %d got its own copy of key %d", i, i%2)
+		}
+		if !bytes.Equal(b, BuildInitrd(int64(100+i%2), size)) {
+			t.Errorf("goroutine %d got wrong bytes", i)
+		}
+	}
+
+	// A sweep of seeds: the retained set stays at its bound, and a seed
+	// that fell out is rebuilt, byte-identical.
+	for seed := int64(1000); seed < 1020; seed++ {
+		CachedInitrd(seed, size)
+	}
+	retained := 0
+	for _, e := range initrdCache.entries {
+		if e.data != nil {
+			retained++
+		}
+	}
+	if retained != len(initrdCache.entries) || retained > 4 {
+		t.Fatalf("cache retains %d buffers after a 20-seed sweep, bound %d", retained, len(initrdCache.entries))
+	}
+	if rebuilt := CachedInitrd(3, size); &rebuilt[0] == &first[0] || !bytes.Equal(rebuilt, want) {
+		t.Fatal("an evicted pair must be rebuilt to the same bytes")
 	}
 }

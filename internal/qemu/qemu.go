@@ -17,7 +17,6 @@ import (
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
-	"github.com/severifast/severifast/internal/trace"
 	"github.com/severifast/severifast/internal/verifier"
 	"github.com/severifast/severifast/internal/virtio"
 
@@ -40,10 +39,8 @@ func cmdlineBytes(s string) []byte {
 	return v.([]byte)
 }
 
-// Attestor mirrors firecracker.Attestor.
-type Attestor interface {
-	Attest(proc *sim.Proc, m *kvm.Machine) error
-}
+// Attestor is firecracker.Attestor: one guest owner serves either monitor.
+type Attestor = firecracker.Attestor
 
 // Config describes one QEMU/OVMF SEV boot.
 type Config struct {
@@ -56,6 +53,18 @@ type Config struct {
 	Level     sev.Level
 	OVMFSeed  int64
 	Attestor  Attestor
+}
+
+// check refuses what the flow cannot launch. Boot and ExpectedDigest share
+// it, so no digest is predicted for a launch that cannot happen.
+func (c Config) check() error {
+	if c.Artifacts == nil {
+		return fmt.Errorf("qemu: no kernel artifacts")
+	}
+	if !c.Level.Encrypted() {
+		return fmt.Errorf("qemu: this flow models SEV boots; use firecracker's stock path for %v", c.Level)
+	}
+	return nil
 }
 
 func (c *Config) fillDefaults() {
@@ -73,24 +82,15 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Result is one completed QEMU boot.
-type Result struct {
-	Timeline     *trace.Timeline
-	Breakdown    trace.Breakdown
-	Report       *linux.BootReport
-	Machine      *kvm.Machine
-	LaunchDigest [32]byte
-}
+// Result is one completed QEMU boot: the monitors report the same facts.
+type Result = firecracker.Result
 
 // Boot runs one QEMU/OVMF SEV boot to init (plus attestation when
 // configured) on the calling simulation process.
 func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
-	if cfg.Artifacts == nil {
-		return nil, fmt.Errorf("qemu: no kernel artifacts")
-	}
-	if !cfg.Level.Encrypted() {
-		return nil, fmt.Errorf("qemu: this flow models SEV boots; use firecracker's stock path for %v", cfg.Level)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	model := host.Model
 
@@ -104,8 +104,8 @@ func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 	// QEMU's measured direct boot hashes components at launch, on the
 	// critical path (no out-of-band hash file).
 	m.Timeline.Begin("hash.components", proc.Now())
-	kernelImage := cfg.Artifacts.BzImageLZ4
-	hashes := measure.HashComponents(kernelImage, cfg.Initrd, cfg.Cmdline)
+	kernelImage := cfg.kernelImage()
+	hashes := cfg.ComponentHashes()
 	proc.Sleep(model.Hash(len(kernelImage)) + model.Hash(len(cfg.Initrd)))
 	m.Timeline.End("hash.components", proc.Now())
 
@@ -142,7 +142,7 @@ func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 
 	// Pre-encryption: the whole firmware volume + varstore + hash page
 	// (+ SNP pages + VMSA) — Fig. 10's ~288 ms column.
-	policy := launchPolicy(cfg.Level)
+	policy := firecracker.LaunchPolicy(cfg.Level, false)
 	m.Timeline.Begin("preenc", proc.Now())
 	if err := m.StartLaunch(proc, policy); err != nil {
 		return nil, err
@@ -214,21 +214,35 @@ func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// kernelImage is the kernel the QEMU flow stages over fw_cfg: always the
+// LZ4 bzImage.
+func (c Config) kernelImage() []byte { return c.Artifacts.BzImageLZ4 }
+
+// ComponentHashes hashes what the QEMU flow stages and verifies in the
+// guest: its kernel image, the initrd and the cmdline.
+func (c Config) ComponentHashes() measure.ComponentHashes {
+	c.fillDefaults()
+	return measure.HashComponents(c.kernelImage(), c.Initrd, c.Cmdline)
+}
+
+// ExpectedDigest is the digest a correct launch of this config reports —
+// the package-level tool applied to the config's own firmware build, level
+// and components, so a guest owner and Boot describe the same launch.
+func (c Config) ExpectedDigest() ([32]byte, error) {
+	c.fillDefaults()
+	if err := c.check(); err != nil {
+		return [32]byte{}, err
+	}
+	return ExpectedDigest(c.OVMFSeed, c.Level, c.ComponentHashes()), nil
+}
+
 // ExpectedDigest is the guest owner's digest tool for the QEMU flow.
 func ExpectedDigest(seed int64, level sev.Level, hashes measure.ComponentHashes) [32]byte {
-	d := psp.InitialDigest(launchPolicy(level), level)
+	d := psp.InitialDigest(firecracker.LaunchPolicy(level, false), level)
 	for _, r := range ovmf.PlanRegions(seed, level, hashes) {
 		d = psp.ExtendDigest(d, r.Type, r.GPA, r.Data)
 	}
 	return d
-}
-
-func launchPolicy(level sev.Level) sev.Policy {
-	p := sev.DefaultPolicy()
-	if level < sev.ES {
-		p.ESRequired = false
-	}
-	return p
 }
 
 // attachDevices mirrors the firecracker monitor's device set.

@@ -22,7 +22,6 @@ import (
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
@@ -102,9 +101,7 @@ type idleVM struct {
 type platform struct {
 	cfg      Config
 	host     *kvm.Host
-	art      *kernelgen.Artifacts
-	initrd   []byte
-	hashes   measure.ComponentHashes
+	launch   firecracker.Config // what every pool miss cold-boots
 	pool     []idleVM
 	snap     *snapshot.Image
 	donor    *kvm.Machine
@@ -121,14 +118,22 @@ func Run(eng *sim.Engine, host *kvm.Host, cfg Config, w Workload) (*Stats, error
 	if cfg.InitrdLen <= 0 {
 		cfg.InitrdLen = 2 << 20
 	}
-	initrd := kernelgen.BuildInitrd(w.Seed, cfg.InitrdLen)
-	pf := &platform{
-		cfg:    cfg,
-		host:   host,
-		art:    art,
-		initrd: initrd,
-		hashes: measure.HashComponents(art.BzImageLZ4, initrd, cfg.Preset.Cmdline),
+	launch := firecracker.Config{
+		Preset:    cfg.Preset,
+		Artifacts: art,
+		Initrd:    kernelgen.CachedInitrd(w.Seed, cfg.InitrdLen),
 	}
+	if cfg.Mode != ModePlain {
+		launch.Level = sev.SNP
+		launch.Scheme = firecracker.SchemeSEVeriFastBz
+		launch.AllowKeySharing = cfg.Mode == ModeSEVWarm
+		hashes, err := launch.ComponentHashes()
+		if err != nil {
+			return nil, err
+		}
+		launch.Hashes = &hashes
+	}
+	pf := &platform{cfg: cfg, host: host, launch: launch}
 
 	// The warm pool needs a donor snapshot, taken before traffic starts.
 	if cfg.Mode == ModeSEVWarm {
@@ -226,19 +231,5 @@ func (pf *platform) release(now sim.Time) {
 }
 
 func (pf *platform) coldBoot(p *sim.Proc) (*firecracker.Result, error) {
-	cfg := firecracker.Config{
-		Preset:    pf.cfg.Preset,
-		Artifacts: pf.art,
-		Initrd:    pf.initrd,
-	}
-	if pf.cfg.Mode == ModePlain {
-		cfg.Level = sev.None
-		cfg.Scheme = firecracker.SchemeStock
-	} else {
-		cfg.Level = sev.SNP
-		cfg.Scheme = firecracker.SchemeSEVeriFastBz
-		cfg.Hashes = &pf.hashes
-		cfg.AllowKeySharing = pf.cfg.Mode == ModeSEVWarm
-	}
-	return firecracker.Boot(p, pf.host, cfg)
+	return firecracker.Boot(p, pf.host, pf.launch)
 }

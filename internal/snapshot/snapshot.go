@@ -24,9 +24,9 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -215,11 +215,7 @@ func WarmRestore(proc *sim.Proc, host *kvm.Host, donor *kvm.Machine, img *Image)
 	encrypted := donor.Level.Encrypted()
 	if encrypted {
 		m.PrepSEVHost(proc)
-		pol := sev.DefaultPolicy()
-		pol.NoKeySharing = false
-		if donor.Level < sev.ES {
-			pol.ESRequired = false
-		}
+		pol := firecracker.LaunchPolicy(donor.Level, true)
 		ctx, err := host.PSP.LaunchStartShared(proc, m.Mem, donor.Launch, donor.Level, pol)
 		if err != nil {
 			return nil, err

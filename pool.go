@@ -24,9 +24,7 @@ import (
 
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
-	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -60,6 +58,12 @@ type PoolStats struct {
 // Pool runs many boots of one image on one host, warm ones forked from a
 // sealed snapshot. Create it with NewPool; it is not safe for concurrent
 // use from multiple goroutines (drive it from one, like a Host).
+//
+// A pool serves measured guests only, launched with the key-sharing policy
+// its forks need, and the policy is part of the measurement: every boot's
+// LaunchDigest, cold or forked, equals ExpectedLaunchDigest of the pool's
+// Config with AllowKeySharing set, whatever the Config passed to NewPool
+// says.
 type Pool struct {
 	host *Host
 	cfg  Config
@@ -81,22 +85,26 @@ var poolTCB = kbs.TCB{BootLoader: 2, TEE: 1, SNP: 8, Microcode: 115}
 // orchestrator (and its measured-image cache) and registers the image,
 // so the first Boot pays only the boot, not the setup.
 func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
-	if err := cfg.fillDefaults(); err != nil {
+	l, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Scheme == SchemeQEMUOVMF {
+	// The pool's image is registered with the fleet orchestrator, which
+	// launches every image with the design defaults; a Config asking for
+	// anything else is refused rather than silently booted as the default.
+	switch {
+	case cfg.Scheme == SchemeQEMUOVMF:
 		return nil, fmt.Errorf("severifast: Pool does not support %q (use Host.Boot)", cfg.Scheme)
-	}
-	if cfg.Codec != CodecLZ4 {
+	case !l.Level.Encrypted():
+		return nil, fmt.Errorf("severifast: Pool serves measured guests only, not scheme %q at level %q (use Host.Boot)", cfg.Scheme, cfg.Level)
+	case cfg.Codec != CodecLZ4:
 		return nil, fmt.Errorf("severifast: Pool supports CodecLZ4 only, not %q", cfg.Codec)
-	}
-	preset, err := kernelgen.PresetByName(string(cfg.Kernel))
-	if err != nil {
-		return nil, classifyErr(err)
-	}
-	level, err := sev.ParseLevel(string(cfg.Level))
-	if err != nil {
-		return nil, err
+	case cfg.PreEncryptPageTables:
+		return nil, fmt.Errorf("severifast: Pool does not support PreEncryptPageTables (use Host.Boot)")
+	case cfg.VerifierSeed != 1:
+		return nil, fmt.Errorf("severifast: Pool boots verifier build 1 only, not VerifierSeed %d", cfg.VerifierSeed)
+	case cfg.InBandHashing:
+		return nil, fmt.Errorf("severifast: Pool does not support InBandHashing (its measured-image cache is the out-of-band hash file)")
 	}
 	if opts.WarmPoolSize <= 0 {
 		opts.WarmPoolSize = 1024
@@ -108,18 +116,18 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 	fcfg := fleet.Config{
 		Name:         "pool",
 		Standalone:   true,
-		EnableWarm:   level.Encrypted(),
+		EnableWarm:   true,
 		WarmPoolSize: opts.WarmPoolSize,
 		Telemetry:    h.reg,
-		Level:        level,
-		Scheme:       cfg.Scheme.firecracker(),
-		VCPUs:        cfg.VCPUs,
-		MemSize:      uint64(cfg.MemMiB) << 20,
+		Level:        l.Level,
+		Scheme:       l.Scheme,
+		VCPUs:        l.VCPUs,
+		MemSize:      l.MemSize,
 		OnServed: func(_ *sim.Proc, m *kvm.Machine, tier fleet.Tier) {
 			p.lastServed, p.lastTier = m, tier
 		},
 	}
-	if cfg.Attest && level.Encrypted() {
+	if cfg.Attest {
 		auth := kbs.NewAuthority(h.seed ^ 0xB0B)
 		broker := kbs.NewBroker(auth.Root(), kbs.Config{
 			MinTCB:   poolTCB,
@@ -132,8 +140,7 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 		fcfg.AgentSeed = h.seed
 	}
 	p.orch = fleet.New(h.eng, h.inner, fcfg)
-	initrd := kernelgen.BuildInitrd(cfg.Seed, cfg.InitrdMiB<<20)
-	if p.img, err = p.orch.RegisterImage(string(cfg.Kernel), preset, initrd); err != nil {
+	if p.img, err = p.orch.RegisterImage(string(cfg.Kernel), l.Preset, l.Initrd); err != nil {
 		return nil, classifyErr(err)
 	}
 	return p, nil

@@ -108,6 +108,58 @@ func TestPoolRejections(t *testing.T) {
 	), severifast.PoolOptions{}); err == nil || !strings.Contains(err.Error(), "CodecLZ4 only") {
 		t.Fatalf("gzip pool error = %v", err)
 	}
+	// Fields the fleet orchestrator cannot launch with are refused, not
+	// silently dropped for the design default.
+	for _, tc := range []struct {
+		name string
+		set  func(*severifast.Config)
+		want string
+	}{
+		{"stock", func(c *severifast.Config) { c.Scheme = severifast.SchemeStock }, "measured guests only"},
+		{"pre-encrypt page tables", func(c *severifast.Config) { c.PreEncryptPageTables = true }, "PreEncryptPageTables"},
+		{"verifier seed", func(c *severifast.Config) { c.VerifierSeed = 7 }, "VerifierSeed 7"},
+		{"in-band hashing", func(c *severifast.Config) { c.InBandHashing = true }, "InBandHashing"},
+	} {
+		cfg := poolConfig()
+		tc.set(&cfg)
+		if _, err := severifast.NewPool(cfg, severifast.PoolOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: pool error = %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestPoolDigestIsTheKeySharingDigest: an encrypted pool launches with the
+// key-sharing policy, so every boot, cold or forked, measures what
+// ExpectedLaunchDigest says for the pool's Config with AllowKeySharing set.
+func TestPoolDigestIsTheKeySharingDigest(t *testing.T) {
+	for _, scheme := range []severifast.Scheme{severifast.SchemeSEVeriFast, severifast.SchemeSEVeriFastVmlinux} {
+		cfg := poolConfig().With(severifast.WithScheme(scheme))
+		sharing := cfg
+		sharing.AllowKeySharing = true
+		want, err := severifast.ExpectedLaunchDigest(sharing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := severifast.NewPool(cfg, severifast.PoolOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tier := range []string{"cold", "forked"} {
+			res, err := pool.Boot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LaunchDigest != want {
+				t.Errorf("%s: %s boot measured %x, expected %x", scheme, tier, res.LaunchDigest[:8], want[:8])
+			}
+		}
+		if s := pool.Stats(); s.ColdBoots != 1 || s.WarmBoots != 1 {
+			t.Errorf("%s: stats %+v, want 1 cold + 1 forked", scheme, s)
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestPoolClose(t *testing.T) {

@@ -43,8 +43,6 @@ import (
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/linux"
-	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/qemu"
 	"github.com/severifast/severifast/internal/sev"
@@ -480,23 +478,26 @@ func (h *Host) Boot(cfg Config) (*Result, error) {
 	return results[0], nil
 }
 
-// BootConcurrent launches n identical guests simultaneously, sharing this
-// host's PSP. Every guest is a full independent cold boot paying the whole
-// measurement pass; with SEV enabled, launches serialize on the PSP and
-// mean boot time grows linearly with n (paper Fig. 12). To serve many
-// boots of one image cheaply instead, fork them from a Pool.
-func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
-	if err := cfg.fillDefaults(); err != nil {
+// launch is a public Config resolved into the one description its VMM
+// boots and the digest tool is asked about, so the two cannot drift. The
+// QEMU/OVMF flow is launched from the fields it shares with Firecracker.
+type launch struct {
+	firecracker.Config
+	qemu bool
+}
+
+// resolve validates cfg and assembles its launch from the preset, the
+// level, the cached kernel artifacts and the cached initrd. Boot,
+// ExpectedLaunchDigest and NewPool all start here.
+func (c *Config) resolve() (*launch, error) {
+	if err := c.fillDefaults(); err != nil {
 		return nil, err
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("severifast: n must be >= 1")
-	}
-	preset, err := kernelgen.PresetByName(string(cfg.Kernel))
+	preset, err := kernelgen.PresetByName(string(c.Kernel))
 	if err != nil {
 		return nil, classifyErr(err)
 	}
-	level, err := sev.ParseLevel(string(cfg.Level))
+	level, err := sev.ParseLevel(string(c.Level))
 	if err != nil {
 		return nil, err
 	}
@@ -504,7 +505,63 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	initrd := kernelgen.BuildInitrd(cfg.Seed, cfg.InitrdMiB<<20)
+	return &launch{qemu: c.Scheme == SchemeQEMUOVMF, Config: firecracker.Config{
+		Preset:               preset,
+		Artifacts:            art,
+		Initrd:               kernelgen.CachedInitrd(c.Seed, c.InitrdMiB<<20),
+		VCPUs:                c.VCPUs,
+		MemSize:              uint64(c.MemMiB) << 20,
+		Level:                level,
+		Scheme:               c.Scheme.firecracker(),
+		Codec:                bzimage.Codec(c.Codec),
+		PreEncryptPageTables: c.PreEncryptPageTables,
+		VerifierSeed:         c.VerifierSeed,
+		AllowKeySharing:      c.AllowKeySharing,
+	}}, nil
+}
+
+// qemuConfig is the launch as the QEMU/OVMF monitor takes it.
+func (l *launch) qemuConfig() qemu.Config {
+	return qemu.Config{
+		Preset:    l.Preset,
+		Artifacts: l.Artifacts,
+		Initrd:    l.Initrd,
+		VCPUs:     l.VCPUs,
+		MemSize:   l.MemSize,
+		Level:     l.Level,
+		Attestor:  l.Attestor,
+	}
+}
+
+// expectedDigest asks the launch's own monitor what it measures.
+func (l *launch) expectedDigest() ([32]byte, error) {
+	if l.qemu {
+		return l.qemuConfig().ExpectedDigest()
+	}
+	return l.Config.ExpectedDigest()
+}
+
+// BootConcurrent launches n identical guests simultaneously, sharing this
+// host's PSP. Every guest is a full independent cold boot paying the whole
+// measurement pass; with SEV enabled, launches serialize on the PSP and
+// mean boot time grows linearly with n (paper Fig. 12). To serve many
+// boots of one image cheaply instead, fork them from a Pool.
+func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
+	l, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("severifast: n must be >= 1")
+	}
+	if !l.qemu && l.Level.Encrypted() && !cfg.InBandHashing {
+		// The §4.3 hash file: computed out of band, once for all n guests.
+		hashes, err := l.ComponentHashes()
+		if err != nil {
+			return nil, classifyErr(err)
+		}
+		l.Hashes = &hashes
+	}
 	h.inner.THP = !cfg.DisableTHP
 	h.inner.HugePageValidation = cfg.HugePageValidation
 
@@ -513,13 +570,13 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 	for i := 0; i < n; i++ {
 		i := i
 		h.eng.Go(fmt.Sprintf("vm-%d", i), func(pr *sim.Proc) {
-			results[i], errs[i] = h.bootOne(pr, cfg, preset, level, art, initrd)
+			results[i], errs[i] = h.bootOne(pr, *l, cfg.Attest)
 		})
 	}
 	h.eng.Run()
 	for _, e := range errs {
 		if e != nil {
-			return nil, e
+			return nil, classifyErr(e)
 		}
 	}
 	for _, r := range results {
@@ -529,94 +586,46 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 	return results, nil
 }
 
-func (h *Host) bootOne(p *sim.Proc, cfg Config, preset kernelgen.Preset, level sev.Level, art *kernelgen.Artifacts, initrd []byte) (*Result, error) {
-	if cfg.Scheme == SchemeQEMUOVMF {
-		qcfg := qemu.Config{
-			Preset:    preset,
-			Artifacts: art,
-			Initrd:    initrd,
-			VCPUs:     cfg.VCPUs,
-			MemSize:   uint64(cfg.MemMiB) << 20,
-			Level:     level,
-		}
-		if cfg.Attest {
-			qcfg.Attestor = h.qemuAttestor(cfg, preset, art, initrd)
-		}
-		res, err := qemu.Boot(p, h.inner, qcfg)
+// bootOne runs its copy of the launch on the launch's monitor. With attested
+// set the guest gets its own in-process guest owner, primed with the digest
+// that monitor expects.
+func (h *Host) bootOne(p *sim.Proc, l launch, attested bool) (*Result, error) {
+	if attested && l.Level.Encrypted() {
+		digest, err := l.expectedDigest()
 		if err != nil {
-			return nil, classifyErr(err)
+			return nil, err
 		}
-		return h.result(res.Timeline, res.Breakdown, res.Report, res.Machine, res.LaunchDigest), nil
+		secret := []byte("secret-" + l.Preset.Name)
+		owner := attest.NewOwner(h.PlatformKey(), secret, rand.New(rand.NewSource(h.seed^0xA77)))
+		owner.Allow(digest)
+		if !l.qemu && l.AllowKeySharing {
+			// The owner knowingly accepts the relaxed policy: key sharing is a
+			// deliberate trade-off they opted into, not a silent downgrade.
+			pol := sev.DefaultPolicy()
+			pol.NoKeySharing = false
+			owner.RequirePolicy(pol)
+		}
+		l.Attestor = &attest.InProcess{Owner: owner, AgentSeed: h.seed, WantSecret: secret}
 	}
-
-	fcfg := firecracker.Config{
-		Preset:               preset,
-		Artifacts:            art,
-		Initrd:               initrd,
-		VCPUs:                cfg.VCPUs,
-		MemSize:              uint64(cfg.MemMiB) << 20,
-		Level:                level,
-		Scheme:               cfg.Scheme.firecracker(),
-		Codec:                bzimage.Codec(cfg.Codec),
-		PreEncryptPageTables: cfg.PreEncryptPageTables,
-		VerifierSeed:         cfg.VerifierSeed,
-		AllowKeySharing:      cfg.AllowKeySharing,
+	var (
+		res *firecracker.Result
+		err error
+	)
+	if l.qemu {
+		res, err = qemu.Boot(p, h.inner, l.qemuConfig())
+	} else {
+		res, err = firecracker.Boot(p, h.inner, l.Config)
 	}
-	if level.Encrypted() && !cfg.InBandHashing {
-		hashes := h.componentHashes(cfg, preset, art, initrd)
-		fcfg.Hashes = &hashes
-	}
-	if cfg.Attest && level.Encrypted() {
-		fcfg.Attestor = h.fcAttestor(cfg, preset, art, initrd)
-	}
-	res, err := firecracker.Boot(p, h.inner, fcfg)
 	if err != nil {
-		return nil, classifyErr(err)
+		return nil, err
 	}
-	return h.result(res.Timeline, res.Breakdown, res.Report, res.Machine, res.LaunchDigest), nil
+	return h.result(res), nil
 }
 
-func (h *Host) componentHashes(cfg Config, preset kernelgen.Preset, art *kernelgen.Artifacts, initrd []byte) measure.ComponentHashes {
-	kernel := art.BzImageLZ4
-	switch {
-	case cfg.Scheme == SchemeSEVeriFastVmlinux:
-		kernel = art.VMLinux
-	case cfg.Codec == CodecGzip:
-		kernel = art.BzImageGzip
-	}
-	return measure.HashComponents(kernel, initrd, preset.Cmdline)
-}
-
-func (h *Host) fcAttestor(cfg Config, preset kernelgen.Preset, art *kernelgen.Artifacts, initrd []byte) firecracker.Attestor {
-	digest, err := expectedDigest(cfg, preset, art, initrd)
-	if err != nil {
-		return nil
-	}
-	secret := []byte("secret-" + preset.Name)
-	owner := attest.NewOwner(h.PlatformKey(), secret, rand.New(rand.NewSource(h.seed^0xA77)))
-	owner.Allow(digest)
-	if cfg.AllowKeySharing {
-		// The owner knowingly accepts the relaxed policy: key sharing is a
-		// deliberate trade-off they opted into, not a silent downgrade.
-		pol := sev.DefaultPolicy()
-		pol.NoKeySharing = false
-		owner.RequirePolicy(pol)
-	}
-	return &attest.InProcess{Owner: owner, AgentSeed: h.seed, WantSecret: secret}
-}
-
-func (h *Host) qemuAttestor(cfg Config, preset kernelgen.Preset, art *kernelgen.Artifacts, initrd []byte) qemu.Attestor {
-	hashes := measure.HashComponents(art.BzImageLZ4, initrd, preset.Cmdline)
-	level, _ := sev.ParseLevel(string(cfg.Level))
-	secret := []byte("secret-" + preset.Name)
-	owner := attest.NewOwner(h.PlatformKey(), secret, rand.New(rand.NewSource(h.seed^0xA77)))
-	owner.Allow(qemu.ExpectedDigest(1, level, hashes))
-	return &attest.InProcess{Owner: owner, AgentSeed: h.seed, WantSecret: secret}
-}
-
-// result converts a finished VMM boot (firecracker's or qemu's Result,
-// which carry the same fields) into the facade's Result.
-func (h *Host) result(tl *trace.Timeline, b trace.Breakdown, rep *linux.BootReport, m *kvm.Machine, digest [32]byte) *Result {
+// result converts a finished boot of either monitor into the facade's
+// Result.
+func (h *Host) result(res *firecracker.Result) *Result {
+	b, rep := res.Breakdown, res.Report
 	return &Result{
 		Total:            b.Total,
 		VMM:              b.VMM,
@@ -627,14 +636,14 @@ func (h *Host) result(tl *trace.Timeline, b trace.Breakdown, rep *linux.BootRepo
 		LinuxBoot:        b.LinuxBoot,
 		Attestation:      b.Attestation,
 		TotalWithAttest:  b.TotalWithAttest,
-		LaunchDigest:     digest,
+		LaunchDigest:     res.LaunchDigest,
 		CPUs:             rep.CPUs,
 		KernelEntry:      rep.Entry,
 		InitrdOK:         rep.InitrdOK,
-		SEVMetadataBytes: m.Mem.SEVMetadataBytes(),
-		machine:          m,
+		SEVMetadataBytes: res.Machine.Mem.SEVMetadataBytes(),
+		machine:          res.Machine,
 		host:             h,
-		timeline:         tl,
+		timeline:         res.Timeline,
 	}
 }
 
@@ -652,60 +661,16 @@ func cfgSeed(cfg Config) int64 {
 
 // ExpectedLaunchDigest computes, host-side, the launch digest a correct
 // launch of cfg must produce — the paper's §4.2 tool. A guest owner
-// compares it against the measurement in the attestation report.
+// compares it against the measurement in the attestation report. A launch
+// Boot refuses, or one that is never measured (SchemeStock), has no digest
+// and gets the launch's own error.
 func ExpectedLaunchDigest(cfg Config) ([32]byte, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return [32]byte{}, err
-	}
-	preset, err := kernelgen.PresetByName(string(cfg.Kernel))
+	l, err := cfg.resolve()
 	if err != nil {
 		return [32]byte{}, err
 	}
-	art, err := kernelgen.Cached(preset)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	initrd := kernelgen.BuildInitrd(cfg.Seed, cfg.InitrdMiB<<20)
-	level, err := sev.ParseLevel(string(cfg.Level))
-	if err != nil {
-		return [32]byte{}, err
-	}
-	if cfg.Scheme == SchemeQEMUOVMF {
-		hashes := measure.HashComponents(art.BzImageLZ4, initrd, preset.Cmdline)
-		return qemu.ExpectedDigest(1, level, hashes), nil
-	}
-	return expectedDigest(cfg, preset, art, initrd)
-}
-
-func expectedDigest(cfg Config, preset kernelgen.Preset, art *kernelgen.Artifacts, initrd []byte) ([32]byte, error) {
-	level, err := sev.ParseLevel(string(cfg.Level))
-	if err != nil {
-		return [32]byte{}, err
-	}
-	kernel := art.BzImageLZ4
-	switch {
-	case cfg.Scheme == SchemeSEVeriFastVmlinux:
-		kernel = art.VMLinux
-	case cfg.Codec == CodecGzip:
-		kernel = art.BzImageGzip
-	}
-	pol := sev.DefaultPolicy()
-	if level < sev.ES {
-		pol.ESRequired = false
-	}
-	if cfg.AllowKeySharing {
-		pol.NoKeySharing = false
-	}
-	return measure.ExpectedDigest(measure.Config{
-		Verifier:             verifier.Image(cfg.VerifierSeed),
-		Hashes:               measure.HashComponents(kernel, initrd, preset.Cmdline),
-		Cmdline:              preset.Cmdline,
-		VCPUs:                cfg.VCPUs,
-		MemSize:              uint64(cfg.MemMiB) << 20,
-		Level:                level,
-		Policy:               pol,
-		PreEncryptPageTables: cfg.PreEncryptPageTables,
-	})
+	d, err := l.expectedDigest()
+	return d, classifyErr(err)
 }
 
 // GuestOwner is the remote-attestation service a tenant runs: it verifies
