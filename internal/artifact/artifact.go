@@ -53,6 +53,12 @@ type Buf struct {
 
 	sub     sync.Map // rangeKey -> [32]byte
 	derived sync.Map // string -> *derivedEntry
+
+	// templates is Template's side table: a plain map under its own
+	// mutex, because a key boxed for a sync.Map would allocate on every
+	// hit.
+	tmu       sync.Mutex
+	templates map[uint64]*derivedEntry
 }
 
 type rangeKey struct{ off, n int }
@@ -199,6 +205,26 @@ func (b *Buf) Derived(key string, build func() (any, error)) (any, error) {
 		telemetry.HostCounterAdd("artifact.derived.hit", 1)
 	}
 	return e.val, e.err
+}
+
+// Template returns the value memoised under key, building it at most
+// once; unlike Derived's, the hit path allocates nothing. It is for values
+// that describe where the buffer's bytes are, never what they hold —
+// shared by every user of the buffer and collected with it — so Corrupt
+// leaves them alone. The key means whatever the caller says it does.
+func (b *Buf) Template(key uint64, build func() any) any {
+	b.tmu.Lock()
+	e := b.templates[key]
+	if e == nil {
+		if b.templates == nil {
+			b.templates = make(map[uint64]*derivedEntry)
+		}
+		e = &derivedEntry{}
+		b.templates[key] = e
+	}
+	b.tmu.Unlock()
+	e.once.Do(func() { e.val = build() })
+	return e.val
 }
 
 // Corrupt flips data[off] with the given XOR mask and invalidates every

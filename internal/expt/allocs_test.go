@@ -25,7 +25,11 @@ import (
 // unpinned for five PRs.
 const (
 	coldAllocCeilingPerBoot = 265 // measured ~209 at 64 VMs
-	coldKiBCeilingPerBoot   = 900 // measured ~415; 1143 with a dense per-guest table
+	coldKiBCeilingPerBoot   = 310 // measured ~247; ~415 when a boot owned all 24 of its leaves, 1143 with a dense per-guest table
+	// A cached cold lupine boot touches 24 page-directory leaves: 15 are
+	// whole 2 MiB runs of one artifact and shared as templates, 9 it owns.
+	coldLeavesOwnedCeiling = 9
+	coldLeavesSharedFloor  = 15
 	// The warm iteration amortizes one full cold seed (plan + staging
 	// blob + snapshot capture) over the fleet, so its per-boot figure
 	// sits above the steady-state fork cost.
@@ -34,12 +38,12 @@ const (
 )
 
 // allocFleetIteration runs one same-image fleet iteration — register +
-// vms boots — and returns its virtual makespan. Cold: vms workers, vms
-// open-loop arrivals, the first boot measures and the rest hit the
-// measured-image cache. Warm: a standalone orchestrator serves one cold
-// seed and then vms-1 sequential forks of its snapshot. hugePage turns on
-// the host's strict 2 MiB validation accounting.
-func allocFleetIteration(tb testing.TB, preset kernelgen.Preset, initrd []byte, vms int, warm, hugePage bool) sim.Time {
+// vms boots — and returns its virtual makespan and the host it ran on.
+// Cold: vms workers, vms open-loop arrivals, the first boot measures and
+// the rest hit the measured-image cache. Warm: a standalone orchestrator
+// serves one cold seed and then vms-1 sequential forks of its snapshot.
+// hugePage turns on the host's strict 2 MiB validation accounting.
+func allocFleetIteration(tb testing.TB, preset kernelgen.Preset, initrd []byte, vms int, warm, hugePage bool) (sim.Time, *kvm.Host) {
 	tb.Helper()
 	eng := sim.NewEngine()
 	host := kvm.NewHost(eng, costmodel.Default(), 1)
@@ -68,7 +72,7 @@ func allocFleetIteration(tb testing.TB, preset kernelgen.Preset, initrd []byte, 
 		if err := o.Err(); err != nil {
 			tb.Fatal(err)
 		}
-		return eng.Now()
+		return eng.Now(), host
 	}
 	o := fleet.New(eng, host, fleet.Config{Workers: vms})
 	img, err := o.RegisterImage("fn", preset, initrd)
@@ -82,12 +86,13 @@ func allocFleetIteration(tb testing.TB, preset kernelgen.Preset, initrd []byte, 
 	if err := o.Err(); err != nil {
 		tb.Fatal(err)
 	}
-	return eng.Now()
+	return eng.Now(), host
 }
 
 // measureFleet runs fleet iterations of vms boots and returns the heap
-// allocations and bytes (MemStats.Mallocs / TotalAlloc) of one.
-func measureFleet(t *testing.T, vms int, warm bool) (allocs, bytes float64) {
+// allocations and bytes (MemStats.Mallocs / TotalAlloc) of one, and the
+// host the last one ran on.
+func measureFleet(t *testing.T, vms int, warm bool) (allocs, bytes float64, last *kvm.Host) {
 	t.Helper()
 	const runs = 3
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -100,10 +105,10 @@ func measureFleet(t *testing.T, vms int, warm bool) (allocs, bytes float64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		allocFleetIteration(t, preset, initrd, vms, warm, false)
+		_, last = allocFleetIteration(t, preset, initrd, vms, warm, false)
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs, last
 }
 
 // byteRegression names what a broken byte ceiling means: per-boot bytes
@@ -113,34 +118,45 @@ const byteRegression = "an O(guest-size) or O(resident-pages) allocation is back
 
 func TestColdBootAllocCeiling(t *testing.T) {
 	const vms = 64
-	allocs, bytes := measureFleet(t, vms, false)
+	allocs, bytes, host := measureFleet(t, vms, false)
 	if got := allocs / vms; got > coldAllocCeilingPerBoot {
 		t.Errorf("cold path allocates %.1f per boot, ceiling %d — a zero-copy loader or digest memo regressed",
 			got, coldAllocCeilingPerBoot)
 	}
 	if got := bytes / vms / 1024; got > coldKiBCeilingPerBoot {
-		t.Errorf("cold path allocates %.0f KiB per boot, ceiling %d — %s", got, coldKiBCeilingPerBoot, byteRegression)
+		t.Errorf("cold path allocates %.0f KiB per boot, ceiling %d — %s, or whole-leaf loads stopped sharing template leaves",
+			got, coldKiBCeilingPerBoot, byteRegression)
+	}
+	// The leaf census behind the byte figure, exact where the bytes are not.
+	_, counters := host.HostStats.Snapshot()
+	owned, shared := counters["guestmem.leaf.owned"], counters["guestmem.leaf.shared"]
+	t.Logf("per boot: %.1f allocations, %.1f KiB, %.2f leaves owned, %.2f shared",
+		allocs/vms, bytes/vms/1024, float64(owned)/vms, float64(shared)/vms)
+	if owned > coldLeavesOwnedCeiling*vms || shared < coldLeavesSharedFloor*vms {
+		t.Errorf("%d cold boots own %d leaves and share %d; want at most %d and at least %d a boot — the template path stopped firing",
+			vms, owned, shared, coldLeavesOwnedCeiling, coldLeavesSharedFloor)
 	}
 }
 
 func TestWarmForkAllocCeiling(t *testing.T) {
 	const vms = 64
-	allocs, bytes := measureFleet(t, vms, true)
+	allocs, bytes, _ := measureFleet(t, vms, true)
 	if got := allocs / vms; got > warmAllocCeilingPerBoot {
 		t.Errorf("warm-fork path allocates %.1f per boot, ceiling %d — fork aliasing or digest reuse regressed",
 			got, warmAllocCeilingPerBoot)
 	}
 	// Steady state: the cold seed costs the same in a fleet twice the
 	// size, so the difference is vms forked boots and nothing else.
-	_, bytes2 := measureFleet(t, 2*vms, true)
+	_, bytes2, _ := measureFleet(t, 2*vms, true)
 	if got := (bytes2 - bytes) / vms / 1024; got > forkKiBCeilingPerBoot {
 		t.Errorf("a forked boot allocates %.0f KiB, ceiling %d — %s", got, forkKiBCeilingPerBoot, byteRegression)
 	}
 }
 
 // TestCaptureForkAllocCeiling: capturing a booted guest as a fork
-// container costs what the guest dirtied — the frozen leaves, the page
-// table and sixteen copied pages, measured 510 KiB — not a copy of the
+// container costs what the guest dirtied — the nine leaves it owns,
+// frozen (its fifteen template leaves are shared as they are), the page
+// table and sixteen copied pages, measured 335 KiB — not a copy of the
 // 37.7 MiB it holds.
 func TestCaptureForkAllocCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -189,7 +205,7 @@ func TestFleetVirtualMakespanPins(t *testing.T) {
 		{"cold-hugepage", false, true, 29350042370},
 		{"warm-fork", true, false, 93397749027},
 	} {
-		got[tc.name] = allocFleetIteration(t, preset, initrd, vms, tc.warm, tc.hugePage)
+		got[tc.name], _ = allocFleetIteration(t, preset, initrd, vms, tc.warm, tc.hugePage)
 		if got[tc.name] != tc.want {
 			t.Errorf("%s: virtual makespan %d ns, pinned %d ns", tc.name, got[tc.name], tc.want)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/hostwork"
+	"github.com/severifast/severifast/internal/telemetry"
 )
 
 // internedBuf builds an interned artifact of n deterministic bytes.
@@ -48,47 +49,97 @@ func TestCoWAliasBitIdentical(t *testing.T) {
 	}
 }
 
+// cowShapes are the two shapes the alias tests run in: a few pages inside
+// a leaf each guest owns, and a run covering a whole leaf-aligned leaf,
+// which both guests hold as one shared template.
+var cowShapes = []struct {
+	name       string
+	n          int
+	size       uint64
+	gpaA, gpaB uint64
+}{
+	{"pages", 4 * PageSize, 1 << 20, 0x4000, 0x8000},
+	{"template leaf", leafBytes + 2*PageSize, 4 * leafBytes, leafBytes, 2 * leafBytes},
+}
+
+// counterOf reads one counter of a recorder.
+func counterOf(rec *telemetry.HostRecorder, name string) int64 {
+	_, c := rec.Snapshot()
+	return c[name]
+}
+
 func TestCoWNoCrossGuestWriteLeak(t *testing.T) {
-	data, _ := internedBuf(22, 2*PageSize)
-	orig := append([]byte(nil), data...)
-	a := New(1 << 20)
-	b := New(1 << 20)
-	if err := a.HostWriteAliased(0x4000, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.HostWriteAliased(0x8000, data); err != nil {
-		t.Fatal(err)
-	}
-	// Guest A scribbles over its copy of the shared pages.
-	if err := a.GuestWrite(0x4000+100, []byte("guest A private state"), false); err != nil {
-		t.Fatal(err)
-	}
-	// The canonical artifact and guest B are unaffected.
-	if !bytes.Equal(data, orig) {
-		t.Fatal("write through an alias mutated the canonical artifact")
-	}
-	got, err := b.GuestRead(0x8000, len(data), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, orig) {
-		t.Fatal("guest A's write leaked into guest B")
-	}
-	// A's view provenance is gone for the written page, and its digest
-	// reflects the new bytes, not the memoized artifact digest.
-	wantA, err := a.GuestRead(0x4000, len(data), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := a.PlainRangeDigest(0x4000, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != sha256.Sum256(wantA) {
-		t.Fatal("digest after CoW break does not match actual bytes")
-	}
-	if sum == sha256.Sum256(orig) {
-		t.Fatal("digest after CoW break still reports pristine artifact bytes")
+	for _, sh := range cowShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			data, art := internedBuf(22, sh.n)
+			orig := append([]byte(nil), data...)
+			a, b := New(sh.size), New(sh.size)
+			recA, recB := telemetry.NewHostRecorder(), telemetry.NewHostRecorder()
+			a.SetHostRecorder(recA)
+			b.SetHostRecorder(recB)
+			if err := a.HostWriteAliased(sh.gpaA, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.HostWriteAliased(sh.gpaB, data); err != nil {
+				t.Fatal(err)
+			}
+			shared := sh.n >= leafBytes
+			ea, eb := a.dir[sh.gpaA/leafBytes], b.dir[sh.gpaB/leafBytes]
+			if shared && (!ea.template || ea.leaf != eb.leaf) {
+				t.Fatal("two guests staging one whole leaf of an artifact do not share its template")
+			}
+			kept := *eb.leaf
+			// Guest A scribbles over its copy of the shared pages.
+			if err := a.GuestWrite(sh.gpaA+100, []byte("guest A private state"), false); err != nil {
+				t.Fatal(err)
+			}
+			// The canonical artifact and guest B are unaffected.
+			if !bytes.Equal(data, orig) {
+				t.Fatal("write through an alias mutated the canonical artifact")
+			}
+			got, err := b.GuestRead(sh.gpaB, len(data), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, orig) {
+				t.Fatal("guest A's write leaked into guest B")
+			}
+			if b.dir[sh.gpaB/leafBytes] != eb || *eb.leaf != kept {
+				t.Fatal("guest A's write changed guest B's page state")
+			}
+			if sum, err := b.HashRange(sh.gpaB, len(data), false); err != nil || sum != art.Digest() || counterOf(recB, "guestmem.digest.memo") != 1 {
+				t.Fatalf("guest B's digest no longer comes from the artifact's memo (err %v)", err)
+			}
+			// A's view provenance is gone for the written page, and its digest
+			// reflects the new bytes, not the memoized artifact digest.
+			wantA, err := a.GuestRead(sh.gpaA, len(data), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := a.HashRange(sh.gpaA, len(data), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum != sha256.Sum256(wantA) {
+				t.Fatal("digest after CoW break does not match actual bytes")
+			}
+			if sum == sha256.Sum256(orig) {
+				t.Fatal("digest after CoW break still reports pristine artifact bytes")
+			}
+			if counterOf(recA, "guestmem.digest.streamed") != 1 || counterOf(recA, "guestmem.digest.memo") != 0 {
+				t.Fatal("guest A's digest did not take the streamed path")
+			}
+			// The write cost A one page's alias, not the leaf's.
+			if a.dir[sh.gpaA/leafBytes].frozen {
+				t.Fatal("guest A stored into a leaf it does not own")
+			}
+			for i := 0; i < sh.n/PageSize; i++ {
+				p := a.look(sh.gpaA/PageSize + uint64(i))
+				if wrote := i == 0; (p.art == art && p.cow && int(p.artOff) == i*PageSize) == wrote {
+					t.Fatalf("page %d of guest A: provenance kept = %v", i, !wrote)
+				}
+			}
+		})
 	}
 }
 
@@ -258,64 +309,69 @@ func TestExportPagesMatchesHostRead(t *testing.T) {
 // bytes. A stale memo here would be a measurement lying about hostile
 // content, the exact failure the boot verifier exists to prevent.
 func TestCoWProvenanceUnderTampering(t *testing.T) {
-	data, buf := internedBuf(33, 4*PageSize)
-	clean := sha256.Sum256(append([]byte(nil), data...))
-	m := New(1 << 20)
-	if err := m.HostWriteAliased(0x4000, data); err != nil {
-		t.Fatal(err)
-	}
-	if d := buf.Digest(); d != clean {
-		t.Fatal("canonical digest differs from plain SHA-256")
-	}
-	if d, err := m.PlainRangeDigest(0x4000, len(data)); err != nil || d != clean {
-		t.Fatalf("aliased range digest %x (err=%v), want clean digest", d[:8], err)
-	}
+	for _, sh := range cowShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			data, buf := internedBuf(33, sh.n)
+			clean := sha256.Sum256(append([]byte(nil), data...))
+			m := New(sh.size)
+			if err := m.HostWriteAliased(sh.gpaA, data); err != nil {
+				t.Fatal(err)
+			}
+			if d := buf.Digest(); d != clean {
+				t.Fatal("canonical digest differs from plain SHA-256")
+			}
+			if d, err := m.PlainRangeDigest(sh.gpaA, len(data)); err != nil || d != clean {
+				t.Fatalf("aliased range digest %x (err=%v), want clean digest", d[:8], err)
+			}
 
-	// Tamper the canonical bytes. XOR is self-inverting: restore after.
-	const off, mask = 2*PageSize + 123, byte(0x5a)
-	buf.Corrupt(off, mask)
-	defer buf.Corrupt(off, mask)
-	dirty := sha256.Sum256(buf.Bytes())
-	if dirty == clean {
-		t.Fatal("corruption did not change the bytes")
-	}
-	if d := buf.Digest(); d != dirty {
-		t.Fatalf("memoized full digest served stale hash after tamper: %x", d[:8])
-	}
-	if d := buf.RangeDigest(2*PageSize, PageSize); d != sha256.Sum256(buf.Bytes()[2*PageSize:3*PageSize]) {
-		t.Fatal("memoized range digest served stale hash after tamper")
-	}
-	if d, err := m.PlainRangeDigest(0x4000, len(data)); err != nil || d != dirty {
-		t.Fatalf("guest range digest %x (err=%v), want tampered digest %x", d[:8], err, dirty[:8])
-	}
+			// Tamper the canonical bytes. XOR is self-inverting: restore after.
+			const off, mask = 2*PageSize + 123, byte(0x5a)
+			buf.Corrupt(off, mask)
+			defer buf.Corrupt(off, mask)
+			dirty := sha256.Sum256(buf.Bytes())
+			if dirty == clean {
+				t.Fatal("corruption did not change the bytes")
+			}
+			if d := buf.Digest(); d != dirty {
+				t.Fatalf("memoized full digest served stale hash after tamper: %x", d[:8])
+			}
+			if d := buf.RangeDigest(2*PageSize, PageSize); d != sha256.Sum256(buf.Bytes()[2*PageSize:3*PageSize]) {
+				t.Fatal("memoized range digest served stale hash after tamper")
+			}
+			if d, err := m.PlainRangeDigest(sh.gpaA, len(data)); err != nil || d != dirty {
+				t.Fatalf("guest range digest %x (err=%v), want tampered digest %x", d[:8], err, dirty[:8])
+			}
 
-	// A second guest aliasing the same artifact sees the same tampered
-	// bytes — one canonical copy, one truth.
-	m2 := New(1 << 20)
-	if err := m2.HostWriteAliased(0x8000, data); err != nil {
-		t.Fatal(err)
-	}
-	if d, err := m2.PlainRangeDigest(0x8000, len(data)); err != nil || d != dirty {
-		t.Fatalf("second guest digest %x (err=%v), want %x", d[:8], err, dirty[:8])
-	}
+			// A second guest aliasing the same artifact — through the same
+			// template leaf, when the run covers one — sees the same tampered
+			// bytes: one canonical copy, one truth.
+			m2 := New(sh.size)
+			if err := m2.HostWriteAliased(sh.gpaB, data); err != nil {
+				t.Fatal(err)
+			}
+			if d, err := m2.PlainRangeDigest(sh.gpaB, len(data)); err != nil || d != dirty {
+				t.Fatalf("second guest digest %x (err=%v), want %x", d[:8], err, dirty[:8])
+			}
 
-	// Breaking the alias in one guest (a host write to an aliased page)
-	// must copy-on-write: that guest diverges, the canonical buffer and
-	// the other guest do not.
-	if err := m.HostWrite(0x4000, []byte{0xff, 0xfe}); err != nil {
-		t.Fatal(err)
-	}
-	private, err := m.PlainRangeDigest(0x4000, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if private == dirty {
-		t.Fatal("host write did not change the writing guest's view")
-	}
-	if d := buf.Digest(); d != dirty {
-		t.Fatal("alias-breaking write leaked into the canonical buffer")
-	}
-	if d, err := m2.PlainRangeDigest(0x8000, len(data)); err != nil || d != dirty {
-		t.Fatalf("alias-breaking write in one guest leaked into another: %x (err=%v)", d[:8], err)
+			// Breaking the alias in one guest (a host write to an aliased page)
+			// must copy-on-write: that guest diverges, the canonical buffer and
+			// the other guest do not.
+			if err := m.HostWrite(sh.gpaA, []byte{0xff, 0xfe}); err != nil {
+				t.Fatal(err)
+			}
+			private, err := m.PlainRangeDigest(sh.gpaA, len(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if private == dirty {
+				t.Fatal("host write did not change the writing guest's view")
+			}
+			if d := buf.Digest(); d != dirty {
+				t.Fatal("alias-breaking write leaked into the canonical buffer")
+			}
+			if d, err := m2.PlainRangeDigest(sh.gpaB, len(data)); err != nil || d != dirty {
+				t.Fatalf("alias-breaking write in one guest leaked into another: %x (err=%v)", d[:8], err)
+			}
+		})
 	}
 }

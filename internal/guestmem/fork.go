@@ -103,28 +103,36 @@ type pageRun struct{ pn, count uint64 }
 // are copied, in page-number order, into one dirty blob; the fork root is
 // taken over the extent table and the digests of everything it names, and
 // the frozen directory adopters will share is the donor's own page structs
-// with the dirty pages re-pointed at the blob. The blob's handle travels
-// with the source (adopted pages carry it as provenance), so it stays out
-// of the process intern table and is collected with the last fork
-// container that references it. The donor must not be mutated afterwards
-// (fleet keeps donors parked for exactly this reason). A guest holding
-// private pages without an installed key is refused with ErrNoKey, as
-// ExportPages refuses it: nothing could ever adopt the source.
+// with the dirty pages re-pointed at the blob — copied leaf by leaf, except
+// that a template leaf the donor still shares is shared on as it is and
+// recorded as one run. The blob's handle travels with the source (adopted
+// pages carry it as provenance), so it stays out of the process intern
+// table and is collected with the last fork container that references it.
+// The donor must not be mutated afterwards (fleet keeps donors parked for
+// exactly this reason). A guest holding private pages without an installed
+// key is refused with ErrNoKey, as ExportPages refuses it: nothing could
+// ever adopt the source.
 func (m *Memory) ExportForkSource() (*ForkSource, error) {
 	var npages, ndirty, nleaves int
 	anyPrivate := false
-	lastLeaf := ^uint64(0)
-	m.eachResident(func(pn uint64, p page) {
-		npages++
-		if p.art == nil {
-			ndirty++
+	for _, e := range m.dir {
+		if e.template { // template invariant: 512 resident pages, all with provenance, one state
+			npages += leafPages
+			anyPrivate = anyPrivate || e.leaf[0].encrypted
+			continue
 		}
-		if pn/leafPages != lastLeaf {
-			lastLeaf = pn / leafPages
+		before := npages
+		e.eachResident(func(_ int, p page) {
+			npages++
+			if p.art == nil {
+				ndirty++
+			}
+			anyPrivate = anyPrivate || p.encrypted
+		})
+		if npages > before {
 			nleaves++
 		}
-		anyPrivate = anyPrivate || p.encrypted
-	})
+	}
 	if anyPrivate && m.key == nil {
 		return nil, ErrNoKey
 	}
@@ -134,37 +142,32 @@ func (m *Memory) ExportForkSource() (*ForkSource, error) {
 	src := &ForkSource{size: m.size, pages: make([]ForkPage, 0, npages), blob: artifact.Of(blob),
 		keyID: m.keyID(), dir: make([]dirEntry, len(m.dir))}
 	copied := 0
-	m.eachResident(func(pn uint64, p page) {
-		art, off := p.art, int(p.artOff)
-		if art == nil {
-			art, off = src.blob, copied
-			copy(blob[off:], p.readable())
-			p.alias(blob[off:off+PageSize], art, off) // an all-zero private page gets data too
-			copied += PageSize
+	for i, e := range m.dir {
+		base := uint64(i) * leafPages
+		if e.template {
+			// Already what a frozen directory holds — every page
+			// copy-on-write with provenance — so shared, not copied.
+			src.dir[i] = e
+			src.addRun(base, leafPages, e.leaf[0].art, int(e.leaf[0].artOff), e.leaf[0].encrypted)
+			continue
 		}
-		p.cow = true
-		e := &src.dir[pn/leafPages]
-		if e.leaf == nil {
-			*e = dirEntry{leaf: &leaves[0], frozen: true}
-			leaves = leaves[1:]
-		}
-		e.leaf[pn%leafPages] = p
-		src.pages = append(src.pages, ForkPage{PN: pn, Private: p.encrypted})
-
-		if n := len(src.extents); n > 0 && src.arts[src.extents[n-1].art] == art && src.extents[n-1].continuedBy(pn, off, p.encrypted) {
-			src.extents[n-1].count++
-		} else {
-			src.extents = append(src.extents, extent{pn: pn, count: 1, art: src.artIndex(art), off: off, private: p.encrypted})
-		}
-		if !p.encrypted {
-			return
-		}
-		if n := len(src.privateRuns); n > 0 && src.privateRuns[n-1].pn+src.privateRuns[n-1].count == pn {
-			src.privateRuns[n-1].count++
-		} else {
-			src.privateRuns = append(src.privateRuns, pageRun{pn: pn, count: 1})
-		}
-	})
+		e.eachResident(func(j int, p page) {
+			art, off := p.art, int(p.artOff)
+			if art == nil {
+				art, off = src.blob, copied
+				copy(blob[off:], p.readable())
+				p.alias(blob[off:off+PageSize], art, off) // an all-zero private page gets data too
+				copied += PageSize
+			}
+			p.cow = true
+			if src.dir[i].leaf == nil {
+				src.dir[i] = dirEntry{leaf: &leaves[0], frozen: true}
+				leaves = leaves[1:]
+			}
+			src.dir[i].leaf[j] = p
+			src.addRun(base+uint64(j), 1, art, off, p.encrypted)
+		})
+	}
 	// Counts before digests: a Corrupt landing between the two leaves a
 	// count that no longer matches, and Verify re-derives the root.
 	src.gens = make([]uint32, len(src.arts))
@@ -177,8 +180,30 @@ func (m *Memory) ExportForkSource() (*ForkSource, error) {
 	return src, nil
 }
 
-// continuedBy reports whether a page at pn, backed at off of the extent's
-// artifact, extends the extent by one.
+// addRun records count resident pages from page number pn, backed by
+// consecutive bytes of art from off and all in one privacy state: in the
+// page list, in the extent table and, when private, in the private runs.
+func (s *ForkSource) addRun(pn, count uint64, art *artifact.Buf, off int, private bool) {
+	for i := uint64(0); i < count; i++ {
+		s.pages = append(s.pages, ForkPage{PN: pn + i, Private: private})
+	}
+	if n := len(s.extents); n > 0 && s.arts[s.extents[n-1].art] == art && s.extents[n-1].continuedBy(pn, off, private) {
+		s.extents[n-1].count += count
+	} else {
+		s.extents = append(s.extents, extent{pn: pn, count: count, art: s.artIndex(art), off: off, private: private})
+	}
+	if !private {
+		return
+	}
+	if n := len(s.privateRuns); n > 0 && s.privateRuns[n-1].pn+s.privateRuns[n-1].count == pn {
+		s.privateRuns[n-1].count += count
+	} else {
+		s.privateRuns = append(s.privateRuns, pageRun{pn: pn, count: count})
+	}
+}
+
+// continuedBy reports whether pages from pn, backed from off of the
+// extent's artifact, extend the extent.
 func (x extent) continuedBy(pn uint64, off int, private bool) bool {
 	return x.pn+x.count == pn && x.off+int(x.count)*PageSize == off && x.private == private
 }
@@ -298,7 +323,7 @@ func (m *Memory) AdoptFork(src *ForkSource) error {
 		if e.leaf == nil {
 			continue
 		}
-		if m.dir[i].leaf == nil {
+		if m.dir[i].leaf == nil || e.template { // a template backs all 512 pages: nothing of the guest's own leaf would survive the overlay
 			m.dir[i] = e
 			continue
 		}

@@ -20,12 +20,16 @@
 // 2 MiB of guest, each pointing at a leaf of 512 page structs allocated
 // on first touch. The zero page struct is an untouched page, so a guest
 // costs what it touches, not what it could address. Backing bytes may be
-// shared between guests; page *state* belongs to one guest — with one
-// exception that keeps the rule: a ForkSource's frozen leaves are
-// immutable, so any number of forked guests point their root entries at
-// them and copy a leaf into their own table before the first store to it
-// (ownLeaf). Nothing ever writes a frozen leaf after ExportForkSource
-// returns.
+// shared between guests; page *state* belongs to one guest — with two
+// exceptions that keep the rule, both immutable leaves that any number of
+// guests point their root entries at and copy into their own table before
+// the first store (ownLeaf): a ForkSource's frozen leaves, which nothing
+// writes after ExportForkSource returns, and an artifact's template
+// leaves (see dirEntry), which nothing writes once templateLeaf has built
+// them. Three functions assign a root entry: ownLeaf (a fresh or copied
+// leaf this guest owns), shareTemplate (a whole-leaf install, where every
+// page of the slot is being overwritten anyway) and AdoptFork (the
+// source's entries). Every other store goes through getPage.
 //
 // When an RMP table is attached (SEV-SNP), host writes to assigned pages
 // are blocked and guest private accesses to unvalidated pages raise #VC,
@@ -80,26 +84,81 @@ type page struct {
 // leafPages is how many pages one directory leaf covers: 2 MiB of guest,
 // the THP / huge-page-validation granule, so the regions a boot touches
 // (kernel, initrd, boot structures) each land in a handful of leaves: a
-// cold boot touches 24 of them. Smaller leaves save few bytes and cost
-// allocations (64-page leaves on cold_cached: 400 KiB and 264 allocations
-// per boot against 417 and 230).
+// cached cold lupine boot touches 24 of them, shares 15 as templates and
+// owns 9. Smaller leaves share more and own less (cold_cached, KiB and
+// allocations per boot: 64-page leaves 163 / 184.1, 128-page 173 / 184.0,
+// 256-page 206 / 184.0, 512-page 249 / 183.0) but every guest pays for the
+// root, 16 bytes a leaf: a warm_fork boot allocates 8.0 KiB with 512-page
+// leaves, 10.5 with 256-page and 23.8 with 64-page ones.
 const leafPages = 512
+
+// leafBytes is the guest memory one leaf covers.
+const leafBytes = leafPages * PageSize
 
 type leaf [leafPages]page
 
-// leafSlab is how many leaves one allocation yields. Measured on the
-// benchmark's cold_cached, in allocations per boot: leaves allocated
-// singly 248 (the dense table and page slabs this replaced: 243), by
-// fours 230, by eights 227 for no fewer bytes.
-const leafSlab = 4
+// leafSlab is how many leaves one allocation yields: the 9 a cold boot
+// owns come as three slabs with none stranded. Measured on the benchmark's
+// cold_cached (cluster_zipf), in KiB / allocations per boot: leaves
+// allocated singly 247.8 / 189.0 (255.5 / 243.0), by twos 261.7 / 185.0
+// (269.4 / 239.0), by threes 248.6 / 183.0 (256.2 / 237.0), by fours
+// 272.6 / 183.0 (280.2 / 237.0). warm_fork owns no leaf and does not move.
+const leafSlab = 3
 
-// dirEntry is one root slot. frozen marks a leaf that belongs to a
-// ForkSource's directory and is shared with every sibling fork: it is
-// read through freely and copied by ownLeaf before the first store.
+// dirEntry is one root slot, 16 bytes. frozen marks a leaf this guest
+// shares and must never store to: it is read through freely and copied by
+// ownLeaf before the first store. A frozen leaf is either part of a
+// ForkSource's directory, shared with every sibling fork, or — template
+// set as well — an artifact's template, shared with every guest in the
+// process.
+//
+// The template invariant: page j of a template leaf aliases
+// art.Bytes()[off+j*PageSize:][:PageSize] copy-on-write with provenance
+// (art, off+j*PageSize), for one artifact and one leaf-wide off, and all
+// 512 pages are in one privacy state. So page 0 speaks for the leaf: its
+// state is every page's, and any page's (artifact, offset - position) is
+// every page's.
 type dirEntry struct {
-	leaf   *leaf
-	frozen bool
+	leaf     *leaf
+	frozen   bool
+	template bool
 }
+
+// templateLeaf returns the template for leafBytes of art from byte offset
+// off in the given state, built once per artifact and memoised on it
+// under the offset and, in bit 0, the state.
+func templateLeaf(art *artifact.Buf, off int, private bool) *leaf {
+	key := uint64(off) << 1
+	if private {
+		key |= 1
+	}
+	return art.Template(key, func() any {
+		l := new(leaf)
+		b := art.Bytes()[off : off+leafBytes]
+		for j := range l {
+			l[j].alias(b[j*PageSize:(j+1)*PageSize], art, off+j*PageSize)
+			l[j].encrypted = private
+		}
+		return l
+	}).(*leaf)
+}
+
+// templatable reports whether leafBytes of art from off can be a template:
+// the artifact has a handle and artOff can hold every page's offset.
+func templatable(art *artifact.Buf, off int) bool {
+	return art != nil && uint64(off)+leafBytes-PageSize <= math.MaxUint32
+}
+
+// shareTemplate points root slot i at the template for leafBytes of art
+// from off. It replaces whatever the slot held, so it is only for
+// operations that overwrite all 512 pages.
+func (m *Memory) shareTemplate(i uint64, art *artifact.Buf, off int, private bool) {
+	m.dir[i] = dirEntry{leaf: templateLeaf(art, off, private), frozen: true, template: true}
+	m.recorder().CounterAdd("guestmem.leaf.shared", 1)
+}
+
+// nextLeaf returns the first page number past pn's leaf.
+func nextLeaf(pn uint64) uint64 { return (pn/leafPages + 1) * leafPages }
 
 // Memory is one guest's physical address space.
 type Memory struct {
@@ -223,8 +282,8 @@ func (m *Memory) look(pn uint64) page {
 }
 
 // ownLeaf returns root slot i's leaf as one this guest may store to:
-// allocated on first touch, copied out of the fork source's frozen
-// directory on the first store after an adoption.
+// allocated on first touch, copied out of a frozen leaf (a fork source's
+// or a template) on the first store to it.
 func (m *Memory) ownLeaf(i uint64) *leaf {
 	e := &m.dir[i]
 	if e.leaf != nil && !e.frozen {
@@ -238,7 +297,8 @@ func (m *Memory) ownLeaf(i uint64) *leaf {
 	if e.frozen {
 		*l = *e.leaf
 	}
-	e.leaf, e.frozen = l, false
+	*e = dirEntry{leaf: l}
+	m.recorder().CounterAdd("guestmem.leaf.owned", 1)
 	return l
 }
 
@@ -247,19 +307,39 @@ func (m *Memory) getPage(pn uint64) *page {
 	return &m.ownLeaf(pn / leafPages)[pn%leafPages]
 }
 
+// eachResident calls fn for every page of the leaf with any backing, in
+// order, with its index in the leaf. A nil leaf has none.
+func (e dirEntry) eachResident(fn func(j int, p page)) {
+	if e.leaf == nil {
+		return
+	}
+	for j, p := range e.leaf {
+		if p.data != nil || p.encrypted {
+			fn(j, p)
+		}
+	}
+}
+
 // eachResident calls fn for every page with any backing, in page-number
 // order.
 func (m *Memory) eachResident(fn func(pn uint64, p page)) {
 	for i, e := range m.dir {
-		if e.leaf == nil {
-			continue
+		e.eachResident(func(j int, p page) { fn(uint64(i)*leafPages+uint64(j), p) })
+	}
+}
+
+// inState reports whether every page [gpa, gpa+n) touches is in the given
+// privacy state.
+func (m *Memory) inState(gpa uint64, n int, private bool) bool {
+	for pn, end := gpa/PageSize, (gpa+uint64(n)+PageSize-1)/PageSize; pn < end; pn++ {
+		if m.look(pn).encrypted != private {
+			return false
 		}
-		for j, p := range e.leaf {
-			if p.data != nil || p.encrypted {
-				fn(uint64(i)*leafPages+uint64(j), p)
-			}
+		if m.dir[pn/leafPages].template {
+			pn = nextLeaf(pn) - 1 // template invariant: one state per leaf
 		}
 	}
+	return true
 }
 
 // alias points the page at one page of immutable bytes, copy-on-write.
@@ -468,27 +548,29 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 	// pages copy-on-write and fall back only for the tail.
 	if dst%PageSize == 0 && src%PageSize == 0 {
 		fullPages := uint64(n) / PageSize
-		aliasable := true
-		for i := uint64(0); i < fullPages; i++ {
-			if m.look(src/PageSize+i).encrypted != srcCbit {
-				aliasable = false
-				break
-			}
-		}
-		if aliasable {
+		if m.inState(src, int(fullPages*PageSize), srcCbit) {
 			for i := uint64(0); i < fullPages; i++ {
+				sn, dn := src/PageSize+i, dst/PageSize+i
+				if sn%leafPages == 0 && dn%leafPages == 0 && fullPages-i >= leafPages && m.dir[sn/leafPages].template {
+					// A whole template leaf onto a whole leaf: the same
+					// artifact run's template in the destination state.
+					t := m.dir[sn/leafPages].leaf[0]
+					m.shareTemplate(dn/leafPages, t.art, int(t.artOff), dstCbit)
+					i += leafPages - 1
+					continue
+				}
 				// sp is a copy, so the getPage calls below may replace the
 				// leaf it came from (src and dst can share one). The source
 				// becomes copy-on-write too; a page that already is — every
 				// backed page of a frozen leaf — needs no store, and getPage
 				// never hands out a frozen leaf for one.
-				sp := m.look(src/PageSize + i)
+				sp := m.look(sn)
 				if sp.data != nil && !sp.cow {
-					m.getPage(src/PageSize + i).cow = true
+					m.getPage(sn).cow = true
 					sp.cow = true
 				}
 				sp.encrypted = dstCbit
-				*m.getPage(dst/PageSize + i) = sp
+				*m.getPage(dn) = sp
 			}
 			tail := n - int(fullPages*PageSize)
 			if tail == 0 {
@@ -570,6 +652,12 @@ func (m *Memory) writeAliased(gpa uint64, data []byte, encrypted bool, art *arti
 	for done < len(data) {
 		pn := (gpa + uint64(done)) / PageSize
 		off := int((gpa + uint64(done)) % PageSize)
+		if off == 0 && pn%leafPages == 0 && len(data)-done >= leafBytes && templatable(art, artBase+done) {
+			// A whole leaf of one artifact: share its template.
+			m.shareTemplate(pn/leafPages, art, artBase+done, encrypted)
+			done += leafBytes
+			continue
+		}
 		chunk := PageSize - off
 		if chunk > len(data)-done {
 			chunk = len(data) - done
@@ -812,6 +900,9 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 		} else if p.art != art || cand != base {
 			return nil, 0
 		}
+		if m.dir[pn/leafPages].template {
+			pn = nextLeaf(pn) - 1 // template invariant: the leaf's other pages say the same
+		}
 	}
 	if art == nil || base < 0 || base+n > art.Len() {
 		return nil, 0
@@ -823,6 +914,11 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 	src := art.Bytes()[base : base+n]
 	for done := 0; done < n; {
 		pn := (gpa + uint64(done)) / PageSize
+		if m.dir[pn/leafPages].template {
+			// Template invariant: every page of the leaf has provenance.
+			done = int(nextLeaf(pn)*PageSize - gpa)
+			continue
+		}
 		off := int((gpa + uint64(done)) % PageSize)
 		chunk := PageSize - off
 		if chunk > n-done {
@@ -898,14 +994,7 @@ func (m *Memory) HashRange(gpa uint64, n int, cbit bool) ([32]byte, error) {
 			return sum, err
 		}
 	}
-	allMatch := true
-	for off := gpa &^ (PageSize - 1); off < gpa+uint64(n); off += PageSize {
-		if m.look(off/PageSize).encrypted != cbit {
-			allMatch = false
-			break
-		}
-	}
-	if allMatch {
+	if m.inState(gpa, n, cbit) {
 		return m.PlainRangeDigest(gpa, n)
 	}
 	m.recorder().CounterAdd("guestmem.digest.transformed", 1)
@@ -966,10 +1055,8 @@ func (m *Memory) ArtifactRange(gpa uint64, n int, cbit bool) (*artifact.Buf, int
 			return nil, 0, err
 		}
 	}
-	for off := gpa &^ (PageSize - 1); off < gpa+uint64(n); off += PageSize {
-		if m.look(off/PageSize).encrypted != cbit {
-			return nil, 0, nil
-		}
+	if !m.inState(gpa, n, cbit) {
+		return nil, 0, nil
 	}
 	art, base := m.rangeArtifact(gpa, n)
 	if art == nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
@@ -209,6 +210,61 @@ func TestRunDetectsSwappedKernelAfterMeasurement(t *testing.T) {
 		}
 		if _, err := Run(p, m, in); !errors.Is(err, ErrVerification) {
 			t.Errorf("swapped kernel: err = %v, want ErrVerification", err)
+		}
+	})
+	eng.Run()
+}
+
+// TestRunDetectsBitFlipInsideSharedLeaf: the staged kernel's first 2 MiB
+// are not page structs this guest owns but a template leaf every guest of
+// the image shares. One flipped bit there must still cost the host the
+// boot — the store takes the leaf private first, breaks that page's alias,
+// and the verifier's hash of the private copy is over the flipped bytes —
+// and must not reach the template: the next guest boots.
+func TestRunDetectsBitFlipInsideSharedLeaf(t *testing.T) {
+	art, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.BzImageLZ4) < 2<<20 || measure.GPAStageA%(2<<20) != 0 {
+		t.Fatalf("a %d-byte kernel staged at %#x covers no whole 2 MiB leaf", len(art.BzImageLZ4), uint64(measure.GPAStageA))
+	}
+	artifact.Intern(art.BzImageLZ4) // as a registered image's kernel is: staging finds the handle
+	initrd := kernelgen.BuildInitrd(1, 1<<20)
+	h := measure.HashComponents(art.BzImageLZ4, initrd, "console=ttyS0 root=/dev/vda")
+
+	eng := sim.NewEngine()
+	host := kvm.NewHost(eng, costmodel.Default(), 1)
+	counter := func(name string) int64 {
+		_, c := host.HostStats.Snapshot()
+		return c[name]
+	}
+	eng.Go("vcpu", func(p *sim.Proc) {
+		m, in := setupSEVMachine(t, p, host, art.BzImageLZ4, initrd, h)
+		if counter("guestmem.leaf.shared") == 0 {
+			t.Error("staging the kernel shared no template leaf: the flip below would not be inside one")
+			return
+		}
+		owned := counter("guestmem.leaf.owned")
+		flipped, err := m.Mem.HostRead(measure.GPAStageA+12345, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		flipped[0] ^= 1
+		if err := m.Mem.HostWrite(measure.GPAStageA+12345, flipped); err != nil {
+			t.Error(err)
+			return
+		}
+		if counter("guestmem.leaf.owned") != owned+1 {
+			t.Error("the flip did not take the shared leaf private")
+		}
+		if _, err := Run(p, m, in); !errors.Is(err, ErrVerification) {
+			t.Errorf("bit flipped in the staged kernel: err = %v, want ErrVerification", err)
+		}
+		next, in := setupSEVMachine(t, p, host, art.BzImageLZ4, initrd, h)
+		if _, err := Run(p, next, in); err != nil {
+			t.Errorf("the guest after the tampered one: %v", err)
 		}
 	})
 	eng.Run()
