@@ -85,13 +85,13 @@ type HostSummary struct {
 	Failed           int            `json:"failed,omitempty"`
 	// Storm state, present only on runs with generations or a storm
 	// installed (kept out of historic goldens otherwise).
-	Generation        string `json:"generation,omitempty"`
-	TCB               string `json:"tcb,omitempty"`
-	Revoked           bool   `json:"revoked,omitempty"`
-	Reenrolls         int    `json:"reenrolls,omitempty"`
-	Reattests         int    `json:"reattests,omitempty"`
-	ReattestQueuePeak int    `json:"reattest_queue_peak,omitempty"`
-	WarmInvalidated   int    `json:"warm_invalidated,omitempty"`
+	Generation        string     `json:"generation,omitempty"`
+	TCB               string     `json:"tcb,omitempty"`
+	Revoked           bool       `json:"revoked,omitempty"`
+	Reenrolls         int        `json:"reenrolls,omitempty"`
+	Reattests         int        `json:"reattests,omitempty"`
+	ReattestQueuePeak int        `json:"reattest_queue_peak,omitempty"`
+	WarmInvalidated   int        `json:"warm_invalidated,omitempty"`
 	Replication       GeoSummary `json:"replication"`
 }
 

@@ -241,6 +241,13 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 		return nil, err
 	}
 
+	// The kernel image and initrd are interned as shared artifacts before
+	// anything reads them: the in-band hash below, the staging writes and
+	// every later hash over the staged ranges (in-guest verification) then
+	// meet in one per-artifact digest memo, across all boots of the image.
+	artifact.Intern(kernelImage)
+	artifact.Intern(cfg.Initrd)
+
 	// Component hashes: out-of-band (free at boot time) or in-band.
 	if cfg.Hashes == nil {
 		m.Timeline.Begin("hash.components", proc.Now())
@@ -266,14 +273,8 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 	m.PrepSEVHost(proc)
 	m.Timeline.End("sev.host-prep", proc.Now())
 
-	// Stage the measured-direct-boot components in shared memory. The
-	// kernel image and initrd are interned as shared artifacts first:
-	// staging then aliases the canonical copy with provenance, so every
-	// later hash over these ranges (launch measurement, in-guest
-	// verification) can hit the per-artifact digest memo across all
-	// boots of the same image.
-	artifact.Intern(kernelImage)
-	artifact.Intern(cfg.Initrd)
+	// Stage the measured-direct-boot components in shared memory: the
+	// pages alias the interned copies with provenance.
 	m.Timeline.Begin("vmm.stage", proc.Now())
 	in := verifier.Inputs{
 		Kind:                   kind,
@@ -427,6 +428,11 @@ func (c Config) ComponentHashes() (measure.ComponentHashes, error) {
 	if err != nil {
 		return measure.ComponentHashes{}, err
 	}
+	// Interned first, as Boot interns them: this pass then fills the digest
+	// memo the boot's in-guest verification reads, and a component is
+	// hashed once per process, not once here and once there.
+	artifact.Intern(kernel)
+	artifact.Intern(c.Initrd)
 	return measure.HashComponents(kernel, c.Initrd, c.Cmdline), nil
 }
 

@@ -23,7 +23,10 @@ import (
 // directory, not copy-on-write, not the cipher plumbing, not the span
 // RMP — and restates only the rules that are observable: which writes
 // alias (Stats.AliasedPages counts them), which pages a GuestCopy leaves
-// unbacked, and what each access is refused for.
+// unbacked, and what each access is refused for. One of those rules turns
+// on where a page's bytes came from — a GuestCopy whose source is one run
+// of an artifact aliases at any alignment — so a page remembers the
+// artifact and offset it was last aliased from, until a store forgets it.
 //
 // One buffer is held by reference, because a copy per page per guest of a
 // two-leaf artifact is more memory than the test may take: bigArtifact's.
@@ -37,6 +40,9 @@ type refPage struct {
 	big       bool   // data is a window of bigArtifact, kept by reference
 	cow       bool
 	encrypted bool
+
+	art    *artifact.Buf // data was aliased from art.Bytes()[artOff:] and not stored to since
+	artOff int
 }
 
 // held is what a page keeps of src, a window of art's bytes (or of no
@@ -63,6 +69,8 @@ type refMem struct {
 	asid  uint32
 	snp   bool
 	owned map[uint64]bool // assigned+validated to this guest
+
+	shifted int // GuestCopies that took the shifted alias
 }
 
 func newRef(size uint64, key []byte, asid uint32, snp bool) *refMem {
@@ -142,6 +150,7 @@ func (r *refMem) write(gpa uint64, data []byte, enc bool) {
 		}
 		copy(p.data[a%PageSize:], data[done:done+chunk])
 		p.cow = false
+		p.art, p.artOff = nil, 0
 		p.encrypted = enc
 		done += chunk
 	}
@@ -161,10 +170,12 @@ func (r *refMem) writeAliased(gpa uint64, data []byte, enc bool, art *artifact.B
 		case chunk == PageSize:
 			p.data, p.big = held(data[done:done+PageSize], art)
 			p.cow = true
+			p.art, p.artOff = art, pa
 		case p.data == nil && art != nil && pa >= 0 && pa+PageSize <= art.Len() &&
 			allZero(art.Bytes()[pa:pa+off]) && allZero(art.Bytes()[pa+off+chunk:pa+PageSize]):
 			p.data, p.big = held(art.Bytes()[pa:pa+PageSize], art)
 			p.cow = true
+			p.art, p.artOff = art, pa
 		default:
 			r.write(a, data[done:done+chunk], enc)
 		}
@@ -237,6 +248,30 @@ func (r *refMem) guestRead(gpa uint64, n int, cbit bool) ([]byte, bool) {
 	}), true
 }
 
+// artifactRun restates when the n bytes at gpa are one run of an artifact:
+// some page they touch was aliased from it, every page that was agrees on
+// where in the artifact the byte at gpa sits, and the pages that were not
+// hold the artifact's bytes all the same.
+func (r *refMem) artifactRun(gpa uint64, n int) (art *artifact.Buf, base int) {
+	first, last := span(gpa, n)
+	for pn := first; pn <= last; pn++ {
+		p := r.peek(pn)
+		if p.art == nil {
+			continue
+		}
+		at := p.artOff + int(gpa) - int(pn*PageSize)
+		if art == nil {
+			art, base = p.art, at
+		} else if p.art != art || at != base {
+			return nil, 0
+		}
+	}
+	if art == nil || base < 0 || base+n > art.Len() || !bytes.Equal(r.plainRead(gpa, n), art.Bytes()[base:base+n]) {
+		return nil, 0
+	}
+	return art, base
+}
+
 func (r *refMem) guestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) bool {
 	if !r.inRange(src, n) || !r.inRange(dst, n) || (src < dst+uint64(n) && dst < src+uint64(n)) {
 		return false
@@ -244,31 +279,47 @@ func (r *refMem) guestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) bool {
 	if (srcCbit && !r.guestMayTouch(src, n)) || (dstCbit && !r.guestMayTouch(dst, n)) {
 		return false
 	}
-	full := uint64(0)
-	if dst%PageSize == 0 && src%PageSize == 0 {
-		full = uint64(n) / PageSize
-		for i := uint64(0); i < full; i++ {
-			if r.peek(src/PageSize+i).encrypted != srcCbit {
-				full = 0 // a page would move transformed: plain read-then-write
-				break
+	// plain: every source page the first k bytes touch moves as plain text.
+	plain := func(k int) bool {
+		for pn := src / PageSize; pn*PageSize < src+uint64(k); pn++ {
+			if r.peek(pn).encrypted != srcCbit {
+				return false
 			}
 		}
+		return true
 	}
-	for i := uint64(0); i < full; i++ {
-		dp := r.page(dst/PageSize + i)
-		if sp := r.pages[src/PageSize+i]; sp != nil && sp.data != nil {
-			sp.cow = true
-			*dp = refPage{cow: true}
-			dp.data, dp.big = sp.contents()
-		} else {
-			*dp = refPage{}
+	full := uint64(n) / PageSize
+	switch {
+	case dst%PageSize == 0 && src%PageSize == 0 && plain(int(full)*PageSize):
+		// Page onto page: full pages alias their source page, which becomes
+		// copy-on-write too; the tail is read and written.
+		for i := uint64(0); i < full; i++ {
+			dp := r.page(dst/PageSize + i)
+			if sp := r.pages[src/PageSize+i]; sp != nil && sp.data != nil {
+				sp.cow = true
+				*dp = refPage{cow: true, art: sp.art, artOff: sp.artOff}
+				dp.data, dp.big = sp.contents()
+			} else {
+				*dp = refPage{}
+			}
+			dp.encrypted = dstCbit
 		}
-		dp.encrypted = dstCbit
+		if tail := n - int(full*PageSize); tail > 0 {
+			data, _ := r.guestRead(src+full*PageSize, tail, srcCbit)
+			r.write(dst+full*PageSize, data, dstCbit)
+		}
+		return true
+	case plain(n):
+		// The shifted alias: a run of an artifact lands as a write of the
+		// artifact's own bytes would, and the source pages are not touched.
+		if art, base := r.artifactRun(src, n); art != nil {
+			r.shifted++
+			r.writeAliased(dst, art.Bytes()[base:base+n], dstCbit, art, base)
+			return true
+		}
 	}
-	if tail := n - int(full*PageSize); tail > 0 {
-		data, _ := r.guestRead(src+full*PageSize, tail, srcCbit)
-		r.write(dst+full*PageSize, data, dstCbit)
-	}
+	data, _ := r.guestRead(src, n, srcCbit)
+	r.write(dst, data, dstCbit)
 	return true
 }
 
@@ -323,6 +374,9 @@ func (r *refMem) stats() Stats {
 }
 
 // refSource is a reference fork source: a deep copy of the resident pages.
+// A page keeps where it was aliased from; the pages that were aliased from
+// nowhere become, in page order, one artifact of the source's own, which is
+// where every adopter's copy of them was aliased from.
 type refSource struct {
 	size  uint64
 	pages map[uint64]refPage
@@ -330,9 +384,21 @@ type refSource struct {
 
 func (r *refMem) export() *refSource {
 	s := &refSource{size: r.size, pages: map[uint64]refPage{}}
+	var dirty []byte
 	for _, pn := range r.residentPNs() {
-		sp := refPage{encrypted: r.pages[pn].encrypted}
-		sp.data, sp.big = r.pages[pn].contents()
+		if r.pages[pn].art == nil {
+			dirty = append(dirty, r.pages[pn].plain()...)
+		}
+	}
+	blob, copied := artifact.Of(dirty), 0
+	for _, pn := range r.residentPNs() {
+		p := r.pages[pn]
+		sp := refPage{encrypted: p.encrypted, art: p.art, artOff: p.artOff}
+		if sp.art == nil {
+			sp.art, sp.artOff = blob, copied
+			copied += PageSize
+		}
+		sp.data, sp.big = p.contents()
 		s.pages[pn] = sp
 	}
 	return s
@@ -341,7 +407,7 @@ func (r *refMem) export() *refSource {
 func (r *refMem) adopt(s *refSource) {
 	for pn, sp := range s.pages {
 		p := r.page(pn)
-		*p = refPage{cow: true, encrypted: sp.encrypted}
+		*p = refPage{cow: true, encrypted: sp.encrypted, art: sp.art, artOff: sp.artOff}
 		p.data, p.big = sp.contents()
 		if sp.encrypted {
 			r.owned[pn] = true
@@ -484,6 +550,9 @@ func stagingArtifact(rng *rand.Rand) *artifact.Buf {
 // template leaf copied out by that single store, "GuestCopy template->
 // misaligned" and "GuestCopy owned" the copies that must not share,
 // "export" and "adopt" template entries kept by reference and adopted.
+// "share GuestCopy shifted" is a template shared by a copy between
+// addresses that are not page-aligned, "GuestCopy shifted sub-leaf" the
+// same alias taken by the small copies, where no whole leaf is in reach.
 func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(donor *Memory, s *ForkSource)) pathTally {
 	rng := rand.New(rand.NewSource(seed))
 	k, asid := key(byte(seed)), uint32(5)
@@ -600,7 +669,7 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 		// every sweep from then on reads each of them back four ways, and
 		// the checks are not what gets cut to pay for that.
 		if i >= ops-200 && rng.Intn(3) == 0 {
-			op = 16 + rng.Intn(8)
+			op = 16 + rng.Intn(9)
 		}
 		if op >= 16 && op < 20 { // the big writes start at a leaf, or one page off
 			gpa = pickLeafGPA(1, 2)
@@ -639,9 +708,14 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 			src, dst := pickGPA(), gpa
 			if rng.Intn(4) != 0 {
 				src, dst = src&^(PageSize-1), dst&^(PageSize-1)
+			} else if at := src &^ (PageSize - 1); rng.Intn(2) == 0 { // wherever it is, the source is a run of an artifact
+				agree("HostWriteArtifact(stage)", g.m.HostWriteArtifact(at, denseArt, 0, denseArt.Len()),
+					g.r.hostWrite(at, dense, true, denseArt, 0))
 			}
 			srcCbit := rng.Intn(2) == 0
+			shifted := g.r.shifted
 			agree("GuestCopy", g.m.GuestCopy(dst, src, n, cbit, srcCbit), g.r.guestCopy(dst, src, n, cbit, srcCbit))
+			tally["GuestCopy shifted sub-leaf"] += g.r.shifted - shifted
 		case 8:
 			var want []byte
 			if g.r.inRange(gpa, n) {
@@ -743,6 +817,22 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 			if err == nil && !fromTemplate {
 				tally["GuestCopy owned"]++
 			}
+		case 24: // more than a leaf of the big artifact between addresses that are not page-aligned: leaf 4, whole inside the destination, shares a template
+			name = "GuestCopy shifted"
+			unaligned := func() uint64 { return uint64(1 + rng.Intn(PageSize-1) + rng.Intn(2)*PageSize) }
+			at, head := pickLeafGPA(1, 1), unaligned()
+			src := at + unaligned()
+			gpa, n = 4*leafBytes-head, int(head)+leafBytes+rng.Intn(2*PageSize)
+			if rng.Intn(3) != 0 {
+				agree("GuestWriteArtifact(stage)", g.m.GuestWriteArtifact(at, big, 0, big.Len(), false),
+					g.r.guestWrite(at, big.Bytes(), false, true, big, 0))
+			}
+			if cbit && rng.Intn(2) == 0 { // so that an RMP admits the private destination
+				agree("LaunchUpdateFlip(dst)", g.m.LaunchUpdateFlip(gpa, n), g.r.flip(gpa, n, true))
+			}
+			shared = counter("guestmem.leaf.shared")
+			srcCbit := g.r.peek(src/PageSize).encrypted != (rng.Intn(4) == 0)
+			agree(name, g.m.GuestCopy(gpa, src, n, cbit, srcCbit), g.r.guestCopy(gpa, src, n, cbit, srcCbit))
 		case 23: // state changes across whole leaves, which is also what lets the RMP admit the big guest accesses
 			if gpa, n = pickLeafGPA(1, 3), leafBytes+rng.Intn(leafBytes); rng.Intn(2) == 0 {
 				agree("LaunchUpdateFlip(big)", g.m.LaunchUpdateFlip(gpa, n), g.r.flip(gpa, n, true))
@@ -802,7 +892,7 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 		// unless the streams reached them, by every way in and out.
 		for _, path := range []string{
 			"share HostWriteAliased", "share HostWriteArtifact", "share GuestWriteArtifact", "share GuestCopy",
-			"GuestCopy template->misaligned", "GuestCopy owned",
+			"GuestCopy template->misaligned", "GuestCopy owned", "share GuestCopy shifted", "GuestCopy shifted sub-leaf",
 			"thaw HostWrite", "thaw GuestWrite", "thaw LaunchUpdateFlip", "thaw ShareRange", "thaw HostRestoreCiphertext",
 			"export", "adopt", "adopt over templates",
 		} {

@@ -515,7 +515,8 @@ func (m *Memory) GuestRead(gpa uint64, n int, cbit bool) ([]byte, error) {
 
 // GuestCopy copies n bytes from src to dst inside the guest, reading with
 // srcCbit and writing with dstCbit — the boot verifier's shared->private
-// component copy. Page-aligned spans alias copy-on-write.
+// component copy. Page-aligned spans alias copy-on-write, and so does a
+// span at any alignment whose source is one run of an artifact.
 func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error {
 	if err := m.check(src, n); err != nil {
 		return err
@@ -581,6 +582,18 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 				return err
 			}
 			m.write(dst+fullPages*PageSize, data, dstCbit)
+			return nil
+		}
+	}
+	// Shifted alias: src and dst are not both page-aligned, but the source
+	// moves as plain text and is one run of an artifact, so the bytes
+	// arriving at dst are the artifact's whatever page offset they land on.
+	// The destination aliases them there — whole leaves as templates, full
+	// pages with byte-granular provenance, only the partial head and tail
+	// pages copied — and the source is left as it was.
+	if m.inState(src, n, srcCbit) {
+		if art, base := m.rangeArtifact(src, n); art != nil {
+			m.writeAliased(dst, art.Bytes()[base:base+n], dstCbit, art, base)
 			return nil
 		}
 	}

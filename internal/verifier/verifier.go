@@ -19,9 +19,11 @@
 package verifier
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"time"
 
 	"github.com/severifast/severifast/internal/artifact"
@@ -29,6 +31,7 @@ import (
 	"github.com/severifast/severifast/internal/bzimage"
 	"github.com/severifast/severifast/internal/elfx"
 	"github.com/severifast/severifast/internal/ghcb"
+	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/measure"
@@ -361,28 +364,60 @@ func verifyCopy(proc *sim.Proc, m *kvm.Machine, src, dst uint64, n int, want [32
 // is copied once — loadable bytes straight to their run address — while a
 // single running hash over the byte stream reproduces the whole-file
 // kernel hash.
+//
+// Every chunk is placed and charged as a sequential copy+hash loop would;
+// only the host-side hashing is lazy, and what stands in for it is proof,
+// chunk by chunk, that the private copy holds the bytes of one interned
+// artifact at the chunk's file offset:
+//
+//   - A chunk whose private copy aliases the artifact — a load segment of a
+//     staged interned vmlinux, which GuestCopy aliases at whatever byte
+//     offset the file keeps it — is proven by the provenance of its
+//     destination pages, the partial first and last page byte-compared
+//     (ArtifactRange). The first such chunk names the artifact.
+//   - A sub-page chunk (the ELF header, the alignment gaps) is really copied
+//     to scratch. It is read back from the private copy before the next
+//     chunk reuses scratch and byte-compared with the artifact; the ones
+//     placed before the artifact has a name are retained until it has.
+//   - Anything else — a staged page the host stored to, a kernel nobody
+//     interned — ends the proof, and the stream hashes for real from there
+//     on, exactly as the loop always did. The bytes before that point are
+//     replayed from the artifact when they were proven equal to it, and
+//     from the retained read-backs when no artifact was named yet.
+//
+// The chunks tile the file, so when every chunk was proven the whole-file
+// hash is the artifact's memoised range digest and no byte is hashed.
+// Either way the digest compared with the hash page describes the private
+// copy, never the shared staging pages it was copied from.
 func streamVmlinux(proc *sim.Proc, m *kvm.Machine, in Inputs, want [32]byte, cbit bool) (entry uint64, total int, err error) {
 	model := m.Host.Model
 	m.Timeline.Begin("verify kernel-stream", proc.Now())
 	defer func() { m.Timeline.End("verify kernel-stream", proc.Now()) }()
-	// Each chunk is placed and accounted exactly as the sequential
-	// copy+hash loop always was; only the host-side hashing is lazy.
-	// While every placed chunk still aliases one interned artifact at
-	// its file offset (checked at copy time, before scratch is reused
-	// by the next non-load chunk), no bytes are hashed at all — the
-	// whole-file hash is the artifact's memoized range digest, because
-	// the chunks tile the file. The moment a chunk diverges (tampered
-	// page, broken alias, copied tail), the stream falls back to real
-	// hashing: prior chunks are replayed from the artifact (their bytes
-	// were proven identical when they were placed) and the rest are
-	// read and hashed exactly as before.
 	var (
-		h             = sha256.New()
-		headerScratch []byte
-		streamArt     *artifact.Buf
-		streamBase    int
-		memoOK        = true
+		h          hash.Hash     // non-nil once the stream hashes for real
+		streamArt  *artifact.Buf // the artifact every chunk so far was proven against
+		streamBase int           // where file offset 0 sits in it
+		retained   [][]byte      // read-backs of the chunks placed before streamArt had a name
+		header     []byte        // the first chunk, from its private copy
 	)
+	// proven returns the artifact's n bytes for file offset off, nil when
+	// the artifact does not reach that far.
+	proven := func(off uint64, n int) []byte {
+		if end := uint64(streamBase) + off + uint64(n); end <= uint64(streamArt.Len()) {
+			return streamArt.Bytes()[end-uint64(n) : end]
+		}
+		return nil
+	}
+	// hashFrom gives up the proof at file offset off.
+	hashFrom := func(off uint64) {
+		h = sha256.New()
+		if streamArt != nil {
+			h.Write(proven(0, int(off)))
+		}
+		for _, b := range retained {
+			h.Write(b)
+		}
+	}
 	expectOff := uint64(0)
 	for i, c := range in.Chunks {
 		if c.FileOff != expectOff {
@@ -397,53 +432,68 @@ func streamVmlinux(proc *sim.Proc, m *kvm.Machine, in Inputs, want [32]byte, cbi
 			return 0, 0, fmt.Errorf("verifier: streaming chunk %d: %w", i, err)
 		}
 		proc.Sleep(model.Copy(c.Size))
-		if memoOK {
-			a, b, aerr := m.Mem.ArtifactRange(dst, c.Size, cbit)
-			if aerr != nil {
-				return 0, 0, aerr
-			}
-			if a != nil && streamArt == nil {
-				streamArt, streamBase = a, b-int(c.FileOff)
-			}
-			if a == nil || a != streamArt || b != streamBase+int(c.FileOff) || streamBase < 0 {
-				memoOK = false
-				if c.FileOff > 0 {
-					// Catch up on the chunks already proven equal to
-					// the artifact's prefix.
-					h.Write(streamArt.Bytes()[streamBase : streamBase+int(c.FileOff)])
-				}
-			} else if c.FileOff == 0 {
-				headerScratch = streamArt.Bytes()[streamBase : streamBase+c.Size]
-			}
-		}
-		if !memoOK {
-			data, err := m.Mem.GuestRead(dst, c.Size, cbit)
+		var data []byte // the chunk read back from its private copy, when it had to be
+		if h == nil {
+			a, b, err := m.Mem.ArtifactRange(dst, c.Size, cbit)
 			if err != nil {
 				return 0, 0, err
 			}
-			h.Write(data)
-			if c.FileOff == 0 {
-				headerScratch = append([]byte(nil), data...)
+			switch {
+			case a != nil && streamArt == nil:
+				// The artifact gets its name if what came before the chunk in
+				// the file comes before it in the artifact too.
+				if c.FileOff <= uint64(b) && bytes.Equal(a.Bytes()[b-int(c.FileOff):b], bytes.Join(retained, nil)) {
+					streamArt, streamBase, retained = a, b-int(c.FileOff), nil
+					data = a.Bytes()[b : b+c.Size]
+				} else {
+					hashFrom(c.FileOff)
+				}
+			case a != nil && a == streamArt && uint64(b) == uint64(streamBase)+c.FileOff:
+			case a == nil && c.Size < guestmem.PageSize:
+				if data, err = m.Mem.GuestRead(dst, c.Size, cbit); err != nil {
+					return 0, 0, err
+				}
+				if streamArt == nil {
+					retained = append(retained, data)
+				} else if !bytes.Equal(data, proven(c.FileOff, c.Size)) {
+					hashFrom(c.FileOff)
+				}
+			default:
+				hashFrom(c.FileOff)
 			}
+		}
+		if h != nil {
+			if data == nil {
+				if data, err = m.Mem.GuestRead(dst, c.Size, cbit); err != nil {
+					return 0, 0, err
+				}
+			}
+			h.Write(data)
+		}
+		if c.FileOff == 0 {
+			header = data
 		}
 		proc.Sleep(model.Hash(c.Size))
 		proc.Sleep(model.ELFParsePerSegment)
 		total += c.Size
 	}
+	if h == nil && streamArt == nil {
+		hashFrom(expectOff) // nothing but retained chunks: hash those
+	}
 	var got [32]byte
-	if memoOK && streamArt != nil && total > 0 {
+	if h == nil {
 		got = streamArt.RangeDigest(streamBase, total)
 	} else {
-		copy(got[:], h.Sum(nil))
+		h.Sum(got[:0])
 	}
 	if cbit && got != want {
 		return 0, 0, fmt.Errorf("%w: kernel (streamed)", ErrVerification)
 	}
-	if len(headerScratch) < 32 {
+	if len(header) < 32 {
 		return 0, 0, fmt.Errorf("verifier: stream carried no ELF header")
 	}
-	// Entry point from the (verified) header copy in scratch.
-	entry = le64(headerScratch[24:])
+	// Entry point from the (verified) header copy.
+	entry = le64(header[24:])
 	return entry, total, nil
 }
 

@@ -298,47 +298,190 @@ func TestRunRejectsNonTilingChunks(t *testing.T) {
 	eng.Run()
 }
 
+// setupStream is setupSEVMachine for the fw_cfg stream of a vmlinux.
+func setupStream(t *testing.T, p *sim.Proc, host *kvm.Host, vmlinux, initrd []byte, h measure.ComponentHashes) (*kvm.Machine, Inputs) {
+	t.Helper()
+	m, in := setupSEVMachine(t, p, host, vmlinux, initrd, h)
+	chunks, err := BuildChunks(vmlinux, measure.GPAStageA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Kind, in.Chunks = KindVmlinux, chunks
+	return m, in
+}
+
+// TestRunStreamedVmlinux streams the kernel both ways the verifier can
+// prove it: interned, where every load segment aliases the artifact at the
+// byte offset the file keeps it and nothing is hashed, and unknown to the
+// process, where every chunk is copied and hashed for real. Either way
+// each segment's private copy is the file's bytes at its run address.
 func TestRunStreamedVmlinux(t *testing.T) {
 	art, err := kernelgen.Cached(kernelgen.Lupine())
 	if err != nil {
 		t.Fatal(err)
 	}
 	initrd := kernelgen.BuildInitrd(1, 1<<20)
+	for _, interned := range []bool{true, false} {
+		name := "hashed"
+		if interned {
+			name = "aliased"
+		}
+		t.Run(name, func(t *testing.T) {
+			artifact.ResetForTest()
+			if interned {
+				artifact.Intern(art.VMLinux)
+			}
+			h := measure.HashComponents(art.VMLinux, initrd, "console=ttyS0 root=/dev/vda")
+			eng := sim.NewEngine()
+			host := kvm.NewHost(eng, costmodel.Default(), 1)
+			eng.Go("vcpu", func(p *sim.Proc) {
+				m, in := setupStream(t, p, host, art.VMLinux, initrd, h)
+				handoff, err := Run(p, m, in)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if handoff.Entry != art.Entry {
+					t.Errorf("entry %#x, want %#x", handoff.Entry, art.Entry)
+				}
+				// The kernel is already at its run addresses, private.
+				for _, c := range in.Chunks {
+					if c.DestGPA == 0 {
+						continue
+					}
+					got, err := m.Mem.GuestRead(c.DestGPA, c.Size, true)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(got, art.VMLinux[c.FileOff:c.FileOff+uint64(c.Size)]) {
+						t.Errorf("segment at %#x: the private copy is not the file's bytes", c.DestGPA)
+					}
+				}
+				aliased := m.Mem.Stats().AliasedPages > 2*len(art.VMLinux)/4096*9/10 // staged and placed
+				if aliased != interned {
+					t.Errorf("interned=%v, but %d aliased pages say the segments were aliased=%v", interned, m.Mem.Stats().AliasedPages, aliased)
+				}
+			})
+			eng.Run()
+		})
+	}
+}
+
+// TestRunStreamDetectsStagedBitFlip: one bit flipped in the staged vmlinux
+// costs the host the boot wherever it lands — in a sub-page chunk that is
+// really copied (the header, retained until the artifact has a name; a gap,
+// compared with it at once), inside a run of pages the segment would have
+// aliased, or in a partial first or last page that a segment shares with
+// its neighbours — and reaches nothing the next guest uses.
+func TestRunStreamDetectsStagedBitFlip(t *testing.T) {
+	art, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact.Intern(art.VMLinux)
+	initrd := kernelgen.BuildInitrd(1, 1<<20)
+	h := measure.HashComponents(art.VMLinux, initrd, "console=ttyS0 root=/dev/vda")
+	chunks, err := BuildChunks(art.VMLinux, measure.GPAStageA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loads []Chunk
+	for _, c := range chunks {
+		if c.DestGPA != 0 {
+			loads = append(loads, c)
+		}
+	}
+	if chunks[0].DestGPA != 0 || chunks[0].Size >= 4096 || chunks[2].DestGPA != 0 || chunks[2].Size == 0 || len(loads) < 2 || loads[1].StageGPA%4096 == 0 {
+		t.Fatalf("the stream is not a sub-page header, then segments at unaligned file offsets with gaps between: %+v", chunks)
+	}
+	text := loads[0]
+	for _, flip := range []struct {
+		name string
+		gpa  uint64
+	}{
+		{"header chunk", chunks[0].StageGPA + 24},
+		{"alignment gap after the artifact has a name", chunks[2].StageGPA},
+		{"interior page of the text segment", text.StageGPA + uint64(text.Size)/2},
+		{"first partial page of a segment", loads[1].StageGPA},
+		{"last partial page of a segment", text.StageGPA + uint64(text.Size) - 1},
+	} {
+		t.Run(flip.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			host := kvm.NewHost(eng, costmodel.Default(), 1)
+			eng.Go("vcpu", func(p *sim.Proc) {
+				m, in := setupStream(t, p, host, art.VMLinux, initrd, h)
+				b, err := m.Mem.HostRead(flip.gpa, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b[0] ^= 0x10
+				if err := m.Mem.HostWrite(flip.gpa, b); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := Run(p, m, in); !errors.Is(err, ErrVerification) {
+					t.Errorf("bit flipped at staged %#x: err = %v, want ErrVerification", flip.gpa, err)
+				}
+				next, in := setupStream(t, p, host, art.VMLinux, initrd, h)
+				if _, err := Run(p, next, in); err != nil {
+					t.Errorf("the guest after the tampered one: %v", err)
+				}
+			})
+			eng.Run()
+		})
+	}
+}
+
+// TestRunStreamPrivateCopyOutlivesStaging: an aliased segment points at the
+// artifact, not at the staging pages it was copied from, so what the host
+// does to those after verification changes neither the private copy nor
+// its hash.
+func TestRunStreamPrivateCopyOutlivesStaging(t *testing.T) {
+	art, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact.Intern(art.VMLinux)
+	initrd := kernelgen.BuildInitrd(1, 1<<20)
 	h := measure.HashComponents(art.VMLinux, initrd, "console=ttyS0 root=/dev/vda")
 
 	eng := sim.NewEngine()
 	host := kvm.NewHost(eng, costmodel.Default(), 1)
 	eng.Go("vcpu", func(p *sim.Proc) {
-		m, in := setupSEVMachine(t, p, host, art.VMLinux, initrd, h)
-		chunks, err := BuildChunks(art.VMLinux, measure.GPAStageA)
+		m, in := setupStream(t, p, host, art.VMLinux, initrd, h)
+		if _, err := Run(p, m, in); err != nil {
+			t.Error(err)
+			return
+		}
+		text := in.Chunks[1]
+		before, err := m.Mem.HashRange(text.DestGPA, text.Size, true)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		in.Kind = KindVmlinux
-		in.Chunks = chunks
-		handoff, err := Run(p, m, in)
+		// The guest validated all of its memory; it hands the staging range
+		// back, as it would a DMA buffer, and the host scribbles on it.
+		scribble := bytes.Repeat([]byte{0xEE}, 3*4096+100)
+		if err := m.Mem.ShareRange(text.StageGPA, len(scribble)); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := m.Mem.HostWrite(text.StageGPA, scribble); err != nil {
+			t.Error(err)
+			return
+		}
+		got, err := m.Mem.GuestRead(text.DestGPA, text.Size, true)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if handoff.Entry != art.Entry {
-			t.Errorf("entry %#x, want %#x", handoff.Entry, art.Entry)
+		if !bytes.Equal(got, art.VMLinux[text.FileOff:text.FileOff+uint64(text.Size)]) {
+			t.Error("a host write to the staging range showed through the private copy")
 		}
-		// The kernel text is already at its run address, private.
-		text, err := m.Mem.GuestRead(art.Entry, 64, true)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		allZero := true
-		for _, b := range text {
-			if b != 0 {
-				allZero = false
-			}
-		}
-		if allZero {
-			t.Error("no kernel text at entry after streaming")
+		if after, err := m.Mem.HashRange(text.DestGPA, text.Size, true); err != nil || after != before {
+			t.Errorf("a host write to the staging range moved the private copy's hash (err %v)", err)
 		}
 	})
 	eng.Run()
