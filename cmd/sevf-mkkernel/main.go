@@ -68,7 +68,11 @@ func run(args []string, out io.Writer) error {
 		if err := write("bzImage-"+p.Name+".lz4", art.BzImageLZ4); err != nil {
 			return err
 		}
-		if err := write("bzImage-"+p.Name+".gz", art.BzImageGzip); err != nil {
+		gz, err := art.BzImageGzip()
+		if err != nil {
+			return err
+		}
+		if err := write("bzImage-"+p.Name+".gz", gz); err != nil {
 			return err
 		}
 	}

@@ -166,16 +166,26 @@ func ExtractVMLinux(b []byte) ([]byte, error) {
 	return DecompressPayload(info.Payload)
 }
 
+// compressPayload builds the payload container. The codec appends straight
+// after the container header, so the compressed bytes are written once.
 func compressPayload(vmlinux []byte, codec Codec) ([]byte, error) {
-	var data []byte
+	tag, ok := codecByte(codec)
+	if !ok {
+		return nil, fmt.Errorf("bzimage: unknown codec %q", codec)
+	}
+	// A kernel image compresses to a quarter or less (Fig. 8). A worst-case
+	// buffer would be zeroed in full to be a quarter used; append regrows a
+	// short one.
+	out := make([]byte, 0, len(payloadMagic)+1+8+len(vmlinux)/4)
+	out = append(out, payloadMagic...)
+	out = append(out, tag)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(vmlinux)))
 	switch codec {
-	case CodecNone:
-		data = vmlinux
 	case CodecLZ4:
-		data = lz4.CompressBlock(vmlinux)
+		return lz4.CompressBlockAppend(out, vmlinux), nil
 	case CodecGzip:
-		var buf bytes.Buffer
-		zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+		buf := bytes.NewBuffer(out)
+		zw, err := gzip.NewWriterLevel(buf, gzip.BestSpeed)
 		if err != nil {
 			return nil, err
 		}
@@ -185,17 +195,9 @@ func compressPayload(vmlinux []byte, codec Codec) ([]byte, error) {
 		if err := zw.Close(); err != nil {
 			return nil, err
 		}
-		data = buf.Bytes()
-	default:
-		return nil, fmt.Errorf("bzimage: unknown codec %q", codec)
+		return buf.Bytes(), nil
 	}
-	out := make([]byte, 0, len(payloadMagic)+1+8+len(data))
-	out = append(out, payloadMagic...)
-	out = append(out, codecByte(codec))
-	var sz [8]byte
-	binary.LittleEndian.PutUint64(sz[:], uint64(len(vmlinux)))
-	out = append(out, sz[:]...)
-	return append(out, data...), nil
+	return append(out, vmlinux...), nil
 }
 
 // DecompressPayload unwraps and decompresses a payload container.
@@ -276,16 +278,16 @@ func sniffPayload(payload []byte) (Codec, int, error) {
 	return codec, int(usize), nil
 }
 
-func codecByte(c Codec) byte {
+func codecByte(c Codec) (tag byte, ok bool) {
 	switch c {
 	case CodecNone:
-		return 0
+		return 0, true
 	case CodecLZ4:
-		return 1
+		return 1, true
 	case CodecGzip:
-		return 2
+		return 2, true
 	}
-	panic("bzimage: unknown codec " + string(c))
+	return 0, false
 }
 
 // Overhead is the fixed size a bzImage adds over its payload container.

@@ -124,7 +124,11 @@ func Fig5(opts Options) (*Table, error) {
 		}
 		add(preset.Name+"/vmlinux", len(art.VMLinux), 0, "")
 		add(preset.Name+"/bzImage-lz4", len(art.BzImageLZ4), len(art.VMLinux), "lz4")
-		add(preset.Name+"/bzImage-gzip", len(art.BzImageGzip), len(art.VMLinux), "gzip")
+		gz, err := art.BzImageGzip()
+		if err != nil {
+			return nil, err
+		}
+		add(preset.Name+"/bzImage-gzip", len(gz), len(art.VMLinux), "gzip")
 	}
 	initrd := opts.initrd()
 	compressed := lz4.Compress(initrd)
@@ -170,7 +174,11 @@ func Fig8(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(preset.Name, mib(len(art.VMLinux)), mib(len(art.BzImageLZ4)), mib(len(art.BzImageGzip)))
+		gz, err := art.BzImageGzip()
+		if err != nil {
+			return nil, err
+		}
+		tab.AddRow(preset.Name, mib(len(art.VMLinux)), mib(len(art.BzImageLZ4)), mib(len(gz)))
 	}
 	return tab, nil
 }

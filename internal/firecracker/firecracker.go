@@ -387,6 +387,7 @@ func (c Config) KernelImage() ([]byte, verifier.KernelKind, error) {
 	var (
 		img  []byte
 		kind verifier.KernelKind
+		err  error
 	)
 	switch c.Scheme {
 	case SchemeSEVeriFastBz:
@@ -395,13 +396,12 @@ func (c Config) KernelImage() ([]byte, verifier.KernelKind, error) {
 		case bzimage.CodecLZ4:
 			img = c.Artifacts.BzImageLZ4
 		case bzimage.CodecGzip:
-			img = c.Artifacts.BzImageGzip
+			img, err = c.Artifacts.BzImageGzip()
 		default:
-			built, err := bzimage.Build(c.Artifacts.VMLinux, c.Codec, c.Preset.Seed)
-			if err != nil {
-				return nil, 0, err
-			}
-			img = built
+			img, err = bzimage.Build(c.Artifacts.VMLinux, c.Codec, c.Preset.Seed)
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 	case SchemeSEVeriFastVmlinux:
 		img, kind = c.Artifacts.VMLinux, verifier.KindVmlinux

@@ -349,7 +349,11 @@ func TestGzipCodecSlowerThanLZ4(t *testing.T) {
 		return res
 	}
 	lz := run(bzimage.CodecLZ4, art.BzImageLZ4)
-	gz := run(bzimage.CodecGzip, art.BzImageGzip)
+	gzImage, err := art.BzImageGzip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz := run(bzimage.CodecGzip, gzImage)
 	if gz.Breakdown.BootstrapLoader <= lz.Breakdown.BootstrapLoader {
 		t.Fatalf("gzip decompress (%v) not slower than lz4 (%v)",
 			gz.Breakdown.BootstrapLoader, lz.Breakdown.BootstrapLoader)

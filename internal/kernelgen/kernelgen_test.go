@@ -2,7 +2,13 @@ package kernelgen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/severifast/severifast/internal/bzimage"
@@ -76,7 +82,11 @@ func TestGzipBiggerThanLZ4ButSmallerThanRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(art.BzImageGzip) >= len(art.VMLinux) {
+	gz, err := art.BzImageGzip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gz) >= len(art.VMLinux) {
 		t.Fatal("gzip bzImage not smaller than vmlinux")
 	}
 	if len(art.BzImageLZ4) >= len(art.VMLinux) {
@@ -257,5 +267,240 @@ func TestCachedInitrd(t *testing.T) {
 	}
 	if rebuilt := CachedInitrd(3, size); &rebuilt[0] == &first[0] || !bytes.Equal(rebuilt, want) {
 		t.Fatal("an evicted pair must be rebuilt to the same bytes")
+	}
+}
+
+// TestPinnedCalibrationMatchesSearch is the slow reference for pinnedCalib:
+// every preset has a row, nothing else does, and each row is bit for bit
+// what the search answers for its key. Whoever changes a preset's sizes,
+// bzimage.Overhead or the ELF framing allowance lands here; the failure
+// prints the row to commit.
+func TestPinnedCalibrationMatchesSearch(t *testing.T) {
+	if len(pinnedCalib) != len(Presets()) {
+		t.Errorf("pinnedCalib has %d rows for %d presets: a row whose key no preset produces is dead", len(pinnedCalib), len(Presets()))
+	}
+	for _, p := range Presets() {
+		k := p.contentKey()
+		_, q := searchCalibratedBytes(k.seed, k.n, k.compTarget)
+		row := fmt.Sprintf("{%d, %d, %d}: %x, // %s", k.seed, k.n, k.compTarget, q, p.Name)
+		pinned, ok := pinnedCalib[k]
+		if !ok {
+			t.Errorf("%s has no pinned row; commit\n\t%s", p.Name, row)
+		} else if math.Float64bits(pinned) != math.Float64bits(q) {
+			t.Errorf("%s is pinned at %x but the search answers otherwise; commit\n\t%s", p.Name, pinned, row)
+		}
+	}
+}
+
+// TestTableAnswersWithoutSearching: the presets never search, and an
+// unpinned key searches once per process.
+func TestTableAnswersWithoutSearching(t *testing.T) {
+	before := calibSearches.Load()
+	for _, p := range Presets() {
+		if _, err := Cached(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cached may have been warm already; a build of its own may not search
+	// either.
+	if _, err := Lupine().Build(); err != nil {
+		t.Fatal(err)
+	}
+	if n := calibSearches.Load() - before; n != 0 {
+		t.Fatalf("building the presets ran %d calibration searches, want 0: the pinned rows were not consulted", n)
+	}
+
+	const size = 256 << 10
+	seed := freshSeed()
+	first := BuildInitrd(seed, size)
+	second := BuildInitrd(seed, size)
+	if n := calibSearches.Load() - before; n != 1 {
+		t.Fatalf("two BuildInitrd calls with one (seed, size) ran %d searches, want 1", n)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("the remembered answer generated different bytes than the search returned")
+	}
+}
+
+// TestRememberedBytesEqualSearchedBytes sweeps sizes, seeds and targets:
+// what calibratedBytes returns, searching or remembering, is what the search
+// returns. At least one key must exhaust all four corrective rounds, where
+// the fraction that generated the result and the fraction after the last
+// step differ.
+func TestRememberedBytesEqualSearchedBytes(t *testing.T) {
+	exhausted := 0
+	for _, n := range []int{4 << 10, 64 << 10, 1 << 20} {
+		for _, seed := range []int64{1, 7, 42} {
+			for _, frac := range []float64{0.15, 0.5, 0.75} {
+				target := int(float64(n) * frac)
+				want, _ := searchCalibratedBytes(seed, n, target)
+				before := calibSearches.Load()
+				searched := calibratedBytes(seed, n, target)
+				remembered := calibratedBytes(seed, n, target)
+				if got := calibSearches.Load() - before; got > 1 {
+					t.Errorf("n=%d seed=%d target=%d: %d searches for two calls, want at most 1", n, seed, target, got)
+				}
+				if !bytes.Equal(searched, want) || !bytes.Equal(remembered, want) {
+					t.Errorf("n=%d seed=%d target=%d: calibratedBytes differs from the search", n, seed, target)
+				}
+				// The search only stops early on a result within 1.5 %.
+				ratio := float64(len(lz4.CompressBlock(want))) / float64(n)
+				if abs(ratio-frac)/frac >= 0.015 {
+					exhausted++
+				}
+			}
+		}
+	}
+	if exhausted == 0 {
+		t.Fatal("no key in the sweep ran all four corrective rounds")
+	}
+}
+
+// seedsTaken counts freshSeed calls.
+var seedsTaken atomic.Int64
+
+// freshSeed returns a seed no other test, and no earlier -count iteration
+// of the calling test, has generated from.
+func freshSeed() int64 { return 0x7ab1e + seedsTaken.Add(1) }
+
+// smallPreset is a preset cheap enough to build many times; it has no
+// pinned row, so every Build of it runs one search.
+func smallPreset(name string, seed int64) Preset {
+	return Preset{Name: name, VMLinuxSize: 1 << 20, BzImageLZ4Target: 256 << 10, Tolerance: 0.08, Seed: seed}
+}
+
+// TestCachedKeysOnWhatBuildReads: a preset that shares a name with another
+// but not its seed or size gets its own kernels; one that differs only in
+// its command line shares them.
+func TestCachedKeysOnWhatBuildReads(t *testing.T) {
+	lup, err := Cached(Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := Cached(smallPreset("lupine", Lupine().Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small == lup || len(small.VMLinux) > 1<<20 {
+		t.Fatalf("a 1 MiB preset named lupine was handed %d bytes of vmlinux", len(small.VMLinux))
+	}
+	reseeded, err := Cached(smallPreset("lupine", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reseeded == small || bytes.Equal(reseeded.VMLinux, small.VMLinux) {
+		t.Fatal("a preset with another seed was handed the first seed's kernel")
+	}
+	variant := Lupine()
+	variant.Cmdline += " img=3"
+	if art, err := Cached(variant); err != nil || art != lup {
+		t.Fatalf("a command-line variant did not share the preset's kernels (err %v)", err)
+	}
+}
+
+// TestCachedIsSingleFlight: 8 goroutines that miss together cause one
+// Build and see one *Artifacts.
+func TestCachedIsSingleFlight(t *testing.T) {
+	p := smallPreset("single-flight", freshSeed())
+	before := calibSearches.Load()
+	var wg sync.WaitGroup
+	got := make([]*Artifacts, 8)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = Cached(p)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != got[0] {
+			t.Errorf("caller %d got its own artifacts", i)
+		}
+	}
+	// An unpinned preset searches once per Build.
+	if n := calibSearches.Load() - before; n != 1 {
+		t.Fatalf("8 concurrent first callers ran %d builds, want 1", n)
+	}
+}
+
+// TestBzImageGzipIsLazyAndRight: the gzip image is what bzimage.Build makes
+// of the vmlinux, is built once however often it is asked for, and a copy
+// of the artifacts with another vmlinux is not handed the original's.
+func TestBzImageGzipIsLazyAndRight(t *testing.T) {
+	p := smallPreset("gzip", 5)
+	art, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.gzip.img != nil {
+		t.Fatal("Build made the gzip image before anyone asked")
+	}
+	want, err := bzimage.Build(art.VMLinux, bzimage.CodecGzip, p.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := art.BzImageGzip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatal("BzImageGzip differs from bzimage.Build(VMLinux, gzip, seed)")
+	}
+	if again, _ := art.BzImageGzip(); &again[0] != &first[0] {
+		t.Fatal("second request rebuilt the gzip image")
+	}
+
+	evil := *art
+	evil.VMLinux = append([]byte(nil), art.VMLinux...)
+	evil.VMLinux[len(evil.VMLinux)/2] ^= 1
+	wantEvil, err := bzimage.Build(evil.VMLinux, bzimage.CodecGzip, p.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := evil.BzImageGzip(); err != nil || !bytes.Equal(got, wantEvil) || bytes.Equal(got, first) {
+		t.Fatalf("a copy with a tampered vmlinux was handed an image of the original (err %v)", err)
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
+
+// TestArtifactBytesGolden pins every generated byte: the SHA-256 of each
+// preset's vmlinux and both bzImages and of the default attestation initrd.
+// Launch digests, results/*.csv and the benchmark's output digests all
+// derive from these.
+func TestArtifactBytesGolden(t *testing.T) {
+	const golden = "testdata/artifact_sha256.golden"
+	var got bytes.Buffer
+	for _, p := range Presets() {
+		art, err := Cached(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gz, err := art.BzImageGzip()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s vmlinux %x\n", p.Name, sha256.Sum256(art.VMLinux))
+		fmt.Fprintf(&got, "%s bzImage.lz4 %x\n", p.Name, sha256.Sum256(art.BzImageLZ4))
+		fmt.Fprintf(&got, "%s bzImage.gz %x\n", p.Name, sha256.Sum256(gz))
+	}
+	fmt.Fprintf(&got, "initrd(1,%d) %x\n", DefaultInitrdSize, sha256.Sum256(BuildInitrd(1, DefaultInitrdSize)))
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update-golden to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("generated artifacts changed:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }

@@ -60,3 +60,31 @@ func FuzzDecompress(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompressBlock holds the compressor to the byte-at-a-time reference
+// (compressBlockReference) and to the round trip, on the decoder fuzzers'
+// corpus read as plain content and on what that corpus was compressed from.
+func FuzzCompressBlock(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("hello hello hello hello"))
+	f.Add(bytes.Repeat([]byte{0xAA}, 4096))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
+	f.Add(bytes.Repeat([]byte("abcd"), 1000))
+	f.Add(CompressBlock(bytes.Repeat([]byte{0xAA}, 4096)))
+	f.Add(Compress(bytes.Repeat([]byte("abcd"), 1000)))
+	f.Add([]byte{0xF0, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0x10, 'x', 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if len(src) > 1<<20 {
+			return
+		}
+		sameAsReference(t, "fuzz input", src)
+		out, err := DecompressBlock(CompressBlock(src), len(src))
+		if err != nil {
+			t.Fatalf("round trip failed: %v", err)
+		}
+		if !bytes.Equal(out, src) {
+			t.Fatal("round trip mismatch")
+		}
+	})
+}

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 const (
@@ -90,10 +91,7 @@ func CompressBlockAppend(dst, src []byte) []byte {
 		}
 
 		// Extend forwards, but never into the last-literals region.
-		matchLen := minMatch
-		for s+matchLen < matchLimit && src[s+matchLen] == src[ref+matchLen] {
-			matchLen++
-		}
+		matchLen := minMatch + commonPrefix(src[s+minMatch:matchLimit], src[ref+minMatch:])
 
 		dst = appendSequence(dst, src[anchor:s], s-ref, matchLen)
 		s += matchLen
@@ -107,6 +105,22 @@ func CompressBlockAppend(dst, src []byte) []byte {
 	}
 
 	return appendLiterals(dst, src[anchor:])
+}
+
+// commonPrefix returns how many leading bytes of a equal b's. b is at least
+// as long as a. Eight bytes are compared per step: the first differing byte
+// of two little-endian words is the lowest set byte of their xor.
+func commonPrefix(a, b []byte) int {
+	n := 0
+	for ; n+8 <= len(a); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < len(a) && a[n] == b[n] {
+		n++
+	}
+	return n
 }
 
 // appendSequence emits one LZ4 sequence: token, literal run, offset, match

@@ -2,6 +2,7 @@ package lz4
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -111,20 +112,25 @@ func TestQuickRoundTripArbitrary(t *testing.T) {
 	}
 }
 
+// lowEntropyRuns is n bytes drawn from a small alphabet, in runs.
+func lowEntropyRuns(seed int64, n int) []byte {
+	r := rand.New(rand.NewSource(seed))
+	src := make([]byte, n)
+	for i := 0; i < len(src); {
+		b := byte(r.Intn(8))
+		run := 1 + r.Intn(20)
+		for j := 0; j < run && i < len(src); j++ {
+			src[i] = b
+			i++
+		}
+	}
+	return src
+}
+
 func TestQuickRoundTripCompressible(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	f := func(seed int64, n uint16) bool {
-		r := rand.New(rand.NewSource(seed))
-		src := make([]byte, int(n)*4)
-		// Low-entropy content: bytes drawn from a small alphabet with runs.
-		for i := 0; i < len(src); {
-			b := byte(r.Intn(8))
-			run := 1 + r.Intn(20)
-			for j := 0; j < run && i < len(src); j++ {
-				src[i] = b
-				i++
-			}
-		}
+		src := lowEntropyRuns(seed, int(n)*4)
 		block := CompressBlock(src)
 		got, err := DecompressBlock(block, len(src))
 		return err == nil && bytes.Equal(got, src)
@@ -253,17 +259,7 @@ func TestCompressionRatioOnKernelLikeData(t *testing.T) {
 	// Kernel images mix machine code (moderately compressible), tables
 	// (highly compressible), and compressed-ish data sections. Emulate the
 	// mix and require a plausible overall ratio (2x-10x).
-	rng := rand.New(rand.NewSource(1234))
-	var src []byte
-	dict := make([][]byte, 64)
-	for i := range dict {
-		w := make([]byte, 8+rng.Intn(24))
-		rng.Read(w)
-		dict[i] = w
-	}
-	for len(src) < 4<<20 {
-		src = append(src, dict[rng.Intn(len(dict))]...)
-	}
+	src := kernelLikeMix(4 << 20)
 	block := CompressBlock(src)
 	ratio := float64(len(src)) / float64(len(block))
 	if ratio < 2 || ratio > 30 {
@@ -345,5 +341,147 @@ func TestDecompressBlockIntoReusesBuffer(t *testing.T) {
 	}
 	if !bytes.Equal(dst, src) {
 		t.Fatal("round trip mismatch")
+	}
+}
+
+// compressBlockReference is the compressor as it was before the match loop
+// compared a word at a time: the same table, the same greedy choice, one
+// byte per step. CompressBlockAppend must produce its output byte for byte.
+func compressBlockReference(src []byte) []byte {
+	if len(src) == 0 {
+		return []byte{0}
+	}
+	if len(src) < mfLimit+1 {
+		return appendLiterals(nil, src)
+	}
+	var table [1 << hashLog]int32
+	for i := range table {
+		table[i] = -1
+	}
+	var dst []byte
+	anchor, s := 0, 0
+	limit := len(src) - mfLimit
+	matchLimit := len(src) - lastLiterals
+	for s < limit {
+		h := hash4(load32(src, s))
+		ref := int(table[h])
+		table[h] = int32(s)
+		if ref < 0 || s-ref > maxOffset || load32(src, ref) != load32(src, s) {
+			s++
+			continue
+		}
+		for s > anchor && ref > 0 && src[s-1] == src[ref-1] {
+			s--
+			ref--
+		}
+		matchLen := minMatch
+		for s+matchLen < matchLimit && src[s+matchLen] == src[ref+matchLen] {
+			matchLen++
+		}
+		dst = appendSequence(dst, src[anchor:s], s-ref, matchLen)
+		s += matchLen
+		anchor = s
+		if s < limit {
+			table[hash4(load32(src, s-2))] = int32(s - 2)
+		}
+	}
+	return appendLiterals(dst, src[anchor:])
+}
+
+// sameAsReference fails the test unless the word-at-a-time compressor and
+// the reference agree on src.
+func sameAsReference(t *testing.T, what string, src []byte) {
+	t.Helper()
+	if got, want := CompressBlock(src), compressBlockReference(src); !bytes.Equal(got, want) {
+		t.Fatalf("%s (%d bytes): compressed to %d bytes, reference %d, or same length and different bytes", what, len(src), len(got), len(want))
+	}
+}
+
+// kernelLikeMix emulates a kernel image: machine code (moderately
+// compressible), tables (highly compressible) and compressed-ish data
+// sections.
+func kernelLikeMix(n int) []byte {
+	rng := rand.New(rand.NewSource(1234))
+	var src []byte
+	dict := make([][]byte, 64)
+	for i := range dict {
+		w := make([]byte, 8+rng.Intn(24))
+		rng.Read(w)
+		dict[i] = w
+	}
+	for len(src) < n {
+		src = append(src, dict[rng.Intn(len(dict))]...)
+	}
+	return src
+}
+
+// TestCompressMatchesByteWiseReference holds the word-at-a-time match
+// extension to the byte-at-a-time one over everything the round-trip tests
+// compress, plus the cases that distinguish the two: matches that end
+// within two words of matchLimit, and matches that overlap their own source.
+func TestCompressMatchesByteWiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 4, 5, 11, 12, 13, 14, 15, 16, 17, 63, 64, 65, 255, 256, 4095, 4096, 4097} {
+		src := make([]byte, n)
+		rng.Read(src)
+		sameAsReference(t, "random", src)
+		for i := range src {
+			src[i] = byte(i % 7)
+		}
+		sameAsReference(t, "period 7", src)
+	}
+
+	arbitrary := func(src []byte) bool {
+		return bytes.Equal(CompressBlock(src), compressBlockReference(src))
+	}
+	if err := quick.Check(arbitrary, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	compressible := func(seed int64, n uint16) bool {
+		src := lowEntropyRuns(seed, int(n)*4)
+		return bytes.Equal(CompressBlock(src), compressBlockReference(src))
+	}
+	if err := quick.Check(compressible, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(99))}); err != nil {
+		t.Fatal(err)
+	}
+
+	sameAsReference(t, "kernel-like mix", kernelLikeMix(4<<20))
+
+	// A 64-byte phrase, noise, then the phrase again, cut so that the match
+	// stops 0..16 bytes short of matchLimit or runs straight into it, with
+	// and without a differing byte just before the cut.
+	phrase := make([]byte, 64)
+	rng.Read(phrase)
+	noise := make([]byte, 100)
+	rng.Read(noise)
+	for tail := 0; tail <= 16+lastLiterals; tail++ {
+		for _, diverge := range []bool{false, true} {
+			src := append(append(append([]byte(nil), phrase...), noise...), phrase...)
+			src = src[:len(src)-tail]
+			if diverge {
+				src[len(src)-lastLiterals-1] ^= 0xFF
+			}
+			sameAsReference(t, fmt.Sprintf("second phrase cut %d short, diverge %v", tail, diverge), src)
+		}
+	}
+	for gap := 0; gap <= 16; gap++ {
+		// The match ends on its own, gap bytes before matchLimit.
+		src := append(append(append([]byte(nil), phrase...), noise...), phrase[:40]...)
+		src = append(src, noise[:gap+lastLiterals]...)
+		sameAsReference(t, fmt.Sprintf("match ending %d bytes before matchLimit", gap), src)
+	}
+
+	// Overlapping matches: periods shorter than a word, equal to one, and
+	// just over, each also with a byte that breaks the run mid-word.
+	for _, period := range []int{1, 2, 3, 5, 7, 8, 9, 13} {
+		for _, n := range []int{40, 41, 47, 48, 100, 1000, 70000} {
+			src := make([]byte, n)
+			for i := range src {
+				src[i] = byte(i % period)
+			}
+			sameAsReference(t, fmt.Sprintf("period %d", period), src)
+			src[n*2/3] ^= 0x55
+			sameAsReference(t, fmt.Sprintf("period %d, broken", period), src)
+		}
 	}
 }
