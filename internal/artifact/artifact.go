@@ -56,9 +56,11 @@ type Buf struct {
 
 	// templates is Template's side table: a plain map under its own
 	// mutex, because a key boxed for a sync.Map would allocate on every
-	// hit.
+	// hit. Its entries are carved templateSlab at a time from tspare: a
+	// buffer with one template has a handful.
 	tmu       sync.Mutex
 	templates map[uint64]*derivedEntry
+	tspare    []derivedEntry
 }
 
 type rangeKey struct{ off, n int }
@@ -207,6 +209,9 @@ func (b *Buf) Derived(key string, build func() (any, error)) (any, error) {
 	return e.val, e.err
 }
 
+// templateSlab is how many Template entries one allocation yields.
+const templateSlab = 8
+
 // Template returns the value memoised under key, building it at most
 // once; unlike Derived's, the hit path allocates nothing. It is for values
 // that describe where the buffer's bytes are, never what they hold —
@@ -219,7 +224,10 @@ func (b *Buf) Template(key uint64, build func() any) any {
 		if b.templates == nil {
 			b.templates = make(map[uint64]*derivedEntry)
 		}
-		e = &derivedEntry{}
+		if len(b.tspare) == 0 {
+			b.tspare = make([]derivedEntry, templateSlab)
+		}
+		e, b.tspare = &b.tspare[0], b.tspare[1:]
 		b.templates[key] = e
 	}
 	b.tmu.Unlock()

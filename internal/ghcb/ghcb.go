@@ -146,8 +146,8 @@ func ReadFromHost(mem *guestmem.Memory, gpa uint64) (*HostView, error) {
 	if mem.IsPrivate(gpa) {
 		return nil, ErrNotShared
 	}
-	page, err := mem.HostRead(gpa, guestmem.PageSize)
-	if err != nil {
+	var page [guestmem.PageSize]byte // on the stack: seven fields are decoded and the page is done with
+	if err := mem.HostReadInto(gpa, page[:]); err != nil {
 		return nil, err
 	}
 	le := binary.LittleEndian

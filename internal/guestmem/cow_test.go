@@ -88,7 +88,7 @@ func TestCoWNoCrossGuestWriteLeak(t *testing.T) {
 			if shared && (!ea.template || ea.leaf != eb.leaf) {
 				t.Fatal("two guests staging one whole leaf of an artifact do not share its template")
 			}
-			kept := *eb.leaf
+			kept := pagesOf(eb.leaf)
 			// Guest A scribbles over its copy of the shared pages.
 			if err := a.GuestWrite(sh.gpaA+100, []byte("guest A private state"), false); err != nil {
 				t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCoWNoCrossGuestWriteLeak(t *testing.T) {
 			if !bytes.Equal(got, orig) {
 				t.Fatal("guest A's write leaked into guest B")
 			}
-			if b.dir[sh.gpaB/leafBytes] != eb || *eb.leaf != kept {
+			if b.dir[sh.gpaB/leafBytes] != eb || pagesOf(eb.leaf) != kept {
 				t.Fatal("guest A's write changed guest B's page state")
 			}
 			if sum, err := b.HashRange(sh.gpaB, len(data), false); err != nil || sum != art.Digest() || counterOf(recB, "guestmem.digest.memo") != 1 {

@@ -442,8 +442,8 @@ func checkBigArtifact(t *testing.T) {
 	}
 }
 
-// pathTally counts, by name, how often an op stream took each path the
-// template leaves added, so a test can refuse to pass without them.
+// pathTally counts, by name, how often an op stream took each path that
+// sharing nodes and chunks added, so a test can refuse to pass without them.
 type pathTally map[string]int
 
 func (t pathTally) add(o pathTally) {
@@ -545,14 +545,21 @@ func stagingArtifact(rng *rand.Rand) *artifact.Buf {
 // runDirectoryOps drives Memory and the reference through ops seeded
 // operations. onExport, when non-nil, sees every fork source the stream
 // exports, with its donor still in the state it was exported from. The
-// tally says which template-leaf paths the stream reached: "share <op>" a
-// root entry pointed at a template by that entry point, "thaw <op>" a
-// template leaf copied out by that single store, "GuestCopy template->
-// misaligned" and "GuestCopy owned" the copies that must not share,
-// "export" and "adopt" template entries kept by reference and adopted.
-// "share GuestCopy shifted" is a template shared by a copy between
+// tally says which sharing paths the stream reached. At the root: "share
+// <op>" a root entry pointed at a template leaf by that entry point, "thaw
+// <op>" a template node copied out by that single store, "GuestCopy
+// template->misaligned" and "GuestCopy owned" the copies that must not
+// share, "export" and "adopt" template entries kept by reference and
+// adopted. "share GuestCopy shifted" is a template shared by a copy between
 // addresses that are not page-aligned, "GuestCopy shifted sub-leaf" the
 // same alias taken by the small copies, where no whole leaf is in reach.
+// One level down: "thaw chunk <op>" a shared chunk of a node the guest owns
+// copied out by that single store, "share chunk into <nil|owned|template>
+// slot" a chunk template installed by a write of whole chunks inside a slot
+// that held that, "GuestCopy chunk->chunk" one installed by a copy,
+// "export shared chunk" a chunk the donor shared kept by reference, "adopt
+// over <an owned|a shared> chunk" a source chunk overlaid on a chunk of a
+// node the adopter already held.
 func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(donor *Memory, s *ForkSource)) pathTally {
 	rng := rand.New(rand.NewSource(seed))
 	k, asid := key(byte(seed)), uint32(5)
@@ -566,6 +573,24 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 		}
 		return n
 	}
+	slotKind := func(e dirEntry) string {
+		switch {
+		case e.leaf == nil:
+			return "nil"
+		case e.template:
+			return "template"
+		case e.frozen:
+			return "forked"
+		}
+		return "owned"
+	}
+	// sharedChunk reports whether page pn sits in a chunk its guest shares
+	// through a node it owns.
+	sharedChunk := func(m *Memory, pn uint64) bool {
+		e := m.dir[pn/leafPages]
+		c := pn % leafPages / chunkPages
+		return e.leaf != nil && !e.frozen && e.leaf.chunks[c] != nil && e.leaf.shared&(1<<c) != 0
+	}
 	newGuest := func() guestPair {
 		m := New(dirTestSize)
 		m.SetHostRecorder(rec)
@@ -576,6 +601,17 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 		return guestPair{m, newRef(dirTestSize, k, asid, snp)}
 	}
 	guests := []guestPair{newGuest()}
+	// admit brings a new, empty guest into the stream, in place of an old
+	// one once there are six.
+	admit := func() guestPair {
+		g := newGuest()
+		if len(guests) < 6 {
+			guests = append(guests, g)
+		} else {
+			guests[rng.Intn(len(guests))] = g
+		}
+		return g
+	}
 	var sources []sourcePair
 
 	dense := make([]byte, 6*PageSize+300)
@@ -589,12 +625,12 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 
 	var cur *Memory // the guest the op being drawn is for
 	pickPN := func() uint64 {
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0:
 			return uint64(rng.Intn(16))
 		case 1:
 			return dirTestSize/PageSize - 13 + uint64(rng.Intn(16)) // runs off the end now and then
-		case 2: // inside a leaf the guest shares, when it has one
+		case 2: // inside a template leaf the guest shares, when it has one
 			leaf := uint64(1 + rng.Intn(3))
 			var held []uint64
 			for i, e := range cur.dir {
@@ -606,6 +642,17 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 				leaf = held[rng.Intn(len(held))]
 			}
 			return leaf*leafPages + uint64(rng.Intn(leafPages))
+		case 3: // inside a chunk the guest shares through a node it owns, when it has one
+			var held []uint64
+			for pn := uint64(0); pn < dirTestSize/PageSize; pn += chunkPages {
+				if sharedChunk(cur, pn) {
+					held = append(held, pn)
+				}
+			}
+			if len(held) == 0 {
+				return uint64(rng.Intn(16))
+			}
+			return held[rng.Intn(len(held))] + uint64(rng.Intn(chunkPages))
 		default:
 			return uint64(1+rng.Intn(2))*leafPages - 12 + uint64(rng.Intn(30))
 		}
@@ -670,13 +717,17 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 		// the checks are not what gets cut to pay for that.
 		if i >= ops-200 && rng.Intn(3) == 0 {
 			op = 16 + rng.Intn(9)
+		} else if i >= ops-350 && rng.Intn(8) == 0 { // the chunk-sized ones cost a sweep less, so they start sooner, while some slots are still empty
+			op = 25 + rng.Intn(4)
 		}
 		if op >= 16 && op < 20 { // the big writes start at a leaf, or one page off
 			gpa = pickLeafGPA(1, 2)
 		}
 		name := ""
 		shared, owned := counter("guestmem.leaf.shared"), counter("guestmem.leaf.owned")
+		chunksShared, chunksOwned := counter("guestmem.chunk.shared"), counter("guestmem.chunk.owned")
 		thawable := gpa < dirTestSize && g.m.dir[gpa/leafBytes].template
+		chunkThawable := gpa < dirTestSize && sharedChunk(g.m, gpa/PageSize)
 		switch op {
 		case 0:
 			name = "HostWrite"
@@ -743,6 +794,18 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 				t.Fatal(err)
 			}
 			tally["export"] += templates(s.dir)
+			for i, e := range s.dir {
+				if own := g.m.dir[i]; e.leaf != nil && !e.template {
+					for c, ch := range e.leaf.chunks {
+						if ch != nil && ch == own.leaf.chunks[c] {
+							tally["export shared chunk"]++
+							if bit := uint8(1) << c; e.leaf.template&bit != own.leaf.template&bit {
+								t.Fatalf("export: chunk %d of slot %d kept by reference, but not what the donor knew of it (template %v)", c, i, own.leaf.template&bit != 0)
+							}
+						}
+					}
+				}
+			}
 			if sp := (sourcePair{s, g.r.export()}); len(sources) < 6 { // each is adopted and swept whole when it goes: keep few
 				sources = append(sources, sp)
 			} else {
@@ -759,14 +822,22 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 			}
 			s := sources[rng.Intn(len(sources))]
 			if op != 15 {
-				g = newGuest()
-				if len(guests) < 6 {
-					guests = append(guests, g)
-				} else {
-					guests[rng.Intn(len(guests))] = g
-				}
+				g = admit()
 			}
 			held := templates(g.m.dir)
+			for i, e := range s.s.dir {
+				if own := g.m.dir[i]; e.leaf != nil && !e.template && own.leaf != nil {
+					for c, ch := range e.leaf.chunks {
+						switch {
+						case ch == nil || own.leaf.chunks[c] == nil:
+						case own.frozen || own.leaf.shared&(1<<c) != 0:
+							tally["adopt over a shared chunk"]++
+						default:
+							tally["adopt over an owned chunk"]++
+						}
+					}
+				}
+			}
 			if err := g.m.AdoptFork(s.s); err != nil {
 				t.Fatalf("AdoptFork: %v", err)
 			}
@@ -833,6 +904,48 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 			shared = counter("guestmem.leaf.shared")
 			srcCbit := g.r.peek(src/PageSize).encrypted != (rng.Intn(4) == 0)
 			agree(name, g.m.GuestCopy(gpa, src, n, cbit, srcCbit), g.r.guestCopy(gpa, src, n, cbit, srcCbit))
+		case 25, 26: // whole chunks of one artifact inside one slot, whatever it held: chunk templates, and a ragged end
+			if rng.Intn(6) == 0 { // a guest every slot of which is still nil
+				g = admit()
+			}
+			slot, first := uint64(rng.Intn(5)), uint64(rng.Intn(leafChunks-2))
+			var held []uint64 // a slot of the kind drawn, when the guest has one
+			for i, kind := 0, []string{"nil", "owned", "template"}[rng.Intn(3)]; i < 5; i++ {
+				if slotKind(g.m.dir[i]) == kind {
+					held = append(held, uint64(i))
+				}
+			}
+			if len(held) > 0 {
+				slot = held[rng.Intn(len(held))]
+			}
+			gpa, n = slot*leafBytes+first*chunkBytes, 2*chunkBytes+[]int{0, 3*PageSize + 77, chunkBytes - 9*PageSize + 77}[rng.Intn(3)]
+			off, into := rng.Intn(2)*(PageSize+300), slotKind(g.m.dir[slot])
+			var err error
+			if rng.Intn(2) == 0 {
+				err = g.m.HostWriteArtifact(gpa, big, off, n)
+				agree("HostWriteArtifact(chunks)", err, g.r.hostWrite(gpa, big.Bytes()[off:off+n], true, big, off))
+			} else {
+				err = g.m.GuestWriteArtifact(gpa, big, off, n, cbit)
+				agree("GuestWriteArtifact(chunks)", err, g.r.guestWrite(gpa, big.Bytes()[off:off+n], cbit, true, big, off))
+			}
+			if err == nil {
+				if counter("guestmem.chunk.shared") != chunksShared+2 {
+					t.Fatalf("op %d: an aliased write of two whole chunks inside a slot shared %d chunk templates", i, counter("guestmem.chunk.shared")-chunksShared)
+				}
+				tally["share chunk into "+into+" slot"]++
+			}
+		case 27, 28: // whole chunks out of wherever the big artifact lands, onto a chunk boundary in the last slot or the first
+			at := uint64(leafBytes + rng.Intn(leafChunks)*chunkBytes)
+			src := at + uint64(rng.Intn(4))*chunkBytes
+			gpa, n = uint64(rng.Intn(2))*4*leafBytes+uint64(rng.Intn(leafChunks-2))*chunkBytes, (1+rng.Intn(2))*chunkBytes+[]int{0, 2*PageSize + 55, chunkBytes - 7*PageSize + 55}[rng.Intn(3)]
+			if rng.Intn(3) != 0 {
+				agree("GuestWriteArtifact(stage)", g.m.GuestWriteArtifact(at, big, 0, big.Len(), false),
+					g.r.guestWrite(at, big.Bytes(), false, true, big, 0))
+			}
+			chunksShared = counter("guestmem.chunk.shared")
+			srcCbit := g.r.peek(src/PageSize).encrypted != (rng.Intn(4) == 0)
+			agree("GuestCopy(chunks)", g.m.GuestCopy(gpa, src, n, cbit, srcCbit), g.r.guestCopy(gpa, src, n, cbit, srcCbit))
+			tally["GuestCopy chunk->chunk"] += counter("guestmem.chunk.shared") - chunksShared
 		case 23: // state changes across whole leaves, which is also what lets the RMP admit the big guest accesses
 			if gpa, n = pickLeafGPA(1, 3), leafBytes+rng.Intn(leafBytes); rng.Intn(2) == 0 {
 				agree("LaunchUpdateFlip(big)", g.m.LaunchUpdateFlip(gpa, n), g.r.flip(gpa, n, true))
@@ -844,6 +957,9 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 			tally["share "+name] += counter("guestmem.leaf.shared") - shared
 			if thawable && counter("guestmem.leaf.owned") > owned {
 				tally["thaw "+name]++
+			}
+			if chunkThawable && counter("guestmem.chunk.owned") > chunksOwned {
+				tally["thaw chunk "+name]++
 			}
 		}
 		// Cheap checks after every op, everything every 50.
@@ -890,11 +1006,15 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 		}
 		// Agreement with the reference proves nothing about template leaves
 		// unless the streams reached them, by every way in and out.
+		t.Logf("snp=%v: %v", snp, tally)
 		for _, path := range []string{
 			"share HostWriteAliased", "share HostWriteArtifact", "share GuestWriteArtifact", "share GuestCopy",
 			"GuestCopy template->misaligned", "GuestCopy owned", "share GuestCopy shifted", "GuestCopy shifted sub-leaf",
 			"thaw HostWrite", "thaw GuestWrite", "thaw LaunchUpdateFlip", "thaw ShareRange", "thaw HostRestoreCiphertext",
 			"export", "adopt", "adopt over templates",
+			"thaw chunk HostWrite", "thaw chunk GuestWrite", "thaw chunk LaunchUpdateFlip", "thaw chunk ShareRange", "thaw chunk HostRestoreCiphertext",
+			"share chunk into nil slot", "share chunk into owned slot", "share chunk into template slot", "GuestCopy chunk->chunk",
+			"export shared chunk", "adopt over an owned chunk", "adopt over a shared chunk",
 		} {
 			if !t.Failed() && tally[path] == 0 {
 				t.Errorf("snp=%v: the op streams never took path %q (tally %v)", snp, path, tally)
@@ -944,7 +1064,7 @@ func TestGuestCopyInsideSharedLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := *src.dir[0].leaf // the leaf's page structs, by value
+	frozen := pagesOf(src.dir[0].leaf) // the leaf's page structs, by value
 
 	child := New(donor.Size())
 	child.SetKey(donor.Key(), 2)
@@ -955,7 +1075,7 @@ func TestGuestCopyInsideSharedLeaf(t *testing.T) {
 	if err := child.GuestCopy(32*PageSize, 8*PageSize, len(text), true, false); err != nil {
 		t.Fatal(err)
 	}
-	if *src.dir[0].leaf != frozen {
+	if pagesOf(src.dir[0].leaf) != frozen {
 		t.Fatal("GuestCopy stored into the frozen leaf")
 	}
 	got, err := child.GuestRead(32*PageSize, len(text), true)

@@ -11,7 +11,7 @@ package guestmem
 //
 // Where snapshot.Restore replays ciphertext page by page (O(image) AES
 // work per warm boot), AdoptFork points the child's root entries at the
-// source's frozen leaves — one store per touched 2 MiB of guest — replays
+// source's frozen nodes — one store per touched 2 MiB of guest — replays
 // the source's private-page runs into the child's RMP, and makes one
 // O(1) root check. Forked children alias the registered artifacts with
 // their original provenance, exactly as a cold-booted guest does; only
@@ -19,9 +19,9 @@ package guestmem
 // and ASID (installed by psp.LaunchStartFork), so the host-visible
 // ciphertext of every aliased private page is bit-identical to what a
 // copy restore would have produced. A store to any page first copies its
-// leaf into the child (ownLeaf) and then breaks the page's alias
-// (mutable), so neither the frozen directory, an artifact nor the blob
-// can diverge.
+// node into the child (ownLeaf), then its chunk (ownChunk), and then
+// breaks the page's alias (mutable), so neither the frozen directory, an
+// artifact nor the blob can diverge.
 //
 // Soundness: the fork root is SHA-256 over the digest of the extent table
 // (which page holds which bytes of which artifact, and its privacy), the
@@ -37,7 +37,7 @@ package guestmem
 // count with the one recorded at export (atomic loads, no lock); on any
 // difference it re-derives the root from the artifacts' own digests and
 // refuses with ErrForkTampered unless it is the root recorded at capture.
-// AdoptFork verifies before sharing a single leaf, so a fork can never go
+// AdoptFork verifies before sharing a single node, so a fork can never go
 // live with pages that differ from the measured parent.
 
 import (
@@ -88,9 +88,10 @@ type ForkSource struct {
 
 	// Built once at export, read-only afterwards, shared by every
 	// adopter: the directory a forked guest starts from (every entry
-	// frozen, every backed page copy-on-write with provenance) and the
-	// maximal runs of private pages to assign+validate in the adopter's
-	// RMP.
+	// frozen, every backed page copy-on-write with provenance; a node's
+	// shared mask is not kept, ownLeaf marks every chunk of a copy) and
+	// the maximal runs of private pages to assign+validate in the
+	// adopter's RMP.
 	dir         []dirEntry
 	privateRuns []pageRun
 }
@@ -103,9 +104,11 @@ type pageRun struct{ pn, count uint64 }
 // are copied, in page-number order, into one dirty blob; the fork root is
 // taken over the extent table and the digests of everything it names, and
 // the frozen directory adopters will share is the donor's own page structs
-// with the dirty pages re-pointed at the blob — copied leaf by leaf, except
-// that a template leaf the donor still shares is shared on as it is and
-// recorded as one run. The blob's handle travels with the source (adopted
+// with the dirty pages re-pointed at the blob. Only what the donor owns is
+// copied, a node per touched slot and the chunks it stored to; what it
+// still shares is shared on as it is — a template leaf or chunk recorded as
+// one run, a chunk of the directory it was itself forked from page by
+// page. The blob's handle travels with the source (adopted
 // pages carry it as provenance), so it stays out of the process intern
 // table and is collected with the last fork container that references it.
 // The donor must not be mutated afterwards (fleet keeps donors parked for
@@ -113,24 +116,37 @@ type pageRun struct{ pn, count uint64 }
 // key is refused with ErrNoKey, as ExportPages refuses it: nothing could
 // ever adopt the source.
 func (m *Memory) ExportForkSource() (*ForkSource, error) {
-	var npages, ndirty, nleaves int
+	var npages, ndirty, nnodes, nchunks int
 	anyPrivate := false
 	for _, e := range m.dir {
+		if e.leaf == nil {
+			continue
+		}
 		if e.template { // template invariant: 512 resident pages, all with provenance, one state
 			npages += leafPages
-			anyPrivate = anyPrivate || e.leaf[0].encrypted
+			anyPrivate = anyPrivate || e.leaf.chunks[0][0].encrypted
 			continue
 		}
 		before := npages
-		e.eachResident(func(_ int, p page) {
-			npages++
-			if p.art == nil {
-				ndirty++
+		for c, ch := range e.leaf.chunks {
+			if ch == nil {
+				continue
 			}
-			anyPrivate = anyPrivate || p.encrypted
-		})
+			if e.leaf.template&(1<<c) != 0 {
+				npages += chunkPages
+				anyPrivate = anyPrivate || ch[0].encrypted
+				continue
+			}
+			resident, dirty, private := ch.census()
+			npages += resident
+			ndirty += dirty
+			anyPrivate = anyPrivate || private
+			if resident > 0 && !e.sharesOn(c, dirty) {
+				nchunks++
+			}
+		}
 		if npages > before {
-			nleaves++
+			nnodes++
 		}
 	}
 	if anyPrivate && m.key == nil {
@@ -138,35 +154,56 @@ func (m *Memory) ExportForkSource() (*ForkSource, error) {
 	}
 
 	blob := make([]byte, ndirty*PageSize)
-	leaves := make([]leaf, nleaves) // one slab: the frozen leaves live and die together
+	nodes, chunks := make([]leaf, nnodes), make([]chunk, nchunks) // one slab each: the frozen directory lives and dies together
 	src := &ForkSource{size: m.size, pages: make([]ForkPage, 0, npages), blob: artifact.Of(blob),
 		keyID: m.keyID(), dir: make([]dirEntry, len(m.dir))}
 	copied := 0
 	for i, e := range m.dir {
+		if e.leaf == nil {
+			continue
+		}
 		base := uint64(i) * leafPages
 		if e.template {
 			// Already what a frozen directory holds — every page
 			// copy-on-write with provenance — so shared, not copied.
+			first := e.leaf.chunks[0][0]
 			src.dir[i] = e
-			src.addRun(base, leafPages, e.leaf[0].art, int(e.leaf[0].artOff), e.leaf[0].encrypted)
+			src.addRun(base, leafPages, first.art, int(first.artOff), first.encrypted)
 			continue
 		}
-		e.eachResident(func(j int, p page) {
-			art, off := p.art, int(p.artOff)
-			if art == nil {
-				art, off = src.blob, copied
-				copy(blob[off:], p.readable())
-				p.alias(blob[off:off+PageSize], art, off) // an all-zero private page gets data too
-				copied += PageSize
+		for c, ch := range e.leaf.chunks {
+			if ch == nil {
+				continue
 			}
-			p.cow = true
+			base, frozen := base+uint64(c)*chunkPages, ch
+			if e.leaf.template&(1<<c) != 0 {
+				src.addRun(base, chunkPages, ch[0].art, int(ch[0].artOff), ch[0].encrypted)
+			} else if resident, dirty, _ := ch.census(); resident == 0 {
+				continue
+			} else if e.sharesOn(c, dirty) {
+				ch.eachResident(func(j int, p page) { src.addRun(base+uint64(j), 1, p.art, int(p.artOff), p.encrypted) })
+			} else {
+				frozen, chunks = &chunks[0], chunks[1:]
+				ch.eachResident(func(j int, p page) {
+					art, off := p.art, int(p.artOff)
+					if art == nil {
+						art, off = src.blob, copied
+						copy(blob[off:], p.readable())
+						p.alias(blob[off:off+PageSize], art, off) // an all-zero private page gets data too
+						copied += PageSize
+					}
+					p.cow = true
+					frozen[j] = p
+					src.addRun(base+uint64(j), 1, art, off, p.encrypted)
+				})
+			}
 			if src.dir[i].leaf == nil {
-				src.dir[i] = dirEntry{leaf: &leaves[0], frozen: true}
-				leaves = leaves[1:]
+				src.dir[i] = dirEntry{leaf: &nodes[0], frozen: true}
+				nodes = nodes[1:]
 			}
-			src.dir[i].leaf[j] = p
-			src.addRun(base+uint64(j), 1, art, off, p.encrypted)
-		})
+			src.dir[i].leaf.chunks[c] = frozen
+			src.dir[i].leaf.template |= e.leaf.template & (1 << c)
+		}
 	}
 	// Counts before digests: a Corrupt landing between the two leaves a
 	// count that no longer matches, and Verify re-derives the root.
@@ -178,6 +215,27 @@ func (m *Memory) ExportForkSource() (*ForkSource, error) {
 	m.recorder().CounterAdd("guestmem.fork.exported", 1)
 	m.recorder().CounterAdd("guestmem.fork.exported_bytes", int64(len(blob)))
 	return src, nil
+}
+
+// census counts the chunk's resident pages and those among them without
+// provenance, and reports whether any is private.
+func (c *chunk) census() (resident, dirty int, private bool) {
+	c.eachResident(func(_ int, p page) {
+		resident++
+		if p.art == nil {
+			dirty++
+		}
+		private = private || p.encrypted
+	})
+	return resident, dirty, private
+}
+
+// sharesOn reports whether a frozen directory can point at chunk c of the
+// entry's node as it is: the donor shares it — so nothing will store to it
+// and every backed page is copy-on-write already — and none of its pages,
+// dirty of them, needs a place in the blob.
+func (e dirEntry) sharesOn(c, dirty int) bool {
+	return (e.frozen || e.leaf.shared&(1<<c) != 0) && dirty == 0
 }
 
 // addRun records count resident pages from page number pn, backed by
@@ -302,13 +360,14 @@ func (s *ForkSource) Verify() error {
 }
 
 // AdoptFork populates this guest from a fork source: the guest's root
-// entries point at the source's frozen leaves, so every source page is
+// entries point at the source's frozen nodes, so every source page is
 // aliased copy-on-write with artifact provenance and private pages keep
 // their state (assigned+validated under SNP, under this guest's ASID).
-// Where the guest already owns a leaf, the source's pages overlay it one
-// by one. The caller must have installed the donor's key and ASID first
-// (psp.LaunchStartFork does); the source is verified before any leaf is
-// shared.
+// Where the guest already holds a node, the source's chunks are pointed at
+// from a node of its own, and where it already holds the chunk too, the
+// source's pages overlay it one by one. The caller must have installed the
+// donor's key and ASID first (psp.LaunchStartFork does); the source is
+// verified before any node is shared.
 func (m *Memory) AdoptFork(src *ForkSource) error {
 	if src.size != m.size {
 		return fmt.Errorf("guestmem: fork source is %d bytes, guest is %d: %w", src.size, m.size, ErrSize)
@@ -323,14 +382,26 @@ func (m *Memory) AdoptFork(src *ForkSource) error {
 		if e.leaf == nil {
 			continue
 		}
-		if m.dir[i].leaf == nil || e.template { // a template backs all 512 pages: nothing of the guest's own leaf would survive the overlay
+		if m.dir[i].leaf == nil || e.template { // a template backs every page: nothing of the guest's own would survive the overlay
 			m.dir[i] = e
 			continue
 		}
 		own := m.ownLeaf(uint64(i))
-		for j, p := range e.leaf {
-			if p.data != nil { // every page the source backs has data
-				own[j] = p
+		for c, ch := range e.leaf.chunks {
+			bit := uint8(1) << c
+			switch {
+			case ch == nil:
+			case own.chunks[c] == nil || e.leaf.template&bit != 0: // the same one level down
+				own.chunks[c] = ch
+				own.shared |= bit
+				own.template = own.template&^bit | e.leaf.template&bit
+			default:
+				mine := m.ownChunk(own, uint64(c))
+				for j, p := range ch {
+					if p.data != nil { // every page the source backs has data
+						mine[j] = p
+					}
+				}
 			}
 		}
 	}

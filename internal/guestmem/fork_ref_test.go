@@ -41,7 +41,11 @@ func exportForkSourceCopy(m *Memory) (*ForkSource, error) {
 		if e.leaf == nil {
 			*e = dirEntry{leaf: new(leaf), frozen: true}
 		}
-		p := &e.leaf[fp.PN%leafPages]
+		c := &e.leaf.chunks[fp.PN%leafPages/chunkPages]
+		if *c == nil {
+			*c = new(chunk)
+		}
+		p := &(*c)[fp.PN%chunkPages]
 		p.alias(blob[i*PageSize:(i+1)*PageSize], buf, i*PageSize)
 		p.encrypted = fp.Private
 		if !fp.Private {
@@ -54,6 +58,17 @@ func exportForkSourceCopy(m *Memory) (*ForkSource, error) {
 		}
 	}
 	return src, nil
+}
+
+// pagesOf is a leaf's page structs by value: its eight chunks, a nil one as
+// 64 untouched pages.
+func pagesOf(l *leaf) (pages [leafChunks]chunk) {
+	for c, ch := range l.chunks {
+		if ch != nil {
+			pages[c] = *ch
+		}
+	}
+	return pages
 }
 
 // childOf returns a guest able to adopt donor's sources — same size, key
@@ -160,12 +175,14 @@ func matchesCopyReference(t *testing.T, donor *Memory, s *ForkSource) {
 		if !e.frozen {
 			t.Fatalf("directory entry %d is not frozen", i)
 		}
-		for j, p := range e.leaf {
-			switch {
-			case p.data != nil && p.cow:
-				backed++
-			case p != (page{}):
-				t.Fatalf("page %d of the frozen directory: %+v is neither backed copy-on-write nor untouched", i*leafPages+j, p)
+		for c, ch := range pagesOf(e.leaf) {
+			for j, p := range ch {
+				switch {
+				case p.data != nil && p.cow:
+					backed++
+				case p != (page{}):
+					t.Fatalf("page %d of the frozen directory: %+v is neither backed copy-on-write nor untouched", i*leafPages+c*chunkPages+j, p)
+				}
 			}
 		}
 	}

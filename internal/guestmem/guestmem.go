@@ -16,20 +16,26 @@
 // observable behaviour while letting identical kernel pages be shared
 // copy-on-write across the 50-VM concurrency experiment.
 //
-// Page state lives in a two-level directory: a root with one entry per
-// 2 MiB of guest, each pointing at a leaf of 512 page structs allocated
-// on first touch. The zero page struct is an untouched page, so a guest
-// costs what it touches, not what it could address. Backing bytes may be
-// shared between guests; page *state* belongs to one guest — with two
-// exceptions that keep the rule, both immutable leaves that any number of
-// guests point their root entries at and copy into their own table before
-// the first store (ownLeaf): a ForkSource's frozen leaves, which nothing
-// writes after ExportForkSource returns, and an artifact's template
-// leaves (see dirEntry), which nothing writes once templateLeaf has built
-// them. Three functions assign a root entry: ownLeaf (a fresh or copied
-// leaf this guest owns), shareTemplate (a whole-leaf install, where every
-// page of the slot is being overwritten anyway) and AdoptFork (the
-// source's entries). Every other store goes through getPage.
+// Page state lives in a three-level directory. The root has one 16-byte
+// entry per 2 MiB of guest; an entry points at a leaf, a node of eight
+// chunk pointers; a chunk is 64 page structs, 256 KiB of guest in 1.5 KiB,
+// allocated on first touch. The zero page struct is an untouched page, a
+// nil chunk 64 of them, a nil leaf 512, so a guest costs what it touches,
+// not what it could address. Backing bytes may be shared between guests;
+// page *state* belongs to one guest — unless it is immutable. Two kinds of
+// node and chunk are, and any number of guests point at them: a
+// ForkSource's, which nothing writes after ExportForkSource returns, and
+// an artifact's templates (see dirEntry), which nothing writes once built.
+// The flag that says "shared: copy before the first store" lives beside
+// the pointer it describes at both levels — dirEntry.frozen for a node,
+// the leaf's shared mask for a chunk — and copying is by level too: the
+// first store below a shared node copies the node (ownLeaf, ~72 bytes, its
+// chunks still shared), then the one chunk stored to (ownChunk), then
+// breaks the one page's alias (mutable). Four functions assign a root entry
+// or a chunk pointer: ownLeaf and ownChunk (fresh or copied, this guest's
+// own), shareTemplate and shareChunk (a whole-leaf or whole-chunk install,
+// where every page under the pointer is being overwritten anyway) and
+// AdoptFork (the source's). Every other store goes through getPage.
 //
 // When an RMP table is attached (SEV-SNP), host writes to assigned pages
 // are blocked and guest private accesses to unvalidated pages raise #VC,
@@ -62,8 +68,8 @@ var (
 	ErrSize       = errors.New("guestmem: guest size mismatch")
 )
 
-// page is one guest page's state, three words so a 512-page leaf is
-// 12 KiB. The zero value is an untouched page: all zero, shared, no
+// page is one guest page's state, three words so a 64-page chunk is
+// 1.5 KiB. The zero value is an untouched page: all zero, shared, no
 // provenance.
 type page struct {
 	data *[PageSize]byte // plain text; nil = all zero
@@ -81,41 +87,77 @@ type page struct {
 	encrypted bool // page is private (guest-key protected)
 }
 
-// leafPages is how many pages one directory leaf covers: 2 MiB of guest,
-// the THP / huge-page-validation granule, so the regions a boot touches
-// (kernel, initrd, boot structures) each land in a handful of leaves: a
-// cached cold lupine boot touches 24 of them, shares 15 as templates and
-// owns 9. Smaller leaves share more and own less (cold_cached, KiB and
-// allocations per boot: 64-page leaves 163 / 184.1, 128-page 173 / 184.0,
-// 256-page 206 / 184.0, 512-page 249 / 183.0) but every guest pays for the
-// root, 16 bytes a leaf: a warm_fork boot allocates 8.0 KiB with 512-page
-// leaves, 10.5 with 256-page and 23.8 with 64-page ones.
-const leafPages = 512
+// The directory's granules. A root slot covers leafPages pages, 2 MiB of
+// guest: the THP / huge-page-validation granule, and what keeps the root —
+// which every guest pays for, forked or not — at 16 bytes per 2 MiB (2 KiB
+// of the 8.0 a warm_fork boot allocates; a flat directory of 64-page leaves
+// makes that 23.8). A chunk is what a guest owns when it stores to a page. A cached cold lupine boot touches 24 slots: 15 it shares whole
+// as template leaves; in the other 9 it owns the node, shares 28 chunk
+// templates and owns 12 chunks, 18 KiB where nine dense 512-page leaves
+// were 108. Measured on the benchmark, KiB / allocations per boot
+// (cold_cached, cluster_zipf; image_churn builds its templates in the timed
+// region, so it shows what smaller chunks cost): 32-page chunks 122.6 /
+// 178.0, 130.4 / 232.1, image_churn 136.3 allocations; 64-page 127.8 /
+// 178.0, 135.6 / 232.1, 135.3; 128-page 146.0 / 180.0, 153.8 / 234.1,
+// 135.3; the dense 512-page leaf they replaced 248.6 / 183.0, 256.2 / 237.0,
+// 134.5, of which 20.8 KiB and 5 allocations were page copies on the read
+// path that went in the same change. warm_fork reads 8.00 KiB / 80.0 at
+// every size: a forked boot owns no node.
+const (
+	chunkPages = 64
+	chunkBytes = chunkPages * PageSize
+	leafChunks = 8
+	leafPages  = leafChunks * chunkPages
+	leafBytes  = leafPages * PageSize
+)
 
-// leafBytes is the guest memory one leaf covers.
-const leafBytes = leafPages * PageSize
+// chunk is the page state of chunkPages consecutive pages.
+type chunk [chunkPages]page
 
-type leaf [leafPages]page
+// leaf is one root slot's node. Bit c of shared marks chunks[c] as one
+// this node does not own: it is read through freely and copied by ownChunk
+// before the first store. A shared chunk is part of a ForkSource's
+// directory or — bit c of template set as well — an artifact's chunk
+// template. The bits mean nothing for a nil chunk.
+type leaf struct {
+	chunks   [leafChunks]*chunk
+	shared   uint8
+	template uint8
+}
 
-// leafSlab is how many leaves one allocation yields: the 9 a cold boot
-// owns come as three slabs with none stranded. Measured on the benchmark's
-// cold_cached (cluster_zipf), in KiB / allocations per boot: leaves
-// allocated singly 247.8 / 189.0 (255.5 / 243.0), by twos 261.7 / 185.0
-// (269.4 / 239.0), by threes 248.6 / 183.0 (256.2 / 237.0), by fours
-// 272.6 / 183.0 (280.2 / 237.0). warm_fork owns no leaf and does not move.
-const leafSlab = 3
+// allChunks is a leaf mask with every chunk's bit set.
+const allChunks = 1<<leafChunks - 1
 
-// dirEntry is one root slot, 16 bytes. frozen marks a leaf this guest
+// nodeSlab and chunkSlab are how many nodes and chunks one allocation
+// yields: the 9 nodes a cold boot owns come as one slab, its 12 chunks as
+// two, none stranded. Measured on cold_cached (cluster_zipf; image_churn),
+// KiB / allocations per boot. Chunks singly 130.3 / 188.0 (138.1 / 242.1;
+// 137.8 allocations), by twos 128.0 / 182.0 (135.8 / 236.1; 136.3), by
+// fours 128.4 / 179.0 (136.2 / 233.1; 135.5), by sixes 127.8 / 178.0
+// (135.6 / 232.1; 135.3), by twelves 127.9 / 177.0 (135.7 / 231.1; 135.0)
+// but 179 MiB peak RSS against 170, and a boot that owns a thirteenth
+// strands 16.5 KiB. Nodes singly 127.8 / 186.0, by threes 127.8 / 180.0, by
+// nines 127.8 / 178.0.
+const (
+	nodeSlab  = 9
+	chunkSlab = 6
+)
+
+// dirEntry is one root slot, 16 bytes. frozen marks a node this guest
 // shares and must never store to: it is read through freely and copied by
-// ownLeaf before the first store. A frozen leaf is either part of a
-// ForkSource's directory, shared with every sibling fork, or — template
-// set as well — an artifact's template, shared with every guest in the
-// process.
+// ownLeaf — the node only, every chunk of the copy marked shared — before
+// the first store. A frozen node is either part of a ForkSource's
+// directory, shared with every sibling fork, or — template set as well —
+// an artifact's template leaf, shared with every guest in the process. So
+// the flag that says "copy before the first store" lives beside the
+// pointer it describes, at both levels.
 //
-// The template invariant: page j of a template leaf aliases
+// The template invariant: page j of a chunk template aliases
 // art.Bytes()[off+j*PageSize:][:PageSize] copy-on-write with provenance
-// (art, off+j*PageSize), for one artifact and one leaf-wide off, and all
-// 512 pages are in one privacy state. So page 0 speaks for the leaf: its
+// (art, off+j*PageSize), for one artifact and one chunk-wide off, and all
+// 64 pages are in one privacy state. A template leaf is a node of the
+// eight chunk templates of leafBytes consecutive bytes in one state, every
+// bit of both its masks set. So the first page speaks for a template: its
 // state is every page's, and any page's (artifact, offset - position) is
 // every page's.
 type dirEntry struct {
@@ -124,29 +166,59 @@ type dirEntry struct {
 	template bool
 }
 
-// templateLeaf returns the template for leafBytes of art from byte offset
-// off in the given state, built once per artifact and memoised on it
-// under the offset and, in bit 0, the state.
-func templateLeaf(art *artifact.Buf, off int, private bool) *leaf {
-	key := uint64(off) << 1
+// templateKey composes the key a template is memoised under: the byte
+// offset, then whether it is a whole leaf, then the state.
+func templateKey(off int, whole, private bool) uint64 {
+	key := uint64(off) << 2
+	if whole {
+		key |= 2
+	}
 	if private {
 		key |= 1
 	}
-	return art.Template(key, func() any {
-		l := new(leaf)
-		b := art.Bytes()[off : off+leafBytes]
-		for j := range l {
-			l[j].alias(b[j*PageSize:(j+1)*PageSize], art, off+j*PageSize)
-			l[j].encrypted = private
+	return key
+}
+
+// fill makes the chunk the template for chunkBytes of art from byte offset
+// off in the given state.
+func (c *chunk) fill(art *artifact.Buf, off int, private bool) *chunk {
+	b := art.Bytes()[off : off+chunkBytes]
+	for j := range c {
+		c[j].alias(b[j*PageSize:(j+1)*PageSize], art, off+j*PageSize)
+		c[j].encrypted = private
+	}
+	return c
+}
+
+// templateChunk returns the template for chunkBytes of art from off in the
+// given state, built once per artifact and memoised on it.
+func templateChunk(art *artifact.Buf, off int, private bool) *chunk {
+	return art.Template(templateKey(off, false, private), func() any {
+		return new(chunk).fill(art, off, private)
+	}).(*chunk)
+}
+
+// templateLeaf returns the template for leafBytes of art from off,
+// memoised like a chunk's: a node of that run's eight chunk templates,
+// which it makes for itself, node and chunks in one allocation.
+func templateLeaf(art *artifact.Buf, off int, private bool) *leaf {
+	return art.Template(templateKey(off, true, private), func() any {
+		t := &struct {
+			leaf
+			chunks [leafChunks]chunk
+		}{leaf: leaf{shared: allChunks, template: allChunks}}
+		for c := range t.chunks {
+			t.leaf.chunks[c] = t.chunks[c].fill(art, off+c*chunkBytes, private)
 		}
-		return l
+		return &t.leaf
 	}).(*leaf)
 }
 
-// templatable reports whether leafBytes of art from off can be a template:
-// the artifact has a handle and artOff can hold every page's offset.
-func templatable(art *artifact.Buf, off int) bool {
-	return art != nil && uint64(off)+leafBytes-PageSize <= math.MaxUint32
+// templatable reports whether n bytes of art from off — a leaf's or a
+// chunk's worth — can be a template: the artifact has a handle and artOff
+// can hold every page's offset.
+func templatable(art *artifact.Buf, off, n int) bool {
+	return art != nil && uint64(off)+uint64(n)-PageSize <= math.MaxUint32
 }
 
 // shareTemplate points root slot i at the template for leafBytes of art
@@ -157,24 +229,55 @@ func (m *Memory) shareTemplate(i uint64, art *artifact.Buf, off int, private boo
 	m.recorder().CounterAdd("guestmem.leaf.shared", 1)
 }
 
-// nextLeaf returns the first page number past pn's leaf.
-func nextLeaf(pn uint64) uint64 { return (pn/leafPages + 1) * leafPages }
+// shareChunk points the chunk that starts at page pn at the template for
+// chunkBytes of art from off, in a node this guest owns. It replaces
+// whatever the chunk held, so it is only for operations that overwrite all
+// 64 pages.
+func (m *Memory) shareChunk(pn uint64, art *artifact.Buf, off int, private bool) {
+	l, c := m.ownLeaf(pn/leafPages), pn%leafPages/chunkPages
+	l.chunks[c] = templateChunk(art, off, private)
+	l.shared |= 1 << c
+	l.template |= 1 << c
+	m.recorder().CounterAdd("guestmem.chunk.shared", 1)
+}
+
+// pastTemplate returns the first page number past the template — leaf or
+// chunk — that holds page pn, or pn+1 when none does.
+func (m *Memory) pastTemplate(pn uint64) uint64 {
+	e := m.dir[pn/leafPages]
+	switch {
+	case e.template:
+		return (pn/leafPages + 1) * leafPages
+	case e.leaf != nil && e.leaf.template&(1<<(pn%leafPages/chunkPages)) != 0:
+		return (pn/chunkPages + 1) * chunkPages
+	}
+	return pn + 1
+}
 
 // Memory is one guest's physical address space.
 type Memory struct {
 	size uint64
 	// dir is the root of the page directory, indexed by pn / leafPages;
-	// a nil leaf is 2 MiB of untouched pages. check() bounds every gpa
-	// below size, so in-range indexing is safe. Readers go through
-	// look(), which copies the page struct out; every store goes through
-	// getPage(), which is what keeps frozen leaves unwritten.
-	dir   []dirEntry
-	spare []leaf // leaves are carved leafSlab at a time, not allocated singly
+	// a nil leaf is 2 MiB of untouched pages, a nil chunk 256 KiB of them.
+	// check() bounds every gpa below size, so in-range indexing is safe.
+	// Readers go through look(), which copies the page struct out; every
+	// store goes through getPage(), which is what keeps frozen nodes and
+	// shared chunks unwritten.
+	dir []dirEntry
+	// Nodes and chunks are carved from slabs, not allocated singly. A
+	// pointer and a count each, the counts in asid's padding: a slice
+	// header more would move Memory up a size class, which every forked
+	// boot would pay for and never use.
+	spareLeaves *[nodeSlab]leaf
+	spareChunks *[chunkSlab]chunk
 
 	key   []byte       // 16-byte AES key; set by LAUNCH_START via SetKey
 	block cipher.Block // AES block cached at SetKey; one per guest, not per page
 	asid  uint32
-	rmp   *rmp.Table // nil unless SNP
+	// usedLeaves and usedChunks are how many of the current slabs are carved.
+	usedLeaves, usedChunks uint8
+
+	rmp *rmp.Table // nil unless SNP
 
 	// rec receives host-side cache counters; nil routes to the
 	// process-global telemetry.DefaultHostRecorder.
@@ -272,48 +375,74 @@ func rmpSpan(gpa uint64, n int) (uint64, int) {
 
 // look returns a copy of page pn's state for reading. A copy, not a
 // pointer: it cannot be stored through, and it stays valid when a later
-// getPage replaces the leaf it came from.
+// getPage replaces the node or chunk it came from.
 func (m *Memory) look(pn uint64) page {
 	l := m.dir[pn/leafPages].leaf
 	if l == nil {
 		return page{}
 	}
-	return l[pn%leafPages]
+	c := l.chunks[pn%leafPages/chunkPages]
+	if c == nil {
+		return page{}
+	}
+	return c[pn%chunkPages]
 }
 
-// ownLeaf returns root slot i's leaf as one this guest may store to:
-// allocated on first touch, copied out of a frozen leaf (a fork source's
-// or a template) on the first store to it.
+// ownLeaf returns root slot i's node as one this guest may store to:
+// allocated on first touch, copied out of a frozen node (a fork source's
+// or a template) on the first store to it. The copy is of the node alone:
+// its chunks stay the sharer's, and are marked so.
 func (m *Memory) ownLeaf(i uint64) *leaf {
 	e := &m.dir[i]
 	if e.leaf != nil && !e.frozen {
 		return e.leaf
 	}
-	if len(m.spare) == 0 {
-		m.spare = make([]leaf, leafSlab)
+	if m.spareLeaves == nil || m.usedLeaves == nodeSlab {
+		m.spareLeaves, m.usedLeaves = new([nodeSlab]leaf), 0
 	}
-	l := &m.spare[0]
-	m.spare = m.spare[1:]
+	l := &m.spareLeaves[m.usedLeaves]
+	m.usedLeaves++
 	if e.frozen {
 		*l = *e.leaf
+		l.shared = allChunks
 	}
 	*e = dirEntry{leaf: l}
 	m.recorder().CounterAdd("guestmem.leaf.owned", 1)
 	return l
 }
 
-// getPage returns page pn for writing.
-func (m *Memory) getPage(pn uint64) *page {
-	return &m.ownLeaf(pn / leafPages)[pn%leafPages]
+// ownChunk returns chunk c of l, a node this guest owns, as one it may
+// store to: allocated on first touch, copied out of a shared chunk on the
+// first store to it.
+func (m *Memory) ownChunk(l *leaf, c uint64) *chunk {
+	old, bit := l.chunks[c], uint8(1)<<c
+	if old != nil && l.shared&bit == 0 {
+		return old
+	}
+	if m.spareChunks == nil || m.usedChunks == chunkSlab {
+		m.spareChunks, m.usedChunks = new([chunkSlab]chunk), 0
+	}
+	ch := &m.spareChunks[m.usedChunks]
+	m.usedChunks++
+	if old != nil {
+		*ch = *old
+	}
+	l.chunks[c] = ch
+	l.shared &^= bit
+	l.template &^= bit
+	m.recorder().CounterAdd("guestmem.chunk.owned", 1)
+	return ch
 }
 
-// eachResident calls fn for every page of the leaf with any backing, in
-// order, with its index in the leaf. A nil leaf has none.
-func (e dirEntry) eachResident(fn func(j int, p page)) {
-	if e.leaf == nil {
-		return
-	}
-	for j, p := range e.leaf {
+// getPage returns page pn for writing.
+func (m *Memory) getPage(pn uint64) *page {
+	return &m.ownChunk(m.ownLeaf(pn/leafPages), pn%leafPages/chunkPages)[pn%chunkPages]
+}
+
+// eachResident calls fn for every page of the chunk with any backing, in
+// order, with its index in the chunk.
+func (c *chunk) eachResident(fn func(j int, p page)) {
+	for j, p := range c {
 		if p.data != nil || p.encrypted {
 			fn(j, p)
 		}
@@ -324,19 +453,24 @@ func (e dirEntry) eachResident(fn func(j int, p page)) {
 // order.
 func (m *Memory) eachResident(fn func(pn uint64, p page)) {
 	for i, e := range m.dir {
-		e.eachResident(func(j int, p page) { fn(uint64(i)*leafPages+uint64(j), p) })
+		if e.leaf == nil {
+			continue
+		}
+		for c, ch := range e.leaf.chunks {
+			if ch != nil {
+				base := uint64(i)*leafPages + uint64(c)*chunkPages
+				ch.eachResident(func(j int, p page) { fn(base+uint64(j), p) })
+			}
+		}
 	}
 }
 
 // inState reports whether every page [gpa, gpa+n) touches is in the given
 // privacy state.
 func (m *Memory) inState(gpa uint64, n int, private bool) bool {
-	for pn, end := gpa/PageSize, (gpa+uint64(n)+PageSize-1)/PageSize; pn < end; pn++ {
+	for pn, end := gpa/PageSize, (gpa+uint64(n)+PageSize-1)/PageSize; pn < end; pn = m.pastTemplate(pn) { // template invariant: one state in each
 		if m.look(pn).encrypted != private {
 			return false
-		}
-		if m.dir[pn/leafPages].template {
-			pn = nextLeaf(pn) - 1 // template invariant: one state per leaf
 		}
 	}
 	return true
@@ -427,26 +561,69 @@ func (m *Memory) HostRead(gpa uint64, n int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	for done := 0; done < n; {
-		pn := (gpa + uint64(done)) / PageSize
-		off := int((gpa + uint64(done)) % PageSize)
-		chunk := PageSize - off
-		if chunk > n-done {
-			chunk = n - done
-		}
-		p := m.look(pn)
-		if p.encrypted {
-			ct, err := m.cipherPage(pn, p.readable())
-			if err != nil {
-				return nil, err
-			}
-			copy(out[done:], ct[off:off+chunk])
-		} else {
-			copy(out[done:], p.readable()[off:off+chunk])
-		}
-		done += chunk
+	if err := m.readInto(out, gpa, false); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// HostReadInto is HostRead into the caller's buffer, len(dst) bytes from
+// gpa. dst is never handed to the cipher, so a buffer on the caller's
+// stack stays there: the GHCB decode reads its page this way.
+func (m *Memory) HostReadInto(gpa uint64, dst []byte) error {
+	if err := m.check(gpa, len(dst)); err != nil {
+		return err
+	}
+	for done := 0; done < len(dst); {
+		n, err := m.readSpan(dst[done:], gpa+uint64(done), false)
+		if err != nil {
+			return err
+		}
+		done += n
+	}
+	return nil
+}
+
+// readInto fills out with the bytes from gpa as a mapping with the given
+// C-bit sees them — the host's is one without. A page whose state does not
+// match the mapping goes through the AES transform in the "wrong"
+// direction and the reader sees ciphertext or garbage: a whole page
+// straight into out, part of one by way of readSpan's scratch page.
+func (m *Memory) readInto(out []byte, gpa uint64, cbit bool) error {
+	for done := 0; done < len(out); {
+		at := gpa + uint64(done)
+		if pn := at / PageSize; at%PageSize == 0 && len(out)-done >= PageSize && m.look(pn).encrypted != cbit {
+			if err := m.cipherPageInto(out[done:done+PageSize], pn, m.look(pn).readable()); err != nil {
+				return err
+			}
+			done += PageSize
+			continue
+		}
+		n, err := m.readSpan(out[done:], at, cbit)
+		if err != nil {
+			return err
+		}
+		done += n
+	}
+	return nil
+}
+
+// readSpan copies into dst what a mapping with the given C-bit sees from
+// gpa to the end of its page, or as much of that as dst holds, and returns
+// how much that was. A page in the other state is transformed in a pooled
+// scratch page, so dst does not escape.
+func (m *Memory) readSpan(dst []byte, gpa uint64, cbit bool) (int, error) {
+	pn, off := gpa/PageSize, gpa%PageSize
+	p := m.look(pn)
+	if p.encrypted == cbit {
+		return copy(dst, p.readable()[off:]), nil
+	}
+	scratch := pagePool.Get().(*[]byte)
+	defer pagePool.Put(scratch)
+	if err := m.cipherPageInto(*scratch, pn, p.readable()); err != nil {
+		return 0, err
+	}
+	return copy(dst, (*scratch)[off:]), nil
 }
 
 // --- Guest-side accesses ---
@@ -488,27 +665,8 @@ func (m *Memory) GuestRead(gpa uint64, n int, cbit bool) ([]byte, error) {
 		}
 	}
 	out := make([]byte, n)
-	for done := 0; done < n; {
-		pn := (gpa + uint64(done)) / PageSize
-		off := int((gpa + uint64(done)) % PageSize)
-		chunk := PageSize - off
-		if chunk > n-done {
-			chunk = n - done
-		}
-		p := m.look(pn)
-		src := p.readable()
-		if p.encrypted != cbit {
-			// Mapping attribute does not match page state: the engine
-			// applies the AES transform in the "wrong" direction and the
-			// reader sees ciphertext/garbage.
-			ct, err := m.cipherPage(pn, src)
-			if err != nil {
-				return nil, err
-			}
-			src = ct
-		}
-		copy(out[done:], src[off:off+chunk])
-		done += chunk
+	if err := m.readInto(out, gpa, cbit); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -552,19 +710,24 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 		if m.inState(src, int(fullPages*PageSize), srcCbit) {
 			for i := uint64(0); i < fullPages; i++ {
 				sn, dn := src/PageSize+i, dst/PageSize+i
-				if sn%leafPages == 0 && dn%leafPages == 0 && fullPages-i >= leafPages && m.dir[sn/leafPages].template {
-					// A whole template leaf onto a whole leaf: the same
+				if sn%chunkPages == 0 && dn%chunkPages == 0 && fullPages-i >= chunkPages && m.pastTemplate(sn) > sn+1 {
+					// A whole template onto a whole leaf or chunk: the same
 					// artifact run's template in the destination state.
-					t := m.dir[sn/leafPages].leaf[0]
-					m.shareTemplate(dn/leafPages, t.art, int(t.artOff), dstCbit)
-					i += leafPages - 1
+					t := m.look(sn)
+					if sn%leafPages == 0 && dn%leafPages == 0 && fullPages-i >= leafPages && m.dir[sn/leafPages].template {
+						m.shareTemplate(dn/leafPages, t.art, int(t.artOff), dstCbit)
+						i += leafPages - 1
+					} else {
+						m.shareChunk(dn, t.art, int(t.artOff), dstCbit)
+						i += chunkPages - 1
+					}
 					continue
 				}
 				// sp is a copy, so the getPage calls below may replace the
-				// leaf it came from (src and dst can share one). The source
-				// becomes copy-on-write too; a page that already is — every
-				// backed page of a frozen leaf — needs no store, and getPage
-				// never hands out a frozen leaf for one.
+				// node or chunk it came from (src and dst can share one).
+				// The source becomes copy-on-write too; a page that already
+				// is — every backed page of a shared chunk — needs no store,
+				// and getPage never hands out a shared chunk for one.
 				sp := m.look(sn)
 				if sp.data != nil && !sp.cow {
 					m.getPage(sn).cow = true
@@ -588,9 +751,9 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 	// Shifted alias: src and dst are not both page-aligned, but the source
 	// moves as plain text and is one run of an artifact, so the bytes
 	// arriving at dst are the artifact's whatever page offset they land on.
-	// The destination aliases them there — whole leaves as templates, full
-	// pages with byte-granular provenance, only the partial head and tail
-	// pages copied — and the source is left as it was.
+	// The destination aliases them there — whole leaves and chunks as
+	// templates, full pages with byte-granular provenance, only the partial
+	// head and tail pages copied — and the source is left as it was.
 	if m.inState(src, n, srcCbit) {
 		if art, base := m.rangeArtifact(src, n); art != nil {
 			m.writeAliased(dst, art.Bytes()[base:base+n], dstCbit, art, base)
@@ -665,10 +828,15 @@ func (m *Memory) writeAliased(gpa uint64, data []byte, encrypted bool, art *arti
 	for done < len(data) {
 		pn := (gpa + uint64(done)) / PageSize
 		off := int((gpa + uint64(done)) % PageSize)
-		if off == 0 && pn%leafPages == 0 && len(data)-done >= leafBytes && templatable(art, artBase+done) {
-			// A whole leaf of one artifact: share its template.
-			m.shareTemplate(pn/leafPages, art, artBase+done, encrypted)
-			done += leafBytes
+		if rest := len(data) - done; off == 0 && pn%chunkPages == 0 && rest >= chunkBytes && templatable(art, artBase+done, chunkBytes) {
+			// A whole leaf or chunk of one artifact: share its template.
+			if pn%leafPages == 0 && rest >= leafBytes && templatable(art, artBase+done, leafBytes) {
+				m.shareTemplate(pn/leafPages, art, artBase+done, encrypted)
+				done += leafBytes
+			} else {
+				m.shareChunk(pn, art, artBase+done, encrypted)
+				done += chunkBytes
+			}
 			continue
 		}
 		chunk := PageSize - off
@@ -707,7 +875,9 @@ func allZero(b []byte) bool {
 }
 
 // cipherPage produces the AES-CTR transform of a page's plain text under
-// the guest key, tweaked by the page's physical address.
+// the guest key, tweaked by the page's physical address, in a page of its
+// own: HostRestoreCiphertext keeps it as the page's data. Everything else
+// transforms into a buffer it already has (cipherPageInto).
 func (m *Memory) cipherPage(pn uint64, pt []byte) ([]byte, error) {
 	ct := make([]byte, PageSize)
 	if err := m.cipherPageInto(ct, pn, pt); err != nil {
@@ -902,7 +1072,7 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 	last := (gpa + uint64(n) - 1) / PageSize
 	var art *artifact.Buf
 	base := 0
-	for pn := first; pn <= last; pn++ {
+	for pn := first; pn <= last; pn = m.pastTemplate(pn) { // template invariant: its other pages say the same
 		p := m.look(pn)
 		if p.art == nil {
 			continue
@@ -912,9 +1082,6 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 			art, base = p.art, cand
 		} else if p.art != art || cand != base {
 			return nil, 0
-		}
-		if m.dir[pn/leafPages].template {
-			pn = nextLeaf(pn) - 1 // template invariant: the leaf's other pages say the same
 		}
 	}
 	if art == nil || base < 0 || base+n > art.Len() {
@@ -927,9 +1094,9 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 	src := art.Bytes()[base : base+n]
 	for done := 0; done < n; {
 		pn := (gpa + uint64(done)) / PageSize
-		if m.dir[pn/leafPages].template {
-			// Template invariant: every page of the leaf has provenance.
-			done = int(nextLeaf(pn)*PageSize - gpa)
+		if next := m.pastTemplate(pn); next > pn+1 {
+			// Template invariant: every page of it has provenance.
+			done = int(next*PageSize - gpa)
 			continue
 		}
 		off := int((gpa + uint64(done)) % PageSize)

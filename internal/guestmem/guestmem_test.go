@@ -323,6 +323,71 @@ func TestCBitReadOfSharedPageIsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadsAtAnySpanMatchWholePageReads: a read that starts or ends inside
+// a page whose state does not match the mapping takes the pooled-scratch
+// transform, a whole such page the transform straight into the output;
+// both must return the bytes a page-at-a-time read of the same pages does,
+// HostReadInto the bytes HostRead does, and neither allocate per page.
+func TestReadsAtAnySpanMatchWholePageReads(t *testing.T) {
+	m := New(1 << 20)
+	m.SetKey(key(11), 3)
+	const base = 0x4000 // pages: private, shared, private, untouched, private and never written
+	for i, private := range []bool{true, false, true} {
+		if err := m.GuestWrite(base+uint64(i)*PageSize, bytes.Repeat([]byte{byte('a' + i)}, PageSize), private); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.LaunchUpdateFlip(base+4*PageSize, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	whole := func(read func(gpa uint64) ([]byte, error)) []byte {
+		var all []byte
+		for i := uint64(0); i < 5; i++ {
+			page, err := read(base + i*PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, page...)
+		}
+		return all
+	}
+	host := whole(func(gpa uint64) ([]byte, error) { return m.HostRead(gpa, PageSize) })
+	for _, sp := range []struct{ off, n int }{{0, 5 * PageSize}, {1, 5*PageSize - 2}, {100, 50}, {PageSize - 3, 7}, {PageSize + 9, 2*PageSize + 1}, {3 * PageSize, 2 * PageSize}, {17, 0}} {
+		got, err := m.HostRead(base+uint64(sp.off), sp.n)
+		if err != nil || !bytes.Equal(got, host[sp.off:sp.off+sp.n]) {
+			t.Fatalf("HostRead(+%d, %d) differs from the pages read one by one (err %v)", sp.off, sp.n, err)
+		}
+		into := bytes.Repeat([]byte{0xEE}, sp.n)
+		if err := m.HostReadInto(base+uint64(sp.off), into); err != nil || !bytes.Equal(into, got) {
+			t.Fatalf("HostReadInto(+%d, %d) differs from HostRead (err %v)", sp.off, sp.n, err)
+		}
+		for _, cbit := range []bool{false, true} {
+			guest := whole(func(gpa uint64) ([]byte, error) { return m.GuestRead(gpa, PageSize, cbit) })
+			if got, err := m.GuestRead(base+uint64(sp.off), sp.n, cbit); err != nil || !bytes.Equal(got, guest[sp.off:sp.off+sp.n]) {
+				t.Fatalf("GuestRead(+%d, %d, cbit=%v) differs from the pages read one by one (err %v)", sp.off, sp.n, cbit, err)
+			}
+		}
+	}
+	if err := m.HostReadInto(1<<20-PageSize+1, make([]byte, PageSize)); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("HostReadInto past the guest: err = %v, want ErrOutOfRange", err)
+	}
+	var buf [PageSize]byte
+	if n := testing.AllocsPerRun(50, func() {
+		if err := m.HostReadInto(base+5, buf[:]); err != nil { // a private page's tail, a shared page's head
+			t.Fatal(err)
+		}
+	}); n > 2 { // what cipher.NewCTR allocates; no page
+		t.Fatalf("HostReadInto of two pages allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := m.HostRead(base, 3*PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 5 { // the result, and cipher.NewCTR's two for each private page; no page each
+		t.Fatalf("HostRead of three pages allocates %v times", n)
+	}
+}
+
 func TestSEVMetadataAccounting(t *testing.T) {
 	m := New(256 << 20)
 	if m.SEVMetadataBytes() != 0 {
