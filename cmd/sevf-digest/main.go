@@ -15,12 +15,7 @@ import (
 	"os"
 
 	severifast "github.com/severifast/severifast"
-	"github.com/severifast/severifast/internal/bzimage"
-	"github.com/severifast/severifast/internal/firecracker"
-	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/measure"
-	"github.com/severifast/severifast/internal/qemu"
-	"github.com/severifast/severifast/internal/sev"
 )
 
 func main() {
@@ -67,7 +62,7 @@ func run(args []string, out io.Writer) error {
 		*kernel, *scheme, *level, hex.EncodeToString(digest[:]))
 
 	if *hashFile != "" {
-		h, err := launchHashes(cfg)
+		h, err := severifast.ComponentHashes(cfg)
 		if err != nil {
 			return err
 		}
@@ -82,37 +77,4 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "component hash file written to %s\n", *hashFile)
 	}
 	return nil
-}
-
-// launchHashes asks the monitor config of the launch ExpectedLaunchDigest
-// just accepted for its §4.3 hash file, so the file names the kernel image
-// that launch stages. cfg.Seed is unset: the facade measured initrd seed 1.
-func launchHashes(cfg severifast.Config) (measure.ComponentHashes, error) {
-	preset, err := kernelgen.PresetByName(string(cfg.Kernel))
-	if err != nil {
-		return measure.ComponentHashes{}, err
-	}
-	art, err := kernelgen.Cached(preset)
-	if err != nil {
-		return measure.ComponentHashes{}, err
-	}
-	level, err := sev.ParseLevel(string(cfg.Level))
-	if err != nil {
-		return measure.ComponentHashes{}, err
-	}
-	fc := firecracker.Config{
-		Preset:    preset,
-		Artifacts: art,
-		Initrd:    kernelgen.CachedInitrd(1, cfg.InitrdMiB<<20),
-		Level:     level,
-		Scheme:    firecracker.SchemeSEVeriFastBz,
-		Codec:     bzimage.Codec(cfg.Codec),
-	}
-	switch cfg.Scheme {
-	case severifast.SchemeQEMUOVMF:
-		return qemu.Config{Preset: preset, Artifacts: art, Initrd: fc.Initrd}.ComponentHashes(), nil
-	case severifast.SchemeSEVeriFastVmlinux:
-		fc.Scheme = firecracker.SchemeSEVeriFastVmlinux
-	}
-	return fc.ComponentHashes()
 }

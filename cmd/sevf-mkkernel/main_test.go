@@ -23,7 +23,7 @@ func TestRunWritesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := elfx.Parse(vm); err != nil {
+	if _, err := elfx.FileRegions(vm); err != nil {
 		t.Fatalf("written vmlinux unparseable: %v", err)
 	}
 	if len(vm) < 22<<20 || len(vm) > 24<<20 {
@@ -34,7 +34,11 @@ func TestRunWritesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := bzimage.ExtractVMLinux(bz)
+	info, err := bzimage.Parse(bz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := bzimage.DecompressPayload(info.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,9 +170,6 @@ func NewReplicator(hosts, fabricSlots int, cost TransferCost, reg *telemetry.Reg
 	}
 }
 
-// Fabric exposes the transfer resource (for utilization reporting).
-func (r *Replicator) Fabric() *sim.Resource { return r.fabric }
-
 // Register announces a blob held by the origin registry. Registering
 // the same key again (size must match) is a no-op, so content-identical
 // images across specs share one entry.

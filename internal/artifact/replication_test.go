@@ -140,7 +140,7 @@ func TestFabricSerializesTransfers(t *testing.T) {
 	if last != 8*time.Second {
 		t.Errorf("second transfer finished at %v, want 8s", last)
 	}
-	if got := r.Fabric().Served(); got != 2 {
+	if got := r.fabric.Served(); got != 2 {
 		t.Errorf("fabric served = %d, want 2", got)
 	}
 }

@@ -112,8 +112,6 @@ type SecretBundle struct {
 // tool), and the minimum acceptable policy/level.
 type Owner struct {
 	platformKey *ecdsa.PublicKey
-	pinnedARK   *ecdsa.PublicKey
-	verifier    *kbs.Verifier // chain walker + cache, set with pinnedARK
 	allowed     map[[32]byte]bool
 	minPolicy   sev.Policy
 	minLevel    sev.Level
@@ -137,9 +135,6 @@ func NewOwner(platformKey *ecdsa.PublicKey, secret []byte, rng io.Reader) *Owner
 
 // Allow whitelists an expected launch digest.
 func (o *Owner) Allow(digest [32]byte) { o.allowed[digest] = true }
-
-// RequireLevel lowers/raises the minimum SEV level (default SNP).
-func (o *Owner) RequireLevel(l sev.Level) { o.minLevel = l }
 
 // RequirePolicy sets the minimum policy bits (default DefaultPolicy).
 func (o *Owner) RequirePolicy(p sev.Policy) { o.minPolicy = p }
@@ -241,34 +236,4 @@ func (ip *InProcess) Attest(proc *sim.Proc, m *kvm.Machine) error {
 		return errors.New("attest: unwrapped secret mismatch")
 	}
 	return nil
-}
-
-// NewOwnerWithRoot builds an owner that pins only AMD's root key (the
-// ARK) and verifies the full VCEK certificate chain delivered alongside
-// each report — the production trust shape (the paper's sev-guest tools
-// fetch and validate the chain the same way).
-func NewOwnerWithRoot(ark *ecdsa.PublicKey, secret []byte, rng io.Reader) *Owner {
-	o := NewOwner(nil, secret, rng)
-	o.pinnedARK = ark
-	o.verifier = kbs.NewVerifier(ark)
-	return o
-}
-
-// HandleReportWithChain validates the certificate chain against the
-// pinned ARK, then the report against the chain's VCEK, then proceeds as
-// HandleReport. The chain walk is delegated to the key broker's verifier,
-// so repeated reports from the same platform hit its content-addressed
-// cache while the report signature is still checked every time.
-func (o *Owner) HandleReportWithChain(reportBytes, chainBytes, guestPub []byte) (*SecretBundle, error) {
-	if o.pinnedARK == nil {
-		return nil, errors.New("attest: owner has no pinned AMD root key")
-	}
-	chain, _, err := o.verifier.VerifyChain(chainBytes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrSignature, err)
-	}
-	restore := o.platformKey
-	o.platformKey = chain.VCEK.Key()
-	defer func() { o.platformKey = restore }()
-	return o.HandleReport(reportBytes, guestPub)
 }

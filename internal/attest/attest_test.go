@@ -2,12 +2,14 @@ package attest
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
 
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/guestmem"
+	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 )
@@ -133,7 +135,7 @@ func TestLowLevelRefused(t *testing.T) {
 	if _, err := owner.HandleReport(report.Marshal(), agent.PublicKey()); !errors.Is(err, ErrLevel) {
 		t.Fatalf("err = %v, want ErrLevel", err)
 	}
-	owner.RequireLevel(sev.SEV)
+	owner.minLevel = sev.SEV
 	if _, err := owner.HandleReport(report.Marshal(), agent.PublicKey()); err != nil {
 		t.Fatalf("lowered requirement still refused: %v", err)
 	}
@@ -215,22 +217,35 @@ func TestHTTPServerRefusesBadReport(t *testing.T) {
 	}
 }
 
+// attestWithChain is the chain-rooted owner flow on production pieces:
+// the key broker's verifier walks the host-relayed chain to the pinned
+// AMD root, and an owner keyed by the chain's VCEK validates the report
+// and releases secret to agent.
+func attestWithChain(v *kbs.Verifier, digest [32]byte, secret, report, chain []byte, agent *Agent) ([]byte, error) {
+	c, _, err := v.VerifyChain(chain)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrSignature, err)
+	}
+	owner := NewOwner(c.VCEK.Key(), secret, rand.New(rand.NewSource(7)))
+	owner.Allow(digest)
+	bundle, err := owner.HandleReport(report, agent.PublicKey())
+	if err != nil {
+		return nil, err
+	}
+	return agent.Unwrap(bundle)
+}
+
 func TestChainBasedAttestation(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	secret := []byte("chain-released secret")
-	// The owner pins only AMD's root key.
-	owner := NewOwnerWithRoot(platform.AMDRootKey(), secret, rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := owner.HandleReportWithChain(report.Marshal(), platform.CertChain().Marshal(), agent.PublicKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := agent.Unwrap(bundle)
+	// The owner pins only AMD's root key.
+	got, err := attestWithChain(kbs.NewVerifier(platform.AMDRootKey()), digest, secret,
+		report.Marshal(), platform.CertChain().Marshal(), agent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +257,14 @@ func TestChainBasedAttestation(t *testing.T) {
 func TestChainAttestationRejectsForeignChain(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	evilPlatform := psp.New(costmodel.Unit(), 666)
-	owner := NewOwnerWithRoot(platform.AMDRootKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A malicious host presents a self-minted chain: the ARK pin refuses.
-	if _, err := owner.HandleReportWithChain(report.Marshal(), evilPlatform.CertChain().Marshal(), agent.PublicKey()); err == nil {
+	if _, err := attestWithChain(kbs.NewVerifier(platform.AMDRootKey()), digest, []byte("s"),
+		report.Marshal(), evilPlatform.CertChain().Marshal(), agent); err == nil {
 		t.Fatal("foreign chain accepted")
 	}
 }
@@ -259,16 +273,14 @@ func TestChainAttestationRejectsWrongVCEK(t *testing.T) {
 	// Valid chain from the right platform, but report signed by a
 	// different key (another platform's VCEK): signature check fails.
 	platformA, _, _ := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	platformB, ctxB, digestB := launchGuest(t, 2, sev.SNP, sev.DefaultPolicy())
-	_ = platformB
-	owner := NewOwnerWithRoot(platformA.AMDRootKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digestB)
+	_, ctxB, digestB := launchGuest(t, 2, sev.SNP, sev.DefaultPolicy())
 	agent := NewAgentSeeded(99)
 	report, err := ctxB.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.HandleReportWithChain(report.Marshal(), platformA.CertChain().Marshal(), agent.PublicKey()); !errors.Is(err, ErrSignature) {
+	if _, err := attestWithChain(kbs.NewVerifier(platformA.AMDRootKey()), digestB, []byte("s"),
+		report.Marshal(), platformA.CertChain().Marshal(), agent); !errors.Is(err, ErrSignature) {
 		t.Fatalf("cross-platform report accepted: %v", err)
 	}
 }

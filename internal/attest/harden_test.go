@@ -86,20 +86,19 @@ func TestUnwrapBundle(t *testing.T) {
 
 func TestChainCacheSpeedsRepeatAttestation(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwnerWithRoot(platform.AMDRootKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := kbs.NewVerifier(platform.AMDRootKey())
 	chain := platform.CertChain().Marshal()
 	for i := 0; i < 3; i++ {
-		if _, err := owner.HandleReportWithChain(report.Marshal(), chain, agent.PublicKey()); err != nil {
+		if _, err := attestWithChain(v, digest, []byte("s"), report.Marshal(), chain, agent); err != nil {
 			t.Fatalf("attempt %d: %v", i, err)
 		}
 	}
-	hits, misses := owner.verifier.CacheStats()
+	hits, misses := v.CacheStats()
 	if misses != 1 || hits != 2 {
 		t.Fatalf("chain cache hits/misses = %d/%d, want 2/1", hits, misses)
 	}

@@ -129,14 +129,3 @@ func StandardE820(memSize uint64) []E820Entry {
 		{Addr: 0x100000, Size: memSize - 0x100000, Type: E820Usable},
 	}
 }
-
-// UsableBytes sums the usable region sizes (sanity checks in tests).
-func UsableBytes(entries []E820Entry) uint64 {
-	var n uint64
-	for _, e := range entries {
-		if e.Type == E820Usable {
-			n += e.Size
-		}
-	}
-	return n
-}

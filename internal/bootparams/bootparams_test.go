@@ -43,19 +43,20 @@ func TestRoundTrip(t *testing.T) {
 
 func TestStandardE820Coverage(t *testing.T) {
 	const mem = 256 << 20
-	entries := StandardE820(mem)
-	usable := UsableBytes(entries)
-	// Everything except the legacy hole is usable.
-	if usable < mem-(1<<20) || usable > mem {
-		t.Fatalf("usable = %d of %d", usable, mem)
-	}
 	// Regions must be sorted and non-overlapping.
-	var end uint64
-	for _, e := range entries {
+	var end, usable uint64
+	for _, e := range StandardE820(mem) {
 		if e.Addr < end {
 			t.Fatalf("overlapping e820 at %#x", e.Addr)
 		}
 		end = e.Addr + e.Size
+		if e.Type == E820Usable {
+			usable += e.Size
+		}
+	}
+	// Everything except the legacy hole is usable.
+	if usable < mem-(1<<20) || usable > mem {
+		t.Fatalf("usable = %d of %d", usable, mem)
 	}
 }
 

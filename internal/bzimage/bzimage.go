@@ -156,16 +156,6 @@ func Parse(b []byte) (*Info, error) {
 	}, nil
 }
 
-// ExtractVMLinux parses the image and decompresses the embedded vmlinux —
-// what the bzImage bootstrap loader does in the guest.
-func ExtractVMLinux(b []byte) ([]byte, error) {
-	info, err := Parse(b)
-	if err != nil {
-		return nil, err
-	}
-	return DecompressPayload(info.Payload)
-}
-
 // compressPayload builds the payload container. The codec appends straight
 // after the container header, so the compressed bytes are written once.
 func compressPayload(vmlinux []byte, codec Codec) ([]byte, error) {

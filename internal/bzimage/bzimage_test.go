@@ -13,6 +13,16 @@ func sampleVMLinux() []byte {
 	return []byte(strings.Repeat("mov rax, qword ptr [rbp-8]; call sha256_update; ", 20000))
 }
 
+// extractVMLinux parses the image and decompresses the embedded vmlinux —
+// what the bzImage bootstrap loader does in the guest.
+func extractVMLinux(b []byte) ([]byte, error) {
+	info, err := Parse(b)
+	if err != nil {
+		return nil, err
+	}
+	return DecompressPayload(info.Payload)
+}
+
 func TestBuildParseLZ4(t *testing.T) {
 	vm := sampleVMLinux()
 	img, err := Build(vm, CodecLZ4, 1)
@@ -44,7 +54,7 @@ func TestExtractRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", codec, err)
 		}
-		got, err := ExtractVMLinux(img)
+		got, err := extractVMLinux(img)
 		if err != nil {
 			t.Fatalf("%s: %v", codec, err)
 		}
@@ -116,10 +126,10 @@ func TestExtractDetectsCorruptPayload(t *testing.T) {
 	img, _ := Build(vm, CodecLZ4, 1)
 	// Flip a byte in the middle of the compressed payload.
 	img[len(img)-100] ^= 0xFF
-	if _, err := ExtractVMLinux(img); err == nil {
+	if _, err := extractVMLinux(img); err == nil {
 		// LZ4 corruption may occasionally decode to wrong bytes rather
 		// than erroring; in that case the bytes must differ.
-		got, err2 := ExtractVMLinux(img)
+		got, err2 := extractVMLinux(img)
 		if err2 == nil && bytes.Equal(got, vm) {
 			t.Fatal("corrupt payload extracted to identical vmlinux")
 		}
@@ -166,7 +176,7 @@ func TestIncompressibleVMLinux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExtractVMLinux(img)
+	got, err := extractVMLinux(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,7 @@ func TestQuickBuildParseArbitrarySizes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := ExtractVMLinux(img)
+		got, err := extractVMLinux(img)
 		return err == nil && bytes.Equal(got, vm)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {

@@ -16,7 +16,7 @@ func fuzzVMLinux() []byte {
 }
 
 // FuzzParse throws hostile setup headers at the bzImage parser. Parse and
-// ExtractVMLinux must never panic or read out of bounds regardless of what
+// extractVMLinux must never panic or read out of bounds regardless of what
 // the boot sector claims (setup_sects, payload offset/length, container
 // size fields are all attacker-controlled in a hosted image).
 func FuzzParse(f *testing.F) {
@@ -54,7 +54,7 @@ func FuzzParse(f *testing.F) {
 		}
 		// Whatever parsed must also extract or fail cleanly — the guest
 		// bootstrap runs exactly this on the staged image.
-		if _, err := ExtractVMLinux(data); err == nil {
+		if _, err := extractVMLinux(data); err == nil {
 			if info.Uncompressed < 0 {
 				t.Fatal("negative uncompressed size on extractable image")
 			}

@@ -26,14 +26,12 @@ type StormConfig struct {
 	// Generation names the chip generation to distrust ("gen0"). Empty
 	// skips the revocation wave.
 	Generation string
-	// Floor, when non-zero, is the new minimum TCB filed at At.
+	// Floor, when non-zero, is the new minimum TCB filed at At, and the
+	// firmware level hosts step to on the rolling update schedule.
 	Floor kbs.TCB
-	// DriftTo is the firmware level hosts step to on the rolling update
-	// schedule; the zero value defaults to Floor.
-	DriftTo kbs.TCB
 	// DriftStart and DriftInterval schedule the rolling drift: one host
-	// re-enrolls per interval tick starting at DriftStart, in an order
-	// drawn from the cluster seed. DriftInterval 0 disables drift.
+	// re-enrolls at Floor per interval tick starting at DriftStart, in an
+	// order drawn from the cluster seed. DriftInterval 0 disables drift.
 	DriftStart    time.Duration
 	DriftInterval time.Duration
 }
@@ -128,14 +126,11 @@ func (c *Cluster) runStorm(p *sim.Proc, b *kbs.Broker, st *stormState) {
 	st.fired = true
 }
 
-// runDrift steps hosts to the target firmware level, one per interval
+// runDrift steps hosts to the floor's firmware level, one per interval
 // tick, in a seed-drawn order. A tick whose host is revoked or already
 // current passes idle, so the schedule itself is data-independent.
 func (c *Cluster) runDrift(p *sim.Proc, st *stormState) {
-	target := st.cfg.DriftTo
-	if target == (kbs.TCB{}) {
-		target = st.cfg.Floor
-	}
+	target := st.cfg.Floor
 	if target == (kbs.TCB{}) {
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -127,14 +126,4 @@ func Lookup(files []File, name string) *File {
 		}
 	}
 	return nil
-}
-
-// Names returns the member names in sorted order (handy for assertions).
-func Names(files []File) []string {
-	out := make([]string, len(files))
-	for i, f := range files {
-		out[i] = f.Name
-	}
-	sort.Strings(out)
-	return out
 }

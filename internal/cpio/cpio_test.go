@@ -111,15 +111,6 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestNamesSorted(t *testing.T) {
-	names := Names(sample())
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("Names not sorted")
-		}
-	}
-}
-
 func TestQuickRoundTripArbitraryData(t *testing.T) {
 	f := func(data []byte, nameSeed uint8) bool {
 		name := "f" + string(rune('a'+nameSeed%26))

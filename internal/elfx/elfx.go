@@ -86,97 +86,6 @@ func Build(img *Image) []byte {
 	return out
 }
 
-// Parse reads an image produced by Build (or any plain ELF64 little-endian
-// executable with a program header table).
-func Parse(b []byte) (*Image, error) {
-	if len(b) < ehSize {
-		return nil, fmt.Errorf("%w: %d bytes is too short", ErrNotELF, len(b))
-	}
-	if b[0] != 0x7f || b[1] != 'E' || b[2] != 'L' || b[3] != 'F' {
-		return nil, fmt.Errorf("%w: bad magic", ErrNotELF)
-	}
-	if b[4] != 2 || b[5] != 1 {
-		return nil, fmt.Errorf("%w: not 64-bit little-endian", ErrNotELF)
-	}
-	le := binary.LittleEndian
-	if m := le.Uint16(b[18:]); m != emX8664 {
-		return nil, fmt.Errorf("%w: machine %d, want x86-64", ErrNotELF, m)
-	}
-	img := &Image{Entry: le.Uint64(b[24:])}
-	phoff := le.Uint64(b[32:])
-	phentsize := int(le.Uint16(b[54:]))
-	phnum := int(le.Uint16(b[56:]))
-	if phentsize < phSize {
-		return nil, fmt.Errorf("%w: phentsize %d too small", ErrNotELF, phentsize)
-	}
-	for i := 0; i < phnum; i++ {
-		off := int(phoff) + i*phentsize
-		if off+phSize > len(b) {
-			return nil, fmt.Errorf("%w: program header %d out of range", ErrNotELF, i)
-		}
-		ph := b[off:]
-		seg := Segment{
-			Type:  le.Uint32(ph[0:]),
-			Flags: le.Uint32(ph[4:]),
-			Vaddr: le.Uint64(ph[16:]),
-			Memsz: le.Uint64(ph[40:]),
-		}
-		fileOff := le.Uint64(ph[8:])
-		fileSz := le.Uint64(ph[32:])
-		if fileOff+fileSz > uint64(len(b)) {
-			return nil, fmt.Errorf("%w: segment %d data out of range", ErrNotELF, i)
-		}
-		seg.Data = make([]byte, fileSz)
-		copy(seg.Data, b[fileOff:fileOff+fileSz])
-		img.Segments = append(img.Segments, seg)
-	}
-	return img, nil
-}
-
-// LoadSize returns total memory the image occupies when loaded (including
-// BSS), and the lowest/highest load addresses.
-func (img *Image) LoadSize() (total uint64, low, high uint64) {
-	low = ^uint64(0)
-	for _, seg := range img.Segments {
-		if seg.Type != PTLoad {
-			continue
-		}
-		memsz := seg.Memsz
-		if memsz < uint64(len(seg.Data)) {
-			memsz = uint64(len(seg.Data))
-		}
-		if seg.Vaddr < low {
-			low = seg.Vaddr
-		}
-		if end := seg.Vaddr + memsz; end > high {
-			high = end
-		}
-		total += memsz
-	}
-	if low == ^uint64(0) {
-		low = 0
-	}
-	return total, low, high
-}
-
-// HeaderAndPhdrs returns the raw file header and program header table of a
-// serialized image — the pieces the optimized fw_cfg protocol transfers
-// separately from the loadable segments (paper §5, steps 1-4).
-func HeaderAndPhdrs(b []byte) (fileHeader, phdrs []byte, err error) {
-	if len(b) < ehSize {
-		return nil, nil, fmt.Errorf("%w: short header", ErrNotELF)
-	}
-	le := binary.LittleEndian
-	phoff := le.Uint64(b[32:])
-	phentsize := int(le.Uint16(b[54:]))
-	phnum := int(le.Uint16(b[56:]))
-	end := int(phoff) + phentsize*phnum
-	if end > len(b) {
-		return nil, nil, fmt.Errorf("%w: program headers out of range", ErrNotELF)
-	}
-	return b[:ehSize], b[phoff:end], nil
-}
-
 // FileRegion is one contiguous span of a serialized ELF file, classified
 // for the measured-direct-boot streaming protocol: Load regions carry a
 // PT_LOAD segment's bytes to their run address; non-Load regions (header,

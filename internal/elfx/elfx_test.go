@@ -2,6 +2,8 @@ package elfx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,9 +20,56 @@ func sample() *Image {
 	}
 }
 
+// parse reads an image produced by Build (or any plain ELF64 little-endian
+// executable with a program header table).
+func parse(b []byte) (*Image, error) {
+	if len(b) < ehSize {
+		return nil, fmt.Errorf("%w: %d bytes is too short", ErrNotELF, len(b))
+	}
+	if b[0] != 0x7f || b[1] != 'E' || b[2] != 'L' || b[3] != 'F' {
+		return nil, fmt.Errorf("%w: bad magic", ErrNotELF)
+	}
+	if b[4] != 2 || b[5] != 1 {
+		return nil, fmt.Errorf("%w: not 64-bit little-endian", ErrNotELF)
+	}
+	le := binary.LittleEndian
+	if m := le.Uint16(b[18:]); m != emX8664 {
+		return nil, fmt.Errorf("%w: machine %d, want x86-64", ErrNotELF, m)
+	}
+	img := &Image{Entry: le.Uint64(b[24:])}
+	phoff := le.Uint64(b[32:])
+	phentsize := int(le.Uint16(b[54:]))
+	phnum := int(le.Uint16(b[56:]))
+	if phentsize < phSize {
+		return nil, fmt.Errorf("%w: phentsize %d too small", ErrNotELF, phentsize)
+	}
+	for i := 0; i < phnum; i++ {
+		off := int(phoff) + i*phentsize
+		if off+phSize > len(b) {
+			return nil, fmt.Errorf("%w: program header %d out of range", ErrNotELF, i)
+		}
+		ph := b[off:]
+		seg := Segment{
+			Type:  le.Uint32(ph[0:]),
+			Flags: le.Uint32(ph[4:]),
+			Vaddr: le.Uint64(ph[16:]),
+			Memsz: le.Uint64(ph[40:]),
+		}
+		fileOff := le.Uint64(ph[8:])
+		fileSz := le.Uint64(ph[32:])
+		if fileOff+fileSz > uint64(len(b)) {
+			return nil, fmt.Errorf("%w: segment %d data out of range", ErrNotELF, i)
+		}
+		seg.Data = make([]byte, fileSz)
+		copy(seg.Data, b[fileOff:fileOff+fileSz])
+		img.Segments = append(img.Segments, seg)
+	}
+	return img, nil
+}
+
 func TestRoundTrip(t *testing.T) {
 	in := sample()
-	img, err := Parse(Build(in))
+	img, err := parse(Build(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +88,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestMemszBSS(t *testing.T) {
-	img, err := Parse(Build(sample()))
+	img, err := parse(Build(sample()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,27 +97,48 @@ func TestMemszBSS(t *testing.T) {
 	}
 }
 
+// TestLoadSize: what the loader places is each PT_LOAD segment's file
+// bytes at its run address — the PT_NOTE is hashed with the rest of the
+// file but loaded nowhere — and the regions tile the file exactly.
 func TestLoadSize(t *testing.T) {
-	img := sample()
-	total, low, high := img.LoadSize()
-	// Segment 0: 4096 bytes at 0x1000000; segment 1: 8192 memsz at
-	// 0x1400000. PT_NOTE ignored.
-	if total != 4096+8192 {
-		t.Fatalf("total %d", total)
+	b := Build(sample())
+	regions, err := FileRegions(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if low != 0x1000000 {
-		t.Fatalf("low %#x", low)
+	var loaded []FileRegion
+	next := uint64(0)
+	for _, r := range regions {
+		if r.Off != next {
+			t.Fatalf("region at %d, want %d: regions must tile the file", r.Off, next)
+		}
+		next += uint64(r.Len)
+		if r.Load {
+			loaded = append(loaded, r)
+		}
 	}
-	if high != 0x1400000+8192 {
-		t.Fatalf("high %#x", high)
+	if next != uint64(len(b)) {
+		t.Fatalf("regions cover %d of %d bytes", next, len(b))
+	}
+	segs := sample().Segments
+	if len(loaded) != 2 {
+		t.Fatalf("%d Load regions, want the 2 PT_LOAD segments", len(loaded))
+	}
+	for i, r := range loaded {
+		if r.Vaddr != segs[i].Vaddr || !bytes.Equal(b[r.Off:r.Off+uint64(r.Len)], segs[i].Data) {
+			t.Errorf("Load region %d = %d bytes at %#x, want segment %d's %d bytes at %#x",
+				i, r.Len, r.Vaddr, i, len(segs[i].Data), segs[i].Vaddr)
+		}
 	}
 }
 
 func TestLoadSizeEmpty(t *testing.T) {
-	img := &Image{}
-	total, low, high := img.LoadSize()
-	if total != 0 || low != 0 || high != 0 {
-		t.Fatalf("empty image LoadSize = %d,%d,%d", total, low, high)
+	regions, err := FileRegions(Build(&Image{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regions) != 1 || regions[0].Load || regions[0].Len != ehSize {
+		t.Fatalf("empty image regions = %+v, want the bare header, loaded nowhere", regions)
 	}
 }
 
@@ -81,13 +151,13 @@ func TestDeterministicBuild(t *testing.T) {
 func TestParseRejectsBadMagic(t *testing.T) {
 	b := Build(sample())
 	b[0] = 0
-	if _, err := Parse(b); err == nil {
+	if _, err := parse(b); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestParseRejectsShort(t *testing.T) {
-	if _, err := Parse([]byte{0x7f, 'E', 'L', 'F'}); err == nil {
+	if _, err := parse([]byte{0x7f, 'E', 'L', 'F'}); err == nil {
 		t.Fatal("short input accepted")
 	}
 }
@@ -95,7 +165,7 @@ func TestParseRejectsShort(t *testing.T) {
 func TestParseRejects32Bit(t *testing.T) {
 	b := Build(sample())
 	b[4] = 1 // ELFCLASS32
-	if _, err := Parse(b); err == nil {
+	if _, err := parse(b); err == nil {
 		t.Fatal("32-bit image accepted")
 	}
 }
@@ -103,7 +173,7 @@ func TestParseRejects32Bit(t *testing.T) {
 func TestParseRejectsWrongMachine(t *testing.T) {
 	b := Build(sample())
 	b[18] = 0x28 // EM_ARM
-	if _, err := Parse(b); err == nil {
+	if _, err := parse(b); err == nil {
 		t.Fatal("ARM image accepted")
 	}
 }
@@ -117,31 +187,27 @@ func TestParseRejectsSegmentOverrun(t *testing.T) {
 		}
 	}
 	le(ehSize+32, 1<<40) // p_filesz of first phdr
-	if _, err := Parse(b); err == nil {
+	if _, err := parse(b); err == nil {
 		t.Fatal("segment overrun accepted")
 	}
 }
 
+// TestHeaderAndPhdrs: the file header and program header table — the
+// pieces the optimized fw_cfg protocol transfers ahead of the loadable
+// segments (paper §5, steps 1-4) — are one leading region that is hashed
+// and discarded, ending where the first PT_LOAD begins.
 func TestHeaderAndPhdrs(t *testing.T) {
 	b := Build(sample())
-	hdr, phdrs, err := HeaderAndPhdrs(b)
+	regions, err := FileRegions(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hdr) != ehSize {
-		t.Fatalf("header %d bytes, want %d", len(hdr), ehSize)
+	head := regions[0]
+	if head.Off != 0 || head.Load || head.Len < ehSize+3*phSize {
+		t.Fatalf("leading region %+v, want header and 3 program headers, not loaded", head)
 	}
-	if len(phdrs) != 3*phSize {
-		t.Fatalf("phdrs %d bytes, want %d", len(phdrs), 3*phSize)
-	}
-	// The pieces must parse back to the same segment table when reassembled
-	// at their original offsets (the verifier relies on this).
-	img, err := Parse(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(img.Segments) != 3 {
-		t.Fatal("reparse lost segments")
+	if !regions[1].Load || regions[1].Off != uint64(head.Len) {
+		t.Fatalf("region after the headers %+v, want the first PT_LOAD at %d", regions[1], head.Len)
 	}
 }
 
@@ -159,7 +225,7 @@ func TestQuickRoundTripArbitrarySegments(t *testing.T) {
 				Data:  data,
 			})
 		}
-		got, err := Parse(Build(img))
+		got, err := parse(Build(img))
 		if err != nil || got.Entry != img.Entry || len(got.Segments) != len(img.Segments) {
 			return false
 		}
@@ -177,7 +243,7 @@ func TestQuickRoundTripArbitrarySegments(t *testing.T) {
 
 func TestSegmentAlignment(t *testing.T) {
 	b := Build(sample())
-	img, _ := Parse(b)
+	img, _ := parse(b)
 	_ = img
 	// Every segment's file offset is 16-aligned by construction; verify by
 	// locating the data of segment 0 (NOP sled) in the file.

@@ -63,21 +63,3 @@ func concurrentMean(opts Options, preset kernelgen.Preset, sc scheme, n int) (ti
 	}
 	return series.Mean(), nil
 }
-
-// ConcurrencySlope fits the per-VM cost of the SEV series between two
-// concurrency points — the paper's observation that the slope equals the
-// total PSP launch-command time per guest (commands from different guests
-// interleave on the PSP FIFO, so every guest's launch completes only after
-// nearly all N guests' worth of PSP work).
-func ConcurrencySlope(opts Options, lo, hi int) (time.Duration, error) {
-	preset := kernelgen.AWS()
-	mLo, err := concurrentMean(opts, preset, schemeSEVeriFast, lo)
-	if err != nil {
-		return 0, err
-	}
-	mHi, err := concurrentMean(opts, preset, schemeSEVeriFast, hi)
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(int64(mHi-mLo) / int64(hi-lo)), nil
-}

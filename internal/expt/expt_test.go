@@ -240,12 +240,21 @@ func TestFig12LinearForSEVFlatForStock(t *testing.T) {
 	}
 }
 
+// TestConcurrencySlopeNearPSPWork fits the per-VM cost of Fig. 12's SEV
+// series between two concurrency points: the paper's observation that the
+// slope equals the total PSP launch-command time per guest (commands from
+// different guests interleave on the PSP FIFO, so every guest's launch
+// completes only after nearly all N guests' worth of PSP work).
 func TestConcurrencySlopeNearPSPWork(t *testing.T) {
 	opts := fastOpts()
-	slope, err := ConcurrencySlope(opts, 2, 6)
-	if err != nil {
-		t.Fatal(err)
+	mean := func(n int) time.Duration {
+		m, err := concurrentMean(opts, kernelgen.AWS(), schemeSEVeriFast, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
+	slope := (mean(6) - mean(2)) / 4
 	// Per-guest PSP work: guest init (~20ms) + launch commands (~10ms).
 	if slope < 20*time.Millisecond || slope > 45*time.Millisecond {
 		t.Fatalf("per-VM slope %v, want ~30ms (the guest's total PSP time)", slope)

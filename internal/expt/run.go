@@ -89,7 +89,8 @@ var (
 
 // config is the one place an experiment's launch description is
 // assembled; ablations edit the returned value. The QEMU/OVMF flow is
-// launched from the fields it shares with Firecracker (qemuConfig).
+// launched from the fields it shares with Firecracker
+// (qemu.FromFirecracker).
 func (sc scheme) config(preset kernelgen.Preset, initrd []byte) (firecracker.Config, error) {
 	art, err := kernelgen.Cached(preset)
 	if err != nil {
@@ -108,14 +109,10 @@ func (sc scheme) config(preset kernelgen.Preset, initrd []byte) (firecracker.Con
 	return cfg, nil
 }
 
-func qemuConfig(cfg firecracker.Config) qemu.Config {
-	return qemu.Config{Preset: cfg.Preset, Artifacts: cfg.Artifacts, Initrd: cfg.Initrd, Level: cfg.Level, Attestor: cfg.Attestor}
-}
-
 // expectedDigest asks the scheme's own monitor what the launch measures.
 func (sc scheme) expectedDigest(cfg firecracker.Config) ([32]byte, error) {
 	if sc.qemu {
-		return qemuConfig(cfg).ExpectedDigest()
+		return qemu.FromFirecracker(cfg).ExpectedDigest()
 	}
 	return cfg.ExpectedDigest()
 }
@@ -123,7 +120,7 @@ func (sc scheme) expectedDigest(cfg firecracker.Config) ([32]byte, error) {
 // boot executes the launch on the calling process.
 func (sc scheme) boot(p *sim.Proc, host *kvm.Host, cfg firecracker.Config) (res *firecracker.Result, err error) {
 	if sc.qemu {
-		res, err = qemu.Boot(p, host, qemuConfig(cfg))
+		res, err = qemu.Boot(p, host, qemu.FromFirecracker(cfg))
 	} else {
 		res, err = firecracker.Boot(p, host, cfg)
 	}

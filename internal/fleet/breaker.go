@@ -120,11 +120,3 @@ func (b *breaker) transition(to breakerState) {
 	b.state = to
 	b.met.breakerTransition(to.String())
 }
-
-// State returns the breaker's state name, for tests and reports.
-func (o *Orchestrator) BreakerState() string {
-	if o.brk == nil {
-		return ""
-	}
-	return o.brk.state.String()
-}

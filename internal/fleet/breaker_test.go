@@ -146,7 +146,7 @@ func TestBreakerOpensFastFailsRecovers(t *testing.T) {
 	if m.BreakerTransitions["half-open"] != 1 || m.BreakerTransitions["closed"] != 1 {
 		t.Fatalf("recovery transitions missing: %v", m.BreakerTransitions)
 	}
-	if got := o.BreakerState(); got != "closed" {
+	if got := o.brk.state.String(); got != "closed" {
 		t.Fatalf("final breaker state %q, want closed", got)
 	}
 }
@@ -182,8 +182,8 @@ func TestBreakerThreshold(t *testing.T) {
 	if m.BreakerFastFails != 1 {
 		t.Fatalf("fast-fails %d, want 1", m.BreakerFastFails)
 	}
-	if o.BreakerState() != "open" {
-		t.Fatalf("final state %q, want open", o.BreakerState())
+	if o.brk.state.String() != "open" {
+		t.Fatalf("final state %q, want open", o.brk.state.String())
 	}
 }
 

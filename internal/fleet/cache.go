@@ -256,13 +256,3 @@ func (c *Cache) Subscribe(fn func(*MeasuredImage)) {
 		fn(mi)
 	}
 }
-
-// Resolve is Get-or-Plan by spec, for callers holding raw image bytes.
-func (c *Cache) Resolve(spec ImageSpec) (*MeasuredImage, bool, error) {
-	key, hashes := KeyOf(spec)
-	if mi := c.Get(key); mi != nil {
-		return mi, true, nil
-	}
-	mi, err := c.Plan(key, hashes, spec)
-	return mi, false, err
-}

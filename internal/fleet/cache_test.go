@@ -111,12 +111,10 @@ func TestCacheFirstWriterWins(t *testing.T) {
 func TestCacheDigestMatchesMeasure(t *testing.T) {
 	for _, seed := range []byte{0, 1, 2} {
 		spec := testSpec(seed)
-		mi, hit, err := NewCache().Resolve(spec)
+		key, hashes := KeyOf(spec)
+		mi, err := NewCache().Plan(key, hashes, spec)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if hit {
-			t.Fatal("resolve on empty cache reported a hit")
 		}
 		want, err := measure.ExpectedDigest(measure.Config{
 			Verifier:             verifier.Image(spec.VerifierSeed),

@@ -264,8 +264,8 @@ func TestKBSUnknownTenantFailsDeterministically(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown tenant was granted")
 	}
-	if !errors.Is(err, kbs.ErrTenant) || !errors.Is(err, kbs.ErrDenied) {
-		t.Fatalf("error %v does not match kbs.ErrTenant/ErrDenied", err)
+	if kbs.ReasonOf(err) != kbs.ReasonTenant || !errors.Is(err, kbs.ErrDenied) {
+		t.Fatalf("error %v is not a tenant denial", err)
 	}
 	m := o.Metrics()
 	if m.Failed != 1 || m.Denials["tenant"] != 1 {

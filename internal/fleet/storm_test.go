@@ -192,7 +192,7 @@ func TestRetryableSentinels(t *testing.T) {
 			t.Fatalf("%v not retryable", err)
 		}
 	}
-	if retryable(kbs.ErrStaleTCB) || retryable(errors.New("deterministic")) {
+	if retryable(&kbs.Denial{Reason: kbs.ReasonStaleTCB}) || retryable(errors.New("deterministic")) {
 		t.Fatal("deterministic errors classified transient")
 	}
 }

@@ -7,7 +7,7 @@
 //   - The GHCB page protocol: the #VC handler writes the exit code, exit
 //     info, and the registers it chooses to share into a 4 KiB *shared*
 //     page, sets the valid bitmap, and issues VMGEXIT; the hypervisor
-//     reads the page, emulates, writes results back.
+//     reads the page and emulates.
 //   - The GHCB MSR protocol: before a handler/page exists (early boot),
 //     the guest communicates through the GHCB MSR itself with small coded
 //     values — which is how the paper's boot-timing events escape the
@@ -22,14 +22,9 @@ import (
 	"github.com/severifast/severifast/internal/guestmem"
 )
 
-// Exit codes (SVM VMEXIT codes reused by the GHCB protocol).
-const (
-	ExitIOIO   uint64 = 0x7B // port I/O (the debug port writes)
-	ExitMSR    uint64 = 0x7C
-	ExitCPUID  uint64 = 0x72
-	ExitMMIO   uint64 = 0x80000001
-	ExitSNPReq uint64 = 0x80000011 // SNP_GUEST_REQUEST (attestation)
-)
+// ExitIOIO is the SVM VMEXIT code for port I/O, reused by the GHCB
+// protocol: the debug-port writes that carry the boot-timing events.
+const ExitIOIO uint64 = 0x7B
 
 // Page field offsets within the 4 KiB GHCB (following the shape of the
 // GHCB layout: a save area plus protocol fields near the end).
@@ -182,38 +177,12 @@ func ReadFromHost(mem *guestmem.Memory, gpa uint64) (*HostView, error) {
 	return v, nil
 }
 
-// WriteResult is the hypervisor writing emulation results back (e.g. the
-// RAX an IN instruction produced).
-func WriteResult(mem *guestmem.Memory, gpa uint64, rax uint64) error {
-	var raw [8]byte
-	binary.LittleEndian.PutUint64(raw[:], rax)
-	if err := mem.HostWrite(gpa+offRAX, raw[:]); err != nil {
-		return err
-	}
-	bi, mask := validBit(offRAX)
-	bmRaw, err := mem.HostRead(gpa+offValidBM+uint64(bi), 1)
-	if err != nil {
-		return err
-	}
-	return mem.HostWrite(gpa+offValidBM+uint64(bi), []byte{bmRaw[0] | mask})
-}
-
-// ReadResult is the guest consuming the hypervisor's response.
-func (g *GHCB) ReadResult() (uint64, error) {
-	raw, err := g.mem.GuestRead(g.gpa+offRAX, 8, false)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(raw), nil
-}
-
 // --- MSR protocol (pre-handler early boot) ---
 
 // MSR protocol request/response codes (low 12 bits).
 const (
 	MSRCPUIDReq  = 0x004
 	MSRCPUIDResp = 0x005
-	MSRTermReq   = 0x100
 )
 
 // MSRCPUIDRequest encodes an early-boot CPUID request through the GHCB

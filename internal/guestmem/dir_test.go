@@ -17,6 +17,50 @@ import (
 	"github.com/severifast/severifast/internal/telemetry"
 )
 
+// LaunchUpdate and Resident are Memory methods only the tests call: the
+// PSP measures through PlainRangeDigest and LaunchUpdateFlip, and nothing
+// outside the package asks whether a page is backed.
+
+// LaunchUpdate is the memory side of LAUNCH_UPDATE_DATA: it returns the
+// current plain text of [gpa, gpa+n) for measurement and flips the pages
+// to private (encrypting them under the guest key). Under SNP the pages
+// become assigned+validated for this guest.
+func (m *Memory) LaunchUpdate(gpa uint64, n int) ([]byte, error) {
+	if err := m.check(gpa, n); err != nil {
+		return nil, err
+	}
+	if m.key == nil {
+		return nil, ErrNoKey
+	}
+	pt := make([]byte, n)
+	for done := 0; done < n; {
+		pn := (gpa + uint64(done)) / PageSize
+		off := int((gpa + uint64(done)) % PageSize)
+		chunk := PageSize - off
+		if chunk > n-done {
+			chunk = n - done
+		}
+		p := m.getPage(pn)
+		copy(pt[done:], p.readable()[off:off+chunk])
+		p.encrypted = true
+		done += chunk
+	}
+	if m.rmp != nil {
+		base, span := rmpSpan(gpa, n)
+		m.rmp.AssignValidatedRange(base, span, m.asid)
+	}
+	return pt, nil
+}
+
+// Resident reports whether the page containing gpa has any backing.
+func (m *Memory) Resident(gpa uint64) bool {
+	if gpa >= m.size {
+		return false
+	}
+	p := m.look(gpa / PageSize)
+	return p.data != nil || p.encrypted
+}
+
 // The slow reference the page directory is checked against: a map of
 // pages, each holding its own private copy of its bytes, with a per-page
 // set standing in for the RMP. It shares no code with Memory — not the

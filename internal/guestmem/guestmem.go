@@ -331,9 +331,6 @@ func (m *Memory) SetKey(key []byte, asid uint32) {
 	m.sevMetadataBytes += len(key) + 48 // key + per-guest SEV context
 }
 
-// HasKey reports whether an encryption key is installed.
-func (m *Memory) HasKey() bool { return m.key != nil }
-
 // AttachRMP enables SNP semantics for this guest with the given ASID.
 func (m *Memory) AttachRMP(t *rmp.Table, asid uint32) {
 	m.rmp = t
@@ -769,39 +766,6 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 	return nil
 }
 
-// --- PSP-side access ---
-
-// LaunchUpdate is the memory side of LAUNCH_UPDATE_DATA: it returns the
-// current plain text of [gpa, gpa+n) for measurement and flips the pages
-// to private (encrypting them under the guest key). Under SNP the pages
-// become assigned+validated for this guest.
-func (m *Memory) LaunchUpdate(gpa uint64, n int) ([]byte, error) {
-	if err := m.check(gpa, n); err != nil {
-		return nil, err
-	}
-	if m.key == nil {
-		return nil, ErrNoKey
-	}
-	pt := make([]byte, n)
-	for done := 0; done < n; {
-		pn := (gpa + uint64(done)) / PageSize
-		off := int((gpa + uint64(done)) % PageSize)
-		chunk := PageSize - off
-		if chunk > n-done {
-			chunk = n - done
-		}
-		p := m.getPage(pn)
-		copy(pt[done:], p.readable()[off:off+chunk])
-		p.encrypted = true
-		done += chunk
-	}
-	if m.rmp != nil {
-		base, span := rmpSpan(gpa, n)
-		m.rmp.AssignValidatedRange(base, span, m.asid)
-	}
-	return pt, nil
-}
-
 // --- internals ---
 
 func (m *Memory) write(gpa uint64, data []byte, encrypted bool) {
@@ -973,15 +937,6 @@ func (m *Memory) GuestWriteArtifact(gpa uint64, art *artifact.Buf, off, n int, c
 	return nil
 }
 
-// Resident reports whether the page containing gpa has any backing.
-func (m *Memory) Resident(gpa uint64) bool {
-	if gpa >= m.size {
-		return false
-	}
-	p := m.look(gpa / PageSize)
-	return p.data != nil || p.encrypted
-}
-
 // IsPrivate reports whether the page containing gpa is encrypted.
 func (m *Memory) IsPrivate(gpa uint64) bool {
 	return gpa < m.size && m.look(gpa/PageSize).encrypted
@@ -1055,8 +1010,9 @@ func (m *Memory) ShareRange(gpa uint64, n int) error {
 // These APIs exist so the fleet hot path stops re-materializing and
 // re-hashing bytes that are content-identical across boots. They change
 // no observable semantics: every digest equals SHA-256 of the bytes the
-// corresponding GuestRead/LaunchUpdate would have returned, and every
-// fast path is guarded by provenance or byte comparison.
+// corresponding GuestRead (or the tests' LaunchUpdate) would have
+// returned, and every fast path is guarded by provenance or byte
+// comparison.
 
 // rangeArtifact resolves [gpa, gpa+n) to a single interned artifact
 // range when possible: at least one page in the range carries artifact
@@ -1128,9 +1084,9 @@ func bytesEqual(a, b []byte) bool {
 }
 
 // PlainRangeDigest returns SHA-256 of the current plain text of
-// [gpa, gpa+n) — exactly sha256.Sum256 of what LaunchUpdate would have
-// returned — using the artifact memo table when the range aliases one
-// interned buffer, and a zero-copy streaming hash otherwise.
+// [gpa, gpa+n) — exactly sha256.Sum256 of what the tests' LaunchUpdate
+// would have returned — using the artifact memo table when the range
+// aliases one interned buffer, and a zero-copy streaming hash otherwise.
 func (m *Memory) PlainRangeDigest(gpa uint64, n int) ([32]byte, error) {
 	var sum [32]byte
 	if err := m.check(gpa, n); err != nil {

@@ -14,9 +14,9 @@ import (
 // Client speaks the broker protocol against a remote sevf-attestd. It
 // implements Service, so the fleet orchestrator is indifferent to
 // whether the broker is in process or across the network — and denial
-// reasons survive the round trip: errors.Is(err, kbs.ErrStaleTCB) holds
-// on the client side exactly when the remote broker denied for that
-// reason.
+// reasons survive the round trip: kbs.ReasonOf(err) == ReasonStaleTCB
+// holds on the client side exactly when the remote broker denied for
+// that reason.
 type Client struct {
 	// Base is the server URL, e.g. "http://127.0.0.1:8553".
 	Base string

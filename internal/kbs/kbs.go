@@ -63,16 +63,9 @@ var ErrDenied = errors.New("kbs: denied")
 // Sentinels for errors.Is against a specific reason, e.g.
 // errors.Is(err, kbs.ErrReplay).
 var (
-	ErrTenant      = &Denial{Reason: ReasonTenant}
 	ErrReplay      = &Denial{Reason: ReasonReplay}
 	ErrExpired     = &Denial{Reason: ReasonExpired}
-	ErrMalformed   = &Denial{Reason: ReasonMalformed}
-	ErrForged      = &Denial{Reason: ReasonForged}
-	ErrRevoked     = &Denial{Reason: ReasonRevoked}
-	ErrStaleTCB    = &Denial{Reason: ReasonStaleTCB}
-	ErrPolicy      = &Denial{Reason: ReasonPolicy}
 	ErrMeasurement = &Denial{Reason: ReasonMeasurement}
-	ErrBinding     = &Denial{Reason: ReasonBinding}
 	ErrUnavailable = &Denial{Reason: ReasonUnavailable}
 )
 

@@ -94,10 +94,10 @@ func newBroker(auth *kbs.Authority, cfg kbs.Config) *kbs.Broker {
 }
 
 func TestTCBEncodeDecode(t *testing.T) {
-	for _, tcb := range []kbs.TCB{{}, currentTCB, {BootLoader: 255, TEE: 255, SNP: 255, Microcode: 255}} {
-		if got := kbs.DecodeTCB(tcb.Encode()); got != tcb {
-			t.Fatalf("round trip: %v -> %v", tcb, got)
-		}
+	// The VCEK certificate layout: bootloader and TEE in the top bytes,
+	// SNP and microcode in the bottom two.
+	if got := currentTCB.Encode(); got != 0x0201_0000_0000_0873 {
+		t.Fatalf("Encode(%v) = %#x", currentTCB, got)
 	}
 	parsed, err := kbs.ParseTCB(currentTCB.String())
 	if err != nil || parsed != currentTCB {
@@ -231,7 +231,7 @@ func TestDenialReasons(t *testing.T) {
 
 	t.Run("tenant", func(t *testing.T) {
 		b := setup(base)
-		if _, err := b.Challenge("nobody", 0); !errors.Is(err, kbs.ErrTenant) {
+		if _, err := b.Challenge("nobody", 0); kbs.ReasonOf(err) != kbs.ReasonTenant {
 			t.Fatalf("err = %v", err)
 		}
 		// A nonce issued to one tenant cannot be redeemed by another.
@@ -239,7 +239,7 @@ func TestDenialReasons(t *testing.T) {
 			b.AddTenant("mallory", []byte("m"))
 			req.Tenant = "mallory"
 		})
-		if !errors.Is(err, kbs.ErrTenant) {
+		if kbs.ReasonOf(err) != kbs.ReasonTenant {
 			t.Fatalf("cross-tenant redeem: %v", err)
 		}
 	})
@@ -285,13 +285,13 @@ func TestDenialReasons(t *testing.T) {
 		_, _, err := exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.Chain = []byte("junk")
 		})
-		if !errors.Is(err, kbs.ErrMalformed) {
+		if kbs.ReasonOf(err) != kbs.ReasonMalformed {
 			t.Fatalf("junk chain: %v", err)
 		}
 		_, _, err = exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.Report = req.Report[:10]
 		})
-		if !errors.Is(err, kbs.ErrMalformed) {
+		if kbs.ReasonOf(err) != kbs.ReasonMalformed {
 			t.Fatalf("truncated report: %v", err)
 		}
 	})
@@ -302,7 +302,7 @@ func TestDenialReasons(t *testing.T) {
 		_, _, err := exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.Report[len(req.Report)-1] ^= 0xFF
 		})
-		if !errors.Is(err, kbs.ErrForged) {
+		if kbs.ReasonOf(err) != kbs.ReasonForged {
 			t.Fatalf("flipped signature: %v", err)
 		}
 		// Self-minted chain from a platform outside the hierarchy.
@@ -310,7 +310,7 @@ func TestDenialReasons(t *testing.T) {
 		_, _, err = exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.Chain = rogue.CertChain().Marshal()
 		})
-		if !errors.Is(err, kbs.ErrForged) {
+		if kbs.ReasonOf(err) != kbs.ReasonForged {
 			t.Fatalf("rogue chain: %v", err)
 		}
 	})
@@ -321,7 +321,7 @@ func TestDenialReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, pl, "acme", 0, nil)
-		if !errors.Is(err, kbs.ErrRevoked) {
+		if kbs.ReasonOf(err) != kbs.ReasonRevoked {
 			t.Fatalf("revoked chip: %v", err)
 		}
 	})
@@ -336,7 +336,7 @@ func TestDenialReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, stale, "acme", 0, nil)
-		if !errors.Is(err, kbs.ErrStaleTCB) {
+		if kbs.ReasonOf(err) != kbs.ReasonStaleTCB {
 			t.Fatalf("stale TCB: %v", err)
 		}
 		// The same broker still grants to a current platform.
@@ -356,7 +356,7 @@ func TestDenialReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, weak, "acme", 0, nil)
-		if !errors.Is(err, kbs.ErrPolicy) {
+		if kbs.ReasonOf(err) != kbs.ReasonPolicy {
 			t.Fatalf("weak policy: %v", err)
 		}
 		low := launch(t, auth, "chip-low", currentTCB, sev.ES,
@@ -365,7 +365,7 @@ func TestDenialReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err = exchange(t, b, low, "acme", 0, nil)
-		if !errors.Is(err, kbs.ErrPolicy) {
+		if kbs.ReasonOf(err) != kbs.ReasonPolicy {
 			t.Fatalf("low level: %v", err)
 		}
 	})
@@ -384,7 +384,7 @@ func TestDenialReasons(t *testing.T) {
 		_, _, err := exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.GuestPub = mitm.PublicKey().Bytes()
 		})
-		if !errors.Is(err, kbs.ErrBinding) {
+		if kbs.ReasonOf(err) != kbs.ReasonBinding {
 			t.Fatalf("substituted guest key: %v", err)
 		}
 	})
@@ -416,7 +416,7 @@ func TestVerificationCaches(t *testing.T) {
 	_, _, err = exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 		req.Report[len(req.Report)-1] ^= 0xFF
 	})
-	if !errors.Is(err, kbs.ErrForged) {
+	if kbs.ReasonOf(err) != kbs.ReasonForged {
 		t.Fatalf("forged report on hot path: %v", err)
 	}
 	s, err := b.Stats()
@@ -487,7 +487,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = exchange(t, c, pl, "acme", 0, nil)
-	if !errors.Is(err, kbs.ErrRevoked) || !errors.Is(err, kbs.ErrDenied) {
+	if kbs.ReasonOf(err) != kbs.ReasonRevoked || !errors.Is(err, kbs.ErrDenied) {
 		t.Fatalf("remote denial lost its reason: %v", err)
 	}
 	s, err := c.Stats()
@@ -515,7 +515,7 @@ func TestReasonOf(t *testing.T) {
 	if kbs.ReasonOf(errors.New("plain")) != "" {
 		t.Fatal("plain error has a reason")
 	}
-	wrapped := errors.Join(errors.New("ctx"), kbs.ErrStaleTCB)
+	wrapped := errors.Join(errors.New("ctx"), &kbs.Denial{Reason: kbs.ReasonStaleTCB})
 	if kbs.ReasonOf(wrapped) != kbs.ReasonStaleTCB {
 		t.Fatal("wrapped denial lost its reason")
 	}

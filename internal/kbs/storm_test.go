@@ -101,8 +101,8 @@ func TestFloorBumpBoundary(t *testing.T) {
 	}
 	// One instant later the denial is stale-tcb — the replacement floor
 	// claim's refusal, not the revoked claim's expiry.
-	if _, _, err := exchange(t, b, stale, "acme", bumpAt+1, nil); !errors.Is(err, kbs.ErrStaleTCB) {
-		t.Fatalf("exchange past the bump: %v, want ErrStaleTCB", err)
+	if _, _, err := exchange(t, b, stale, "acme", bumpAt+1, nil); kbs.ReasonOf(err) != kbs.ReasonStaleTCB {
+		t.Fatalf("exchange past the bump: %v, want a stale-tcb denial", err)
 	}
 	// A platform at the new floor admits after the bump.
 	if _, _, err := exchange(t, b, fresh, "acme", bumpAt+1, nil); err != nil {
@@ -120,8 +120,8 @@ func TestFloorBumpBoundary(t *testing.T) {
 	if _, _, err := exchange(t, b, fresh, "acme", bump2, nil); err != nil {
 		t.Fatalf("exchange at second bump instant: %v", err)
 	}
-	if _, _, err := exchange(t, b, fresh, "acme", bump2+1, nil); !errors.Is(err, kbs.ErrStaleTCB) {
-		t.Fatalf("exchange past second bump: %v, want ErrStaleTCB", err)
+	if _, _, err := exchange(t, b, fresh, "acme", bump2+1, nil); kbs.ReasonOf(err) != kbs.ReasonStaleTCB {
+		t.Fatalf("exchange past second bump: %v, want a stale-tcb denial", err)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestGenerationRevocationBoundary(t *testing.T) {
 	if _, _, err := exchange(t, b, pl, "acme", at, nil); err != nil {
 		t.Fatalf("exchange at the revocation instant: %v", err)
 	}
-	if _, _, err := exchange(t, b, pl, "acme", at+1, nil); !errors.Is(err, kbs.ErrRevoked) {
+	if _, _, err := exchange(t, b, pl, "acme", at+1, nil); kbs.ReasonOf(err) != kbs.ReasonRevoked {
 		t.Fatalf("exchange past the revocation: %v, want ErrRevoked", err)
 	}
 
@@ -161,7 +161,7 @@ func TestGenerationRevocationBoundary(t *testing.T) {
 	if err := b2.Revoke("chip-0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := exchange(t, b2, pl, "acme", 0, nil); !errors.Is(err, kbs.ErrRevoked) {
+	if _, _, err := exchange(t, b2, pl, "acme", 0, nil); kbs.ReasonOf(err) != kbs.ReasonRevoked {
 		t.Fatalf("Revoke not in force at time zero: %v", err)
 	}
 }

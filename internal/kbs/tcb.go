@@ -27,16 +27,6 @@ func (t TCB) Encode() uint64 {
 		uint64(t.SNP)<<8 | uint64(t.Microcode)
 }
 
-// DecodeTCB unpacks Encode's output.
-func DecodeTCB(v uint64) TCB {
-	return TCB{
-		BootLoader: uint8(v >> 56),
-		TEE:        uint8(v >> 48),
-		SNP:        uint8(v >> 8),
-		Microcode:  uint8(v),
-	}
-}
-
 // AtLeast reports whether every component of t is >= the corresponding
 // component of min — the component-wise comparison AMD specifies (a
 // platform is only current if *all* components are current).

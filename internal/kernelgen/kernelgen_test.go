@@ -3,6 +3,7 @@ package kernelgen
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
@@ -42,16 +43,16 @@ func TestVMLinuxIsValidELF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := elfx.Parse(art.VMLinux)
+	regions, err := elfx.FileRegions(art.VMLinux)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img.Entry != art.Entry {
-		t.Fatalf("entry %#x, want %#x", img.Entry, art.Entry)
+	if entry := binary.LittleEndian.Uint64(art.VMLinux[24:]); entry != art.Entry {
+		t.Fatalf("e_entry %#x, want %#x", entry, art.Entry)
 	}
 	loads := 0
-	for _, seg := range img.Segments {
-		if seg.Type == elfx.PTLoad {
+	for _, r := range regions {
+		if r.Load {
 			loads++
 		}
 	}
@@ -65,7 +66,11 @@ func TestBzImageExtractsToSameVMLinux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := bzimage.ExtractVMLinux(art.BzImageLZ4)
+	info, err := bzimage.Parse(art.BzImageLZ4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := bzimage.DecompressPayload(info.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func FuzzDecompressBlock(f *testing.F) {
 	})
 }
 
-// FuzzDecompress exercises the framed path (FrameInfo + block decode) on
+// FuzzDecompress exercises the framed path (frameInfo + block decode) on
 // arbitrary input, plus the compress/decompress round trip: whatever we
 // compress must decompress back bit for bit.
 func FuzzDecompress(f *testing.F) {
@@ -37,10 +37,10 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(Compress(bytes.Repeat([]byte("abcd"), 1000)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes as a frame: must not panic; errors are fine.
-		if out, err := Decompress(data); err == nil {
+		if out, err := decompress(data); err == nil {
 			// A frame that decodes must re-encode to a decodable frame of
 			// the same content.
-			again, err := Decompress(Compress(out))
+			again, err := decompress(Compress(out))
 			if err != nil {
 				t.Fatalf("re-compress of valid frame failed: %v", err)
 			}
@@ -50,7 +50,7 @@ func FuzzDecompress(f *testing.F) {
 		}
 		// Bytes as plain content: the round trip must be exact.
 		if len(data) <= 1<<20 {
-			out, err := Decompress(Compress(data))
+			out, err := decompress(Compress(data))
 			if err != nil {
 				t.Fatalf("round trip failed: %v", err)
 			}

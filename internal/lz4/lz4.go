@@ -1,7 +1,6 @@
 // Package lz4 is a from-scratch implementation of the LZ4 block format
 // (https://github.com/lz4/lz4/blob/dev/doc/lz4_Block_format.md), plus a
-// small framed container used to store compressed kernel payloads inside
-// bzImage files.
+// small framed container that carries the uncompressed size.
 //
 // SEVeriFast's central tradeoff is between measurement cost (per compressed
 // byte) and decompression cost (per uncompressed byte), so the reproduction
@@ -30,11 +29,8 @@ const (
 	hashMul   = 2654435761 // Knuth's multiplicative hash constant
 )
 
-// Errors returned by the decoders.
-var (
-	ErrCorrupt  = errors.New("lz4: corrupt input")
-	ErrDstSmall = errors.New("lz4: destination buffer too small")
-)
+// ErrCorrupt is returned by the decoders.
+var ErrCorrupt = errors.New("lz4: corrupt input")
 
 func hash4(u uint32) uint32 { return (u * hashMul) >> hashShift }
 
@@ -44,13 +40,16 @@ func load32(b []byte, i int) uint32 {
 
 // CompressBlock compresses src using the LZ4 block format and returns the
 // compressed block. The output is self-delimiting only in combination with
-// the uncompressed size, which the caller must convey separately (the frame
-// helpers below do so).
+// the uncompressed size, which the caller must convey separately (Compress
+// below does so).
 //
 // Incompressible input grows by at most len(src)/255 + 16 bytes.
 func CompressBlock(src []byte) []byte {
 	return CompressBlockAppend(make([]byte, 0, maxCompressedLen(len(src))), src)
 }
+
+// maxCompressedLen bounds CompressBlock's worst-case output.
+func maxCompressedLen(raw int) int { return raw + raw/255 + 16 }
 
 // CompressBlockAppend is CompressBlock appending to dst, letting callers
 // reuse a compression buffer across blocks (pass dst[:0]).
@@ -269,9 +268,9 @@ func readLenExt(src []byte, s int) (n, next int, err error) {
 	}
 }
 
-// Frame format: magic, uncompressed size (LE u64), block. Used to embed
-// compressed payloads in bzImage files where the loader needs to size the
-// output buffer before decompressing.
+// Frame format: magic, uncompressed size (LE u64), block — the size a
+// decompressor needs before it allocates, and what Fig. 5's LZ4 initrd
+// row transfers.
 var frameMagic = []byte{'S', 'V', 'L', 'Z', '4', 1}
 
 // Compress wraps CompressBlock in a frame carrying the uncompressed size.
@@ -283,31 +282,4 @@ func Compress(src []byte) []byte {
 	binary.LittleEndian.PutUint64(sz[:], uint64(len(src)))
 	out = append(out, sz[:]...)
 	return append(out, block...)
-}
-
-// Decompress unwraps a frame produced by Compress.
-func Decompress(src []byte) ([]byte, error) {
-	block, size, err := FrameInfo(src)
-	if err != nil {
-		return nil, err
-	}
-	return DecompressBlock(block, size)
-}
-
-// FrameInfo validates a frame header and returns the contained block and
-// the uncompressed size without decompressing.
-func FrameInfo(src []byte) (block []byte, uncompressedSize int, err error) {
-	if len(src) < len(frameMagic)+8 {
-		return nil, 0, fmt.Errorf("%w: short frame", ErrCorrupt)
-	}
-	for i, m := range frameMagic {
-		if src[i] != m {
-			return nil, 0, fmt.Errorf("%w: bad frame magic", ErrCorrupt)
-		}
-	}
-	size := binary.LittleEndian.Uint64(src[len(frameMagic):])
-	if size > 1<<40 {
-		return nil, 0, fmt.Errorf("%w: implausible uncompressed size %d", ErrCorrupt, size)
-	}
-	return src[len(frameMagic)+8:], int(size), nil
 }

@@ -2,6 +2,7 @@ package lz4
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -204,10 +205,40 @@ func TestDecompressArbitraryGarbageNeverPanics(t *testing.T) {
 	}
 }
 
+// decompress and frameInfo read the frame Compress writes; only the
+// tests read it.
+
+// decompress unwraps a frame produced by Compress.
+func decompress(src []byte) ([]byte, error) {
+	block, size, err := frameInfo(src)
+	if err != nil {
+		return nil, err
+	}
+	return DecompressBlock(block, size)
+}
+
+// frameInfo validates a frame header and returns the contained block and
+// the uncompressed size without decompressing.
+func frameInfo(src []byte) (block []byte, uncompressedSize int, err error) {
+	if len(src) < len(frameMagic)+8 {
+		return nil, 0, fmt.Errorf("%w: short frame", ErrCorrupt)
+	}
+	for i, m := range frameMagic {
+		if src[i] != m {
+			return nil, 0, fmt.Errorf("%w: bad frame magic", ErrCorrupt)
+		}
+	}
+	size := binary.LittleEndian.Uint64(src[len(frameMagic):])
+	if size > 1<<40 {
+		return nil, 0, fmt.Errorf("%w: implausible uncompressed size %d", ErrCorrupt, size)
+	}
+	return src[len(frameMagic)+8:], int(size), nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	src := []byte(strings.Repeat("kernel code segment ", 1000))
 	frame := Compress(src)
-	got, err := Decompress(frame)
+	got, err := decompress(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +250,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameInfo(t *testing.T) {
 	src := make([]byte, 12345)
 	frame := Compress(src)
-	block, size, err := FrameInfo(frame)
+	block, size, err := frameInfo(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +265,13 @@ func TestFrameInfo(t *testing.T) {
 func TestFrameRejectsBadMagic(t *testing.T) {
 	frame := Compress([]byte("data"))
 	frame[0] ^= 0xFF
-	if _, err := Decompress(frame); err == nil {
+	if _, err := decompress(frame); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestFrameRejectsShort(t *testing.T) {
-	if _, err := Decompress([]byte{1, 2, 3}); err == nil {
+	if _, err := decompress([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short frame accepted")
 	}
 }
@@ -250,7 +281,7 @@ func TestFrameRejectsImplausibleSize(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		frame[len(frameMagic)+i] = 0xFF
 	}
-	if _, err := Decompress(frame); err == nil {
+	if _, err := decompress(frame); err == nil {
 		t.Fatal("implausible size accepted")
 	}
 }
@@ -315,7 +346,7 @@ func TestDecompressAllocsOnce(t *testing.T) {
 	src := bytes.Repeat([]byte("multi-megabyte payload "), 1<<17) // ~2.9 MiB
 	frame := Compress(src)
 	allocs := testing.AllocsPerRun(5, func() {
-		out, err := Decompress(frame)
+		out, err := decompress(frame)
 		if err != nil || len(out) != len(src) {
 			t.Fatalf("len %d err %v", len(out), err)
 		}

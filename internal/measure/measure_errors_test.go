@@ -28,7 +28,7 @@ func TestParseHashFileErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseHashFile(strings.NewReader(tc.input))
+			_, err := parseHashFile(strings.NewReader(tc.input))
 			if err == nil {
 				t.Fatalf("accepted %q", tc.input)
 			}
@@ -42,7 +42,7 @@ func TestParseHashFileErrorPaths(t *testing.T) {
 // TestParseHashFileCmdlineOptional pins the documented asymmetry: kernel
 // and initrd entries are mandatory, cmdline defaults to the zero hash.
 func TestParseHashFileCmdlineOptional(t *testing.T) {
-	h, err := ParseHashFile(strings.NewReader(
+	h, err := parseHashFile(strings.NewReader(
 		"kernel " + hexDigest + "\ninitrd " + hexDigest + "\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ type failingReader struct{}
 func (failingReader) Read([]byte) (int, error) { return 0, errors.New("disk gone") }
 
 func TestParseHashFilePropagatesReadError(t *testing.T) {
-	if _, err := ParseHashFile(failingReader{}); err == nil || !strings.Contains(err.Error(), "disk gone") {
+	if _, err := parseHashFile(failingReader{}); err == nil || !strings.Contains(err.Error(), "disk gone") {
 		t.Fatalf("read error not propagated: %v", err)
 	}
 }

@@ -88,21 +88,8 @@ const (
 // true exactly when the engine refused an admission.
 var ErrDenied = errors.New("policy: denied")
 
-// Sentinels for errors.Is against a specific reason.
-var (
-	ErrUnknownDomain      = &Denial{Reason: ReasonUnknownDomain}
-	ErrPlatformUntrusted  = &Denial{Reason: ReasonPlatformUntrusted}
-	ErrTCBFloor           = &Denial{Reason: ReasonTCBFloor}
-	ErrRevoked            = &Denial{Reason: ReasonRevoked}
-	ErrMeasurementUnknown = &Denial{Reason: ReasonMeasurementUnknown}
-	ErrExpired            = &Denial{Reason: ReasonExpired}
-	ErrForged             = &Denial{Reason: ReasonForged}
-	ErrScope              = &Denial{Reason: ReasonScope}
-	ErrUnauthorized       = &Denial{Reason: ReasonUnauthorized}
-)
-
 // Denial is a refusal with the rule that refused and why. It matches
-// ErrDenied and any Denial with the same Reason under errors.Is.
+// ErrDenied under errors.Is; DenialOf recovers it to classify by Reason.
 type Denial struct {
 	Rule   string
 	Reason Reason
@@ -120,14 +107,8 @@ func (d *Denial) Error() string {
 	return fmt.Sprintf("policy: denied (%s/%s): %s", d.Rule, d.Reason, d.Detail)
 }
 
-// Is matches ErrDenied and same-reason Denials.
-func (d *Denial) Is(target error) bool {
-	if target == ErrDenied {
-		return true
-	}
-	t, ok := target.(*Denial)
-	return ok && t.Reason == d.Reason
-}
+// Is matches ErrDenied.
+func (d *Denial) Is(target error) bool { return target == ErrDenied }
 
 // DenialOf extracts the policy denial from an error chain, or nil.
 func DenialOf(err error) *Denial {

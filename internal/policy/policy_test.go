@@ -148,10 +148,10 @@ func TestEvaluateDenials(t *testing.T) {
 		wantReason(t, err, RuleMeasurement, ReasonForged)
 	})
 	t.Run("out-of-scope", func(t *testing.T) {
-		// A claim scoped to another tenant, filed where t0's evaluation
-		// will see it.
+		// A claim scoped to another tenant, mis-filed (checks skipped)
+		// where t0's evaluation will see it.
 		c := p.signed(Claim{ID: "meas-t9", Kind: KindMeasurement, Scope: "t9", Subject: "0c0d", Issuer: "root"})
-		if err := p.store.InjectInto("*", c); err != nil {
+		if err := p.store.inject("*", c, false); err != nil {
 			t.Fatal(err)
 		}
 		ev := platform

@@ -227,12 +227,6 @@ func (s *Store) Inject(c Claim) error {
 	return s.inject(domainNameFor(c), c, false)
 }
 
-// InjectInto files a claim into an explicit domain, checks skipped —
-// how a mis-filed or cross-tenant claim is modeled.
-func (s *Store) InjectInto(domainName string, c Claim) error {
-	return s.inject(domainName, c, false)
-}
-
 func domainNameFor(c Claim) string {
 	if c.Scope == "" {
 		return "*"
@@ -266,33 +260,6 @@ func (s *Store) Intercept(fn func(Claim) Claim) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.intercept = fn
-}
-
-// HasClaim reports whether the domain holds a claim with the ID.
-func (s *Store) HasClaim(domainName, id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := s.domains[domainName]
-	if d == nil {
-		return false
-	}
-	rec, _ := d.find(id)
-	return rec != nil
-}
-
-// ClaimIDs lists the domain's claim IDs in sorted order.
-func (s *Store) ClaimIDs(domainName string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := s.domains[domainName]
-	if d == nil {
-		return nil
-	}
-	out := make([]string, len(d.claims))
-	for i, rec := range d.claims {
-		out[i] = rec.claim.ID
-	}
-	return out
 }
 
 // RevokeClaim marks the claim invalid for every instant strictly after

@@ -23,7 +23,7 @@ func (c foldChain) reference() [32]byte { return FoldDigest(c.initial, c.metas, 
 // it — a repeat — or none), then diverges into fresh random regions.
 func foldChains(seed int64, n int) []foldChain {
 	r := rand.New(rand.NewSource(seed))
-	pageTypes := []sev.PageType{sev.PageNormal, sev.PageVMSA, sev.PageZero, sev.PageSecrets, sev.PageCPUID}
+	pageTypes := []sev.PageType{sev.PageNormal, sev.PageVMSA, sev.PageSecrets, sev.PageCPUID}
 	var initials [2][32]byte
 	r.Read(initials[0][:])
 	r.Read(initials[1][:])

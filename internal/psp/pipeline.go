@@ -148,10 +148,7 @@ func (b *UpdateBatch) Close() error {
 		}
 	}
 	b.ctx.digest = FoldDigest(b.ctx.digest, b.pending, contents)
-	for _, r := range b.pending {
-		b.ctx.updates++
-		b.ctx.bytesPreEnc += r.Len
-	}
+	b.ctx.updates += len(b.pending)
 	b.pending = b.pending[:0]
 	b.spans = b.spans[:0]
 	return nil

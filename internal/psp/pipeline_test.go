@@ -30,7 +30,7 @@ func randomRegions(rng *rand.Rand, count int) []stagedRegion {
 	shared := make([]byte, 3*4096+123)
 	rng.Read(shared)
 	artifact.Intern(shared)
-	pts := []sev.PageType{sev.PageNormal, sev.PageNormal, sev.PageZero, sev.PageSecrets}
+	pts := []sev.PageType{sev.PageNormal, sev.PageNormal, sev.PageVMSA, sev.PageSecrets}
 	gpa := uint64(0x1000)
 	regions := make([]stagedRegion, 0, count)
 	for i := 0; i < count; i++ {

@@ -116,9 +116,8 @@ type GuestContext struct {
 	asid   uint32
 	state  State
 
-	digest      [32]byte // running launch digest
-	updates     int
-	bytesPreEnc int
+	digest  [32]byte // running launch digest
+	updates int
 }
 
 // LaunchStart allocates an ASID, derives a fresh memory-encryption key,
@@ -188,10 +187,6 @@ func (ctx *GuestContext) State() State { return ctx.state }
 // Digest returns the current launch digest.
 func (ctx *GuestContext) Digest() [32]byte { return ctx.digest }
 
-// PreEncryptedBytes reports how many bytes LAUNCH_UPDATE_DATA has
-// processed (the quantity Fig. 4 sweeps).
-func (ctx *GuestContext) PreEncryptedBytes() int { return ctx.bytesPreEnc }
-
 // LaunchUpdateData measures and encrypts [gpa, gpa+n): the region's plain
 // text is hashed into the launch digest, then the pages flip to private
 // under the guest key (Fig. 1 step 2; pre-encryption throughout the
@@ -216,7 +211,6 @@ func (ctx *GuestContext) LaunchUpdateData(proc *sim.Proc, gpa uint64, n int, pt 
 	}
 	ctx.digest = ExtendDigestContent(ctx.digest, pt, gpa, n, content)
 	ctx.updates++
-	ctx.bytesPreEnc += n
 	return nil
 }
 

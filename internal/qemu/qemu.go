@@ -39,10 +39,8 @@ func cmdlineBytes(s string) []byte {
 	return v.([]byte)
 }
 
-// Attestor is firecracker.Attestor: one guest owner serves either monitor.
-type Attestor = firecracker.Attestor
-
-// Config describes one QEMU/OVMF SEV boot.
+// Config describes one QEMU/OVMF SEV boot. One guest owner serves either
+// monitor, so Attestor is firecracker's.
 type Config struct {
 	Preset    kernelgen.Preset
 	Artifacts *kernelgen.Artifacts
@@ -52,7 +50,23 @@ type Config struct {
 	MemSize   uint64
 	Level     sev.Level
 	OVMFSeed  int64
-	Attestor  Attestor
+	Attestor  firecracker.Attestor
+}
+
+// FromFirecracker is the launch description c as this monitor takes it:
+// the fields the two monitors share. The facade and the experiments
+// describe every launch as a firecracker.Config and convert here.
+func FromFirecracker(c firecracker.Config) Config {
+	return Config{
+		Preset:    c.Preset,
+		Artifacts: c.Artifacts,
+		Initrd:    c.Initrd,
+		Cmdline:   c.Cmdline,
+		VCPUs:     c.VCPUs,
+		MemSize:   c.MemSize,
+		Level:     c.Level,
+		Attestor:  c.Attestor,
+	}
 }
 
 // check refuses what the flow cannot launch. Boot and ExpectedDigest share
@@ -82,12 +96,10 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Result is one completed QEMU boot: the monitors report the same facts.
-type Result = firecracker.Result
-
 // Boot runs one QEMU/OVMF SEV boot to init (plus attestation when
-// configured) on the calling simulation process.
-func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
+// configured) on the calling simulation process. The monitors report the
+// same facts, so the result is firecracker's.
+func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*firecracker.Result, error) {
 	cfg.fillDefaults()
 	if err := cfg.check(); err != nil {
 		return nil, err
@@ -203,7 +215,7 @@ func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 		m.DebugEvent(proc, sev.EvAttestDone)
 		m.Timeline.End("attest", proc.Now())
 	}
-	res := &Result{
+	res := &firecracker.Result{
 		Timeline:     m.Timeline,
 		Report:       rep,
 		Machine:      m,

@@ -5,19 +5,21 @@ import (
 	"time"
 
 	"github.com/severifast/severifast/internal/costmodel"
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/measure"
+	"github.com/severifast/severifast/internal/ovmf"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
 
-func runBoot(t *testing.T, cfg Config) (*Result, error) {
+func runBoot(t *testing.T, cfg Config) (*firecracker.Result, error) {
 	t.Helper()
 	eng := sim.NewEngine()
 	host := kvm.NewHost(eng, costmodel.Default(), 42)
 	var (
-		res *Result
+		res *firecracker.Result
 		err error
 	)
 	eng.Go("qemu", func(p *sim.Proc) { res, err = Boot(p, host, cfg) })
@@ -138,16 +140,17 @@ func TestQEMUPreEncryptionDominatedByOVMFSize(t *testing.T) {
 	// Sanity on the mechanism: QEMU pre-encrypts >1.1 MiB; SEVeriFast
 	// pre-encrypts tens of KiB. Check the measured byte count.
 	art, initrd := lupine(t)
-	res, err := runBoot(t, Config{
-		Preset:    kernelgen.Lupine(),
-		Artifacts: art,
-		Initrd:    initrd,
-		Level:     sev.SNP,
-	})
+	cfg := Config{Preset: kernelgen.Lupine(), Artifacts: art, Initrd: initrd, Level: sev.SNP}
+	res, err := runBoot(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Machine.Launch.PreEncryptedBytes()
+	// The boot's digest folds exactly the OVMF plan, so the plan's bytes
+	// are the ones it pre-encrypted.
+	if want, err := cfg.ExpectedDigest(); err != nil || res.LaunchDigest != want {
+		t.Fatalf("launch digest %x, want the plan's %x (%v)", res.LaunchDigest[:8], want[:8], err)
+	}
+	got := measure.PreEncryptedBytes(ovmf.PlanRegions(1, sev.SNP, cfg.ComponentHashes()))
 	if got < 1<<20 {
 		t.Fatalf("QEMU pre-encrypted %d bytes, want >= 1 MiB (OVMF volume)", got)
 	}

@@ -276,10 +276,10 @@ type SpanOptions struct {
 // PvalidateSpan validates [gpa, gpa+n) for asid as one range operation
 // and returns the number of pvalidate instructions issued (the amount
 // Validations advanced). It is the single implementation behind
-// PvalidateRange and PvalidateRangeSkipValidated, with per-page dense
-// semantics preserved exactly: the error names the first failing pfn,
-// every page before it is left mutated as the per-page walk would have
-// left it, and tick counts match block for block.
+// PvalidateRangeSkipValidated (and the tests' PvalidateRange), with
+// per-page dense semantics preserved exactly: the error names the first
+// failing pfn, every page before it is left mutated as the per-page walk
+// would have left it, and tick counts match block for block.
 func (t *Table) PvalidateSpan(gpa uint64, n int, asid uint32, opts SpanOptions) (int, error) {
 	ps := uint64(opts.PageSize)
 	if opts.PageSize <= 0 {
@@ -412,15 +412,6 @@ func strictOps(work []span, pages, ps, n, errK uint64, hasErr bool) int {
 	}
 	flush()
 	return ops
-}
-
-// PvalidateRange validates [gpa, gpa+n) in pageSize steps, modeling
-// validation with either 4 KiB or 2 MiB granularity. The RMP itself is
-// tracked at 4 KiB granularity; a 2 MiB pvalidate validates 512 entries
-// with a single instruction (one Validations tick).
-func (t *Table) PvalidateRange(gpa uint64, n int, pageSize int, asid uint32) error {
-	_, err := t.PvalidateSpan(gpa, n, asid, SpanOptions{PageSize: pageSize})
-	return err
 }
 
 // PvalidateRangeSkipValidated takes guest ownership of [gpa, gpa+n): for

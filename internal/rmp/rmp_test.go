@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// PvalidateRange validates [gpa, gpa+n) in pageSize steps, modeling
+// validation with either 4 KiB or 2 MiB granularity. The RMP itself is
+// tracked at 4 KiB granularity; a 2 MiB pvalidate validates 512 entries
+// with a single instruction (one Validations tick).
+func (t *Table) PvalidateRange(gpa uint64, n int, pageSize int, asid uint32) error {
+	_, err := t.PvalidateSpan(gpa, n, asid, SpanOptions{PageSize: pageSize})
+	return err
+}
+
 func TestZeroStateIsHypervisorOwned(t *testing.T) {
 	tb := New()
 	e := tb.Lookup(0x1000)

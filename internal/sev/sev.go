@@ -115,7 +115,6 @@ type PageType uint8
 const (
 	PageNormal  PageType = 1 // guest code/data
 	PageVMSA    PageType = 2 // vCPU state (SEV-ES and up)
-	PageZero    PageType = 3
 	PageSecrets PageType = 5
 	PageCPUID   PageType = 6
 )

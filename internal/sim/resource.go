@@ -42,9 +42,6 @@ func (r *Resource) Rename(name string) { r.name = name }
 // mark). Cluster schedulers read it as a per-host pressure input.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
-// InUse returns the number of slots currently occupied.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Served returns the number of completed service periods.
 func (r *Resource) Served() uint64 { return r.served }
 
@@ -101,14 +98,11 @@ func (r *Resource) Release(e *Engine) {
 	}
 }
 
-// Use acquires a slot, holds it for d of virtual time, and releases it.
-// This is the common "submit one command to the device" pattern.
-func (r *Resource) Use(p *Proc, d time.Duration) { r.UseLabeled(p, d, "") }
-
-// UseLabeled is Use with a command label for the scheduler tracer: the
-// service period is reported under that name on the resource's track
-// (PSP launch commands use this, so a trace shows LAUNCH_UPDATE_DATA
-// serialization explicitly).
+// UseLabeled acquires a slot, holds it for d of virtual time, and
+// releases it — the "submit one command to the device" pattern — with a
+// command label for the scheduler tracer: the service period is reported
+// under that name on the resource's track (PSP launch commands use this,
+// so a trace shows LAUNCH_UPDATE_DATA serialization explicitly).
 func (r *Resource) UseLabeled(p *Proc, d time.Duration, label string) {
 	r.Acquire(p)
 	from := p.eng.now

@@ -79,7 +79,7 @@ type Tracer interface {
 	// TraceWait is called after a process waited for a resource slot.
 	TraceWait(proc, resource string, from, to Time)
 	// TraceService is called after a process held a resource slot via
-	// Use/UseLabeled; label is the command name ("" when unlabeled).
+	// UseLabeled; label is the command name ("" when unlabeled).
 	TraceService(proc, resource, label string, from, to Time)
 	// TraceIdle is called after a Park/Wake gap.
 	TraceIdle(proc string, from, to Time)
@@ -215,10 +215,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Yield reschedules the process at the current instant, letting other
-// events and processes queued for this time run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Wait parks the process until wake is called (from engine or another
 // process's context via an event). It returns the virtual time at wakeup.
 func (p *Proc) waitParked() Time {
@@ -258,9 +254,6 @@ type Signal struct {
 // NewSignal returns an unfired signal.
 func NewSignal() *Signal { return &Signal{} }
 
-// Fired reports whether Fire has been called.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Fire releases all waiters at the current virtual time. Firing twice is a
 // no-op.
 func (s *Signal) Fire(e *Engine) {
@@ -283,30 +276,3 @@ func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
 	p.waitParked()
 }
-
-// Join waits for n processes to call Done, like a sync.WaitGroup in virtual
-// time.
-type Join struct {
-	remaining int
-	sig       *Signal
-}
-
-// NewJoin returns a Join waiting for n completions.
-func NewJoin(n int) *Join {
-	j := &Join{remaining: n, sig: NewSignal()}
-	return j
-}
-
-// Done records one completion; the n-th completion releases waiters.
-func (j *Join) Done(e *Engine) {
-	if j.remaining <= 0 {
-		panic("sim: Join.Done called more times than NewJoin count")
-	}
-	j.remaining--
-	if j.remaining == 0 {
-		j.sig.Fire(e)
-	}
-}
-
-// Wait blocks p until all completions have been recorded.
-func (j *Join) Wait(p *Proc) { j.sig.Wait(p) }

@@ -141,6 +141,9 @@ func TestProcPanicPropagates(t *testing.T) {
 	t.Fatal("Run returned without panicking")
 }
 
+// Use is an unlabeled UseLabeled, the tests' shorthand.
+func (r *Resource) Use(p *Proc, d time.Duration) { r.UseLabeled(p, d, "") }
+
 func TestResourceSerializesCapacityOne(t *testing.T) {
 	e := NewEngine()
 	r := NewResource("psp", 1)
@@ -276,39 +279,6 @@ func TestSignalWaitAfterFireReturnsImmediately(t *testing.T) {
 	e.Run()
 }
 
-func TestJoinWaitsForAll(t *testing.T) {
-	e := NewEngine()
-	j := NewJoin(3)
-	var doneAt Time
-	for i := 1; i <= 3; i++ {
-		d := time.Duration(i) * time.Millisecond
-		e.Go("worker", func(p *Proc) {
-			p.Sleep(d)
-			j.Done(e)
-		})
-	}
-	e.Go("waiter", func(p *Proc) {
-		j.Wait(p)
-		doneAt = p.Now()
-	})
-	e.Run()
-	if doneAt != Time(3*time.Millisecond) {
-		t.Fatalf("join released at %v, want 3ms", doneAt)
-	}
-}
-
-func TestJoinTooManyDonePanics(t *testing.T) {
-	e := NewEngine()
-	j := NewJoin(1)
-	j.Done(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("extra Done did not panic")
-		}
-	}()
-	j.Done(e)
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal()
@@ -358,12 +328,14 @@ func TestTimeStringAndArithmetic(t *testing.T) {
 	}
 }
 
+// TestYieldRunsOthersFirst: a zero sleep reschedules the process at the
+// current instant, after the events and processes already queued for it.
 func TestYieldRunsOthersFirst(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a-before")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a-after")
 	})
 	e.Go("b", func(p *Proc) {

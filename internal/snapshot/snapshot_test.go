@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,6 +13,25 @@ import (
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
+
+// ErrEncrypted is Verify's refusal: the restored pages decrypt to garbage.
+var ErrEncrypted = errors.New("snapshot: restoring an SEV snapshot into a different key space yields ciphertext")
+
+// Verify checks whether the restored guest sees the same plain text the
+// source guest had at the probe addresses. It returns ErrEncrypted when
+// the restored pages decrypt to garbage (the SEV cross-key case).
+func Verify(src, dst *kvm.Machine, probes []uint64, want map[uint64][]byte) error {
+	for _, gpa := range probes {
+		got, err := dst.Mem.GuestRead(gpa, len(want[gpa]), dst.Level.Encrypted())
+		if err != nil {
+			return err
+		}
+		if string(got) != string(want[gpa]) {
+			return fmt.Errorf("%w: probe at %#x differs", ErrEncrypted, gpa)
+		}
+	}
+	return nil
+}
 
 // run executes fn on a fresh engine+host process.
 func run(t *testing.T, fn func(p *sim.Proc, h *kvm.Host)) {

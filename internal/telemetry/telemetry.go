@@ -98,21 +98,6 @@ func (s *Span) Annotate(key, value string) {
 	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
 }
 
-// Attr returns the last value recorded for key, or "".
-func (s *Span) Attr(key string) string {
-	if s == nil {
-		return ""
-	}
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	for i := len(s.Attrs) - 1; i >= 0; i-- {
-		if s.Attrs[i].Key == key {
-			return s.Attrs[i].Value
-		}
-	}
-	return ""
-}
-
 // Event is an instant marker on a track (a guest debug-port write, a
 // scheduler transition).
 type Event struct {

@@ -47,14 +47,9 @@ type Timeline struct {
 	openSpans map[string]*telemetry.Span
 }
 
-// New returns a timeline whose zero point is the VMM exec time.
-func New(start sim.Time) *Timeline {
-	return NewScoped(nil, "", start)
-}
-
 // NewScoped returns a timeline that mirrors everything it records into
 // reg on the given track (normally the booting proc's name). A nil reg
-// degrades to New.
+// records into the timeline alone.
 func NewScoped(reg *telemetry.Registry, track string, start sim.Time) *Timeline {
 	t := &Timeline{
 		Start:     start,

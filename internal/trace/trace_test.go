@@ -10,6 +10,10 @@ import (
 	"github.com/severifast/severifast/internal/telemetry"
 )
 
+// New is an unscoped timeline whose zero point is start, the tests'
+// shorthand.
+func New(start sim.Time) *Timeline { return NewScoped(nil, "", start) }
+
 func ms(n int64) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
 
 func sampleTimeline() *Timeline {

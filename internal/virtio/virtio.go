@@ -65,10 +65,9 @@ const (
 
 // Feature bits (a representative subset).
 const (
-	FeatVersion1     = 1 << 32
-	FeatBlkFlush     = 1 << 9
-	FeatNetMac       = 1 << 5
-	FeatRingIndirect = 1 << 28
+	FeatVersion1 = 1 << 32
+	FeatBlkFlush = 1 << 9
+	FeatNetMac   = 1 << 5
 )
 
 // descriptor flags.

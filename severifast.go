@@ -43,6 +43,7 @@ import (
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/qemu"
 	"github.com/severifast/severifast/internal/sev"
@@ -520,23 +521,10 @@ func (c *Config) resolve() (*launch, error) {
 	}}, nil
 }
 
-// qemuConfig is the launch as the QEMU/OVMF monitor takes it.
-func (l *launch) qemuConfig() qemu.Config {
-	return qemu.Config{
-		Preset:    l.Preset,
-		Artifacts: l.Artifacts,
-		Initrd:    l.Initrd,
-		VCPUs:     l.VCPUs,
-		MemSize:   l.MemSize,
-		Level:     l.Level,
-		Attestor:  l.Attestor,
-	}
-}
-
 // expectedDigest asks the launch's own monitor what it measures.
 func (l *launch) expectedDigest() ([32]byte, error) {
 	if l.qemu {
-		return l.qemuConfig().ExpectedDigest()
+		return qemu.FromFirecracker(l.Config).ExpectedDigest()
 	}
 	return l.Config.ExpectedDigest()
 }
@@ -612,7 +600,7 @@ func (h *Host) bootOne(p *sim.Proc, l launch, attested bool) (*Result, error) {
 		err error
 	)
 	if l.qemu {
-		res, err = qemu.Boot(p, h.inner, l.qemuConfig())
+		res, err = qemu.Boot(p, h.inner, qemu.FromFirecracker(l.Config))
 	} else {
 		res, err = firecracker.Boot(p, h.inner, l.Config)
 	}
@@ -671,6 +659,22 @@ func ExpectedLaunchDigest(cfg Config) ([32]byte, error) {
 	}
 	d, err := l.expectedDigest()
 	return d, classifyErr(err)
+}
+
+// ComponentHashes returns the §4.3 out-of-band component hashes of the
+// launch cfg describes — the hash file a guest owner keeps beside
+// ExpectedLaunchDigest's digest, naming the kernel image that launch
+// stages. SchemeStock is never measured and gets the launch's own error.
+func ComponentHashes(cfg Config) (measure.ComponentHashes, error) {
+	l, err := cfg.resolve()
+	if err != nil {
+		return measure.ComponentHashes{}, err
+	}
+	if l.qemu {
+		return qemu.FromFirecracker(l.Config).ComponentHashes(), nil
+	}
+	h, err := l.ComponentHashes()
+	return h, classifyErr(err)
 }
 
 // GuestOwner is the remote-attestation service a tenant runs: it verifies
