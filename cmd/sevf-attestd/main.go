@@ -41,8 +41,7 @@ func main() {
 // setup parses flags and assembles the service handler; main only binds
 // the socket, so tests can drive the full service via httptest. The
 // legacy guest-owner endpoint (POST /attest) is always served; the broker
-// endpoints (/challenge, /redeem, /provision, /revoke, /stats) appear
-// with -kbs.
+// endpoints (/challenge, /redeem, /claim, /stats) appear with -kbs.
 func setup(args []string, out io.Writer) (http.Handler, string, error) {
 	fs := flag.NewFlagSet("sevf-attestd", flag.ContinueOnError)
 	var (

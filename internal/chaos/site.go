@@ -342,8 +342,8 @@ func pspDigestTamper(all bool) site {
 // wrapping the harness's broker in a Service decorator.
 
 // kbsProxy decorates the inner broker, letting one site intercept the
-// Challenge and Redeem call boundaries (Provision, Revoke and Stats pass
-// through the embedding). Redeem calls are numbered so a drawn exchange
+// Challenge and Redeem call boundaries (File and Stats pass through the
+// embedding). Redeem calls are numbered so a drawn exchange
 // can be singled out.
 type kbsProxy struct {
 	kbs.Service
@@ -613,7 +613,7 @@ func polRevokeFloor(at time.Duration) site {
 		expected: []error{policy.ErrDenied, kbs.ErrDenied},
 		arm: func(h *Harness) {
 			h.Eng.After(at, func() {
-				h.Broker.Policy().RevokeClaim("*", kbs.MinTCBClaimID, h.Eng.Now())
+				h.Broker.Policy().RevokeClaim("*", policy.FloorClaimID, h.Eng.Now())
 			})
 		},
 	}

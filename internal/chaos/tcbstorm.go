@@ -28,6 +28,18 @@ func stormBumpedFloor() kbs.TCB {
 	return f
 }
 
+// revokeChip and bumpFloor are the operator's two storm writes at the
+// current instant: store calls signed under the broker's anchor. Their
+// errors are ignored; a row whose write does not land shows up as a
+// missed detection.
+func revokeChip(h *Harness, chip string) {
+	_ = h.Broker.Policy().File(h.Broker.Signer(), kbs.RevocationClaim(chip, h.Eng.Now()))
+}
+
+func bumpFloor(h *Harness, floor kbs.TCB) {
+	_ = h.Broker.Policy().BumpFloor(h.Broker.Signer(), floor.Encode(), h.Eng.Now())
+}
+
 // stormSite is the row shape the family shares: a storm at a drawn
 // instant, refused boots expected at the fleet's admission gate (a policy
 // denial) or at the broker's exchange (a kbs denial) depending on where
@@ -68,7 +80,7 @@ func stormForgedUnrevoke(at time.Duration) site {
 	return stormSite("forged-unrevoke", fmt.Sprintf("at=%s", at),
 		"chip revoked mid-run yet every boot served — the forged un-revocation restored trust",
 		at, func(h *Harness) {
-			_ = h.Broker.RevokeAt("chip-chaos", h.Eng.Now())
+			revokeChip(h, "chip-chaos")
 			_ = h.Broker.Policy().Inject(policy.Claim{
 				ID:      "aaa-unrevoke-chip-chaos", // sorts ahead of every honest claim
 				Kind:    policy.KindPlatform,
@@ -90,7 +102,7 @@ func stormStaleFloorReplay(at time.Duration) site {
 	return stormSite("stale-floor-replay", fmt.Sprintf("at=%s floor=%s", at, stormBumpedFloor()),
 		"floor bumped above the platform mid-run yet every boot served — stale evidence kept redeeming",
 		at, func(h *Harness) {
-			_ = h.Broker.BumpFloor(stormBumpedFloor(), h.Eng.Now())
+			bumpFloor(h, stormBumpedFloor())
 		})
 }
 
@@ -103,7 +115,7 @@ func stormForgedFloorRestore(at time.Duration) site {
 	return stormSite("forged-floor-restore", fmt.Sprintf("at=%s", at),
 		"floor bumped mid-run yet every boot served — the forged floor restore was honored",
 		at, func(h *Harness) {
-			_ = h.Broker.BumpFloor(stormBumpedFloor(), h.Eng.Now())
+			bumpFloor(h, stormBumpedFloor())
 			_ = h.Broker.Policy().Inject(policy.Claim{
 				ID:      "aaa-floor-restore", // sorts ahead of the honest floor-bump claim
 				Kind:    policy.KindPlatform,
@@ -125,9 +137,8 @@ func stormForgedFloorRestore(at time.Duration) site {
 // failure is an unexpected detection.
 func stormPristineRecovery(at time.Duration) site {
 	s := stormSite("pristine-recovery", fmt.Sprintf("at=%s", at), "", at, func(h *Harness) {
-		now := h.Eng.Now()
-		_ = h.Broker.RevokeAt("chip-ghost", now)
-		_ = h.Broker.BumpFloor(chaosTCB, now)
+		revokeChip(h, "chip-ghost")
+		bumpFloor(h, chaosTCB)
 	})
 	s.expected = nil
 	return s

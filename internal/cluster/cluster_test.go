@@ -11,6 +11,7 @@ import (
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -299,7 +300,7 @@ func TestRevocationFlipsAdmissions(t *testing.T) {
 		// good through revokeAt inclusive, and every evaluation strictly
 		// after it must refuse.
 		eng.After(revokeAt, func() {
-			if err := broker.Policy().RevokeClaim("*", kbs.MinTCBClaimID, eng.Now()); err != nil {
+			if err := broker.Policy().RevokeClaim("*", policy.FloorClaimID, eng.Now()); err != nil {
 				t.Errorf("RevokeClaim: %v", err)
 			}
 		})
@@ -366,7 +367,7 @@ func TestRevocationFlipsAdmissions(t *testing.T) {
 // outageKBS makes one host's broker transport fail unconditionally.
 // Failures are transport errors (not denials), the food of the circuit
 // breaker.
-type outageKBS struct{ inner kbs.Service }
+type outageKBS struct{ kbs.Service }
 
 func (f *outageKBS) Challenge(string, sim.Time) (kbs.Challenge, error) {
 	return kbs.Challenge{}, fmt.Errorf("kbs transport: connection refused")
@@ -374,9 +375,6 @@ func (f *outageKBS) Challenge(string, sim.Time) (kbs.Challenge, error) {
 func (f *outageKBS) Redeem(kbs.RedeemRequest, sim.Time) (*kbs.RedeemResult, error) {
 	return nil, fmt.Errorf("kbs transport: connection refused")
 }
-func (f *outageKBS) Provision(d [32]byte, l string) error { return f.inner.Provision(d, l) }
-func (f *outageKBS) Revoke(c string) error                { return f.inner.Revoke(c) }
-func (f *outageKBS) Stats() (kbs.Stats, error)            { return f.inner.Stats() }
 
 // TestPerHostBreakerIsolation: host 0's broker transport is dead for
 // the whole run. Its own circuit breaker must open — and the other
@@ -404,7 +402,7 @@ func TestPerHostBreakerIsolation(t *testing.T) {
 		Retry:     fleet.RetryPolicy{Max: 1, Backoff: time.Millisecond},
 		WrapKBS: func(host int, svc kbs.Service) kbs.Service {
 			if host == 0 {
-				return &outageKBS{inner: svc}
+				return &outageKBS{svc}
 			}
 			return svc
 		},

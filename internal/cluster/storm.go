@@ -62,8 +62,9 @@ type stormState struct {
 
 // InstallStorm arms the storm and drift processes on the cluster's
 // engine. Call it after New and before eng.Run; b must be the broker
-// behind Config.KBS when the storm revokes or bumps (the revocation and
-// floor APIs live on the concrete broker, not the Service interface).
+// behind Config.KBS when the storm revokes or bumps: both are writes to
+// its policy store, signed under its anchor, which the Service interface
+// does not expose.
 func (c *Cluster) InstallStorm(b *kbs.Broker, sc StormConfig) error {
 	if c.storm != nil {
 		return errors.New("cluster: storm already installed")
@@ -98,7 +99,7 @@ func (c *Cluster) runStorm(p *sim.Proc, b *kbs.Broker, st *stormState) {
 		if st.cfg.Generation == "" || s.gen != st.cfg.Generation {
 			continue
 		}
-		if err := b.RevokeAt("chip-"+s.Name, at); err != nil {
+		if err := b.Policy().File(b.Signer(), kbs.RevocationClaim("chip-"+s.Name, at)); err != nil {
 			c.stormFail(fmt.Errorf("cluster: revoking %s: %w", s.Name, err))
 			return
 		}
@@ -108,7 +109,7 @@ func (c *Cluster) runStorm(p *sim.Proc, b *kbs.Broker, st *stormState) {
 			telemetry.A("host", s.Name)).Inc()
 	}
 	if st.cfg.Floor != (kbs.TCB{}) {
-		if err := b.BumpFloor(st.cfg.Floor, at); err != nil {
+		if err := b.Policy().BumpFloor(b.Signer(), st.cfg.Floor.Encode(), at); err != nil {
 			c.stormFail(fmt.Errorf("cluster: bumping floor: %w", err))
 			return
 		}

@@ -14,7 +14,7 @@ import (
 // Challenge and Redeem return plain transport errors (not denials), which
 // is the failure shape that feeds the circuit breaker.
 type flakyKBS struct {
-	inner kbs.Service
+	kbs.Service
 	down  func(now sim.Time) bool
 	calls int
 }
@@ -24,7 +24,7 @@ func (f *flakyKBS) Challenge(tenant string, now sim.Time) (kbs.Challenge, error)
 	if f.down(now) {
 		return kbs.Challenge{}, fmt.Errorf("kbs transport: connection refused")
 	}
-	return f.inner.Challenge(tenant, now)
+	return f.Service.Challenge(tenant, now)
 }
 
 func (f *flakyKBS) Redeem(req kbs.RedeemRequest, now sim.Time) (*kbs.RedeemResult, error) {
@@ -32,12 +32,8 @@ func (f *flakyKBS) Redeem(req kbs.RedeemRequest, now sim.Time) (*kbs.RedeemResul
 	if f.down(now) {
 		return nil, fmt.Errorf("kbs transport: connection refused")
 	}
-	return f.inner.Redeem(req, now)
+	return f.Service.Redeem(req, now)
 }
-
-func (f *flakyKBS) Provision(d [32]byte, l string) error { return f.inner.Provision(d, l) }
-func (f *flakyKBS) Revoke(c string) error                { return f.inner.Revoke(c) }
-func (f *flakyKBS) Stats() (kbs.Stats, error)            { return f.inner.Stats() }
 
 // breakerFleet assembles an attestation-gated fleet whose broker is
 // unreachable inside [downFrom, downTo), with the breaker armed.
@@ -50,8 +46,8 @@ func breakerFleet(t *testing.T, workers int, pol BreakerPolicy, downFrom, downTo
 	})
 	from, to := sim.Time(0).Add(downFrom), sim.Time(0).Add(downTo)
 	o.cfg.KBS = &flakyKBS{
-		inner: o.cfg.KBS,
-		down:  func(now sim.Time) bool { return now >= from && now < to },
+		Service: o.cfg.KBS,
+		down:    func(now sim.Time) bool { return now >= from && now < to },
 	}
 	return eng, o, img
 }
@@ -243,8 +239,8 @@ func TestRetryBackoffDeadline(t *testing.T) {
 		BootDeadline: 300 * time.Millisecond,
 	})
 	o.cfg.KBS = &flakyKBS{
-		inner: o.cfg.KBS,
-		down:  func(sim.Time) bool { return true },
+		Service: o.cfg.KBS,
+		down:    func(sim.Time) bool { return true },
 	}
 	var got error
 	eng.Go("arrivals", func(p *sim.Proc) {

@@ -380,11 +380,12 @@ func New(eng *sim.Engine, host *kvm.Host, cfg Config) *Orchestrator {
 	}
 	o.brk = newBreaker(cfg.Breaker, o.met)
 	if cfg.KBS != nil {
-		// Derive the broker's reference-value store from the measured
-		// image cache: every digest the fleet can boot is provisioned as
-		// it is planned (including entries other shards planned first).
+		// Derive the broker's reference values from the measured image
+		// cache: every digest the fleet can boot is filed as a
+		// measurement claim as it is planned (including entries other
+		// shards planned first).
 		o.cfg.Cache.Subscribe(func(mi *MeasuredImage) {
-			if err := o.cfg.KBS.Provision(mi.Digest, fmt.Sprintf("measured image %x", mi.Key[:6])); err != nil {
+			if err := o.cfg.KBS.File(kbs.RefClaim(mi.Digest, fmt.Sprintf("measured image %x", mi.Key[:6]))); err != nil {
 				o.provMu.Lock()
 				if o.provErr == nil {
 					o.provErr = fmt.Errorf("fleet: provisioning reference value: %w", err)
@@ -1153,7 +1154,7 @@ func (o *Orchestrator) tamperEvidence(site FaultSite, reportBytes, chainBytes []
 		return resigned, e.Authority.ChainFor(e.ChipID, older).Marshal(), nil
 	case FaultRevoked:
 		twin := e.ChipID + "-revoked"
-		if err := o.cfg.KBS.Revoke(twin); err != nil {
+		if err := o.cfg.KBS.File(kbs.RevocationClaim(twin, 0)); err != nil {
 			return nil, nil, err
 		}
 		resigned, err := kbs.ResignReport(reportBytes, e.Authority.VCEKKey(twin, e.TCB), o.tamperRNG(r))

@@ -68,7 +68,7 @@ func TestReenrollMidExchangeRetries(t *testing.T) {
 		// report, signed under the old VCEK, is already on the wire. The
 		// bump is dated one instant back so the in-flight redemption is
 		// strictly after the (inclusive) boundary.
-		if err := broker.BumpFloor(newTCB, eng.Now()-1); err != nil {
+		if err := broker.Policy().BumpFloor(broker.Signer(), newTCB.Encode(), eng.Now()-1); err != nil {
 			t.Error(err)
 		}
 		o.Reenroll(auth.Enroll(host.PSP, "chip-A", newTCB))

@@ -24,8 +24,9 @@ const DefaultNonceTTL = time.Second
 
 // Config sets the broker's policy floors.
 type Config struct {
-	// MinTCB is the minimum platform TCB; VCEKs minted below it are
-	// denied with ReasonStaleTCB. Zero accepts any TCB.
+	// MinTCB is the initial minimum platform TCB, filed as the store's
+	// floor claim (Policy().BumpFloor raises it); VCEKs minted below the
+	// floor are denied with ReasonStaleTCB. Zero accepts any TCB.
 	MinTCB TCB
 	// MinPolicy are the guest policy bits that must be set (only the
 	// boolean gates are enforced, matching internal/attest).
@@ -40,59 +41,80 @@ type Config struct {
 }
 
 // PolicyAnchorID names the broker's own signer, anchored in the "*"
-// trust domain of its policy store. The compatibility shim (Provision,
-// Revoke, the minimum-TCB floor) synthesizes claims under this identity.
+// trust domain of its policy store. Every claim the broker files — its
+// minimum-TCB floor, and each claim File accepts — is signed under it.
 const PolicyAnchorID = "kbs-root"
 
-// MinTCBClaimID names the synthesized platform claim carrying the
-// broker's configured minimum-TCB floor.
-const MinTCBClaimID = "min-tcb-floor"
-
-// RefClaimID names the measurement claim Provision synthesizes for a
-// launch digest.
-func RefClaimID(digest [32]byte) string {
-	return "ref-" + hex.EncodeToString(digest[:])
+// RefClaim is the reference value for a launch digest: a measurement
+// claim trusting it for every tenant. The full digest is the claim
+// identity, so two images differing in any byte file distinct claims,
+// and a poisoned publish cannot shadow the honest one behind
+// duplicate-ID idempotency.
+func RefClaim(digest [32]byte, label string) policy.Claim {
+	d := hex.EncodeToString(digest[:])
+	return policy.Claim{ID: "ref-" + d, Kind: policy.KindMeasurement, Scope: "*", Subject: d, Note: label}
 }
 
-// Broker is the in-process key broker. All state is guarded by one
-// mutex; methods never block on simulation time — callers charge
-// virtual-time costs themselves (fleet charges costmodel.KBSChainVerify
-// only when RedeemResult.ChainCached is false).
+// RevocationClaim distrusts every VCEK of a chip, current TCB or not,
+// strictly after at: an exchange at exactly at still admits and one at
+// at+1ns is denied, the inclusive boundary of claim expiry and nonce
+// TTLs. At zero it is in force from the beginning of time. Revoking a
+// chip that never attests is inert, not an error: the broker keeps no
+// chip registry.
+func RevocationClaim(chipID string, at sim.Time) policy.Claim {
+	var nb sim.Time
+	if at > 0 {
+		// Revocation claims gate from NotBefore inclusive, so in-force
+		// starts one instant after the still-admitting boundary.
+		nb = at + 1
+	}
+	return policy.Claim{
+		ID:        "revoked-" + chipID,
+		Kind:      policy.KindRevocation,
+		Scope:     "*",
+		Subject:   chipID,
+		NotBefore: nb,
+		Note:      "broker revocation list",
+	}
+}
+
+// File's refusals. errClaimKind refuses a claim File will not sign: over
+// the Service surface the broker trusts digests and distrusts chips, and
+// nothing else, so no caller can lower a floor or delegate the broker's
+// anchor. errClaimShape refuses a claim of an accepted kind that is not
+// exactly what RefClaim or RevocationClaim builds, so a caller can
+// neither name a wildcard or foreign-scoped claim nor pick an ID that
+// shadows a later reference value or revocation.
+var (
+	errClaimKind  = errors.New("kbs: the broker files only measurement and revocation claims")
+	errClaimShape = errors.New("kbs: claim is not a broker reference value or revocation")
+)
+
+// Broker is the in-process key broker: a transport over a policy store.
+// It keeps tenants and nonce state, verifies chains and reports, caches
+// chain walks and verdicts (keyed on the store version), and releases
+// keys. Every trust decision lives in the store (internal/policy),
+// consulted by the engine on every verdict-cache miss, and every trust
+// write is a store call: File, RevokeClaim, RevokeKind, BumpFloor.
 //
-// Trust decisions live in a policy store (internal/policy), consulted by
-// the engine on every verdict-cache miss. The broker's historic surface
-// — Provision, Revoke, the minimum-TCB floor — is a compatibility shim
-// that synthesizes signed claims under PolicyAnchorID, so revocation
-// storms, TCB-floor bumps, and per-tenant trust domains are policy
-// mutations against Policy(), not broker code paths.
+// All broker state is guarded by one mutex; methods never block on
+// simulation time — callers charge virtual-time costs themselves (fleet
+// charges costmodel.KBSChainVerify only when RedeemResult.ChainCached is
+// false).
 type Broker struct {
 	cfg      Config
 	verifier *Verifier
+	pol      *policy.Store
+	eng      *policy.Engine
+	signer   *policy.Signer
 
 	mu       sync.Mutex
 	rng      *rand.Rand
-	tenants  map[string][]byte   // tenant -> secret released on success
-	refs     map[[32]byte]string // provisioned launch digest -> label (stats only)
+	tenants  map[string][]byte // tenant -> secret released on success
 	nonces   map[[32]byte]nonceRec
-	revoked  map[string]bool // chip ID -> revoked (stats only)
 	verdicts map[verdictKey]verdictRec
 	stats    Stats
 	reg      *telemetry.Registry
-
-	pol *policy.Store
-	eng *policy.Engine
-	// polMu serializes claim synthesis: polRNG backs ECDSA signing,
-	// which draws a nondeterministic number of bytes, so the stream is
-	// private to signing and never shared with nonce or wrap draws.
-	polMu  sync.Mutex
-	polKey *ecdsa.PrivateKey
-	polRNG *rand.Rand
-
-	// floorID names the platform claim currently carrying the minimum-TCB
-	// floor (MinTCBClaimID until the first BumpFloor), and floorSeq counts
-	// bumps so replacement claims get fresh, descending IDs. Guarded by mu.
-	floorID  string
-	floorSeq int
 }
 
 // Instrument mirrors the broker's counters (challenges, grants, denials
@@ -134,7 +156,10 @@ type verdictRec struct {
 	expires sim.Time
 }
 
-// NewBroker builds a broker pinning ark as the authority root.
+// NewBroker builds a broker pinning ark as the authority root. Its store
+// starts with the broker's signer anchored in the "*" domain and the
+// configured minimum TCB filed as the policy.FloorClaimID platform claim,
+// so raising the floor is a store mutation, not a broker rebuild.
 func NewBroker(ark *ecdsa.PublicKey, cfg Config) *Broker {
 	if cfg.NonceTTL == 0 {
 		cfg.NonceTTL = DefaultNonceTTL
@@ -143,32 +168,13 @@ func NewBroker(ark *ecdsa.PublicKey, cfg Config) *Broker {
 	// The signing stream is split from the nonce/wrap stream: ECDSA
 	// signing consumes a nondeterministic number of bytes, so sharing
 	// one rand.Rand would smear nondeterminism into challenge nonces.
-	polRNG := rand.New(rand.NewSource(cfg.Seed ^ 0x706f6c69637921)) // "policy!"
-	polKey := psp.DeriveKey(polRNG)
-	if err := pol.AddSigner(PolicyAnchorID, &polKey.PublicKey); err != nil {
+	signer := policy.NewSigner(PolicyAnchorID, cfg.Seed^0x706f6c69637921) // "policy!"
+	if err := pol.AddSigner(signer); err != nil {
 		panic(err) // fresh store: cannot collide
 	}
 	pol.EnsureDomain("*", PolicyAnchorID)
-	b := &Broker{
-		cfg:      cfg,
-		verifier: NewVerifier(ark),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		tenants:  make(map[string][]byte),
-		refs:     make(map[[32]byte]string),
-		nonces:   make(map[[32]byte]nonceRec),
-		revoked:  make(map[string]bool),
-		verdicts: make(map[verdictKey]verdictRec),
-		pol:      pol,
-		eng:      pol.Engine(),
-		polKey:   polKey,
-		polRNG:   polRNG,
-		floorID:  MinTCBClaimID,
-	}
-	// The configured minimum-TCB floor becomes an ordinary platform
-	// claim: revoking or replacing it is a policy mutation, not a
-	// broker rebuild.
-	if err := b.synthesize(policy.Claim{
-		ID:      MinTCBClaimID,
+	if err := pol.File(signer, policy.Claim{
+		ID:      policy.FloorClaimID,
 		Kind:    policy.KindPlatform,
 		Scope:   "*",
 		Subject: "*",
@@ -177,34 +183,32 @@ func NewBroker(ark *ecdsa.PublicKey, cfg Config) *Broker {
 	}); err != nil {
 		panic(err) // fresh store, fresh signer: cannot fail
 	}
-	return b
+	return &Broker{
+		cfg:      cfg,
+		verifier: NewVerifier(ark),
+		pol:      pol,
+		eng:      pol.Engine(),
+		signer:   signer,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		tenants:  make(map[string][]byte),
+		nonces:   make(map[[32]byte]nonceRec),
+		verdicts: make(map[verdictKey]verdictRec),
+	}
 }
 
 // Policy exposes the broker's policy store — the mutable trust state
-// behind every verdict. Claims added, revoked, or rotated here take
+// behind every verdict. Claims filed, revoked, or rotated here take
 // effect on the next exchange via store versioning.
 func (b *Broker) Policy() *policy.Store { return b.pol }
+
+// Signer is the broker's anchor, PolicyAnchorID: the issuer an operator
+// signs with when filing into or bumping the floor of Policy() directly.
+func (b *Broker) Signer() *policy.Signer { return b.signer }
 
 // PolicyEngine returns the engine evaluating the broker's store, for
 // callers (fleet admission, cluster dispatch) that gate on the same
 // trust domains the broker redeems against.
 func (b *Broker) PolicyEngine() *policy.Engine { return b.eng }
-
-// synthesize signs a claim under the broker's compat anchor and files
-// it. Duplicate IDs are idempotent success: Provision and Revoke may
-// legitimately repeat.
-func (b *Broker) synthesize(c policy.Claim) error {
-	b.polMu.Lock()
-	defer b.polMu.Unlock()
-	c.Issuer = PolicyAnchorID
-	if err := policy.SignClaim(&c, b.polKey, b.polRNG); err != nil {
-		return err
-	}
-	if err := b.pol.AddClaim(c); err != nil && !errors.Is(err, policy.ErrDuplicate) {
-		return err
-	}
-	return nil
-}
 
 // AddTenant registers a tenant and the secret released to its attested
 // guests, plus an (initially empty) trust domain of its own so per-tenant
@@ -216,105 +220,43 @@ func (b *Broker) AddTenant(name string, secret []byte) {
 	b.pol.EnsureDomain(name)
 }
 
-// Provision allows a launch digest, labeling it for operators. The fleet
-// orchestrator feeds this directly from its measured-image cache, so the
-// reference-value store is derived from what the fleet actually builds
-// rather than hand-listed. Under the hood this synthesizes a measurement
-// claim in the "*" trust domain.
-func (b *Broker) Provision(digest [32]byte, label string) error {
-	b.mu.Lock()
-	b.refs[digest] = label
-	b.mu.Unlock()
-	// The full digest is the claim identity: two images differing in any
-	// byte must file distinct claims, or a poisoned publish could shadow
-	// the honest one behind duplicate-ID idempotency.
-	return b.synthesize(policy.Claim{
-		ID:      RefClaimID(digest),
-		Kind:    policy.KindMeasurement,
-		Scope:   "*",
-		Subject: hex.EncodeToString(digest[:]),
-		Note:    label,
-	})
-}
-
-// Revoke puts a chip ID on the revocation list; all its VCEKs are
-// refused from now on, current TCB or not. The list entry is a
-// revocation claim, so outstanding cached verdicts for the chip go
-// stale with the store version.
-//
-// Unknown-target semantics: revoking a chip the broker has never seen is
-// idempotent success, never an error. The broker keeps no chip registry
-// — revocation is a forward-looking statement of distrust, and a CRL
-// entry for a chip that never attests is merely inert. This is the
-// deliberate opposite of policy.Store.RevokeClaim, which returns a typed
-// ErrNotFound for unknown claims because revoking a claim that was never
-// filed is an operator mistake worth surfacing. Repeating a revocation
-// is likewise idempotent success (duplicate claim IDs are swallowed).
-func (b *Broker) Revoke(chipID string) error {
-	return b.RevokeAt(chipID, 0)
-}
-
-// RevokeAt revokes a chip's VCEKs from a virtual instant: an exchange at
-// exactly `at` still admits, one at at+1ns is denied — the same inclusive
-// boundary convention as claim expiry and nonce TTLs. Revoke is RevokeAt
-// at instant zero (in force from the beginning of time). Unknown chips
-// succeed idempotently; see Revoke.
-func (b *Broker) RevokeAt(chipID string, at sim.Time) error {
-	b.mu.Lock()
-	b.revoked[chipID] = true
-	b.mu.Unlock()
-	var nb sim.Time
-	if at > 0 {
-		// Revocation claims gate from NotBefore inclusive, so in-force
-		// starts one instant after the still-admitting boundary.
-		nb = at + 1
+// File implements Service: it rebuilds c as RefClaim or RevocationClaim
+// would, refuses it unless the caller's claim is that rebuild (the note
+// aside), and signs and files the rebuild under PolicyAnchorID. The
+// broker, not the caller, thereby fixes every claim's ID, scope and
+// window. A claim whose ID is already filed is success, not ErrDuplicate:
+// every shard files the reference value of each image it plans, and a
+// revocation may be repeated.
+func (b *Broker) File(c policy.Claim) error {
+	var want policy.Claim
+	switch c.Kind {
+	case policy.KindMeasurement:
+		raw, err := hex.DecodeString(c.Subject)
+		if err != nil || len(raw) != 32 {
+			return fmt.Errorf("%w: subject %q is not a 32-byte hex digest", errClaimShape, c.Subject)
+		}
+		want = RefClaim([32]byte(raw), c.Note)
+	case policy.KindRevocation:
+		if c.Subject == "" {
+			return fmt.Errorf("%w: revocation names no chip", errClaimShape)
+		}
+		var at sim.Time
+		if c.NotBefore > 0 {
+			at = c.NotBefore - 1
+		}
+		want = RevocationClaim(c.Subject, at)
+	default:
+		return fmt.Errorf("%w: not %q", errClaimKind, c.Kind)
 	}
-	return b.synthesize(policy.Claim{
-		ID:        "revoked-" + chipID,
-		Kind:      policy.KindRevocation,
-		Scope:     "*",
-		Subject:   chipID,
-		NotBefore: nb,
-		Note:      "broker revocation list",
-	})
-}
-
-// BumpFloor raises the broker's minimum-TCB floor at a virtual instant:
-// the old floor claim is revoked at `at` (inclusive — an old-TCB
-// exchange at exactly `at` still admits) and a replacement platform
-// claim carrying the new floor takes effect from the same instant, so
-// there is no gap during which no floor claim exists. Replacement claim
-// IDs descend ("floor-bump-998", "floor-bump-997", ...) so the newest
-// floor sorts first in the engine's deterministic claim scan and
-// below-floor denials keep reporting tcb-below-floor (mapped to
-// stale-tcb) rather than the stale claim's expiry.
-func (b *Broker) BumpFloor(tcb TCB, at sim.Time) error {
-	b.mu.Lock()
-	oldID := b.floorID
-	b.floorSeq++
-	newID := fmt.Sprintf("floor-bump-%03d", 999-b.floorSeq)
-	b.floorID = newID
-	b.cfg.MinTCB = tcb
-	b.mu.Unlock()
-	if err := b.pol.RevokeClaim("*", oldID, at); err != nil {
-		return fmt.Errorf("kbs: bumping floor: %w", err)
+	got := c
+	got.Note, got.Issuer, got.SigR, got.SigS = want.Note, "", nil, nil
+	if got != want {
+		return fmt.Errorf("%w: claim %q", errClaimShape, c.ID)
 	}
-	return b.synthesize(policy.Claim{
-		ID:      newID,
-		Kind:    policy.KindPlatform,
-		Scope:   "*",
-		Subject: "*",
-		MinTCB:  tcb.Encode(),
-		Note:    fmt.Sprintf("minimum-TCB floor bumped to %s", tcb),
-	})
-}
-
-// MinTCB returns the currently enforced minimum-TCB floor (the
-// configured floor until the first BumpFloor).
-func (b *Broker) MinTCB() TCB {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cfg.MinTCB
+	if err := b.pol.File(b.signer, want); err != nil && !errors.Is(err, policy.ErrDuplicate) {
+		return err
+	}
+	return nil
 }
 
 // Challenge issues a fresh single-use nonce to a tenant. Expired nonces
@@ -417,7 +359,7 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 	// Policy/TCB/measurement verdict, cached per (chip, TCB, digest,
 	// guest policy, level). Only approvals are cached, and each cached
 	// approval is pinned to the policy-store version that minted it (and
-	// to its certificate expiry), so a Revoke or claim rotation goes
+	// to its certificate expiry), so a revocation or claim rotation goes
 	// live on the very next exchange instead of being masked by the
 	// cache. Report signatures and nonce binding are per-exchange and
 	// deliberately outside the verdict.
@@ -527,8 +469,9 @@ func (b *Broker) Stats() (Stats, error) {
 		s.Denials[k] = v
 	}
 	s.ChainHits, s.ChainMiss = b.verifier.CacheStats()
-	s.RefValues = len(b.refs)
-	s.Revoked = len(b.revoked)
+	refs, revokedRefs := b.pol.CountKind(policy.KindMeasurement)
+	s.RefValues = refs - revokedRefs
+	s.Revoked, _ = b.pol.CountKind(policy.KindRevocation)
 	s.Tenants = len(b.tenants)
 	s.NoncesLive = len(b.nonces)
 	return s, nil

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -108,17 +109,10 @@ func (c *Client) Redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 	}, nil
 }
 
-// Provision implements Service.
-func (c *Client) Provision(digest [32]byte, label string) error {
-	return c.post("/provision", provisionRequest{
-		Digest: hex.EncodeToString(digest[:]),
-		Label:  label,
-	}, nil)
-}
-
-// Revoke implements Service.
-func (c *Client) Revoke(chipID string) error {
-	return c.post("/revoke", revokeRequest{ChipID: chipID}, nil)
+// File implements Service. The claim crosses the wire in policy's
+// canonical encoding; the remote broker signs it.
+func (c *Client) File(claim policy.Claim) error {
+	return c.post("/claim", claimRequest{Claim: hex.EncodeToString(claim.Marshal())}, nil)
 }
 
 // Stats implements Service.

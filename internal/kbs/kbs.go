@@ -6,13 +6,18 @@
 //   - A key authority stands in for AMD's key hierarchy: per-host VCEKs
 //     are derived from a TCB-versioned seed and endorsed by an ASK/ARK
 //     chain with real ECDSA P-384 signatures (authority.go).
-//   - A broker enforces the relying-party checks that SNPGuard-style
-//     verifiers perform: chain walk against the pinned root, revocation,
-//     minimum-TCB policy, guest policy/level floors, reference launch
-//     digests, nonce freshness with anti-replay, and key binding
-//     (broker.go).
+//   - A broker verifies evidence the way SNPGuard-style verifiers do:
+//     chain walk against the pinned root, report signature, guest
+//     policy/level floors, nonce freshness with anti-replay, and key
+//     binding (broker.go).
+//   - What is trusted is not the broker's to keep. Reference launch
+//     digests, revoked chips and the minimum-TCB floor are signed claims
+//     in a policy store (internal/policy) that the broker's engine
+//     evaluates, and every change to them is a store call. The broker is
+//     the transport: its one trust write, File, signs a measurement or
+//     revocation claim under its own anchor and files it.
 //   - Verification results are cached — chain walks by chain content,
-//     policy/measurement verdicts by (chip, TCB, digest) — so hot boots
+//     verdicts by (chip, TCB, digest) and store version — so hot boots
 //     skip redundant public-key crypto without weakening any per-exchange
 //     check: signatures and nonce binding are verified on every redeem
 //     (verifier.go, broker.go).
@@ -26,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -154,7 +160,9 @@ type RedeemResult struct {
 	VerdictCached bool
 }
 
-// Stats is a point-in-time snapshot of broker counters.
+// Stats is a point-in-time snapshot of broker counters. RefValues and
+// Revoked are read from the policy store: its un-revoked measurement
+// claims and its revocation claims, however they were filed.
 type Stats struct {
 	Challenges int
 	Grants     int
@@ -176,7 +184,12 @@ type Stats struct {
 type Service interface {
 	Challenge(tenant string, now sim.Time) (Challenge, error)
 	Redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error)
-	Provision(digest [32]byte, label string) error
-	Revoke(chipID string) error
+	// File signs a measurement claim (a reference value, RefClaim) or a
+	// revocation claim (a distrusted chip, RevocationClaim) under the
+	// broker's anchor and files it in the broker's policy store. Any
+	// other kind, and any claim that is not exactly what RefClaim or
+	// RevocationClaim builds (its note aside), is refused. Filing a claim
+	// whose ID is already filed succeeds.
+	File(c policy.Claim) error
 	Stats() (Stats, error)
 }

@@ -197,7 +197,7 @@ func TestGrantReleasesSecret(t *testing.T) {
 	auth := kbs.NewAuthority(7)
 	pl := launch(t, auth, "chip-0", currentTCB, sev.SNP, sev.DefaultPolicy())
 	b := newBroker(auth, kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
-	if err := b.Provision(pl.digest, "test image"); err != nil {
+	if err := b.File(kbs.RefClaim(pl.digest, "test image")); err != nil {
 		t.Fatal(err)
 	}
 	res, priv, err := exchange(t, b, pl, "acme", 0, nil)
@@ -222,7 +222,7 @@ func TestDenialReasons(t *testing.T) {
 
 	setup := func(cfg kbs.Config) *kbs.Broker {
 		b := newBroker(auth, cfg)
-		if err := b.Provision(pl.digest, "img"); err != nil {
+		if err := b.File(kbs.RefClaim(pl.digest, "img")); err != nil {
 			t.Fatal(err)
 		}
 		return b
@@ -317,7 +317,7 @@ func TestDenialReasons(t *testing.T) {
 
 	t.Run("revoked", func(t *testing.T) {
 		b := setup(base)
-		if err := b.Revoke("chip-0"); err != nil {
+		if err := b.File(kbs.RevocationClaim("chip-0", 0)); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, pl, "acme", 0, nil)
@@ -332,7 +332,7 @@ func TestDenialReasons(t *testing.T) {
 		b := newBroker(auth, cfg)
 		older, _ := currentTCB.Predecessor()
 		stale := launch(t, auth, "chip-old", older, sev.SNP, sev.DefaultPolicy())
-		if err := b.Provision(stale.digest, "img"); err != nil {
+		if err := b.File(kbs.RefClaim(stale.digest, "img")); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, stale, "acme", 0, nil)
@@ -341,7 +341,7 @@ func TestDenialReasons(t *testing.T) {
 		}
 		// The same broker still grants to a current platform.
 		fresh := launch(t, auth, "chip-new", currentTCB, sev.SNP, sev.DefaultPolicy())
-		if err := b.Provision(fresh.digest, "img"); err != nil {
+		if err := b.File(kbs.RefClaim(fresh.digest, "img")); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := exchange(t, b, fresh, "acme", 0, nil); err != nil {
@@ -352,7 +352,7 @@ func TestDenialReasons(t *testing.T) {
 	t.Run("policy", func(t *testing.T) {
 		b := setup(base)
 		weak := launch(t, auth, "chip-weak", currentTCB, sev.SNP, sev.Policy{ESRequired: true})
-		if err := b.Provision(weak.digest, "img"); err != nil {
+		if err := b.File(kbs.RefClaim(weak.digest, "img")); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, weak, "acme", 0, nil)
@@ -361,7 +361,7 @@ func TestDenialReasons(t *testing.T) {
 		}
 		low := launch(t, auth, "chip-low", currentTCB, sev.ES,
 			sev.Policy{NoDebug: true, NoKeySharing: true, ESRequired: true})
-		if err := b.Provision(low.digest, "img"); err != nil {
+		if err := b.File(kbs.RefClaim(low.digest, "img")); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err = exchange(t, b, low, "acme", 0, nil)
@@ -394,7 +394,7 @@ func TestVerificationCaches(t *testing.T) {
 	auth := kbs.NewAuthority(7)
 	pl := launch(t, auth, "chip-0", currentTCB, sev.SNP, sev.DefaultPolicy())
 	b := newBroker(auth, kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
-	if err := b.Provision(pl.digest, "img"); err != nil {
+	if err := b.File(kbs.RefClaim(pl.digest, "img")); err != nil {
 		t.Fatal(err)
 	}
 	first, _, err := exchange(t, b, pl, "acme", 0, nil)
@@ -468,8 +468,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 	defer srv.Close()
 	c := &kbs.Client{Base: srv.URL}
 
-	// Provision over the wire, then a full exchange.
-	if err := c.Provision(pl.digest, "img"); err != nil {
+	// File the reference value over the wire, then a full exchange.
+	if err := c.File(kbs.RefClaim(pl.digest, "img")); err != nil {
 		t.Fatal(err)
 	}
 	res, priv, err := exchange(t, c, pl, "acme", 0, nil)
@@ -483,7 +483,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 
 	// Denial reasons survive the wire: revoke remotely, then errors.Is
 	// still matches the typed sentinel client-side.
-	if err := c.Revoke("chip-0"); err != nil {
+	if err := c.File(kbs.RevocationClaim("chip-0", 0)); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = exchange(t, c, pl, "acme", 0, nil)

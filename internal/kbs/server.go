@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -45,13 +46,8 @@ type redeemResponse struct {
 	VerdictCached bool   `json:"verdict_cached"`
 }
 
-type provisionRequest struct {
-	Digest string `json:"digest"` // hex, 32 bytes
-	Label  string `json:"label"`
-}
-
-type revokeRequest struct {
-	ChipID string `json:"chip_id"`
+type claimRequest struct {
+	Claim string `json:"claim"` // hex of policy.Claim.Marshal(); the broker re-signs it
 }
 
 type denialBody struct {
@@ -60,7 +56,7 @@ type denialBody struct {
 }
 
 // Handler exposes the broker over HTTP: POST /challenge, /redeem,
-// /provision, /revoke; GET /stats.
+// /claim; GET /stats.
 func (b *Broker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/challenge", func(w http.ResponseWriter, r *http.Request) {
@@ -116,31 +112,30 @@ func (b *Broker) Handler() http.Handler {
 			VerdictCached: res.VerdictCached,
 		})
 	})
-	mux.HandleFunc("/provision", func(w http.ResponseWriter, r *http.Request) {
-		var req provisionRequest
+	mux.HandleFunc("/claim", func(w http.ResponseWriter, r *http.Request) {
+		var req claimRequest
 		if !readJSON(w, r, &req) {
 			return
 		}
-		raw, err := hex.DecodeString(req.Digest)
-		if err != nil || len(raw) != 32 {
-			http.Error(w, "digest: want 32 hex-encoded bytes", http.StatusBadRequest)
+		raw, err := hex.DecodeString(req.Claim)
+		if err != nil {
+			http.Error(w, "claim hex: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		var d [32]byte
-		copy(d[:], raw)
-		if err := b.Provision(d, req.Label); err != nil {
-			writeDenial(w, err)
+		c, err := policy.UnmarshalClaim(raw)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, struct{}{})
-	})
-	mux.HandleFunc("/revoke", func(w http.ResponseWriter, r *http.Request) {
-		var req revokeRequest
-		if !readJSON(w, r, &req) {
+		switch err := b.File(*c); {
+		case errors.Is(err, errClaimShape):
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
-		}
-		if err := b.Revoke(req.ChipID); err != nil {
-			writeDenial(w, err)
+		case errors.Is(err, errClaimKind):
+			http.Error(w, err.Error(), http.StatusForbidden)
+			return
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, struct{}{})

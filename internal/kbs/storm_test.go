@@ -11,55 +11,97 @@ import (
 	"github.com/severifast/severifast/internal/sim"
 )
 
-// TestRevokeUnknownTargetSemantics pins the contract the storm layer
-// leans on: broker revocation of an unknown chip is idempotent success
-// (forward-looking distrust, no chip registry), while policy
-// RevokeClaim of an unknown claim is a typed ErrNotFound (revoking a
-// claim never filed is an operator mistake). Broker and HTTP client
-// paths must agree.
+// TestRevokeUnknownTargetSemantics pins the single unknown-target rule
+// the storm layer leans on. Every store mutation naming something the
+// store does not hold is a typed ErrNotFound, and filing an ID already
+// filed is a typed ErrDuplicate. Revoking a chip is neither: it files a
+// new revocation claim, which succeeds for a chip that never attests
+// (the broker keeps no chip registry). Idempotency is the caller's
+// explicit choice — the broker's File ignores ErrDuplicate, so a
+// repeated revocation or reference value succeeds in process and over
+// HTTP alike.
 func TestRevokeUnknownTargetSemantics(t *testing.T) {
 	auth := kbs.NewAuthority(7)
 	b := newBroker(auth, kbs.Config{Seed: 3})
+	pol := b.Policy()
 
-	// Broker path: unknown chip succeeds, repeating succeeds.
-	if err := b.Revoke("chip-never-enrolled"); err != nil {
+	// Store path: a never-enrolled chip revokes; repeating is ErrDuplicate.
+	ghost := kbs.RevocationClaim("chip-never-enrolled", 0)
+	if err := pol.File(b.Signer(), ghost); err != nil {
 		t.Fatalf("revoking unknown chip: %v", err)
 	}
-	if err := b.Revoke("chip-never-enrolled"); err != nil {
-		t.Fatalf("repeating revocation: %v", err)
+	if err := pol.File(b.Signer(), ghost); !errors.Is(err, policy.ErrDuplicate) {
+		t.Fatalf("repeating a revocation in the store: %v, want ErrDuplicate", err)
 	}
-	if err := b.RevokeAt("chip-also-unknown", 5_000); err != nil {
-		t.Fatalf("RevokeAt unknown chip: %v", err)
+	// Broker path: the same repeat is success.
+	if err := b.File(ghost); err != nil {
+		t.Fatalf("repeating a revocation through the broker: %v", err)
 	}
-	s, err := b.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Revoked != 2 {
-		t.Fatalf("revocation list size = %d, want 2", s.Revoked)
+	if err := b.File(kbs.RevocationClaim("chip-also-unknown", 5_000)); err != nil {
+		t.Fatalf("timed revocation of an unknown chip: %v", err)
 	}
 
-	// HTTP client path agrees: /revoke of an unknown chip is 200, not a
-	// denial or server error.
+	// HTTP client path agrees: a new and a repeated revocation are 200,
+	// not a denial or server error.
 	srv := httptest.NewServer(b.Handler())
 	defer srv.Close()
 	c := &kbs.Client{Base: srv.URL}
-	if err := c.Revoke("chip-wire-ghost"); err != nil {
-		t.Fatalf("remote revoke of unknown chip: %v", err)
+	for i := 0; i < 2; i++ {
+		if err := c.File(kbs.RevocationClaim("chip-wire-ghost", 0)); err != nil {
+			t.Fatalf("remote revoke %d of unknown chip: %v", i, err)
+		}
+	}
+	s, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Revoked != 3 {
+		t.Fatalf("revocation claims = %d, want 3", s.Revoked)
 	}
 
-	// Policy path: unknown claim and unknown domain are typed sentinels.
-	pol := b.Policy()
-	if err := pol.RevokeClaim("*", "no-such-claim", 0); !errors.Is(err, policy.ErrNotFound) {
-		t.Fatalf("unknown claim: %v, want ErrNotFound", err)
+	// Mutations of things the store does not hold are ErrNotFound.
+	floor := policy.FloorClaimID
+	for name, err := range map[string]error{
+		"unknown claim":         pol.RevokeClaim("*", "no-such-claim", 0),
+		"unknown domain":        pol.RevokeClaim("no-such-domain", floor, 0),
+		"revoke-kind unknown":   pol.RevokeKind("no-such-domain", policy.KindMeasurement, 0),
+		"floor in a bare store": policy.NewStore().BumpFloor(b.Signer(), currentTCB.Encode(), 0),
+	} {
+		if !errors.Is(err, policy.ErrNotFound) {
+			t.Errorf("%s: %v, want ErrNotFound", name, err)
+		}
 	}
-	if err := pol.RevokeClaim("no-such-domain", kbs.MinTCBClaimID, 0); !errors.Is(err, policy.ErrNotFound) {
-		t.Fatalf("unknown domain: %v, want ErrNotFound", err)
-	}
-	// The known floor claim revokes cleanly — the same call BumpFloor
-	// makes internally.
-	if err := pol.RevokeClaim("*", kbs.MinTCBClaimID, 0); err != nil {
+	// The known floor claim revokes cleanly — the call BumpFloor makes
+	// first.
+	if err := pol.RevokeClaim("*", floor, 0); err != nil {
 		t.Fatalf("revoking the floor claim: %v", err)
+	}
+}
+
+// TestStatsReadTheStore: the broker's trust counts are reads of the
+// store, so a revocation filed straight into it is counted like one
+// filed through the broker.
+func TestStatsReadTheStore(t *testing.T) {
+	auth := kbs.NewAuthority(7)
+	pl := launch(t, auth, "chip-0", currentTCB, sev.SNP, sev.DefaultPolicy())
+	b := newBroker(auth, kbs.Config{Seed: 3})
+	if err := b.File(kbs.RefClaim(pl.digest, "img")); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := b.Stats(); s.RefValues != 1 {
+		t.Fatalf("RefValues = %d after one reference value, want 1", s.RefValues)
+	}
+	if err := b.Policy().RevokeKind("*", policy.KindMeasurement, 5_000); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := b.Stats(); s.RefValues != 0 {
+		t.Fatalf("RefValues = %d after revoking every measurement claim, want 0", s.RefValues)
+	}
+	if err := b.Policy().File(b.Signer(), kbs.RevocationClaim("chip-0", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := b.Stats(); s.Revoked != 1 {
+		t.Fatalf("Revoked = %d after a revocation filed into the store, want 1", s.Revoked)
 	}
 }
 
@@ -76,7 +118,7 @@ func TestFloorBumpBoundary(t *testing.T) {
 
 	b := newBroker(auth, kbs.Config{MinTCB: older, MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
 	for _, pl := range []*platform{stale, fresh} {
-		if err := b.Provision(pl.digest, "img"); err != nil {
+		if err := b.File(kbs.RefClaim(pl.digest, "img")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,11 +129,8 @@ func TestFloorBumpBoundary(t *testing.T) {
 	if _, _, err := exchange(t, b, stale, "acme", bumpAt-1, nil); err != nil {
 		t.Fatalf("pre-bump exchange: %v", err)
 	}
-	if err := b.BumpFloor(currentTCB, bumpAt); err != nil {
+	if err := b.Policy().BumpFloor(b.Signer(), currentTCB.Encode(), bumpAt); err != nil {
 		t.Fatal(err)
-	}
-	if got := b.MinTCB(); got != currentTCB {
-		t.Fatalf("MinTCB after bump = %v, want %v", got, currentTCB)
 	}
 
 	// Boundary instant: the old floor claim is still valid at exactly
@@ -114,7 +153,7 @@ func TestFloorBumpBoundary(t *testing.T) {
 	next := currentTCB
 	next.Microcode++
 	const bump2 = bumpAt + 3_000_000_000
-	if err := b.BumpFloor(next, bump2); err != nil {
+	if err := b.Policy().BumpFloor(b.Signer(), next.Encode(), bump2); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := exchange(t, b, fresh, "acme", bump2, nil); err != nil {
@@ -125,7 +164,7 @@ func TestFloorBumpBoundary(t *testing.T) {
 	}
 }
 
-// TestGenerationRevocationBoundary pins RevokeAt's boundary: an exchange
+// TestGenerationRevocationBoundary pins a revocation claim's boundary: an exchange
 // at exactly the revocation instant admits, one instant later is denied
 // revoked — the same inclusive convention as nonce TTLs and claim
 // expiry.
@@ -133,7 +172,7 @@ func TestGenerationRevocationBoundary(t *testing.T) {
 	auth := kbs.NewAuthority(7)
 	pl := launch(t, auth, "chip-0", currentTCB, sev.SNP, sev.DefaultPolicy())
 	b := newBroker(auth, kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
-	if err := b.Provision(pl.digest, "img"); err != nil {
+	if err := b.File(kbs.RefClaim(pl.digest, "img")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +182,7 @@ func TestGenerationRevocationBoundary(t *testing.T) {
 	if _, _, err := exchange(t, b, pl, "acme", at-1, nil); err != nil {
 		t.Fatalf("pre-revocation exchange: %v", err)
 	}
-	if err := b.RevokeAt("chip-0", at); err != nil {
+	if err := b.Policy().File(b.Signer(), kbs.RevocationClaim("chip-0", at)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := exchange(t, b, pl, "acme", at, nil); err != nil {
@@ -153,15 +192,15 @@ func TestGenerationRevocationBoundary(t *testing.T) {
 		t.Fatalf("exchange past the revocation: %v, want ErrRevoked", err)
 	}
 
-	// Revoke (no instant) stays in force from time zero.
+	// A revocation at instant zero is in force from time zero.
 	b2 := newBroker(auth, kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
-	if err := b2.Provision(pl.digest, "img"); err != nil {
+	if err := b2.File(kbs.RefClaim(pl.digest, "img")); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.Revoke("chip-0"); err != nil {
+	if err := b2.File(kbs.RevocationClaim("chip-0", 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := exchange(t, b2, pl, "acme", 0, nil); kbs.ReasonOf(err) != kbs.ReasonRevoked {
-		t.Fatalf("Revoke not in force at time zero: %v", err)
+		t.Fatalf("revocation at zero not in force at time zero: %v", err)
 	}
 }

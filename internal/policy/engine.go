@@ -3,11 +3,9 @@ package policy
 import (
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 
-	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -275,7 +273,7 @@ func (s *Store) check(d *domain, rec *claimRec, tenant string, now sim.Time) ([]
 func (s *Store) sigValid(rec *claimRec) bool {
 	if !rec.sigChecked {
 		pub := s.signers[rec.claim.Issuer]
-		rec.sigOK = pub != nil && VerifyClaim(&rec.claim, pub)
+		rec.sigOK = pub != nil && verifyClaim(&rec.claim, pub)
 		rec.sigChecked = true
 	}
 	return rec.sigOK
@@ -332,24 +330,16 @@ func scopeCovers(scope, tenant string) bool {
 func Permissive() *Engine {
 	permissiveOnce.Do(func() {
 		s := NewStore()
-		// The signing rng is private to this block; ECDSA consumes a
-		// nondeterministic number of bytes, so it must never be shared
-		// with other deterministic draws.
-		rng := rand.New(rand.NewSource(0x7065726d))
-		key := psp.DeriveKey(rng)
-		if err := s.AddSigner("permissive-root", &key.PublicKey); err != nil {
+		sg := NewSigner("permissive-root", 0x7065726d)
+		if err := s.AddSigner(sg); err != nil {
 			panic(err.Error())
 		}
-		s.EnsureDomain("*", "permissive-root")
+		s.EnsureDomain("*", sg.ID)
 		for _, c := range []Claim{
 			{ID: "allow-any-platform", Kind: KindPlatform, Scope: "*", Subject: "*", Note: "default allow"},
 			{ID: "allow-any-measurement", Kind: KindMeasurement, Scope: "*", Subject: "*", Note: "default allow"},
 		} {
-			c.Issuer = "permissive-root"
-			if err := SignClaim(&c, key, rng); err != nil {
-				panic(err.Error())
-			}
-			if err := s.AddClaim(c); err != nil {
+			if err := s.File(sg, c); err != nil {
 				panic(err.Error())
 			}
 		}

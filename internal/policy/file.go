@@ -8,17 +8,14 @@ package policy
 // except signature bytes, which never reach any output.
 
 import (
-	"crypto/ecdsa"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -108,7 +105,8 @@ var knownMutationOps = map[string]bool{"revoke-claim": true, "revoke-kind": true
 // Lint checks a policy file for the mistakes a store would accept
 // silently or reject late: unknown issuers and kinds, duplicate IDs,
 // inverted validity windows, issuers with no possible authority path,
-// malformed measurement subjects, and mutations naming missing claims.
+// malformed measurement subjects, and mutations naming missing claims or
+// undeclared domains.
 // It returns one finding per problem, deterministically ordered.
 func (f *File) Lint() []string {
 	var out []string
@@ -197,6 +195,9 @@ func (f *File) Lint() []string {
 		if m.Op == "revoke-claim" && !ids[m.Domain+"/"+m.Claim] {
 			out = append(out, fmt.Sprintf("%s: revoke-claim names missing claim %s/%s", where, m.Domain, m.Claim))
 		}
+		if m.Op == "revoke-kind" && !domains[m.Domain] {
+			out = append(out, fmt.Sprintf("%s: revoke-kind names undeclared domain %q", where, m.Domain))
+		}
 		if m.Op == "rotate-anchor" && (m.Old == "" || m.New == "") {
 			out = append(out, fmt.Sprintf("%s: rotate-anchor needs old and new", where))
 		}
@@ -211,17 +212,13 @@ func (f *File) Lint() []string {
 // load failure.
 func (f *File) BuildStore() (*Store, error) {
 	s := NewStore()
-	keys := make(map[string]*signerKey, len(f.Signers))
+	signers := make(map[string]*Signer, len(f.Signers))
 	for _, fs := range f.Signers {
-		// One rng per signer, used only for key derivation and signing:
-		// ECDSA consumes a nondeterministic number of bytes, so these
-		// streams are never shared with anything else.
-		rng := rand.New(rand.NewSource(fs.Seed))
-		key := psp.DeriveKey(rng)
-		if err := s.AddSigner(fs.ID, &key.PublicKey); err != nil {
+		sg := NewSigner(fs.ID, fs.Seed)
+		if err := s.AddSigner(sg); err != nil {
 			return nil, err
 		}
-		keys[fs.ID] = &signerKey{key: key, rng: rng}
+		signers[fs.ID] = sg
 	}
 	for _, d := range f.Domains {
 		s.EnsureDomain(d.Name, d.Anchors...)
@@ -244,26 +241,18 @@ func (f *File) BuildStore() (*Store, error) {
 			}
 			c.MinTCB = tcb
 		}
-		sk := keys[fc.Issuer]
-		if sk == nil {
+		sg := signers[fc.Issuer]
+		if sg == nil {
 			if err := s.Inject(c); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if err := SignClaim(&c, sk.key, sk.rng); err != nil {
-			return nil, err
-		}
-		if err := s.AddClaim(c); err != nil {
+		if err := s.File(sg, c); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
-}
-
-type signerKey struct {
-	key *ecdsa.PrivateKey
-	rng *rand.Rand
 }
 
 // Apply performs the mutation against the store.
@@ -273,8 +262,7 @@ func (m *FileMutation) Apply(s *Store) error {
 	case "revoke-claim":
 		return s.RevokeClaim(m.Domain, m.Claim, at)
 	case "revoke-kind":
-		s.RevokeKind(m.Domain, Kind(m.Kind), at)
-		return nil
+		return s.RevokeKind(m.Domain, Kind(m.Kind), at)
 	case "rotate-anchor":
 		return s.RotateAnchor(m.Domain, m.Old, m.New, at)
 	}

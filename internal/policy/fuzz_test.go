@@ -2,22 +2,17 @@ package policy
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
-
-	"github.com/severifast/severifast/internal/psp"
 )
 
-// FuzzClaimWire feeds hostile bytes to the claim parser — the bytes an
-// HTTP policy store accepts from the network. It must never panic; the
+// FuzzClaimWire feeds hostile bytes to the claim parser — the bytes the
+// key broker's /claim endpoint accepts from the network. It must never panic; the
 // total input is bounded before any allocation; and whatever parses must
 // round-trip losslessly, because the encoding is canonical: a signature
 // speaks for exactly one byte string, so Marshal(Unmarshal(b)) == b for
 // every accepted b.
 func FuzzClaimWire(f *testing.F) {
-	rng := rand.New(rand.NewSource(11))
-	key := psp.DeriveKey(rng)
-	c := Claim{
+	c, err := NewSigner("root", 11).Sign(Claim{
 		ID:        "ref-1",
 		Kind:      KindMeasurement,
 		Scope:     "t0",
@@ -26,9 +21,8 @@ func FuzzClaimWire(f *testing.F) {
 		NotBefore: ms(1),
 		NotAfter:  ms(99),
 		Note:      "seed",
-		Issuer:    "root",
-	}
-	if err := SignClaim(&c, key, rng); err != nil {
+	})
+	if err != nil {
 		f.Fatal(err)
 	}
 	valid := c.Marshal()

@@ -2,27 +2,24 @@ package policy
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
-	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sim"
 )
 
 // testPKI is a small fixture: a store with an anchored root signer and
-// helpers that mint signed claims. Each signer gets a private rng —
-// ECDSA signing draws a nondeterministic number of bytes, so signing
-// streams are never shared.
+// helpers that mint signed claims under the signer a claim names as its
+// issuer.
 type testPKI struct {
-	t     *testing.T
-	store *Store
-	keys  map[string]*signerKey
+	t       *testing.T
+	store   *Store
+	signers map[string]*Signer
 }
 
 func newPKI(t *testing.T) *testPKI {
 	t.Helper()
-	p := &testPKI{t: t, store: NewStore(), keys: make(map[string]*signerKey)}
+	p := &testPKI{t: t, store: NewStore(), signers: make(map[string]*Signer)}
 	p.addSigner("root", 1)
 	p.store.EnsureDomain("*", "root")
 	return p
@@ -30,30 +27,35 @@ func newPKI(t *testing.T) *testPKI {
 
 func (p *testPKI) addSigner(id string, seed int64) {
 	p.t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	key := psp.DeriveKey(rng)
-	if err := p.store.AddSigner(id, &key.PublicKey); err != nil {
+	sg := NewSigner(id, seed)
+	if err := p.store.AddSigner(sg); err != nil {
 		p.t.Fatalf("AddSigner(%s): %v", id, err)
 	}
-	p.keys[id] = &signerKey{key: key, rng: rng}
+	p.signers[id] = sg
+}
+
+func (p *testPKI) signer(c Claim) *Signer {
+	p.t.Helper()
+	sg := p.signers[c.Issuer]
+	if sg == nil {
+		p.t.Fatalf("no key for issuer %q", c.Issuer)
+	}
+	return sg
 }
 
 func (p *testPKI) signed(c Claim) Claim {
 	p.t.Helper()
-	sk := p.keys[c.Issuer]
-	if sk == nil {
-		p.t.Fatalf("no key for issuer %q", c.Issuer)
-	}
-	if err := SignClaim(&c, sk.key, sk.rng); err != nil {
-		p.t.Fatalf("SignClaim(%s): %v", c.ID, err)
+	c, err := p.signer(c).Sign(c)
+	if err != nil {
+		p.t.Fatalf("Sign(%s): %v", c.ID, err)
 	}
 	return c
 }
 
 func (p *testPKI) add(c Claim) {
 	p.t.Helper()
-	if err := p.store.AddClaim(p.signed(c)); err != nil {
-		p.t.Fatalf("AddClaim(%s): %v", c.ID, err)
+	if err := p.store.File(p.signer(c), c); err != nil {
+		p.t.Fatalf("File(%s): %v", c.ID, err)
 	}
 }
 
@@ -282,10 +284,7 @@ func TestAnchorRotation(t *testing.T) {
 	if err := p.store.RotateAnchor("*", "root", "root2", ms(30)); err != nil {
 		t.Fatal(err)
 	}
-	c := p.signed(Claim{ID: "meas-new", Kind: KindMeasurement, Scope: "*", Subject: "11ee", Issuer: "root2"})
-	if err := p.store.AddClaim(c); err != nil {
-		t.Fatal(err)
-	}
+	p.add(Claim{ID: "meas-new", Kind: KindMeasurement, Scope: "*", Subject: "11ee", Issuer: "root2"})
 	eng := p.store.Engine()
 	oldEv := Evidence{Tenant: "t0", Measurement: []byte{0x00, 0xff}}
 	newEv := Evidence{Tenant: "t0", Measurement: []byte{0x11, 0xee}}
@@ -349,20 +348,136 @@ func TestPermissiveAllowsEverything(t *testing.T) {
 func TestStoreVersionAndDuplicates(t *testing.T) {
 	p := newPKI(t)
 	v0 := p.store.Version()
-	p.add(Claim{ID: "a", Kind: KindPlatform, Scope: "*", Subject: "*", Issuer: "root"})
-	if p.store.Version() == v0 {
-		t.Fatal("AddClaim must bump the version")
+	root := p.signers["root"]
+	plat := Claim{ID: "a", Kind: KindPlatform, Scope: "*", Subject: "*"}
+	if err := p.store.File(root, plat); err != nil {
+		t.Fatal(err)
 	}
-	c := p.signed(Claim{ID: "a", Kind: KindPlatform, Scope: "*", Subject: "*", Issuer: "root"})
-	if err := p.store.AddClaim(c); !errors.Is(err, ErrDuplicate) {
+	v1 := p.store.Version()
+	if v1 == v0 {
+		t.Fatal("File must bump the version")
+	}
+	if err := p.store.File(root, plat); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate claim: %v", err)
 	}
-	if err := p.store.AddClaim(Claim{ID: "b", Issuer: "nobody"}); !errors.Is(err, ErrUnknownSigner) {
+	if err := p.store.File(NewSigner("nobody", 5), Claim{ID: "b"}); !errors.Is(err, ErrUnknownSigner) {
 		t.Fatalf("unknown signer: %v", err)
 	}
-	bad := p.signed(Claim{ID: "c", Kind: KindPlatform, Scope: "*", Subject: "*", Issuer: "root"})
-	bad.Subject = "mutated-after-signing"
-	if err := p.store.AddClaim(bad); !errors.Is(err, ErrBadSignature) {
+	// A signer whose key is not the one registered under its ID.
+	plat.ID = "c"
+	if err := p.store.File(NewSigner("root", 2), plat); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("bad signature: %v", err)
+	}
+	if p.store.Version() != v1 {
+		t.Fatal("a refused filing must leave the version alone")
+	}
+}
+
+// TestUnknownTargetIsNotFound pins the store's one unknown-target rule:
+// every mutation naming a domain, claim, anchor or floor the store does
+// not hold is a typed ErrNotFound and leaves the version alone.
+func TestUnknownTargetIsNotFound(t *testing.T) {
+	p := newPKI(t)
+	p.add(Claim{ID: "meas", Kind: KindMeasurement, Scope: "*", Subject: "00ff", Issuer: "root"})
+	root := p.signers["root"]
+	for name, mutate := range map[string]func() error{
+		"revoke claim unknown domain": func() error { return p.store.RevokeClaim("nope", "meas", ms(1)) },
+		"revoke claim unknown claim":  func() error { return p.store.RevokeClaim("*", "nope", ms(1)) },
+		"revoke kind unknown domain":  func() error { return p.store.RevokeKind("nope", KindMeasurement, ms(1)) },
+		"rotate unknown anchor":       func() error { return p.store.RotateAnchor("*", "ghost", "root", ms(1)) },
+		"bump floor never filed":      func() error { return p.store.BumpFloor(root, testTCB, ms(1)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			v := p.store.Version()
+			if err := mutate(); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("err = %v, want ErrNotFound", err)
+			}
+			if p.store.Version() != v {
+				t.Fatal("a refused mutation must leave the version alone")
+			}
+		})
+	}
+	// A known domain holding no claim of the kind is not an unknown target.
+	if err := p.store.RevokeKind("*", KindDelegation, ms(1)); err != nil {
+		t.Fatalf("revoke-kind with nothing to revoke: %v", err)
+	}
+}
+
+// TestBumpFloorReadsTheStore pins the floor sequence: each bump revokes
+// the newest floor claim at the instant and files its successor under the
+// next descending ID, so the newest floor decides a below-floor denial.
+func TestBumpFloorReadsTheStore(t *testing.T) {
+	p := newPKI(t)
+	p.add(Claim{ID: FloorClaimID, Kind: KindPlatform, Scope: "*", Subject: "*", MinTCB: testTCB - 1, Issuer: "root"})
+	root := p.signers["root"]
+	eng := p.store.Engine()
+	old := Evidence{Tenant: "t0", ChipID: "chip-0", TCB: testTCB - 1, HasPlatform: true}
+	for i, id := range []string{"floor-bump-998", "floor-bump-997"} {
+		at := ms(int64(10 * (i + 1)))
+		v := p.store.Version()
+		if err := p.store.BumpFloor(root, testTCB+uint64(i), at); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.store.Version(); got != v+2 {
+			t.Fatalf("bump %d moved the version by %d, want 2 (revoke + file)", i, got-v)
+		}
+		_, err := eng.Evaluate(old, at+1)
+		wantReason(t, err, RulePlatform, ReasonTCBFloor)
+		if rules := DenialOf(err).Cert.Rules; rules[len(rules)-1].ClaimID != id {
+			t.Fatalf("bump %d: the denial names %q, want %q", i, rules[len(rules)-1].ClaimID, id)
+		}
+	}
+	if _, err := eng.Evaluate(old, ms(10)); err != nil {
+		t.Fatalf("at the first bump instant the old floor still admits: %v", err)
+	}
+}
+
+// TestConcurrentBumpsEachAdvanceTheFloor: bumps racing on one store are
+// serialized, so none reads a floor another has already replaced and every
+// one files its own successor.
+func TestConcurrentBumpsEachAdvanceTheFloor(t *testing.T) {
+	p := newPKI(t)
+	p.add(Claim{ID: FloorClaimID, Kind: KindPlatform, Scope: "*", Subject: "*", MinTCB: testTCB, Issuer: "root"})
+	root := p.signers["root"]
+	const bumps = 8
+	errs := make(chan error, bumps)
+	for i := 0; i < bumps; i++ {
+		go func() { errs <- p.store.BumpFloor(root, testTCB, ms(1)) }()
+	}
+	for i := 0; i < bumps; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("concurrent bump: %v", err)
+		}
+	}
+	if filed, revoked := p.store.CountKind(KindPlatform); filed != bumps+1 || revoked != bumps {
+		t.Fatalf("platform claims filed %d, revoked %d; want %d and %d", filed, revoked, bumps+1, bumps)
+	}
+}
+
+// TestRevokeKindMutationNamesADeclaredDomain: a revoke-kind mutation
+// naming a domain the file never declares is a lint finding, and applying
+// it is ErrNotFound instead of a silent no-op.
+func TestRevokeKindMutationNamesADeclaredDomain(t *testing.T) {
+	f := &File{
+		Signers: []FileSigner{{ID: "root", Seed: 1}},
+		Domains: []FileDomain{{Name: "*", Anchors: []string{"root"}}},
+		Mutations: []FileMutation{
+			{AtMS: 1, Op: "revoke-kind", Domain: "*", Kind: string(KindMeasurement)},
+			{AtMS: 1, Op: "revoke-kind", Domain: "tenant-typo", Kind: string(KindMeasurement)},
+		},
+	}
+	want := `mutations[1]: revoke-kind names undeclared domain "tenant-typo"`
+	if got := f.Lint(); len(got) != 1 || got[0] != want {
+		t.Fatalf("lint = %q, want [%q]", got, want)
+	}
+	s, err := f.BuildStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Mutations[0].Apply(s); err != nil {
+		t.Fatalf("revoke-kind on a declared domain: %v", err)
+	}
+	if err := f.Mutations[1].Apply(s); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("revoke-kind on an undeclared domain: %v, want ErrNotFound", err)
 	}
 }

@@ -90,7 +90,10 @@ func (d *domain) find(id string) (*claimRec, int) {
 // The store is mutex-guarded: claims arrive from cache-publish callbacks
 // on worker goroutines while engine processes evaluate admissions.
 type Store struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// floorMu serializes BumpFloor's read-revoke-file sequence, so two
+	// concurrent bumps cannot both read the same current floor.
+	floorMu   sync.Mutex
 	signers   map[string]*ecdsa.PublicKey
 	domains   map[string]*domain
 	version   uint64
@@ -148,15 +151,15 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 	s.reg = reg
 }
 
-// AddSigner registers a signer's public key under an ID claims name as
-// Issuer.
-func (s *Store) AddSigner(id string, pub *ecdsa.PublicKey) error {
+// AddSigner registers a signer's public key under the ID its claims name
+// as Issuer.
+func (s *Store) AddSigner(sg *Signer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.signers[id]; ok {
-		return fmt.Errorf("%w: signer %q", ErrDuplicate, id)
+	if _, ok := s.signers[sg.ID]; ok {
+		return fmt.Errorf("%w: signer %q", ErrDuplicate, sg.ID)
 	}
-	s.signers[id] = pub
+	s.signers[sg.ID] = &sg.key.PublicKey
 	s.version++
 	return nil
 }
@@ -188,14 +191,21 @@ func (s *Store) EnsureDomain(name string, anchors ...string) {
 	}
 }
 
-// AddClaim files a claim under the domain its scope names (wildcard
-// scopes file under the "*" domain). The issuer must be registered and
-// the signature must verify — honest writers get their mistakes back as
-// errors. When an Intercept hook is installed it models an adversary on
-// the store's write path: the transformed claim is filed verbatim with
-// no checks, and the engine's per-claim verification decides its fate at
-// evaluation time.
-func (s *Store) AddClaim(c Claim) error {
+// File signs c as by and files it under the domain its scope names
+// (wildcard scopes file under the "*" domain). The signer must be
+// registered under its ID with the same key, so an honest writer gets its
+// mistakes back as typed errors: ErrUnknownSigner, ErrBadSignature, or
+// ErrDuplicate when the domain already holds a claim with c's ID. A caller
+// that wants idempotent filing ignores ErrDuplicate explicitly. When an
+// Intercept hook is installed it models an adversary on the store's write
+// path: the signed claim is transformed and filed verbatim with no checks,
+// and the engine's per-claim verification decides its fate at evaluation
+// time.
+func (s *Store) File(by *Signer, c Claim) error {
+	c, err := by.Sign(c)
+	if err != nil {
+		return err
+	}
 	// The filing domain comes from the claim as written, so an intercept
 	// that rescopes it leaves a visibly foreign claim where the honest
 	// one would have gone — which is exactly what the engine's
@@ -213,7 +223,7 @@ func (s *Store) AddClaim(c Claim) error {
 	if !ok {
 		return fmt.Errorf("%w: issuer %q", ErrUnknownSigner, c.Issuer)
 	}
-	if !VerifyClaim(&c, pub) {
+	if !verifyClaim(&c, pub) {
 		return fmt.Errorf("%w: claim %q", ErrBadSignature, c.ID)
 	}
 	return s.inject(name, c, true)
@@ -254,8 +264,8 @@ func (s *Store) inject(name string, c Claim, sigVerified bool) error {
 	return nil
 }
 
-// Intercept installs (or clears, with nil) the write-path hook AddClaim
-// routes through. See AddClaim.
+// Intercept installs (or clears, with nil) the write-path hook File
+// routes through. See File.
 func (s *Store) Intercept(fn func(Claim) Claim) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -290,17 +300,18 @@ func (s *Store) RevokeClaim(domainName, id string, at sim.Time) error {
 }
 
 // RevokeKind revokes every claim of the kind in the domain at the
-// instant, returning how many it touched. This is the revocation-storm
-// primitive: one call distrusts a whole class of claims at a virtual
-// instant.
-func (s *Store) RevokeKind(domainName string, kind Kind, at sim.Time) int {
+// instant. This is the revocation-storm primitive: one call distrusts a
+// whole class of claims at a virtual instant. Like RevokeClaim, an
+// unknown domain is a typed ErrNotFound; a known domain holding no claim
+// of the kind is success and leaves the version alone.
+func (s *Store) RevokeKind(domainName string, kind Kind, at sim.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d := s.domains[domainName]
 	if d == nil {
-		return 0
+		return fmt.Errorf("%w: domain %q", ErrNotFound, domainName)
 	}
-	n := 0
+	touched := false
 	for _, rec := range d.claims {
 		if rec.claim.Kind != kind {
 			continue
@@ -311,12 +322,63 @@ func (s *Store) RevokeKind(domainName string, kind Kind, at sim.Time) int {
 			rec.revoked = true
 			rec.revokedAt = at
 		}
-		n++
+		touched = true
 	}
-	if n > 0 {
+	if touched {
 		s.version++
 	}
-	return n
+	return nil
+}
+
+// FloorClaimID names the first minimum-TCB floor: a platform claim for
+// every chip in the "*" domain. BumpFloor files each successor under a
+// descending ID ("floor-bump-998", "floor-bump-997", ...), so the newest
+// floor sorts first in the engine's claim scan and a below-floor platform
+// is refused as tcb-below-floor by it, not as claim-expired by the floor
+// it replaced.
+const FloorClaimID = "min-tcb-floor"
+
+// floorClaimID is the ID of the n-th floor claim, counting from zero.
+func floorClaimID(n int) string {
+	if n == 0 {
+		return FloorClaimID
+	}
+	return fmt.Sprintf("floor-bump-%03d", 999-n)
+}
+
+// BumpFloor raises the "*" domain's minimum-TCB floor at an instant. The
+// current floor is read from the store: the last claim of the
+// FloorClaimID sequence. It is revoked at `at` (an old-TCB exchange at
+// exactly `at` still admits), and by files its successor carrying minTCB
+// in force from the same instant, so no instant goes without a floor.
+// ErrNotFound when no floor claim was ever filed. Concurrent bumps are
+// serialized: each one advances the floor.
+func (s *Store) BumpFloor(by *Signer, minTCB uint64, at sim.Time) error {
+	s.floorMu.Lock()
+	defer s.floorMu.Unlock()
+	s.mu.Lock()
+	d, n := s.domains["*"], 0
+	for d != nil {
+		if rec, _ := d.find(floorClaimID(n)); rec == nil {
+			break
+		}
+		n++
+	}
+	s.mu.Unlock()
+	if n == 0 {
+		return fmt.Errorf("%w: claim %q in domain %q", ErrNotFound, FloorClaimID, "*")
+	}
+	if err := s.RevokeClaim("*", floorClaimID(n-1), at); err != nil {
+		return err
+	}
+	return s.File(by, Claim{
+		ID:      floorClaimID(n),
+		Kind:    KindPlatform,
+		Scope:   "*",
+		Subject: "*",
+		MinTCB:  minTCB,
+		Note:    fmt.Sprintf("minimum-TCB floor bumped to %#x", minTCB),
+	})
 }
 
 // RotateAnchor closes the old anchor's window at `at` and opens the new
@@ -351,6 +413,25 @@ func (s *Store) Version() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.version
+}
+
+// CountKind counts the claims of a kind across every domain, and how many
+// of those are revoked (at any instant).
+func (s *Store) CountKind(kind Kind) (filed, revoked int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, d := range s.domains {
+		for _, rec := range d.claims {
+			if rec.claim.Kind != kind {
+				continue
+			}
+			filed++
+			if rec.revoked {
+				revoked++
+			}
+		}
+	}
+	return filed, revoked
 }
 
 // Stats snapshots the store.

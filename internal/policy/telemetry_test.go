@@ -78,8 +78,8 @@ func TestPolicyTelemetryDeterminism(t *testing.T) {
 }
 
 // TestStoreEvaluateRace exercises concurrent evaluation, mutation, and
-// claim filing under -race: the store is shared between engine processes
-// and cache-publish callbacks in fleet runs.
+// claim filing under -race: the store and its signers are shared between
+// engine processes and cache-publish callbacks in fleet runs.
 func TestStoreEvaluateRace(t *testing.T) {
 	p := newPKI(t)
 	reg := telemetry.NewRegistry()
@@ -104,20 +104,22 @@ func TestStoreEvaluateRace(t *testing.T) {
 			}
 		}(g)
 	}
-	claims := make([]Claim, 20)
-	for i := range claims {
-		claims[i] = p.signed(Claim{ID: "m-" + string(rune('a'+i)), Kind: KindMeasurement, Scope: "*", Subject: "00", Issuer: "root"})
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, c := range claims {
-			if err := p.store.AddClaim(c); err != nil {
-				t.Error(err)
-				return
+	// Two writers share one signer, as fleet shards share their broker's.
+	root := p.signers["root"]
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if err := p.store.File(root, Claim{ID: "m-" + string(rune('a'+10*w+i)), Kind: KindMeasurement, Scope: "*", Subject: "00"}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}
-		p.store.RevokeKind("*", KindMeasurement, ms(1000))
-	}()
+			if err := p.store.RevokeKind("*", KindMeasurement, ms(1000)); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
 	wg.Wait()
 }

@@ -13,14 +13,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
+	"math/rand"
+	"sync"
 
+	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sim"
 )
 
-// ErrWire rejects malformed claim bytes.
-var ErrWire = errors.New("policy: claim wire invalid")
+// errWire rejects malformed claim bytes.
+var errWire = errors.New("policy: claim wire invalid")
 
 // claimMagic opens every encoded claim; the version byte follows.
 var claimMagic = [4]byte{'S', 'F', 'P', 'C'}
@@ -76,29 +78,29 @@ func (c *Claim) body() []byte {
 // host-controlled bytes fail fast instead of allocating.
 func UnmarshalClaim(b []byte) (*Claim, error) {
 	if len(b) > maxClaimWire {
-		return nil, fmt.Errorf("%w: %d bytes exceeds maximum %d", ErrWire, len(b), maxClaimWire)
+		return nil, fmt.Errorf("%w: %d bytes exceeds maximum %d", errWire, len(b), maxClaimWire)
 	}
 	if len(b) < 5 || [4]byte(b[:4]) != claimMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrWire)
+		return nil, fmt.Errorf("%w: bad magic", errWire)
 	}
 	if b[4] != claimWireVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrWire, b[4])
+		return nil, fmt.Errorf("%w: version %d", errWire, b[4])
 	}
 	rest := b[5:]
 	var fields [6]string
 	for i := range fields {
 		if len(rest) < 1 {
-			return nil, fmt.Errorf("%w: truncated string length", ErrWire)
+			return nil, fmt.Errorf("%w: truncated string length", errWire)
 		}
 		n := int(rest[0])
 		if 1+n > len(rest) {
-			return nil, fmt.Errorf("%w: string length %d exceeds remaining %d bytes", ErrWire, n, len(rest)-1)
+			return nil, fmt.Errorf("%w: string length %d exceeds remaining %d bytes", errWire, n, len(rest)-1)
 		}
 		fields[i] = string(rest[1 : 1+n])
 		rest = rest[1+n:]
 	}
 	if len(rest) != 24+96 {
-		return nil, fmt.Errorf("%w: fixed tail is %d bytes, want %d", ErrWire, len(rest), 24+96)
+		return nil, fmt.Errorf("%w: fixed tail is %d bytes, want %d", errWire, len(rest), 24+96)
 	}
 	c := &Claim{
 		ID:        fields[0],
@@ -116,23 +118,45 @@ func UnmarshalClaim(b []byte) (*Claim, error) {
 	return c, nil
 }
 
-// SignClaim signs c's body with the issuer's key, installing the
-// signature. ECDSA signature bytes are not reproducible across runs even
-// under a seeded reader (the stdlib mixes extra entropy draws), so
-// callers must never let them reach golden-pinned output and must never
-// share rng with other deterministic draws.
-func SignClaim(c *Claim, issuer *ecdsa.PrivateKey, rng io.Reader) error {
-	sum := sha512.Sum384(c.body())
-	r, s, err := ecdsa.Sign(rng, issuer, sum[:])
-	if err != nil {
-		return fmt.Errorf("policy: claim signing: %w", err)
-	}
-	c.SigR, c.SigS = r, s
-	return nil
+// Signer is one claim issuer: its ID, its P-384 key, and the private
+// stream its signatures draw from. ECDSA signature bytes are not
+// reproducible even under a seeded reader (the stdlib mixes in extra
+// entropy and consumes a nondeterministic number of bytes), so the stream
+// is shared with no other deterministic draw, signatures never reach
+// golden-pinned output, and the mutex serializes every writer signing as
+// this issuer.
+type Signer struct {
+	ID string
+
+	mu  sync.Mutex
+	key *ecdsa.PrivateKey
+	rng *rand.Rand
 }
 
-// VerifyClaim checks c's signature under the issuer's public key.
-func VerifyClaim(c *Claim, issuer *ecdsa.PublicKey) bool {
+// NewSigner derives a signer's key from seed; its signatures draw from
+// the rest of that stream.
+func NewSigner(id string, seed int64) *Signer {
+	rng := rand.New(rand.NewSource(seed))
+	return &Signer{ID: id, key: psp.DeriveKey(rng), rng: rng}
+}
+
+// Sign returns c issued by s: Issuer set to s.ID and the signature over
+// the canonical body installed.
+func (s *Signer) Sign(c Claim) (Claim, error) {
+	c.Issuer = s.ID
+	sum := sha512.Sum384(c.body())
+	s.mu.Lock()
+	r, sig, err := ecdsa.Sign(s.rng, s.key, sum[:])
+	s.mu.Unlock()
+	if err != nil {
+		return c, fmt.Errorf("policy: claim signing: %w", err)
+	}
+	c.SigR, c.SigS = r, sig
+	return c, nil
+}
+
+// verifyClaim checks c's signature under the issuer's public key.
+func verifyClaim(c *Claim, issuer *ecdsa.PublicKey) bool {
 	if c.SigR == nil || c.SigS == nil {
 		return false
 	}

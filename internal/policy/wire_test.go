@@ -2,17 +2,12 @@ package policy
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
-
-	"github.com/severifast/severifast/internal/psp"
 )
 
 func sampleClaim(t *testing.T) Claim {
 	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	key := psp.DeriveKey(rng)
-	c := Claim{
+	c, err := NewSigner("ops-root", 7).Sign(Claim{
 		ID:        "ref-abc123",
 		Kind:      KindMeasurement,
 		Scope:     "t0",
@@ -21,9 +16,8 @@ func sampleClaim(t *testing.T) Claim {
 		NotBefore: ms(5),
 		NotAfter:  ms(500),
 		Note:      "img-0 cold",
-		Issuer:    "ops-root",
-	}
-	if err := SignClaim(&c, key, rng); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -78,10 +72,9 @@ func TestClaimWireRejects(t *testing.T) {
 }
 
 func TestSignatureCoversEveryField(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	key := psp.DeriveKey(rng)
+	key := &NewSigner("ops-root", 7).key.PublicKey
 	base := sampleClaim(t)
-	if !VerifyClaim(&base, &key.PublicKey) {
+	if !verifyClaim(&base, key) {
 		t.Fatal("baseline claim must verify")
 	}
 	mutations := map[string]func(*Claim){
@@ -98,7 +91,7 @@ func TestSignatureCoversEveryField(t *testing.T) {
 	for name, mutate := range mutations {
 		c := base
 		mutate(&c)
-		if VerifyClaim(&c, &key.PublicKey) {
+		if verifyClaim(&c, key) {
 			t.Errorf("mutating %s did not break the signature", name)
 		}
 	}
