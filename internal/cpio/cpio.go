@@ -73,7 +73,9 @@ func pad4(buf *bytes.Buffer) {
 }
 
 // Parse reads a newc archive and returns its members, excluding the
-// trailer.
+// trailer. A member's Data is the archive's own bytes, not a copy: a
+// sub-slice capped at its length, so an append cannot reach the next
+// header. The archive must not change while the members are in use.
 func Parse(archive []byte) ([]File, error) {
 	var files []File
 	off := 0
@@ -108,11 +110,9 @@ func Parse(archive []byte) ([]File, error) {
 		if off+int(fileSize) > len(archive) {
 			return nil, fmt.Errorf("%w: file %q data overruns archive", ErrCorrupt, name)
 		}
-		data := make([]byte, fileSize)
-		copy(data, archive[off:off+int(fileSize)])
-		off += int(fileSize)
-		off = align4(off)
-		files = append(files, File{Name: name, Mode: uint32(mode), Data: data})
+		end := off + int(fileSize)
+		files = append(files, File{Name: name, Mode: uint32(mode), Data: archive[off:end:end]})
+		off = align4(end)
 	}
 }
 

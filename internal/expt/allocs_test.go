@@ -24,8 +24,8 @@ import (
 // alone let a dense 512 KiB page table per guest (two allocations) go
 // unpinned for five PRs.
 const (
-	coldAllocCeilingPerBoot = 265 // measured ~200 at 64 VMs
-	coldKiBCeilingPerBoot   = 158 // measured ~126; ~247 when a boot owned nine dense 512-page leaves, ~415 when it owned all 24 it touches, 1143 with a dense per-guest table
+	coldAllocCeilingPerBoot = 265 // measured ~186 at 64 VMs
+	coldKiBCeilingPerBoot   = 78  // measured ~63; ~126 when a boot copied twelve pages every boot writes the same and built its page tables afresh, ~247 when it owned nine dense 512-page leaves, ~415 when it owned all 24 it touches, 1143 with a dense per-guest table
 	// The warm iteration amortizes one full cold seed (plan + staging
 	// blob + snapshot capture) over the fleet, so its per-boot figure
 	// sits above the steady-state fork cost.
@@ -153,6 +153,39 @@ func TestColdBootOwnsOnlyDirtiedChunks(t *testing.T) {
 	}
 }
 
+// coldBootDonor serves one cold lupine boot with a 4 MiB initrd on a
+// standalone warm orchestrator and returns the image, whose donor is the
+// machine that boot left.
+func coldBootDonor(t *testing.T) *fleet.Image {
+	t.Helper()
+	eng := sim.NewEngine()
+	o := fleet.New(eng, kvm.NewHost(eng, costmodel.Default(), 1), fleet.Config{Standalone: true, EnableWarm: true})
+	img, err := o.RegisterImage("fn", kernelgen.Lupine(), kernelgen.BuildInitrd(7, 4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Go("seed", func(p *sim.Proc) { o.Serve(p, fleet.Request{Tenant: "t0", Image: img}) })
+	eng.Run()
+	if err := o.Err(); err != nil || img.Donor() == nil {
+		t.Fatalf("cold boot parked no donor (err %v)", err)
+	}
+	return img
+}
+
+// TestColdBootOwnsFourPages pins, exactly, the pages a cold boot holds
+// bytes of its own for: the GHCB page, the virtio probe's ring and request
+// buffer, and the zero page the verifier patches the initrd size into.
+// Every other resident page aliases bytes some other guest, the host or
+// an artifact holds too — the twelve every boot writes the same among them:
+// five ELF-segment seams, the last page of the staged bzImage and initrd,
+// the two verified copies of those, and the three page-table pages.
+func TestColdBootOwnsFourPages(t *testing.T) {
+	s := coldBootDonor(t).Donor().Mem.Stats()
+	if owned := s.ResidentPages - s.AliasedPages; owned != 4 {
+		t.Errorf("a cold boot owns %d of its %d resident pages outright, want 4 — a write every boot makes the same copies a page again", owned, s.ResidentPages)
+	}
+}
+
 func TestWarmForkAllocCeiling(t *testing.T) {
 	const vms = 64
 	allocs, bytes, _ := measureFleet(t, vms, true)
@@ -171,21 +204,14 @@ func TestWarmForkAllocCeiling(t *testing.T) {
 // TestCaptureForkAllocCeiling: capturing a booted guest as a fork
 // container costs what the guest dirtied — the nine nodes and twelve chunks
 // it owns, frozen (its fifteen template leaves and twenty-eight chunk
-// templates are shared as they are), the page table and sixteen copied
-// pages, measured 242 KiB — not a copy of the 37.7 MiB it holds.
+// templates are shared as they are), the fork's page list and thirteen
+// copied pages, measured 234 KiB — not a copy of the 37.7 MiB it holds.
+// The thirteen are the pages without artifact provenance: the four the
+// guest owns and nine that alias padded edge pages. The page-table pages
+// alias the host's tables with provenance, so they are extents, not copies.
 func TestCaptureForkAllocCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	eng := sim.NewEngine()
-	o := fleet.New(eng, kvm.NewHost(eng, costmodel.Default(), 1), fleet.Config{Standalone: true, EnableWarm: true})
-	img, err := o.RegisterImage("fn", kernelgen.Lupine(), kernelgen.BuildInitrd(7, 4<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Go("seed", func(p *sim.Proc) { o.Serve(p, fleet.Request{Tenant: "t0", Image: img}) })
-	eng.Run()
-	if err := o.Err(); err != nil || img.Donor() == nil {
-		t.Fatalf("cold boot parked no donor (err %v)", err)
-	}
+	img := coldBootDonor(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fork, err := snapshot.CaptureFork(nil, img.Donor(), img.ForkState().Digest)

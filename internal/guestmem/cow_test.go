@@ -302,6 +302,53 @@ func TestExportPagesMatchesHostRead(t *testing.T) {
 	}
 }
 
+// TestPaddedEdgePage: the ragged last page of an artifact staged whole is
+// one zero-padded page that every guest staging it shares, without
+// provenance. A store into one guest's copy stays in that guest. A Corrupt
+// of a byte the page holds reaches the next guest that stages it — the
+// memo goes with the artifact's other derived facts — while a guest staged
+// before keeps the bytes it was given, as a copy would.
+func TestPaddedEdgePage(t *testing.T) {
+	data, art := internedBuf(44, 2*PageSize+777)
+	const gpa, edge = 0x10000, 2 * PageSize
+	stage := func() *Memory {
+		m := New(1 << 20)
+		if err := m.HostWriteAliased(gpa, data); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	edgeOf := func(m *Memory) page { return m.look((gpa + edge) / PageSize) }
+	a, b := stage(), stage()
+	if s := a.Stats(); s.ResidentPages != 3 || s.AliasedPages != 3 {
+		t.Fatalf("staging two pages and a ragged tail: %+v, want all three aliased", s)
+	}
+	if pa, pb := edgeOf(a), edgeOf(b); pa.data != pb.data || !pa.cow || pa.art != nil {
+		t.Fatal("two guests' edge pages are not one shared page without provenance")
+	}
+	want := append([]byte(nil), data[edge:]...)
+
+	if err := a.HostWrite(gpa+edge+5, []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := b.HostRead(gpa+edge, len(want)); !bytes.Equal(got, want) {
+		t.Fatal("a store into one guest's edge page reached another guest's")
+	}
+	if edgeOf(stage()).data != edgeOf(b).data {
+		t.Fatal("a store into one guest's edge page replaced the page the artifact keeps")
+	}
+
+	const off, mask = edge + 100, byte(0x5a)
+	art.Corrupt(off, mask)
+	defer art.Corrupt(off, mask)
+	if got, _ := stage().HostRead(gpa+off, 1); got[0] != want[100]^mask {
+		t.Fatal("a guest staged after Corrupt does not hold the tampered byte: the edge page outlived the corruption")
+	}
+	if got, _ := b.HostRead(gpa+off, 1); got[0] != want[100] {
+		t.Fatal("Corrupt reached a guest staged before it")
+	}
+}
+
 // TestCoWProvenanceUnderTampering: when the canonical artifact buffer is
 // corrupted after interning (the chaos engine's artifact family), every
 // digest path — the buffer's own memoized digests and the guest-side

@@ -114,15 +114,16 @@ type refMem struct {
 	snp   bool
 	owned map[uint64]bool // assigned+validated to this guest
 
-	shifted int // GuestCopies that took the shifted alias
+	shifted int       // GuestCopies that took the shifted alias
+	took    pathTally // counts, by name, the page-sharing rules writes take; shared by a run's guests
 }
 
-func newRef(size uint64, key []byte, asid uint32, snp bool) *refMem {
+func newRef(size uint64, key []byte, asid uint32, snp bool, took pathTally) *refMem {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		panic(err)
 	}
-	return &refMem{size: size, pages: map[uint64]*refPage{}, block: block, asid: asid, snp: snp, owned: map[uint64]bool{}}
+	return &refMem{size: size, pages: map[uint64]*refPage{}, block: block, asid: asid, snp: snp, owned: map[uint64]bool{}, took: took}
 }
 
 func (r *refMem) page(pn uint64) *refPage {
@@ -202,7 +203,8 @@ func (r *refMem) write(gpa uint64, data []byte, enc bool) {
 
 // writeAliased restates the aliasing rule: a full page aliases its
 // source; a sub-page write into an unbacked page aliases the artifact's
-// page when the artifact holds zeros around the written bytes.
+// page when the artifact holds zeros around the written bytes, and
+// otherwise a page of the written bytes and zeros, with no provenance.
 func (r *refMem) writeAliased(gpa uint64, data []byte, enc bool, art *artifact.Buf, artBase int) {
 	for done := 0; done < len(data); {
 		a := gpa + uint64(done)
@@ -220,6 +222,12 @@ func (r *refMem) writeAliased(gpa uint64, data []byte, enc bool, art *artifact.B
 			p.data, p.big = held(art.Bytes()[pa:pa+PageSize], art)
 			p.cow = true
 			p.art, p.artOff = art, pa
+		case p.data == nil && art != nil:
+			p.data, p.big = make([]byte, PageSize), false
+			copy(p.data[off:], data[done:done+chunk])
+			p.cow = true
+			p.art, p.artOff = nil, 0
+			r.took["padded edge page shared"]++
 		default:
 			r.write(a, data[done:done+chunk], enc)
 		}
@@ -336,10 +344,13 @@ func (r *refMem) guestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) bool {
 	switch {
 	case dst%PageSize == 0 && src%PageSize == 0 && plain(int(full)*PageSize):
 		// Page onto page: full pages alias their source page, which becomes
-		// copy-on-write too; the tail is read and written.
-		for i := uint64(0); i < full; i++ {
-			dp := r.page(dst/PageSize + i)
-			if sp := r.pages[src/PageSize+i]; sp != nil && sp.data != nil {
+		// copy-on-write too. So does the tail, when its source page is
+		// backed, moves as plain text and holds zeros past it, and its
+		// destination is unbacked: the whole page lands the same either way.
+		// Any other tail is read and written.
+		share := func(dn, sn uint64) {
+			dp := r.page(dn)
+			if sp := r.pages[sn]; sp != nil && sp.data != nil {
 				sp.cow = true
 				*dp = refPage{cow: true, art: sp.art, artOff: sp.artOff}
 				dp.data, dp.big = sp.contents()
@@ -348,7 +359,17 @@ func (r *refMem) guestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) bool {
 			}
 			dp.encrypted = dstCbit
 		}
-		if tail := n - int(full*PageSize); tail > 0 {
+		for i := uint64(0); i < full; i++ {
+			share(dst/PageSize+i, src/PageSize+i)
+		}
+		tail := n - int(full*PageSize)
+		dn, sn := dst/PageSize+full, src/PageSize+full
+		switch sp := r.peek(sn); {
+		case tail == 0:
+		case r.peek(dn).data == nil && sp.data != nil && sp.encrypted == srcCbit && allZero(sp.data[tail:]):
+			share(dn, sn)
+			r.took["GuestCopy tail shares source page"]++
+		default:
 			data, _ := r.guestRead(src+full*PageSize, tail, srcCbit)
 			r.write(dst+full*PageSize, data, dstCbit)
 		}
@@ -603,7 +624,10 @@ func stagingArtifact(rng *rand.Rand) *artifact.Buf {
 // that held that, "GuestCopy chunk->chunk" one installed by a copy,
 // "export shared chunk" a chunk the donor shared kept by reference, "adopt
 // over <an owned|a shared> chunk" a source chunk overlaid on a chunk of a
-// node the adopter already held.
+// node the adopter already held. One page down, the reference names the
+// two rules that share a page a write does not fill: "padded edge page
+// shared" a sub-page write of an artifact's bytes into an unbacked page,
+// "GuestCopy tail shares source page" a page-aligned copy's tail.
 func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(donor *Memory, s *ForkSource)) pathTally {
 	rng := rand.New(rand.NewSource(seed))
 	k, asid := key(byte(seed)), uint32(5)
@@ -642,7 +666,7 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 		if snp {
 			m.AttachRMP(rmp.New(), asid)
 		}
-		return guestPair{m, newRef(dirTestSize, k, asid, snp)}
+		return guestPair{m, newRef(dirTestSize, k, asid, snp, tally)}
 	}
 	guests := []guestPair{newGuest()}
 	// admit brings a new, empty guest into the stream, in place of an old
@@ -1059,11 +1083,64 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 			"thaw chunk HostWrite", "thaw chunk GuestWrite", "thaw chunk LaunchUpdateFlip", "thaw chunk ShareRange", "thaw chunk HostRestoreCiphertext",
 			"share chunk into nil slot", "share chunk into owned slot", "share chunk into template slot", "GuestCopy chunk->chunk",
 			"export shared chunk", "adopt over an owned chunk", "adopt over a shared chunk",
+			"padded edge page shared", "GuestCopy tail shares source page",
 		} {
 			if !t.Failed() && tally[path] == 0 {
 				t.Errorf("snp=%v: the op streams never took path %q (tally %v)", snp, path, tally)
 			}
 		}
+	}
+}
+
+// TestGuestCopyTailMatchesReference enumerates what decides whether a
+// page-aligned copy's tail shares its source page — the source page
+// unbacked, zero past the tail or not; each of the full page and the tail
+// page in either state, read through either mapping; the destination page
+// unbacked or not; written through either mapping — and requires Memory to
+// agree with the reference on each.
+func TestGuestCopyTailMatchesReference(t *testing.T) {
+	const src, dst, tail = 4 * PageSize, 20 * PageSize, 1000
+	k, tally := key(9), pathTally{}
+	rng := rand.New(rand.NewSource(9))
+	agree := func(op string, err error, ok bool) {
+		t.Helper()
+		if (err == nil) != ok {
+			t.Fatalf("%s: err = %v, reference allows = %v", op, err, ok)
+		}
+	}
+	for _, srcPage := range []string{"unbacked", "zero past the tail", "bytes past the tail"} {
+		for private := 0; private < 4; private++ { // bit 0 the full page, bit 1 the tail's
+			for _, srcCbit := range []bool{false, true} {
+				for _, dstBacked := range []bool{false, true} {
+					for _, dstCbit := range []bool{false, true} {
+						g := guestPair{New(32 * PageSize), newRef(32*PageSize, k, 1, false, tally)}
+						g.m.SetKey(k, 1)
+						head := make([]byte, PageSize+tail)
+						rng.Read(head)
+						if srcPage == "unbacked" {
+							head = head[:PageSize]
+						}
+						agree("stage", g.m.HostWrite(src, head), g.r.hostWrite(src, head, false, nil, 0))
+						if srcPage == "bytes past the tail" {
+							agree("past the tail", g.m.HostWrite(src+PageSize+3000, []byte{7}), g.r.hostWrite(src+PageSize+3000, []byte{7}, false, nil, 0))
+						}
+						for i := uint64(0); i < 2; i++ {
+							if private&(1<<i) != 0 {
+								agree("flip", g.m.LaunchUpdateFlip(src+i*PageSize, 1), g.r.flip(src+i*PageSize, 1, true))
+							}
+						}
+						if dstBacked {
+							agree("destination", g.m.HostWrite(dst+PageSize+2000, []byte{9}), g.r.hostWrite(dst+PageSize+2000, []byte{9}, false, nil, 0))
+						}
+						agree("GuestCopy", g.m.GuestCopy(dst, src, PageSize+tail, dstCbit, srcCbit), g.r.guestCopy(dst, src, PageSize+tail, dstCbit, srcCbit))
+						compareWhole(t, g)
+					}
+				}
+			}
+		}
+	}
+	if tally["GuestCopy tail shares source page"] == 0 {
+		t.Fatal("no case shared the tail's source page")
 	}
 }
 

@@ -37,6 +37,13 @@
 // where every page under the pointer is being overwritten anyway) and
 // AdoptFork (the source's). Every other store goes through getPage.
 //
+// A never-backed page — one with no bytes yet, all zero whatever its
+// state — is filled by reference when the filled page is the same on every
+// boot. A sub-page write of an artifact's bytes into one aliases a page of
+// those bytes and zeros that the artifact keeps (edgePage), and the tail of
+// a page-aligned GuestCopy into one shares its source page when that page
+// is zero past the tail. Both pages are copy-on-write, like any alias.
+//
 // When an RMP table is attached (SEV-SNP), host writes to assigned pages
 // are blocked and guest private accesses to unvalidated pages raise #VC,
 // both surfaced as errors from the access functions.
@@ -701,7 +708,7 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 	}
 	// Fast path: page-aligned both sides and every source page's state
 	// matches the mapping (so the copy moves plain text) — alias full
-	// pages copy-on-write and fall back only for the tail.
+	// pages copy-on-write, and the tail too when that lands the same page.
 	if dst%PageSize == 0 && src%PageSize == 0 {
 		fullPages := uint64(n) / PageSize
 		if m.inState(src, int(fullPages*PageSize), srcCbit) {
@@ -720,21 +727,18 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 					}
 					continue
 				}
-				// sp is a copy, so the getPage calls below may replace the
-				// node or chunk it came from (src and dst can share one).
-				// The source becomes copy-on-write too; a page that already
-				// is — every backed page of a shared chunk — needs no store,
-				// and getPage never hands out a shared chunk for one.
-				sp := m.look(sn)
-				if sp.data != nil && !sp.cow {
-					m.getPage(sn).cow = true
-					sp.cow = true
-				}
-				sp.encrypted = dstCbit
-				*m.getPage(dn) = sp
+				m.sharePage(dn, sn, dstCbit)
 			}
 			tail := n - int(fullPages*PageSize)
 			if tail == 0 {
+				return nil
+			}
+			// The tail's page, written into a never-backed destination,
+			// is the source page whole when that page moves as plain text
+			// and holds zeros past the tail: share it like a full one.
+			sn, dn := src/PageSize+fullPages, dst/PageSize+fullPages
+			if sp := m.look(sn); sp.data != nil && sp.encrypted == srcCbit && m.look(dn).data == nil && allZero(sp.data[tail:]) {
+				m.sharePage(dn, sn, dstCbit)
 				return nil
 			}
 			data, err := m.GuestRead(src+fullPages*PageSize, tail, srcCbit)
@@ -767,6 +771,22 @@ func (m *Memory) GuestCopy(dst, src uint64, n int, dstCbit, srcCbit bool) error 
 }
 
 // --- internals ---
+
+// sharePage points page dn at page sn's bytes and provenance, copy-on-write,
+// in the given state. sp is a copy, so the getPage calls may replace the
+// node or chunk it came from (the two pages can share one). The source
+// becomes copy-on-write too; a page that already is — every backed page of
+// a shared chunk — needs no store, and getPage never hands out a shared
+// chunk for one.
+func (m *Memory) sharePage(dn, sn uint64, encrypted bool) {
+	sp := m.look(sn)
+	if sp.data != nil && !sp.cow {
+		m.getPage(sn).cow = true
+		sp.cow = true
+	}
+	sp.encrypted = encrypted
+	*m.getPage(dn) = sp
+}
 
 func (m *Memory) write(gpa uint64, data []byte, encrypted bool) {
 	for done := 0; done < len(data); {
@@ -821,12 +841,46 @@ func (m *Memory) writeAliased(gpa uint64, data []byte, encrypted bool, art *arti
 			// equals the artifact's page, so alias it with provenance
 			// instead of copying.
 			p.alias(art.Bytes()[pa:pa+PageSize], art, pa)
+		} else if p.data == nil && art != nil {
+			// Any other sub-page write of an artifact's bytes into a
+			// never-backed page makes a page of those bytes and zeros, the
+			// same one every time: alias the one the artifact keeps. Its
+			// content is not a window of the artifact, so no provenance.
+			p.data, p.cow = edgePage(art, artBase+done, off, chunk), true
 		} else {
 			copy(p.mutable()[off:], data[done:done+chunk])
 		}
 		p.encrypted = encrypted
 		done += chunk
 	}
+}
+
+// edgePages is an artifact's padded edge pages, memoised on it through
+// Derived, not Template: they hold the artifact's bytes, so Corrupt must
+// drop them with every other fact derived from those bytes, and the next
+// write makes its page from the tampered ones.
+type edgePages struct {
+	mu    sync.Mutex
+	pages map[uint64]*[PageSize]byte // by offset, byte and length, packed
+}
+
+// edgePage returns the page that holds n bytes of art from offset a at
+// byte off, and zeros around them, built once per artifact.
+func edgePage(art *artifact.Buf, a, off, n int) *[PageSize]byte {
+	v, _ := art.Derived("guestmem.edge-pages", func() (any, error) {
+		return &edgePages{pages: make(map[uint64]*[PageSize]byte)}, nil
+	})
+	t := v.(*edgePages)
+	key := uint64(a)<<25 | uint64(off)<<13 | uint64(n) // off < 1<<12, n <= 1<<12
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pg := t.pages[key]
+	if pg == nil {
+		pg = new([PageSize]byte)
+		copy(pg[off:], art.Bytes()[a:a+n])
+		t.pages[key] = pg
+	}
+	return pg
 }
 
 func allZero(b []byte) bool {

@@ -79,7 +79,10 @@ func TestTemplateLeafBuiltOnceAndHitAllocatesNothing(t *testing.T) {
 // detector sees any store into a shared node or chunk; afterwards each
 // template still holds exactly what a fresh build would, every guest's
 // pointers for the runs none of them stored to are one pointer, and a
-// sibling that only staged the artifact reads what it read before.
+// sibling that only staged the artifact reads what it read before. The
+// artifact's ragged last page is a padded edge page: the sibling makes it,
+// the first round of every guest finds it at once, and every later round's
+// staging stores over it.
 func TestTemplateLeafNeverWritten(t *testing.T) {
 	art := bigArtifact()
 	// Two chunks into leaf 1: chunks 2..7 of leaf 1 and 0..1 of leaf 3 are

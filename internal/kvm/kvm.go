@@ -10,9 +10,13 @@
 package kvm
 
 import (
+	"sync"
+
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/ghcb"
 	"github.com/severifast/severifast/internal/guestmem"
+	"github.com/severifast/severifast/internal/pagetable"
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/rmp"
 	"github.com/severifast/severifast/internal/sev"
@@ -58,6 +62,29 @@ type Host struct {
 	// cache counters. Every machine's guest memory records into it, so
 	// two hosts in one process never interleave counters.
 	HostStats *telemetry.HostRecorder
+
+	// pageTables is PageTables' memo, one identity map per configuration,
+	// collected with the host.
+	ptMu       sync.Mutex
+	pageTables map[pagetable.Config]*artifact.Buf
+}
+
+// PageTables returns the identity map pagetable.Build makes for cfg, as an
+// artifact built once per configuration on this host: every guest of one
+// size and C-bit setting writes the same three pages, so the boot verifier
+// writes them from here and the guests share them copy-on-write.
+func (h *Host) PageTables(cfg pagetable.Config) *artifact.Buf {
+	h.ptMu.Lock()
+	defer h.ptMu.Unlock()
+	t := h.pageTables[cfg]
+	if t == nil {
+		if h.pageTables == nil {
+			h.pageTables = make(map[pagetable.Config]*artifact.Buf)
+		}
+		t = artifact.Of(pagetable.Build(cfg))
+		h.pageTables[cfg] = t
+	}
+	return t
 }
 
 // NewHost assembles a host with a deterministic PSP identity.

@@ -7,14 +7,16 @@ import (
 
 // FuzzDecompressBlock feeds hostile token streams to the block decoder.
 // The decoder must never panic or over-allocate: it either produces
-// exactly dstSize bytes or returns an error.
+// exactly dstSize bytes or returns an error, and it accepts, refuses and
+// writes exactly what the byte-at-a-time reference does.
 func FuzzDecompressBlock(f *testing.F) {
 	f.Add([]byte{}, 16)
 	f.Add([]byte{0x00}, 0)
 	f.Add(CompressBlock([]byte("hello hello hello hello")), 23)
 	f.Add(CompressBlock(bytes.Repeat([]byte{0xAA}, 4096)), 4096)
-	f.Add([]byte{0xF0, 0xFF, 0xFF, 0xFF}, 64) // runaway literal length extension
-	f.Add([]byte{0x10, 'x', 0x00, 0x00}, 32)  // zero match offset
+	f.Add(CompressBlock(bytes.Repeat([]byte("abc"), 100)), 300) // a match overlapping itself at offset 3
+	f.Add([]byte{0xF0, 0xFF, 0xFF, 0xFF}, 64)                   // runaway literal length extension
+	f.Add([]byte{0x10, 'x', 0x00, 0x00}, 32)                    // zero match offset
 	f.Fuzz(func(t *testing.T, src []byte, dstSize int) {
 		if dstSize < 0 || dstSize > 1<<20 {
 			return
@@ -23,6 +25,7 @@ func FuzzDecompressBlock(f *testing.F) {
 		if err == nil && len(out) != dstSize {
 			t.Fatalf("DecompressBlock returned %d bytes without error, want %d", len(out), dstSize)
 		}
+		decodesAsReference(t, "fuzz input", src, dstSize)
 	})
 }
 

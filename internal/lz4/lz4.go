@@ -240,12 +240,14 @@ func DecompressBlockInto(dst, src []byte) error {
 		if d+matchLen > len(dst) {
 			return fmt.Errorf("%w: match overruns output (%d+%d > %d)", ErrCorrupt, d, matchLen, len(dst))
 		}
-		// Byte-by-byte copy: matches may overlap their own output (RLE).
-		ref := d - offset
-		for i := 0; i < matchLen; i++ {
-			dst[d+i] = dst[ref+i]
+		// Copied from what is already written: a match that starts at least
+		// matchLen back in one memmove; one that overlaps its own output
+		// (offset < matchLen, RLE) repeats the offset bytes before it, so
+		// each copy doubles the run it copies from.
+		ref, end := d-offset, d+matchLen
+		for d < end {
+			d += copy(dst[d:end], dst[ref:d])
 		}
-		d += matchLen
 	}
 
 	if d != len(dst) {

@@ -419,6 +419,102 @@ func compressBlockReference(src []byte) []byte {
 	return appendLiterals(dst, src[anchor:])
 }
 
+// decompressBlockReference is the block decoder as it was before a match
+// was copied with copy: the same checks in the same order, the match one
+// byte at a time. DecompressBlockInto must produce its output byte for byte
+// and fail on exactly the inputs it fails on.
+func decompressBlockReference(dst, src []byte) error {
+	d, s := 0, 0
+	for s < len(src) {
+		token := src[s]
+		s++
+		litLen := int(token >> 4)
+		if litLen == 15 {
+			n, ns, err := readLenExt(src, s)
+			if err != nil {
+				return err
+			}
+			litLen += n
+			s = ns
+		}
+		if litLen > 0 {
+			if s+litLen > len(src) || d+litLen > len(dst) {
+				return fmt.Errorf("%w: literal run overruns buffer", ErrCorrupt)
+			}
+			copy(dst[d:], src[s:s+litLen])
+			s += litLen
+			d += litLen
+		}
+		if s == len(src) {
+			break
+		}
+		if s+2 > len(src) {
+			return fmt.Errorf("%w: truncated offset", ErrCorrupt)
+		}
+		offset := int(src[s]) | int(src[s+1])<<8
+		s += 2
+		if offset == 0 || offset > d {
+			return fmt.Errorf("%w: offset %d at output position %d", ErrCorrupt, offset, d)
+		}
+		matchLen := int(token&15) + minMatch
+		if token&15 == 15 {
+			n, ns, err := readLenExt(src, s)
+			if err != nil {
+				return err
+			}
+			matchLen += n
+			s = ns
+		}
+		if d+matchLen > len(dst) {
+			return fmt.Errorf("%w: match overruns output (%d+%d > %d)", ErrCorrupt, d, matchLen, len(dst))
+		}
+		ref := d - offset
+		for i := 0; i < matchLen; i++ {
+			dst[d+i] = dst[ref+i]
+		}
+		d += matchLen
+	}
+	if d != len(dst) {
+		return fmt.Errorf("%w: decoded %d bytes, expected %d", ErrCorrupt, d, len(dst))
+	}
+	return nil
+}
+
+// decodesAsReference fails the test unless DecompressBlockInto and the
+// byte-at-a-time reference agree on src into dstSize bytes: both refuse it,
+// or both accept it and write the same bytes.
+func decodesAsReference(t *testing.T, what string, src []byte, dstSize int) {
+	t.Helper()
+	got, want := make([]byte, dstSize), make([]byte, dstSize)
+	gotErr, wantErr := DecompressBlockInto(got, src), decompressBlockReference(want, src)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: err = %v, reference err = %v", what, gotErr, wantErr)
+	}
+	if gotErr == nil && !bytes.Equal(got, want) {
+		t.Fatalf("%s: decoded bytes differ from the reference's", what)
+	}
+}
+
+// TestDecompressMatchesByteWiseReference holds the copy-based match to the
+// byte-at-a-time one over every overlap a short period makes: one literal
+// run of offset bytes, then a match of each length 4..80 at that offset,
+// into a buffer of the right size, one byte short and one byte long.
+func TestDecompressMatchesByteWiseReference(t *testing.T) {
+	for offset := 1; offset <= 16; offset++ {
+		for matchLen := minMatch; matchLen <= 80; matchLen++ {
+			src := appendSequence(nil, []byte("0123456789abcdef")[:offset], offset, matchLen)
+			src = appendLiterals(src, []byte("tail"))
+			n := offset + matchLen + 4
+			for _, size := range []int{n, n - 1, n + 1} {
+				decodesAsReference(t, fmt.Sprintf("offset %d, match %d, into %d", offset, matchLen, size), src, size)
+			}
+		}
+	}
+	for _, src := range [][]byte{kernelLikeMix(1 << 20), lowEntropyRuns(5, 1<<16), bytes.Repeat([]byte{0xAB}, 100000)} {
+		decodesAsReference(t, fmt.Sprintf("%d compressed bytes", len(src)), CompressBlock(src), len(src))
+	}
+}
+
 // sameAsReference fails the test unless the word-at-a-time compressor and
 // the reference agree on src.
 func sameAsReference(t *testing.T, what string, src []byte) {

@@ -206,11 +206,13 @@ func Run(proc *sim.Proc, m *kvm.Machine, in Inputs) (*Handoff, error) {
 			return nil, fmt.Errorf("%w: pre-encrypted page tables map C-bit %v, want %v", ErrVerification, gotC, cbit)
 		}
 	} else {
-		table := pagetable.Build(ptCfg)
-		if err := m.Mem.GuestWrite(measure.GPAPageTables, table, cbit); err != nil {
+		// The same bytes for every guest of this size and C-bit setting:
+		// the host builds them once, and the pages alias them.
+		table := m.Host.PageTables(ptCfg)
+		if err := m.Mem.GuestWriteArtifact(measure.GPAPageTables, table, 0, table.Len(), cbit); err != nil {
 			return nil, fmt.Errorf("verifier: writing page tables: %w", err)
 		}
-		proc.Sleep(model.Copy(len(table)))
+		proc.Sleep(model.Copy(table.Len()))
 	}
 
 	// The pre-encrypted hash page is the verification root (Fig. 2).

@@ -11,6 +11,7 @@ import (
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/measure"
+	"github.com/severifast/severifast/internal/pagetable"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
@@ -265,6 +266,106 @@ func TestRunDetectsBitFlipInsideSharedLeaf(t *testing.T) {
 		next, in := setupSEVMachine(t, p, host, art.BzImageLZ4, initrd, h)
 		if _, err := Run(p, next, in); err != nil {
 			t.Errorf("the guest after the tampered one: %v", err)
+		}
+	})
+	eng.Run()
+}
+
+// TestRunDetectsCorruptedEdgePage: the ragged last page of a staged
+// initrd is a padded page every boot of it shares, memoised on the
+// artifact. Corrupting a byte of the artifact inside that page after a
+// boot has memoised it must reach the next boot's staged page — the memo
+// does not outlive the corruption — and that boot must be refused.
+func TestRunDetectsCorruptedEdgePage(t *testing.T) {
+	art, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact.Intern(art.BzImageLZ4)
+	initrd := kernelgen.GenBinary(77, 1<<20+1500) // this test's own bytes: it corrupts them
+	buf := artifact.Intern(initrd)
+	h := measure.HashComponents(art.BzImageLZ4, initrd, "console=ttyS0 root=/dev/vda")
+	off := len(initrd) - 700
+
+	eng := sim.NewEngine()
+	host := kvm.NewHost(eng, costmodel.Default(), 1)
+	eng.Go("vcpu", func(p *sim.Proc) {
+		m, in := setupSEVMachine(t, p, host, art.BzImageLZ4, initrd, h)
+		if _, err := Run(p, m, in); err != nil {
+			t.Errorf("the boot before the corruption: %v", err)
+			return
+		}
+		before := initrd[off]
+		buf.Corrupt(off, 0x20)
+		defer buf.Corrupt(off, 0x20)
+		next, in := setupSEVMachine(t, p, host, art.BzImageLZ4, initrd, h)
+		staged, err := next.Mem.HostRead(measure.GPAStageB+uint64(off), 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if staged[0] != before^0x20 {
+			t.Errorf("staged byte %#x, want the tampered %#x: the edge page outlived the corruption", staged[0], before^0x20)
+		}
+		if _, err := Run(p, next, in); !errors.Is(err, ErrVerification) {
+			t.Errorf("initrd corrupted inside its edge page: err = %v, want ErrVerification", err)
+		}
+	})
+	eng.Run()
+}
+
+// TestStoreIntoSharedPageStaysInItsGuest: two guests verified on one host
+// share their page-table pages and the padded last page of the initrd's
+// private copy. A guest store into either copies the page for that guest;
+// the other guest, and the host's tables, keep their bytes.
+func TestStoreIntoSharedPageStaysInItsGuest(t *testing.T) {
+	art, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact.Intern(art.BzImageLZ4)
+	initrd := kernelgen.GenBinary(78, 1<<20+1500)
+	artifact.Intern(initrd)
+	h := measure.HashComponents(art.BzImageLZ4, initrd, "console=ttyS0 root=/dev/vda")
+	edge := measure.GPAInitrd + uint64(len(initrd))&^4095
+
+	eng := sim.NewEngine()
+	host := kvm.NewHost(eng, costmodel.Default(), 1)
+	eng.Go("vcpu", func(p *sim.Proc) {
+		var guests [2]*kvm.Machine
+		for i := range guests {
+			m, in := setupSEVMachine(t, p, host, art.BzImageLZ4, initrd, h)
+			if _, err := Run(p, m, in); err != nil {
+				t.Error(err)
+				return
+			}
+			guests[i] = m
+		}
+		a, b := guests[0], guests[1]
+		ptCfg := pagetable.Config{Base: measure.GPAPageTables, MapSize: a.Mem.Size(), SetCBit: true}
+		tables := append([]byte(nil), host.PageTables(ptCfg).Bytes()...)
+		if !bytes.Equal(tables, pagetable.Build(ptCfg)) {
+			t.Fatal("the host's page tables are not the ones pagetable.Build makes")
+		}
+		wantEdge := initrd[len(initrd)&^4095:]
+		for _, gpa := range []uint64{measure.GPAPageTables + 8, measure.GPAPageTables + 0x2000 + 16, edge + 5} {
+			aliased := a.Mem.Stats().AliasedPages
+			if err := a.Mem.GuestWrite(gpa, []byte{0xEE, 0xEE}, true); err != nil {
+				t.Error(err)
+				return
+			}
+			if got := a.Mem.Stats().AliasedPages; got != aliased-1 {
+				t.Errorf("store at %#x: %d aliased pages, want %d — the store did not copy the page it hit", gpa, got, aliased-1)
+			}
+		}
+		if got, err := b.Mem.GuestRead(measure.GPAPageTables, pagetable.TotalSize, true); err != nil || !bytes.Equal(got, tables) {
+			t.Errorf("a store into one guest's page tables reached another guest's (err %v)", err)
+		}
+		if got, err := b.Mem.GuestRead(edge, len(wantEdge), true); err != nil || !bytes.Equal(got, wantEdge) {
+			t.Errorf("a store into one guest's initrd edge page reached another guest's (err %v)", err)
+		}
+		if !bytes.Equal(host.PageTables(ptCfg).Bytes(), tables) {
+			t.Error("a guest store reached the host's page tables")
 		}
 	})
 	eng.Run()
