@@ -720,7 +720,7 @@ func (c *Cluster) maybePublishWarm(p *sim.Proc, s *HostShard, img *Image) {
 	// below yields the engine, and a second boot concluding meanwhile
 	// must see published set or it would seal and publish again.
 	img.sealedKey = artifact.BlobKey(seal)
-	img.sealedSize = snapshot.SealedLen(len(fork.Src.Pages()))
+	img.sealedSize = snapshot.SealedLen(fork.Src.NumPages())
 	img.donor = simg.Donor()
 	img.fork = fork
 	img.donorHost = s.Index

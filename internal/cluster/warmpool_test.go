@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
+	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
 )
@@ -44,6 +47,7 @@ type step struct {
 
 // warmPool is a warm cluster of one image driven by a script.
 type warmPool struct {
+	t   *testing.T
 	eng *sim.Engine
 	c   *Cluster
 	img *Image
@@ -65,7 +69,7 @@ func newWarmPool(t *testing.T, hosts int, placements []int, stormGen string, sto
 		cfg.KBS, cfg.Authority, cfg.TCB, cfg.AgentSeed = broker, auth, stormTCB, 9
 		cfg.Admission = broker.PolicyEngine()
 	}
-	w := &warmPool{eng: sim.NewEngine()}
+	w := &warmPool{t: t, eng: sim.NewEngine()}
 	var err error
 	if w.c, err = New(w.eng, cfg); err != nil {
 		t.Fatal(err)
@@ -86,7 +90,9 @@ func (w *warmPool) boot(p *sim.Proc) {
 	_ = w.c.Submit(p, Request{Tenant: "t0", Image: w.img})
 }
 
-// play runs the script to completion and drains the cluster.
+// play runs the script to completion and drains the cluster. The
+// publication it ends with, when intact, must be keyed by the seal the
+// documented field list gives over its donor's own page table.
 func (w *warmPool) play(steps ...step) {
 	w.eng.Go("script", func(p *sim.Proc) {
 		var now time.Duration
@@ -98,6 +104,39 @@ func (w *warmPool) play(steps ...step) {
 		w.c.Close()
 	})
 	w.eng.Run()
+	if f := w.img.fork; w.img.published && f.Src.Verify() == nil {
+		if want := artifact.BlobKey(sealOfDonor(w.t, f, w.img.donor)); w.img.sealedKey != want {
+			w.t.Errorf("publication keyed %x, its field list over the donor's pages seals to %x", w.img.sealedKey[:8], want[:8])
+		}
+	}
+}
+
+// sealOfDonor is the page-list reference for Fork.Seal: the documented
+// field list, with the page table read off the donor guest itself
+// (ExportPages) instead of the fork source's runs.
+func sealOfDonor(t *testing.T, f *snapshot.Fork, donor *kvm.Machine) [32]byte {
+	t.Helper()
+	pages, err := donor.Mem.ExportPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	flag := byte(0)
+	if f.SEV {
+		flag = 1
+	}
+	b := le.AppendUint64(append([]byte("SVFSNAP1"), flag), f.Src.Size())
+	b = le.AppendUint32(b, uint32(len(pages)))
+	for _, pg := range pages {
+		private := byte(0)
+		if pg.Private {
+			private = 1
+		}
+		b = append(le.AppendUint64(b, pg.PN), private)
+	}
+	root, keyID := f.Src.Root(), f.Src.KeyID()
+	b = append(append(append(b, root[:]...), f.Digest[:]...), keyID[:]...)
+	return sha256.Sum256(b)
 }
 
 // TestStormDuringTransferServesCold: a storm that withdraws a publication
@@ -268,7 +307,7 @@ func TestWarmParentHeldOnce(t *testing.T) {
 			if !w.img.published || fork == nil {
 				t.Fatal("h0 did not publish")
 			}
-			if want := snapshot.SealedLen(len(fork.Src.Pages())); w.img.sealedSize != want || w.c.publishedBytes != int64(want) {
+			if want := snapshot.SealedLen(fork.Src.NumPages()); w.img.sealedSize != want || w.c.publishedBytes != int64(want) {
 				t.Errorf("published %d bytes (size %d), want the sealed length %d", w.c.publishedBytes, w.img.sealedSize, want)
 			}
 			var before, after runtime.MemStats
@@ -282,7 +321,7 @@ func TestWarmParentHeldOnce(t *testing.T) {
 				if simg.ForkState() != fork || simg.Donor() != w.img.donor {
 					t.Errorf("%s did not adopt the publisher's container", s.Name)
 				}
-				if grew, resident := after.TotalAlloc-before.TotalAlloc, uint64(len(fork.Src.Pages())*guestmem.PageSize); grew*32 >= resident {
+				if grew, resident := after.TotalAlloc-before.TotalAlloc, uint64(fork.Src.NumPages()*guestmem.PageSize); grew*32 >= resident {
 					t.Errorf("%s: adoption allocated %d bytes; the image holds %d resident", s.Name, grew, resident)
 				}
 			}
@@ -302,7 +341,7 @@ func TestWarmParentHeldOnce(t *testing.T) {
 	}
 	// exported_bytes is what the capture copied: the dirty blob, a sliver
 	// of a booted guest — the rest stays where the artifacts hold it.
-	resident := int64(len(fork.Src.Pages()) * guestmem.PageSize)
+	resident := int64(fork.Src.NumPages() * guestmem.PageSize)
 	if exported != 1 || exportedBytes != int64(fork.Src.Blob().Len()) || exportedBytes == 0 || exportedBytes*100 >= resident {
 		t.Fatalf("%d fork sources / %d bytes copied for one capture and %d adoptions; want 1 / %d, under 1%% of the %d resident",
 			exported, exportedBytes, hosts-1, fork.Src.Blob().Len(), resident)

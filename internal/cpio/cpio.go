@@ -5,7 +5,6 @@
 package cpio
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -32,44 +31,70 @@ type File struct {
 
 // Build serializes files into a newc archive. Entries are emitted in the
 // order given; inode numbers are assigned sequentially, so identical input
-// yields identical output bytes (the initrd must hash reproducibly).
+// yields identical output bytes (the initrd must hash reproducibly). The
+// archive's length is known before it is written, so it is one allocation.
 func Build(files []File) []byte {
-	var buf bytes.Buffer
-	for i, f := range files {
-		writeEntry(&buf, uint32(i+1), f)
+	n := entryLen(trailer, 0)
+	for _, f := range files {
+		n += entryLen(f.Name, len(f.Data))
 	}
-	writeEntry(&buf, 0, File{Name: trailer})
-	return buf.Bytes()
+	out := make([]byte, 0, n)
+	for i, f := range files {
+		out = appendEntry(out, uint32(i+1), f)
+	}
+	return appendEntry(out, 0, File{Name: trailer})
 }
 
-func writeEntry(buf *bytes.Buffer, ino uint32, f File) {
-	name := f.Name + "\x00"
-	nlink := 1
+// headerLen is the fixed newc header: the magic and thirteen 8-digit hex
+// fields.
+const headerLen = len(magic) + 13*8
+
+// entryLen is the archived length of a member: header, NUL-terminated
+// name and data, each padded to four bytes.
+func entryLen(name string, size int) int {
+	return align4(headerLen+len(name)+1) + align4(size)
+}
+
+// appendEntry appends one member: header, name and data, each padded.
+func appendEntry(out []byte, ino uint32, f File) []byte {
+	nlink := uint32(1)
 	if f.Mode&0o170000 == 0o040000 {
 		nlink = 2
 	}
-	fmt.Fprintf(buf, "%s%08X%08X%08X%08X%08X%08X%08X%08X%08X%08X%08X%08X%08X",
-		magic,
-		ino,         // c_ino
-		f.Mode,      // c_mode
-		0,           // c_uid
-		0,           // c_gid
-		nlink,       // c_nlink
-		0,           // c_mtime (zero for reproducibility)
-		len(f.Data), // c_filesize
-		0, 0, 0, 0,  // c_devmajor, c_devminor, c_rdevmajor, c_rdevminor
-		len(name), // c_namesize
-		0)         // c_check (0 for newc)
-	buf.WriteString(name)
-	pad4(buf)
-	buf.Write(f.Data)
-	pad4(buf)
+	out = append(out, magic...)
+	for _, field := range [13]uint32{
+		ino,                 // c_ino
+		f.Mode,              // c_mode
+		0,                   // c_uid
+		0,                   // c_gid
+		nlink,               // c_nlink
+		0,                   // c_mtime (zero for reproducibility)
+		uint32(len(f.Data)), // c_filesize
+		0, 0, 0, 0,          // c_devmajor, c_devminor, c_rdevmajor, c_rdevminor
+		uint32(len(f.Name) + 1), // c_namesize, the NUL included
+		0,                       // c_check (0 for newc)
+	} {
+		out = appendHex8(out, field)
+	}
+	out = append(append(out, f.Name...), 0)
+	out = pad4(out)
+	return pad4(append(out, f.Data...))
 }
 
-func pad4(buf *bytes.Buffer) {
-	for buf.Len()%4 != 0 {
-		buf.WriteByte(0)
+// appendHex8 appends v as eight upper-case hex digits.
+func appendHex8(out []byte, v uint32) []byte {
+	const digits = "0123456789ABCDEF"
+	for shift := 28; shift >= 0; shift -= 4 {
+		out = append(out, digits[v>>shift&0xF])
 	}
+	return out
+}
+
+func pad4(out []byte) []byte {
+	for len(out)%4 != 0 {
+		out = append(out, 0)
+	}
+	return out
 }
 
 // Parse reads a newc archive and returns its members, excluding the

@@ -2,6 +2,7 @@ package cpio
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -131,5 +132,59 @@ func TestDirectoryNlink(t *testing.T) {
 	}
 	if out[0].Mode&0o170000 != 0o040000 {
 		t.Fatal("directory mode lost")
+	}
+}
+
+// buildFmt is the reference Build is held to, and what it was until it
+// sized its buffer up front: every header through fmt into a
+// bytes.Buffer that doubles as it grows.
+func buildFmt(files []File) []byte {
+	var buf bytes.Buffer
+	pad4 := func() {
+		for buf.Len()%4 != 0 {
+			buf.WriteByte(0)
+		}
+	}
+	entry := func(ino uint32, f File) {
+		name := f.Name + "\x00"
+		nlink := 1
+		if f.Mode&0o170000 == 0o040000 {
+			nlink = 2
+		}
+		fmt.Fprintf(&buf, "%s%08X%08X%08X%08X%08X%08X%08X%08X%08X%08X%08X%08X%08X",
+			magic, ino, f.Mode, 0, 0, nlink, 0, len(f.Data), 0, 0, 0, 0, len(name), 0)
+		buf.WriteString(name)
+		pad4()
+		buf.Write(f.Data)
+		pad4()
+	}
+	for i, f := range files {
+		entry(uint32(i+1), f)
+	}
+	entry(0, File{Name: trailer})
+	return buf.Bytes()
+}
+
+// TestBuildMatchesFmtReference: the archive bytes are the reference's for
+// every name and data length modulo four, directories, and no members.
+func TestBuildMatchesFmtReference(t *testing.T) {
+	var odd []File
+	for n := 0; n < 8; n++ {
+		odd = append(odd, File{Name: "f" + string(bytes.Repeat([]byte{'x'}, n)), Mode: ModeFile, Data: bytes.Repeat([]byte{byte(n)}, n*37)})
+	}
+	big := []File{{Name: "init", Mode: ModeExec, Data: bytes.Repeat([]byte{0xEE}, 1<<20+3)}, {Name: "usr", Mode: ModeDir}}
+	for name, files := range map[string][]File{"sample": sample(), "empty": nil, "odd lengths": odd, "large member": big} {
+		if got, want := Build(files), buildFmt(files); !bytes.Equal(got, want) {
+			t.Errorf("%s: Build differs from the fmt reference (%d vs %d bytes)", name, len(got), len(want))
+		}
+	}
+}
+
+// TestBuildAllocatesOnce pins Build to one allocation, the archive itself,
+// whatever the member sizes.
+func TestBuildAllocatesOnce(t *testing.T) {
+	files := append(sample(), File{Name: "rootfs.img", Mode: ModeFile, Data: make([]byte, 1<<20+1)})
+	if n := testing.AllocsPerRun(10, func() { Build(files) }); n != 1 {
+		t.Fatalf("Build allocates %v times, want 1", n)
 	}
 }

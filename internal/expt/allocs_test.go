@@ -24,8 +24,8 @@ import (
 // alone let a dense 512 KiB page table per guest (two allocations) go
 // unpinned for five PRs.
 const (
-	coldAllocCeilingPerBoot = 265 // measured ~186 at 64 VMs
-	coldKiBCeilingPerBoot   = 78  // measured ~63; ~126 when a boot copied twelve pages every boot writes the same and built its page tables afresh, ~247 when it owned nine dense 512-page leaves, ~415 when it owned all 24 it touches, 1143 with a dense per-guest table
+	coldAllocCeilingPerBoot = 265 // measured ~179 at 64 VMs; ~186 when the host's GHCB decode returned each exit's view on the heap and the kernel stage and verifier copied out four reads they only parse
+	coldKiBCeilingPerBoot   = 78  // measured ~58; ~63 with those views and copies, ~126 when a boot copied twelve pages every boot writes the same and built its page tables afresh, ~247 when it owned nine dense 512-page leaves, ~415 when it owned all 24 it touches, 1143 with a dense per-guest table
 	// The warm iteration amortizes one full cold seed (plan + staging
 	// blob + snapshot capture) over the fleet, so its per-boot figure
 	// sits above the steady-state fork cost.
@@ -204,11 +204,13 @@ func TestWarmForkAllocCeiling(t *testing.T) {
 // TestCaptureForkAllocCeiling: capturing a booted guest as a fork
 // container costs what the guest dirtied — the nine nodes and twelve chunks
 // it owns, frozen (its fifteen template leaves and twenty-eight chunk
-// templates are shared as they are), the fork's page list and thirteen
-// copied pages, measured 234 KiB — not a copy of the 37.7 MiB it holds.
-// The thirteen are the pages without artifact provenance: the four the
-// guest owns and nine that alias padded edge pages. The page-table pages
-// alias the host's tables with provenance, so they are extents, not copies.
+// templates are shared as they are), the extent table and thirteen copied
+// pages, measured 82 KiB — not a copy of the 37.7 MiB it holds. The
+// thirteen are the pages without artifact provenance: the four the guest
+// owns and nine that alias padded edge pages. The page-table pages alias
+// the host's tables with provenance, so they are extents, not copies. The
+// extents are the container's page table too: a list of its ~9.6 k pages
+// beside them made the capture 234 KiB.
 func TestCaptureForkAllocCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	img := coldBootDonor(t)
@@ -219,11 +221,11 @@ func TestCaptureForkAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resident := len(fork.Src.Pages()) * guestmem.PageSize
+	resident := fork.Src.NumPages() * guestmem.PageSize
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("capturing %d resident bytes allocated %d", resident, got)
-	if got >= 1<<20 || resident < 16<<20 {
-		t.Errorf("capturing %d resident bytes allocated %d, ceiling 1 MiB — %s", resident, got, byteRegression)
+	if got >= 128<<10 || resident < 16<<20 {
+		t.Errorf("capturing %d resident bytes allocated %d, ceiling 128 KiB — %s", resident, got, byteRegression)
 	}
 }
 

@@ -201,7 +201,11 @@ func bootStock(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Res
 	}
 	proc.Sleep(model.VMMLoad(loaded))
 
-	// Boot structures (§2.1 step 2) and the initrd, all plain text.
+	// Boot structures (§2.1 step 2) and the initrd, all plain text. The
+	// initrd is interned before it is staged, as bootSEV interns it, so its
+	// pages carry provenance and the kernel unpacks it by reference, once
+	// per initrd, instead of reading a copy out of the guest every boot.
+	artifact.Intern(cfg.Initrd)
 	if err := writeBootStructures(m, cfg, len(cfg.Initrd)); err != nil {
 		return nil, err
 	}

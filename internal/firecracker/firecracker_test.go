@@ -77,6 +77,31 @@ func TestStockBootReachesInit(t *testing.T) {
 	}
 }
 
+// TestStockBootStagesTheInitrdByReference: a stock boot interns its initrd
+// before staging it, as the SEV path does, so even the first boot of an
+// initrd nothing interned before leaves guest pages that resolve to the
+// caller's buffer, and the kernel stage unpacks it from there rather than
+// from a copy read out of the guest.
+func TestStockBootStagesTheInitrdByReference(t *testing.T) {
+	initrd := append([]byte(nil), testInitrd(t)...) // a buffer no other boot has seen
+	res, err := runBoot(t, Config{
+		Preset:    kernelgen.Lupine(),
+		Artifacts: lupineArtifacts(t),
+		Initrd:    initrd,
+		Scheme:    SchemeStock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, base, err := res.Machine.Mem.ArtifactRange(measure.GPAInitrd, len(initrd), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art == nil || base != 0 || art.Len() != len(initrd) || &art.Bytes()[0] != &initrd[0] {
+		t.Fatalf("the staged initrd resolves to %v at %d, want the boot's own %d-byte buffer", art, base, len(initrd))
+	}
+}
+
 func TestSEVeriFastBzBootReachesInit(t *testing.T) {
 	art := lupineArtifacts(t)
 	initrd := testInitrd(t)

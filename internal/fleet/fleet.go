@@ -893,7 +893,7 @@ func (o *Orchestrator) warmRestore(p *sim.Proc, img *Image) (*kvm.Machine, error
 		}
 		return nil, err
 	}
-	p.Sleep(o.host.Model.Pvalidate(len(fork.Src.Pages())*guestmem.PageSize, o.host.PvalidatePageSize()))
+	p.Sleep(o.host.Model.Pvalidate(fork.Src.NumPages()*guestmem.PageSize, o.host.PvalidatePageSize()))
 	if _, err := ctx.LaunchFinish(p); err != nil {
 		return nil, err
 	}

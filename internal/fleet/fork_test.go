@@ -163,9 +163,9 @@ func TestWarmStateMaterialisesOnDemand(t *testing.T) {
 	if snap == nil || donor == nil || donor != img.Donor() {
 		t.Fatal("seeded warm tier returned no warm state")
 	}
-	if snap.Size != fork.Src.Size() || len(snap.Pages) != len(fork.Src.Pages()) || snap.SEV != fork.SEV {
+	if snap.Size != fork.Src.Size() || len(snap.Pages) != fork.Src.NumPages() || snap.SEV != fork.SEV {
 		t.Fatalf("transport image: %d bytes, %d pages, SEV %v; fork container: %d, %d, %v",
-			snap.Size, len(snap.Pages), snap.SEV, fork.Src.Size(), len(fork.Src.Pages()), fork.SEV)
+			snap.Size, len(snap.Pages), snap.SEV, fork.Src.Size(), fork.Src.NumPages(), fork.SEV)
 	}
 	want, err := snapshot.Capture(nil, donor)
 	if err != nil {

@@ -93,14 +93,27 @@ func validBit(off int) (byteIdx int, mask byte) {
 	return q / 8, 1 << (q % 8)
 }
 
+// The protocol span: every field an exit stages, from the first shared
+// register to the end of the valid bitmap, 520 bytes. An exit moves the
+// span and the version word; the rest of the page is what New left, zeros,
+// and nothing stores there.
+const (
+	spanStart = offRAX
+	spanEnd   = offValidBM + 16
+	spanLen   = spanEnd - spanStart
+)
+
 // Write stages an exit in the GHCB page (the guest #VC handler's job):
-// only the registers the handler marked shared become visible.
+// only the registers the handler marked shared become visible. Like
+// Linux's handler, it clears the valid bitmap rather than the page: the
+// whole span is rewritten, so no field of an earlier exit, and no host
+// store into the span, survives into this one.
 func (g *GHCB) Write(e Exit) error {
-	page := make([]byte, guestmem.PageSize)
+	var span [spanLen]byte
 	le := binary.LittleEndian
-	bm := page[offValidBM : offValidBM+16]
+	bm := span[offValidBM-spanStart:]
 	set := func(off int, v uint64) {
-		le.PutUint64(page[off:], v)
+		le.PutUint64(span[off-spanStart:], v)
 		bi, mask := validBit(off)
 		bm[bi] |= mask
 	}
@@ -119,8 +132,12 @@ func (g *GHCB) Write(e Exit) error {
 	if e.ShareRDX {
 		set(offRDX, e.RDX)
 	}
-	le.PutUint16(page[offVersion:], 2)
-	return g.mem.GuestWrite(g.gpa, page, false)
+	if err := g.mem.GuestWrite(g.gpa+spanStart, span[:], false); err != nil {
+		return err
+	}
+	var version [2]byte
+	le.PutUint16(version[:], 2)
+	return g.mem.GuestWrite(g.gpa+offVersion, version[:], false)
 }
 
 // HostView is what the hypervisor decodes from the page after VMGEXIT.
@@ -136,43 +153,53 @@ type HostView struct {
 }
 
 // ReadFromHost parses the GHCB as the hypervisor does: fields count only
-// when their valid bit is set. Reading a private page fails loudly.
-func ReadFromHost(mem *guestmem.Memory, gpa uint64) (*HostView, error) {
+// when their valid bit is set. Reading a private page fails loudly. The
+// whole page must lie in guest memory; only the protocol span and the
+// version word are read, onto the caller's stack.
+func ReadFromHost(mem *guestmem.Memory, gpa uint64) (HostView, error) {
 	if mem.IsPrivate(gpa) {
-		return nil, ErrNotShared
+		return HostView{}, ErrNotShared
 	}
-	var page [guestmem.PageSize]byte // on the stack: seven fields are decoded and the page is done with
-	if err := mem.HostReadInto(gpa, page[:]); err != nil {
-		return nil, err
+	if end := gpa + guestmem.PageSize; end < gpa || end > mem.Size() {
+		return HostView{}, fmt.Errorf("%w: GHCB page [%#x,+%d) of %#x", guestmem.ErrOutOfRange, gpa, guestmem.PageSize, mem.Size())
+	}
+	var span [spanLen]byte
+	var version [2]byte
+	if err := mem.HostReadInto(gpa+offVersion, version[:]); err != nil {
+		return HostView{}, err
 	}
 	le := binary.LittleEndian
-	if le.Uint16(page[offVersion:]) != 2 {
-		return nil, fmt.Errorf("%w: bad GHCB version", ErrProtocol)
+	if le.Uint16(version[:]) != 2 {
+		return HostView{}, fmt.Errorf("%w: bad GHCB version", ErrProtocol)
 	}
-	bm := page[offValidBM : offValidBM+16]
+	if err := mem.HostReadInto(gpa+spanStart, span[:]); err != nil {
+		return HostView{}, err
+	}
+	bm := span[offValidBM-spanStart:]
 	valid := func(off int) bool {
 		bi, mask := validBit(off)
 		return bm[bi]&mask != 0
 	}
+	field := func(off int) uint64 { return le.Uint64(span[off-spanStart:]) }
 	if !valid(offExitCode) {
-		return nil, fmt.Errorf("%w: exit code not marked valid", ErrProtocol)
+		return HostView{}, fmt.Errorf("%w: exit code not marked valid", ErrProtocol)
 	}
-	v := &HostView{
-		Code:  le.Uint64(page[offExitCode:]),
-		Info1: le.Uint64(page[offExitInfo1:]),
-		Info2: le.Uint64(page[offExitInfo2:]),
+	v := HostView{
+		Code:  field(offExitCode),
+		Info1: field(offExitInfo1),
+		Info2: field(offExitInfo2),
 	}
 	if valid(offRAX) {
-		v.RAX, v.HasRAX = le.Uint64(page[offRAX:]), true
+		v.RAX, v.HasRAX = field(offRAX), true
 	}
 	if valid(offRBX) {
-		v.RBX, v.HasRBX = le.Uint64(page[offRBX:]), true
+		v.RBX, v.HasRBX = field(offRBX), true
 	}
 	if valid(offRCX) {
-		v.RCX, v.HasRCX = le.Uint64(page[offRCX:]), true
+		v.RCX, v.HasRCX = field(offRCX), true
 	}
 	if valid(offRDX) {
-		v.RDX, v.HasRDX = le.Uint64(page[offRDX:]), true
+		v.RDX, v.HasRDX = field(offRDX), true
 	}
 	return v, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"github.com/severifast/severifast/internal/guestmem"
@@ -57,8 +58,8 @@ func TestExitRoundTrip(t *testing.T) {
 	}
 }
 
-// The hypervisor decodes seven fields out of a page it reads on its own
-// stack: the only allocation is the view it returns.
+// The hypervisor decodes seven fields out of the protocol span it reads
+// onto its own stack, and returns the view by value: nothing allocates.
 func TestReadFromHostAllocatesOnlyTheView(t *testing.T) {
 	mem := sevMem(t, 1)
 	g, err := New(mem, gpa)
@@ -72,9 +73,186 @@ func TestReadFromHostAllocatesOnlyTheView(t *testing.T) {
 		if v, err := ReadFromHost(mem, gpa); err != nil || v.RAX != 0x42 {
 			t.Fatalf("ReadFromHost: %+v, %v", v, err)
 		}
-	}); n != 1 {
-		t.Fatalf("ReadFromHost allocates %v times, want 1", n)
+	}); n != 0 {
+		t.Fatalf("ReadFromHost allocates %v times, want 0", n)
 	}
+}
+
+// TestReadFromHostChecksTheWholePage: the host reads only the span and the
+// version word, but a GHCB page that does not lie wholly in guest memory
+// is still refused, as the whole-page read refused it.
+func TestReadFromHostChecksTheWholePage(t *testing.T) {
+	mem := sevMem(t, 1)
+	for _, at := range []uint64{mem.Size() - guestmem.PageSize/2, mem.Size(), ^uint64(0) - 0x100} {
+		if _, err := ReadFromHost(mem, at); !errors.Is(err, guestmem.ErrOutOfRange) {
+			t.Errorf("GHCB at %#x: %v, want ErrOutOfRange", at, err)
+		}
+	}
+}
+
+// writeFullPage is the reference Write is held to, and what it was until
+// an exit moved only the protocol span: build a zeroed page holding the
+// exit's fields, its valid bitmap and the version, and write it whole.
+func writeFullPage(g *GHCB, e Exit) error {
+	page := make([]byte, guestmem.PageSize)
+	le := binary.LittleEndian
+	bm := page[offValidBM : offValidBM+16]
+	set := func(off int, v uint64) {
+		le.PutUint64(page[off:], v)
+		bi, mask := validBit(off)
+		bm[bi] |= mask
+	}
+	set(offExitCode, e.Code)
+	set(offExitInfo1, e.Info1)
+	set(offExitInfo2, e.Info2)
+	if e.ShareRAX {
+		set(offRAX, e.RAX)
+	}
+	if e.ShareRBX {
+		set(offRBX, e.RBX)
+	}
+	if e.ShareRCX {
+		set(offRCX, e.RCX)
+	}
+	if e.ShareRDX {
+		set(offRDX, e.RDX)
+	}
+	le.PutUint16(page[offVersion:], 2)
+	return g.mem.GuestWrite(g.gpa, page, false)
+}
+
+// checkExchange decodes data as a sequence of exits — a share-flag byte
+// and seven quadwords each — with, when the flag byte's bit 4 is set, a
+// host store of up to 16 bytes somewhere inside the protocol span after
+// it. It stages every exit with Write on one guest and with writeFullPage
+// on another, makes the same host stores on both, and requires after each
+// exit that the host decodes exactly the registers the exit shared and
+// that the two pages are byte-identical.
+func checkExchange(t *testing.T, data []byte) {
+	t.Helper()
+	span, full := sevMem(t, 1), sevMem(t, 1)
+	gs, err := New(span, gpa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf, err := New(full, gpa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(n int) []byte {
+		b := make([]byte, n)
+		data = data[copy(b, data):]
+		return b
+	}
+	le := binary.LittleEndian
+	for len(data) > 0 {
+		flags := next(1)[0]
+		q := next(7 * 8)
+		e := Exit{
+			Code: le.Uint64(q[0:]), Info1: le.Uint64(q[8:]), Info2: le.Uint64(q[16:]),
+			RAX: le.Uint64(q[24:]), RBX: le.Uint64(q[32:]), RCX: le.Uint64(q[40:]), RDX: le.Uint64(q[48:]),
+			ShareRAX: flags&1 != 0, ShareRBX: flags&2 != 0, ShareRCX: flags&4 != 0, ShareRDX: flags&8 != 0,
+		}
+		if err := gs.Write(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFullPage(gf, e); err != nil {
+			t.Fatal(err)
+		}
+		v, err := ReadFromHost(span, gpa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := HostView{Code: e.Code, Info1: e.Info1, Info2: e.Info2,
+			HasRAX: e.ShareRAX, HasRBX: e.ShareRBX, HasRCX: e.ShareRCX, HasRDX: e.ShareRDX}
+		for _, r := range []struct {
+			shared   bool
+			src, dst *uint64
+		}{{e.ShareRAX, &e.RAX, &want.RAX}, {e.ShareRBX, &e.RBX, &want.RBX}, {e.ShareRCX, &e.RCX, &want.RCX}, {e.ShareRDX, &e.RDX, &want.RDX}} {
+			if r.shared {
+				*r.dst = *r.src
+			}
+		}
+		if v != want {
+			t.Fatalf("exit %+v decoded as %+v, want %+v", e, v, want)
+		}
+		if vf, err := ReadFromHost(full, gpa); err != nil || vf != v {
+			t.Fatalf("the full-page reference decodes %+v (%v), the span write %+v", vf, err, v)
+		}
+		ps, err := span.HostRead(gpa, guestmem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := full.HostRead(gpa, guestmem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ps, pf) {
+			t.Fatalf("after exit %+v the page differs from the full-page reference's", e)
+		}
+		if flags&0x10 != 0 {
+			where := next(3)
+			store := next(int(where[2]) % 17)
+			at := gpa + spanStart + uint64(le.Uint16(where))%uint64(spanLen-len(store)+1)
+			for _, m := range []*guestmem.Memory{span, full} {
+				if err := m.HostWrite(at, store); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// exchangeSeeds are exit sequences for checkExchange: every share
+// combination, a host store over the valid bitmap, and stores over the
+// registers an exit then does not share.
+func exchangeSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(3))
+	exit := func(flags byte, store ...byte) []byte {
+		b := make([]byte, 1+7*8)
+		rng.Read(b)
+		b[0] = flags
+		return append(b, store...)
+	}
+	var all []byte
+	for flags := byte(0); flags < 16; flags++ {
+		all = append(all, exit(flags)...)
+	}
+	validBM := []byte{(offValidBM - spanStart) & 0xFF, (offValidBM - spanStart) >> 8, 16}
+	for i := 0; i < 4; i++ {
+		validBM = append(validBM, 0xFF, 0xFF, 0xFF, 0xFF)
+	}
+	return [][]byte{
+		nil,
+		exit(0x1, 0),
+		all,
+		append(exit(0x1F, validBM...), exit(0x0)...),
+		append(append(exit(0x1F, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8), // over RAX, which the next exit does not share
+			exit(0x12, (offRBX-spanStart)&0xFF, (offRBX-spanStart)>>8, 8, 9, 9, 9, 9, 9, 9, 9, 9)...), // over RBX, likewise
+			exit(0x1)...),
+	}
+}
+
+// TestWriteMatchesFullPageReference runs the seed sequences through the
+// exchange check without the fuzzer.
+func TestWriteMatchesFullPageReference(t *testing.T) {
+	for _, seed := range exchangeSeeds() {
+		checkExchange(t, seed)
+	}
+}
+
+// FuzzGHCBExchange holds the span exchange to the full-page reference on
+// random exits, share flags and host stores inside the span.
+func FuzzGHCBExchange(f *testing.F) {
+	for _, seed := range exchangeSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			return
+		}
+		checkExchange(t, data)
+	})
 }
 
 // TestHostResultRoundTrip: an emulation result the hypervisor stores in

@@ -557,6 +557,10 @@ func comparePages(t *testing.T, g guestPair, lo, hi uint64, flagsOnly bool) {
 			if ok && !bytes.Equal(got, want) {
 				t.Fatalf("page %d: GuestRead(cbit=%v) differs from reference", pn, cbit)
 			}
+			got, _, err = g.m.GuestView(gpa, PageSize, cbit)
+			if (err == nil) != ok || ok && !bytes.Equal(got, want) {
+				t.Fatalf("page %d: GuestView(cbit=%v) differs from reference (err %v, reference allows %v)", pn, cbit, err, ok)
+			}
 		}
 	}
 }

@@ -7,7 +7,10 @@ package guestmem
 // records those pages as extents — runs of pages backed by consecutive
 // bytes of one artifact — and copies only the pages without provenance
 // into one small dirty blob. Capture therefore costs what the guest
-// dirtied, not what it holds.
+// dirtied, not what it holds. The extents, in page order, are the
+// source's page table too: what needs the resident page numbers and their
+// privacy — the seal, the load charge — reads them as runs (PageRuns) or
+// as a count (NumPages), and no per-page list is built.
 //
 // Where snapshot.Restore replays ciphertext page by page (O(image) AES
 // work per warm boot), AdoptFork points the child's root entries at the
@@ -53,12 +56,6 @@ import (
 // longer match the root recorded at capture.
 var ErrForkTampered = errors.New("guestmem: fork source tampered since capture")
 
-// ForkPage is one resident page of a ForkSource.
-type ForkPage struct {
-	PN      uint64 // guest page number
-	Private bool   // page was in the encrypted state at capture
-}
-
 // extent is count resident pages from page number pn whose plain text is
 // arts[art].Bytes()[off : off+count*PageSize], all in one privacy state.
 type extent struct {
@@ -72,12 +69,13 @@ type extent struct {
 // fork-adoptable by any guest of the same size that shares the donor's
 // encryption key and ASID.
 type ForkSource struct {
-	size  uint64
-	pages []ForkPage
-	root  [32]byte
-	keyID [32]byte
+	size   uint64
+	npages int
+	root   [32]byte
+	keyID  [32]byte
 
-	// Every resident page lies in exactly one extent, in page order. arts
+	// Every resident page lies in exactly one extent, in page order, so the
+	// extents are the source's page table as well (PageRuns). arts
 	// holds the distinct buffers the extents name — the aliased artifacts
 	// and, when any page lacked provenance, the dirty blob — in first-seen
 	// order; gens is each one's corruption count when the root was taken.
@@ -155,7 +153,7 @@ func (m *Memory) ExportForkSource() (*ForkSource, error) {
 
 	blob := make([]byte, ndirty*PageSize)
 	nodes, chunks := make([]leaf, nnodes), make([]chunk, nchunks) // one slab each: the frozen directory lives and dies together
-	src := &ForkSource{size: m.size, pages: make([]ForkPage, 0, npages), blob: artifact.Of(blob),
+	src := &ForkSource{size: m.size, npages: npages, blob: artifact.Of(blob),
 		keyID: m.keyID(), dir: make([]dirEntry, len(m.dir))}
 	copied := 0
 	for i, e := range m.dir {
@@ -240,11 +238,8 @@ func (e dirEntry) sharesOn(c, dirty int) bool {
 
 // addRun records count resident pages from page number pn, backed by
 // consecutive bytes of art from off and all in one privacy state: in the
-// page list, in the extent table and, when private, in the private runs.
+// extent table and, when private, in the private runs.
 func (s *ForkSource) addRun(pn, count uint64, art *artifact.Buf, off int, private bool) {
-	for i := uint64(0); i < count; i++ {
-		s.pages = append(s.pages, ForkPage{PN: pn + i, Private: private})
-	}
 	if n := len(s.extents); n > 0 && s.arts[s.extents[n-1].art] == art && s.extents[n-1].continuedBy(pn, off, private) {
 		s.extents[n-1].count += count
 	} else {
@@ -310,8 +305,19 @@ func (s *ForkSource) deriveRoot() [32]byte {
 	return sha256.Sum256(b)
 }
 
-// Pages returns the source's page table (read-only).
-func (s *ForkSource) Pages() []ForkPage { return s.pages }
+// NumPages returns how many resident pages the source holds.
+func (s *ForkSource) NumPages() int { return s.npages }
+
+// PageRuns calls fn for each run of the source's page table, in page
+// order: count resident pages from page number pn, all private or all
+// shared at capture. The runs are the extents, which tile the resident
+// pages, so no page list is built; two adjacent runs may continue each
+// other.
+func (s *ForkSource) PageRuns(fn func(pn, count uint64, private bool)) {
+	for _, x := range s.extents {
+		fn(x.pn, x.count, x.private)
+	}
+}
 
 // Size returns the donor guest's memory size.
 func (s *ForkSource) Size() uint64 { return s.size }
@@ -411,6 +417,6 @@ func (m *Memory) AdoptFork(src *ForkSource) error {
 		}
 	}
 	m.recorder().CounterAdd("guestmem.fork.adopted", 1)
-	m.recorder().CounterAdd("guestmem.fork.aliased_pages", int64(len(src.pages)))
+	m.recorder().CounterAdd("guestmem.fork.aliased_pages", int64(src.npages))
 	return nil
 }

@@ -38,7 +38,7 @@ func TestForkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(src.Pages()) == 0 {
+	if src.NumPages() == 0 {
 		t.Fatal("fork source exported no pages")
 	}
 
@@ -180,8 +180,8 @@ func TestForkOfEmptyGuestAdoptsToEmptyGuest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(src.Pages()) != 0 || src.Blob() != nil {
-		t.Fatalf("empty guest exported %d pages, blob %v", len(src.Pages()), src.Blob())
+	if src.NumPages() != 0 || src.Blob() != nil {
+		t.Fatalf("empty guest exported %d pages, blob %v", src.NumPages(), src.Blob())
 	}
 	child := New(1 << 20)
 	if err := child.AdoptFork(src); err != nil {

@@ -50,6 +50,7 @@
 package guestmem
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
@@ -883,14 +884,9 @@ func edgePage(art *artifact.Buf, a, off, n int) *[PageSize]byte {
 	return pg
 }
 
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
+// allZero reports whether b, at most a page, is all zero bytes: a word-wise
+// compare against the zero page.
+func allZero(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
 // cipherPage produces the AES-CTR transform of a page's plain text under
 // the guest key, tweaked by the page's physical address, in a page of its
@@ -1116,25 +1112,13 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 		}
 		p := m.look(pn)
 		if p.art == nil {
-			if !bytesEqual(p.readable()[off:off+chunk], src[done:done+chunk]) {
+			if !bytes.Equal(p.readable()[off:off+chunk], src[done:done+chunk]) {
 				return nil, 0
 			}
 		}
 		done += chunk
 	}
 	return art, base
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // PlainRangeDigest returns SHA-256 of the current plain text of
@@ -1227,6 +1211,19 @@ func (m *Memory) RangeView(gpa uint64, n int, cbit bool) (view []byte, ok bool, 
 	m.recorder().CounterAdd("guestmem.view.hit", 1)
 	m.recorder().CounterAdd("guestmem.view.bytes", int64(n))
 	return art.Bytes()[base : base+n], true, nil
+}
+
+// GuestView returns the bytes GuestRead(gpa, n, cbit) would return, for a
+// reader that only parses them: RangeView's zero-copy view when one is
+// sound (view true: the caller must not write through it, and it is valid
+// until the next write to the range), GuestRead's copy otherwise. Every
+// check GuestRead makes is made either way.
+func (m *Memory) GuestView(gpa uint64, n int, cbit bool) (b []byte, view bool, err error) {
+	if b, view, err = m.RangeView(gpa, n, cbit); err != nil || view {
+		return b, view, err
+	}
+	b, err = m.GuestRead(gpa, n, cbit)
+	return b, false, err
 }
 
 // ArtifactRange resolves [gpa, gpa+n) to its backing artifact and base

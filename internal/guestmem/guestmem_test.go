@@ -560,3 +560,97 @@ func TestGuestCopyRejectsOverlap(t *testing.T) {
 		t.Fatal("overlapping copy accepted")
 	}
 }
+
+// TestGuestViewIsGuestRead: GuestView hands back GuestRead's bytes and
+// GuestRead's refusals — a view of the artifact where the range still
+// aliases one in the reading state, a copy where it does not.
+func TestGuestViewIsGuestRead(t *testing.T) {
+	const asid = 2
+	art := artifact.Of(bytes.Repeat([]byte("kernel text "), 3*PageSize/12+1)[:3*PageSize])
+	m := New(1 << 20)
+	m.SetKey(key(4), asid)
+	tb := rmp.New()
+	m.AttachRMP(tb, asid)
+	if err := tb.PvalidateRangeSkipValidated(0, 0x40000, PageSize, asid); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.GuestWriteArtifact(0x10000, art, 0, art.Len(), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.HostWrite(0x50000, []byte("written by the host")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		gpa  uint64
+		n    int
+		cbit bool
+		view bool
+	}{
+		{"aliased artifact, private mapping", 0x10000 + 100, 2 * PageSize, true, true},
+		{"aliased artifact, shared mapping: ciphertext", 0x10000 + 100, 2 * PageSize, false, false},
+		{"page without provenance", 0x50000, 19, false, false},
+		{"unvalidated private page", 0x80000, 64, true, false},
+		{"past the end", m.Size() - 10, 20, false, false},
+	} {
+		want, wantErr := m.GuestRead(c.gpa, c.n, c.cbit)
+		got, view, err := m.GuestView(c.gpa, c.n, c.cbit)
+		switch {
+		case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+			t.Errorf("%s: GuestView err %v, GuestRead err %v", c.name, err, wantErr)
+		case !bytes.Equal(got, want):
+			t.Errorf("%s: GuestView bytes differ from GuestRead's", c.name)
+		case view != c.view:
+			t.Errorf("%s: view = %v, want %v", c.name, view, c.view)
+		case view && &got[0] != &art.Bytes()[100]:
+			t.Errorf("%s: the view is not the artifact's own bytes", c.name)
+		}
+	}
+}
+
+// TestScansMatchByteLoops holds allZero and bytes.Equal, which the cold
+// path's scans use, to the byte loops they replaced, at every length up to
+// a page, with one byte differing at the first position, the last, and
+// either side of a word boundary.
+func TestScansMatchByteLoops(t *testing.T) {
+	allZeroLoop := func(b []byte) bool {
+		for _, v := range b {
+			if v != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	equalLoop := func(a, b []byte) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	zeros := make([]byte, PageSize)
+	a := bytes.Repeat([]byte("scan"), PageSize/4)
+	b := append([]byte(nil), a...)
+	for n := 0; n <= PageSize; n++ {
+		if allZero(zeros[:n]) != allZeroLoop(zeros[:n]) || bytes.Equal(a[:n], b[:n]) != equalLoop(a[:n], b[:n]) {
+			t.Fatalf("length %d, no difference: scans disagree with the byte loops", n)
+		}
+		if n > 0 && bytes.Equal(a[:n], b[:n-1]) != equalLoop(a[:n], b[:n-1]) {
+			t.Fatalf("lengths %d and %d: bytes.Equal disagrees with the byte loop", n, n-1)
+		}
+		for _, at := range []int{0, n - 1, (n - 1) &^ 7, min(7, n-1)} {
+			if at < 0 {
+				continue
+			}
+			zeros[at], b[at] = 1, b[at]^0x80
+			if allZero(zeros[:n]) != allZeroLoop(zeros[:n]) || bytes.Equal(a[:n], b[:n]) != equalLoop(a[:n], b[:n]) {
+				t.Fatalf("length %d, byte %d differs: scans disagree with the byte loops", n, at)
+			}
+			zeros[at], b[at] = 0, b[at]^0x80
+		}
+	}
+}

@@ -80,15 +80,12 @@ func runBootstrapLoader(proc *sim.Proc, m *kvm.Machine, h *verifier.Handoff, cbi
 	proc.Sleep(model.BzImageSetupCost)
 
 	// Read the verified image: when the resident pages still carry their
-	// shared-artifact provenance (the CoW fleet path), RangeView hands
+	// shared-artifact provenance (the CoW fleet path), GuestView hands
 	// back a zero-copy slice of the canonical image instead of
 	// materializing a fresh multi-megabyte copy per boot.
-	raw, viewOK, err := m.Mem.RangeView(h.KernelGPA, h.KernelSize, cbit)
-	if err != nil || !viewOK {
-		raw, err = m.Mem.GuestRead(h.KernelGPA, h.KernelSize, cbit)
-		if err != nil {
-			return 0, fmt.Errorf("linux: reading bzImage: %w", err)
-		}
+	raw, viewOK, err := m.Mem.GuestView(h.KernelGPA, h.KernelSize, cbit)
+	if err != nil {
+		return 0, fmt.Errorf("linux: reading bzImage: %w", err)
 	}
 	info, err := bzimage.Parse(raw)
 	if err != nil {
@@ -148,8 +145,10 @@ func binaryLE64(b []byte) uint64 {
 func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.Preset, cbit bool) (*BootReport, error) {
 	model := m.Host.Model
 
-	// Sanity: there is executable kernel text at the entry point.
-	text, err := m.Mem.GuestRead(entry, 64, cbit)
+	// Sanity: there is executable kernel text at the entry point. This
+	// read, the command line's and the mptable's are parsed, never written,
+	// so they are views of the artifact the pages alias when they still do.
+	text, _, err := m.Mem.GuestView(entry, 64, cbit)
 	if err != nil {
 		return nil, fmt.Errorf("linux: no kernel at entry %#x: %w", entry, err)
 	}
@@ -164,7 +163,8 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 		return nil, fmt.Errorf("linux: entry point %#x is unmapped zeros", entry)
 	}
 
-	// boot_params.
+	// boot_params: a copy. On an SEV boot the verifier patched the initrd
+	// size into the page, so it aliases nothing a view could return.
 	zp, err := m.Mem.GuestRead(measure.GPAZeroPage, bootparams.Size, cbit)
 	if err != nil {
 		return nil, fmt.Errorf("linux: reading zero page: %w", err)
@@ -175,7 +175,7 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 	}
 
 	// Command line.
-	cmdRaw, err := m.Mem.GuestRead(uint64(params.CmdlinePtr), int(params.CmdlineSize), cbit)
+	cmdRaw, _, err := m.Mem.GuestView(uint64(params.CmdlinePtr), int(params.CmdlineSize), cbit)
 	if err != nil {
 		return nil, fmt.Errorf("linux: reading cmdline: %w", err)
 	}
@@ -185,7 +185,7 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 	}
 
 	// MP table discovery (scan the EBDA for _MP_).
-	mpRaw, err := m.Mem.GuestRead(measure.GPAMPTable, 2048, cbit)
+	mpRaw, _, err := m.Mem.GuestView(measure.GPAMPTable, 2048, cbit)
 	if err != nil {
 		return nil, fmt.Errorf("linux: reading mptable: %w", err)
 	}

@@ -54,7 +54,7 @@ func CaptureFork(proc *sim.Proc, m *kvm.Machine, donorDigest [32]byte) (*Fork, e
 		return nil, err
 	}
 	if proc != nil {
-		proc.Sleep(m.Host.Model.VMMLoad(len(src.Pages()) * guestmem.PageSize))
+		proc.Sleep(m.Host.Model.VMMLoad(src.NumPages() * guestmem.PageSize))
 	}
 	return &Fork{Src: src, Digest: donorDigest, SEV: m.Level.Encrypted()}, nil
 }
@@ -77,7 +77,7 @@ func (f *Fork) Restore(proc *sim.Proc, m *kvm.Machine) error {
 		return err
 	}
 	if proc != nil {
-		bytes := len(f.Src.Pages()) * guestmem.PageSize
+		bytes := f.Src.NumPages() * guestmem.PageSize
 		proc.Sleep(m.Host.Model.VMMLoad(bytes))
 	}
 	return nil

@@ -46,9 +46,14 @@ func TestForkRestoreEqualsCopyRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		resident := len(img.Pages) * guestmem.PageSize
-		if len(fork.Src.Pages()) != len(img.Pages) || fork.Src.Size() != img.Size || fork.SEV != img.SEV {
+		if fork.Src.NumPages() != len(img.Pages) || fork.Src.Size() != img.Size || fork.SEV != img.SEV {
 			t.Fatalf("fork source covers %d pages of %d bytes (SEV %v), transport image %d of %d (SEV %v)",
-				len(fork.Src.Pages()), fork.Src.Size(), fork.SEV, len(img.Pages), img.Size, img.SEV)
+				fork.Src.NumPages(), fork.Src.Size(), fork.SEV, len(img.Pages), img.Size, img.SEV)
+		}
+		for _, fp := range pageList(fork) {
+			if _, ok := img.Pages[fp.pn]; !ok || img.Private[fp.pn] != fp.private {
+				t.Fatalf("the fork's page runs list page %d (private %v), the transport image does not", fp.pn, fp.private)
+			}
 		}
 		if c, f := donor.Timeline.Span("snapshot.capture"), 2*h.Model.VMMLoad(resident); c != f {
 			t.Fatalf("capture spans total %v, want %v: CaptureFork and Capture must charge the same VMMLoad", c, f)

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
+	"hash"
 
 	"github.com/severifast/severifast/internal/guestmem"
 )
@@ -61,18 +62,52 @@ func (f *Fork) Seal() ([32]byte, error) {
 	if err := f.Src.Verify(); err != nil {
 		return [32]byte{}, err
 	}
-	pages := f.Src.Pages()
+	t := sealStream{h: sha256.New()}
+	t.n = len(appendWireHeader(t.buf[:0], f.SEV, f.Src.Size(), f.Src.NumPages()))
+	f.Src.PageRuns(t.pages)
 	root, keyID := f.Src.Root(), f.Src.KeyID()
-	const entryLen = wireRecordLen - guestmem.PageSize
-	b := make([]byte, 0, wireHeaderLen+len(pages)*entryLen+3*sha256.Size)
-	b = appendWireHeader(b, f.SEV, f.Src.Size(), len(pages))
-	for _, fp := range pages {
-		b = appendPageEntry(b, fp.PN, fp.Private)
+	t.write(root[:])
+	t.write(f.Digest[:])
+	t.write(keyID[:])
+	t.flush()
+	return [32]byte(t.h.Sum(nil)), nil
+}
+
+// pageEntryLen is the length of a page record without its data: page
+// number and privacy byte.
+const pageEntryLen = wireRecordLen - guestmem.PageSize
+
+// sealStream feeds the seal's fields to h through a buffer of 64 page
+// entries, the page table written as the fork source's runs are read, so
+// no page list and no buffer of the container's length is built.
+type sealStream struct {
+	h   hash.Hash
+	buf [64 * pageEntryLen]byte
+	n   int
+}
+
+// pages writes the page-table entries of count pages from page number pn.
+func (t *sealStream) pages(pn, count uint64, private bool) {
+	for i := uint64(0); i < count; i++ {
+		if t.n+pageEntryLen > len(t.buf) {
+			t.flush()
+		}
+		t.n = len(appendPageEntry(t.buf[:t.n], pn+i, private))
 	}
-	b = append(b, root[:]...)
-	b = append(b, f.Digest[:]...)
-	b = append(b, keyID[:]...)
-	return sha256.Sum256(b), nil
+}
+
+// write appends one fixed field, at most a buffer's length.
+func (t *sealStream) write(b []byte) {
+	if t.n+len(b) > len(t.buf) {
+		t.flush()
+	}
+	t.n += copy(t.buf[t.n:], b)
+}
+
+// flush hands the buffered bytes to h.
+func (t *sealStream) flush() {
+	t.h.Write(t.buf[:t.n])
+	t.n = 0
 }
 
 // EncodeSealed serializes an image and appends the SHA-256 of the payload

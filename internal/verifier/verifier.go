@@ -218,7 +218,7 @@ func Run(proc *sim.Proc, m *kvm.Machine, in Inputs) (*Handoff, error) {
 	// The pre-encrypted hash page is the verification root (Fig. 2).
 	var hashes measure.ComponentHashes
 	if cbit {
-		page, err := m.Mem.GuestRead(measure.GPAHashPage, 4096, true)
+		page, _, err := m.Mem.GuestView(measure.GPAHashPage, 4096, true)
 		if err != nil {
 			return nil, fmt.Errorf("verifier: reading hash page: %w", err)
 		}
@@ -241,14 +241,9 @@ func Run(proc *sim.Proc, m *kvm.Machine, in Inputs) (*Handoff, error) {
 		// Sanity-parse the verified image in place; the zero-copy view
 		// avoids materializing the multi-MiB image when it aliases the
 		// canonical staged artifact.
-		raw, ok, err := m.Mem.RangeView(in.KernelDstGPA, in.KernelSize, cbit)
+		raw, _, err := m.Mem.GuestView(in.KernelDstGPA, in.KernelSize, cbit)
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			if raw, err = m.Mem.GuestRead(in.KernelDstGPA, in.KernelSize, cbit); err != nil {
-				return nil, err
-			}
 		}
 		if _, err := bzimage.Parse(raw); err != nil {
 			return nil, fmt.Errorf("verifier: staged kernel is not a bzImage: %w", err)
