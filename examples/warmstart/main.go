@@ -1,9 +1,10 @@
 // Warm start for confidential microVMs — the paper's §7 future work,
-// explored: snapshot a booted SEV-SNP guest and restart clones from the
-// image instead of cold-booting. The catch is the paper's trade-off: the
-// donor must be launched with a key-sharing policy, which every guest
-// owner sees in the attestation report; and without key sharing the
-// restored memory is undecryptable ciphertext.
+// explored: snapshot a booted SEV-SNP guest and fork clones of it instead
+// of cold-booting. A clone aliases the donor's memory and inherits its key
+// and launch digest. The catch is the paper's trade-off: the donor must be
+// launched with a key-sharing policy, which every guest owner sees in the
+// attestation report, and a strict-policy donor is refused; without key
+// sharing the donor's memory is undecryptable ciphertext to any clone.
 //
 //	go run ./examples/warmstart
 package main

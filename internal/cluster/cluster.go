@@ -217,7 +217,6 @@ type Image struct {
 	published  bool
 	sealedKey  artifact.BlobKey
 	sealedSize int
-	donor      *kvm.Machine
 	fork       *snapshot.Fork
 
 	// Donor provenance for storm hygiene. donorHost is the publisher of
@@ -624,7 +623,7 @@ func (c *Cluster) adoptWarm(p *sim.Proc, s *HostShard, img *Image, simg *fleet.I
 		c.withdrawWarm(img)
 		return nil
 	}
-	if err := simg.AdoptWarmFork(img.donor, img.fork); err != nil {
+	if err := simg.AdoptWarmFork(img.fork); err != nil {
 		return fmt.Errorf("cluster: adopting warm container on %s: %w", s.Name, err)
 	}
 	img.donorOf[s.Index] = img.donorHost
@@ -639,7 +638,7 @@ func (c *Cluster) adoptWarm(p *sim.Proc, s *HostShard, img *Image, simg *fleet.I
 // caller's business. The next capture of the image publishes afresh.
 func (c *Cluster) withdrawWarm(img *Image) {
 	img.published = false
-	img.donor, img.fork = nil, nil
+	img.fork = nil
 	img.donorHost = -1
 }
 
@@ -721,7 +720,6 @@ func (c *Cluster) maybePublishWarm(p *sim.Proc, s *HostShard, img *Image) {
 	// must see published set or it would seal and publish again.
 	img.sealedKey = artifact.BlobKey(seal)
 	img.sealedSize = snapshot.SealedLen(fork.Src.NumPages())
-	img.donor = simg.Donor()
 	img.fork = fork
 	img.donorHost = s.Index
 	img.published = true

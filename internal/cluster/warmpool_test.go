@@ -105,7 +105,7 @@ func (w *warmPool) play(steps ...step) {
 	})
 	w.eng.Run()
 	if f := w.img.fork; w.img.published && f.Src.Verify() == nil {
-		if want := artifact.BlobKey(sealOfDonor(w.t, f, w.img.donor)); w.img.sealedKey != want {
+		if want := artifact.BlobKey(sealOfDonor(w.t, f, f.Donor)); w.img.sealedKey != want {
 			w.t.Errorf("publication keyed %x, its field list over the donor's pages seals to %x", w.img.sealedKey[:8], want[:8])
 		}
 	}
@@ -307,6 +307,7 @@ func TestWarmParentHeldOnce(t *testing.T) {
 			if !w.img.published || fork == nil {
 				t.Fatal("h0 did not publish")
 			}
+			donor := w.img.perHost[0].ForkState().Donor // the publisher's
 			if want := snapshot.SealedLen(fork.Src.NumPages()); w.img.sealedSize != want || w.c.publishedBytes != int64(want) {
 				t.Errorf("published %d bytes (size %d), want the sealed length %d", w.c.publishedBytes, w.img.sealedSize, want)
 			}
@@ -318,7 +319,7 @@ func TestWarmParentHeldOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)
-				if simg.ForkState() != fork || simg.Donor() != w.img.donor {
+				if simg.ForkState() != fork || simg.ForkState().Donor != donor {
 					t.Errorf("%s did not adopt the publisher's container", s.Name)
 				}
 				if grew, resident := after.TotalAlloc-before.TotalAlloc, uint64(fork.Src.NumPages()*guestmem.PageSize); grew*32 >= resident {

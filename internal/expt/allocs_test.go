@@ -166,7 +166,7 @@ func coldBootDonor(t *testing.T) *fleet.Image {
 	}
 	eng.Go("seed", func(p *sim.Proc) { o.Serve(p, fleet.Request{Tenant: "t0", Image: img}) })
 	eng.Run()
-	if err := o.Err(); err != nil || img.Donor() == nil {
+	if err := o.Err(); err != nil || img.ForkState() == nil {
 		t.Fatalf("cold boot parked no donor (err %v)", err)
 	}
 	return img
@@ -180,7 +180,7 @@ func coldBootDonor(t *testing.T) *fleet.Image {
 // five ELF-segment seams, the last page of the staged bzImage and initrd,
 // the two verified copies of those, and the three page-table pages.
 func TestColdBootOwnsFourPages(t *testing.T) {
-	s := coldBootDonor(t).Donor().Mem.Stats()
+	s := coldBootDonor(t).ForkState().Donor.Mem.Stats()
 	if owned := s.ResidentPages - s.AliasedPages; owned != 4 {
 		t.Errorf("a cold boot owns %d of its %d resident pages outright, want 4 — a write every boot makes the same copies a page again", owned, s.ResidentPages)
 	}
@@ -216,7 +216,7 @@ func TestCaptureForkAllocCeiling(t *testing.T) {
 	img := coldBootDonor(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	fork, err := snapshot.CaptureFork(nil, img.Donor(), img.ForkState().Digest)
+	fork, err := snapshot.CaptureFork(nil, img.ForkState().Donor, img.ForkState().Digest)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
 )
 
-// WarmStart explores the paper's §7 future work: cold boot vs snapshot
-// restore, for plain guests and for SEV guests under the §6.2 shared-key
-// relaxation, plus the dedup numbers that explain why keep-alive pools of
-// SEV guests pay full memory.
+// WarmStart explores the paper's §7 future work: cold boot vs a fork of
+// the booted donor, for plain guests and for SEV guests under the §6.2
+// shared-key relaxation, plus the dedup numbers that explain why keep-alive
+// pools of SEV guests pay full memory.
 func WarmStart(opts Options) (*Table, error) {
 	tab := &Table{
 		Title: "Warm start exploration (paper §7 future work)",
@@ -38,7 +39,10 @@ func WarmStart(opts Options) (*Table, error) {
 				return err
 			}
 			cold = res.Breakdown.Total
-			donor := res.Machine
+			fork, err := snapshot.CaptureFork(p, res.Machine, res.LaunchDigest)
+			if err != nil {
+				return err
+			}
 			// Three snapshots of identically-booted guests for the dedup
 			// measurement.
 			for i := 0; i < 3; i++ {
@@ -52,11 +56,13 @@ func WarmStart(opts Options) (*Table, error) {
 				}
 				images = append(images, img)
 			}
-			// Warm restore into a fresh machine.
+			// Fork the donor into a fresh machine.
 			start := p.Now()
-			if _, err := snapshot.WarmRestore(p, w.host, donor, images[0]); err != nil {
+			m, err := fork.Boot(p, w.host, cfg.Level, firecracker.LaunchPolicy(cfg.Level, cfg.AllowKeySharing))
+			if err != nil {
 				return err
 			}
+			m.Timeline.Close(p.Now())
 			warm = p.Now().Sub(start)
 			return nil
 		})

@@ -214,10 +214,8 @@ type Image struct {
 	hashes measure.ComponentHashes
 
 	// Warm-tier state, populated after the first cold boot (or adopted
-	// from another host): the fork container is the warm parent, and the
+	// from another host): the fork container is the warm parent, and its
 	// donor's launch context holds the shared key and measured digest.
-	// Both are set or both are nil.
-	donor     *kvm.Machine
 	fork      *snapshot.Fork
 	capturing bool
 	// warmEpoch bumps on every EvictWarm. In-flight warm boots capture it
@@ -240,22 +238,23 @@ func (img *Image) Spec() ImageSpec { return img.spec }
 func (img *Image) HasWarm() bool { return img.fork != nil }
 
 // WarmState returns the warm parent's ciphertext transport image and the
-// donor machine whose launch context holds the shared memory-encryption
-// key, or nils if the warm tier is not seeded. The image is not held
-// anywhere: each call materialises it from the parked donor
+// fork's donor machine, whose launch context holds the shared
+// memory-encryption key, or nils if the warm tier is not seeded. The image
+// is not held anywhere: each call materialises it from the parked donor
 // (snapshot.Capture — one AES pass over the resident pages) and retains
-// nothing, so it is for the consumers that replay or encode ciphertext
-// (snapshot.WarmRestore, an out-of-process snapshot), never a boot path.
-// A donor whose pages cannot be exported also yields nils.
+// nothing, so it is for the consumers that encode ciphertext (an
+// out-of-process snapshot), never a boot path. A donor whose pages cannot
+// be exported also yields nils.
 func (img *Image) WarmState() (*snapshot.Image, *kvm.Machine) {
 	if img.fork == nil {
 		return nil, nil
 	}
-	snap, err := snapshot.Capture(nil, img.donor)
+	donor := img.fork.Donor
+	snap, err := snapshot.Capture(nil, donor)
 	if err != nil {
 		return nil, nil
 	}
-	return snap, img.donor
+	return snap, donor
 }
 
 // ForkState returns the image's fork container — the one representation
@@ -264,26 +263,22 @@ func (img *Image) WarmState() (*snapshot.Image, *kvm.Machine) {
 // (snapshot.Fork.Seal) and hands the same container to adopting hosts.
 func (img *Image) ForkState() *snapshot.Fork { return img.fork }
 
-// Donor returns the parked machine whose launch context holds the warm
-// parent's shared key and measured digest, or nil when the warm tier is
-// unseeded. It travels with ForkState to an adopting host's AdoptWarmFork.
-func (img *Image) Donor() *kvm.Machine { return img.donor }
-
 // AdoptWarmFork seeds the image's warm tier from another host's capture:
 // fork is the donor host's fork container, whose seal the caller has
-// checked, and donor the machine whose launch context carries the shared
-// key. Adoption models the sealed-channel key transport of a cross-host
-// warm pool; subsequent boots of the image on this orchestrator fork
-// instead of cold-booting, attesting with the donor's measured digest. A
-// warm tier that is already seeded is left untouched. The fork container
-// is the only representation of a warm parent: an adoption without one is
-// refused, never downgraded to ciphertext replay.
-func (img *Image) AdoptWarmFork(donor *kvm.Machine, fork *snapshot.Fork) error {
-	if donor == nil || donor.Launch == nil || fork == nil || fork.Src == nil {
+// checked, and whose donor's launch context carries the shared key.
+// Adoption models the sealed-channel key transport of a cross-host warm
+// pool; subsequent boots of the image on this orchestrator fork instead of
+// cold-booting, attesting with the donor's measured digest. A warm tier
+// that is already seeded is left untouched. The fork container is the only
+// representation of a warm parent: one without a fork source, a donor or
+// the donor's launch context is refused, never downgraded to ciphertext
+// replay.
+func (img *Image) AdoptWarmFork(fork *snapshot.Fork) error {
+	if fork == nil || fork.Src == nil || fork.Donor == nil || fork.Donor.Launch == nil {
 		return fmt.Errorf("%w: image %q", errNoForkContainer, img.Name)
 	}
 	if img.fork == nil {
-		img.donor, img.fork = donor, fork
+		img.fork = fork
 	}
 	return nil
 }
@@ -761,7 +756,7 @@ func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, error) {
 		if err != nil {
 			return tier, err
 		}
-		img.donor, img.fork = res.Machine, fork
+		img.fork = fork
 	}
 	return tier, o.admit(p, r, tier, res.Machine)
 }
@@ -863,38 +858,26 @@ func (o *Orchestrator) degradedRecover(p *sim.Proc, r *request, img *Image, mism
 	return TierCold, o.admit(p, r, TierCold, res.Machine)
 }
 
-// warmRestore forks a guest from the image's warm parent: the launch
-// opens with LaunchStartFork — donor key, ASID, and launch digest — and
-// memory is populated by CoW page aliasing, then re-validated. A fork
-// source tampered since capture is refused and the image's whole warm
-// pool is invalidated, so the next boot of the image re-seeds cold from
-// measured bytes.
+// warmRestore forks a guest from the image's warm parent (Fork.Boot) and
+// finishes its launch. A fork source tampered since capture is refused and
+// the image's whole warm pool is invalidated, so the next boot of the
+// image re-seeds cold from measured bytes.
 func (o *Orchestrator) warmRestore(p *sim.Proc, img *Image) (*kvm.Machine, error) {
-	// Capture the pool state up front: an eviction landing during the
-	// virtual-time yields below (a revocation storm invalidating the
-	// pool mid-restore) must not tear the restore out from under us.
-	// The guest is built from the captured state and then refused by
-	// the pool-epoch check at admit time, so it is never served.
-	donor, fork := img.donor, img.fork
-	m := o.host.NewMachine(p, fork.Src.Size(), img.spec.Level)
-	m.Timeline.Annotate("vmm", "firecracker")
-	m.Timeline.Annotate("scheme", "warm-restore")
-	m.Timeline.Annotate("level", img.spec.Level.String())
-	m.PrepSEVHost(p)
-	ctx, err := o.host.PSP.LaunchStartFork(p, m.Mem, donor.Launch, img.spec.Level, img.spec.Policy)
+	// The pool state is read once, as Boot's receiver: an eviction
+	// landing during the virtual-time yields (a revocation storm
+	// invalidating the pool mid-restore) must not tear the restore out
+	// from under us. The guest is built from the container read here and
+	// then refused by the pool-epoch check at admit time, so it is never
+	// served.
+	m, err := img.fork.Boot(p, o.host, img.spec.Level, img.spec.Policy)
 	if err != nil {
-		return nil, err
-	}
-	m.Launch = ctx
-	m.Timeline.Annotate("asid", fmt.Sprintf("%d", ctx.ASID()))
-	if err := fork.Restore(p, m); err != nil {
 		if errors.Is(err, guestmem.ErrForkTampered) {
 			o.EvictWarm(img)
 		}
 		return nil, err
 	}
-	p.Sleep(o.host.Model.Pvalidate(fork.Src.NumPages()*guestmem.PageSize, o.host.PvalidatePageSize()))
-	if _, err := ctx.LaunchFinish(p); err != nil {
+	m.Timeline.Annotate("asid", fmt.Sprintf("%d", m.Launch.ASID()))
+	if _, err := m.Launch.LaunchFinish(p); err != nil {
 		return nil, err
 	}
 	m.Timeline.Close(p.Now())
@@ -933,7 +916,7 @@ func (o *Orchestrator) StandbyCount(img *Image) int { return len(o.standby[img.k
 // tamper detection and by operators re-registering an image; the next
 // boot re-seeds the pool from a fresh measured cold boot.
 func (o *Orchestrator) EvictWarm(img *Image) {
-	img.donor, img.fork = nil, nil
+	img.fork = nil
 	img.capturing = false
 	img.warmEpoch++
 	delete(o.standby, img.key)

@@ -18,8 +18,8 @@ import (
 // warm tier: one cold boot seeds the pool, every later boot forks, and
 // every boot of the image — cold or forked — attests with the cold
 // boot's measured launch digest. (That a fork charges exactly the
-// virtual time of a §7 copy restore is proven where both primitives
-// live: internal/snapshot's TestForkRestoreEqualsCopyRestore.)
+// virtual time of a §7 copy restore is proven where Fork.Boot and the
+// copy reference live: internal/snapshot's TestForkRestoreEqualsCopyRestore.)
 func TestForkVsColdEquality(t *testing.T) {
 	eng := sim.NewEngine()
 	host := kvm.NewHost(eng, costmodel.Default(), 1)
@@ -89,27 +89,36 @@ func serveSync(t *testing.T, eng *sim.Engine, o *Orchestrator, img *Image) (tier
 	return tier
 }
 
-// TestAdoptWithoutForkContainerRefused: the fork container is the only
-// representation of a warm parent. An adoption that carries a donor but
-// no container is refused with errNoForkContainer — never downgraded to
-// replaying ciphertext — and the image keeps booting cold.
+// TestAdoptWithoutForkContainerRefused: the fork container, donor
+// included, is the only representation of a warm parent. An adoption of
+// no container, or of one missing its fork source, its donor or the
+// donor's launch context, is refused with errNoForkContainer — never
+// downgraded to replaying ciphertext — and the image keeps booting cold.
+// The whole container is adopted.
 func TestAdoptWithoutForkContainerRefused(t *testing.T) {
 	var donor *kvm.Machine
 	engA, a, imgA := testFleet(t, Config{Standalone: true, EnableWarm: true,
 		OnServed: func(_ *sim.Proc, m *kvm.Machine, _ Tier) { donor = m }})
 	serveSync(t, engA, a, imgA)
 	fork := imgA.ForkState()
-	if donor == nil || fork == nil {
-		t.Fatal("cold boot captured no fork container")
+	if fork == nil || fork.Donor != donor {
+		t.Fatal("cold boot captured no fork container of the guest it served")
 	}
 
 	engB, b, imgB := testFleet(t, Config{Standalone: true, EnableWarm: true})
-	for name, adopt := range map[string]func() error{
-		"nil container":  func() error { return imgB.AdoptWarmFork(donor, nil) },
-		"no fork source": func() error { return imgB.AdoptWarmFork(donor, &snapshot.Fork{Digest: fork.Digest, SEV: fork.SEV}) },
-		"nil donor":      func() error { return imgB.AdoptWarmFork(nil, fork) },
+	// without is fork with one part taken out.
+	without := func(strip func(f *snapshot.Fork)) *snapshot.Fork {
+		f := *fork
+		strip(&f)
+		return &f
+	}
+	for name, f := range map[string]*snapshot.Fork{
+		"nil container":              nil,
+		"no fork source":             without(func(f *snapshot.Fork) { f.Src = nil }),
+		"no donor":                   without(func(f *snapshot.Fork) { f.Donor = nil }),
+		"donor without a launch ctx": without(func(f *snapshot.Fork) { d := *f.Donor; d.Launch = nil; f.Donor = &d }),
 	} {
-		if err := adopt(); !errors.Is(err, errNoForkContainer) {
+		if err := imgB.AdoptWarmFork(f); !errors.Is(err, errNoForkContainer) {
 			t.Fatalf("%s: adoption error = %v, want errNoForkContainer", name, err)
 		}
 		if imgB.HasWarm() {
@@ -118,6 +127,14 @@ func TestAdoptWithoutForkContainerRefused(t *testing.T) {
 	}
 	if tier := serveSync(t, engB, b, imgB); tier != TierCold {
 		t.Fatalf("boot after refused adoption served %v, want cold", tier)
+	}
+
+	_, _, imgC := testFleet(t, Config{Standalone: true, EnableWarm: true})
+	if err := imgC.AdoptWarmFork(fork); err != nil {
+		t.Fatal(err)
+	}
+	if imgC.ForkState() != fork || imgC.ForkState().Donor != donor {
+		t.Fatal("adoption did not seed the warm tier with the container and its donor")
 	}
 }
 
@@ -150,8 +167,8 @@ func TestFailedCaptureLeavesWarmTierSeedable(t *testing.T) {
 }
 
 // TestWarmStateMaterialisesOnDemand: the ciphertext transport image is
-// not held by the warm tier; WarmState builds it from the parked donor,
-// equal to a capture of that donor, and a fresh one on every call.
+// not held by the warm tier; WarmState builds it from the fork's parked
+// donor, equal to a capture of that donor, and a fresh one on every call.
 func TestWarmStateMaterialisesOnDemand(t *testing.T) {
 	eng, o, img := testFleet(t, Config{Standalone: true, EnableWarm: true})
 	if snap, donor := img.WarmState(); snap != nil || donor != nil {
@@ -160,7 +177,7 @@ func TestWarmStateMaterialisesOnDemand(t *testing.T) {
 	serveSync(t, eng, o, img)
 	snap, donor := img.WarmState()
 	fork := img.ForkState()
-	if snap == nil || donor == nil || donor != img.Donor() {
+	if snap == nil || donor == nil || donor != fork.Donor {
 		t.Fatal("seeded warm tier returned no warm state")
 	}
 	if snap.Size != fork.Src.Size() || len(snap.Pages) != fork.Src.NumPages() || snap.SEV != fork.SEV {

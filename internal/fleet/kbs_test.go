@@ -343,7 +343,7 @@ func TestKBSRefStoreHoldsOnlyMeasuredDigests(t *testing.T) {
 		// A shared-key launch finished without a single measured page,
 		// run through the fleet's own attest exchange.
 		spec := img0.Spec()
-		donor := img0.Donor()
+		donor := img0.ForkState().Donor
 		m := o.host.NewMachine(p, spec.MemSize, spec.Level)
 		ctx, err := o.host.PSP.LaunchStartShared(p, m.Mem, donor.Launch, spec.Level, spec.Policy)
 		if err != nil {

@@ -12,7 +12,7 @@ package guestmem
 // privacy — the seal, the load charge — reads them as runs (PageRuns) or
 // as a count (NumPages), and no per-page list is built.
 //
-// Where snapshot.Restore replays ciphertext page by page (O(image) AES
+// Where a copy restore would replay ciphertext page by page (O(image) AES
 // work per warm boot), AdoptFork points the child's root entries at the
 // source's frozen nodes — one store per touched 2 MiB of guest — replays
 // the source's private-page runs into the child's RMP, and makes one

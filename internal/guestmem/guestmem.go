@@ -993,7 +993,8 @@ func (m *Memory) IsPrivate(gpa uint64) bool {
 }
 
 // HostRestoreCiphertext replays captured ciphertext into a private page —
-// the snapshot-restore path. The stored plain text becomes whatever the
+// no boot path does (warm boots fork), but the §7 evidence does: the
+// cross-key test replays a capture through it. The stored plain text becomes whatever the
 // *target* guest's key decrypts the ciphertext to: restoring under the
 // original key at the original address reproduces the original bytes;
 // any other key (or address) yields garbage, which is the paper's §7.1

@@ -422,8 +422,12 @@ func (p *PSP) LaunchStartShared(proc *sim.Proc, mem *guestmem.Memory, donor *Gue
 //
 // The donor must be a finished launch (StateRunning) with the same
 // feature level and policy — a fork may not relax what its parent
-// measured.
+// measured. A donor whose policy forbids key sharing is refused before
+// anything else is compared, so its refusal names key sharing.
 func (p *PSP) LaunchStartFork(proc *sim.Proc, mem *guestmem.Memory, donor *GuestContext, level sev.Level, policy sev.Policy) (*GuestContext, error) {
+	if donor.policy.NoKeySharing {
+		return nil, fmt.Errorf("%w: key sharing forbidden by policy", ErrPolicy)
+	}
 	if donor.state != StateRunning {
 		return nil, fmt.Errorf("%w: fork from donor in state %d", ErrState, donor.state)
 	}

@@ -75,7 +75,7 @@ type Config struct {
 type Stats struct {
 	Invocations int
 	ColdStarts  int
-	WarmStarts  int // pool hits and snapshot restores
+	WarmStarts  int // pool hits and forks of the donor
 	PoolHits    int
 	// Latency is arrival-to-response (startup + execution).
 	Latency trace.Series
@@ -103,8 +103,7 @@ type platform struct {
 	host     *kvm.Host
 	launch   firecracker.Config // what every pool miss cold-boots
 	pool     []idleVM
-	snap     *snapshot.Image
-	donor    *kvm.Machine
+	fork     *snapshot.Fork // the warm pool's parent, captured before traffic
 	stats    Stats
 	firstErr error
 }
@@ -135,7 +134,7 @@ func Run(eng *sim.Engine, host *kvm.Host, cfg Config, w Workload) (*Stats, error
 	}
 	pf := &platform{cfg: cfg, host: host, launch: launch}
 
-	// The warm pool needs a donor snapshot, taken before traffic starts.
+	// The warm pool needs a donor to fork, captured before traffic starts.
 	if cfg.Mode == ModeSEVWarm {
 		eng.Go("donor", func(p *sim.Proc) {
 			res, err := pf.coldBoot(p)
@@ -143,13 +142,7 @@ func Run(eng *sim.Engine, host *kvm.Host, cfg Config, w Workload) (*Stats, error
 				pf.firstErr = err
 				return
 			}
-			img, err := snapshot.Capture(p, res.Machine)
-			if err != nil {
-				pf.firstErr = err
-				return
-			}
-			pf.snap = img
-			pf.donor = res.Machine
+			pf.fork, pf.firstErr = snapshot.CaptureFork(p, res.Machine, res.LaunchDigest)
 		})
 		eng.Run()
 		if pf.firstErr != nil {
@@ -177,7 +170,7 @@ func Run(eng *sim.Engine, host *kvm.Host, cfg Config, w Workload) (*Stats, error
 	return &pf.stats, nil
 }
 
-// invoke services one request: pool hit, warm restore, or cold boot.
+// invoke services one request: pool hit, fork of the donor, or cold boot.
 func (pf *platform) invoke(p *sim.Proc, exec time.Duration) {
 	arrival := p.Now()
 
@@ -186,11 +179,13 @@ func (pf *platform) invoke(p *sim.Proc, exec time.Duration) {
 		pf.stats.PoolHits++
 		pf.stats.WarmStarts++
 		p.Sleep(500 * time.Microsecond) // dispatch into a live VM
-	} else if pf.cfg.Mode == ModeSEVWarm && pf.snap != nil {
-		if _, err := snapshot.WarmRestore(p, pf.host, pf.donor, pf.snap); err != nil {
+	} else if pf.cfg.Mode == ModeSEVWarm && pf.fork != nil {
+		m, err := pf.fork.Boot(p, pf.host, pf.launch.Level, firecracker.LaunchPolicy(pf.launch.Level, pf.launch.AllowKeySharing))
+		if err != nil {
 			pf.fail(err)
 			return
 		}
+		m.Timeline.Close(p.Now())
 		pf.stats.WarmStarts++
 	} else {
 		if _, err := pf.coldBoot(p); err != nil {

@@ -1,30 +1,32 @@
-// Package snapshot implements microVM snapshot/restore and the paper's §7
+// Package snapshot implements microVM warm start and the paper's §7
 // warm-start analysis. The paper leaves warm start for SEV guests as
 // future work but spells out the obstacles; this package builds the
 // substrate and demonstrates each obstacle as a checkable behaviour:
 //
-//   - Non-confidential guests snapshot and restore cheaply, and identical
-//     snapshots deduplicate almost perfectly (the REAP/Catalyzer family
-//     of systems the paper cites).
-//   - An SEV guest's snapshot, taken by the host, contains ciphertext.
-//     Restoring it into a *new* launch context (fresh key) yields garbage
+//   - A warm boot forks a parked donor (Fork, Fork.Boot): its pages are
+//     aliased, not copied, for plain and SEV guests alike. A plain guest
+//     forks cheaply (the REAP/Catalyzer family of systems the paper cites).
+//   - An SEV guest's memory, as the host sees it, is ciphertext (Capture).
+//     Replaying it into a *new* launch context (fresh key) yields garbage
 //     the guest cannot run: cold boot cannot be skipped by the host.
-//   - Restoring under a *shared* key (the paper's §6.2 near-term idea for
+//   - Forking under a *shared* key (the paper's §6.2 near-term idea for
 //     the PSP bottleneck) works and is fast — but the launch policy must
 //     set NoKeySharing=false, which the guest owner sees in the
 //     attestation report: the weakened trust model is visible, exactly as
 //     the paper warns.
 //   - Ciphertext pages of guests with different keys (or the same content
 //     at different addresses) never deduplicate, which is why keep-alive
-//     pools of SEV guests pay full memory (§7.1).
+//     pools of SEV guests pay full memory (§7.1, Dedup).
+//
+// The ciphertext Image is evidence and transport, never a boot path: Dedup
+// measures it, the sealed container (EncodeSealed) carries it out of
+// process, and the tests replay it to show the cross-key failure.
 package snapshot
 
 import (
 	"crypto/sha256"
 	"errors"
-	"fmt"
 
-	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/sim"
@@ -78,43 +80,6 @@ func Capture(proc *sim.Proc, m *kvm.Machine) (*Image, error) {
 		proc.Sleep(m.Host.Model.VMMLoad(bytes)) // memcpy-bound capture
 	}
 	return img, nil
-}
-
-// Restore writes a snapshot into a machine's memory from the host side.
-// For non-SEV guests this reconstructs the exact pre-snapshot state. For
-// SEV guests the host can only replay the captured *ciphertext*; unless
-// the target guest shares the source's encryption key (and ASID-derived
-// tweaks), the guest will read garbage — Verify reports whether the
-// restored guest actually sees its old state.
-func Restore(proc *sim.Proc, m *kvm.Machine, img *Image) error {
-	if m.Mem.Size() != img.Size {
-		return fmt.Errorf("%w: %d vs %d", ErrSize, m.Mem.Size(), img.Size)
-	}
-	if proc != nil {
-		m.Timeline.Begin("snapshot.restore", proc.Now())
-		defer func() { m.Timeline.End("snapshot.restore", proc.Now()) }()
-	}
-	bytes := 0
-	for pn, data := range img.Pages {
-		gpa := pn * guestmem.PageSize
-		if img.Private[pn] {
-			// The host replays ciphertext into the page and marks it
-			// private again; decryption happens through the target
-			// guest's key on access.
-			if err := m.Mem.HostRestoreCiphertext(gpa, data); err != nil {
-				return err
-			}
-		} else {
-			if err := m.Mem.HostWrite(gpa, data); err != nil {
-				return err
-			}
-		}
-		bytes += len(data)
-	}
-	if proc != nil {
-		proc.Sleep(m.Host.Model.VMMLoad(bytes))
-	}
-	return nil
 }
 
 // DedupStats measures page-level deduplication opportunity across a set
@@ -173,43 +138,4 @@ func Dedup(images ...*Image) DedupStats {
 		}
 	}
 	return stats
-}
-
-// WarmRestore starts a new guest on host from a host-taken snapshot
-// instead of cold-booting — the paper's §7 copy-restore recipe. It is the
-// warm path for non-SEV guests and for the §7 experiments; a finished SEV
-// donor is forked instead (CaptureFork, psp.LaunchStartFork,
-// Fork.Restore), which costs the same virtual time and keeps the donor's
-// measured launch digest.
-//
-// For a non-SEV donor this is a plain page replay. For an SEV donor the
-// new guest opens a launch context that shares the donor's encryption
-// key under the relaxed NoKeySharing=false policy (the §6.2 trade-off,
-// visible in the measurement; the donor must have launched with it too),
-// the host replays the captured ciphertext, and the guest re-validates
-// the restored pages because RMP state does not survive. Pre-encryption,
-// measured direct boot, decompression and kernel init are all skipped.
-func WarmRestore(proc *sim.Proc, host *kvm.Host, donor *kvm.Machine, img *Image) (*kvm.Machine, error) {
-	m := host.NewMachine(proc, img.Size, donor.Level)
-	m.Timeline.Annotate("scheme", "warm-restore")
-	m.Timeline.Annotate("level", donor.Level.String())
-	encrypted := donor.Level.Encrypted()
-	if encrypted {
-		m.PrepSEVHost(proc)
-		pol := firecracker.LaunchPolicy(donor.Level, true)
-		ctx, err := host.PSP.LaunchStartShared(proc, m.Mem, donor.Launch, donor.Level, pol)
-		if err != nil {
-			return nil, err
-		}
-		m.Launch = ctx
-	}
-	if err := Restore(proc, m, img); err != nil {
-		return nil, err
-	}
-	if encrypted {
-		// The restored guest re-validates its memory before resuming.
-		proc.Sleep(host.Model.Pvalidate(len(img.Pages)*guestmem.PageSize, host.PvalidatePageSize()))
-	}
-	m.Timeline.Close(proc.Now())
-	return m, nil
 }

@@ -79,7 +79,7 @@ func TestWireDecodedImageRestores(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst.Launch = ctx
-		if err := Restore(p, dst, decoded); err != nil {
+		if err := restoreCopy(p, dst, decoded); err != nil {
 			t.Fatal(err)
 		}
 		if err := Verify(src, dst, []uint64{0x10000}, map[uint64][]byte{0x10000: data[:64]}); err != nil {

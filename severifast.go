@@ -727,48 +727,53 @@ func (r *Result) AttestOverHTTP(baseURL string) ([]byte, error) {
 	return agent.Unwrap(bundle)
 }
 
-// Snapshot is a host-taken memory image of a booted guest, used for the
-// §7 warm-start experiments. For SEV guests it holds ciphertext.
+// Snapshot is a booted guest captured as a warm parent for the §7
+// warm-start experiments: the guest itself, parked as the donor, and its
+// resident memory frozen in place for forking.
 type Snapshot struct {
-	img   *snapshot.Image
-	donor *kvm.Machine
+	fork *snapshot.Fork
 }
 
-// Snapshot captures a booted guest's memory from the host side.
+// Snapshot captures a booted guest as a warm parent. The guest is parked
+// as the donor of every WarmBoot of the snapshot: its memory is frozen in
+// place, not copied.
 func (h *Host) Snapshot(r *Result) (*Snapshot, error) {
 	if r.machine == nil {
 		return nil, fmt.Errorf("severifast: result carries no machine")
 	}
-	var img *snapshot.Image
+	var fork *snapshot.Fork
 	var err error
 	h.eng.Go("snapshot", func(p *sim.Proc) {
-		img, err = snapshot.Capture(p, r.machine)
+		fork, err = snapshot.CaptureFork(p, r.machine, r.LaunchDigest)
 	})
 	h.eng.Run()
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{img: img, donor: r.machine}, nil
+	return &Snapshot{fork: fork}, nil
 }
 
-// WarmBoot starts a new guest from a snapshot instead of cold-booting.
+// WarmBoot starts a new guest forked from a snapshot instead of
+// cold-booting.
 //
-// For non-SEV snapshots this is a plain restore. For SEV snapshots the
-// new guest must share the donor's encryption key (the donor must have
-// been booted with AllowKeySharing; the paper's §6.2 trade-off), pay the
-// host-side page replay, and re-validate its memory — but it skips
-// pre-encryption, measured direct boot, decompression, and kernel init
-// entirely. Total on the returned Result is the restore latency.
+// For non-SEV snapshots the fork aliases the donor's pages. For SEV
+// snapshots the new guest must share the donor's encryption key (the donor
+// must have been booted with AllowKeySharing; the paper's §6.2 trade-off)
+// and re-validate its memory, and it inherits the donor's launch digest —
+// but it skips pre-encryption, measured direct boot, decompression, and
+// kernel init entirely. Total on the returned Result is the fork latency.
 func (h *Host) WarmBoot(s *Snapshot) (*Result, error) {
 	var res *Result
 	var bootErr error
 	h.eng.Go("warmboot", func(p *sim.Proc) {
 		start := p.Now()
-		m, err := snapshot.WarmRestore(p, h.inner, s.donor, s.img)
+		level := s.fork.Donor.Level
+		m, err := s.fork.Boot(p, h.inner, level, firecracker.LaunchPolicy(level, true))
 		if err != nil {
 			bootErr = err
 			return
 		}
+		m.Timeline.Close(p.Now())
 		res = &Result{
 			Total:    p.Now().Sub(start),
 			machine:  m,

@@ -1,9 +1,13 @@
 package severifast
 
 import (
+	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/severifast/severifast/internal/psp"
 )
 
 func TestBootDefaults(t *testing.T) {
@@ -323,7 +327,8 @@ func TestWarmBootFromSnapshot(t *testing.T) {
 
 func TestWarmBootNeedsKeySharingPolicy(t *testing.T) {
 	// A donor booted with the default (strict) policy cannot donate its
-	// key: the paper's trade-off is not silently bypassable.
+	// key: the paper's trade-off is not silently bypassable, and the
+	// refusal says why.
 	host := NewHost()
 	cold, err := host.Boot(Config{Kernel: KernelAWS, InitrdMiB: 2})
 	if err != nil {
@@ -333,8 +338,12 @@ func TestWarmBootNeedsKeySharingPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := host.WarmBoot(snap); err == nil {
+	_, err = host.WarmBoot(snap)
+	if err == nil {
 		t.Fatal("warm boot succeeded against a NoKeySharing donor")
+	}
+	if !errors.Is(err, psp.ErrPolicy) || !strings.Contains(err.Error(), "key sharing") {
+		t.Fatalf("strict donor refused with %q, want a psp.ErrPolicy naming key sharing", err)
 	}
 }
 
