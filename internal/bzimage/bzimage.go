@@ -8,20 +8,21 @@
 // payload_offset/payload_length exactly as Linux's own loader does, and the
 // codec is sniffed from the payload container. The boot verifier in
 // internal/verifier loads images built here; the guest Linux model in
-// internal/linux runs the bootstrap stage by really decompressing the
-// payload.
+// internal/linux runs the bootstrap stage through VMLinuxOf. A payload
+// whose plain text the process already holds, because it compressed it
+// (Remember), is not decoded again: the guest's decompression is charged
+// in virtual time either way. A tampered or foreign payload is decoded for
+// real, and a corrupt one fails the boot with ErrBadPayload.
 package bzimage
 
 import (
 	"bytes"
 	"compress/gzip"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 
 	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/lz4"
@@ -283,38 +284,57 @@ func codecByte(c Codec) (tag byte, ok bool) {
 // Overhead is the fixed size a bzImage adds over its payload container.
 func Overhead() int { return setupSize + stubSize }
 
-// decompCache memoizes DecompressPayload by payload digest. Every VM on a
-// host boots the same kernel image (the serverless assumption of §6.1), so
-// concurrent-boot experiments share one decompressed buffer instead of
-// fifty. Callers must treat the result as immutable.
-var decompCache sync.Map // [32]byte -> []byte
+// kernel is what VMLinuxOf memoises on a bzImage: the vmlinux inside it and
+// the codec it was packed with.
+type kernel struct {
+	vmlinux *artifact.Buf
+	codec   Codec
+}
 
-// DecompressPayloadCached is DecompressPayload with a content-addressed
-// cache. The returned slice is shared: do not modify it.
-//
-// When the payload slice is an interned artifact (the CoW fleet path,
-// where every boot reads the same canonical image bytes), the memo is
-// keyed by artifact identity and repeat boots skip even the SHA-256 of
-// the compressed payload. Otherwise it falls back to the digest-keyed
-// cache, which still shares the decompressed buffer across callers.
-func DecompressPayloadCached(payload []byte) ([]byte, error) {
-	if art := artifact.Lookup(payload); art != nil {
-		v, err := art.Derived("bzimage.vmlinux", func() (any, error) {
-			return DecompressPayload(payload)
-		})
+// vmlinuxKey names the memo of the vmlinux inside img.Bytes()[base:base+n].
+// The whole buffer, which is what every loader stages, has a constant key.
+func vmlinuxKey(img *artifact.Buf, base, n int) string {
+	if base == 0 && n == img.Len() {
+		return "bzimage.vmlinux"
+	}
+	return fmt.Sprintf("bzimage.vmlinux:%d:%d", base, n)
+}
+
+// Remember records on img, a whole bzImage, the vmlinux its payload holds,
+// for a producer that has it without decoding: the one it compressed.
+// VMLinuxOf(img, 0, img.Len()) then returns vmlinux until Corrupt changes
+// img. vmlinux must be what DecompressPayload makes of img's payload, and
+// neither buffer may ever change.
+func Remember(img, vmlinux *artifact.Buf) {
+	img.Derived(vmlinuxKey(img, 0, img.Len()), func() (any, error) {
+		info, err := Parse(img.Bytes())
 		if err != nil {
 			return nil, err
 		}
-		return v.([]byte), nil
-	}
-	key := sha256.Sum256(payload)
-	if v, ok := decompCache.Load(key); ok {
-		return v.([]byte), nil
-	}
-	out, err := DecompressPayload(payload)
+		return &kernel{vmlinux, info.Codec}, nil
+	})
+}
+
+// VMLinuxOf returns the vmlinux inside the bzImage at img.Bytes()[base:base+n]
+// and the codec it was packed with, memoised on img: what Remember recorded,
+// or else what Parse and DecompressPayload make of those bytes, decoded the
+// first time it is asked for. Corrupt on img drops the memo, so a tampered
+// image is decoded for real. The vmlinux is shared: do not modify it.
+func VMLinuxOf(img *artifact.Buf, base, n int) (*artifact.Buf, Codec, error) {
+	v, err := img.Derived(vmlinuxKey(img, base, n), func() (any, error) {
+		info, err := Parse(img.Bytes()[base : base+n])
+		if err != nil {
+			return nil, err
+		}
+		vm, err := DecompressPayload(info.Payload)
+		if err != nil {
+			return nil, err
+		}
+		return &kernel{artifact.Of(vm), info.Codec}, nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	actual, _ := decompCache.LoadOrStore(key, out)
-	return actual.([]byte), nil
+	k := v.(*kernel)
+	return k.vmlinux, k.codec, nil
 }

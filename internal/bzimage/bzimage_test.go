@@ -2,10 +2,13 @@ package bzimage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/severifast/severifast/internal/artifact"
 )
 
 func sampleVMLinux() []byte {
@@ -211,5 +214,85 @@ func TestParseNeverPanicsOnGarbage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// corruptingByte returns the first offset into img's compressed data whose
+// flip under mask makes a real decode of the payload fail.
+func corruptingByte(t *testing.T, img []byte, mask byte) int {
+	t.Helper()
+	scratch := append([]byte(nil), img...)
+	for off := Overhead() + len(payloadMagic) + 1 + 8; off < len(img); off++ {
+		scratch[off] ^= mask
+		_, err := extractVMLinux(scratch)
+		scratch[off] ^= mask
+		if err != nil {
+			return off
+		}
+	}
+	t.Fatal("no single-byte flip of the payload fails its decode")
+	return 0
+}
+
+// TestCorruptDropsTheVMLinuxMemo: the vmlinux memoised on an image,
+// remembered by its producer or decoded on first use, is never served for
+// bytes the image no longer holds. Corrupt on the image itself drops it, so
+// the next VMLinuxOf decodes the tampered payload for real and fails; once
+// Corrupt is re-applied the image decodes to the vmlinux again.
+func TestCorruptDropsTheVMLinuxMemo(t *testing.T) {
+	vm := sampleVMLinux()
+	for _, remembered := range []bool{true, false} {
+		b, err := Build(vm, CodecLZ4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const mask = 0x80
+		off := corruptingByte(t, b, mask)
+		img := artifact.Of(b)
+		if remembered {
+			Remember(img, artifact.Of(vm))
+		}
+		load := func() ([]byte, error) {
+			v, codec, err := VMLinuxOf(img, 0, img.Len())
+			if err != nil {
+				return nil, err
+			}
+			if codec != CodecLZ4 {
+				t.Fatalf("remembered=%v: codec %q, want lz4", remembered, codec)
+			}
+			return v.Bytes(), nil
+		}
+		if got, err := load(); err != nil || !bytes.Equal(got, vm) {
+			t.Fatalf("remembered=%v: the pristine image loads %d bytes (err %v), want the vmlinux", remembered, len(got), err)
+		}
+		img.Corrupt(off, mask)
+		if _, err := load(); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("remembered=%v: a tampered payload loads with err %v, want ErrBadPayload: a stale memo served it", remembered, err)
+		}
+		img.Corrupt(off, mask)
+		if got, err := load(); err != nil || !bytes.Equal(got, vm) {
+			t.Errorf("remembered=%v: the restored image loads %d bytes (err %v), want the vmlinux", remembered, len(got), err)
+		}
+	}
+}
+
+// TestVMLinuxOfARange: a bzImage that sits inside a larger buffer is
+// decoded from its own range, and memoised per range.
+func TestVMLinuxOfARange(t *testing.T) {
+	vm := sampleVMLinux()
+	b, err := Build(vm, CodecGzip, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := artifact.Of(append(append([]byte("prefix.."), b...), "suffix"...))
+	first, codec, err := VMLinuxOf(buf, 8, len(b))
+	if err != nil || codec != CodecGzip || !bytes.Equal(first.Bytes(), vm) {
+		t.Fatalf("range load: codec %q err %v", codec, err)
+	}
+	if again, _, _ := VMLinuxOf(buf, 8, len(b)); again != first {
+		t.Fatal("a second load of the range decoded again")
+	}
+	if _, _, err := VMLinuxOf(buf, 0, len(b)); err == nil {
+		t.Fatal("a range that is not the image loaded")
 	}
 }

@@ -29,20 +29,41 @@ type File struct {
 	Data []byte
 }
 
-// Build serializes files into a newc archive. Entries are emitted in the
-// order given; inode numbers are assigned sequentially, so identical input
-// yields identical output bytes (the initrd must hash reproducibly). The
-// archive's length is known before it is written, so it is one allocation.
-func Build(files []File) []byte {
+// Build serializes files into a newc archive laid out in buf, which it
+// returns resliced to the archive's length; a buf short of that capacity is
+// replaced by a new one. Entries are emitted in the order given; inode
+// numbers are assigned sequentially, so identical input yields identical
+// output bytes (the initrd must hash reproducibly).
+//
+// Every member's data is moved into place, last member first, before any
+// header is written, so a member's Data may already lie in buf at or before
+// its place in the archive: a generator that wrote the members' data back
+// to back at the front of buf has it shifted across the headers and
+// padding, not copied out of one archive-sized buffer into another.
+func Build(buf []byte, files []File) []byte {
 	n := entryLen(trailer, 0)
 	for _, f := range files {
 		n += entryLen(f.Name, len(f.Data))
 	}
-	out := make([]byte, 0, n)
-	for i, f := range files {
-		out = appendEntry(out, uint32(i+1), f)
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	return appendEntry(out, 0, File{Name: trailer})
+	out := buf[:n]
+	at := n - entryLen(trailer, 0) // where the entry of each member, from the last, starts
+	for i := len(files) - 1; i >= 0; i-- {
+		f := files[i]
+		at -= entryLen(f.Name, len(f.Data))
+		copy(out[at+align4(headerLen+len(f.Name)+1):], f.Data)
+	}
+	off := 0
+	for i, f := range files {
+		off += len(appendHeader(out[off:off], uint32(i+1), f))
+		off += len(f.Data)
+		clear(out[off:align4(off)])
+		off = align4(off)
+	}
+	appendHeader(out[off:off], 0, File{Name: trailer})
+	return out
 }
 
 // headerLen is the fixed newc header: the magic and thirteen 8-digit hex
@@ -55,8 +76,9 @@ func entryLen(name string, size int) int {
 	return align4(headerLen+len(name)+1) + align4(size)
 }
 
-// appendEntry appends one member: header, name and data, each padded.
-func appendEntry(out []byte, ino uint32, f File) []byte {
+// appendHeader appends a member's header and NUL-terminated name, padded
+// to four bytes: everything but its data.
+func appendHeader(out []byte, ino uint32, f File) []byte {
 	nlink := uint32(1)
 	if f.Mode&0o170000 == 0o040000 {
 		nlink = 2
@@ -76,9 +98,7 @@ func appendEntry(out []byte, ino uint32, f File) []byte {
 	} {
 		out = appendHex8(out, field)
 	}
-	out = append(append(out, f.Name...), 0)
-	out = pad4(out)
-	return pad4(append(out, f.Data...))
+	return pad4(append(append(out, f.Name...), 0))
 }
 
 // appendHex8 appends v as eight upper-case hex digits.

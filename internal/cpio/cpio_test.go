@@ -3,6 +3,8 @@ package cpio
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,7 +20,7 @@ func sample() []File {
 
 func TestRoundTrip(t *testing.T) {
 	in := sample()
-	archive := Build(in)
+	archive := Build(nil, in)
 	out, err := Parse(archive)
 	if err != nil {
 		t.Fatal(err)
@@ -40,15 +42,15 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDeterministicOutput(t *testing.T) {
-	a := Build(sample())
-	b := Build(sample())
+	a := Build(nil, sample())
+	b := Build(nil, sample())
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical input produced different archives; initrd hashes must be reproducible")
 	}
 }
 
 func TestEmptyArchive(t *testing.T) {
-	archive := Build(nil)
+	archive := Build(nil, nil)
 	out, err := Parse(archive)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +68,7 @@ func TestAlignment(t *testing.T) {
 		{Name: "ccc", Mode: ModeFile, Data: []byte{1, 2, 3}},
 		{Name: "dddd", Mode: ModeFile, Data: []byte{1, 2, 3, 4}},
 	}
-	out, err := Parse(Build(files))
+	out, err := Parse(Build(nil, files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestAlignment(t *testing.T) {
 }
 
 func TestParseRejectsBadMagic(t *testing.T) {
-	archive := Build(sample())
+	archive := Build(nil, sample())
 	archive[0] = 'X'
 	if _, err := Parse(archive); err == nil {
 		t.Fatal("bad magic accepted")
@@ -86,7 +88,7 @@ func TestParseRejectsBadMagic(t *testing.T) {
 }
 
 func TestParseRejectsTruncated(t *testing.T) {
-	archive := Build(sample())
+	archive := Build(nil, sample())
 	for _, cut := range []int{10, 50, 111, len(archive) / 2} {
 		if _, err := Parse(archive[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -95,7 +97,7 @@ func TestParseRejectsTruncated(t *testing.T) {
 }
 
 func TestParseRejectsBadHexField(t *testing.T) {
-	archive := Build(sample())
+	archive := Build(nil, sample())
 	copy(archive[6:], "ZZZZZZZZ") // corrupt c_ino field of first header
 	if _, err := Parse(archive); err == nil {
 		t.Fatal("non-hex header field accepted")
@@ -116,7 +118,7 @@ func TestQuickRoundTripArbitraryData(t *testing.T) {
 	f := func(data []byte, nameSeed uint8) bool {
 		name := "f" + string(rune('a'+nameSeed%26))
 		files := []File{{Name: name, Mode: ModeFile, Data: data}}
-		out, err := Parse(Build(files))
+		out, err := Parse(Build(nil, files))
 		return err == nil && len(out) == 1 && out[0].Name == name && bytes.Equal(out[0].Data, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -126,7 +128,7 @@ func TestQuickRoundTripArbitraryData(t *testing.T) {
 
 func TestDirectoryNlink(t *testing.T) {
 	files := []File{{Name: "usr", Mode: ModeDir}}
-	out, err := Parse(Build(files))
+	out, err := Parse(Build(nil, files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +176,49 @@ func TestBuildMatchesFmtReference(t *testing.T) {
 	}
 	big := []File{{Name: "init", Mode: ModeExec, Data: bytes.Repeat([]byte{0xEE}, 1<<20+3)}, {Name: "usr", Mode: ModeDir}}
 	for name, files := range map[string][]File{"sample": sample(), "empty": nil, "odd lengths": odd, "large member": big} {
-		if got, want := Build(files), buildFmt(files); !bytes.Equal(got, want) {
+		if got, want := Build(nil, files), buildFmt(files); !bytes.Equal(got, want) {
 			t.Errorf("%s: Build differs from the fmt reference (%d vs %d bytes)", name, len(got), len(want))
+		}
+	}
+}
+
+// TestBuildInPlace: members whose data a generator wrote back to back at
+// the front of a buffer holding stale bytes come out as the reference
+// archive of the same members, in that buffer, with nothing allocated — the
+// data shifted into place and every header and pad byte written over.
+func TestBuildInPlace(t *testing.T) {
+	for _, sizes := range [][]int{{1000, 3, 0, 517}, {1, 2, 3}, {1 << 20, 1<<19 + 1}} {
+		total := 0
+		for _, n := range sizes {
+			total += n
+		}
+		body := make([]byte, total)
+		rand.New(rand.NewSource(int64(total))).Read(body)
+		files := []File{{Name: "init", Mode: ModeExec, Data: []byte("#!/bin/sh\n")}, {Name: "bin", Mode: ModeDir}}
+		for i, n := range sizes {
+			files = append(files, File{Name: "bin/" + strings.Repeat("x", i), Mode: ModeExec, Data: body[:n]})
+			body = body[n:]
+		}
+		want := buildFmt(files)
+		buf := make([]byte, len(want))
+		inPlace := append([]File(nil), files...)
+		var got []byte
+		generate := func() {
+			for i := range buf {
+				buf[i] = 0xAA // stale bytes Build must write over
+			}
+			at := 0
+			for i := 2; i < len(inPlace); i++ {
+				inPlace[i].Data = buf[at : at+copy(buf[at:], files[i].Data)]
+				at += len(inPlace[i].Data)
+			}
+			got = Build(buf, inPlace)
+		}
+		if n := testing.AllocsPerRun(1, generate); n != 0 {
+			t.Errorf("sizes %v: Build into a buffer with room allocates %v times, want 0", sizes, n)
+		}
+		if !bytes.Equal(got, want) || &got[0] != &buf[0] {
+			t.Errorf("sizes %v: the in-place archive differs from the reference, or is not laid out in buf", sizes)
 		}
 	}
 }
@@ -184,7 +227,7 @@ func TestBuildMatchesFmtReference(t *testing.T) {
 // whatever the member sizes.
 func TestBuildAllocatesOnce(t *testing.T) {
 	files := append(sample(), File{Name: "rootfs.img", Mode: ModeFile, Data: make([]byte, 1<<20+1)})
-	if n := testing.AllocsPerRun(10, func() { Build(files) }); n != 1 {
+	if n := testing.AllocsPerRun(10, func() { Build(nil, files) }); n != 1 {
 		t.Fatalf("Build allocates %v times, want 1", n)
 	}
 }

@@ -37,10 +37,10 @@ func sameFiles(a, b []File) bool {
 func FuzzParse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
-	f.Add(Build(nil))
-	f.Add(Build(sample()))
-	f.Add(Build([]File{{Name: "a", Mode: ModeFile, Data: []byte{1}}, {Name: "", Mode: ModeDir}}))
-	f.Add(Build(sample())[:200])
+	f.Add(Build(nil, nil))
+	f.Add(Build(nil, sample()))
+	f.Add(Build(nil, []File{{Name: "a", Mode: ModeFile, Data: []byte{1}}, {Name: "", Mode: ModeDir}}))
+	f.Add(Build(nil, sample())[:200])
 	f.Fuzz(func(t *testing.T, archive []byte) {
 		if files, err := Parse(archive); err == nil {
 			for _, fl := range files {
@@ -48,13 +48,13 @@ func FuzzParse(f *testing.F) {
 					t.Fatalf("member %q: Data is not a capped window of the archive", fl.Name)
 				}
 			}
-			again, err := Parse(Build(files))
+			again, err := Parse(Build(nil, files))
 			if err != nil || !sameFiles(again, files) {
 				t.Fatalf("Build then Parse of %d parsed members: err %v, or different members", len(files), err)
 			}
 		}
 		one := []File{{Name: "fuzz", Mode: ModeFile, Data: archive}}
-		if got, err := Parse(Build(one)); err != nil || !sameFiles(got, one) {
+		if got, err := Parse(Build(nil, one)); err != nil || !sameFiles(got, one) {
 			t.Fatalf("round trip of %d bytes as one member: err %v, or different members", len(archive), err)
 		}
 	})

@@ -41,9 +41,18 @@ type Image struct {
 	Segments []Segment
 }
 
-// Build serializes the image: header, program header table, then segment
-// data in order, each aligned to 16 bytes. The layout is deterministic.
-func Build(img *Image) []byte {
+// Build serializes the image into buf, which it returns resliced to the
+// file's length; a buf short of that capacity is replaced by a new one.
+// The layout is deterministic: header, program header table, then segment
+// data in order, each aligned to 16 bytes.
+//
+// Every segment's data is moved into place, last segment first, before the
+// headers and the alignment gaps are written, so a segment's Data may
+// already lie in buf at or before its place in the file: a generator that
+// wrote the segments back to back from the first one's offset has the
+// later ones shifted across the gaps, not the image copied into a second
+// buffer.
+func Build(buf []byte, img *Image) []byte {
 	n := len(img.Segments)
 	offset := uint64(ehSize + n*phSize)
 	offsets := make([]uint64, n)
@@ -52,7 +61,19 @@ func Build(img *Image) []byte {
 		offsets[i] = offset
 		offset += uint64(len(seg.Data))
 	}
-	out := make([]byte, offset)
+	if uint64(cap(buf)) < offset {
+		buf = make([]byte, offset)
+	}
+	out := buf[:offset]
+	for i := n - 1; i >= 0; i-- {
+		copy(out[offsets[i]:], img.Segments[i].Data)
+	}
+	gap := uint64(ehSize + n*phSize) // where the headers, then each segment, end
+	clear(out[:gap])
+	for i, seg := range img.Segments {
+		clear(out[gap:offsets[i]])
+		gap = offsets[i] + uint64(len(seg.Data))
+	}
 
 	// ELF identification.
 	copy(out, []byte{0x7f, 'E', 'L', 'F', 2 /*64-bit*/, 1 /*LE*/, 1 /*version*/})
@@ -81,7 +102,6 @@ func Build(img *Image) []byte {
 		}
 		le.PutUint64(ph[40:], memsz)
 		le.PutUint64(ph[48:], 16) // align
-		copy(out[offsets[i]:], seg.Data)
 	}
 	return out
 }

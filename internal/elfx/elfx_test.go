@@ -69,7 +69,7 @@ func parse(b []byte) (*Image, error) {
 
 func TestRoundTrip(t *testing.T) {
 	in := sample()
-	img, err := parse(Build(in))
+	img, err := parse(Build(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestMemszBSS(t *testing.T) {
-	img, err := parse(Build(sample()))
+	img, err := parse(Build(nil, sample()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMemszBSS(t *testing.T) {
 // bytes at its run address — the PT_NOTE is hashed with the rest of the
 // file but loaded nowhere — and the regions tile the file exactly.
 func TestLoadSize(t *testing.T) {
-	b := Build(sample())
+	b := Build(nil, sample())
 	regions, err := FileRegions(b)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestLoadSize(t *testing.T) {
 }
 
 func TestLoadSizeEmpty(t *testing.T) {
-	regions, err := FileRegions(Build(&Image{}))
+	regions, err := FileRegions(Build(nil, &Image{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +143,13 @@ func TestLoadSizeEmpty(t *testing.T) {
 }
 
 func TestDeterministicBuild(t *testing.T) {
-	if !bytes.Equal(Build(sample()), Build(sample())) {
+	if !bytes.Equal(Build(nil, sample()), Build(nil, sample())) {
 		t.Fatal("Build is not deterministic; kernel hashes must be reproducible")
 	}
 }
 
 func TestParseRejectsBadMagic(t *testing.T) {
-	b := Build(sample())
+	b := Build(nil, sample())
 	b[0] = 0
 	if _, err := parse(b); err == nil {
 		t.Fatal("bad magic accepted")
@@ -163,7 +163,7 @@ func TestParseRejectsShort(t *testing.T) {
 }
 
 func TestParseRejects32Bit(t *testing.T) {
-	b := Build(sample())
+	b := Build(nil, sample())
 	b[4] = 1 // ELFCLASS32
 	if _, err := parse(b); err == nil {
 		t.Fatal("32-bit image accepted")
@@ -171,7 +171,7 @@ func TestParseRejects32Bit(t *testing.T) {
 }
 
 func TestParseRejectsWrongMachine(t *testing.T) {
-	b := Build(sample())
+	b := Build(nil, sample())
 	b[18] = 0x28 // EM_ARM
 	if _, err := parse(b); err == nil {
 		t.Fatal("ARM image accepted")
@@ -179,7 +179,7 @@ func TestParseRejectsWrongMachine(t *testing.T) {
 }
 
 func TestParseRejectsSegmentOverrun(t *testing.T) {
-	b := Build(sample())
+	b := Build(nil, sample())
 	// Corrupt the first program header's file size to exceed the file.
 	le := func(off int, v uint64) {
 		for i := 0; i < 8; i++ {
@@ -197,7 +197,7 @@ func TestParseRejectsSegmentOverrun(t *testing.T) {
 // segments (paper §5, steps 1-4) — are one leading region that is hashed
 // and discarded, ending where the first PT_LOAD begins.
 func TestHeaderAndPhdrs(t *testing.T) {
-	b := Build(sample())
+	b := Build(nil, sample())
 	regions, err := FileRegions(b)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestQuickRoundTripArbitrarySegments(t *testing.T) {
 				Data:  data,
 			})
 		}
-		got, err := parse(Build(img))
+		got, err := parse(Build(nil, img))
 		if err != nil || got.Entry != img.Entry || len(got.Segments) != len(img.Segments) {
 			return false
 		}
@@ -242,7 +242,7 @@ func TestQuickRoundTripArbitrarySegments(t *testing.T) {
 }
 
 func TestSegmentAlignment(t *testing.T) {
-	b := Build(sample())
+	b := Build(nil, sample())
 	img, _ := parse(b)
 	_ = img
 	// Every segment's file offset is 16-aligned by construction; verify by
@@ -250,5 +250,93 @@ func TestSegmentAlignment(t *testing.T) {
 	idx := bytes.Index(b, bytes.Repeat([]byte{0x90}, 4096))
 	if idx < 0 || idx%16 != 0 {
 		t.Fatalf("segment 0 at offset %d, want 16-aligned", idx)
+	}
+}
+
+// buildCopy is the reference Build is held to, and what it was until it
+// laid the file out in place: a zeroed buffer of the file's length with
+// every segment copied into it.
+func buildCopy(img *Image) []byte {
+	n := len(img.Segments)
+	offset := uint64(ehSize + n*phSize)
+	offsets := make([]uint64, n)
+	for i, seg := range img.Segments {
+		offset = (offset + 15) &^ 15
+		offsets[i] = offset
+		offset += uint64(len(seg.Data))
+	}
+	out := make([]byte, offset)
+	copy(out, []byte{0x7f, 'E', 'L', 'F', 2, 1, 1})
+	le := binary.LittleEndian
+	le.PutUint16(out[16:], etExec)
+	le.PutUint16(out[18:], emX8664)
+	le.PutUint32(out[20:], 1)
+	le.PutUint64(out[24:], img.Entry)
+	le.PutUint64(out[32:], ehSize)
+	le.PutUint16(out[52:], ehSize)
+	le.PutUint16(out[54:], phSize)
+	le.PutUint16(out[56:], uint16(n))
+	for i, seg := range img.Segments {
+		ph := out[ehSize+i*phSize:]
+		le.PutUint32(ph[0:], seg.Type)
+		le.PutUint32(ph[4:], seg.Flags)
+		le.PutUint64(ph[8:], offsets[i])
+		le.PutUint64(ph[16:], seg.Vaddr)
+		le.PutUint64(ph[24:], seg.Vaddr)
+		le.PutUint64(ph[32:], uint64(len(seg.Data)))
+		le.PutUint64(ph[40:], max(seg.Memsz, uint64(len(seg.Data))))
+		le.PutUint64(ph[48:], 16)
+		copy(out[offsets[i]:], seg.Data)
+	}
+	return out
+}
+
+// TestBuildInPlace: every image — the sample, the empty one, segments of
+// odd lengths — is the reference's bytes when Build has to allocate, and
+// when a generator wrote the segments back to back into a buffer holding
+// stale bytes, from the first segment's offset or from the front of the
+// buffer, Build lays the same bytes out in that buffer with only the offset
+// table allocated: the data shifted into place and every header and gap
+// byte written over.
+func TestBuildInPlace(t *testing.T) {
+	images := []*Image{sample(), {}}
+	rng := rand.New(rand.NewSource(3))
+	for _, sizes := range [][]int{{4096, 6, 1 << 20}, {1, 2, 3, 17}, {0, 33, 0}} {
+		img := &Image{Entry: 0x1000000}
+		for i, n := range sizes {
+			data := make([]byte, n)
+			rng.Read(data)
+			img.Segments = append(img.Segments, Segment{Type: PTLoad, Flags: 5, Vaddr: uint64(i+1) << 24, Data: data, Memsz: uint64(n) + 64})
+		}
+		images = append(images, img)
+	}
+	for _, img := range images {
+		n := len(img.Segments)
+		want := buildCopy(img)
+		if got := Build(make([]byte, 0, len(want)-1), img); !bytes.Equal(got, want) {
+			t.Errorf("%d segments: a Build into a short buffer differs from the reference", n)
+		}
+		for _, from := range []int{0, ehSize + n*phSize} {
+			buf := make([]byte, len(want))
+			inPlace := &Image{Entry: img.Entry, Segments: append([]Segment(nil), img.Segments...)}
+			var got []byte
+			generate := func() {
+				for i := range buf {
+					buf[i] = 0xAA // stale bytes Build must write over
+				}
+				at := from
+				for i := range inPlace.Segments {
+					inPlace.Segments[i].Data = buf[at : at+copy(buf[at:], img.Segments[i].Data)]
+					at += len(inPlace.Segments[i].Data)
+				}
+				got = Build(buf, inPlace)
+			}
+			if allocs := testing.AllocsPerRun(1, generate); allocs > 1 {
+				t.Errorf("%d segments from %d: Build into a buffer with room allocates %v times, want the offset table only", n, from, allocs)
+			}
+			if !bytes.Equal(got, want) || &got[0] != &buf[0] {
+				t.Errorf("%d segments from %d: the in-place file differs from the reference, or is not laid out in buf", n, from)
+			}
+		}
 	}
 }

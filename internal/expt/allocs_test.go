@@ -229,6 +229,42 @@ func TestCaptureForkAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestFirstBzBootDecodesNothing: the process that built a kernel holds the
+// vmlinux it compressed, and the bzImage remembers it, so even the first
+// SEVeriFast boot of the kernel places that vmlinux instead of decoding the
+// payload into a second one. With the initrd warmed by a boot of another
+// kernel, a first boot of the 61 MiB Ubuntu vmlinux allocates under a
+// quarter of it; a decode alone would be all of it.
+func TestFirstBzBootDecodesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	initrd := kernelgen.BuildInitrd(7, 4<<20)
+	if _, err := bootOnce(costmodel.Default(), kernelgen.Lupine(), initrd, schemeSEVeriFast, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	art, err := kernelgen.Cached(kernelgen.Ubuntu())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := schemeSEVeriFast.config(kernelgen.Ubuntu(), initrd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorld(costmodel.Default(), 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = w.boot(schemeSEVeriFast, cfg, false)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a first Ubuntu boot allocated %d KiB", got>>10)
+	if got >= uint64(len(art.VMLinux)/4) {
+		t.Errorf("a first Ubuntu boot allocated %d KiB, ceiling %d: the bootstrap loader decoded a kernel the process holds",
+			got>>10, len(art.VMLinux)/4>>10)
+	}
+}
+
 // TestFleetVirtualMakespanPins holds the virtual makespan of the
 // 1024-VM same-image fleet, in nanoseconds, for the three scenarios the
 // iteration above runs. Host-side work (caches, zero-copy loaders, fork

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/bzimage"
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/kernelgen"
@@ -196,6 +197,41 @@ func TestSEVeriFastVmlinuxBoot(t *testing.T) {
 	if res.Breakdown.BootVerification <= bz.Breakdown.BootVerification {
 		t.Fatalf("vmlinux verify %v <= bzImage verify %v; measured direct boot must favor compression",
 			res.Breakdown.BootVerification, bz.Breakdown.BootVerification)
+	}
+}
+
+// TestBzAndVmlinuxBootsLoadOneVMLinux: the two SEVeriFast schemes of one
+// Cached kernel place its text from the same interned vmlinux, at the same
+// offset — the bootstrap loader takes the vmlinux the bzImage remembers,
+// the fw_cfg stream stages the file itself — so they share one ELF parse
+// and one set of page templates.
+func TestBzAndVmlinuxBootsLoadOneVMLinux(t *testing.T) {
+	art := lupineArtifacts(t)
+	initrd := testInitrd(t)
+	hashes := measure.HashComponents(art.VMLinux, initrd, kernelgen.Lupine().Cmdline)
+	vm, err := runBoot(t, Config{
+		Preset:    kernelgen.Lupine(),
+		Artifacts: art,
+		Initrd:    initrd,
+		Level:     sev.SNP,
+		Scheme:    SchemeSEVeriFastVmlinux,
+		Hashes:    &hashes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := artifact.Lookup(art.VMLinux)
+	if want == nil {
+		t.Fatal("Cached did not intern the vmlinux")
+	}
+	for name, res := range map[string]*Result{"bzImage": bootBz(t, art, initrd), "vmlinux": vm} {
+		got, base, err := res.Machine.Mem.ArtifactRange(art.Entry, 1<<20, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || base != 0x120 {
+			t.Errorf("%s boot: the kernel text aliases %p at %#x, want the interned vmlinux %p at 0x120", name, got, base, want)
+		}
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/bzimage"
 	"github.com/severifast/severifast/internal/cpio"
 	"github.com/severifast/severifast/internal/elfx"
@@ -61,21 +63,62 @@ func TestVMLinuxIsValidELF(t *testing.T) {
 	}
 }
 
+// TestBzImageExtractsToSameVMLinux: every bzImage Cached hands out — each
+// preset's LZ4 image and its gzip image — remembers the vmlinux it was built
+// from, that vmlinux is the interned one a vmlinux boot stages, and it is
+// byte for byte what a real decode of the payload gives.
 func TestBzImageExtractsToSameVMLinux(t *testing.T) {
-	art, err := Cached(Lupine())
+	for _, p := range Presets() {
+		art, err := Cached(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gz, err := art.BzImageGzip()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for codec, img := range map[bzimage.Codec][]byte{bzimage.CodecLZ4: art.BzImageLZ4, bzimage.CodecGzip: gz} {
+			buf := artifact.Lookup(img)
+			if buf == nil {
+				t.Fatalf("%s/%s: Cached did not intern the image", p.Name, codec)
+			}
+			remembered, gotCodec, err := bzimage.VMLinuxOf(buf, 0, buf.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if remembered != artifact.Lookup(art.VMLinux) || gotCodec != codec {
+				t.Errorf("%s/%s: the image names %p (%s), want the interned vmlinux %p", p.Name, codec, remembered, gotCodec, artifact.Lookup(art.VMLinux))
+			}
+			info, err := bzimage.Parse(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := bzimage.DecompressPayload(info.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(decoded, remembered.Bytes()) {
+				t.Errorf("%s/%s: the payload does not decompress to the vmlinux the image remembers", p.Name, codec)
+			}
+		}
+	}
+}
+
+// TestBuildDoesNotRemember: a kernel Build hands out, which nothing caches,
+// is not interned, so it is not pinned for the life of the process.
+func TestBuildDoesNotRemember(t *testing.T) {
+	art, err := smallPreset("unremembered", freshSeed()).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := bzimage.Parse(art.BzImageLZ4)
+	gz, err := art.BzImageGzip()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := bzimage.DecompressPayload(info.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, art.VMLinux) {
-		t.Fatal("bzImage payload does not decompress to the vmlinux")
+	for _, b := range [][]byte{art.VMLinux, art.BzImageLZ4, gz} {
+		if artifact.Lookup(b) != nil {
+			t.Fatal("Build interned a kernel")
+		}
 	}
 }
 
@@ -211,7 +254,7 @@ func TestCalibratedBytesHitsTarget(t *testing.T) {
 	n := 4 << 20
 	for _, frac := range []float64{0.15, 0.3, 0.6} {
 		target := int(float64(n) * frac)
-		buf := calibratedBytes(42, n, target)
+		buf := calibratedBytes(nil, 42, n, target)
 		got := len(lz4.CompressBlock(buf))
 		if rel := relErr(got, target); rel > 0.08 {
 			t.Errorf("target ratio %.2f: compressed to %d, want %d (rel %.3f)", frac, got, target, rel)
@@ -286,7 +329,7 @@ func TestPinnedCalibrationMatchesSearch(t *testing.T) {
 	}
 	for _, p := range Presets() {
 		k := p.contentKey()
-		_, q := searchCalibratedBytes(k.seed, k.n, k.compTarget)
+		_, q := searchCalibratedBytes(nil, k.seed, k.n, k.compTarget)
 		row := fmt.Sprintf("{%d, %d, %d}: %x, // %s", k.seed, k.n, k.compTarget, q, p.Name)
 		pinned, ok := pinnedCalib[k]
 		if !ok {
@@ -338,10 +381,10 @@ func TestRememberedBytesEqualSearchedBytes(t *testing.T) {
 		for _, seed := range []int64{1, 7, 42} {
 			for _, frac := range []float64{0.15, 0.5, 0.75} {
 				target := int(float64(n) * frac)
-				want, _ := searchCalibratedBytes(seed, n, target)
+				want, _ := searchCalibratedBytes(nil, seed, n, target)
 				before := calibSearches.Load()
-				searched := calibratedBytes(seed, n, target)
-				remembered := calibratedBytes(seed, n, target)
+				searched := calibratedBytes(nil, seed, n, target)
+				remembered := calibratedBytes(nil, seed, n, target)
 				if got := calibSearches.Load() - before; got > 1 {
 					t.Errorf("n=%d seed=%d target=%d: %d searches for two calls, want at most 1", n, seed, target, got)
 				}
@@ -469,6 +512,33 @@ func TestBzImageGzipIsLazyAndRight(t *testing.T) {
 	}
 	if got, err := evil.BzImageGzip(); err != nil || !bytes.Equal(got, wantEvil) || bytes.Equal(got, first) {
 		t.Fatalf("a copy with a tampered vmlinux was handed an image of the original (err %v)", err)
+	}
+}
+
+// TestArtifactsGenerateInPlace: once the calibration table holds its key,
+// an initrd and a vmlinux each allocate their file and little else — the
+// content is mixed into the buffer the serializer lays the file out in, not
+// generated into one of its own and copied — and the bytes are the same
+// either way.
+func TestArtifactsGenerateInPlace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := smallPreset("in-place", freshSeed())
+	seed := freshSeed()
+	for name, build := range map[string]func() []byte{
+		"initrd":  func() []byte { return BuildInitrd(seed, 4<<20) },
+		"vmlinux": func() []byte { vm, _ := p.buildVMLinux(); return vm },
+	} {
+		want := build() // searches; the table remembers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := build()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; float64(n) >= 1.1*float64(len(got)) {
+			t.Errorf("%s: %d bytes allocated for a %d-byte file, ceiling 1.1x: the content is copied again", name, n, len(got))
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the remembered answer generated different bytes than the search", name)
+		}
 	}
 }
 

@@ -3,9 +3,10 @@
 // real against guest memory:
 //
 //   - The bzImage bootstrap-loader stage parses the (verified, private)
-//     image, really decompresses its payload with the matching codec, and
-//     places the vmlinux ELF segments at their run addresses — the
-//     "Bootstrap Loader" bar of Fig. 11.
+//     image, decompresses its payload with the matching codec, and places
+//     the vmlinux ELF segments at their run addresses — the "Bootstrap
+//     Loader" bar of Fig. 11. A payload the process compressed itself is
+//     not decoded again; a tampered or foreign one is decoded for real.
 //   - The kernel stage consumes boot_params, the command line, the
 //     mptable, and the initrd exactly where the VMM/verifier put them,
 //     failing the boot if any are malformed — then charges the per-preset
@@ -73,44 +74,44 @@ func Boot(proc *sim.Proc, m *kvm.Machine, h *verifier.Handoff, preset kernelgen.
 }
 
 // runBootstrapLoader is the bzImage setup/decompressor stage: it reads the
-// protected image, decompresses the payload (really), and loads the ELF
-// segments to their run addresses.
+// protected image, decompresses the payload, and loads the ELF segments to
+// their run addresses.
 func runBootstrapLoader(proc *sim.Proc, m *kvm.Machine, h *verifier.Handoff, cbit bool) (uint64, error) {
 	model := m.Host.Model
 	proc.Sleep(model.BzImageSetupCost)
 
-	// Read the verified image: when the resident pages still carry their
-	// shared-artifact provenance (the CoW fleet path), GuestView hands
-	// back a zero-copy slice of the canonical image instead of
-	// materializing a fresh multi-megabyte copy per boot.
-	raw, viewOK, err := m.Mem.GuestView(h.KernelGPA, h.KernelSize, cbit)
+	// The verified image resolves, as the initrd does, to the artifact its
+	// private pages alias when they still carry provenance, and the vmlinux
+	// is memoised on that range of it (bzimage.VMLinuxOf): every microVM on
+	// the host boots the same kernel image (the serverless assumption of
+	// §6.1), so it is decoded once per image, and not at all when the
+	// process built the image and remembered what it compressed. A tampered
+	// image was Corrupted, which drops the memo, or lost its provenance; a
+	// foreign one was never remembered: those are decoded for real, the
+	// last from a copy read out of the guest. The guest's decompression is
+	// charged in virtual time whichever happened.
+	img, base, err := m.Mem.ArtifactRange(h.KernelGPA, h.KernelSize, cbit)
 	if err != nil {
 		return 0, fmt.Errorf("linux: reading bzImage: %w", err)
 	}
-	info, err := bzimage.Parse(raw)
+	if img == nil {
+		raw, err := m.Mem.GuestRead(h.KernelGPA, h.KernelSize, cbit)
+		if err != nil {
+			return 0, fmt.Errorf("linux: reading bzImage: %w", err)
+		}
+		img, base = artifact.Of(raw), 0
+	}
+	vart, codec, err := bzimage.VMLinuxOf(img, base, h.KernelSize)
 	if err != nil {
 		return 0, fmt.Errorf("linux: bootstrap loader: %w", err)
 	}
-	// Decompression is memoized by payload identity/digest: every microVM
-	// on the host boots the same kernel image (the serverless assumption
-	// of §6.1), so the decompressed bytes are shared and must not be
-	// mutated. Interning the payload subslice (stable when raw is a
-	// zero-copy artifact view) lets the cache hit without re-hashing the
-	// compressed payload on every boot.
-	if viewOK {
-		artifact.Intern(info.Payload)
-	}
-	vmlinux, err := bzimage.DecompressPayloadCached(info.Payload)
-	if err != nil {
-		return 0, fmt.Errorf("linux: decompressing kernel: %w", err)
-	}
-	proc.Sleep(model.Decompress(string(info.Codec), len(vmlinux)))
+	vmlinux := vart.Bytes()
+	proc.Sleep(model.Decompress(string(codec), len(vmlinux)))
 
 	// Place each PT_LOAD region at its run address, zero-copy from the
-	// shared decompression buffer. The ELF parse is memoized on the
-	// shared buffer, and loading through the artifact keeps per-page
-	// provenance so later reads of kernel text stay zero-copy too.
-	vart := artifact.Intern(vmlinux)
+	// shared vmlinux. The ELF parse is memoized on it, and loading through
+	// the artifact keeps per-page provenance so later reads of kernel text
+	// stay zero-copy too.
 	regionsAny, err := vart.Derived("elfx.regions", func() (any, error) {
 		return elfx.FileRegions(vmlinux)
 	})

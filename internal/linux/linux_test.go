@@ -1,10 +1,13 @@
 package linux
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/bootparams"
+	"github.com/severifast/severifast/internal/bzimage"
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
@@ -126,6 +129,39 @@ func TestBootFailsOnCorruptBzImage(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("corrupt bzImage booted")
+	}
+}
+
+// TestBootDecodesATamperedKernel: the staged bzImage aliases the image
+// Cached interned, which remembers its vmlinux, and the loader places that
+// vmlinux without decoding. A payload byte flipped in the image drops the
+// memo, so the loader decodes the tampered payload for real and refuses the
+// boot with bzimage.ErrBadPayload; once the flip is undone it boots again.
+func TestBootDecodesATamperedKernel(t *testing.T) {
+	art, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := artifact.Lookup(art.BzImageLZ4)
+	if img == nil {
+		t.Fatal("Cached did not intern the bzImage")
+	}
+	codecByte := bzimage.Overhead() + 4 // the payload container's codec tag
+	boot := func() error {
+		_, err := runLinux(t, nil)
+		return err
+	}
+	if err := boot(); err != nil {
+		t.Fatal(err)
+	}
+	img.Corrupt(codecByte, 0x04)
+	err = boot()
+	img.Corrupt(codecByte, 0x04)
+	if !errors.Is(err, bzimage.ErrBadPayload) {
+		t.Fatalf("a tampered kernel booted (err %v), want ErrBadPayload", err)
+	}
+	if err := boot(); err != nil {
+		t.Fatalf("the restored kernel: %v", err)
 	}
 }
 
