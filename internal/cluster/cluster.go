@@ -529,8 +529,15 @@ func (c *Cluster) prep(p *sim.Proc, s *HostShard, r *pending) {
 	} else if err := s.Orch.Submit(p, fleet.Request{
 		Tenant: r.Tenant,
 		Image:  simg,
+		Exec:   r.Exec,
 		Done: func(dp *sim.Proc, tier fleet.Tier, err error) {
 			c.bootDone(dp, s, r, tier, err)
+		},
+		Ended: func(*sim.Proc) {
+			if r.Exec > 0 { // a function's end is a release the PSP queue is sampled at
+				c.samplePSPDepth(s)
+			}
+			c.release(s)
 		},
 	}); err != nil {
 		c.bootDone(p, s, r, fleet.TierCold, err)
@@ -643,9 +650,10 @@ func (c *Cluster) withdrawWarm(img *Image) {
 }
 
 // bootDone concludes a boot on the shard worker (or prep) process:
-// account the outcome, publish the warm pool if this host just seeded
-// it, and hold the ASID through function execution on a spawned guest
-// process.
+// account the outcome and publish the warm pool if this host just seeded
+// it. A failed boot frees its ASID here; a served one holds it through
+// function execution, which the shard's fleet runs as the request's Exec
+// and ends by releasing the guest and then the ASID (fleet.Request.Ended).
 func (c *Cluster) bootDone(p *sim.Proc, s *HostShard, r *pending, tier fleet.Tier, err error) {
 	if err != nil {
 		c.failed++
@@ -667,15 +675,6 @@ func (c *Cluster) bootDone(p *sim.Proc, s *HostShard, r *pending, tier fleet.Tie
 	}
 	c.stormObserve(p, s, r, tier)
 	c.maybePublishWarm(p, s, r.Image)
-	if r.Exec <= 0 {
-		c.release(s)
-		return
-	}
-	c.eng.Go(fmt.Sprintf("%s-vm-%d", s.Name, r.id), func(ep *sim.Proc) {
-		ep.Sleep(r.Exec)
-		c.samplePSPDepth(s)
-		c.release(s)
-	})
 }
 
 func (c *Cluster) release(s *HostShard) {

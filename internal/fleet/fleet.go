@@ -294,6 +294,12 @@ type Request struct {
 	// concludes (before function execution): tier is the path served and
 	// err is nil on success, the final error otherwise.
 	Done func(p *sim.Proc, tier Tier, err error)
+	// Ended, when set, is invoked when a served request ends: on the exec
+	// process once Exec has run, or on the worker right after Done when
+	// there is no Exec. The fleet has let go of the guest by then; a caller
+	// holding something for the guest's lifetime (the cluster's ASID)
+	// frees it here.
+	Ended func(p *sim.Proc)
 }
 
 // request is a queued Request with admission bookkeeping.
@@ -335,6 +341,11 @@ type Orchestrator struct {
 	// standby holds prewarmed forked guests per image (Prewarm fills it,
 	// warm boots drain it). Only populated when Config.WarmPoolSize > 0.
 	standby map[Key][]*kvm.Machine
+
+	// held is a standalone orchestrator's served guests whose requests have
+	// ended: the caller reads the guest OnServed gave it after Serve
+	// returns, so they go back to the host at its next Serve or at Close.
+	held []*kvm.Machine
 
 	idle []*sim.Proc // parked workers
 
@@ -402,6 +413,7 @@ func New(eng *sim.Engine, host *kvm.Host, cfg Config) *Orchestrator {
 // point. Accounting (metrics, retries, deadline budget, Done callback)
 // is identical to a worker-served Submit.
 func (o *Orchestrator) Serve(p *sim.Proc, req Request) {
+	o.releaseHeld()
 	o.met.submitted()
 	r := &request{Request: req, admitted: p.Now(), id: o.nextID}
 	o.nextID++
@@ -522,6 +534,7 @@ func (o *Orchestrator) Submit(p *sim.Proc, req Request) error {
 // Close stops admission and wakes every parked worker so the pool drains
 // queued requests and exits, letting eng.Run terminate.
 func (o *Orchestrator) Close() {
+	o.releaseHeld()
 	o.closed = true
 	idle := o.idle
 	o.idle = nil
@@ -602,7 +615,7 @@ func (o *Orchestrator) serve(p *sim.Proc, r *request) {
 			return
 		}
 		attemptStart := p.Now()
-		tier, err := o.bootOnce(p, r)
+		tier, m, err := o.bootOnce(p, r)
 		if err == nil {
 			o.met.boot(tier, p.Now().Sub(r.admitted), r.Tenant)
 			// The serving attempt, retroactively: it time-encloses the
@@ -615,7 +628,7 @@ func (o *Orchestrator) serve(p *sim.Proc, r *request) {
 			if r.Done != nil {
 				r.Done(p, tier, nil)
 			}
-			o.finish(p, r)
+			o.finish(p, r, m)
 			return
 		}
 		if !retryable(err) {
@@ -661,39 +674,79 @@ func retryable(err error) bool {
 		errors.Is(err, ErrReattest) || errors.Is(err, ErrWarmInvalidated)
 }
 
-// finish runs the function body off-worker and records end-to-end latency.
-func (o *Orchestrator) finish(p *sim.Proc, r *request) {
+// finish runs the function body off-worker, records end-to-end latency and
+// ends the request.
+func (o *Orchestrator) finish(p *sim.Proc, r *request, m *kvm.Machine) {
 	if r.Exec <= 0 {
 		o.met.endToEnd(p.Now().Sub(r.admitted))
+		o.end(p, r, m)
 		return
 	}
 	admitted := r.admitted
 	o.eng.Go(fmt.Sprintf("%s-exec-%d", o.cfg.Name, r.id), func(ep *sim.Proc) {
 		ep.Sleep(r.Exec)
 		o.met.endToEnd(ep.Now().Sub(admitted))
+		o.end(ep, r, m)
 	})
 }
 
-// bootOnce serves one boot attempt through the fastest available tier.
-func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, error) {
+// end concludes a served request: its guest goes back to the host — a
+// standalone orchestrator's at the caller's next Serve or Close — and the
+// caller hears of it through Ended.
+func (o *Orchestrator) end(p *sim.Proc, r *request, m *kvm.Machine) {
+	if o.cfg.Standalone {
+		o.held = append(o.held, m)
+	} else {
+		m.Mem.Release()
+	}
+	if r.Ended != nil {
+		r.Ended(p)
+	}
+}
+
+// releaseHeld hands a standalone orchestrator's ended guests back to the
+// host.
+func (o *Orchestrator) releaseHeld() {
+	for _, m := range o.held {
+		m.Mem.Release()
+	}
+	clear(o.held)
+	o.held = o.held[:0]
+}
+
+// refuse releases a guest the fleet built when err refuses to serve it,
+// and passes err on. A fork's donor is never released
+// (guestmem.Memory.Release leaves it alone), so a refused boot that seeded
+// the warm tier keeps it.
+func refuse(m *kvm.Machine, err error) error {
+	if err != nil {
+		m.Mem.Release()
+	}
+	return err
+}
+
+// bootOnce serves one boot attempt through the fastest available tier and
+// returns the guest it served. A guest it built and refused is released.
+func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, *kvm.Machine, error) {
 	img := r.Image
 	// Tier 1: warm boot — a prewarmed standby if the pool holds one,
 	// otherwise a fork from the image's shared-key snapshot.
 	if o.cfg.EnableWarm && img.fork != nil {
 		r.warmEpoch = img.warmEpoch
 		if o.bootFault() {
-			return TierWarm, o.injectFault(p)
+			return TierWarm, nil, o.injectFault(p)
 		}
+		var m *kvm.Machine
 		if ms := o.standby[img.key]; len(ms) > 0 {
-			m := ms[len(ms)-1]
+			m = ms[len(ms)-1]
 			o.standby[img.key] = ms[:len(ms)-1]
-			return TierWarm, o.admit(p, r, TierWarm, m)
+		} else {
+			var err error
+			if m, err = o.warmRestore(p, img); err != nil {
+				return TierWarm, nil, err
+			}
 		}
-		m, err := o.warmRestore(p, img)
-		if err != nil {
-			return TierWarm, err
-		}
-		return TierWarm, o.admit(p, r, TierWarm, m)
+		return TierWarm, m, refuse(m, o.admit(p, r, TierWarm, m))
 	}
 
 	// Tiers 2/3: cold boot; the cache decides whether the measurement
@@ -723,24 +776,25 @@ func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, error) {
 		delete(o.planning, img.key)
 		sig.Fire(o.eng)
 		if err != nil {
-			return tier, err
+			return tier, nil, err
 		}
 	}
 	if o.bootFault() {
-		return tier, o.injectFault(p)
+		return tier, nil, o.injectFault(p)
 	}
 
 	res, err := o.bootMachine(p, img, mi)
 	if err != nil {
-		return tier, err
+		return tier, nil, err
 	}
 	if !o.cfg.InsecureSkipDigestCheck && res.LaunchDigest != mi.Digest {
+		res.Machine.Mem.Release()
 		mismatch := fmt.Errorf("%w for image %q: cache predicts %x, PSP measured %x",
 			ErrDigestMismatch, img.Name, mi.Digest[:8], res.LaunchDigest[:8])
 		if o.cfg.DegradedFallback {
 			return o.degradedRecover(p, r, img, mismatch)
 		}
-		return tier, mismatch
+		return tier, nil, mismatch
 	}
 
 	// Seed the warm tier: the first successful cold boot donates a
@@ -754,11 +808,12 @@ func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, error) {
 		fork, err := o.captureFork(p, res.Machine, res.LaunchDigest)
 		img.capturing = false
 		if err != nil {
-			return tier, err
+			res.Machine.Mem.Release()
+			return tier, nil, err
 		}
 		img.fork = fork
 	}
-	return tier, o.admit(p, r, tier, res.Machine)
+	return tier, res.Machine, refuse(res.Machine, o.admit(p, r, tier, res.Machine))
 }
 
 // bootMachine performs one cold launch of an image from its measured
@@ -833,29 +888,30 @@ func (o *Orchestrator) admit(p *sim.Proc, r *request, tier Tier, m *kvm.Machine)
 // is recovered: the entry is evicted, replanned from ground truth, and the
 // boot retried once on the cold path. Tampered image bytes fail the boot
 // with the original mismatch in the chain.
-func (o *Orchestrator) degradedRecover(p *sim.Proc, r *request, img *Image, mismatch error) (Tier, error) {
+func (o *Orchestrator) degradedRecover(p *sim.Proc, r *request, img *Image, mismatch error) (Tier, *kvm.Machine, error) {
 	p.Sleep(o.host.Model.Hash(len(img.spec.Kernel)) + o.host.Model.Hash(len(img.spec.Initrd)))
 	fresh := measure.HashComponents(img.spec.Kernel, img.spec.Initrd, img.spec.Cmdline)
 	if fresh != img.hashes {
-		return TierCold, fmt.Errorf("fleet: degraded-mode check: image bytes diverge from registration hashes: %w", mismatch)
+		return TierCold, nil, fmt.Errorf("fleet: degraded-mode check: image bytes diverge from registration hashes: %w", mismatch)
 	}
 	o.cfg.Cache.Evict(img.key)
 	o.met.degraded()
 	mi, err := o.cfg.Cache.Plan(img.key, img.hashes, img.spec)
 	if err != nil {
-		return TierCold, err
+		return TierCold, nil, err
 	}
 	res, err := o.bootMachine(p, img, mi)
 	if err != nil {
-		return TierCold, err
+		return TierCold, nil, err
 	}
 	if res.LaunchDigest != mi.Digest {
 		// Still mismatching against a freshly planned prediction from
 		// intact bytes: the launch path itself is hostile. Surface the
 		// original error; no further recovery.
-		return TierCold, fmt.Errorf("%w (persists after degraded replan)", mismatch)
+		res.Machine.Mem.Release()
+		return TierCold, nil, fmt.Errorf("%w (persists after degraded replan)", mismatch)
 	}
-	return TierCold, o.admit(p, r, TierCold, res.Machine)
+	return TierCold, res.Machine, refuse(res.Machine, o.admit(p, r, TierCold, res.Machine))
 }
 
 // warmRestore forks a guest from the image's warm parent (Fork.Boot) and
@@ -878,6 +934,7 @@ func (o *Orchestrator) warmRestore(p *sim.Proc, img *Image) (*kvm.Machine, error
 	}
 	m.Timeline.Annotate("asid", fmt.Sprintf("%d", m.Launch.ASID()))
 	if _, err := m.Launch.LaunchFinish(p); err != nil {
+		m.Mem.Release()
 		return nil, err
 	}
 	m.Timeline.Close(p.Now())
@@ -911,14 +968,19 @@ func (o *Orchestrator) Prewarm(p *sim.Proc, img *Image, n int) (int, error) {
 // StandbyCount reports the image's current prewarmed-standby depth.
 func (o *Orchestrator) StandbyCount(img *Image) int { return len(o.standby[img.key]) }
 
-// EvictWarm invalidates an image's entire warm pool: the fork container,
-// the donor, and any prewarmed standbys. Called on fork
-// tamper detection and by operators re-registering an image; the next
-// boot re-seeds the pool from a fresh measured cold boot.
+// EvictWarm invalidates an image's entire warm pool: it drops the fork
+// container with its donor, and hands any prewarmed standbys back to the
+// host. The donor's memory is not released: another host's pool or an
+// in-flight fork may still take its key. Called on fork tamper detection
+// and by operators re-registering an image; the next boot re-seeds the pool
+// from a fresh measured cold boot.
 func (o *Orchestrator) EvictWarm(img *Image) {
 	img.fork = nil
 	img.capturing = false
 	img.warmEpoch++
+	for _, m := range o.standby[img.key] {
+		m.Mem.Release()
+	}
 	delete(o.standby, img.key)
 }
 

@@ -75,8 +75,8 @@ func TestCoWNoCrossGuestWriteLeak(t *testing.T) {
 			orig := append([]byte(nil), data...)
 			a, b := New(sh.size), New(sh.size)
 			recA, recB := telemetry.NewHostRecorder(), telemetry.NewHostRecorder()
-			a.SetHostRecorder(recA)
-			b.SetHostRecorder(recB)
+			a.rec = recA
+			b.rec = recB
 			if err := a.HostWriteAliased(sh.gpaA, data); err != nil {
 				t.Fatal(err)
 			}

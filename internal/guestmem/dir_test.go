@@ -6,6 +6,7 @@ import (
 	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -632,7 +633,11 @@ func stagingArtifact(rng *rand.Rand) *artifact.Buf {
 // two rules that share a page a write does not fill: "padded edge page
 // shared" a sub-page write of an artifact's bytes into an unbacked page,
 // "GuestCopy tail shares source page" a page-aligned copy's tail.
-func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(donor *Memory, s *ForkSource)) pathTally {
+//
+// Every guest comes from free, a host's free lists, or is made by New when
+// free is nil; a guest the stream retires is released either way, so with
+// free lists its successors draw what it owned.
+func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, free *FreeLists, onExport func(donor *Memory, s *ForkSource)) pathTally {
 	rng := rand.New(rand.NewSource(seed))
 	k, asid := key(byte(seed)), uint32(5)
 	rec, tally := telemetry.NewHostRecorder(), pathTally{}
@@ -664,8 +669,7 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 		return e.leaf != nil && !e.frozen && e.leaf.chunks[c] != nil && e.leaf.shared&(1<<c) != 0
 	}
 	newGuest := func() guestPair {
-		m := New(dirTestSize)
-		m.SetHostRecorder(rec)
+		m := free.New(dirTestSize, rec)
 		m.SetKey(k, asid)
 		if snp {
 			m.AttachRMP(rmp.New(), asid)
@@ -674,15 +678,22 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 	}
 	guests := []guestPair{newGuest()}
 	// admit brings a new, empty guest into the stream, in place of an old
-	// one once there are six.
+	// one once there are six. The old one is released first, so the new one
+	// draws what it owned; a released guest must refuse every access, unless
+	// it is a donor, which is never released.
 	admit := func() guestPair {
-		g := newGuest()
 		if len(guests) < 6 {
-			guests = append(guests, g)
-		} else {
-			guests[rng.Intn(len(guests))] = g
+			guests = append(guests, newGuest())
+			return guests[len(guests)-1]
 		}
-		return g
+		j := rng.Intn(len(guests))
+		old := guests[j].m
+		old.Release()
+		if _, err := old.HostRead(0, 1); !old.donor && !errors.Is(err, ErrReleased) {
+			t.Fatalf("a released guest's HostRead: err = %v, want ErrReleased", err)
+		}
+		guests[j] = newGuest()
+		return guests[j]
 	}
 	var sources []sourcePair
 
@@ -1060,6 +1071,9 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, onExport func(
 	for _, s := range sources {
 		retire(s)
 	}
+	for _, kind := range []string{"dir", "leaf", "chunk", "page"} {
+		tally["reused "+kind] += counter("guestmem." + kind + ".reused")
+	}
 	return tally
 }
 
@@ -1073,7 +1087,7 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 		tally := pathTally{}
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("snp=%v/seed=%d", snp, seed), func(t *testing.T) {
-				tally.add(runDirectoryOps(t, seed, snp, 700, nil))
+				tally.add(runDirectoryOps(t, seed, snp, 700, nil, nil))
 			})
 		}
 		// Agreement with the reference proves nothing about template leaves

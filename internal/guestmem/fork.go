@@ -112,8 +112,12 @@ type pageRun struct{ pn, count uint64 }
 // The donor must not be mutated afterwards (fleet keeps donors parked for
 // exactly this reason). A guest holding private pages without an installed
 // key is refused with ErrNoKey, as ExportPages refuses it: nothing could
-// ever adopt the source.
+// ever adopt the source. The guest is its source's donor from then on, and
+// Release leaves it alone.
 func (m *Memory) ExportForkSource() (*ForkSource, error) {
+	if m.dir == nil {
+		return nil, ErrReleased
+	}
 	var npages, ndirty, nnodes, nchunks int
 	anyPrivate := false
 	for _, e := range m.dir {
@@ -210,6 +214,7 @@ func (m *Memory) ExportForkSource() (*ForkSource, error) {
 		src.gens[i] = a.Corruptions()
 	}
 	src.root = src.deriveRoot()
+	m.donor = true
 	m.recorder().CounterAdd("guestmem.fork.exported", 1)
 	m.recorder().CounterAdd("guestmem.fork.exported_bytes", int64(len(blob)))
 	return src, nil
@@ -375,6 +380,9 @@ func (s *ForkSource) Verify() error {
 // donor's key and ASID first (psp.LaunchStartFork does); the source is
 // verified before any node is shared.
 func (m *Memory) AdoptFork(src *ForkSource) error {
+	if m.dir == nil {
+		return ErrReleased
+	}
 	if src.size != m.size {
 		return fmt.Errorf("guestmem: fork source is %d bytes, guest is %d: %w", src.size, m.size, ErrSize)
 	}

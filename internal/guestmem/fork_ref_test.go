@@ -247,7 +247,7 @@ func TestExtentForkMatchesCopyReference(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("stream/snp=%v/seed=%d", snp, seed), func(t *testing.T) {
 				exports := 0
-				runDirectoryOps(t, seed, snp, 400, func(donor *Memory, s *ForkSource) {
+				runDirectoryOps(t, seed, snp, 400, nil, func(donor *Memory, s *ForkSource) {
 					exports++
 					matchesCopyReference(t, donor, s)
 				})

@@ -232,7 +232,7 @@ func TestForkLeafIsolationUnderConcurrentWriters(t *testing.T) {
 		m.SetKey(donor.Key(), asid)
 		m.AttachRMP(rmp.New(), asid)
 		rec := telemetry.NewHostRecorder()
-		m.SetHostRecorder(rec)
+		m.rec = rec
 		if err := m.AdoptFork(src); err != nil {
 			t.Error(err)
 		}

@@ -284,8 +284,15 @@ type Memory struct {
 	asid  uint32
 	// usedLeaves and usedChunks are how many of the current slabs are carved.
 	usedLeaves, usedChunks uint8
+	// donor marks a guest a fork source was exported from: Release leaves
+	// it alone.
+	donor bool
 
 	rmp *rmp.Table // nil unless SNP
+
+	// free is the host's free lists this guest draws from and is released
+	// to; nil for a guest made by New. A nil dir marks a released guest.
+	free *FreeLists
 
 	// rec receives host-side cache counters; nil routes to the
 	// process-global telemetry.DefaultHostRecorder.
@@ -295,19 +302,13 @@ type Memory struct {
 	sevMetadataBytes int
 }
 
-// New returns a zeroed address space of the given size (page aligned up).
-func New(size uint64) *Memory {
-	size = (size + PageSize - 1) &^ (PageSize - 1)
-	return &Memory{size: size, dir: make([]dirEntry, (size/PageSize+leafPages-1)/leafPages)}
-}
+// New returns a zeroed address space of the given size (page aligned up),
+// with no host: what it owns goes to the collector when it is released. A
+// host's guests come from its FreeLists.New.
+func New(size uint64) *Memory { return newMemory(size, nil, nil) }
 
 // Size returns the guest memory size in bytes.
 func (m *Memory) Size() uint64 { return m.size }
-
-// SetHostRecorder routes this guest's host-side counters (digest memo
-// hits, fork stats) to a per-host recorder instead of the process
-// default. kvm.NewMachine calls it with the owning host's recorder.
-func (m *Memory) SetHostRecorder(r *telemetry.HostRecorder) { m.rec = r }
 
 func (m *Memory) recorder() *telemetry.HostRecorder {
 	if m.rec != nil {
@@ -318,14 +319,23 @@ func (m *Memory) recorder() *telemetry.HostRecorder {
 
 // HostRecorder returns the recorder this guest's counters route to —
 // the owning host's when one was installed, the process default
-// otherwise. The PSP measurement pipeline stamps its stage timings on
-// the same recorder so per-host snapshots stay self-contained.
-func (m *Memory) HostRecorder() *telemetry.HostRecorder { return m.recorder() }
+// otherwise, nil once the guest is released. The PSP measurement pipeline
+// stamps its stage timings on the same recorder so per-host snapshots
+// stay self-contained.
+func (m *Memory) HostRecorder() *telemetry.HostRecorder {
+	if m.dir == nil {
+		return nil
+	}
+	return m.recorder()
+}
 
 // SetKey installs the guest memory-encryption key and the ASID that
 // tweaks it in the memory controller (done by LAUNCH_START; shared-key
 // launches install the donor's pair).
 func (m *Memory) SetKey(key []byte, asid uint32) {
+	if m.dir == nil {
+		return
+	}
 	if len(key) != 16 {
 		panic("guestmem: key must be 16 bytes")
 	}
@@ -341,6 +351,9 @@ func (m *Memory) SetKey(key []byte, asid uint32) {
 
 // AttachRMP enables SNP semantics for this guest with the given ASID.
 func (m *Memory) AttachRMP(t *rmp.Table, asid uint32) {
+	if m.dir == nil {
+		return
+	}
 	m.rmp = t
 	m.asid = asid
 	m.sevMetadataBytes += 64 // ASID bookkeeping, GHCB registration
@@ -357,12 +370,18 @@ func (m *Memory) SEVMetadataBytes() int { return m.sevMetadataBytes }
 // NotePinned records host-side pinning metadata for n bytes of guest
 // memory (KVM pins encrypted guest pages during boot, paper §6.2).
 func (m *Memory) NotePinned(n int) {
+	if m.dir == nil {
+		return
+	}
 	// Two bits of accounting per pinned 4 KiB page (refcount + pin flags)
 	// -> ~16 KiB for a 256 MiB guest, the paper's §6.3 figure.
 	m.sevMetadataBytes += 32 + n/(PageSize*4)
 }
 
 func (m *Memory) check(gpa uint64, n int) error {
+	if m.dir == nil {
+		return ErrReleased
+	}
 	if n < 0 || gpa+uint64(n) > m.size || gpa+uint64(n) < gpa {
 		return fmt.Errorf("%w: [%#x,+%d) of %#x", ErrOutOfRange, gpa, n, m.size)
 	}
@@ -402,13 +421,12 @@ func (m *Memory) ownLeaf(i uint64) *leaf {
 	if e.leaf != nil && !e.frozen {
 		return e.leaf
 	}
-	if m.spareLeaves == nil || m.usedLeaves == nodeSlab {
-		m.spareLeaves, m.usedLeaves = new([nodeSlab]leaf), 0
-	}
-	l := &m.spareLeaves[m.usedLeaves]
-	m.usedLeaves++
+	var src *leaf
 	if e.frozen {
-		*l = *e.leaf
+		src = e.leaf
+	}
+	l := m.newLeaf(src)
+	if src != nil {
 		l.shared = allChunks
 	}
 	*e = dirEntry{leaf: l}
@@ -424,14 +442,7 @@ func (m *Memory) ownChunk(l *leaf, c uint64) *chunk {
 	if old != nil && l.shared&bit == 0 {
 		return old
 	}
-	if m.spareChunks == nil || m.usedChunks == chunkSlab {
-		m.spareChunks, m.usedChunks = new([chunkSlab]chunk), 0
-	}
-	ch := &m.spareChunks[m.usedChunks]
-	m.usedChunks++
-	if old != nil {
-		*ch = *old
-	}
+	ch := m.newChunk(old)
 	l.chunks[c] = ch
 	l.shared &^= bit
 	l.template &^= bit
@@ -494,17 +505,14 @@ func (p *page) alias(b []byte, art *artifact.Buf, off int) {
 	p.art, p.artOff = art, uint32(off)
 }
 
-// mutable returns the page's byte slice ready for writing, materializing
-// zero pages and breaking copy-on-write aliases. Breaking an alias also
-// drops artifact provenance: once a page can diverge from its canonical
-// source, memoized digests must no longer apply to it.
-func (p *page) mutable() []byte {
-	if p.data == nil {
-		p.data = new([PageSize]byte)
-	} else if p.cow {
-		d := new([PageSize]byte)
-		*d = *p.data
-		p.data = d
+// mutable returns page p's byte slice ready for writing, materializing
+// zero pages and breaking copy-on-write aliases into a buffer of this
+// guest's own. Breaking an alias also drops artifact provenance: once a
+// page can diverge from its canonical source, memoized digests must no
+// longer apply to it.
+func (m *Memory) mutable(p *page) []byte {
+	if p.data == nil || p.cow {
+		p.data = m.newPage(p.data)
 	}
 	p.cow = false
 	p.art, p.artOff = nil, 0
@@ -579,8 +587,13 @@ func (m *Memory) HostReadInto(gpa uint64, dst []byte) error {
 	if err := m.check(gpa, len(dst)); err != nil {
 		return err
 	}
+	return m.readSpans(dst, gpa, false)
+}
+
+// readSpans fills dst span by span (readSpan), so dst does not escape.
+func (m *Memory) readSpans(dst []byte, gpa uint64, cbit bool) error {
 	for done := 0; done < len(dst); {
-		n, err := m.readSpan(dst[done:], gpa+uint64(done), false)
+		n, err := m.readSpan(dst[done:], gpa+uint64(done), cbit)
 		if err != nil {
 			return err
 		}
@@ -674,6 +687,22 @@ func (m *Memory) GuestRead(gpa uint64, n int, cbit bool) ([]byte, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// GuestReadInto is GuestRead into the caller's buffer, len(dst) bytes from
+// gpa. Like HostReadInto it never hands dst to the cipher, so a buffer on
+// the caller's stack stays there: the kernel reads its MP table this way.
+func (m *Memory) GuestReadInto(dst []byte, gpa uint64, cbit bool) error {
+	if err := m.check(gpa, len(dst)); err != nil {
+		return err
+	}
+	if cbit && m.rmp != nil {
+		base, span := rmpSpan(gpa, len(dst))
+		if err := m.rmp.CheckGuestAccessRange(base, span, m.asid); err != nil {
+			return err
+		}
+	}
+	return m.readSpans(dst, gpa, cbit)
 }
 
 // GuestCopy copies n bytes from src to dst inside the guest, reading with
@@ -798,7 +827,7 @@ func (m *Memory) write(gpa uint64, data []byte, encrypted bool) {
 			chunk = len(data) - done
 		}
 		p := m.getPage(pn)
-		copy(p.mutable()[off:], data[done:done+chunk])
+		copy(m.mutable(p)[off:], data[done:done+chunk])
 		p.encrypted = encrypted
 		done += chunk
 	}
@@ -849,7 +878,7 @@ func (m *Memory) writeAliased(gpa uint64, data []byte, encrypted bool, art *arti
 			// content is not a window of the artifact, so no provenance.
 			p.data, p.cow = edgePage(art, artBase+done, off, chunk), true
 		} else {
-			copy(p.mutable()[off:], data[done:done+chunk])
+			copy(m.mutable(p)[off:], data[done:done+chunk])
 		}
 		p.encrypted = encrypted
 		done += chunk
@@ -888,21 +917,11 @@ func edgePage(art *artifact.Buf, a, off, n int) *[PageSize]byte {
 // compare against the zero page.
 func allZero(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
-// cipherPage produces the AES-CTR transform of a page's plain text under
-// the guest key, tweaked by the page's physical address, in a page of its
-// own: HostRestoreCiphertext keeps it as the page's data. Everything else
-// transforms into a buffer it already has (cipherPageInto).
-func (m *Memory) cipherPage(pn uint64, pt []byte) ([]byte, error) {
-	ct := make([]byte, PageSize)
-	if err := m.cipherPageInto(ct, pn, pt); err != nil {
-		return nil, err
-	}
-	return ct, nil
-}
-
-// cipherPageInto is cipherPage into a caller-provided buffer, so hot
-// paths can run the transform through a sync.Pool page instead of
-// allocating per page. The AES block is the one cached by SetKey.
+// cipherPageInto produces the AES-CTR transform of a page's plain text
+// under the guest key, tweaked by the page's physical address, into a
+// caller-provided buffer, so hot paths can run the transform through a
+// sync.Pool page instead of allocating per page. The AES block is the one
+// cached by SetKey.
 func (m *Memory) cipherPageInto(ct []byte, pn uint64, pt []byte) error {
 	if m.key == nil {
 		return ErrNoKey
@@ -948,10 +967,10 @@ func (m *Memory) Stats() Stats {
 // provenance, so later HashRange/RangeView calls over them resolve to
 // the artifact's memoized digests instead of re-reading the bytes.
 func (m *Memory) HostWriteArtifact(gpa uint64, art *artifact.Buf, off, n int) error {
-	data := art.Bytes()[off : off+n]
 	if err := m.check(gpa, n); err != nil {
 		return err
 	}
+	data := art.Bytes()[off : off+n]
 	if m.rmp != nil {
 		base, span := rmpSpan(gpa, n)
 		if err := m.rmp.CheckHostWriteRange(base, span); err != nil {
@@ -970,10 +989,10 @@ func (m *Memory) HostWriteArtifact(gpa uint64, art *artifact.Buf, off, n int) er
 // share backing store (their *ciphertext* still differs per guest — it
 // is derived from the key and address on host reads).
 func (m *Memory) GuestWriteArtifact(gpa uint64, art *artifact.Buf, off, n int, cbit bool) error {
-	data := art.Bytes()[off : off+n]
 	if err := m.check(gpa, n); err != nil {
 		return err
 	}
+	data := art.Bytes()[off : off+n]
 	if cbit && m.key == nil {
 		return ErrNoKey
 	}
@@ -1002,22 +1021,20 @@ func (m *Memory) IsPrivate(gpa uint64) bool {
 // validated (the guest's post-restore pvalidate pass is charged by the
 // caller).
 func (m *Memory) HostRestoreCiphertext(gpa uint64, ct []byte) error {
-	if gpa%PageSize != 0 || len(ct) != PageSize {
-		return fmt.Errorf("guestmem: ciphertext restore must be page-granular")
-	}
 	if err := m.check(gpa, len(ct)); err != nil {
 		return err
+	}
+	if gpa%PageSize != 0 || len(ct) != PageSize {
+		return fmt.Errorf("guestmem: ciphertext restore must be page-granular")
 	}
 	if m.key == nil {
 		return ErrNoKey
 	}
 	pn := gpa / PageSize
-	pt, err := m.cipherPage(pn, ct) // CTR transform is its own inverse
-	if err != nil {
-		return err
-	}
+	pt := m.newPage(nil)
+	m.cipherPageInto(pt[:], pn, ct) // CTR is its own inverse; the key was checked above
 	p := m.getPage(pn)
-	p.data = (*[PageSize]byte)(pt)
+	p.data = pt
 	p.cow = false
 	p.art, p.artOff = nil, 0
 	p.encrypted = true
@@ -1211,17 +1228,24 @@ func (m *Memory) RangeView(gpa uint64, n int, cbit bool) (view []byte, ok bool, 
 	}
 	m.recorder().CounterAdd("guestmem.view.hit", 1)
 	m.recorder().CounterAdd("guestmem.view.bytes", int64(n))
-	return art.Bytes()[base : base+n], true, nil
+	return art.Bytes()[base : base+n : base+n], true, nil
 }
 
 // GuestView returns the bytes GuestRead(gpa, n, cbit) would return, for a
 // reader that only parses them: RangeView's zero-copy view when one is
-// sound (view true: the caller must not write through it, and it is valid
-// until the next write to the range), GuestRead's copy otherwise. Every
-// check GuestRead makes is made either way.
+// sound, else, for a range inside one page in the mapping's state, a view
+// of that page's bytes (view true either way: the caller must not write
+// through it, and it is valid until the next write to the range or the
+// guest's release), GuestRead's copy otherwise. Every check GuestRead
+// makes is made either way.
 func (m *Memory) GuestView(gpa uint64, n int, cbit bool) (b []byte, view bool, err error) {
 	if b, view, err = m.RangeView(gpa, n, cbit); err != nil || view {
 		return b, view, err
+	}
+	if off := int(gpa % PageSize); n > 0 && off+n <= PageSize {
+		if p := m.look(gpa / PageSize); p.encrypted == cbit {
+			return p.readable()[off : off+n : off+n], true, nil
+		}
 	}
 	b, err = m.GuestRead(gpa, n, cbit)
 	return b, false, err
@@ -1289,6 +1313,9 @@ type PageExport struct {
 // index-addressed and independent of worker count. Snapshot capture
 // uses this instead of page-at-a-time HostRead.
 func (m *Memory) ExportPages() ([]PageExport, error) {
+	if m.dir == nil {
+		return nil, ErrReleased
+	}
 	var pns []uint64
 	anyPrivate := false
 	m.eachResident(func(pn uint64, p page) {

@@ -563,7 +563,8 @@ func TestGuestCopyRejectsOverlap(t *testing.T) {
 
 // TestGuestViewIsGuestRead: GuestView hands back GuestRead's bytes and
 // GuestRead's refusals — a view of the artifact where the range still
-// aliases one in the reading state, a copy where it does not.
+// aliases one in the reading state, a view of the page where it lies in one
+// page in the reading state, a copy where neither holds.
 func TestGuestViewIsGuestRead(t *testing.T) {
 	const asid = 2
 	art := artifact.Of(bytes.Repeat([]byte("kernel text "), 3*PageSize/12+1)[:3*PageSize])
@@ -580,18 +581,29 @@ func TestGuestViewIsGuestRead(t *testing.T) {
 	if err := m.HostWrite(0x50000, []byte("written by the host")); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.HostWrite(0x51ff0, []byte("across a page boundary")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.GuestWrite(0x20000, []byte("private"), true); err != nil {
+		t.Fatal(err)
+	}
+	page := func(gpa uint64) []byte { return m.look(gpa / PageSize).readable()[gpa%PageSize:] }
 	for _, c := range []struct {
 		name string
 		gpa  uint64
 		n    int
 		cbit bool
-		view bool
+		own  []byte // what the view must be; nil for a copy
 	}{
-		{"aliased artifact, private mapping", 0x10000 + 100, 2 * PageSize, true, true},
-		{"aliased artifact, shared mapping: ciphertext", 0x10000 + 100, 2 * PageSize, false, false},
-		{"page without provenance", 0x50000, 19, false, false},
-		{"unvalidated private page", 0x80000, 64, true, false},
-		{"past the end", m.Size() - 10, 20, false, false},
+		{"aliased artifact, private mapping", 0x10000 + 100, 2 * PageSize, true, art.Bytes()[100:]},
+		{"aliased artifact, shared mapping: ciphertext", 0x10000 + 100, 2 * PageSize, false, nil},
+		{"page without provenance", 0x50000, 19, false, page(0x50000)},
+		{"untouched page", 0x60000 + 8, 64, false, page(0x60008)},
+		{"private page, private mapping", 0x20000, 7, true, page(0x20000)},
+		{"private page, shared mapping: ciphertext", 0x20000, 7, false, nil},
+		{"two pages without provenance", 0x51ff0, 22, false, nil},
+		{"unvalidated private page", 0x80000, 64, true, nil},
+		{"past the end", m.Size() - 10, 20, false, nil},
 	} {
 		want, wantErr := m.GuestRead(c.gpa, c.n, c.cbit)
 		got, view, err := m.GuestView(c.gpa, c.n, c.cbit)
@@ -600,10 +612,12 @@ func TestGuestViewIsGuestRead(t *testing.T) {
 			t.Errorf("%s: GuestView err %v, GuestRead err %v", c.name, err, wantErr)
 		case !bytes.Equal(got, want):
 			t.Errorf("%s: GuestView bytes differ from GuestRead's", c.name)
-		case view != c.view:
-			t.Errorf("%s: view = %v, want %v", c.name, view, c.view)
-		case view && &got[0] != &art.Bytes()[100]:
-			t.Errorf("%s: the view is not the artifact's own bytes", c.name)
+		case view != (c.own != nil):
+			t.Errorf("%s: view = %v, want %v", c.name, view, c.own != nil)
+		case view && &got[0] != &c.own[0]:
+			t.Errorf("%s: the view is not the source's own bytes", c.name)
+		case view && cap(got) != len(got):
+			t.Errorf("%s: the view has room to append into the source", c.name)
 		}
 	}
 }

@@ -67,6 +67,10 @@ type Host struct {
 	// collected with the host.
 	ptMu       sync.Mutex
 	pageTables map[pagetable.Config]*artifact.Buf
+
+	// mem holds the guest memory of this host's released guests until its
+	// next guests draw it (guestmem.Memory.Release).
+	mem guestmem.FreeLists
 }
 
 // PageTables returns the identity map pagetable.Build makes for cfg, as an
@@ -141,17 +145,15 @@ func (m *Machine) SetGHCB(gpa uint64, g *ghcb.GHCB) {
 	m.ghcb = g
 }
 
-// NewMachine creates a guest of the given size. The timeline's zero point
-// is the current virtual time (VMM exec).
+// NewMachine creates a guest of the given size, its memory drawn from what
+// the host's released guests gave back before anything is allocated. The
+// timeline's zero point is the current virtual time (VMM exec).
 func (h *Host) NewMachine(proc *sim.Proc, size uint64, level sev.Level) *Machine {
 	m := &Machine{
 		Host:     h,
-		Mem:      guestmem.New(size),
+		Mem:      h.mem.New(size, h.HostStats),
 		Level:    level,
 		Timeline: trace.NewScoped(h.Telemetry, proc.Name(), proc.Now()),
-	}
-	if h.HostStats != nil {
-		m.Mem.SetHostRecorder(h.HostStats)
 	}
 	if h.OnNewMachine != nil {
 		h.OnNewMachine(m)

@@ -164,9 +164,10 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 		return nil, fmt.Errorf("linux: entry point %#x is unmapped zeros", entry)
 	}
 
-	// boot_params: a copy. On an SEV boot the verifier patched the initrd
-	// size into the page, so it aliases nothing a view could return.
-	zp, err := m.Mem.GuestRead(measure.GPAZeroPage, bootparams.Size, cbit)
+	// boot_params: on an SEV boot the verifier patched the initrd size into
+	// the page, so it aliases no artifact; the view is of the guest's own
+	// page, which Parse copies out of.
+	zp, _, err := m.Mem.GuestView(measure.GPAZeroPage, bootparams.Size, cbit)
 	if err != nil {
 		return nil, fmt.Errorf("linux: reading zero page: %w", err)
 	}
@@ -185,12 +186,13 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 		return nil, fmt.Errorf("linux: implausible cmdline %q", cmdline)
 	}
 
-	// MP table discovery (scan the EBDA for _MP_).
-	mpRaw, _, err := m.Mem.GuestView(measure.GPAMPTable, 2048, cbit)
-	if err != nil {
+	// MP table discovery (scan the EBDA for _MP_). The scan straddles a
+	// page boundary, so no view covers it: it is read onto the stack.
+	var mpRaw [2048]byte
+	if err := m.Mem.GuestReadInto(mpRaw[:], measure.GPAMPTable, cbit); err != nil {
 		return nil, fmt.Errorf("linux: reading mptable: %w", err)
 	}
-	mpInfo, err := mptable.Parse(mpRaw)
+	mpInfo, err := mptable.Parse(mpRaw[:])
 	if err != nil {
 		return nil, fmt.Errorf("linux: %w", err)
 	}

@@ -15,7 +15,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -49,24 +48,54 @@ type event struct {
 	proc *Proc // stepped when fire is nil
 }
 
-// eventHeap orders events by (at, seq).
-type eventHeap []*event
+// eventHeap is a binary min-heap of events by (at, seq), held by value so
+// scheduling an event allocates nothing once the queue has grown. seq is
+// unique, so the order is total and any correct heap pops the same
+// sequence.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	ev := q[0]
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
 	return ev
 }
 
@@ -121,13 +150,13 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fire: fn})
+	e.events.push(event{at: t, seq: e.seq, fire: fn})
 }
 
 // stepAt schedules p to run at virtual time t, which is never in the past.
 func (e *Engine) stepAt(t Time, p *Proc) {
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, proc: p})
+	e.events.push(event{at: t, seq: e.seq, proc: p})
 }
 
 // After schedules fn to run d from now.
@@ -143,7 +172,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // parked with no event that could ever wake them (a deadlock in the model).
 func (e *Engine) Run() {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		if ev.at > e.now {
 			e.now = ev.at
 		}

@@ -30,6 +30,13 @@ type Driver struct {
 	Encrypted bool // guest is SEV: payloads bounce through shared memory
 }
 
+// queueSize is the number of entries the driver asks a queue for.
+const queueSize = 64
+
+// ringAreaMax bounds the ring area of a queueSize queue at any base: the
+// descriptors, the avail ring, at most 3 bytes of alignment, the used ring.
+const ringAreaMax = queueSize*descSize + 4 + 2*queueSize + 3 + 4 + 8*queueSize
+
 // ringLayout: descriptors, then avail ring, then used ring, each aligned.
 func (dr *Driver) descGPA() uint64  { return dr.ringGPA }
 func (dr *Driver) availGPA() uint64 { return dr.ringGPA + uint64(dr.queueNum)*descSize }
@@ -94,7 +101,7 @@ func Probe(dev *Device, mem *guestmem.Memory, ringGPA, bufGPA uint64, wantFeatur
 		mem:       mem,
 		ringGPA:   ringGPA,
 		bufGPA:    bufGPA,
-		queueNum:  64,
+		queueNum:  queueSize,
 		Encrypted: encrypted,
 	}
 	// An encrypted guest converts its DMA region to shared state first
@@ -110,8 +117,9 @@ func Probe(dev *Device, mem *guestmem.Memory, ringGPA, bufGPA uint64, wantFeatur
 	}
 	// Zero the ring area in shared memory (the guest writes rings without
 	// the C-bit so the device can read them).
+	var zeros [ringAreaMax]byte
 	ringBytes := int(dr.usedGPA()+4+8*uint64(dr.queueNum)) - int(dr.ringGPA)
-	if err := mem.GuestWrite(dr.ringGPA, make([]byte, ringBytes), false); err != nil {
+	if err := mem.GuestWrite(dr.ringGPA, zeros[:ringBytes], false); err != nil {
 		return nil, err
 	}
 
@@ -154,7 +162,9 @@ func Probe(dev *Device, mem *guestmem.Memory, ringGPA, bufGPA uint64, wantFeatur
 
 // Request performs one I/O: request bytes out, respLen bytes back. The
 // payload travels through shared bounce buffers; for an encrypted guest
-// the response is then copied into private memory (the swiotlb copy).
+// the response is then copied into private memory (the swiotlb copy). The
+// response is a read-only view of the bounce buffer when it lies in one
+// page (guestmem.Memory.GuestView), valid until the next request.
 func (dr *Driver) Request(request []byte, respLen int, privateDst uint64) ([]byte, error) {
 	// Stage the request in the shared bounce area.
 	reqGPA := dr.bufGPA
@@ -190,7 +200,7 @@ func (dr *Driver) Request(request []byte, respLen int, privateDst uint64) ([]byt
 	}
 
 	// Reap the used entry.
-	usedRaw, err := dr.mem.GuestRead(dr.usedGPA(), 4+8*int(dr.queueNum), false)
+	usedRaw, _, err := dr.mem.GuestView(dr.usedGPA(), 4+8*int(dr.queueNum), false)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +218,7 @@ func (dr *Driver) Request(request []byte, respLen int, privateDst uint64) ([]byt
 		return nil, err
 	}
 
-	resp, err := dr.mem.GuestRead(respGPA, written, false)
+	resp, _, err := dr.mem.GuestView(respGPA, written, false)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +253,8 @@ type BlkBackend struct {
 	Image []byte
 }
 
-// Handle serves one block request.
+// Handle serves one block request. The sector it returns is the image's
+// own bytes, which the device copies into the guest.
 func (b *BlkBackend) Handle(in []byte) ([]byte, error) {
 	if len(in) < 9 || in[0] != 'R' {
 		return nil, fmt.Errorf("virtio-blk: bad request")
@@ -253,9 +264,7 @@ func (b *BlkBackend) Handle(in []byte) ([]byte, error) {
 	if off+512 > uint64(len(b.Image)) {
 		return nil, fmt.Errorf("virtio-blk: sector %d out of range", sector)
 	}
-	out := make([]byte, 512)
-	copy(out, b.Image[off:off+512])
-	return out, nil
+	return b.Image[off : off+512 : off+512], nil
 }
 
 // NetBackend echoes frames back (loopback), enough for an attestation

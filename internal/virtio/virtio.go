@@ -250,8 +250,8 @@ func (d *Device) completeChain(mem *guestmem.Memory, head uint16) error {
 		if hops > int(d.queueNum) {
 			return fmt.Errorf("%w: descriptor loop at %d", ErrRing, head)
 		}
-		raw, err := mem.HostRead(d.descGPA+uint64(idx)*descSize, descSize)
-		if err != nil {
+		var raw [descSize]byte
+		if err := mem.HostReadInto(d.descGPA+uint64(idx)*descSize, raw[:]); err != nil {
 			return err
 		}
 		addr := binary.LittleEndian.Uint64(raw[0:])
@@ -290,8 +290,8 @@ func (d *Device) completeChain(mem *guestmem.Memory, head uint16) error {
 		}
 	}
 	// Used ring entry: id + total written length.
-	usedRaw, err := mem.HostRead(d.usedGPA, 4)
-	if err != nil {
+	var usedRaw [4]byte
+	if err := mem.HostReadInto(d.usedGPA, usedRaw[:]); err != nil {
 		return err
 	}
 	usedIdx := binary.LittleEndian.Uint16(usedRaw[2:])

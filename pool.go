@@ -150,7 +150,9 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 // time, forked from the warm pool afterwards. The returned Result's
 // Total is the request latency in virtual time; LaunchDigest is the
 // measurement the guest attested with — identical for cold and forked
-// boots of the same image.
+// boots of the same image. The guest's memory goes back to the pool's
+// host at the next Boot or at Close, unless it is the warm pool's donor;
+// the Result's digest, timeline and attestation stay usable.
 func (p *Pool) Boot() (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("severifast: pool is closed")
