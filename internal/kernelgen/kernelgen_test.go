@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -279,22 +280,29 @@ func TestCachedInitrd(t *testing.T) {
 		t.Fatal("size is not part of the cache key")
 	}
 
-	// 8 goroutines over two keys: every caller of a key sees one slice.
+	// 8 goroutines miss two new keys together: every caller of a key sees
+	// one slice, built by one search, although none holds the cache's lock
+	// while it builds.
+	seeds := [2]int64{freshSeed(), freshSeed()}
+	before := calibSearches.Load()
 	var wg sync.WaitGroup
 	got := make([][]byte, 8)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = CachedInitrd(int64(100+i%2), size)
+			got[i] = CachedInitrd(seeds[i%2], size)
 		}(i)
 	}
 	wg.Wait()
+	if n := calibSearches.Load() - before; n != 2 {
+		t.Errorf("8 concurrent misses of two keys ran %d searches, want 2", n)
+	}
 	for i, b := range got {
 		if &b[0] != &got[i%2][0] {
 			t.Errorf("goroutine %d got its own copy of key %d", i, i%2)
 		}
-		if !bytes.Equal(b, BuildInitrd(int64(100+i%2), size)) {
+		if !bytes.Equal(b, BuildInitrd(seeds[i%2], size)) {
 			t.Errorf("goroutine %d got wrong bytes", i)
 		}
 	}
@@ -306,7 +314,7 @@ func TestCachedInitrd(t *testing.T) {
 	}
 	retained := 0
 	for _, e := range initrdCache.entries {
-		if e.data != nil {
+		if e != nil && e.data != nil {
 			retained++
 		}
 	}
@@ -540,6 +548,119 @@ func TestArtifactsGenerateInPlace(t *testing.T) {
 			t.Errorf("%s: the remembered answer generated different bytes than the search", name)
 		}
 	}
+}
+
+// TestKnownGenerationAllocatesOnlySourceAndOutput: a generation whose
+// fraction is already known — GenBinary, which verifier.Image runs on every
+// measurement, and a remembered calibration key — allocates the random
+// source and the bytes it returns, nothing else.
+func TestKnownGenerationAllocatesOnlySourceAndOutput(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	seed := freshSeed()
+	const n = 13 << 10
+	calibratedBytes(nil, seed, n, n/2) // the table remembers the key
+	for name, gen := range map[string]func() []byte{
+		"GenBinary":       func() []byte { return GenBinary(seed, n) },
+		"calibratedBytes": func() []byte { return calibratedBytes(nil, seed, n, n/2) },
+	} {
+		if allocs := testing.AllocsPerRun(20, func() { gen() }); allocs > 2 {
+			t.Errorf("%s: %v allocations per run, want at most 2 (the source and the output)", name, allocs)
+		}
+	}
+}
+
+// mixBytesReference is mixBytes as it was written against math/rand.Rand:
+// a dictionary of 96 words Read one at a time, and a 4 KiB block filled by
+// Read or by Intn(96) word picks, appended and cut at n. mixBytes must
+// produce its bytes exactly.
+func mixBytesReference(out []byte, seed int64, n int, q float64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	dict := make([][]byte, 96)
+	for i := range dict {
+		w := make([]byte, 64)
+		rng.Read(w)
+		dict[i] = w
+	}
+	block := make([]byte, 4096)
+	acc := 0.0
+	for end := len(out) + n; len(out) < end; {
+		acc += q
+		if acc >= 1 {
+			acc -= 1
+			rng.Read(block)
+		} else {
+			for b := 0; b < 4096; b += 64 {
+				copy(block[b:], dict[rng.Intn(len(dict))])
+			}
+		}
+		out = append(out, block[:min(len(block), end-len(out))]...)
+	}
+	return out
+}
+
+// TestMixBytesMatchesReference holds mixBytes to the math/rand generator
+// over seeds, sizes (block multiples, odd tails, shorter than one word) and
+// fractions (none random, all random, the three pinned presets' and a few
+// between), appended after a prefix it must leave alone.
+func TestMixBytesMatchesReference(t *testing.T) {
+	qs := []float64{0, 1, 0.35, 0.5, 0.69, 0.999}
+	for _, q := range pinnedCalib {
+		qs = append(qs, q)
+	}
+	for _, seed := range []int64{0, 1, -7, 0x5EED ^ 1, 103} {
+		for _, n := range []int{0, 1, 7, 8, 63, 64, 65, 4095, 4096, 4097, 13 << 10, 3*4096 + 1234, 64<<10 + 7} {
+			for _, q := range qs {
+				prefix := []byte("prefix")
+				got := mixBytes(append([]byte(nil), prefix...), seed, n, q)
+				want := mixBytesReference(append([]byte(nil), prefix...), seed, n, q)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d, n %d, q %x: mixBytes differs from the math/rand reference", seed, n, q)
+				}
+			}
+		}
+	}
+}
+
+// FuzzMixStream decodes its input into an interleaving of reads (of 0, 1–7,
+// 8, 64 and 4096 bytes and odd tails) and Intn(96) draws, and requires
+// mixStream to hand out exactly what a math/rand.Rand over the same seed
+// does, byte for byte and index for index.
+func FuzzMixStream(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(int64(42), []byte{9, 10, 11, 12, 9, 9, 13, 14, 15, 3, 10, 9})
+	f.Add(int64(-5), []byte{6, 6, 6, 9, 6, 13, 12, 12, 9, 1})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		want := rand.New(rand.NewSource(seed))
+		got := mixStream{src: rand.NewSource(seed)}
+		for i, op := range ops {
+			if op%16 == 9 {
+				if g, w := got.intn96(), want.Intn(96); g != w {
+					t.Fatalf("op %d: intn96 %d, Intn(96) %d", i, g, w)
+				}
+				continue
+			}
+			var n int
+			switch k := int(op % 16); {
+			case k <= 8:
+				n = k // 0, 1–7 and one whole draw
+			case k == 10:
+				n = 64
+			case k == 11:
+				n = 4096
+			default: // 12–15: odd tails past whole draws
+				n = 7*int(op>>4) + k - 11
+			}
+			g, w := make([]byte, n), make([]byte, n)
+			got.read(g)
+			want.Read(w)
+			if !bytes.Equal(g, w) {
+				t.Fatalf("op %d: read(%d) differs from Rand.Read", i, n)
+			}
+		}
+	})
 }
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")

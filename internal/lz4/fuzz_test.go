@@ -64,9 +64,10 @@ func FuzzDecompress(f *testing.F) {
 	})
 }
 
-// FuzzCompressBlock holds the compressor to the byte-at-a-time reference
-// (compressBlockReference) and to the round trip, on the decoder fuzzers'
-// corpus read as plain content and on what that corpus was compressed from.
+// FuzzCompressBlock holds the compressor, and CompressedLen's count, to the
+// byte-at-a-time reference (compressBlockReference) and to the round trip,
+// on the decoder fuzzers' corpus read as plain content and on what that
+// corpus was compressed from.
 func FuzzCompressBlock(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello hello hello hello"))

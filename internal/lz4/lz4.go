@@ -54,12 +54,31 @@ func maxCompressedLen(raw int) int { return raw + raw/255 + 16 }
 // CompressBlockAppend is CompressBlock appending to dst, letting callers
 // reuse a compression buffer across blocks (pass dst[:0]).
 func CompressBlockAppend(dst, src []byte) []byte {
-	if len(src) == 0 {
-		// A zero-length block is a single empty-literal token.
-		return append(dst, 0)
-	}
+	dst, _ = compressBlock(dst, src, true)
+	return dst
+}
+
+// CompressedLen returns len(CompressBlock(src)) without writing the block:
+// the same parse, with each sequence counted instead of appended. A caller
+// that only needs the size (kernelgen's calibration search) skips copying
+// every literal and allocating the output.
+func CompressedLen(src []byte) int {
+	_, n := compressBlock(nil, src, false)
+	return n
+}
+
+// compressBlock is the one match finder, with two sinks: it adds each
+// sequence's length to n, the block's length, and with emit it also appends
+// the sequence to dst; without, dst is left alone. The flag is tested once
+// per sequence, not per byte.
+func compressBlock(dst, src []byte, emit bool) (_ []byte, n int) {
 	if len(src) < mfLimit+1 {
-		return appendLiterals(dst, src)
+		// Too short for a match: one literals-only sequence (an empty
+		// block is a single empty-literal token).
+		if emit {
+			dst = appendLiterals(dst, src)
+		}
+		return dst, literalsLen(len(src))
 	}
 
 	var table [1 << hashLog]int32
@@ -72,14 +91,10 @@ func CompressBlockAppend(dst, src []byte) []byte {
 	limit := len(src) - mfLimit
 	matchLimit := len(src) - lastLiterals
 
-	for s < limit {
-		// Find a match candidate via the hash table.
-		h := hash4(load32(src, s))
-		ref := int(table[h])
-		table[h] = int32(s)
-		if ref < 0 || s-ref > maxOffset || load32(src, ref) != load32(src, s) {
-			s++
-			continue
+	for {
+		var ref int
+		if s, ref = findMatch(&table, src, s, limit); s >= limit {
+			break
 		}
 
 		// Extend the match backwards over bytes we already emitted as
@@ -92,7 +107,10 @@ func CompressBlockAppend(dst, src []byte) []byte {
 		// Extend forwards, but never into the last-literals region.
 		matchLen := minMatch + commonPrefix(src[s+minMatch:matchLimit], src[ref+minMatch:])
 
-		dst = appendSequence(dst, src[anchor:s], s-ref, matchLen)
+		if emit {
+			dst = appendSequence(dst, src[anchor:s], s-ref, matchLen)
+		}
+		n += sequenceLen(s-anchor, matchLen)
 		s += matchLen
 		anchor = s
 
@@ -103,7 +121,38 @@ func CompressBlockAppend(dst, src []byte) []byte {
 		}
 	}
 
-	return appendLiterals(dst, src[anchor:])
+	if emit {
+		dst = appendLiterals(dst, src[anchor:])
+	}
+	return dst, n + literalsLen(len(src)-anchor)
+}
+
+// findMatch scans src from s for the first position before limit whose
+// four bytes equal those at the position table holds for their hash, no
+// more than maxOffset back, and returns it with that earlier position. Every
+// position it passes is entered in table. It returns limit when no position
+// matches.
+//
+// It is the compressor's per-byte loop, kept apart so that nothing else is
+// live in it. The word compare comes first, from ref clamped into the window
+// (r != ref exactly when the slot is empty or ref is out of reach): on
+// incompressible input it fails at nearly every byte, so its branch
+// predicts, where a window test ahead of it went either way at random; and a
+// stale ref reads the window's far edge, 64 KiB behind the scan and still
+// cached, instead of cold bytes megabytes back.
+func findMatch(table *[1 << hashLog]int32, src []byte, s, limit int) (int, int) {
+	for ; s < limit; s++ {
+		cur := load32(src, s)
+		h := hash4(cur)
+		ref := int(table[h])
+		table[h] = int32(s)
+		d := ref - max(s-maxOffset, 0)
+		r := ref - d&(d>>63) // max(ref, s-maxOffset, 0) without a branch
+		if load32(src, r) == cur && r == ref {
+			return s, ref
+		}
+	}
+	return limit, 0
 }
 
 // commonPrefix returns how many leading bytes of a equal b's. b is at least
@@ -150,6 +199,30 @@ func appendSequence(dst []byte, literals []byte, offset, matchLen int) []byte {
 	}
 	return dst
 }
+
+// sequenceLen is len(appendSequence(nil, literals, offset, matchLen)) for
+// len(literals) == litLen.
+func sequenceLen(litLen, matchLen int) int {
+	n := literalsLen(litLen) + 2
+	if mlCode := matchLen - minMatch; mlCode >= 15 {
+		n += lenExtLen(mlCode - 15)
+	}
+	return n
+}
+
+// literalsLen is len(appendLiterals(nil, literals)) for len(literals) ==
+// litLen: the token, its length extension and the literals.
+func literalsLen(litLen int) int {
+	n := 1 + litLen
+	if litLen >= 15 {
+		n += lenExtLen(litLen - 15)
+	}
+	return n
+}
+
+// lenExtLen is len(appendLenExt(nil, n)): a 255 per full 255, then the
+// remainder.
+func lenExtLen(n int) int { return n/255 + 1 }
 
 // appendLiterals emits the final literals-only sequence.
 func appendLiterals(dst []byte, literals []byte) []byte {

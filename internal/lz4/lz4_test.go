@@ -317,6 +317,68 @@ func BenchmarkCompress4MiB(b *testing.B) {
 	}
 }
 
+// blockMix is n bytes laid out the way internal/kernelgen generates its
+// artifacts: a fraction q of 4 KiB blocks random, the rest built from 96
+// random 64-byte words. q ≈ 0.18 is a kernel (the Ubuntu preset's q),
+// q ≈ 0.69 an attestation initrd.
+func blockMix(n int, q float64) []byte {
+	rng := rand.New(rand.NewSource(11))
+	dict := make([]byte, 96*64)
+	rng.Read(dict)
+	src := make([]byte, n)
+	acc := 0.0
+	for b := 0; b < n; b += 4096 {
+		block := src[b:min(b+4096, n)]
+		if acc += q; acc >= 1 {
+			acc--
+			rng.Read(block)
+			continue
+		}
+		for i := 0; i < len(block); i += 64 {
+			w := rng.Intn(96)
+			copy(block[i:], dict[w*64:(w+1)*64])
+		}
+	}
+	return src
+}
+
+// mixes are the two inputs the compressor benchmarks run on.
+var mixes = []struct {
+	name string
+	q    float64
+}{{"kernel", 0.18}, {"initrd", 0.69}}
+
+var sinkLen int
+
+// BenchmarkCompressBlock is the emitting parse: what bzimage.Build runs on
+// a kernel.
+func BenchmarkCompressBlock(b *testing.B) {
+	for _, m := range mixes {
+		src := blockMix(4<<20, m.q)
+		dst := make([]byte, 0, maxCompressedLen(len(src)))
+		b.Run(m.name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				sinkLen = len(CompressBlockAppend(dst[:0], src))
+			}
+		})
+	}
+}
+
+// BenchmarkCompressedLen is the counting parse: what kernelgen's
+// calibration search runs on every round.
+func BenchmarkCompressedLen(b *testing.B) {
+	for _, m := range mixes {
+		src := blockMix(4<<20, m.q)
+		b.Run(m.name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				sinkLen = CompressedLen(src)
+			}
+		})
+	}
+}
+
 func BenchmarkDecompress4MiB(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	dict := make([][]byte, 64)
@@ -516,11 +578,16 @@ func TestDecompressMatchesByteWiseReference(t *testing.T) {
 }
 
 // sameAsReference fails the test unless the word-at-a-time compressor and
-// the reference agree on src.
+// the reference agree on src, and the count-only parse agrees with both on
+// the block's length.
 func sameAsReference(t *testing.T, what string, src []byte) {
 	t.Helper()
-	if got, want := CompressBlock(src), compressBlockReference(src); !bytes.Equal(got, want) {
+	got, want := CompressBlock(src), compressBlockReference(src)
+	if !bytes.Equal(got, want) {
 		t.Fatalf("%s (%d bytes): compressed to %d bytes, reference %d, or same length and different bytes", what, len(src), len(got), len(want))
+	}
+	if n := CompressedLen(src); n != len(want) {
+		t.Fatalf("%s (%d bytes): CompressedLen %d, reference block %d bytes", what, len(src), n, len(want))
 	}
 }
 
@@ -573,6 +640,11 @@ func TestCompressMatchesByteWiseReference(t *testing.T) {
 	}
 
 	sameAsReference(t, "kernel-like mix", kernelLikeMix(4<<20))
+	// The generator's block mixes, from all dictionary words to all random
+	// blocks: stale, empty and in-window table slots in every proportion.
+	for _, q := range []float64{0, 0.18, 0.5, 0.69, 1} {
+		sameAsReference(t, fmt.Sprintf("block mix q=%v", q), blockMix(1<<20+123, q))
+	}
 
 	// A 64-byte phrase, noise, then the phrase again, cut so that the match
 	// stops 0..16 bytes short of matchLimit or runs straight into it, with
