@@ -5,6 +5,8 @@
 // launched with a key-sharing policy, which every guest owner sees in the
 // attestation report, and a strict-policy donor is refused; without key
 // sharing the donor's memory is undecryptable ciphertext to any clone.
+// Many boots of one image go through a Pool, which measures the first and
+// forks every later one.
 //
 //	go run ./examples/warmstart
 package main
@@ -43,6 +45,7 @@ func main() {
 	fmt.Printf("cold boot (SEVeriFast, SNP):  %v\n", r(cold.Total))
 	fmt.Printf("warm start from snapshot:     %v  (%.1fx faster)\n",
 		r(warm.Total), float64(cold.Total)/float64(warm.Total))
+	poolBoots(r)
 
 	// The trade-off is enforced: a strict-policy donor cannot donate.
 	strict, err := host.Boot(severifast.Config{
@@ -63,4 +66,33 @@ func main() {
 	}
 	fmt.Println("\nKey sharing weakens the trust model — and it is visible: the relaxed")
 	fmt.Println("policy changes the launch digest, so guest owners always know (§6.2/§7).")
+}
+
+// poolBoots serves several boots of one image through a Pool: the first
+// is measured, the rest fork from it, and every one attests with the same
+// launch digest.
+func poolBoots(r func(time.Duration) time.Duration) {
+	const boots = 4
+	pool, err := severifast.NewPool(severifast.NewConfig(
+		severifast.WithKernel(severifast.KernelAWS),
+	), severifast.PoolOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer pool.Close()
+	var digest [32]byte
+	for i := 0; i < boots; i++ {
+		res, err := pool.Boot()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if i == 0 {
+			digest = res.LaunchDigest
+		} else if res.LaunchDigest != digest {
+			log.Fatalf("BUG: pooled boot %d measured %x, the first %x", i, res.LaunchDigest[:8], digest[:8])
+		}
+	}
+	st := pool.Stats()
+	fmt.Printf("pool: %d cold + %d forked boots, one digest %x…, warm p50 %v\n",
+		st.ColdBoots, st.WarmBoots, digest[:8], r(st.WarmP50))
 }

@@ -314,9 +314,9 @@ func TestKBSWarmTierAttested(t *testing.T) {
 // TestKBSRefStoreHoldsOnlyMeasuredDigests: the broker's reference store is
 // derived from measured launches and nothing else. After a warm,
 // broker-gated run over K images it holds exactly K digests, and a guest
-// that opened a shared-key launch context but measured nothing — its
-// report carries the content-free psp.InitialDigest — is denied for its
-// measurement even though its platform evidence is honest.
+// that opened a launch context but measured nothing — its report carries
+// the content-free psp.InitialDigest — is denied for its measurement even
+// though its platform evidence is honest.
 func TestKBSRefStoreHoldsOnlyMeasuredDigests(t *testing.T) {
 	const images = 3
 	eng, o, img0, broker := testKBSFleet(t, Config{Standalone: true, EnableWarm: true})
@@ -340,24 +340,22 @@ func TestKBSRefStoreHoldsOnlyMeasuredDigests(t *testing.T) {
 			}
 		}
 
-		// A shared-key launch finished without a single measured page,
-		// run through the fleet's own attest exchange.
+		// A launch finished without a single measured page, run through
+		// the fleet's own attest exchange.
 		spec := img0.Spec()
-		donor := img0.ForkState().Donor
 		m := o.host.NewMachine(p, spec.MemSize, spec.Level)
-		ctx, err := o.host.PSP.LaunchStartShared(p, m.Mem, donor.Launch, spec.Level, spec.Policy)
-		if err != nil {
+		if err := m.StartLaunch(p, spec.Policy); err != nil {
 			t.Error(err)
 			return
 		}
+		ctx := m.Launch
 		if _, err := ctx.LaunchFinish(p); err != nil {
 			t.Error(err)
 			return
 		}
 		if ctx.Digest() != psp.InitialDigest(spec.Policy, spec.Level) {
-			t.Error("unmeasured shared-key guest does not carry the initial digest")
+			t.Error("unmeasured guest does not carry the initial digest")
 		}
-		m.Launch = ctx
 		denial = o.attestExchange(p, &request{Request: Request{Tenant: "t0"}}, m)
 	})
 	eng.Run()

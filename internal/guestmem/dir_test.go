@@ -1206,7 +1206,7 @@ func TestGuestCopyInsideSharedLeaf(t *testing.T) {
 	frozen := pagesOf(src.dir[0].leaf) // the leaf's page structs, by value
 
 	child := New(donor.Size())
-	child.SetKey(donor.Key(), 2)
+	child.ShareKey(donor)
 	if err := child.AdoptFork(src); err != nil {
 		t.Fatal(err)
 	}

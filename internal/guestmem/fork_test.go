@@ -43,7 +43,7 @@ func TestForkRoundTrip(t *testing.T) {
 	}
 
 	child := New(1 << 20)
-	child.SetKey(donor.Key(), 3)
+	child.ShareKey(donor)
 	if err := child.AdoptFork(src); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestForkCoWIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	child := New(1 << 20)
-	child.SetKey(donor.Key(), 3)
+	child.ShareKey(donor)
 	if err := child.AdoptFork(src); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestForkTamperDetected(t *testing.T) {
 	// adopt: the root digest re-check must refuse the fork.
 	src.Blob().Corrupt(100, 0x40)
 	child := New(1 << 20)
-	child.SetKey(donor.Key(), 3)
+	child.ShareKey(donor)
 	if err := child.AdoptFork(src); !errors.Is(err, ErrForkTampered) {
 		t.Fatalf("AdoptFork after blob corruption = %v, want ErrForkTampered", err)
 	}
@@ -229,7 +229,7 @@ func TestForkLeafIsolationUnderConcurrentWriters(t *testing.T) {
 
 	adopt := func() (*Memory, *telemetry.HostRecorder) {
 		m := New(donor.Size())
-		m.SetKey(donor.Key(), asid)
+		m.ShareKey(donor)
 		m.AttachRMP(rmp.New(), asid)
 		rec := telemetry.NewHostRecorder()
 		m.rec = rec
@@ -316,7 +316,7 @@ func TestForkLeafIsolationUnderConcurrentWriters(t *testing.T) {
 	// A tampered blob is refused before a single leaf is shared.
 	src.Blob().Corrupt(privateSpan/2, 0x01)
 	late := New(donor.Size())
-	late.SetKey(donor.Key(), asid)
+	late.ShareKey(donor)
 	if err := late.AdoptFork(src); !errors.Is(err, ErrForkTampered) {
 		t.Fatalf("AdoptFork of a corrupted blob = %v, want ErrForkTampered", err)
 	}

@@ -349,6 +349,23 @@ func (m *Memory) SetKey(key []byte, asid uint32) {
 	m.sevMetadataBytes += len(key) + 48 // key + per-guest SEV context
 }
 
+// ShareKey installs donor's encryption key and ASID, as SetKey would
+// (psp.LaunchStartFork's shared-key launch). The guest keeps its own copy
+// of the key, which Release scrubs, and shares the donor's expanded AES
+// block, which is read-only, instead of expanding the key again.
+func (m *Memory) ShareKey(donor *Memory) {
+	if m.dir == nil {
+		return
+	}
+	if len(donor.key) != 16 {
+		panic("guestmem: donor has no key")
+	}
+	m.key = append([]byte(nil), donor.key...)
+	m.block = donor.block
+	m.asid = donor.asid
+	m.sevMetadataBytes += len(m.key) + 48 // key + per-guest SEV context
+}
+
 // AttachRMP enables SNP semantics for this guest with the given ASID.
 func (m *Memory) AttachRMP(t *rmp.Table, asid uint32) {
 	if m.dir == nil {
@@ -1042,15 +1059,6 @@ func (m *Memory) HostRestoreCiphertext(gpa uint64, ct []byte) error {
 		m.rmp.AssignValidated(gpa, m.asid)
 	}
 	return nil
-}
-
-// Key returns a copy of the installed encryption key (used by the PSP's
-// shared-key launch path). Nil if no key is installed.
-func (m *Memory) Key() []byte {
-	if m.key == nil {
-		return nil
-	}
-	return append([]byte(nil), m.key...)
 }
 
 // ShareRange converts [gpa, gpa+n) to shared state — the guest's

@@ -67,6 +67,7 @@ func releasedGuest(t *testing.T, f *FreeLists) *Memory {
 func TestReleasedGuestFailsClosed(t *testing.T) {
 	m := releasedGuest(t, &FreeLists{})
 	donor := New(m.size + 4*leafBytes)
+	donor.SetKey(key(4), 4)
 	if err := donor.HostWrite(0, []byte("donor")); err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +96,8 @@ func TestReleasedGuestFailsClosed(t *testing.T) {
 			return reflect.ValueOf(art)
 		case reflect.TypeOf(src):
 			return reflect.ValueOf(src)
+		case reflect.TypeOf(donor):
+			return reflect.ValueOf(donor)
 		case reflect.TypeOf((*rmp.Table)(nil)):
 			return reflect.ValueOf(rmp.New())
 		case reflect.TypeOf((*telemetry.HostRecorder)(nil)):
@@ -124,6 +127,74 @@ func TestReleasedGuestFailsClosed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReleasedForkLeavesDonorAndLaterForks releases a fork that shares its
+// donor's key and AES block (ShareKey) and owns a page it wrote, then
+// requires the donor and a fork adopted afterwards to read every page as
+// before, plain text and ciphertext: the release scrubbed the fork's own
+// copy of the key, not the donor's, and kept nothing they read.
+func TestReleasedForkLeavesDonorAndLaterForks(t *testing.T) {
+	f := &FreeLists{}
+	donor := f.New(2*leafBytes, nil)
+	donor.SetKey(key(6), 6)
+	secret := bytes.Repeat([]byte("measured and private "), PageSize/8)
+	public := []byte("shared staging, host visible")
+	for _, err := range []error{
+		donor.HostWrite(PageSize, secret),
+		donor.LaunchUpdateFlip(PageSize, len(secret)),
+		donor.HostWrite(leafBytes, public),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := donor.ExportForkSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cipherText, err := donor.HostRead(PageSize, len(secret))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopt := func() *Memory {
+		m := f.New(donor.Size(), nil)
+		m.ShareKey(donor)
+		if err := m.AdoptFork(src); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	check := func(who string, m *Memory) {
+		t.Helper()
+		for _, c := range []struct {
+			gpa  uint64
+			want []byte
+			read func(uint64, int) ([]byte, error)
+		}{
+			{PageSize, secret, func(gpa uint64, n int) ([]byte, error) { return m.GuestRead(gpa, n, true) }},
+			{PageSize, cipherText, m.HostRead},
+			{leafBytes, public, m.HostRead},
+		} {
+			if got, err := c.read(c.gpa, len(c.want)); err != nil || !bytes.Equal(got, c.want) {
+				t.Fatalf("%s at %#x: read %q (err %v), want %q", who, c.gpa, got, err, c.want)
+			}
+		}
+	}
+	fork := adopt()
+	check("fork", fork)
+	if err := fork.GuestWrite(PageSize, []byte("the fork's own page"), true); err != nil {
+		t.Fatal(err)
+	}
+	fork.Release()
+	if len(f.pages) == 0 {
+		t.Fatal("the fork's release returned no page")
+	}
+	if !bytes.Equal(donor.key, key(6)) {
+		t.Fatal("releasing the fork scrubbed the donor's key")
+	}
+	check("donor", donor)
+	check("later fork", adopt())
 }
 
 // TestReleaseReturnsOnlyWhatTheGuestOwns releases a guest that shares

@@ -378,52 +378,25 @@ func VerifyReport(pub *ecdsa.PublicKey, r *Report) error {
 	return nil
 }
 
-// LaunchStartShared opens a launch context that reuses donor's memory
-// encryption key and ASID — the paper's §6.2 near-term idea for easing
-// the PSP bottleneck and enabling warm start. Both guests' policies must
-// permit key sharing; the relaxed policy is reflected in the measurement
-// and the attestation report, so guest owners see the weakened trust
-// model. The command is cheaper than LAUNCH_START because no key is
-// derived.
-func (p *PSP) LaunchStartShared(proc *sim.Proc, mem *guestmem.Memory, donor *GuestContext, level sev.Level, policy sev.Policy) (*GuestContext, error) {
-	if !level.Encrypted() {
-		return nil, fmt.Errorf("%w: shared-key launch for non-SEV guest", ErrState)
-	}
-	if policy.NoKeySharing || donor.policy.NoKeySharing {
-		return nil, fmt.Errorf("%w: key sharing forbidden by policy", ErrPolicy)
-	}
-	if policy.ESRequired && level < sev.ES {
-		return nil, fmt.Errorf("%w: policy requires SEV-ES, guest level %v", ErrPolicy, level)
-	}
-	p.run(proc, p.model.PSPLaunchStart/2, "LAUNCH_START_SHARED")
-
-	mem.SetKey(donor.mem.Key(), donor.asid)
-	ctx := &GuestContext{
-		psp:    p,
-		mem:    mem,
-		level:  level,
-		policy: policy,
-		asid:   donor.asid, // shared key == shared ASID slot
-		state:  StateLaunching,
-	}
-	ctx.digest = InitialDigest(policy, level)
-	return ctx, nil
-}
-
 // LaunchStartFork opens a launch context for a guest forked from a
 // finished donor: the donor's key, ASID, *and launch digest* carry over,
 // so the fork attests with the exact measurement of its parent — the
-// launch-digest provenance requirement for snapshot-fork warm boot. The
-// PSP charge and command label are identical to LaunchStartShared
-// (virtual time does not depend on which warm path ran); the digest is
-// inherited rather than re-derived because the forked memory is, page
+// launch-digest provenance requirement for snapshot-fork warm boot. This
+// is the paper's §6.2 near-term idea for easing the PSP bottleneck and
+// enabling warm start: both guests' policy must permit key sharing, and
+// the relaxed policy is part of the measurement and the attestation
+// report, so guest owners see the weakened trust model. The command is
+// cheaper than LAUNCH_START because no key is derived, and the guest
+// shares the donor's expanded key (guestmem.Memory.ShareKey). The digest
+// is inherited rather than re-derived because the forked memory is, page
 // for page, the measured parent image (guestmem.AdoptFork verifies the
 // fork root before any page goes live).
 //
 // The donor must be a finished launch (StateRunning) with the same
 // feature level and policy — a fork may not relax what its parent
-// measured. A donor whose policy forbids key sharing is refused before
-// anything else is compared, so its refusal names key sharing.
+// measured, and what the donor's LAUNCH_START checked of that pair holds
+// for the fork. A donor whose policy forbids key sharing is refused
+// before anything else is compared, so its refusal names key sharing.
 func (p *PSP) LaunchStartFork(proc *sim.Proc, mem *guestmem.Memory, donor *GuestContext, level sev.Level, policy sev.Policy) (*GuestContext, error) {
 	if donor.policy.NoKeySharing {
 		return nil, fmt.Errorf("%w: key sharing forbidden by policy", ErrPolicy)
@@ -437,10 +410,16 @@ func (p *PSP) LaunchStartFork(proc *sim.Proc, mem *guestmem.Memory, donor *Guest
 	if policy != donor.policy {
 		return nil, fmt.Errorf("%w: fork policy differs from donor policy", ErrPolicy)
 	}
-	ctx, err := p.LaunchStartShared(proc, mem, donor, level, policy)
-	if err != nil {
-		return nil, err
-	}
-	ctx.digest = donor.digest
-	return ctx, nil
+	p.run(proc, p.model.PSPLaunchStart/2, "LAUNCH_START_SHARED")
+
+	mem.ShareKey(donor.mem)
+	return &GuestContext{
+		psp:    p,
+		mem:    mem,
+		level:  level,
+		policy: policy,
+		asid:   donor.asid, // shared key == shared ASID slot
+		state:  StateLaunching,
+		digest: donor.digest,
+	}, nil
 }

@@ -16,6 +16,10 @@ import "iter"
 // same thread lock (runtime.LockOSThread) as the one that created it:
 // call Engine.Go and Engine.Run under one lock state. A process inherits
 // the state of whoever steps it, so spawning from a process is always fine.
+// An idle process (Proc.Idle) outlives the Run that started it and is
+// stepped again by a later one, so the rule spans every Run that may
+// resume it: a severifast.Pool's Boot, Prewarm and Close calls must all
+// be made under one lock state.
 type handoff struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool

@@ -122,7 +122,7 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 
-	procs int // live (started, unfinished) processes
+	procs int // live (started, unfinished, not idle) processes
 
 	tracer Tracer // optional scheduler observer
 
@@ -170,6 +170,8 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // Run dispatches events until the queue is empty. It panics if a process
 // panicked, propagating the original panic value, or if processes remain
 // parked with no event that could ever wake them (a deadlock in the model).
+// An idle process (Proc.Idle) is not one: Run returns with it still
+// parked, and a later Wake and Run resume it.
 func (e *Engine) Run() {
 	for len(e.events) > 0 {
 		ev := e.events.pop()
@@ -266,7 +268,19 @@ func (p *Proc) Park() Time {
 	return at
 }
 
-// Wake schedules a process parked via Park to resume at the current
+// Idle parks the process like Park, as a process with nothing to do: Run
+// returns while it waits instead of reporting a deadlock, and no parked
+// span is traced. A standing server process idles between the jobs it is
+// woken for (severifast.Pool's one process serves every call this way);
+// the caller that holds it resumes it with Wake. A process parked with
+// Park, Signal.Wait or Resource.Acquire still counts as live.
+func (p *Proc) Idle() {
+	p.eng.procs--
+	p.park()
+	p.eng.procs++
+}
+
+// Wake schedules a process parked via Park or Idle to resume at the current
 // instant, after already-queued events for this time. Waking a process
 // that is not parked corrupts the engine-process rendezvous; callers must
 // track parked processes themselves (remove p from their wait list before

@@ -450,3 +450,92 @@ func TestStepAllocatesOnlyItsEvent(t *testing.T) {
 		t.Fatalf("%.2f allocations per Sleep, want 1", perSleep)
 	}
 }
+
+// idleTracer counts the parked spans the engine reports.
+type idleTracer struct{ idle int }
+
+func (*idleTracer) TraceWait(string, string, Time, Time)            {}
+func (*idleTracer) TraceService(string, string, string, Time, Time) {}
+func (t *idleTracer) TraceIdle(string, Time, Time)                  { t.idle++ }
+
+// An idle process is not live: Run returns while it waits, a Wake and a
+// later Run resume it, and it is never reported as a parked span.
+func TestIdleProcessOutlivesRun(t *testing.T) {
+	e := NewEngine()
+	tr := &idleTracer{}
+	e.SetTracer(tr)
+	var self *Proc
+	jobs := 0
+	e.Go("server", func(p *Proc) {
+		self = p
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Millisecond)
+			jobs++
+			p.Idle()
+		}
+	})
+	for want := 1; want <= 3; want++ {
+		if want > 1 {
+			e.Wake(self)
+		}
+		e.Run()
+		if jobs != want || e.Now() != Time(time.Duration(want)*time.Millisecond) {
+			t.Fatalf("run %d: %d jobs at %v", want, jobs, e.Now())
+		}
+	}
+	e.Wake(self)
+	e.Run() // the process returns; nothing is left live
+	if e.procs != 0 {
+		t.Fatalf("%d processes live after the idle process returned", e.procs)
+	}
+	if tr.idle != 0 {
+		t.Fatalf("%d parked spans traced for an idle process, want 0", tr.idle)
+	}
+}
+
+// Wake resumes an idle process at the current instant, after the events
+// already queued for that instant.
+func TestWakeResumesIdleAfterQueuedEvents(t *testing.T) {
+	e := NewEngine()
+	var self *Proc
+	var order []string
+	e.Go("server", func(p *Proc) {
+		self = p
+		p.Idle()
+		order = append(order, "server@"+p.Now().String())
+	})
+	e.Run()
+	e.After(time.Millisecond, func() {
+		e.At(e.Now(), func() { order = append(order, "queued@"+e.Now().String()) })
+		e.Wake(self)
+	})
+	e.Run()
+	if len(order) != 2 || order[0] != "queued@1ms" || order[1] != "server@1ms" {
+		t.Fatalf("order = %v, want [queued@1ms server@1ms]", order)
+	}
+}
+
+// Idle changes nothing for a process parked with Park: with no event
+// left that could wake it, Run still reports a deadlock, and its gap is
+// still traced.
+func TestParkWithEmptyQueueStillPanics(t *testing.T) {
+	e := NewEngine()
+	tr := &idleTracer{}
+	e.SetTracer(tr)
+	var self *Proc
+	e.Go("parker", func(p *Proc) {
+		self = p
+		p.Park()
+		p.Park()
+	})
+	e.Go("waker", func(p *Proc) { e.Wake(self) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a process parked with Park and nothing to wake it did not panic Run")
+		}
+		if tr.idle != 1 {
+			t.Fatalf("%d parked spans traced, want 1", tr.idle)
+		}
+	}()
+	e.Run()
+}

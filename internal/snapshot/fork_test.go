@@ -27,7 +27,7 @@ func warmRestoreCopy(proc *sim.Proc, host *kvm.Host, donor *kvm.Machine, img *Im
 	if encrypted {
 		m.PrepSEVHost(proc)
 		pol := firecracker.LaunchPolicy(donor.Level, true)
-		ctx, err := host.PSP.LaunchStartShared(proc, m.Mem, donor.Launch, donor.Level, pol)
+		ctx, err := host.PSP.LaunchStartFork(proc, m.Mem, donor.Launch, donor.Level, pol)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
@@ -187,6 +188,9 @@ func TestSEVRestoreUnderSharedKeyWorks(t *testing.T) {
 	run(t, func(p *sim.Proc, h *kvm.Host) {
 		data := payload(4)
 		src := sevGuest(t, p, h, data)
+		if _, err := src.Launch.LaunchFinish(p); err != nil {
+			t.Fatal(err)
+		}
 		img, err := Capture(p, src)
 		if err != nil {
 			t.Fatal(err)
@@ -195,7 +199,7 @@ func TestSEVRestoreUnderSharedKeyWorks(t *testing.T) {
 		dst := h.NewMachine(p, 1<<20, sev.SNP)
 		pol := sev.DefaultPolicy()
 		pol.NoKeySharing = false
-		ctx, err := h.PSP.LaunchStartShared(p, dst.Mem, src.Launch, sev.SNP, pol)
+		ctx, err := h.PSP.LaunchStartFork(p, dst.Mem, src.Launch, sev.SNP, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,8 +224,8 @@ func TestSharedKeyLaunchRequiresPermissivePolicy(t *testing.T) {
 		dst := h.NewMachine(p, 1<<20, sev.SNP)
 		pol := strict
 		pol.NoKeySharing = false
-		if _, err := h.PSP.LaunchStartShared(p, dst.Mem, src.Launch, sev.SNP, pol); err == nil {
-			t.Fatal("shared key granted against the donor's NoKeySharing policy")
+		if _, err := h.PSP.LaunchStartFork(p, dst.Mem, src.Launch, sev.SNP, pol); !errors.Is(err, psp.ErrPolicy) {
+			t.Fatalf("shared key against the donor's NoKeySharing policy: %v, want psp.ErrPolicy", err)
 		}
 	})
 }

@@ -59,6 +59,9 @@ func TestWireDecodedImageRestores(t *testing.T) {
 	run(t, func(p *sim.Proc, h *kvm.Host) {
 		data := payload(5)
 		src := sevGuest(t, p, h, data)
+		if _, err := src.Launch.LaunchFinish(p); err != nil {
+			t.Fatal(err)
+		}
 		img, err := Capture(p, src)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +77,7 @@ func TestWireDecodedImageRestores(t *testing.T) {
 		dst := h.NewMachine(p, src.Mem.Size(), sev.SNP)
 		pol := sev.DefaultPolicy()
 		pol.NoKeySharing = false
-		ctx, err := h.PSP.LaunchStartShared(p, dst.Mem, src.Launch, sev.SNP, pol)
+		ctx, err := h.PSP.LaunchStartFork(p, dst.Mem, src.Launch, sev.SNP, pol)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,6 +59,10 @@ type PoolStats struct {
 // sealed snapshot. Create it with NewPool; it is not safe for concurrent
 // use from multiple goroutines (drive it from one, like a Host).
 //
+// Every Boot and Prewarm runs on one simulation process that the pool
+// starts on its first call and keeps, idle between calls. Close ends it;
+// a pool that is never closed keeps one parked goroutine.
+//
 // A pool serves measured guests only, launched with the key-sharing policy
 // its forks need, and the policy is part of the measurement: every boot's
 // LaunchDigest, cold or forked, equals ExpectedLaunchDigest of the pool's
@@ -73,8 +77,12 @@ type Pool struct {
 
 	lastServed *kvm.Machine
 	lastTier   fleet.Tier
-	seq        int
 	closed     bool
+
+	// proc is the pool's one standing process, started by the first Boot
+	// or Prewarm; job is the body it runs when next woken, nil to return.
+	proc *sim.Proc
+	job  func(*sim.Proc)
 }
 
 // poolTCB is the firmware level the pool's host is enrolled at when
@@ -157,13 +165,12 @@ func (p *Pool) Boot() (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("severifast: pool is closed")
 	}
-	p.seq++
 	var (
 		total    time.Duration
 		bootErr  error
 		finished bool
 	)
-	p.host.eng.Go(fmt.Sprintf("pool-boot-%d", p.seq), func(pr *sim.Proc) {
+	p.run(func(pr *sim.Proc) {
 		start := pr.Now()
 		p.orch.Serve(pr, fleet.Request{
 			Tenant: "owner",
@@ -175,7 +182,6 @@ func (p *Pool) Boot() (*Result, error) {
 			},
 		})
 	})
-	p.host.eng.Run()
 	if !finished {
 		return nil, fmt.Errorf("severifast: pool boot never concluded")
 	}
@@ -212,20 +218,41 @@ func (p *Pool) Prewarm(n int) (int, error) {
 		}
 	}
 	var (
-		added   int
-		preErr  error
-		started bool
+		added  int
+		preErr error
 	)
-	p.seq++
-	p.host.eng.Go(fmt.Sprintf("pool-prewarm-%d", p.seq), func(pr *sim.Proc) {
-		started = true
+	p.run(func(pr *sim.Proc) {
 		added, preErr = p.orch.Prewarm(pr, p.img, n)
 	})
-	p.host.eng.Run()
-	if !started {
-		return 0, fmt.Errorf("severifast: prewarm never ran")
-	}
 	return added, classifyErr(preErr)
+}
+
+// run hands fn to the pool's standing process, starting the process on
+// the first call, and runs the engine until fn has returned and the
+// process idles again. One process serves every call: a process per call
+// would build a coroutine and regrow its stack on every boot.
+func (p *Pool) run(fn func(*sim.Proc)) {
+	p.job = fn
+	if p.proc == nil {
+		p.host.eng.Go("pool", p.serve)
+	} else {
+		p.host.eng.Wake(p.proc)
+	}
+	p.host.eng.Run()
+}
+
+// serve is the standing process's body: it runs each job it is woken
+// with, idles between them, and returns when woken with none.
+func (p *Pool) serve(pr *sim.Proc) {
+	p.proc = pr
+	// A job that panics ends the process: forget it, so that no later
+	// call, Close included, wakes a process that is gone.
+	defer func() { p.proc = nil }()
+	for job := p.job; job != nil; job = p.job {
+		p.job = nil
+		job(pr)
+		pr.Idle()
+	}
 }
 
 // Stats snapshots the pool's serving history.
@@ -248,13 +275,18 @@ func (p *Pool) Stats() PoolStats {
 	return s
 }
 
-// Close drains the orchestrator and reports the first deterministic
-// error any boot hit. The pool cannot be used afterwards.
+// Close ends the pool's process, drains the orchestrator and reports the
+// first deterministic error any boot hit. The pool cannot be used
+// afterwards.
 func (p *Pool) Close() error {
 	if p.closed {
 		return nil
 	}
 	p.closed = true
+	if p.proc != nil {
+		p.job = nil
+		p.host.eng.Wake(p.proc)
+	}
 	p.orch.Close()
 	p.host.eng.Run()
 	return classifyErr(p.orch.Err())
