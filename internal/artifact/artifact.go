@@ -23,9 +23,9 @@ package artifact
 
 import (
 	"crypto/sha256"
-	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -81,8 +81,10 @@ type bufKey struct {
 	len int
 }
 
+// keyOf reads the backing array's address without boxing the slice
+// header, so a lookup allocates nothing.
 func keyOf(data []byte) bufKey {
-	return bufKey{ptr: reflect.ValueOf(data).Pointer(), len: len(data)}
+	return bufKey{ptr: uintptr(unsafe.Pointer(unsafe.SliceData(data))), len: len(data)}
 }
 
 // Intern registers data as an immutable artifact and returns its
@@ -105,8 +107,8 @@ func Intern(data []byte) *Buf {
 	b := &Buf{data: data}
 	if len(intern.m) < maxInterned {
 		intern.m[k] = b
-		telemetry.HostCounterAdd("artifact.interned", 1)
-		telemetry.HostCounterAdd("artifact.interned_bytes", int64(len(data)))
+		telemetry.HostCounterAdd(telemetry.ArtifactInterned, 1)
+		telemetry.HostCounterAdd(telemetry.ArtifactInternedBytes, int64(len(data)))
 	}
 	return b
 }
@@ -151,8 +153,8 @@ func (b *Buf) Digest() [32]byte {
 	if b.fullOK {
 		sum := b.full
 		b.mu.Unlock()
-		telemetry.HostCounterAdd("artifact.digest.hit", 1)
-		telemetry.HostCounterAdd("artifact.digest.bytes_spared", int64(len(b.data)))
+		telemetry.HostCounterAdd(telemetry.ArtifactDigestHit, 1)
+		telemetry.HostCounterAdd(telemetry.ArtifactDigestBytesSpared, int64(len(b.data)))
 		return sum
 	}
 	b.mu.Unlock()
@@ -163,8 +165,8 @@ func (b *Buf) Digest() [32]byte {
 	b.mu.Lock()
 	b.full, b.fullOK = sum, true
 	b.mu.Unlock()
-	telemetry.HostCounterAdd("artifact.digest.miss", 1)
-	telemetry.HostCounterAdd("artifact.digest.bytes_hashed", int64(len(b.data)))
+	telemetry.HostCounterAdd(telemetry.ArtifactDigestMiss, 1)
+	telemetry.HostCounterAdd(telemetry.ArtifactDigestBytesHashed, int64(len(b.data)))
 	return sum
 }
 
@@ -176,14 +178,14 @@ func (b *Buf) RangeDigest(off, n int) [32]byte {
 	}
 	k := rangeKey{off, n}
 	if v, ok := b.sub.Load(k); ok {
-		telemetry.HostCounterAdd("artifact.digest.hit", 1)
-		telemetry.HostCounterAdd("artifact.digest.bytes_spared", int64(n))
+		telemetry.HostCounterAdd(telemetry.ArtifactDigestHit, 1)
+		telemetry.HostCounterAdd(telemetry.ArtifactDigestBytesSpared, int64(n))
 		return v.([32]byte)
 	}
 	sum := sha256.Sum256(b.data[off : off+n])
 	b.sub.Store(k, sum)
-	telemetry.HostCounterAdd("artifact.digest.miss", 1)
-	telemetry.HostCounterAdd("artifact.digest.bytes_hashed", int64(n))
+	telemetry.HostCounterAdd(telemetry.ArtifactDigestMiss, 1)
+	telemetry.HostCounterAdd(telemetry.ArtifactDigestBytesHashed, int64(n))
 	return sum
 }
 
@@ -201,10 +203,10 @@ func (b *Buf) Derived(key string, build func() (any, error)) (any, error) {
 	e.once.Do(func() {
 		hit = false
 		e.val, e.err = build()
-		telemetry.HostCounterAdd("artifact.derived.miss", 1)
+		telemetry.HostCounterAdd(telemetry.ArtifactDerivedMiss, 1)
 	})
 	if hit && loaded {
-		telemetry.HostCounterAdd("artifact.derived.hit", 1)
+		telemetry.HostCounterAdd(telemetry.ArtifactDerivedHit, 1)
 	}
 	return e.val, e.err
 }
@@ -266,7 +268,7 @@ func (b *Buf) Corrupt(off int, mask byte) {
 		b.derived.Delete(k)
 		return true
 	})
-	telemetry.HostCounterAdd("artifact.corrupted", 1)
+	telemetry.HostCounterAdd(telemetry.ArtifactCorrupted, 1)
 }
 
 // Corruptions counts the Corrupt calls that have changed the buffer. A

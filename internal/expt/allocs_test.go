@@ -24,13 +24,13 @@ import (
 // alone let a dense 512 KiB page table per guest (two allocations) go
 // unpinned for five PRs.
 const (
-	coldAllocCeilingPerBoot = 150 // measured ~120 at 64 VMs; ~179 when every scheduled simulator event was an allocation of its own, ~186 when the host's GHCB decode returned each exit's view on the heap and the kernel stage and verifier copied out four reads they only parse
+	coldAllocCeilingPerBoot = 120 // measured ~98 at 64 VMs; ~118 when each recorded span, metric-key lookup, Timeline map, intern-table key and launch-digest hash allocated; ~179 when every scheduled simulator event was an allocation of its own, ~186 when the host's GHCB decode returned each exit's view on the heap and the kernel stage and verifier copied out four reads they only parse
 	coldKiBCeilingPerBoot   = 51  // measured ~47: the 64 boots arrive together, so none is built from another's released memory (TestSecondCachedColdBootOwnsNothingNew pins that one is); ~58 when the kernel copied out its boot_params page and MP table and the virtio driver its used ring, response and ring zeros, ~63 with the four copies above, ~126 when a boot copied twelve pages every boot writes the same and built its page tables afresh, ~247 when it owned nine dense 512-page leaves, ~415 when it owned all 24 it touches, 1143 with a dense per-guest table
 	// The warm iteration amortizes one full cold seed (plan + staging
 	// blob + snapshot capture) over the fleet, so its per-boot figure
 	// sits above the steady-state fork cost.
-	warmAllocCeilingPerBoot = 550 // measured ~437 at 64 VMs
-	forkKiBCeilingPerBoot   = 64  // steady state, seed excluded: measured ~5; 1021 with per-adoption page structs
+	warmAllocCeilingPerBoot = 25 // measured ~20 at 64 VMs; ~26 when each recorded span, metric-key lookup and Timeline map allocated; ~437 when the ceiling was first set
+	forkKiBCeilingPerBoot   = 64 // steady state, seed excluded: measured ~5; 1021 with per-adoption page structs
 )
 
 // allocFleetIteration runs one same-image fleet iteration — register +

@@ -50,6 +50,7 @@ import (
 	"fmt"
 
 	"github.com/severifast/severifast/internal/artifact"
+	"github.com/severifast/severifast/internal/telemetry"
 )
 
 // ErrForkTampered reports a fork source whose artifacts or dirty blob no
@@ -215,8 +216,8 @@ func (m *Memory) ExportForkSource() (*ForkSource, error) {
 	}
 	src.root = src.deriveRoot()
 	m.donor = true
-	m.recorder().CounterAdd("guestmem.fork.exported", 1)
-	m.recorder().CounterAdd("guestmem.fork.exported_bytes", int64(len(blob)))
+	m.recorder().Add(telemetry.GuestmemForkExported, 1)
+	m.recorder().Add(telemetry.GuestmemForkExportedBytes, int64(len(blob)))
 	return src, nil
 }
 
@@ -424,7 +425,7 @@ func (m *Memory) AdoptFork(src *ForkSource) error {
 			m.rmp.AssignValidatedRange(r.pn*PageSize, int(r.count)*PageSize, m.asid)
 		}
 	}
-	m.recorder().CounterAdd("guestmem.fork.adopted", 1)
-	m.recorder().CounterAdd("guestmem.fork.aliased_pages", int64(src.npages))
+	m.recorder().Add(telemetry.GuestmemForkAdopted, 1)
+	m.recorder().Add(telemetry.GuestmemForkAliasedPages, int64(src.npages))
 	return nil
 }

@@ -234,7 +234,7 @@ func templatable(art *artifact.Buf, off, n int) bool {
 // operations that overwrite all 512 pages.
 func (m *Memory) shareTemplate(i uint64, art *artifact.Buf, off int, private bool) {
 	m.dir[i] = dirEntry{leaf: templateLeaf(art, off, private), frozen: true, template: true}
-	m.recorder().CounterAdd("guestmem.leaf.shared", 1)
+	m.recorder().Add(telemetry.GuestmemLeafShared, 1)
 }
 
 // shareChunk points the chunk that starts at page pn at the template for
@@ -246,7 +246,7 @@ func (m *Memory) shareChunk(pn uint64, art *artifact.Buf, off int, private bool)
 	l.chunks[c] = templateChunk(art, off, private)
 	l.shared |= 1 << c
 	l.template |= 1 << c
-	m.recorder().CounterAdd("guestmem.chunk.shared", 1)
+	m.recorder().Add(telemetry.GuestmemChunkShared, 1)
 }
 
 // pastTemplate returns the first page number past the template — leaf or
@@ -447,7 +447,7 @@ func (m *Memory) ownLeaf(i uint64) *leaf {
 		l.shared = allChunks
 	}
 	*e = dirEntry{leaf: l}
-	m.recorder().CounterAdd("guestmem.leaf.owned", 1)
+	m.recorder().Add(telemetry.GuestmemLeafOwned, 1)
 	return l
 }
 
@@ -463,7 +463,7 @@ func (m *Memory) ownChunk(l *leaf, c uint64) *chunk {
 	l.chunks[c] = ch
 	l.shared &^= bit
 	l.template &^= bit
-	m.recorder().CounterAdd("guestmem.chunk.owned", 1)
+	m.recorder().Add(telemetry.GuestmemChunkOwned, 1)
 	return ch
 }
 
@@ -1157,11 +1157,11 @@ func (m *Memory) PlainRangeDigest(gpa uint64, n int) ([32]byte, error) {
 		return sum, err
 	}
 	if art, base := m.rangeArtifact(gpa, n); art != nil {
-		m.recorder().CounterAdd("guestmem.digest.memo", 1)
+		m.recorder().Add(telemetry.GuestmemDigestMemo, 1)
 		return art.RangeDigest(base, n), nil
 	}
-	m.recorder().CounterAdd("guestmem.digest.streamed", 1)
-	m.recorder().CounterAdd("guestmem.digest.streamed_bytes", int64(n))
+	m.recorder().Add(telemetry.GuestmemDigestStreamed, 1)
+	m.recorder().Add(telemetry.GuestmemDigestStreamedBytes, int64(n))
 	h := sha256.New()
 	for done := 0; done < n; {
 		pn := (gpa + uint64(done)) / PageSize
@@ -1197,7 +1197,7 @@ func (m *Memory) HashRange(gpa uint64, n int, cbit bool) ([32]byte, error) {
 	if m.inState(gpa, n, cbit) {
 		return m.PlainRangeDigest(gpa, n)
 	}
-	m.recorder().CounterAdd("guestmem.digest.transformed", 1)
+	m.recorder().Add(telemetry.GuestmemDigestTransformed, 1)
 	scratch := pagePool.Get().(*[]byte)
 	defer pagePool.Put(scratch)
 	h := sha256.New()
@@ -1234,8 +1234,8 @@ func (m *Memory) RangeView(gpa uint64, n int, cbit bool) (view []byte, ok bool, 
 	if err != nil || art == nil {
 		return nil, false, err
 	}
-	m.recorder().CounterAdd("guestmem.view.hit", 1)
-	m.recorder().CounterAdd("guestmem.view.bytes", int64(n))
+	m.recorder().Add(telemetry.GuestmemViewHit, 1)
+	m.recorder().Add(telemetry.GuestmemViewBytes, int64(n))
 	return art.Bytes()[base : base+n : base+n], true, nil
 }
 

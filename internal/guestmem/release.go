@@ -68,7 +68,7 @@ func newMemory(size uint64, f *FreeLists, rec *telemetry.HostRecorder) *Memory {
 		if d, ok := take(&f.dirs); ok && cap(d) >= n {
 			m.dir = d[:n]
 			clear(m.dir)
-			m.recorder().CounterAdd("guestmem.dir.reused", 1)
+			m.recorder().Add(telemetry.GuestmemDirReused, 1)
 			return m
 		}
 	}
@@ -83,7 +83,7 @@ func (m *Memory) newLeaf(src *leaf) *leaf {
 	if m.free != nil {
 		var ok bool
 		if l, ok = take(&m.free.leaves); ok {
-			m.recorder().CounterAdd("guestmem.leaf.reused", 1)
+			m.recorder().Add(telemetry.GuestmemLeafReused, 1)
 		}
 	}
 	if l == nil {
@@ -108,7 +108,7 @@ func (m *Memory) newChunk(src *chunk) *chunk {
 	if m.free != nil {
 		var ok bool
 		if ch, ok = take(&m.free.chunks); ok {
-			m.recorder().CounterAdd("guestmem.chunk.reused", 1)
+			m.recorder().Add(telemetry.GuestmemChunkReused, 1)
 		}
 	}
 	if ch == nil {
@@ -131,7 +131,7 @@ func (m *Memory) newChunk(src *chunk) *chunk {
 func (m *Memory) newPage(src *[PageSize]byte) *[PageSize]byte {
 	if m.free != nil {
 		if d, ok := take(&m.free.pages); ok {
-			m.recorder().CounterAdd("guestmem.page.reused", 1)
+			m.recorder().Add(telemetry.GuestmemPageReused, 1)
 			if src != nil {
 				*d = *src
 			} else {

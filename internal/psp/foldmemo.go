@@ -78,10 +78,10 @@ func (fm *FoldMemo) Fold(initial [32]byte, metas []RegionMeta, contents [][32]by
 		fm.mu.Unlock()
 	}
 	if hits != 0 {
-		fm.rec.CounterAdd("psp.fold.prefix_hits", hits)
+		fm.rec.Add(telemetry.PSPFoldPrefixHits, hits)
 	}
 	if misses != 0 {
-		fm.rec.CounterAdd("psp.fold.prefix_misses", misses)
+		fm.rec.Add(telemetry.PSPFoldPrefixMisses, misses)
 	}
 	return digest
 }

@@ -154,15 +154,12 @@ func (p *PSP) LaunchStart(proc *sim.Proc, mem *guestmem.Memory, level sev.Level,
 // different measurement. The guest owner's expected-digest tool
 // (internal/measure) starts from the same value.
 func InitialDigest(policy sev.Policy, level sev.Level) [32]byte {
-	h := sha256.New()
-	h.Write([]byte("SEV-LAUNCH-START"))
-	var pol [8]byte
-	binary.LittleEndian.PutUint64(pol[:], policy.Encode())
-	h.Write(pol[:])
-	h.Write([]byte{byte(level)})
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	const tag = "SEV-LAUNCH-START"
+	var buf [len(tag) + 8 + 1]byte
+	copy(buf[:], tag)
+	binary.LittleEndian.PutUint64(buf[len(tag):], policy.Encode())
+	buf[len(tag)+8] = byte(level)
+	return sha256.Sum256(buf[:])
 }
 
 // run executes one command body of duration d on the shared PSP core.
@@ -256,17 +253,13 @@ func ExtendDigest(digest [32]byte, pt sev.PageType, gpa uint64, data []byte) [32
 // the chain itself is folded one region at a time, in region order, so
 // the result is bit-identical to the fully serial computation.
 func ExtendDigestContent(digest [32]byte, pt sev.PageType, gpa uint64, n int, content [32]byte) [32]byte {
-	h := sha256.New()
-	h.Write(digest[:])
-	h.Write([]byte{byte(pt)})
-	var meta [16]byte
-	binary.LittleEndian.PutUint64(meta[0:], gpa)
-	binary.LittleEndian.PutUint64(meta[8:], uint64(n))
-	h.Write(meta[:])
-	h.Write(content[:])
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [32 + 1 + 16 + 32]byte
+	copy(buf[0:32], digest[:])
+	buf[32] = byte(pt)
+	binary.LittleEndian.PutUint64(buf[33:], gpa)
+	binary.LittleEndian.PutUint64(buf[41:], uint64(n))
+	copy(buf[49:], content[:])
+	return sha256.Sum256(buf[:])
 }
 
 // Report is the attestation report the PSP places in guest memory

@@ -15,30 +15,110 @@ package telemetry
 // package-level functions delegate to DefaultHostRecorder for code
 // that has no host in scope (the artifact intern table is process-wide
 // by design and stays on the default recorder).
+//
+// Counters sit on every cache hit and page draw of a boot, so they are a
+// fixed set: a HostCounter constant per counter, added atomically into
+// an array slot, and mapped back to its dotted name ("guestmem.view.hit")
+// only when a snapshot is taken. Stage timings are keyed by name in a
+// map under the recorder's mutex; there is one per pipeline flush, not
+// one per page.
 
 import (
 	"fmt"
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// HostCounter names one host-side counter.
+type HostCounter uint8
+
+// The host counters. Snapshot and Write report each under its name in
+// hostCounterNames, which bench/ and the facade's WriteHostStats read.
+const (
+	GuestmemDirReused HostCounter = iota
+	GuestmemLeafReused
+	GuestmemChunkReused
+	GuestmemPageReused
+	GuestmemLeafShared
+	GuestmemChunkShared
+	GuestmemLeafOwned
+	GuestmemChunkOwned
+	GuestmemForkExported
+	GuestmemForkExportedBytes
+	GuestmemForkAdopted
+	GuestmemForkAliasedPages
+	GuestmemDigestMemo
+	GuestmemDigestStreamed
+	GuestmemDigestStreamedBytes
+	GuestmemDigestTransformed
+	GuestmemViewHit
+	GuestmemViewBytes
+	ArtifactInterned
+	ArtifactInternedBytes
+	ArtifactDigestHit
+	ArtifactDigestMiss
+	ArtifactDigestBytesSpared
+	ArtifactDigestBytesHashed
+	ArtifactDerivedHit
+	ArtifactDerivedMiss
+	ArtifactCorrupted
+	PSPFoldPrefixHits
+	PSPFoldPrefixMisses
+
+	numHostCounters
+)
+
+var hostCounterNames = [numHostCounters]string{
+	GuestmemDirReused:           "guestmem.dir.reused",
+	GuestmemLeafReused:          "guestmem.leaf.reused",
+	GuestmemChunkReused:         "guestmem.chunk.reused",
+	GuestmemPageReused:          "guestmem.page.reused",
+	GuestmemLeafShared:          "guestmem.leaf.shared",
+	GuestmemChunkShared:         "guestmem.chunk.shared",
+	GuestmemLeafOwned:           "guestmem.leaf.owned",
+	GuestmemChunkOwned:          "guestmem.chunk.owned",
+	GuestmemForkExported:        "guestmem.fork.exported",
+	GuestmemForkExportedBytes:   "guestmem.fork.exported_bytes",
+	GuestmemForkAdopted:         "guestmem.fork.adopted",
+	GuestmemForkAliasedPages:    "guestmem.fork.aliased_pages",
+	GuestmemDigestMemo:          "guestmem.digest.memo",
+	GuestmemDigestStreamed:      "guestmem.digest.streamed",
+	GuestmemDigestStreamedBytes: "guestmem.digest.streamed_bytes",
+	GuestmemDigestTransformed:   "guestmem.digest.transformed",
+	GuestmemViewHit:             "guestmem.view.hit",
+	GuestmemViewBytes:           "guestmem.view.bytes",
+	ArtifactInterned:            "artifact.interned",
+	ArtifactInternedBytes:       "artifact.interned_bytes",
+	ArtifactDigestHit:           "artifact.digest.hit",
+	ArtifactDigestMiss:          "artifact.digest.miss",
+	ArtifactDigestBytesSpared:   "artifact.digest.bytes_spared",
+	ArtifactDigestBytesHashed:   "artifact.digest.bytes_hashed",
+	ArtifactDerivedHit:          "artifact.derived.hit",
+	ArtifactDerivedMiss:         "artifact.derived.miss",
+	ArtifactCorrupted:           "artifact.corrupted",
+	PSPFoldPrefixHits:           "psp.fold.prefix_hits",
+	PSPFoldPrefixMisses:         "psp.fold.prefix_misses",
+}
 
 // HostRecorder accumulates host-side wall-clock stage timings and
 // counters. The zero value is not usable; call NewHostRecorder.
 type HostRecorder struct {
-	mu       sync.Mutex
-	stageNS  map[string]int64
-	stageN   map[string]int64
-	counters map[string]int64
+	mu      sync.Mutex
+	stageNS map[string]int64
+	stageN  map[string]int64
+
+	counters [numHostCounters]atomic.Int64
+	touched  [numHostCounters]atomic.Bool // added to since the last Reset
 }
 
 // NewHostRecorder returns an empty recorder.
 func NewHostRecorder() *HostRecorder {
 	return &HostRecorder{
-		stageNS:  map[string]int64{},
-		stageN:   map[string]int64{},
-		counters: map[string]int64{},
+		stageNS: map[string]int64{},
+		stageN:  map[string]int64{},
 	}
 }
 
@@ -57,12 +137,13 @@ func (r *HostRecorder) Stage(name string, start time.Time) {
 	r.mu.Unlock()
 }
 
-// CounterAdd bumps a named host-side counter (cache hits, pool reuses,
-// bytes spared, ...).
-func (r *HostRecorder) CounterAdd(name string, n int64) {
-	r.mu.Lock()
-	r.counters[name] += n
-	r.mu.Unlock()
+// Add bumps a host-side counter (cache hits, pool reuses, bytes
+// spared, ...). Safe from any goroutine without a lock.
+func (r *HostRecorder) Add(c HostCounter, n int64) {
+	r.counters[c].Add(n)
+	if !r.touched[c].Load() {
+		r.touched[c].Store(true)
+	}
 }
 
 // Reset zeroes all stages and counters. Benchmarks call it after
@@ -71,23 +152,29 @@ func (r *HostRecorder) Reset() {
 	r.mu.Lock()
 	r.stageNS = map[string]int64{}
 	r.stageN = map[string]int64{}
-	r.counters = map[string]int64{}
 	r.mu.Unlock()
+	for c := range r.counters {
+		r.touched[c].Store(false)
+		r.counters[c].Store(0)
+	}
 }
 
 // Snapshot returns copies of the cumulative stage timings (ns, plus a
-// "<stage>.calls" entry) and the counters.
+// "<stage>.calls" entry) and the counters, keyed by name. A counter
+// appears once something has been added to it, even zero.
 func (r *HostRecorder) Snapshot() (stages map[string]int64, counters map[string]int64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	stages = make(map[string]int64, 2*len(r.stageNS))
 	for k, v := range r.stageNS {
 		stages[k] = v
 		stages[k+".calls"] = r.stageN[k]
 	}
-	counters = make(map[string]int64, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
+	r.mu.Unlock()
+	counters = make(map[string]int64)
+	for c := range r.counters {
+		if r.touched[c].Load() {
+			counters[hostCounterNames[c]] = r.counters[c].Load()
+		}
 	}
 	return stages, counters
 }
@@ -122,13 +209,13 @@ func (r *HostRecorder) Write(w io.Writer) error {
 	return nil
 }
 
-// HostCounterAdd bumps a named counter on DefaultHostRecorder.
+// HostCounterAdd bumps a counter on DefaultHostRecorder.
 //
 // Deprecated: stats recorded here are process-global and interleave
 // across hosts. Code with a host in scope should record on that host's
 // HostRecorder instead.
-func HostCounterAdd(name string, n int64) {
-	DefaultHostRecorder.CounterAdd(name, n)
+func HostCounterAdd(c HostCounter, n int64) {
+	DefaultHostRecorder.Add(c, n)
 }
 
 // HostStatsSnapshot snapshots DefaultHostRecorder.

@@ -28,7 +28,6 @@ package telemetry
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -78,6 +77,7 @@ func (s *Span) Close(at sim.Time) {
 	}
 	s.Stop = at
 	s.Done = true
+	s.reg.stampLocked(at)
 	stack := s.reg.open[s.Track]
 	for i := len(stack) - 1; i >= 0; i-- {
 		if stack[i] == s {
@@ -88,13 +88,21 @@ func (s *Span) Close(at sim.Time) {
 }
 
 // Annotate attaches an attribute to the span. Later values for the same
-// key are appended, not replaced; exporters keep the last.
+// key are appended, not replaced; exporters keep the last. A full run
+// of attributes moves to a run twice its size (at least four) carved
+// from the registry's attribute slab, so annotating allocates nothing
+// per call.
 func (s *Span) Annotate(key, value string) {
 	if s == nil {
 		return
 	}
 	s.reg.mu.Lock()
 	defer s.reg.mu.Unlock()
+	if n := len(s.Attrs); n == cap(s.Attrs) {
+		grown := s.reg.attrs.carve(max(2*n, 4))[:n]
+		copy(grown, s.Attrs)
+		s.Attrs = grown
+	}
 	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
 }
 
@@ -251,19 +259,53 @@ func (s *Series) Quantile(q float64) time.Duration {
 	return sorted[rank]
 }
 
+// slab hands out runs of T carved from chunks it allocates: the first
+// chunk is small, each later one twice the last up to a cap. A registry
+// that records one boot pays for one small chunk; one that records
+// thousands pays one allocation per cap-sized chunk, not one per span.
+type slab[T any] struct {
+	free        []T
+	next, limit int // next chunk's length, and its cap
+}
+
+// carve returns a zeroed run of n elements whose capacity is n, so an
+// append to it never writes into its neighbour.
+func (s *slab[T]) carve(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(s.next, n))
+		s.next = min(2*s.next, s.limit)
+	}
+	run := s.free[:n:n]
+	s.free = s.free[n:]
+	return run
+}
+
+// cloneAttrs copies attrs into a run carved from s; nil when empty.
+func cloneAttrs(s *slab[Attr], attrs []Attr) []Attr {
+	if len(attrs) == 0 {
+		return nil
+	}
+	run := s.carve(len(attrs))
+	copy(run, attrs)
+	return run
+}
+
 // Registry is the single sink all instrumentation writes into. The
 // zero value is not usable; call NewRegistry. A nil *Registry is inert:
 // every method is a no-op returning zero values, so call sites need no
 // nil checks.
 type Registry struct {
 	mu       sync.Mutex
-	nextID   int
-	spans    []*Span
+	spans    []*Span // creation order: spans[i].ID == i+1
 	events   []Event
+	horizon  sim.Time           // latest stamp of any span or event
 	open     map[string][]*Span // per-track stack of open spans
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	series   map[string]*Series
+
+	spanSlab slab[Span]
+	attrs    slab[Attr]
 }
 
 // NewRegistry returns an empty registry.
@@ -273,6 +315,15 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		series:   make(map[string]*Series),
+		spanSlab: slab[Span]{next: 8, limit: 64},
+		attrs:    slab[Attr]{next: 16, limit: 128},
+	}
+}
+
+// stampLocked raises the horizon to at.
+func (r *Registry) stampLocked(at sim.Time) {
+	if at > r.horizon {
+		r.horizon = at
 	}
 }
 
@@ -305,23 +356,27 @@ func (r *Registry) Record(track, name string, from, to sim.Time, attrs ...Attr) 
 	}
 	s.Stop = to
 	s.Done = true
+	r.stampLocked(to)
 	return s
 }
 
+// newSpanLocked carves the span and its attributes from the registry's
+// slabs; it allocates only when a slab runs out.
 func (r *Registry) newSpanLocked(track, name string, at sim.Time, attrs []Attr) *Span {
-	r.nextID++
-	s := &Span{
-		ID:    r.nextID,
+	s := &r.spanSlab.carve(1)[0]
+	*s = Span{
+		ID:    len(r.spans) + 1,
 		Track: track,
 		Name:  name,
 		Start: at,
-		Attrs: append([]Attr(nil), attrs...),
+		Attrs: cloneAttrs(&r.attrs, attrs),
 		reg:   r,
 	}
 	if stack := r.open[track]; len(stack) > 0 {
 		s.Parent = stack[len(stack)-1].ID
 	}
 	r.spans = append(r.spans, s)
+	r.stampLocked(at)
 	return s
 }
 
@@ -337,37 +392,53 @@ func (r *Registry) Emit(track, name string, at sim.Time, attrs ...Attr) {
 		Track: track,
 		Name:  name,
 		At:    at,
-		Attrs: append([]Attr(nil), attrs...),
+		Attrs: cloneAttrs(&r.attrs, attrs),
 	})
+	r.stampLocked(at)
 }
 
-// metricKey canonicalizes (name, attrs) so repeated lookups share one
-// instrument. Attrs are sorted by key.
-func metricKey(name string, attrs []Attr) string {
-	if len(attrs) == 0 {
-		return name
-	}
-	sorted := append([]Attr(nil), attrs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, a := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
+// Metric keys and sorted attributes are built in these stack buffers;
+// a longer key or more attributes spill to the heap and stay correct.
+const (
+	keyBufLen  = 128
+	attrBufLen = 8
+)
+
+// instrument returns (creating on first use) the instrument in m for
+// (name, attrs). Instruments with the same name and the same attributes
+// in any order share one key, "name{k1=v1,k2=v2}" with attributes
+// sorted by key; a lookup of an existing instrument allocates nothing.
+func instrument[T any](r *Registry, m map[string]*T, name string, attrs []Attr, create func(name string, attrs []Attr) *T) *T {
+	var ab [attrBufLen]Attr
+	sorted := append(ab[:0], attrs...)
+	for i := 1; i < len(sorted); i++ { // stable insertion sort
+		for j := i; j > 0 && sorted[j].Key < sorted[j-1].Key; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
-		b.WriteString(a.Key)
-		b.WriteByte('=')
-		b.WriteString(a.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func sortedAttrs(attrs []Attr) []Attr {
-	sorted := append([]Attr(nil), attrs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	return sorted
+	var kb [keyBufLen]byte
+	key := append(kb[:0], name...)
+	for i, a := range sorted {
+		if i == 0 {
+			key = append(key, '{')
+		} else {
+			key = append(key, ',')
+		}
+		key = append(key, a.Key...)
+		key = append(key, '=')
+		key = append(key, a.Value...)
+	}
+	if len(sorted) > 0 {
+		key = append(key, '}')
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[string(key)]
+	if !ok {
+		v = create(name, append([]Attr(nil), sorted...))
+		m[string(key)] = v
+	}
+	return v
 }
 
 // Counter returns (creating on first use) the counter for (name, attrs).
@@ -375,15 +446,9 @@ func (r *Registry) Counter(name string, attrs ...Attr) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := metricKey(name, attrs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[key]
-	if !ok {
-		c = &Counter{Name: name, Attrs: sortedAttrs(attrs)}
-		r.counters[key] = c
-	}
-	return c
+	return instrument(r, r.counters, name, attrs, func(name string, attrs []Attr) *Counter {
+		return &Counter{Name: name, Attrs: attrs}
+	})
 }
 
 // Gauge returns (creating on first use) the gauge for (name, attrs).
@@ -391,15 +456,9 @@ func (r *Registry) Gauge(name string, attrs ...Attr) *Gauge {
 	if r == nil {
 		return nil
 	}
-	key := metricKey(name, attrs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[key]
-	if !ok {
-		g = &Gauge{Name: name, Attrs: sortedAttrs(attrs)}
-		r.gauges[key] = g
-	}
-	return g
+	return instrument(r, r.gauges, name, attrs, func(name string, attrs []Attr) *Gauge {
+		return &Gauge{Name: name, Attrs: attrs}
+	})
 }
 
 // Series returns (creating on first use) the series for (name, attrs).
@@ -407,15 +466,9 @@ func (r *Registry) Series(name string, attrs ...Attr) *Series {
 	if r == nil {
 		return nil
 	}
-	key := metricKey(name, attrs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.series[key]
-	if !ok {
-		s = &Series{Name: name, Attrs: sortedAttrs(attrs)}
-		r.series[key] = s
-	}
-	return s
+	return instrument(r, r.series, name, attrs, func(name string, attrs []Attr) *Series {
+		return &Series{Name: name, Attrs: attrs}
+	})
 }
 
 // Spans returns all spans in creation order. The slice is a copy; the
@@ -441,21 +494,26 @@ func (r *Registry) Events() []Event {
 
 // Subtree returns root followed by every span whose parent chain
 // reaches root, in creation order. Used by Result.Spans to carve one
-// boot out of a registry shared across boots.
+// boot out of a registry shared across boots. A descendant is created
+// after its parent, so the scan starts at root's own slot and costs the
+// spans recorded since root, not every span the registry holds.
 func (r *Registry) Subtree(root *Span) []*Span {
 	if r == nil || root == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	in := map[int]bool{root.ID: true}
 	out := []*Span{root}
-	for _, s := range r.spans {
-		if s.ID == root.ID {
+	if root.ID < 1 || root.ID > len(r.spans) || r.spans[root.ID-1] != root {
+		return out
+	}
+	for _, s := range r.spans[root.ID:] {
+		if s.Parent < root.ID {
 			continue
 		}
-		if in[s.Parent] {
-			in[s.ID] = true
+		// out is in ID order, so the parent is found by bisection.
+		i := sort.Search(len(out), func(i int) bool { return out[i].ID >= s.Parent })
+		if i < len(out) && out[i].ID == s.Parent {
 			out = append(out, s)
 		}
 	}
@@ -516,25 +574,7 @@ func (r *Registry) Horizon() sim.Time {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.horizonLocked()
-}
-
-func (r *Registry) horizonLocked() sim.Time {
-	var h sim.Time
-	for _, s := range r.spans {
-		if s.Start > h {
-			h = s.Start
-		}
-		if s.Done && s.Stop > h {
-			h = s.Stop
-		}
-	}
-	for _, e := range r.events {
-		if e.At > h {
-			h = e.At
-		}
-	}
-	return h
+	return r.horizon
 }
 
 // --- sim.Tracer implementation ---

@@ -35,28 +35,42 @@ const RootSpan = "vm.boot"
 // RootSpan span that Close ends. An unscoped timeline (New) collects
 // the same events and durations for Breakdown but has no span tree, so
 // nothing to render.
+//
+// A boot records at most a dozen events and a fleet boot opens seven
+// stages (a forked one, one), so both live in slices whose first backing
+// arrays are part of the Timeline itself, and stages are found by a
+// linear scan: a timeline is one allocation until a boot outgrows them.
 type Timeline struct {
 	Start  sim.Time
 	events []Event
-	spans  map[string]time.Duration
-	open   map[string]sim.Time
+	stages []stage
 
-	reg       *telemetry.Registry
-	track     string
-	root      *telemetry.Span
-	openSpans map[string]*telemetry.Span
+	reg   *telemetry.Registry
+	track string
+	root  *telemetry.Span
+
+	eventBuf [12]Event
+	stageBuf [8]stage
+}
+
+// stage is one named host-side span: its accumulated duration over
+// every Begin/End pair so far and, while open, its opening stamp and
+// registry span.
+type stage struct {
+	name  string
+	total time.Duration
+	at    sim.Time
+	span  *telemetry.Span
+	open  bool
 }
 
 // NewScoped returns a timeline that mirrors everything it records into
 // reg on the given track (normally the booting proc's name). A nil reg
 // records into the timeline alone.
 func NewScoped(reg *telemetry.Registry, track string, start sim.Time) *Timeline {
-	t := &Timeline{
-		Start:     start,
-		spans:     make(map[string]time.Duration),
-		open:      make(map[string]sim.Time),
-		openSpans: make(map[string]*telemetry.Span),
-	}
+	t := &Timeline{Start: start}
+	t.events = t.eventBuf[:0]
+	t.stages = t.stageBuf[:0]
 	if reg != nil {
 		t.reg = reg
 		t.track = track
@@ -101,30 +115,50 @@ func (t *Timeline) EventAt(ev sev.TimingEvent) (sim.Time, bool) {
 	return 0, false
 }
 
-// Begin opens a named host-side span (e.g. "preenc").
+// stage returns the named stage, nil when it was never begun.
+func (t *Timeline) stage(name string) *stage {
+	for i := range t.stages {
+		if t.stages[i].name == name {
+			return &t.stages[i]
+		}
+	}
+	return nil
+}
+
+// Begin opens a named host-side span (e.g. "preenc"). Beginning a span
+// that is already open restarts it.
 func (t *Timeline) Begin(name string, at sim.Time) {
-	t.open[name] = at
+	st := t.stage(name)
+	if st == nil {
+		t.stages = append(t.stages, stage{name: name})
+		st = &t.stages[len(t.stages)-1]
+	}
+	st.at = at
+	st.open = true
 	if t.reg != nil {
-		t.openSpans[name] = t.reg.StartSpan(t.track, name, at)
+		st.span = t.reg.StartSpan(t.track, name, at)
 	}
 }
 
 // End closes a named span, accumulating its duration.
 func (t *Timeline) End(name string, at sim.Time) {
-	start, ok := t.open[name]
-	if !ok {
+	st := t.stage(name)
+	if st == nil || !st.open {
 		panic("trace: End of unopened span " + name)
 	}
-	delete(t.open, name)
-	t.spans[name] += at.Sub(start)
-	if s, ok := t.openSpans[name]; ok {
-		s.Close(at)
-		delete(t.openSpans, name)
-	}
+	st.open = false
+	st.total += at.Sub(st.at)
+	st.span.Close(at)
+	st.span = nil
 }
 
 // Span returns the accumulated duration of a named span.
-func (t *Timeline) Span(name string) time.Duration { return t.spans[name] }
+func (t *Timeline) Span(name string) time.Duration {
+	if st := t.stage(name); st != nil {
+		return st.total
+	}
+	return 0
+}
 
 // Spans returns this boot's span tree — the root span plus every span
 // recorded under it (including scheduler wait spans the sim tracer

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -194,5 +195,113 @@ func TestRenderCDF(t *testing.T) {
 	}
 	if RenderCDF("empty", nil, 40) != "empty: (no samples)\n" {
 		t.Fatal("empty CDF render")
+	}
+}
+
+// mapTimeline is the map-keyed Timeline the slice-backed one replaced,
+// kept as its reference: stage starts and accumulated durations in maps,
+// events in order.
+type mapTimeline struct {
+	events []Event
+	spans  map[string]time.Duration
+	open   map[string]sim.Time
+}
+
+func (m *mapTimeline) Begin(name string, at sim.Time) { m.open[name] = at }
+
+func (m *mapTimeline) End(name string, at sim.Time) {
+	start, ok := m.open[name]
+	if !ok {
+		panic("trace: End of unopened span " + name)
+	}
+	delete(m.open, name)
+	m.spans[name] += at.Sub(start)
+}
+
+// panicOf runs fn and returns what it panicked with, nil if nothing.
+func panicOf(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+// TestTimelineMatchesMapReference applies random Begin/End/Record
+// sequences — repeated names, Ends of names never or no longer open,
+// more stages and events than a timeline holds inline — to a scoped and
+// an unscoped Timeline and to the map reference, and holds Span,
+// Breakdown and every panic equal.
+func TestTimelineMatchesMapReference(t *testing.T) {
+	names := []string{"preenc", "vmm.stage", "attest", "linux.boot", "bootstrap", "firmware",
+		"hash.components", "sev.host-prep", "snapshot.restore", "verify kernel", "verify initrd"}
+	events := []sev.TimingEvent{sev.EvGuestEntry, sev.EvVerifierStart, sev.EvVerifierDone, sev.EvBootstrapStart,
+		sev.EvKernelEntry, sev.EvInitExec, sev.EvAttestStart, sev.EvAttestDone, sev.EvFirmwareSEC}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		start := ms(rng.Int63n(100))
+		reg := telemetry.NewRegistry()
+		got := []*Timeline{NewScoped(reg, "vm-0", start), New(start)}
+		ref := &mapTimeline{spans: map[string]time.Duration{}, open: map[string]sim.Time{}}
+		at := start
+		restarted := 0 // Begins of an open name, whose earlier span stays open
+		for step := 0; step < 60; step++ {
+			at += sim.Time(rng.Int63n(int64(5 * time.Millisecond)))
+			name := names[rng.Intn(len(names))]
+			switch rng.Intn(3) {
+			case 0:
+				if _, ok := ref.open[name]; ok {
+					restarted++
+				}
+				ref.Begin(name, at)
+				for _, tl := range got {
+					tl.Begin(name, at)
+				}
+			case 1:
+				want := panicOf(func() { ref.End(name, at) })
+				for i, tl := range got {
+					if p := panicOf(func() { tl.End(name, at) }); p != want {
+						t.Fatalf("seed %d step %d timeline %d: End(%q) panicked with %v, reference %v", seed, step, i, name, p, want)
+					}
+				}
+			default:
+				ev := events[rng.Intn(len(events))]
+				ref.events = append(ref.events, Event{At: at, Ev: ev})
+				for _, tl := range got {
+					tl.Record(at, ev)
+				}
+			}
+			for _, n := range append(names, "never") {
+				for i, tl := range got {
+					if tl.Span(n) != ref.spans[n] {
+						t.Fatalf("seed %d step %d timeline %d: Span(%q) = %v, reference %v", seed, step, i, n, tl.Span(n), ref.spans[n])
+					}
+				}
+			}
+		}
+		// Breakdown reads the events and the "preenc" total: replay the
+		// reference's events into a stage-free timeline and take its
+		// preenc from the reference's map.
+		replay := New(start)
+		for _, e := range ref.events {
+			replay.Record(e.At, e.Ev)
+		}
+		want := replay.Breakdown()
+		want.PreEncryption = ref.spans["preenc"]
+		for i, tl := range got {
+			if b := tl.Breakdown(); b != want {
+				t.Fatalf("seed %d timeline %d: Breakdown = %+v, reference %+v", seed, i, b, want)
+			}
+		}
+		// The scoped timeline closed the span of every End: what is left
+		// open is the root, the reference's open stages and the spans
+		// their restarts left behind.
+		openSpans := 0
+		for _, s := range reg.Spans() {
+			if !s.Done {
+				openSpans++
+			}
+		}
+		if want := 1 + len(ref.open) + restarted; openSpans != want {
+			t.Fatalf("seed %d: %d spans open, want %d", seed, openSpans, want)
+		}
 	}
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // poolWarmBootAllocCeiling pins what one warm Pool.Boot allocates after
-// the seed boot: measured ~49 on the pool's standing process; ~70 when
-// every call started a process of its own (a coroutine, its Proc and a
-// formatted name) and the fork's launch start derived a digest it then
-// discarded and expanded the donor's key again.
-const poolWarmBootAllocCeiling = 58
+// the seed boot: measured ~20 with spans carved from the registry's slabs,
+// metric lookups keyed on the stack and a map-free Timeline; ~49 when each
+// of those allocated; ~70 when every call started a process of its own (a
+// coroutine, its Proc and a formatted name) and the fork's launch start
+// derived a digest it then discarded and expanded the donor's key again.
+const poolWarmBootAllocCeiling = 24
 
 func newTestPool(t *testing.T) *Pool {
 	t.Helper()
