@@ -109,13 +109,16 @@ func Parse(b []byte) (*Params, error) {
 		RamdiskImage: le.Uint32(b[offRamdisk:]),
 		RamdiskSize:  le.Uint32(b[offRamdiskSize:]),
 	}
-	for i := 0; i < n; i++ {
+	if n > 0 {
+		p.E820 = make([]E820Entry, n)
+	}
+	for i := range p.E820 {
 		ent := b[offE820Table+20*i:]
-		p.E820 = append(p.E820, E820Entry{
+		p.E820[i] = E820Entry{
 			Addr: le.Uint64(ent[0:]),
 			Size: le.Uint64(ent[8:]),
 			Type: E820Type(le.Uint32(ent[16:])),
-		})
+		}
 	}
 	return p, nil
 }

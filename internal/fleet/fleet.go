@@ -287,19 +287,21 @@ func (img *Image) AdoptWarmFork(fork *snapshot.Fork) error {
 type Request struct {
 	Tenant string
 	Image  *Image
-	// Exec is the function service time once the VM is up; it runs on a
-	// spawned process so the worker returns to the pool after boot.
+	// Exec is the function service time once the VM is up. It is a timer
+	// on the engine, not a process: the worker returns to the pool after
+	// boot and the guest lives on until the timer fires.
 	Exec time.Duration
 	// Done, when set, is invoked on the worker process once the boot
 	// concludes (before function execution): tier is the path served and
 	// err is nil on success, the final error otherwise.
 	Done func(p *sim.Proc, tier Tier, err error)
-	// Ended, when set, is invoked when a served request ends: on the exec
-	// process once Exec has run, or on the worker right after Done when
-	// there is no Exec. The fleet has let go of the guest by then; a caller
+	// Ended, when set, is invoked when a served request ends: from the
+	// engine's event once Exec has run, or on the worker right after Done
+	// when there is no Exec, so it runs on no process of its own and must
+	// not park. The fleet has let go of the guest by then; a caller
 	// holding something for the guest's lifetime (the cluster's ASID)
 	// frees it here.
-	Ended func(p *sim.Proc)
+	Ended func()
 }
 
 // request is a queued Request with admission bookkeeping.
@@ -326,8 +328,8 @@ type Orchestrator struct {
 	met  *Metrics
 	brk  *breaker
 
-	queues map[string][]*request // per-tenant FIFO
-	ring   []string              // tenant round-robin order
+	queues map[string]*sim.Queue[*request] // per-tenant FIFO
+	ring   []string                        // tenant round-robin order
 	rrNext int
 	queued int
 	nextID int
@@ -352,6 +354,10 @@ type Orchestrator struct {
 	// captureFork is snapshot.CaptureFork; a field so a test can make one
 	// capture fail, which no simulated guest otherwise does.
 	captureFork func(*sim.Proc, *kvm.Machine, [32]byte) (*snapshot.Fork, error)
+	// startExec runs a served request's function and then ends it: it is
+	// execTimer, a field so a test can check it against the
+	// process-per-exec hand-off it replaced.
+	startExec func(*request, *kvm.Machine)
 
 	// enrollVer bumps on every Reenroll, so an exchange can tell whether
 	// the platform identity moved underneath it (drift re-enrollment
@@ -378,12 +384,13 @@ func New(eng *sim.Engine, host *kvm.Host, cfg Config) *Orchestrator {
 		host:     host,
 		cfg:      cfg,
 		met:      newMetrics(cfg.Telemetry),
-		queues:   make(map[string][]*request),
+		queues:   make(map[string]*sim.Queue[*request]),
 		planning: make(map[Key]*sim.Signal),
 		standby:  make(map[Key][]*kvm.Machine),
 
 		captureFork: snapshot.CaptureFork,
 	}
+	o.startExec = o.execTimer
 	o.brk = newBreaker(cfg.Breaker, o.met)
 	if cfg.KBS != nil {
 		// Derive the broker's reference values from the measured image
@@ -521,10 +528,13 @@ func (o *Orchestrator) Submit(p *sim.Proc, req Request) error {
 	}
 	r := &request{Request: req, admitted: p.Now(), id: o.nextID}
 	o.nextID++
-	if _, ok := o.queues[req.Tenant]; !ok {
+	q, ok := o.queues[req.Tenant]
+	if !ok {
+		q = new(sim.Queue[*request])
+		o.queues[req.Tenant] = q
 		o.ring = append(o.ring, req.Tenant)
 	}
-	o.queues[req.Tenant] = append(o.queues[req.Tenant], r)
+	q.Push(r)
 	o.queued++
 	o.met.queueDepth(o.queued)
 	o.wakeOne()
@@ -561,13 +571,12 @@ func (o *Orchestrator) pop() *request {
 	for i := 0; i < n; i++ {
 		t := o.ring[(o.rrNext+i)%n]
 		q := o.queues[t]
-		if len(q) == 0 {
+		if q.Len() == 0 {
 			continue
 		}
-		o.queues[t] = q[1:]
 		o.queued--
 		o.rrNext = (o.rrNext + i + 1) % n
-		return q[0]
+		return q.Pop()
 	}
 	return nil
 }
@@ -679,28 +688,42 @@ func retryable(err error) bool {
 func (o *Orchestrator) finish(p *sim.Proc, r *request, m *kvm.Machine) {
 	if r.Exec <= 0 {
 		o.met.endToEnd(p.Now().Sub(r.admitted))
-		o.end(p, r, m)
+		o.end(r, m)
 		return
 	}
-	admitted := r.admitted
-	o.eng.Go(fmt.Sprintf("%s-exec-%d", o.cfg.Name, r.id), func(ep *sim.Proc) {
-		ep.Sleep(r.Exec)
-		o.met.endToEnd(ep.Now().Sub(admitted))
-		o.end(ep, r, m)
+	o.startExec(r, m)
+}
+
+// execTimer runs the function body as two engine events, not a process.
+// The first, at this instant, arms the Exec timer; the second ends the
+// request. They take the same (time, seq) slots as a spawned process's
+// first step and its Sleep(Exec) would, so events at equal instants keep
+// their order. A single After(Exec) would take its slot now, ahead of
+// everything scheduled before a spawned process first ran, and reorder
+// those ties.
+func (o *Orchestrator) execTimer(r *request, m *kvm.Machine) {
+	o.eng.At(o.eng.Now(), func() {
+		o.eng.After(r.Exec, func() { o.execEnded(r, m) })
 	})
+}
+
+// execEnded concludes a request whose function has run.
+func (o *Orchestrator) execEnded(r *request, m *kvm.Machine) {
+	o.met.endToEnd(o.eng.Now().Sub(r.admitted))
+	o.end(r, m)
 }
 
 // end concludes a served request: its guest goes back to the host — a
 // standalone orchestrator's at the caller's next Serve or Close — and the
 // caller hears of it through Ended.
-func (o *Orchestrator) end(p *sim.Proc, r *request, m *kvm.Machine) {
+func (o *Orchestrator) end(r *request, m *kvm.Machine) {
 	if o.cfg.Standalone {
 		o.held = append(o.held, m)
 	} else {
 		m.Mem.Release()
 	}
 	if r.Ended != nil {
-		r.Ended(p)
+		r.Ended()
 	}
 }
 

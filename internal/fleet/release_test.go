@@ -36,8 +36,8 @@ func TestServedGuestReleasedWhenRequestEnds(t *testing.T) {
 					t.Error("the guest was released before its function ran")
 				}
 			},
-			Ended: func(p *sim.Proc) {
-				ended = p.Now()
+			Ended: func() {
+				ended = eng.Now()
 				if !released(m) {
 					t.Error("Ended heard of the request before its guest was released")
 				}

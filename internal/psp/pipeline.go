@@ -20,6 +20,7 @@ package psp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/severifast/severifast/internal/artifact"
@@ -56,7 +57,19 @@ type UpdateBatch struct {
 	// byte intervals of pending (unhashed) regions, to detect staged
 	// writes that would clobber bytes a deferred hash still needs.
 	spans []span
+
+	// Backing arrays that fit a launch's regions, so staging and folding
+	// them allocates nothing beyond the batch. A batch with more pending
+	// regions grows past them.
+	pendingBuf  [batchRegions]RegionMeta
+	spansBuf    [batchRegions]span
+	contentsBuf [batchRegions][32]byte
+	errsBuf     [batchRegions]error
 }
+
+// batchRegions is how many regions a batch holds before it allocates:
+// every launch the VMMs here build measures at most eight.
+const batchRegions = 8
 
 type span struct{ lo, hi uint64 }
 
@@ -64,7 +77,9 @@ type span struct{ lo, hi uint64 }
 // not interleave other updates to the same context while the batch is
 // open, and must call Close before reading the digest.
 func (ctx *GuestContext) NewUpdateBatch() *UpdateBatch {
-	return &UpdateBatch{ctx: ctx}
+	b := &UpdateBatch{ctx: ctx}
+	b.pending, b.spans = b.pendingBuf[:0], b.spansBuf[:0]
+	return b
 }
 
 // Stage writes data at gpa as the VMM and issues the region's
@@ -136,9 +151,11 @@ func (b *UpdateBatch) Close() error {
 		return nil
 	}
 	defer b.ctx.mem.HostRecorder().Stage("psp.pipeline", time.Now())
-	contents := make([][32]byte, len(b.pending))
-	errs := make([]error, len(b.pending))
-	hostwork.Do(len(b.pending), func(i int) {
+	n := len(b.pending)
+	// Every entry is written below.
+	contents := slices.Grow(b.contentsBuf[:0], n)[:n]
+	errs := slices.Grow(b.errsBuf[:0], n)[:n]
+	hostwork.Do(n, func(i int) {
 		r := b.pending[i]
 		contents[i], errs[i] = b.ctx.mem.PlainRangeDigest(r.GPA, r.Len)
 	})

@@ -76,11 +76,19 @@ type Table struct {
 	// work is splice/classification scratch, reused across calls so the
 	// steady-state boot path does not allocate.
 	work []span
+
+	// Initial backing for spans and work. A guest's table is built by
+	// one launch and one boot, which leave a few spans and classify a
+	// few runs at a time, so neither regrows from nil.
+	spansBuf [4]span
+	workBuf  [8]span
 }
 
 // New returns an empty table (all pages hypervisor-owned).
 func New() *Table {
-	return &Table{}
+	t := &Table{}
+	t.spans, t.work = t.spansBuf[:0], t.workBuf[:0]
+	return t
 }
 
 func pfn(gpa uint64) uint64 { return gpa / PageSize }

@@ -10,7 +10,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*Proc
+	queue    Queue[*Proc]
 
 	// Accounting, for experiments that want utilization numbers.
 	busy      time.Duration // total slot-busy time accumulated
@@ -40,7 +40,7 @@ func (r *Resource) Rename(name string) { r.name = name }
 // QueueLen returns the number of processes currently waiting for a slot —
 // an instantaneous congestion signal (contrast MaxQueue, the high-water
 // mark). Cluster schedulers read it as a per-host pressure input.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue.Len() }
 
 // Served returns the number of completed service periods.
 func (r *Resource) Served() uint64 { return r.served }
@@ -54,13 +54,13 @@ func (r *Resource) BusyTime() time.Duration { return r.busy }
 // Acquire blocks p until a slot is free, in FIFO order. The caller must
 // pair it with Release.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.queue.Len() == 0 {
 		r.take(p.eng)
 		return
 	}
-	r.queue = append(r.queue, p)
-	if len(r.queue) > r.maxQueue {
-		r.maxQueue = len(r.queue)
+	r.queue.Push(p)
+	if r.queue.Len() > r.maxQueue {
+		r.maxQueue = r.queue.Len()
 	}
 	from := p.eng.now
 	p.waitParked()
@@ -90,9 +90,8 @@ func (r *Resource) Release(e *Engine) {
 	r.account(e)
 	r.inUse--
 	r.served++
-	if len(r.queue) > 0 && r.inUse < r.capacity {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+	if r.queue.Len() > 0 && r.inUse < r.capacity {
+		next := r.queue.Pop()
 		r.take(e)
 		e.stepAt(e.now, next)
 	}
