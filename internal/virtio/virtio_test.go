@@ -105,6 +105,38 @@ func TestNotifyBeforeReadyRejected(t *testing.T) {
 	}
 }
 
+// TestQueueSizeOutsideMaximumRejected: the device takes a queue size of 1
+// up to the maximum it advertises and refuses to ready a queue without
+// one, so no ring it services is empty or larger than it reads.
+func TestQueueSizeOutsideMaximumRejected(t *testing.T) {
+	mem := guestmem.New(4 << 20)
+	dev := NewDevice(IDBlk, 0, &BlkBackend{Image: blkImage()})
+	for _, w := range [][2]uint32{
+		{RegStatus, StatusAcknowledge | StatusDriver | StatusFeaturesOK},
+		{RegQueueDescLow, 0x1000}, {RegQueueAvailLow, 0x2000}, {RegQueueUsedLow, 0x3000},
+	} {
+		if err := dev.WriteReg(mem, w[0], w[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dev.WriteReg(mem, RegQueueReady, 1); !errors.Is(err, ErrProbe) {
+		t.Fatalf("queue readied without a size: %v", err)
+	}
+	for _, n := range []uint32{0, queueNumMax + 1, 1 << 16} {
+		if err := dev.WriteReg(mem, RegQueueNum, n); !errors.Is(err, ErrProbe) {
+			t.Fatalf("queue size %d: %v", n, err)
+		}
+	}
+	for _, n := range []uint32{1, queueNumMax} {
+		if err := dev.WriteReg(mem, RegQueueNum, n); err != nil {
+			t.Fatalf("queue size %d: %v", n, err)
+		}
+	}
+	if err := dev.WriteReg(mem, RegQueueReady, 1); err != nil {
+		t.Fatalf("queue of the maximum size: %v", err)
+	}
+}
+
 func TestQueueReadyRequiresRingAddresses(t *testing.T) {
 	mem := guestmem.New(4 << 20)
 	dev := NewDevice(IDBlk, 0, &BlkBackend{Image: blkImage()})
