@@ -204,3 +204,40 @@ func TestGenerationRevocationBoundary(t *testing.T) {
 		t.Fatalf("revocation at zero not in force at time zero: %v", err)
 	}
 }
+
+// TestVerdictCacheEndsWhereARevocationBites: a revocation filed by a
+// signer whose delegation opens later changes no store version when it
+// comes into force, so the verdict cached before then must expire by
+// itself the instant before it bites.
+func TestVerdictCacheEndsWhereARevocationBites(t *testing.T) {
+	const opens = sim.Time(100_000_000)
+	auth := kbs.NewAuthority(7)
+	pl := launch(t, auth, "chip-0", currentTCB, sev.SNP, sev.DefaultPolicy())
+	b := newBroker(auth, kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
+	if err := b.File(kbs.RefClaim(pl.digest, "img")); err != nil {
+		t.Fatal(err)
+	}
+	pol := b.Policy()
+	ops := policy.NewSigner("ops", 11)
+	if err := pol.AddSigner(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := pol.File(b.Signer(), policy.Claim{ID: "del-ops", Kind: policy.KindDelegation, Scope: "*", Subject: "ops", NotBefore: opens}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pol.File(ops, kbs.RevocationClaim("chip-0", 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	if res, _, err := exchange(t, b, pl, "acme", opens/2, nil); err != nil || res.VerdictCached {
+		t.Fatalf("exchange before the delegation opens: %+v, %v", res, err)
+	}
+	if res, _, err := exchange(t, b, pl, "acme", opens-1, nil); err != nil || !res.VerdictCached {
+		t.Fatalf("exchange the instant before the revocation bites: %+v, %v, want a cached grant", res, err)
+	}
+	for _, at := range []sim.Time{opens, 3 * opens / 2} {
+		if _, _, err := exchange(t, b, pl, "acme", at, nil); kbs.ReasonOf(err) != kbs.ReasonRevoked {
+			t.Fatalf("exchange at %v: %v, want revoked", at, err)
+		}
+	}
+}

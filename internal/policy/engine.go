@@ -3,7 +3,6 @@ package policy
 import (
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
 
 	"github.com/severifast/severifast/internal/sim"
@@ -60,6 +59,9 @@ type Certificate struct {
 	Expires sim.Time `json:"expires_ns"`
 	Version uint64   `json:"version"`
 	At      sim.Time `json:"at_ns"`
+	// rules backs Rules: one result per rule, a denial in place of the
+	// rule it refuses, so a certificate is one allocation.
+	rules [3]RuleResult
 }
 
 // Engine evaluates evidence against its store. It is pure over (store
@@ -97,6 +99,7 @@ func (e *Engine) Evaluate(ev Evidence, now sim.Time) (*Certificate, error) {
 	defer s.mu.Unlock()
 
 	cert := &Certificate{Tenant: ev.Tenant, Decision: "allow", Version: s.version, At: now}
+	cert.Rules = cert.rules[:0]
 	refuse := func(rule string, reason Reason, claimID, detail string) (*Certificate, error) {
 		cert.Decision = "deny"
 		cert.Expires = 0
@@ -111,7 +114,7 @@ func (e *Engine) Evaluate(ev Evidence, now sim.Time) (*Certificate, error) {
 	// Rule 1: some trust domain must cover the tenant. The tenant's own
 	// domain is consulted first, then the "*" operator domain — claims
 	// filed under one tenant never speak for another.
-	var doms []*domain
+	doms := make([]*domain, 0, 2)
 	if d := s.domains[ev.Tenant]; d != nil && ev.Tenant != "" {
 		doms = append(doms, d)
 	}
@@ -122,13 +125,11 @@ func (e *Engine) Evaluate(ev Evidence, now sim.Time) (*Certificate, error) {
 		return refuse(RuleDomain, ReasonUnknownDomain, "",
 			fmt.Sprintf("no trust domain covers tenant %q", ev.Tenant))
 	}
-	names := make([]string, len(doms))
-	for i, d := range doms {
-		names[i] = d.name
+	detail := doms[0].detail
+	if len(doms) == 2 {
+		detail = detail + "," + doms[1].name
 	}
-	cert.Rules = append(cert.Rules, RuleResult{
-		Rule: RuleDomain, Outcome: "pass", Detail: "domains " + strings.Join(names, ","),
-	})
+	cert.Rules = append(cert.Rules, RuleResult{Rule: RuleDomain, Outcome: "pass", Detail: detail})
 
 	// Rule 2: the platform. In-force revocation claims win over any
 	// platform claim — distrust is a positive statement, not an absence.
@@ -146,15 +147,13 @@ func (e *Engine) Evaluate(ev Evidence, now sim.Time) (*Certificate, error) {
 					res.Rules[len(res.Rules)-1].Chain = chain
 					return res, err
 				}
-				// A revocation filed to come into force later (NotBefore in
-				// the future) bounds the certificate's life to the last
-				// instant before it bites: without this, a verdict cached
-				// between the filing and the in-force instant would outlive
+				// A revocation that comes into force later (its NotBefore,
+				// or its issuer's authority, is in the future) bounds the
+				// certificate's life to the last instant before it bites:
+				// without this, a verdict cached before then would outlive
 				// the revocation, since the store version only bumps at
 				// filing time.
-				if nb := rec.claim.NotBefore; now < nb {
-					cert.Expires = minExpiry(cert.Expires, nb-1)
-				}
+				cert.Expires = minExpiry(cert.Expires, s.lastBeforeBite(d, rec, ev.Tenant, now))
 			}
 		}
 		pass, firstReason, firstID, firstDetail := RuleResult{}, Reason(""), "", ""
@@ -314,6 +313,29 @@ func (s *Store) authority(d *domain, issuer, tenant string, now sim.Time, depth 
 		return append(parent, issuer), exp, true
 	}
 	return nil, 0, false
+}
+
+// lastBeforeBite returns one instant before the first after now at
+// which the revocation rec would bite, or zero if none does while the
+// store stands. A claim only comes into force where a window opens — its
+// own NotBefore, an anchor's From, a delegation's NotBefore — so trying
+// every anchor's From and every claim's NotBefore finds that instant.
+// Called with s.mu held.
+func (s *Store) lastBeforeBite(d *domain, rec *claimRec, tenant string, now sim.Time) (last sim.Time) {
+	try := func(at sim.Time) {
+		if now < at && (last == 0 || at <= last) {
+			if _, _, why := s.check(d, rec, tenant, at); why == "" {
+				last = at - 1
+			}
+		}
+	}
+	for _, a := range d.anchors {
+		try(a.From)
+	}
+	for _, r := range d.claims {
+		try(r.claim.NotBefore)
+	}
+	return last
 }
 
 // scopeCovers reports whether a claim scope speaks for a tenant.

@@ -481,3 +481,109 @@ func TestRevokeKindMutationNamesADeclaredDomain(t *testing.T) {
 		t.Fatalf("revoke-kind on an undeclared domain: %v, want ErrNotFound", err)
 	}
 }
+
+// TestRevocationBehindFutureAuthority pins the certificate's life to the
+// first instant a revocation that does not bite yet could: a revocation
+// already inside its own window whose issuer only gains authority later,
+// through a delegation or an anchor rotation that opens in the future,
+// caps the expiry one instant before that. Without the cap a certificate
+// minted before it would stay Valid after the revocation came into force,
+// since nothing mutates the store at that instant.
+func TestRevocationBehindFutureAuthority(t *testing.T) {
+	const opens = 100
+	ev := Evidence{Tenant: "t0", ChipID: "chip-x", TCB: testTCB, HasPlatform: true}
+	for name, setup := range map[string]func(p *testPKI) string{
+		"delegation": func(p *testPKI) string {
+			p.addSigner("ops", 2)
+			p.add(Claim{ID: "plat", Kind: KindPlatform, Scope: "*", Subject: "*", Issuer: "root"})
+			p.add(Claim{ID: "del-ops", Kind: KindDelegation, Scope: "*", Subject: "ops", NotBefore: ms(opens), Issuer: "root"})
+			return "ops"
+		},
+		"rotation": func(p *testPKI) string {
+			// The platform claim's issuer stays anchored throughout, so the
+			// rotation bounds the certificate only through the revocation.
+			p.addSigner("ops", 2)
+			p.addSigner("root2", 4)
+			p.store.EnsureDomain("*", "ops")
+			p.add(Claim{ID: "plat", Kind: KindPlatform, Scope: "*", Subject: "*", Issuer: "ops"})
+			if err := p.store.RotateAnchor("*", "root", "root2", ms(opens)); err != nil {
+				t.Fatal(err)
+			}
+			return "root2"
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := newPKI(t)
+			revoker := setup(p)
+			p.add(Claim{ID: "revoke-chip-x", Kind: KindRevocation, Scope: "*", Subject: "chip-x", Issuer: revoker})
+			eng := p.store.Engine()
+
+			cert, err := eng.Evaluate(ev, ms(50))
+			if err != nil {
+				t.Fatalf("before the revoker's authority opens: %v", err)
+			}
+			if cert.Expires != ms(opens)-1 {
+				t.Fatalf("cert expiry = %v, want %v", cert.Expires, ms(opens)-1)
+			}
+			if !eng.Valid(cert, ms(opens)-1) {
+				t.Fatal("certificate must be valid the instant before the revocation bites")
+			}
+			if eng.Valid(cert, ms(opens)) || eng.Valid(cert, ms(150)) {
+				t.Fatal("certificate outlives the revocation")
+			}
+			if _, err := eng.Evaluate(ev, ms(opens)-1); err != nil {
+				t.Fatalf("the instant before the revocation bites: %v", err)
+			}
+			for _, at := range []sim.Time{ms(opens), ms(150)} {
+				_, err := eng.Evaluate(ev, at)
+				wantReason(t, err, RulePlatform, ReasonRevoked)
+			}
+		})
+	}
+}
+
+// TestRevocationWithoutAuthorityLeavesNoExpiry: a revocation whose
+// issuer has no path to an anchor at any instant, or only through a
+// delegation already closed, can never bite, so it bounds nothing.
+func TestRevocationWithoutAuthorityLeavesNoExpiry(t *testing.T) {
+	p := newPKI(t)
+	p.addSigner("ops", 2)
+	p.addSigner("mallory", 3)
+	p.add(Claim{ID: "plat", Kind: KindPlatform, Scope: "*", Subject: "*", Issuer: "root"})
+	p.add(Claim{ID: "del-ops", Kind: KindDelegation, Scope: "*", Subject: "ops", NotAfter: ms(10), Issuer: "root"})
+	p.add(Claim{ID: "revoke-by-mallory", Kind: KindRevocation, Scope: "*", Subject: "chip-x", Issuer: "mallory"})
+	p.add(Claim{ID: "revoke-by-ops", Kind: KindRevocation, Scope: "*", Subject: "chip-x", Issuer: "ops"})
+	cert, err := p.store.Engine().Evaluate(Evidence{Tenant: "t0", ChipID: "chip-x", TCB: testTCB, HasPlatform: true}, ms(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.Expires != 0 {
+		t.Fatalf("cert expiry = %v, want none", cert.Expires)
+	}
+}
+
+// TestGateAllocations pins what the fleet's admission gate costs: its
+// evidence names only the tenant, and a grant allocates the certificate
+// and nothing else — the trace lives inside it — plus, when a tenant
+// domain and "*" both cover the tenant, the two-domain detail string.
+func TestGateAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	ev := Evidence{Tenant: "t0"}
+	gate := func(eng *Engine) func() {
+		return func() {
+			if _, err := eng.Evaluate(ev, ms(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(100, gate(Permissive())); got != 1 {
+		t.Errorf("the permissive gate allocates %v times, want 1", got)
+	}
+	p := newPKI(t)
+	p.store.EnsureDomain("t0", "root")
+	if got := testing.AllocsPerRun(100, gate(p.store.Engine())); got > 2 {
+		t.Errorf("a tenant-and-operator gate allocates %v times, want at most 2", got)
+	}
+}

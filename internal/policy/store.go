@@ -68,6 +68,7 @@ func (r *claimRec) validAt(now sim.Time) bool {
 // kept sorted by claim ID so evaluation order is deterministic.
 type domain struct {
 	name    string
+	detail  string // the domain rule's detail when it alone covers a tenant
 	anchors []anchorRec
 	claims  []*claimRec
 }
@@ -172,7 +173,7 @@ func (s *Store) EnsureDomain(name string, anchors ...string) {
 	defer s.mu.Unlock()
 	d := s.domains[name]
 	if d == nil {
-		d = &domain{name: name}
+		d = &domain{name: name, detail: "domains " + name}
 		s.domains[name] = d
 		s.version++
 	}
@@ -249,7 +250,7 @@ func (s *Store) inject(name string, c Claim, sigVerified bool) error {
 	defer s.mu.Unlock()
 	d := s.domains[name]
 	if d == nil {
-		d = &domain{name: name}
+		d = &domain{name: name, detail: "domains " + name}
 		s.domains[name] = d
 	}
 	rec, i := d.find(c.ID)

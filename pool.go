@@ -55,9 +55,9 @@ type PoolStats struct {
 	WarmP50 time.Duration
 }
 
-// Pool runs many boots of one image on one host, warm ones forked from a
-// sealed snapshot. Create it with NewPool; it is not safe for concurrent
-// use from multiple goroutines (drive it from one, like a Host).
+// Pool runs many boots of one image on one host, warm ones forked from
+// the donor by snapshot.Fork. Create it with NewPool; it is not safe for
+// concurrent use from multiple goroutines (drive it from one, like a Host).
 //
 // Every Boot and Prewarm runs on one simulation process that the pool
 // starts on its first call and keeps, idle between calls. Close ends it;
@@ -85,6 +85,15 @@ type Pool struct {
 	// onJob, when set, is called with the process each call runs on as
 	// the call starts; tests use it to see which process served a call.
 	onJob func(*sim.Proc)
+
+	// p.serve and p.done, bound once so a Boot builds no closure, then
+	// the current Boot's outcome, which each Boot resets.
+	serveFn  func(*sim.Proc)
+	doneFn   func(*sim.Proc, fleet.Tier, error)
+	start    sim.Time
+	total    time.Duration
+	bootErr  error
+	finished bool
 }
 
 // poolTCB is the firmware level the pool's host is enrolled at when
@@ -123,6 +132,7 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 	h.inner.THP = !cfg.DisableTHP
 	h.inner.HugePageValidation = cfg.HugePageValidation
 	p := &Pool{host: h, cfg: cfg, worker: sim.NewWorker(h.eng, "pool")}
+	p.serveFn, p.doneFn = p.serve, p.done
 	fcfg := fleet.Config{
 		Name:         "pool",
 		Standalone:   true,
@@ -167,31 +177,16 @@ func (p *Pool) Boot() (*Result, error) {
 	if p.closed {
 		return nil, fmt.Errorf("severifast: pool is closed")
 	}
-	var (
-		total    time.Duration
-		bootErr  error
-		finished bool
-	)
-	p.run(func(pr *sim.Proc) {
-		start := pr.Now()
-		p.orch.Serve(pr, fleet.Request{
-			Tenant: "owner",
-			Image:  p.img,
-			Done: func(dp *sim.Proc, _ fleet.Tier, err error) {
-				total = dp.Now().Sub(start)
-				bootErr = err
-				finished = true
-			},
-		})
-	})
-	if !finished {
+	p.total, p.bootErr, p.finished = 0, nil, false
+	p.run(p.serveFn)
+	if !p.finished {
 		return nil, fmt.Errorf("severifast: pool boot never concluded")
 	}
-	if bootErr != nil {
-		return nil, classifyErr(bootErr)
+	if p.bootErr != nil {
+		return nil, classifyErr(p.bootErr)
 	}
 	res := &Result{
-		Total: total,
+		Total: p.total,
 		host:  p.host,
 	}
 	if m := p.lastServed; m != nil {
@@ -203,6 +198,17 @@ func (p *Pool) Boot() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// serve is a Boot's body on the pool's process.
+func (p *Pool) serve(pr *sim.Proc) {
+	p.start = pr.Now()
+	p.orch.Serve(pr, fleet.Request{Tenant: "owner", Image: p.img, Done: p.doneFn})
+}
+
+// done is the boot request's completion callback.
+func (p *Pool) done(dp *sim.Proc, _ fleet.Tier, err error) {
+	p.total, p.bootErr, p.finished = dp.Now().Sub(p.start), err, true
 }
 
 // Prewarm forks up to n standby guests so later Boot calls pop a ready
