@@ -67,9 +67,10 @@ func ExampleHost_BootConcurrent() {
 // snapshot, inheriting the cold boot's launch digest, and Prewarm holds
 // forked standbys ready ahead of demand.
 func ExampleNewPool() {
-	cfg := severifast.NewConfig(severifast.WithKernel(severifast.KernelLupine))
-	cfg.InitrdMiB = 2 // the struct form still works alongside options
-	pool, err := severifast.NewPool(cfg, severifast.PoolOptions{})
+	pool, err := severifast.NewPool(severifast.Config{
+		Kernel:    severifast.KernelLupine,
+		InitrdMiB: 2,
+	}, severifast.PoolOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -97,13 +98,13 @@ func ExampleNewPool() {
 	// warm faster than cold: true
 }
 
-// WithScheme selects the boot flow. Stock Firecracker is non-confidential:
+// Scheme selects the boot flow. Stock Firecracker is non-confidential:
 // nothing is measured, so the launch digest stays zero.
-func ExampleWithScheme() {
-	res, err := severifast.Boot(severifast.NewConfig(
-		severifast.WithScheme(severifast.SchemeStock),
-		severifast.WithKernel(severifast.KernelLupine),
-	))
+func ExampleConfig_scheme() {
+	res, err := severifast.Boot(severifast.Config{
+		Scheme: severifast.SchemeStock,
+		Kernel: severifast.KernelLupine,
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -112,18 +113,14 @@ func ExampleWithScheme() {
 	// unmeasured: true
 }
 
-// WithCodec flips the Fig. 5 trade-off: the codec changes the bzImage
+// Codec flips the Fig. 5 trade-off: the codec changes the bzImage
 // payload bytes, so it changes the launch measurement too.
-func ExampleWithCodec() {
-	lz4, err := severifast.ExpectedLaunchDigest(severifast.NewConfig(
-		severifast.WithCodec(severifast.CodecLZ4),
-	))
+func ExampleConfig_codec() {
+	lz4, err := severifast.ExpectedLaunchDigest(severifast.Config{Codec: severifast.CodecLZ4})
 	if err != nil {
 		panic(err)
 	}
-	gzip, err := severifast.ExpectedLaunchDigest(severifast.NewConfig(
-		severifast.WithCodec(severifast.CodecGzip),
-	))
+	gzip, err := severifast.ExpectedLaunchDigest(severifast.Config{Codec: severifast.CodecGzip})
 	if err != nil {
 		panic(err)
 	}
@@ -132,18 +129,14 @@ func ExampleWithCodec() {
 	// codecs measure differently: true
 }
 
-// WithKernel selects the guest kernel configuration (Fig. 8); each
+// Kernel selects the guest kernel configuration (Fig. 8); each
 // kernel is its own measured identity.
-func ExampleWithKernel() {
-	lupine, err := severifast.ExpectedLaunchDigest(severifast.NewConfig(
-		severifast.WithKernel(severifast.KernelLupine),
-	))
+func ExampleConfig_kernel() {
+	lupine, err := severifast.ExpectedLaunchDigest(severifast.Config{Kernel: severifast.KernelLupine})
 	if err != nil {
 		panic(err)
 	}
-	aws, err := severifast.ExpectedLaunchDigest(severifast.NewConfig(
-		severifast.WithKernel(severifast.KernelAWS),
-	))
+	aws, err := severifast.ExpectedLaunchDigest(severifast.Config{Kernel: severifast.KernelAWS})
 	if err != nil {
 		panic(err)
 	}
@@ -152,15 +145,14 @@ func ExampleWithKernel() {
 	// kernels measure differently: true
 }
 
-// WithAttestation runs the full report→verify→secret-release exchange
-// after boot; the attested total strictly contains the boot.
-func ExampleWithAttestation() {
-	cfg := severifast.NewConfig(
-		severifast.WithKernel(severifast.KernelAWS),
-		severifast.WithAttestation(),
-	)
-	cfg.InitrdMiB = 2
-	res, err := severifast.Boot(cfg)
+// Attest runs the full report→verify→secret-release exchange after
+// boot; the attested total strictly contains the boot.
+func ExampleConfig_attestation() {
+	res, err := severifast.Boot(severifast.Config{
+		Kernel:    severifast.KernelAWS,
+		Attest:    true,
+		InitrdMiB: 2,
+	})
 	if err != nil {
 		panic(err)
 	}

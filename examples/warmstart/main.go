@@ -73,9 +73,7 @@ func main() {
 // launch digest.
 func poolBoots(r func(time.Duration) time.Duration) {
 	const boots = 4
-	pool, err := severifast.NewPool(severifast.NewConfig(
-		severifast.WithKernel(severifast.KernelAWS),
-	), severifast.PoolOptions{})
+	pool, err := severifast.NewPool(severifast.Config{Kernel: severifast.KernelAWS}, severifast.PoolOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -64,46 +64,16 @@ type exportedDecl struct {
 // package; a method by any selector of that name. Non-test files of the
 // root module and of bench/ count; the declaration itself does not.
 func TestExportedNamesHaveANonTestCaller(t *testing.T) {
-	const module = "github.com/severifast/severifast"
-	fset := token.NewFileSet()
+	fset, files := parseNonTestFiles(t)
 	var decls []exportedDecl
 	refs := map[string][]token.Pos{} // "import path.name" → where it is used
 	selectors := map[string][]token.Pos{}
-
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := module
-		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
-			pkg = module + "/" + dir
-		}
+	for _, sf := range files {
 		own := map[*ast.Ident]bool{}
-		if strings.HasPrefix(pkg, module+"/internal/") {
-			decls = append(decls, exportedIn(f, pkg, own)...)
+		if strings.HasPrefix(sf.pkg, module+"/internal/") {
+			decls = append(decls, exportedIn(sf.f, sf.pkg, own)...)
 		}
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = p
-		}
+		imports := importsOf(sf.f)
 		var visit func(ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -118,17 +88,13 @@ func TestExportedNamesHaveANonTestCaller(t *testing.T) {
 				return false
 			case *ast.Ident:
 				if !own[n] {
-					key := pkg + "." + n.Name
+					key := sf.pkg + "." + n.Name
 					refs[key] = append(refs[key], n.Pos())
 				}
 			}
 			return true
 		}
-		ast.Inspect(f, visit)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		ast.Inspect(sf.f, visit)
 	}
 
 	declared := map[string]bool{}
@@ -165,6 +131,218 @@ func TestExportedNamesHaveANonTestCaller(t *testing.T) {
 	}
 	t.Logf("%d exported package-level names and %d exported methods under internal/, %d exempt",
 		pkgLevel, len(decls)-pkgLevel, len(exportExemptions))
+}
+
+// fieldExemptions are the exported fields of option structs under
+// internal/ that may go without a non-test setter, each with its reason.
+// An entry that is no longer such a field, or that has gained a non-test
+// setter, fails the test, so the table only shrinks.
+var fieldExemptions = map[string]string{
+	"expt.Options.Model":             "tests price the sweep with a unit cost model",
+	"expt.Options.Presets":           "tests shrink the sweep to one kernel",
+	"expt.Options.InitrdSize":        "tests shrink the sweep's initrd",
+	"expt.Options.ConcurrencyPoints": "tests shrink Fig. 12's sweep",
+	"kbs.Config.MinLevel":            "safety check on attestation input",
+	"kbs.Config.MinPolicy":           "safety check on attestation input",
+	"pagetable.Config.CBit":          "the hardware's C-bit position; tests build tables for another",
+}
+
+// TestConfigFieldsHaveANonTestSetter holds the options census: every
+// exported field of an exported *Config or *Options struct under internal/
+// is an option, and an option needs a setter that is not a test. A field
+// is set by a key in a composite literal of its type, or by the selector
+// of an assignment or & — matched by field name alone, as a parse carries
+// no types — outside its own type's fillDefaults. Non-test files of the
+// root module and of bench/ count.
+func TestConfigFieldsHaveANonTestSetter(t *testing.T) {
+	fset, files := parseNonTestFiles(t)
+	type field struct {
+		key string // "fleet.Config.MemSize"
+		pos token.Pos
+	}
+	fields := map[string][]field{} // "import path.Type" → its exported fields
+	keyed := map[string]bool{}     // "import path.Type.Field" set in a literal
+	assigned := map[string]bool{}  // field names set by an assignment or &
+	for _, sf := range files {
+		if !strings.HasPrefix(sf.pkg, module+"/internal/") {
+			continue
+		}
+		short := sf.pkg[strings.LastIndex(sf.pkg, "/")+1:]
+		for _, decl := range sf.f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				typ := sf.pkg + "." + ts.Name.Name
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							fields[typ] = append(fields[typ], field{short + "." + ts.Name.Name + "." + id.Name, id.Pos()})
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, sf := range files {
+		imports := importsOf(sf.f)
+		// typeOf names the option struct a type expression denotes, or "".
+		typeOf := func(e ast.Expr) string {
+			if s, ok := e.(*ast.StarExpr); ok {
+				e = s.X
+			}
+			typ := ""
+			switch e := e.(type) {
+			case *ast.Ident:
+				typ = sf.pkg + "." + e.Name
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					typ = imports[x.Name] + "." + e.Sel.Name
+				}
+			}
+			if fields[typ] == nil {
+				return ""
+			}
+			return typ
+		}
+		for _, decl := range sf.f.Decls {
+			// A type's own defaults, recv.Field = ... in its fillDefaults,
+			// are not a setter.
+			recv := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "fillDefaults" && fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 {
+				recv = fd.Recv.List[0].Names[0].Name
+			}
+			set := func(e ast.Expr) {
+				sel, ok := e.(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == recv {
+					return
+				}
+				assigned[sel.Sel.Name] = true
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if typ := typeOf(n.Type); typ != "" {
+						for _, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									keyed[typ+"."+id.Name] = true
+								}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						set(lhs)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						set(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	declared := map[string]bool{}
+	var unset []string
+	total := 0
+	for typ, fs := range fields {
+		for _, f := range fs {
+			total++
+			declared[f.key] = true
+			name := f.key[strings.LastIndex(f.key, ".")+1:]
+			isSet := keyed[typ+"."+name] || assigned[name]
+			_, exempt := fieldExemptions[f.key]
+			switch {
+			case exempt && isSet:
+				t.Errorf("stale exemption %s: it has a non-test setter now", f.key)
+			case !exempt && !isSet:
+				unset = append(unset, fset.Position(f.pos).String()+": "+f.key)
+			}
+		}
+	}
+	for key := range fieldExemptions {
+		if !declared[key] {
+			t.Errorf("stale exemption %s: no such option field under internal/", key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s has no setter outside tests: delete it or make it a constant", u)
+	}
+	t.Logf("%d option fields in %d option structs under internal/, %d exempt", total, len(fields), len(fieldExemptions))
+}
+
+const module = "github.com/severifast/severifast"
+
+// sourceFile is one parsed non-test Go file and its package's import path.
+type sourceFile struct {
+	pkg string
+	f   *ast.File
+}
+
+// parseNonTestFiles parses every non-test Go file of the root module and
+// of bench/.
+func parseNonTestFiles(t *testing.T) (*token.FileSet, []sourceFile) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []sourceFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := module
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			pkg = module + "/" + dir
+		}
+		files = append(files, sourceFile{pkg, f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// importsOf maps each import's local name in f to its path.
+func importsOf(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		name := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = p
+	}
+	return imports
 }
 
 // exportedIn lists the exported package-level names and methods one file

@@ -22,13 +22,11 @@ import (
 
 	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/costmodel"
-	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/policy"
-	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
 	"github.com/severifast/severifast/internal/telemetry"
@@ -64,9 +62,6 @@ type Config struct {
 	// it under its seal, and other hosts adopt it over the fabric instead
 	// of cold booting.
 	EnableWarm bool
-	// Transfer prices cross-host and origin blob movement; the zero
-	// value means artifact.DefaultTransferCost.
-	Transfer artifact.TransferCost
 	// FabricSlots bounds concurrent transfers cluster-wide. Defaults
 	// to 4.
 	FabricSlots int
@@ -76,9 +71,6 @@ type Config struct {
 	// queue depth), replication counters, and every shard's fleet
 	// instruments. Nil disables the mirror.
 	Telemetry *telemetry.Registry
-	// Model is the shared cost model; the zero value means
-	// costmodel.Default.
-	Model costmodel.Model
 
 	// Admission is the policy engine the dispatcher consults before a
 	// placed boot spends any staging or boot work, and which every
@@ -116,13 +108,9 @@ type Config struct {
 	Breaker fleet.BreakerPolicy
 	// Retry bounds per-boot recovery from transient faults.
 	Retry fleet.RetryPolicy
-	// BootDeadline is each boot's virtual-time budget on its shard.
-	BootDeadline time.Duration
 
-	// Launch parameters applied to every image on every host.
-	Level   sev.Level
-	Scheme  firecracker.Scheme
-	VCPUs   int
+	// MemSize is the guest memory of every image on every host; zero
+	// means the launch default.
 	MemSize uint64
 }
 
@@ -138,12 +126,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FabricSlots <= 0 {
 		c.FabricSlots = 4
-	}
-	if c.Transfer == (artifact.TransferCost{}) {
-		c.Transfer = artifact.DefaultTransferCost()
-	}
-	if c.Model == (costmodel.Model{}) {
-		c.Model = costmodel.Default()
 	}
 	if c.Generations <= 0 {
 		c.Generations = 1
@@ -301,31 +283,27 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		eng:   eng,
 		cfg:   cfg,
-		repl:  artifact.NewReplicator(cfg.Hosts, cfg.FabricSlots, cfg.Transfer, cfg.Telemetry),
+		repl:  artifact.NewReplicator(cfg.Hosts, cfg.FabricSlots, artifact.DefaultTransferCost(), cfg.Telemetry),
 		floor: cfg.TCB,
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("h%d", i)
 		// Per-host PSP identity: distinct seed, distinct chip.
-		host := kvm.NewHost(eng, cfg.Model, cfg.Seed+int64(i+1))
+		host := kvm.NewHost(eng, costmodel.Default(), cfg.Seed+int64(i+1))
 		host.Telemetry = cfg.Telemetry
 		host.PSP.Resource().Rename("psp-" + name)
 		cache := fleet.NewCache()
 		fcfg := fleet.Config{
-			Name:         name,
-			Workers:      cfg.WorkersPerHost,
-			EnableWarm:   cfg.EnableWarm,
-			Cache:        cache,
-			Telemetry:    cfg.Telemetry,
-			Breaker:      cfg.Breaker,
-			Retry:        cfg.Retry,
-			BootDeadline: cfg.BootDeadline,
-			Admission:    cfg.Admission,
-			AgentSeed:    cfg.AgentSeed + int64(i)<<20,
-			Level:        cfg.Level,
-			Scheme:       cfg.Scheme,
-			VCPUs:        cfg.VCPUs,
-			MemSize:      cfg.MemSize,
+			Name:       name,
+			Workers:    cfg.WorkersPerHost,
+			EnableWarm: cfg.EnableWarm,
+			Cache:      cache,
+			Telemetry:  cfg.Telemetry,
+			Breaker:    cfg.Breaker,
+			Retry:      cfg.Retry,
+			Admission:  cfg.Admission,
+			AgentSeed:  cfg.AgentSeed + int64(i)<<20,
+			MemSize:    cfg.MemSize,
 		}
 		if cfg.KBS != nil {
 			svc := cfg.KBS
@@ -659,7 +637,7 @@ func (c *Cluster) adoptWarm(p *sim.Proc, s *HostShard, img *Image, simg *fleet.I
 	if _, err := c.repl.Fetch(p, s.Index, key); err != nil {
 		return err
 	}
-	p.Sleep(c.cfg.Model.Hash(snapshot.SealedDeltaValidateLen))
+	p.Sleep(s.Host.Model.Hash(snapshot.SealedDeltaValidateLen))
 	if !img.published || img.sealedKey != key || simg.HasWarm() {
 		return nil
 	}
@@ -767,7 +745,7 @@ func (c *Cluster) maybePublishWarm(p *sim.Proc, s *HostShard, img *Image) {
 	c.repl.Publish(s.Index, img.sealedKey, img.sealedSize)
 	c.cfg.Telemetry.Counter("severifast_cluster_warm_publishes_total",
 		telemetry.A("host", s.Name)).Inc()
-	p.Sleep(c.cfg.Model.Hash(img.sealedSize))
+	p.Sleep(s.Host.Model.Hash(img.sealedSize))
 }
 
 // Play spawns an open-loop arrival process that replays a generated

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
@@ -475,10 +474,6 @@ func TestReplicationChargesAppearInSummary(t *testing.T) {
 	cfg := Config{
 		Hosts: 2, ASIDsPerHost: 2, WorkersPerHost: 1,
 		Seed: 21, Telemetry: telemetry.NewRegistry(),
-		Transfer: artifact.TransferCost{
-			OriginLatency: 5 * time.Millisecond, OriginBytesPerSec: 1e9,
-			PeerLatency: time.Millisecond, PeerBytesPerSec: 2e9,
-		},
 	}
 	cfg.Policy, _ = PolicyByName("asid-pressure", cfg.Seed)
 	spec := TraceSpec{

@@ -104,6 +104,13 @@ type Config struct {
 	Attestor Attestor
 }
 
+// Resolved is c with every default filled in: the launch Boot runs and
+// MeasureConfig describes.
+func (c Config) Resolved() Config {
+	c.fillDefaults()
+	return c
+}
+
 func (c *Config) fillDefaults() {
 	if c.Cmdline == "" {
 		c.Cmdline = c.Preset.Cmdline

@@ -168,10 +168,8 @@ type Config struct {
 	// AgentSeed derives each boot's guest attestation agent key.
 	AgentSeed int64
 
-	// Launch parameters applied to every image.
-	Level   sev.Level // defaults to sev.SNP
-	Scheme  firecracker.Scheme
-	VCPUs   int
+	// MemSize is the guest memory of the images RegisterImage registers;
+	// zero means the launch default.
 	MemSize uint64
 }
 
@@ -181,18 +179,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.Level == sev.None {
-		c.Level = sev.SNP
-	}
-	if c.Scheme == firecracker.SchemeStock {
-		c.Scheme = firecracker.SchemeSEVeriFastBz
-	}
-	if c.VCPUs == 0 {
-		c.VCPUs = 1
-	}
-	if c.MemSize == 0 {
-		c.MemSize = 256 << 20
 	}
 	if c.Cache == nil {
 		c.Cache = NewCache()
@@ -457,29 +443,36 @@ func (o *Orchestrator) Err() error {
 	return o.provErr
 }
 
-// RegisterImage builds the preset's artifacts and content-addresses the
-// image. The hash pass over the image bytes happens here, once — the §4.3
-// out-of-band measurement the fleet amortizes across boots.
+// RegisterImage registers the preset's design launch: an SEV-SNP guest
+// booting the LZ4 bzImage with Config.MemSize of memory.
 func (o *Orchestrator) RegisterImage(name string, preset kernelgen.Preset, initrd []byte) (*Image, error) {
 	art, err := kernelgen.Cached(preset)
 	if err != nil {
 		return nil, err
 	}
-	// The image's launch description: what every cold boot of it runs
-	// (plus the cached plan), and what the spec below is read off.
-	launch := firecracker.Config{
+	return o.Register(name, firecracker.Config{
 		Preset:    preset,
 		Artifacts: art,
 		Initrd:    initrd,
-		Cmdline:   preset.Cmdline,
-		VCPUs:     o.cfg.VCPUs,
 		MemSize:   o.cfg.MemSize,
-		Level:     o.cfg.Level,
-		Scheme:    o.cfg.Scheme,
-		// The verifier build firecracker.Config defaults to.
-		VerifierSeed:    1,
-		AllowKeySharing: o.cfg.EnableWarm,
+		Level:     sev.SNP,
+		Scheme:    firecracker.SchemeSEVeriFastBz,
+	})
+}
+
+// Register content-addresses launch as an image: what every cold boot of
+// it runs (plus the cached plan), and what its spec is read off. The hash
+// pass over the image bytes happens here, once — the §4.3 out-of-band
+// measurement the fleet amortizes across boots. A fleet serves measured
+// guests only, and launches them with key sharing exactly when the warm
+// tier is on, whatever launch.AllowKeySharing says.
+func (o *Orchestrator) Register(name string, launch firecracker.Config) (*Image, error) {
+	if !launch.Level.Encrypted() || launch.Scheme == firecracker.SchemeStock {
+		return nil, fmt.Errorf("fleet: image %q: a fleet serves measured guests only, not scheme %v at level %v",
+			name, launch.Scheme, launch.Level)
 	}
+	launch = launch.Resolved()
+	launch.AllowKeySharing = o.cfg.EnableWarm
 	kernel, _, err := launch.KernelImage()
 	if err != nil {
 		return nil, err
@@ -488,16 +481,17 @@ func (o *Orchestrator) RegisterImage(name string, preset kernelgen.Preset, initr
 	// these exact slices, so digests memoize and guest pages alias one
 	// copy (the CoW fleet path).
 	artifact.Intern(kernel)
-	artifact.Intern(initrd)
+	artifact.Intern(launch.Initrd)
 	spec := ImageSpec{
-		Kernel:       kernel,
-		Initrd:       initrd,
-		Cmdline:      launch.Cmdline,
-		VCPUs:        launch.VCPUs,
-		MemSize:      launch.MemSize,
-		Level:        launch.Level,
-		Policy:       firecracker.LaunchPolicy(launch.Level, launch.AllowKeySharing),
-		VerifierSeed: launch.VerifierSeed,
+		Kernel:               kernel,
+		Initrd:               launch.Initrd,
+		Cmdline:              launch.Cmdline,
+		VCPUs:                launch.VCPUs,
+		MemSize:              launch.MemSize,
+		Level:                launch.Level,
+		Policy:               firecracker.LaunchPolicy(launch.Level, launch.AllowKeySharing),
+		VerifierSeed:         launch.VerifierSeed,
+		PreEncryptPageTables: launch.PreEncryptPageTables,
 	}
 	key, hashes := KeyOf(spec)
 	return &Image{

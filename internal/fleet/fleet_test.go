@@ -3,14 +3,17 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/severifast/severifast/internal/costmodel"
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -27,6 +30,45 @@ func testFleet(t testing.TB, cfg Config) (*sim.Engine, *Orchestrator, *Image) {
 		t.Fatal(err)
 	}
 	return eng, o, img
+}
+
+// TestRegisterTakesTheLaunch: RegisterImage is Register with the design
+// launch, and Register refuses a launch that is not measured.
+func TestRegisterTakesTheLaunch(t *testing.T) {
+	_, o, img := testFleet(t, Config{})
+	preset := kernelgen.Lupine()
+	art, err := kernelgen.Cached(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := firecracker.Config{
+		Preset:    preset,
+		Artifacts: art,
+		Initrd:    img.Spec().Initrd,
+		Level:     sev.SNP,
+		Scheme:    firecracker.SchemeSEVeriFastBz,
+	}
+	got, err := o.Register("fn", design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CacheKey() != img.CacheKey() || !reflect.DeepEqual(got.Spec(), img.Spec()) {
+		t.Errorf("Register(design launch) spec %+v key %x, RegisterImage spec %+v key %x",
+			got.Spec(), got.CacheKey(), img.Spec(), img.CacheKey())
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*firecracker.Config)
+	}{
+		{"unencrypted", func(c *firecracker.Config) { c.Level = sev.None }},
+		{"stock", func(c *firecracker.Config) { c.Scheme = firecracker.SchemeStock }},
+	} {
+		launch := design
+		tc.set(&launch)
+		if _, err := o.Register("fn", launch); err == nil || !strings.Contains(err.Error(), "measured guests only") {
+			t.Errorf("%s: Register error = %v, want a measured-guests-only refusal", tc.name, err)
+		}
+	}
 }
 
 func runWorkload(t testing.TB, eng *sim.Engine, o *Orchestrator, w Workload) {

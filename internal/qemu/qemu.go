@@ -49,9 +49,11 @@ type Config struct {
 	VCPUs     int
 	MemSize   uint64
 	Level     sev.Level
-	OVMFSeed  int64
 	Attestor  firecracker.Attestor
 }
+
+// ovmfSeed selects the one OVMF build the flow boots.
+const ovmfSeed = 1
 
 // FromFirecracker is the launch description c as this monitor takes it:
 // the fields the two monitors share. The facade and the experiments
@@ -90,9 +92,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MemSize == 0 {
 		c.MemSize = 256 << 20
-	}
-	if c.OVMFSeed == 0 {
-		c.OVMFSeed = 1
 	}
 }
 
@@ -161,7 +160,7 @@ func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*firecracker.Result, erro
 	}
 	m.Timeline.Annotate("asid", fmt.Sprintf("%d", m.Launch.ASID()))
 	batch := m.Launch.NewUpdateBatch()
-	for _, r := range ovmf.PlanRegions(cfg.OVMFSeed, cfg.Level, hashes) {
+	for _, r := range ovmf.PlanRegions(ovmfSeed, cfg.Level, hashes) {
 		var err error
 		if r.Art != nil {
 			err = batch.StageArtifact(proc, r.GPA, r.Art, r.ArtOff, len(r.Data), r.Type)
@@ -245,7 +244,7 @@ func (c Config) ExpectedDigest() ([32]byte, error) {
 	if err := c.check(); err != nil {
 		return [32]byte{}, err
 	}
-	return ExpectedDigest(c.OVMFSeed, c.Level, c.ComponentHashes()), nil
+	return ExpectedDigest(ovmfSeed, c.Level, c.ComponentHashes()), nil
 }
 
 // ExpectedDigest is the guest owner's digest tool for the QEMU flow.

@@ -11,9 +11,9 @@ package severifast
 // Prewarm builds forked standbys ahead of demand; Stats exposes the
 // tier mix; Close drains and reports the first deterministic error.
 //
-//	pool, err := severifast.NewPool(severifast.NewConfig(
-//	    severifast.WithKernel(severifast.KernelLupine),
-//	), severifast.PoolOptions{})
+//	pool, err := severifast.NewPool(severifast.Config{
+//	    Kernel: severifast.KernelLupine,
+//	}, severifast.PoolOptions{})
 //	defer pool.Close()
 //	cold, _ := pool.Boot() // measured cold boot, seeds the warm pool
 //	warm, _ := pool.Boot() // forked: same digest, O(dirty) host work
@@ -108,20 +108,11 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The pool's image is registered with the fleet orchestrator, which
-	// launches every image with the design defaults; a Config asking for
-	// anything else is refused rather than silently booted as the default.
+	// The fleet launches Firecracker only, and from its measured-image
+	// cache; an unmeasured launch is refused when the image registers.
 	switch {
-	case cfg.Scheme == SchemeQEMUOVMF:
+	case l.qemu:
 		return nil, fmt.Errorf("severifast: Pool does not support %q (use Host.Boot)", cfg.Scheme)
-	case !l.Level.Encrypted():
-		return nil, fmt.Errorf("severifast: Pool serves measured guests only, not scheme %q at level %q (use Host.Boot)", cfg.Scheme, cfg.Level)
-	case cfg.Codec != CodecLZ4:
-		return nil, fmt.Errorf("severifast: Pool supports CodecLZ4 only, not %q", cfg.Codec)
-	case cfg.PreEncryptPageTables:
-		return nil, fmt.Errorf("severifast: Pool does not support PreEncryptPageTables (use Host.Boot)")
-	case cfg.VerifierSeed != 1:
-		return nil, fmt.Errorf("severifast: Pool boots verifier build 1 only, not VerifierSeed %d", cfg.VerifierSeed)
 	case cfg.InBandHashing:
 		return nil, fmt.Errorf("severifast: Pool does not support InBandHashing (its measured-image cache is the out-of-band hash file)")
 	}
@@ -139,15 +130,12 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 		EnableWarm:   true,
 		WarmPoolSize: opts.WarmPoolSize,
 		Telemetry:    h.reg,
-		Level:        l.Level,
-		Scheme:       l.Scheme,
-		VCPUs:        l.VCPUs,
-		MemSize:      l.MemSize,
 		OnServed: func(_ *sim.Proc, m *kvm.Machine, tier fleet.Tier) {
 			p.lastServed, p.lastTier = m, tier
 		},
 	}
-	if cfg.Attest {
+	// Like Host.Boot, a Pool attests only kernels with networking.
+	if cfg.Attest && l.Preset.Networking {
 		auth := kbs.NewAuthority(h.seed ^ 0xB0B)
 		broker := kbs.NewBroker(auth.Root(), kbs.Config{
 			MinTCB:   poolTCB,
@@ -160,7 +148,7 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 		fcfg.AgentSeed = h.seed
 	}
 	p.orch = fleet.New(h.eng, h.inner, fcfg)
-	if p.img, err = p.orch.RegisterImage(string(cfg.Kernel), l.Preset, l.Initrd); err != nil {
+	if p.img, err = p.orch.Register(string(cfg.Kernel), l.Config); err != nil {
 		return nil, classifyErr(err)
 	}
 	return p, nil

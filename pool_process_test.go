@@ -24,9 +24,7 @@ const poolWarmBootAllocCeiling = 9.9
 
 func newTestPool(t *testing.T) *Pool {
 	t.Helper()
-	cfg := NewConfig(WithKernel(KernelLupine), WithSeed(42))
-	cfg.InitrdMiB = 2
-	pool, err := NewPool(cfg, PoolOptions{})
+	pool, err := NewPool(Config{Kernel: KernelLupine, Seed: 42, InitrdMiB: 2}, PoolOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,7 @@ import (
 )
 
 func poolConfig() severifast.Config {
-	cfg := severifast.NewConfig(
-		severifast.WithKernel(severifast.KernelLupine),
-		severifast.WithSeed(42),
-	)
-	cfg.InitrdMiB = 2
-	return cfg
+	return severifast.Config{Kernel: severifast.KernelLupine, Seed: 42, InitrdMiB: 2}
 }
 
 func TestPoolColdThenWarm(t *testing.T) {
@@ -79,45 +74,48 @@ func TestPoolPrewarm(t *testing.T) {
 	}
 }
 
+// TestPoolAttested: a pool with Attest runs the key-release exchange on
+// every boot of a kernel with networking, and, like Host.Boot, skips it
+// for Lupine, which has none.
 func TestPoolAttested(t *testing.T) {
-	cfg := poolConfig().With(severifast.WithAttestation())
-	pool, err := severifast.NewPool(cfg, severifast.PoolOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := pool.Boot(); err != nil {
+	for _, tc := range []struct {
+		kernel severifast.Kernel
+		want   int
+	}{
+		{severifast.KernelAWS, 3},
+		{severifast.KernelLupine, 0},
+	} {
+		cfg := poolConfig()
+		cfg.Kernel, cfg.Attest = tc.kernel, true
+		pool, err := severifast.NewPool(cfg, severifast.PoolOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := pool.Boot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := pool.Stats(); s.Attested != tc.want || s.Failed != 0 {
+			t.Errorf("%s: stats %+v, want %d boots attested and none failed", tc.kernel, s, tc.want)
+		}
+		if err := pool.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := pool.Stats()
-	if s.Attested != 3 || s.Failed != 0 {
-		t.Fatalf("stats %+v, want every boot attested", s)
-	}
 }
 
+// TestPoolRejections: a pool launches Firecracker guests from its
+// measured-image cache, so it refuses QEMU/OVMF, unmeasured launches and
+// in-band hashing.
 func TestPoolRejections(t *testing.T) {
-	if _, err := severifast.NewPool(severifast.NewConfig(
-		severifast.WithScheme(severifast.SchemeQEMUOVMF),
-	), severifast.PoolOptions{}); err == nil || !strings.Contains(err.Error(), "Pool does not support") {
-		t.Fatalf("qemu-ovmf pool error = %v", err)
-	}
-	if _, err := severifast.NewPool(severifast.NewConfig(
-		severifast.WithCodec(severifast.CodecGzip),
-	), severifast.PoolOptions{}); err == nil || !strings.Contains(err.Error(), "CodecLZ4 only") {
-		t.Fatalf("gzip pool error = %v", err)
-	}
-	// Fields the fleet orchestrator cannot launch with are refused, not
-	// silently dropped for the design default.
 	for _, tc := range []struct {
 		name string
 		set  func(*severifast.Config)
 		want string
 	}{
+		{"qemu-ovmf", func(c *severifast.Config) { c.Scheme = severifast.SchemeQEMUOVMF }, "Pool does not support"},
 		{"stock", func(c *severifast.Config) { c.Scheme = severifast.SchemeStock }, "measured guests only"},
-		{"pre-encrypt page tables", func(c *severifast.Config) { c.PreEncryptPageTables = true }, "PreEncryptPageTables"},
-		{"verifier seed", func(c *severifast.Config) { c.VerifierSeed = 7 }, "VerifierSeed 7"},
 		{"in-band hashing", func(c *severifast.Config) { c.InBandHashing = true }, "InBandHashing"},
 	} {
 		cfg := poolConfig()
@@ -130,10 +128,23 @@ func TestPoolRejections(t *testing.T) {
 
 // TestPoolDigestIsTheKeySharingDigest: an encrypted pool launches with the
 // key-sharing policy, so every boot, cold or forked, measures what
-// ExpectedLaunchDigest says for the pool's Config with AllowKeySharing set.
+// ExpectedLaunchDigest says for the pool's Config with AllowKeySharing set,
+// whatever else the Config asks of the launch.
 func TestPoolDigestIsTheKeySharingDigest(t *testing.T) {
-	for _, scheme := range []severifast.Scheme{severifast.SchemeSEVeriFast, severifast.SchemeSEVeriFastVmlinux} {
-		cfg := poolConfig().With(severifast.WithScheme(scheme))
+	for _, tc := range []struct {
+		name string
+		set  func(*severifast.Config)
+	}{
+		{"severifast", func(*severifast.Config) {}},
+		{"severifast-vmlinux", func(c *severifast.Config) { c.Scheme = severifast.SchemeSEVeriFastVmlinux }},
+		{"gzip", func(c *severifast.Config) { c.Codec = severifast.CodecGzip }},
+		{"sev-es", func(c *severifast.Config) { c.Level = severifast.LevelES }},
+		{"pre-encrypt page tables", func(c *severifast.Config) { c.PreEncryptPageTables = true }},
+		{"verifier seed", func(c *severifast.Config) { c.VerifierSeed = 7 }},
+		{"two vcpus", func(c *severifast.Config) { c.VCPUs = 2 }},
+	} {
+		cfg := poolConfig()
+		tc.set(&cfg)
 		sharing := cfg
 		sharing.AllowKeySharing = true
 		want, err := severifast.ExpectedLaunchDigest(sharing)
@@ -142,19 +153,19 @@ func TestPoolDigestIsTheKeySharingDigest(t *testing.T) {
 		}
 		pool, err := severifast.NewPool(cfg, severifast.PoolOptions{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, tier := range []string{"cold", "forked"} {
 			res, err := pool.Boot()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %s boot: %v", tc.name, tier, err)
 			}
 			if res.LaunchDigest != want {
-				t.Errorf("%s: %s boot measured %x, expected %x", scheme, tier, res.LaunchDigest[:8], want[:8])
+				t.Errorf("%s: %s boot measured %x, expected %x", tc.name, tier, res.LaunchDigest[:8], want[:8])
 			}
 		}
 		if s := pool.Stats(); s.ColdBoots != 1 || s.WarmBoots != 1 {
-			t.Errorf("%s: stats %+v, want 1 cold + 1 forked", scheme, s)
+			t.Errorf("%s: stats %+v, want 1 cold + 1 forked", tc.name, s)
 		}
 		if err := pool.Close(); err != nil {
 			t.Fatal(err)
@@ -181,34 +192,5 @@ func TestPoolClose(t *testing.T) {
 	}
 	if _, err := pool.Prewarm(1); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("Prewarm after Close = %v, want closed error", err)
-	}
-}
-
-// TestConfigOptions: NewConfig is pure sugar over the struct literal and
-// With derives copies without mutating the base.
-func TestConfigOptions(t *testing.T) {
-	got := severifast.NewConfig(
-		severifast.WithScheme(severifast.SchemeSEVeriFastVmlinux),
-		severifast.WithCodec(severifast.CodecGzip),
-		severifast.WithKernel(severifast.KernelAWS),
-		severifast.WithLevel(severifast.LevelES),
-		severifast.WithAttestation(),
-		severifast.WithSeed(7),
-	)
-	want := severifast.Config{
-		Scheme: severifast.SchemeSEVeriFastVmlinux,
-		Codec:  severifast.CodecGzip,
-		Kernel: severifast.KernelAWS,
-		Level:  severifast.LevelES,
-		Attest: true,
-		Seed:   7,
-	}
-	if got != want {
-		t.Fatalf("NewConfig = %+v, want %+v", got, want)
-	}
-	base := severifast.NewConfig(severifast.WithKernel(severifast.KernelLupine))
-	derived := base.With(severifast.WithKernel(severifast.KernelAWS))
-	if base.Kernel != severifast.KernelLupine || derived.Kernel != severifast.KernelAWS {
-		t.Fatalf("With mutated the base: base=%q derived=%q", base.Kernel, derived.Kernel)
 	}
 }

@@ -252,10 +252,7 @@ func TestHugePageValidationOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hp, err := Boot(NewConfig(
-		WithKernel(KernelLupine),
-		WithHugePageValidation(),
-	).With(func(c *Config) { c.InitrdMiB = 2 }))
+	hp, err := Boot(Config{Kernel: KernelLupine, InitrdMiB: 2, HugePageValidation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
