@@ -109,10 +109,10 @@ type Config struct {
 
 	// Telemetry, when set, receives the fleet's counters and latency
 	// series as registry instruments, per-boot "fleet.boot" spans on the
-	// worker tracks, and "kbs.exchange" spans on the kbs track. Install
-	// the same registry on the host (kvm.Host.Telemetry) and engine
-	// (sim.Engine.SetTracer) to get the full per-boot span trees and the
-	// PSP queueing picture in one trace. Nil disables the mirror.
+	// worker tracks, and "kbs.exchange" spans on the kbs track. A boot's
+	// span tree needs only the host's registry (kvm.Host.Telemetry); the
+	// engine's tracer (sim.Engine.SetTracer) adds scheduler spans, such as
+	// PSP queueing, and nothing else. Nil disables the mirror.
 	Telemetry *telemetry.Registry
 
 	// BootDeadline, when positive, is each request's virtual-time budget

@@ -40,6 +40,24 @@ func instrumentedRun(t *testing.T, arrivals int) (*telemetry.Registry, *Metrics)
 	return reg, o.Metrics()
 }
 
+// spanCount is the number of spans in reg's index named name whose last
+// value for key is value; an empty key counts every span so named.
+func spanCount(reg *telemetry.Registry, name, key, value string) int {
+	n := 0
+	for _, s := range reg.Spans() {
+		last := ""
+		for _, a := range s.Attrs {
+			if a.Key == key {
+				last = a.Value
+			}
+		}
+		if s.Name == name && (key == "" || last == value) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestFleetBootSpansMatchReport is the acceptance check: the per-tier
 // fleet.boot span counts in the trace equal the fleet report's Boots
 // totals exactly.
@@ -49,7 +67,7 @@ func TestFleetBootSpansMatchReport(t *testing.T) {
 		t.Fatalf("TotalBoots = %d, want 16", m.TotalBoots())
 	}
 	for tier := Tier(0); tier < numTiers; tier++ {
-		got := reg.SpanCount("fleet.boot", "tier", tier.String())
+		got := spanCount(reg, "fleet.boot", "tier", tier.String())
 		if got != m.Boots[tier] {
 			t.Fatalf("fleet.boot spans for %v = %d, report says %d", tier, got, m.Boots[tier])
 		}
@@ -62,11 +80,11 @@ func TestFleetBootSpansMatchReport(t *testing.T) {
 		}
 	}
 	// Every boot also produced a vm.boot span tree on a worker track.
-	if got := reg.SpanCount("vm.boot", "", ""); got < m.TotalBoots() {
+	if got := spanCount(reg, "vm.boot", "", ""); got < m.TotalBoots() {
 		t.Fatalf("vm.boot spans = %d, want >= %d", got, m.TotalBoots())
 	}
 	// PSP serialization is visible: launch commands as service spans.
-	if got := reg.SpanCount("LAUNCH_START", "", ""); got == 0 {
+	if got := spanCount(reg, "LAUNCH_START", "", ""); got == 0 {
 		t.Fatal("no LAUNCH_START service spans on the psp track")
 	}
 }

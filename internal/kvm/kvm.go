@@ -47,8 +47,8 @@ type Host struct {
 	HugePageValidation bool
 
 	// Telemetry, when set, makes every machine's timeline a span scope
-	// on the booting proc's track. Install it with eng.SetTracer too so
-	// PSP queueing shows up in the same registry.
+	// on the booting proc's track. The engine's tracer is not needed for
+	// that; installed too, it adds only scheduler spans (PSP queueing).
 	Telemetry *telemetry.Registry
 
 	// OnNewMachine, when set, observes every machine created on this

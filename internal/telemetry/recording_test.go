@@ -175,6 +175,42 @@ func TestSubtreeAndHorizonMatchFullScan(t *testing.T) {
 	}
 }
 
+// TestStopIndexing: a registry that stopped indexing lists no span or
+// event yet keeps its horizon and instruments; an open root's subtree is
+// what an indexed registry gives, and stays readable once the root has
+// closed and let go of it.
+func TestStopIndexing(t *testing.T) {
+	r := NewRegistry()
+	r.StopIndexing()
+	for i := 0; i < 3; i++ {
+		at := sim.Time(10 * i)
+		root := r.StartSpan("pool", "vm.boot", at)
+		s := r.StartSpan("pool", "snapshot.restore", at+1)
+		r.TraceWait("pool", "psp", at+2, at+3)
+		s.Close(at + 4)
+		r.Emit("pool", "init exec", at+5)
+		r.Counter("boots").Inc()
+		tree := r.Subtree(root)
+		want := fmt.Sprint([]int{root.ID, root.ID + 1, root.ID + 2})
+		if fmt.Sprint(ids(tree)) != want || tree[2].Name != "wait psp" || tree[2].Parent != s.ID {
+			t.Fatalf("boot %d: open root's subtree = %v, want %s", i, ids(tree), want)
+		}
+		root.Close(at + 9)
+		if got := r.Subtree(root); len(got) != 1 || got[0] != root {
+			t.Fatalf("boot %d: closed root's subtree = %v, want the root alone", i, ids(got))
+		}
+		if fmt.Sprint(ids(tree)) != want {
+			t.Fatalf("boot %d: the subtree read before the close became %v", i, ids(tree))
+		}
+	}
+	if r.Spans() != nil || r.Events() != nil || spanCount(r, "vm.boot", "", "") != 0 {
+		t.Fatal("a registry that stopped indexing lists what it recorded")
+	}
+	if r.Horizon() != 29 || r.Counter("boots").Value() != 3 {
+		t.Fatalf("horizon %d, boots %d: want 29 and 3", r.Horizon(), r.Counter("boots").Value())
+	}
+}
+
 func ids(spans []*Span) []int {
 	out := make([]int, len(spans))
 	for i, s := range spans {

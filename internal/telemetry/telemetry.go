@@ -58,6 +58,11 @@ type Span struct {
 	Done   bool // false while the span is still open
 
 	reg *Registry
+	// root is the track root the span's parent chain ends at (itself when
+	// Parent is 0); a track root with descendants lists itself and them in
+	// tree, in creation order, so a boot's subtree is read off its root.
+	root *Span
+	tree []*Span
 }
 
 // Close ends the span at the given virtual time. Closing an already
@@ -78,6 +83,13 @@ func (s *Span) Close(at sim.Time) {
 	s.Stop = at
 	s.Done = true
 	s.reg.stampLocked(at)
+	if s.reg.unindexed && s.root == s {
+		// No link between carved spans is left to keep another boot alive.
+		for _, d := range s.tree {
+			d.root = d
+		}
+		s.tree = nil
+	}
 	stack := s.reg.open[s.Track]
 	for i := len(stack) - 1; i >= 0; i-- {
 		if stack[i] == s {
@@ -98,12 +110,7 @@ func (s *Span) Annotate(key, value string) {
 	}
 	s.reg.mu.Lock()
 	defer s.reg.mu.Unlock()
-	if n := len(s.Attrs); n == cap(s.Attrs) {
-		grown := s.reg.attrs.carve(max(2*n, 4))[:n]
-		copy(grown, s.Attrs)
-		s.Attrs = grown
-	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
+	s.Attrs = appendCarved(&s.reg.attrs, s.Attrs, Attr{Key: key, Value: value})
 }
 
 // Event is an instant marker on a track (a guest debug-port write, a
@@ -280,6 +287,17 @@ func (s *slab[T]) carve(n int) []T {
 	return run
 }
 
+// appendCarved appends v to run, first moving a full run to one twice
+// its size (at least four) carved from s.
+func appendCarved[T any](s *slab[T], run []T, v T) []T {
+	if n := len(run); n == cap(run) {
+		grown := s.carve(max(2*n, 4))[:n]
+		copy(grown, run)
+		run = grown
+	}
+	return append(run, v)
+}
+
 // cloneAttrs copies attrs into a run carved from s; nil when empty.
 func cloneAttrs(s *slab[Attr], attrs []Attr) []Attr {
 	if len(attrs) == 0 {
@@ -296,7 +314,7 @@ func cloneAttrs(s *slab[Attr], attrs []Attr) []Attr {
 // nil checks.
 type Registry struct {
 	mu       sync.Mutex
-	spans    []*Span // creation order: spans[i].ID == i+1
+	spans    []*Span // the index, in creation order
 	events   []Event
 	horizon  sim.Time           // latest stamp of any span or event
 	open     map[string][]*Span // per-track stack of open spans
@@ -304,8 +322,11 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	series   map[string]*Series
 
-	spanSlab slab[Span]
-	attrs    slab[Attr]
+	lastID    int  // the latest span's ID
+	unindexed bool // set by StopIndexing: spans and events stay empty
+	spanSlab  slab[Span]
+	attrs     slab[Attr]
+	trees     slab[*Span]
 }
 
 // NewRegistry returns an empty registry.
@@ -317,8 +338,16 @@ func NewRegistry() *Registry {
 		series:   make(map[string]*Series),
 		spanSlab: slab[Span]{next: 8, limit: 64},
 		attrs:    slab[Attr]{next: 16, limit: 128},
+		trees:    slab[*Span]{next: 32, limit: 128},
 	}
 }
+
+// StopIndexing keeps later spans and events out of the index that Spans,
+// Events and the exporters read, and makes a track root drop its tree as
+// it closes (read it first, as trace.Timeline.Close does), so a span
+// lives only while something holds it. For a registry nothing exports;
+// call it before the registry records anything.
+func (r *Registry) StopIndexing() { r.unindexed = true }
 
 // stampLocked raises the horizon to at.
 func (r *Registry) stampLocked(at sim.Time) {
@@ -361,21 +390,31 @@ func (r *Registry) Record(track, name string, from, to sim.Time, attrs ...Attr) 
 }
 
 // newSpanLocked carves the span and its attributes from the registry's
-// slabs; it allocates only when a slab runs out.
+// slabs and lists it on its track root; it allocates only when a slab
+// runs out.
 func (r *Registry) newSpanLocked(track, name string, at sim.Time, attrs []Attr) *Span {
 	s := &r.spanSlab.carve(1)[0]
+	r.lastID++
 	*s = Span{
-		ID:    len(r.spans) + 1,
+		ID:    r.lastID,
 		Track: track,
 		Name:  name,
 		Start: at,
 		Attrs: cloneAttrs(&r.attrs, attrs),
 		reg:   r,
 	}
+	s.root = s
 	if stack := r.open[track]; len(stack) > 0 {
-		s.Parent = stack[len(stack)-1].ID
+		parent := stack[len(stack)-1]
+		s.Parent, s.root = parent.ID, parent.root
+		if s.root.tree == nil {
+			s.root.tree = appendCarved(&r.trees, nil, s.root)
+		}
+		s.root.tree = appendCarved(&r.trees, s.root.tree, s)
 	}
-	r.spans = append(r.spans, s)
+	if !r.unindexed {
+		r.spans = append(r.spans, s)
+	}
 	r.stampLocked(at)
 	return s
 }
@@ -387,13 +426,15 @@ func (r *Registry) Emit(track, name string, at sim.Time, attrs ...Attr) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.events = append(r.events, Event{
-		Seq:   len(r.events),
-		Track: track,
-		Name:  name,
-		At:    at,
-		Attrs: cloneAttrs(&r.attrs, attrs),
-	})
+	if !r.unindexed {
+		r.events = append(r.events, Event{
+			Seq:   len(r.events),
+			Track: track,
+			Name:  name,
+			At:    at,
+			Attrs: cloneAttrs(&r.attrs, attrs),
+		})
+	}
 	r.stampLocked(at)
 }
 
@@ -494,20 +535,25 @@ func (r *Registry) Events() []Event {
 
 // Subtree returns root followed by every span whose parent chain
 // reaches root, in creation order. Used by Result.Spans to carve one
-// boot out of a registry shared across boots. A descendant is created
-// after its parent, so the scan starts at root's own slot and costs the
-// spans recorded since root, not every span the registry holds.
+// boot out of a registry shared across boots. A track root's is its tree
+// itself, so treat it as read-only; any other span's is filtered from its
+// track root's tree, from the span's own place in it.
 func (r *Registry) Subtree(root *Span) []*Span {
 	if r == nil || root == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if n := len(root.tree); n > 0 {
+		return root.tree[:n:n]
+	}
 	out := []*Span{root}
-	if root.ID < 1 || root.ID > len(r.spans) || r.spans[root.ID-1] != root {
+	if root.root == nil || root.root == root {
 		return out
 	}
-	for _, s := range r.spans[root.ID:] {
+	tree := root.root.tree
+	from := sort.Search(len(tree), func(i int) bool { return tree[i].ID > root.ID })
+	for _, s := range tree[from:] {
 		if s.Parent < root.ID {
 			continue
 		}
@@ -518,52 +564,6 @@ func (r *Registry) Subtree(root *Span) []*Span {
 		}
 	}
 	return out
-}
-
-// EventsOn returns events on track within [from, to], in order.
-func (r *Registry) EventsOn(track string, from, to sim.Time) []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Event
-	for _, e := range r.events {
-		if e.Track == track && e.At >= from && e.At <= to {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// SpanCount returns the number of closed spans with the given name that
-// carry attribute key=value ("" value matches any). Used by acceptance
-// checks (fleet.boot per-tier counts vs. the fleet report).
-func (r *Registry) SpanCount(name, key, value string) int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, s := range r.spans {
-		if s.Name != name {
-			continue
-		}
-		if key == "" {
-			n++
-			continue
-		}
-		for i := len(s.Attrs) - 1; i >= 0; i-- {
-			if s.Attrs[i].Key == key {
-				if value == "" || s.Attrs[i].Value == value {
-					n++
-				}
-				break
-			}
-		}
-	}
-	return n
 }
 
 // Horizon returns the latest stamp seen by any span or event; exporters

@@ -149,7 +149,7 @@ func TestSpanNestingAndSubtree(t *testing.T) {
 	if sub[0] != root {
 		t.Fatal("Subtree does not start at the root")
 	}
-	if got := r.SpanCount("vm.boot", "", ""); got != 2 {
+	if got := spanCount(r, "vm.boot", "", ""); got != 2 {
 		t.Fatalf("SpanCount(vm.boot) = %d, want 2", got)
 	}
 }
@@ -160,10 +160,10 @@ func TestRecordRetroSpan(t *testing.T) {
 	if s == nil || !s.Done || s.Start != 100 || s.Stop != 900 {
 		t.Fatalf("retro span = %+v", s)
 	}
-	if got := r.SpanCount("fleet.boot", "tier", "cold"); got != 1 {
+	if got := spanCount(r, "fleet.boot", "tier", "cold"); got != 1 {
 		t.Fatalf("SpanCount by attr = %d, want 1", got)
 	}
-	if got := r.SpanCount("fleet.boot", "tier", "warm"); got != 0 {
+	if got := spanCount(r, "fleet.boot", "tier", "warm"); got != 0 {
 		t.Fatalf("SpanCount wrong attr = %d, want 0", got)
 	}
 }
@@ -221,7 +221,7 @@ func TestRegistryRace(t *testing.T) {
 				r.Counter("ops_total", A("track", track)).Inc()
 				r.Gauge("depth").Max(float64(i))
 				r.Series("lat").Observe(time.Duration(i) * time.Microsecond)
-				r.SpanCount("work", "g", track)
+				spanCount(r, "work", "g", track)
 			}
 		}()
 	}
@@ -269,4 +269,25 @@ func TestTracerIntegration(t *testing.T) {
 	if wait != 1 {
 		t.Fatalf("wait spans = %d, want 1 (second proc queued behind the first)", wait)
 	}
+}
+
+// spanCount is the number of spans in r's index named name whose last
+// value for key is value; an empty key counts every span so named. It
+// reads under the registry's lock, so it may run beside writers.
+func spanCount(r *Registry, name, key, value string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, s := range r.spans {
+		last := ""
+		for _, a := range s.Attrs {
+			if a.Key == key {
+				last = a.Value
+			}
+		}
+		if s.Name == name && (key == "" || last == value) {
+			n++
+		}
+	}
+	return n
 }

@@ -46,7 +46,7 @@ func (t *Timeline) RenderTimeline(width int) string {
 		width = 72
 	}
 	spans := t.Spans()
-	events := t.TelemetryEvents()
+	events := t.Events()
 	root := t.root
 	end := root.Stop
 	if !root.Done {
@@ -127,7 +127,7 @@ func (t *Timeline) RenderTimeline(width int) string {
 			r.dur.Round(10*time.Microsecond))
 	}
 	for _, e := range events {
-		fmt.Fprintf(&sb, "· %s @ %v\n", e.Name, e.At.Sub(root.Start).Round(10*time.Microsecond))
+		fmt.Fprintf(&sb, "· %s @ %v\n", EventName(e.Ev), e.At.Sub(root.Start).Round(10*time.Microsecond))
 	}
 	return sb.String()
 }

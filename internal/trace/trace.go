@@ -48,6 +48,7 @@ type Timeline struct {
 	reg   *telemetry.Registry
 	track string
 	root  *telemetry.Span
+	tree  []*telemetry.Span // the span tree as the root closed
 
 	eventBuf [12]Event
 	stageBuf [8]stage
@@ -79,23 +80,18 @@ func NewScoped(reg *telemetry.Registry, track string, start sim.Time) *Timeline 
 	return t
 }
 
-// Registry returns the registry this timeline writes into (nil when
-// unscoped).
-func (t *Timeline) Registry() *telemetry.Registry { return t.reg }
-
-// Track returns the track name for a scoped timeline.
-func (t *Timeline) Track() string { return t.track }
-
-// Root returns the boot's root span (nil when unscoped).
-func (t *Timeline) Root() *telemetry.Span { return t.root }
-
 // Annotate attaches an attribute (scheme, level, codec, asid …) to the
 // boot's root span. No-op when unscoped.
 func (t *Timeline) Annotate(key, value string) { t.root.Annotate(key, value) }
 
-// Close ends the boot's root span. No-op when unscoped or already
-// closed, so both success and error paths may call it.
-func (t *Timeline) Close(at sim.Time) { t.root.Close(at) }
+// Close ends the boot's root span, keeping its span tree. No-op when
+// unscoped or already closed, so success and error paths may call it.
+func (t *Timeline) Close(at sim.Time) {
+	if t.root != nil && !t.root.Done {
+		t.tree = t.reg.Subtree(t.root)
+		t.root.Close(at)
+	}
+}
 
 // Record stamps a guest timing event (a debug-port write).
 func (t *Timeline) Record(at sim.Time, ev sev.TimingEvent) {
@@ -164,15 +160,16 @@ func (t *Timeline) Span(name string) time.Duration {
 // recorded under it (including scheduler wait spans the sim tracer
 // parented inside the boot). Nil when unscoped.
 func (t *Timeline) Spans() []*telemetry.Span {
-	if t.root == nil {
-		return nil
+	if t.tree != nil {
+		return t.tree
 	}
 	return t.reg.Subtree(t.root)
 }
 
-// TelemetryEvents returns this boot's instant events from the registry.
-// Nil when unscoped.
-func (t *Timeline) TelemetryEvents() []telemetry.Event {
+// Events returns the guest timing events the timeline recorded up to its
+// root span's close (all of them while it is open), in order; never an
+// earlier boot's on the same track. Nil when unscoped.
+func (t *Timeline) Events() []Event {
 	if t.root == nil {
 		return nil
 	}
@@ -180,7 +177,13 @@ func (t *Timeline) TelemetryEvents() []telemetry.Event {
 	if t.root.Done {
 		end = t.root.Stop
 	}
-	return t.reg.EventsOn(t.track, t.root.Start, end)
+	var out []Event
+	for _, e := range t.events {
+		if e.At <= end {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // Breakdown is the paper's Fig. 11 decomposition plus the Fig. 10 columns.

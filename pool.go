@@ -63,6 +63,12 @@ type PoolStats struct {
 // starts on its first call and keeps, idle between calls. Close ends it;
 // a pool that is never closed keeps one parked goroutine.
 //
+// A pool records only what its Results read: a boot's span tree and
+// events, kept for as long as a Result holds them (the donor's for the
+// pool's life). Its engine has no scheduler tracer and its fleet mirrors
+// no metrics into the registry; beyond that, a finished boot leaves only
+// the latency samples Stats reads.
+//
 // A pool serves measured guests only, launched with the key-sharing policy
 // its forks need, and the policy is part of the measurement: every boot's
 // LaunchDigest, cold or forked, equals ExpectedLaunchDigest of the pool's
@@ -76,7 +82,6 @@ type Pool struct {
 	img  *fleet.Image
 
 	lastServed *kvm.Machine
-	lastTier   fleet.Tier
 	closed     bool
 
 	// worker is the pool's one standing process, started by the first
@@ -122,6 +127,8 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 	h := NewHostSeed(cfgSeed(cfg))
 	h.inner.THP = !cfg.DisableTHP
 	h.inner.HugePageValidation = cfg.HugePageValidation
+	h.eng.SetTracer(nil)
+	h.reg.StopIndexing()
 	p := &Pool{host: h, cfg: cfg, worker: sim.NewWorker(h.eng, "pool")}
 	p.serveFn, p.doneFn = p.serve, p.done
 	fcfg := fleet.Config{
@@ -129,9 +136,8 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 		Standalone:   true,
 		EnableWarm:   true,
 		WarmPoolSize: opts.WarmPoolSize,
-		Telemetry:    h.reg,
-		OnServed: func(_ *sim.Proc, m *kvm.Machine, tier fleet.Tier) {
-			p.lastServed, p.lastTier = m, tier
+		OnServed: func(_ *sim.Proc, m *kvm.Machine, _ fleet.Tier) {
+			p.lastServed = m
 		},
 	}
 	// Like Host.Boot, a Pool attests only kernels with networking.

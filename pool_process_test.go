@@ -12,15 +12,26 @@ import (
 )
 
 // poolWarmBootAllocCeiling pins what one warm Pool.Boot allocates after
-// the seed boot, the measured value plus one allocation: measured ~8.9
-// with the admission certificate one allocation and the call's serve and
-// done functions bound once; ~20 when each call built its closures and
-// the certificate grew its rule trace and domain list by appending; ~49
-// when each span, metric lookup and Timeline allocated; ~70 when every
-// call started a process of its own (a coroutine, its Proc and a
-// formatted name) and the fork's launch start derived a digest it then
-// discarded and expanded the donor's key again.
-const poolWarmBootAllocCeiling = 9.9
+// the seed boot, the measured value plus one allocation: measured ~8.5
+// with the pool's registry indexing nothing, its engine tracing no
+// scheduling and its fleet mirroring no metrics; ~8.9 with the admission
+// certificate one allocation and the call's serve and done functions
+// bound once; ~20 when each call built its closures and the certificate
+// grew its rule trace and domain list by appending; ~49 when each span,
+// metric lookup and Timeline allocated; ~70 when every call started a
+// process of its own (a coroutine, its Proc and a formatted name) and the
+// fork's launch start derived a digest it then discarded and expanded the
+// donor's key again.
+const poolWarmBootAllocCeiling = 9.5
+
+// poolWarmBootBytesCeiling pins the bytes one warm Pool.Boot allocates
+// after the seed boot, the measured value plus 10 %, the bound of the
+// benchmark's alloc_kib_per_boot: measured ~2 420 with the pool's
+// registry indexing nothing, its engine tracing no scheduling and its
+// fleet mirroring no metrics; ~3 080 when the registry kept every span
+// and event of every boot, the three PSP service spans and the fleet.boot
+// span of each, and a series sample per boot.
+const poolWarmBootBytesCeiling = 2660
 
 func newTestPool(t *testing.T) *Pool {
 	t.Helper()
@@ -57,9 +68,46 @@ func TestPoolWarmBootAllocCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / boots
-	t.Logf("%.2f allocations per warm boot", got)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / boots
+	t.Logf("%.2f allocations, %.0f bytes per warm boot", got, bytes)
 	if got > poolWarmBootAllocCeiling {
 		t.Errorf("a warm Pool.Boot allocates %.2f times, ceiling %.1f: a per-call closure, a certificate growing its rules by appending, a per-call process or a per-fork key expansion is back", got, poolWarmBootAllocCeiling)
+	}
+	if bytes > poolWarmBootBytesCeiling {
+		t.Errorf("a warm Pool.Boot allocates %.0f bytes, ceiling %d: the pool's registry records scheduler spans, fleet metrics or an index of its boots again", bytes, poolWarmBootBytesCeiling)
+	}
+}
+
+// TestPoolRetentionIsBounded: a long-lived Pool whose Results are dropped
+// keeps almost nothing per finished boot. Its live heap after 40 000 warm
+// boots is within 64 bytes a boot of its heap after 2 000: what is left
+// is the fleet's per-boot latency samples, which Stats reads.
+func TestPoolRetentionIsBounded(t *testing.T) {
+	const early, late, perBootCeiling = 2000, 40000, 64
+	pool := newTestPool(t)
+	defer pool.Close()
+	bootN := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := pool.Boot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	bootN(early)
+	before := live()
+	bootN(late - early)
+	after := live()
+	perBoot := (float64(after) - float64(before)) / (late - early)
+	t.Logf("live heap %d bytes after %d boots, %d after %d: %.1f bytes per boot", before, early, after, late, perBoot)
+	if perBoot > perBootCeiling {
+		t.Errorf("a Pool keeps %.1f bytes per finished boot, ceiling %d: something holds every boot's spans, events or machine", perBoot, perBootCeiling)
 	}
 }
 
@@ -187,7 +235,7 @@ func TestPoolPrewarmThenBootShareTheProcess(t *testing.T) {
 	if len(*procs) != 3 || !sameProcess(*procs) {
 		t.Fatalf("Boot after Prewarm ran on processes %v, want Prewarm's", *procs)
 	}
-	if track := res.timeline.Track(); track != "pool" {
+	if track := res.timeline.Spans()[0].Track; track != "pool" {
 		t.Fatalf("boot traced on lane %q, want pool", track)
 	}
 }

@@ -336,11 +336,7 @@ func (r *Result) Spans() []Span {
 	if len(raw) == 0 {
 		return nil
 	}
-	base := raw[0].Start
-	horizon := sim.Time(0)
-	if reg := r.timeline.Registry(); reg != nil {
-		horizon = reg.Horizon()
-	}
+	base, horizon := raw[0].Start, r.host.reg.Horizon()
 	depth := make(map[int]int, len(raw))
 	out := make([]Span, 0, len(raw))
 	for _, s := range raw {
@@ -376,18 +372,13 @@ func (r *Result) Events() []Event {
 	if r.timeline == nil {
 		return nil
 	}
-	raw := r.timeline.TelemetryEvents()
+	raw := r.timeline.Events()
 	if len(raw) == 0 {
 		return nil
 	}
-	spans := r.timeline.Spans()
-	if len(spans) == 0 {
-		return nil
-	}
-	base := spans[0].Start
 	out := make([]Event, 0, len(raw))
 	for _, e := range raw {
-		out = append(out, Event{Name: e.Name, At: e.At.Sub(base)})
+		out = append(out, Event{Name: trace.EventName(e.Ev), At: e.At.Sub(r.timeline.Start)})
 	}
 	return out
 }

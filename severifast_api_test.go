@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/severifast/severifast/internal/attest"
@@ -68,6 +69,36 @@ func TestClassifyInternalErrors(t *testing.T) {
 	plain := errors.New("plumbing")
 	if classifyErr(plain) != plain {
 		t.Fatal("unclassifiable errors must pass through unchanged")
+	}
+}
+
+// TestSequentialHostBootsOwnTheirEvents: boots run one after another on
+// one host share a track, and each Result's Events and rendered timeline
+// are its own boot's: the same six milestones at the same offsets, with
+// no event of the boot before, whose last one falls on the next boot's
+// start.
+func TestSequentialHostBootsOwnTheirEvents(t *testing.T) {
+	host := NewHost()
+	var first []Event
+	var render string
+	for i := 0; i < 3; i++ {
+		res, err := host.Boot(Config{Kernel: KernelLupine, InitrdMiB: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first, render = res.Events(), res.RenderTimeline(80)
+			if len(first) != 6 || first[len(first)-1].Name != "init exec" {
+				t.Fatalf("first boot's events = %+v, want six ending at init exec", first)
+			}
+			continue
+		}
+		if got := res.Events(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("boot %d's events = %+v, want the first boot's %+v", i, got, first)
+		}
+		if got := res.RenderTimeline(80); got != render {
+			t.Fatalf("boot %d's timeline:\n%s\nwant the first boot's:\n%s", i, got, render)
+		}
 	}
 }
 
