@@ -36,8 +36,6 @@ var exportExemptions = map[string]string{
 	"artifact.ResetForTest":                 "internal/verifier tests start from an empty intern table",
 	"costmodel.Unit":                        "unit-cost model for exact arithmetic in the attest, kbs, kvm and psp tests",
 	"hostwork.SetWorkers":                   "internal/guestmem tests pin the pool width",
-	"psp.PSP.CertChain":                     "internal/attest and internal/kbs tests present a platform's chain",
-	"psp.PSP.AMDRootKey":                    "internal/attest tests pin a platform's root",
 	"guestmem.Memory.HostRestoreCiphertext": "§7 evidence: snapshot's cross-key test replays captured ciphertext",
 }
 

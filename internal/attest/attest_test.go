@@ -235,8 +235,18 @@ func attestWithChain(v *kbs.Verifier, digest [32]byte, secret, report, chain []b
 	return agent.Unwrap(bundle)
 }
 
+// enrolledGuest is launchGuest on a platform enrolled under an authority
+// from seed 7 as chip-a: the platform signs with the authority's VCEK, and
+// the authority issues the chain a relying party checks.
+func enrolledGuest(t *testing.T, seed int64) (*kbs.Authority, *kbs.Enrollment, *psp.GuestContext, [32]byte) {
+	t.Helper()
+	platform, ctx, digest := launchGuest(t, seed, sev.SNP, sev.DefaultPolicy())
+	auth := kbs.NewAuthority(7)
+	return auth, auth.Enroll(platform, "chip-a", kbs.TCB{SNP: 8}), ctx, digest
+}
+
 func TestChainBasedAttestation(t *testing.T) {
-	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
+	auth, enr, ctx, digest := enrolledGuest(t, 1)
 	secret := []byte("chain-released secret")
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
@@ -244,8 +254,8 @@ func TestChainBasedAttestation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The owner pins only AMD's root key.
-	got, err := attestWithChain(kbs.NewVerifier(platform.AMDRootKey()), digest, secret,
-		report.Marshal(), platform.CertChain().Marshal(), agent)
+	got, err := attestWithChain(kbs.NewVerifier(auth.Root()), digest, secret,
+		report.Marshal(), enr.Chain.Marshal(), agent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,16 +265,17 @@ func TestChainBasedAttestation(t *testing.T) {
 }
 
 func TestChainAttestationRejectsForeignChain(t *testing.T) {
-	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	evilPlatform := psp.New(costmodel.Unit(), 666)
+	auth, _, ctx, digest := enrolledGuest(t, 1)
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A malicious host presents a self-minted chain: the ARK pin refuses.
-	if _, err := attestWithChain(kbs.NewVerifier(platform.AMDRootKey()), digest, []byte("s"),
-		report.Marshal(), evilPlatform.CertChain().Marshal(), agent); err == nil {
+	// A malicious host presents a chain minted under a root of its own:
+	// the ARK pin refuses.
+	evil := kbs.NewAuthority(666).ChainFor("chip-a", kbs.TCB{SNP: 8})
+	if _, err := attestWithChain(kbs.NewVerifier(auth.Root()), digest, []byte("s"),
+		report.Marshal(), evil.Marshal(), agent); err == nil {
 		t.Fatal("foreign chain accepted")
 	}
 }
@@ -272,15 +283,15 @@ func TestChainAttestationRejectsForeignChain(t *testing.T) {
 func TestChainAttestationRejectsWrongVCEK(t *testing.T) {
 	// Valid chain from the right platform, but report signed by a
 	// different key (another platform's VCEK): signature check fails.
-	platformA, _, _ := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
+	auth, enrA, _, _ := enrolledGuest(t, 1)
 	_, ctxB, digestB := launchGuest(t, 2, sev.SNP, sev.DefaultPolicy())
 	agent := NewAgentSeeded(99)
 	report, err := ctxB.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attestWithChain(kbs.NewVerifier(platformA.AMDRootKey()), digestB, []byte("s"),
-		report.Marshal(), platformA.CertChain().Marshal(), agent); !errors.Is(err, ErrSignature) {
+	if _, err := attestWithChain(kbs.NewVerifier(auth.Root()), digestB, []byte("s"),
+		report.Marshal(), enrA.Chain.Marshal(), agent); !errors.Is(err, ErrSignature) {
 		t.Fatalf("cross-platform report accepted: %v", err)
 	}
 }

@@ -85,14 +85,14 @@ func TestUnwrapBundle(t *testing.T) {
 }
 
 func TestChainCacheSpeedsRepeatAttestation(t *testing.T) {
-	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
+	auth, enr, ctx, digest := enrolledGuest(t, 1)
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := kbs.NewVerifier(platform.AMDRootKey())
-	chain := platform.CertChain().Marshal()
+	v := kbs.NewVerifier(auth.Root())
+	chain := enr.Chain.Marshal()
 	for i := 0; i < 3; i++ {
 		if _, err := attestWithChain(v, digest, []byte("s"), report.Marshal(), chain, agent); err != nil {
 			t.Fatalf("attempt %d: %v", i, err)

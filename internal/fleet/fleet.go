@@ -350,6 +350,10 @@ type Orchestrator struct {
 	// landing mid-exchange) and classify the resulting denial as a
 	// retryable re-attestation instead of a verdict.
 	enrollVer int
+	// chainRaw is chainOf's chain, marshaled once per Enrollment and not
+	// on every exchange.
+	chainOf  *kbs.Enrollment
+	chainRaw []byte
 
 	firstErr error
 
@@ -1099,7 +1103,10 @@ func (o *Orchestrator) runExchange(p *sim.Proc, r *request, m *kvm.Machine) erro
 		return err
 	}
 	reportBytes := report.Marshal()
-	chainBytes := o.cfg.Enrollment.Chain.Marshal()
+	if e := o.cfg.Enrollment; o.chainOf != e {
+		o.chainOf, o.chainRaw = e, e.Chain.Marshal()
+	}
+	chainBytes := o.chainRaw
 	if tampered {
 		reportBytes, chainBytes, err = o.tamperEvidence(site, reportBytes, chainBytes, r)
 		if err != nil {

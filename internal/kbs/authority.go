@@ -138,13 +138,13 @@ type Enrollment struct {
 }
 
 // Enroll installs an authority-derived, TCB-versioned VCEK on a PSP,
-// replacing its self-built identity — the provisioning step a cloud
+// replacing its seed-derived one — the provisioning step a cloud
 // operator performs once per host. Reports the PSP signs afterwards
 // verify against ChainFor(chipID, tcb) under the authority root.
 func (a *Authority) Enroll(p *psp.PSP, chipID string, tcb TCB) *Enrollment {
 	a.mu.Lock()
 	e := a.entryLocked(chipID, tcb)
 	a.mu.Unlock()
-	p.SetIdentity(e.key, e.chain, a.Root())
+	p.SetIdentity(e.key)
 	return &Enrollment{ChipID: chipID, TCB: tcb, Authority: a, Chain: e.chain}
 }

@@ -305,10 +305,10 @@ func TestDenialReasons(t *testing.T) {
 		if kbs.ReasonOf(err) != kbs.ReasonForged {
 			t.Fatalf("flipped signature: %v", err)
 		}
-		// Self-minted chain from a platform outside the hierarchy.
-		rogue := psp.New(costmodel.Unit(), 666)
+		// Self-minted chain from a hierarchy outside the pinned root.
+		rogue := kbs.NewAuthority(666)
 		_, _, err = exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
-			req.Chain = rogue.CertChain().Marshal()
+			req.Chain = rogue.ChainFor("chip-0", currentTCB).Marshal()
 		})
 		if kbs.ReasonOf(err) != kbs.ReasonForged {
 			t.Fatalf("rogue chain: %v", err)

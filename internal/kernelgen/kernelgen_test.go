@@ -412,6 +412,100 @@ func TestRememberedBytesEqualSearchedBytes(t *testing.T) {
 	}
 }
 
+// searchCalibratedBytesReference is searchCalibratedBytes as it was before
+// it skipped a midpoint with the mix it last measured: every one of the
+// nine sample rounds generates and counts its midpoint's bytes.
+func searchCalibratedBytesReference(out []byte, seed int64, n, compTarget int) ([]byte, float64) {
+	sample := min(n/8, 2<<20)
+	if sample < 64<<10 {
+		sample = n
+	}
+	targetRatio := float64(compTarget) / float64(n)
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 9; i++ {
+		q := (lo + hi) / 2
+		buf := mixBytes(nil, seed, sample, q)
+		if float64(lz4.CompressedLen(buf))/float64(len(buf)) < targetRatio {
+			lo = q
+		} else {
+			hi = q
+		}
+	}
+	q := (lo + hi) / 2
+	start := len(out)
+	var used float64
+	for round := 0; round < 4; round++ {
+		used = q
+		out = mixBytes(out[:start], seed, n, q)
+		ratio := float64(lz4.CompressedLen(out[start:])) / float64(n)
+		if abs(ratio-targetRatio)/targetRatio < 0.015 {
+			break
+		}
+		q = clamp01(q + (targetRatio-ratio)/0.93)
+	}
+	return out, used
+}
+
+// TestSearchMatchesNineStepBisection holds the search to the reference that
+// measures every midpoint, on the initrd's calibration keys (BuildInitrd's
+// seed and target) over 16 seeds at three sizes: the same fraction, bit for
+// bit, and the same bytes.
+func TestSearchMatchesNineStepBisection(t *testing.T) {
+	sizes := []int{64 << 10, 512 << 10, 4 << 20}
+	if raceDetector {
+		sizes = sizes[:2] // the 4 MiB row alone takes tens of seconds
+	}
+	for _, n := range sizes {
+		for seed := int64(1); seed <= 16; seed++ {
+			s := seed ^ 0x5EED
+			got, q := searchCalibratedBytes(nil, s, n, n*3/4)
+			want, wantQ := searchCalibratedBytesReference(nil, s, n, n*3/4)
+			if math.Float64bits(q) != math.Float64bits(wantQ) || !bytes.Equal(got, want) {
+				t.Fatalf("n %d, seed %d: search answers %x, the nine-step bisection %x, or their bytes differ", n, s, q, wantQ)
+			}
+		}
+	}
+}
+
+// TestSameMixMeansSameBytes: sameMix says two fractions make the same
+// blocks random exactly when mixBytes generates the same bytes at both, over
+// neighbouring fractions on the bisection's grid and sizes with and without
+// a short last block.
+func TestSameMixMeansSameBytes(t *testing.T) {
+	same, differ := 0, 0
+	for _, n := range []int{64 << 10, 64<<10 + 100} {
+		for k := 1; k < 512; k++ {
+			q, p := float64(k)/512, float64(k+1)/512
+			want := bytes.Equal(mixBytes(nil, 1, n, q), mixBytes(nil, 1, n, p))
+			if got := sameMix(n, q, p); got != want {
+				t.Fatalf("n %d, q %v, p %v: sameMix %v, bytes equal %v", n, q, p, got, want)
+			}
+			if want {
+				same++
+			} else {
+				differ++
+			}
+		}
+	}
+	if same == 0 || differ == 0 {
+		t.Fatalf("%d pairs the same, %d different: the sweep must have both", same, differ)
+	}
+}
+
+// BenchmarkSearchCalibratedBytes is an unseen initrd's calibration: a
+// cluster image's 512 KiB one and a facade's 16 MiB one.
+func BenchmarkSearchCalibratedBytes(b *testing.B) {
+	for _, n := range []int{512 << 10, 16 << 20} {
+		b.Run(fmt.Sprintf("%dKiB", n>>10), func(b *testing.B) {
+			out := make([]byte, 0, n)
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				searchCalibratedBytes(out, int64(i)^0x5EED, n, n*3/4)
+			}
+		})
+	}
+}
+
 // seedsTaken counts freshSeed calls.
 var seedsTaken atomic.Int64
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 const (
@@ -67,6 +68,17 @@ func CompressedLen(src []byte) int {
 	return n
 }
 
+// matchTable maps a hash of four bytes to entry(pos, word): the last
+// position they were seen at and the word there. 0 is an empty slot.
+type matchTable [1 << hashLog]uint64
+
+func entry(pos int, word uint32) uint64 { return uint64(pos+1)<<32 | uint64(word) }
+
+// tables lends compressBlock its match table, 512 KiB that would otherwise
+// be allocated per call. A table is cleared on every take, so it carries
+// nothing from one call to the next.
+var tables = sync.Pool{New: func() any { return new(matchTable) }}
+
 // compressBlock is the one match finder, with two sinks: it adds each
 // sequence's length to n, the block's length, and with emit it also appends
 // the sequence to dst; without, dst is left alone. The flag is tested once
@@ -81,10 +93,8 @@ func compressBlock(dst, src []byte, emit bool) (_ []byte, n int) {
 		return dst, literalsLen(len(src))
 	}
 
-	var table [1 << hashLog]int32
-	for i := range table {
-		table[i] = -1
-	}
+	table := tables.Get().(*matchTable)
+	clear(table[:])
 
 	anchor := 0
 	s := 0
@@ -93,7 +103,7 @@ func compressBlock(dst, src []byte, emit bool) (_ []byte, n int) {
 
 	for {
 		var ref int
-		if s, ref = findMatch(&table, src, s, limit); s >= limit {
+		if s, ref = findMatch(table, src, s, limit); s >= limit {
 			break
 		}
 
@@ -117,9 +127,11 @@ func compressBlock(dst, src []byte, emit bool) (_ []byte, n int) {
 		// Prime the table with a position inside the match so long runs
 		// keep finding themselves.
 		if s < limit {
-			table[hash4(load32(src, s-2))] = int32(s - 2)
+			w := load32(src, s-2)
+			table[hash4(w)] = entry(s-2, w)
 		}
 	}
+	tables.Put(table)
 
 	if emit {
 		dst = appendLiterals(dst, src[anchor:])
@@ -128,27 +140,22 @@ func compressBlock(dst, src []byte, emit bool) (_ []byte, n int) {
 }
 
 // findMatch scans src from s for the first position before limit whose
-// four bytes equal those at the position table holds for their hash, no
-// more than maxOffset back, and returns it with that earlier position. Every
-// position it passes is entered in table. It returns limit when no position
-// matches.
+// four bytes equal the word table holds for their hash, at a position no
+// more than maxOffset back, and returns it with that earlier position.
+// Every position it passes is entered in table. It returns limit when no
+// position matches.
 //
 // It is the compressor's per-byte loop, kept apart so that nothing else is
-// live in it. The word compare comes first, from ref clamped into the window
-// (r != ref exactly when the slot is empty or ref is out of reach): on
-// incompressible input it fails at nearly every byte, so its branch
-// predicts, where a window test ahead of it went either way at random; and a
-// stale ref reads the window's far edge, 64 KiB behind the scan and still
-// cached, instead of cold bytes megabytes back.
-func findMatch(table *[1 << hashLog]int32, src []byte, s, limit int) (int, int) {
+// live in it. The compare reads the word from the slot, not from src at
+// the slot's position: on incompressible input it fails at nearly every
+// byte, so its branch predicts, and no byte behind the scan is loaded.
+func findMatch(table *matchTable, src []byte, s, limit int) (int, int) {
 	for ; s < limit; s++ {
 		cur := load32(src, s)
 		h := hash4(cur)
-		ref := int(table[h])
-		table[h] = int32(s)
-		d := ref - max(s-maxOffset, 0)
-		r := ref - d&(d>>63) // max(ref, s-maxOffset, 0) without a branch
-		if load32(src, r) == cur && r == ref {
+		e := table[h]
+		table[h] = entry(s, cur)
+		if ref := int(e>>32) - 1; uint32(e) == cur && e != 0 && s-ref <= maxOffset {
 			return s, ref
 		}
 	}

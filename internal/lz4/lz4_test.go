@@ -437,6 +437,19 @@ func TestDecompressBlockIntoReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestCompressedLenAllocatesNothing: once a match table has been lent, a
+// count over a 512 KiB initrd-like mix takes it again instead of
+// allocating its own.
+func TestCompressedLenAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop tables at random")
+	}
+	src := blockMix(512<<10, 0.69)
+	if allocs := testing.AllocsPerRun(10, func() { sinkLen = CompressedLen(src) }); allocs != 0 {
+		t.Fatalf("CompressedLen allocated %v times per run, want 0", allocs)
+	}
+}
+
 // compressBlockReference is the compressor as it was before the match loop
 // compared a word at a time: the same table, the same greedy choice, one
 // byte per step. CompressBlockAppend must produce its output byte for byte.

@@ -6,7 +6,8 @@ package psp
 // root key (ARK). Guest owners validate the whole chain against the
 // pinned ARK (the paper's attestation flow uses AMD's sev-guest tooling,
 // which does exactly this). This file models that chain with real ECDSA
-// P-384 signatures over a compact certificate encoding.
+// P-384 signatures over a compact certificate encoding. A PSP holds only its
+// VCEK: the chain is internal/kbs's, as AMD's comes from AMD's key server.
 
 import (
 	"crypto/ecdsa"
@@ -249,39 +250,8 @@ func genKey(rng *rand.Rand) *ecdsa.PrivateKey {
 	return priv
 }
 
-// buildChain issues the platform's chain at PSP construction time.
-func buildChain(rng *rand.Rand, vcek *ecdsa.PrivateKey) (*Chain, *ecdsa.PublicKey) {
-	ark := genKey(rng)
-	ask := genKey(rng)
-	sign := func(c *Cert, issuer *ecdsa.PrivateKey) {
-		if err := SignCert(c, issuer, rng); err != nil {
-			panic(err.Error())
-		}
-	}
-	ch := &Chain{
-		ARK:  Cert{Subject: "ARK", Issuer: "ARK", PubX: ark.PublicKey.X, PubY: ark.PublicKey.Y},
-		ASK:  Cert{Subject: "ASK", Issuer: "ARK", PubX: ask.PublicKey.X, PubY: ask.PublicKey.Y},
-		VCEK: Cert{Subject: "VCEK", Issuer: "ASK", PubX: vcek.PublicKey.X, PubY: vcek.PublicKey.Y},
-	}
-	sign(&ch.ARK, ark)
-	sign(&ch.ASK, ark)
-	sign(&ch.VCEK, ask)
-	return ch, &ark.PublicKey
-}
-
-// CertChain returns the platform's VCEK certificate chain.
-func (p *PSP) CertChain() *Chain { return p.chain }
-
-// AMDRootKey returns the pinned ARK — what AMD publishes out of band and
-// guest owners hardcode.
-func (p *PSP) AMDRootKey() *ecdsa.PublicKey { return p.arkPub }
-
-// SetIdentity replaces the PSP's signing key, certificate chain, and root
-// pin — what a key authority enrollment does when it installs a derived,
-// TCB-versioned VCEK on the platform (internal/kbs). Reports signed after
-// the swap verify against the new chain.
-func (p *PSP) SetIdentity(key *ecdsa.PrivateKey, chain *Chain, ark *ecdsa.PublicKey) {
-	p.signKey = key
-	p.chain = chain
-	p.arkPub = ark
-}
+// SetIdentity replaces the PSP's signing key — what a key authority
+// enrollment does when it installs a derived, TCB-versioned VCEK on the
+// platform (internal/kbs). Reports signed after the swap verify against the
+// chain the authority issued for it.
+func (p *PSP) SetIdentity(key *ecdsa.PrivateKey) { p.signKey = key }

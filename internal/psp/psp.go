@@ -57,11 +57,13 @@ const (
 type PSP struct {
 	model costmodel.Model
 	res   *sim.Resource
-	rng   *rand.Rand
+	rng   *rand.Rand // guest keys, in launch order
+	// Report signatures draw from a stream of their own, made on the first
+	// report: ecdsa.Sign reads a varying number of bytes from its reader.
+	sigSeed int64
+	sigRNG  *rand.Rand
 
 	signKey  *ecdsa.PrivateKey
-	chain    *Chain
-	arkPub   *ecdsa.PublicKey
 	nextASID uint32
 
 	// CommandCount tallies completed commands, for utilization reporting.
@@ -83,18 +85,17 @@ type PSP struct {
 	DigestTamper func([32]byte) [32]byte
 }
 
-// New creates a PSP with a deterministic identity derived from seed.
+// New creates a PSP whose identity, its VCEK alone, derives from seed; the
+// key authority issues its chain (kbs.Authority.Enroll).
 func New(model costmodel.Model, seed int64) *PSP {
 	rng := rand.New(rand.NewSource(seed))
 	key := genKey(rng)
-	chain, arkPub := buildChain(rng, key)
 	return &PSP{
 		model:    model,
 		res:      sim.NewResource("psp", 1),
 		rng:      rng,
+		sigSeed:  rng.Int63(),
 		signKey:  key,
-		chain:    chain,
-		arkPub:   arkPub,
 		nextASID: 1,
 	}
 }
@@ -337,7 +338,10 @@ func (ctx *GuestContext) BuildReport(proc *sim.Proc, reportData [64]byte) (*Repo
 		Measurement: ctx.digest,
 		ReportData:  reportData,
 	}
-	if err := r.Sign(ctx.psp.rng, ctx.psp.signKey); err != nil {
+	if p := ctx.psp; p.sigRNG == nil {
+		p.sigRNG = rand.New(rand.NewSource(p.sigSeed))
+	}
+	if err := r.Sign(ctx.psp.sigRNG, ctx.psp.signKey); err != nil {
 		return nil, err
 	}
 	return r, nil

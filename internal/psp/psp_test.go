@@ -372,3 +372,58 @@ func TestConcurrentLaunchesSerializeOnPSP(t *testing.T) {
 		t.Fatalf("vm 0 finished at %v, faster than its own PSP work %v despite contention", finish[0], perVM)
 	}
 }
+
+// TestSameSeedDrawsSameGuestKeys: guest keys depend only on the seed and
+// the launch order. Two same-seed PSPs launch three guests each, signing
+// eight reports between launches, and every pair of guests must encrypt one
+// page to the same ciphertext. ecdsa.Sign reads one byte more or less from
+// its reader at random, so signatures must not draw from the stream keys
+// come from: if they did, eight signatures would agree on both sides one
+// time in 256.
+func TestSameSeedDrawsSameGuestKeys(t *testing.T) {
+	content := bytes.Repeat([]byte("same page"), 400)
+	ciphertexts := func() [][]byte {
+		p := New(costmodel.Unit(), 1)
+		var out [][]byte
+		for i := 0; i < 3; i++ {
+			mem, ctx := newGuest(t, p)
+			if err := mem.HostWrite(0x1000, content); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.LaunchUpdateData(nil, 0x1000, len(content), sev.PageNormal); err != nil {
+				t.Fatal(err)
+			}
+			ct, err := mem.HostRead(0x1000, len(content))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ct)
+			if _, err := ctx.LaunchFinish(nil); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 8; j++ {
+				if _, err := ctx.BuildReport(nil, [64]byte{byte(i), byte(j)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return out
+	}
+	a, b := ciphertexts(), ciphertexts()
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("guest %d: two PSPs built from seed 1 installed different keys", i)
+		}
+	}
+}
+
+// newPSPAllocCeiling bounds New: the PSP, its resource, its identity
+// stream and the VCEK's derivation, measured at 18 allocations, plus 10 %.
+// Issuing a certificate chain as well costs some 260 more.
+const newPSPAllocCeiling = 19
+
+func TestNewAllocCeiling(t *testing.T) {
+	if allocs := testing.AllocsPerRun(20, func() { New(costmodel.Unit(), 1) }); allocs > newPSPAllocCeiling {
+		t.Fatalf("psp.New: %v allocations, ceiling %d", allocs, newPSPAllocCeiling)
+	}
+}
