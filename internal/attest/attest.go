@@ -48,23 +48,14 @@ type Agent struct {
 	priv *ecdh.PrivateKey
 }
 
-// NewAgent generates the guest's ephemeral X25519 key from rng (the guest
-// entropy source; a seeded reader in simulation).
-func NewAgent(rng io.Reader) (*Agent, error) {
-	priv, err := ecdh.X25519().GenerateKey(rng)
-	if err != nil {
-		return nil, err
-	}
-	return &Agent{priv: priv}, nil
-}
-
-// NewAgentSeeded is NewAgent with a deterministic source.
+// NewAgentSeeded generates the guest's ephemeral X25519 key from a source
+// seeded with seed (the guest entropy source, in simulation).
 func NewAgentSeeded(seed int64) *Agent {
-	a, err := NewAgent(rand.New(rand.NewSource(seed)))
+	priv, err := kbs.DeriveKey(rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic("attest: seeded keygen cannot fail: " + err.Error())
 	}
-	return a
+	return &Agent{priv: priv}
 }
 
 // PublicKey returns the agent's public key bytes, sent with the report.
@@ -79,32 +70,11 @@ func (a *Agent) ReportData() [64]byte {
 	return rd
 }
 
-// Unwrap opens a secret bundle using the agent's private key.
-func (a *Agent) Unwrap(b *SecretBundle) ([]byte, error) {
-	ownerPub, err := ecdh.X25519().NewPublicKey(b.OwnerPub)
-	if err != nil {
-		return nil, fmt.Errorf("attest: owner key: %w", err)
-	}
-	shared, err := a.priv.ECDH(ownerPub)
-	if err != nil {
-		return nil, err
-	}
-	return kbs.Open(shared, b.Nonce, b.Ciphertext)
-}
-
-// UnwrapBundle opens a key-broker bundle (kbs.WrapSecret's output) with
-// the agent's key — the guest side of the fleet's attest→key-release
-// exchange.
-func (a *Agent) UnwrapBundle(b *kbs.Bundle) ([]byte, error) {
+// Unwrap opens a secret bundle (Fig. 1 step 8) with the agent's key. The
+// guest owner and the key broker wrap alike (kbs.WrapSecret), so this is
+// the guest side of both exchanges.
+func (a *Agent) Unwrap(b *kbs.Bundle) ([]byte, error) {
 	return kbs.UnwrapSecret(a.priv, b)
-}
-
-// SecretBundle is the wrapped secret sent to the guest after a valid
-// report (Fig. 1 step 8).
-type SecretBundle struct {
-	OwnerPub   []byte
-	Nonce      []byte
-	Ciphertext []byte
 }
 
 // Owner is the guest owner's validation service: it knows the platform
@@ -141,7 +111,7 @@ func (o *Owner) RequirePolicy(p sev.Policy) { o.minPolicy = p }
 
 // HandleReport validates a marshaled report plus the guest's public key
 // and, on success, returns the wrapped secret.
-func (o *Owner) HandleReport(reportBytes, guestPub []byte) (*SecretBundle, error) {
+func (o *Owner) HandleReport(reportBytes, guestPub []byte) (*kbs.Bundle, error) {
 	// Both inputs are host-relayed; reject wrong-size keys before any
 	// crypto so a garbage key cannot reach ECDH with a confusing error.
 	if len(guestPub) != 32 {
@@ -173,30 +143,23 @@ func (o *Owner) HandleReport(reportBytes, guestPub []byte) (*SecretBundle, error
 		return nil, ErrBinding
 	}
 
-	// Wrap the secret for the attested guest key.
-	ownerPriv, err := ecdh.X25519().GenerateKey(o.rng)
-	if err != nil {
-		return nil, err
+	// Wrap the secret for the attested guest key, as the key broker does.
+	return kbs.WrapSecret(o.rng, guestPub, o.secret)
+}
+
+// ForLaunch is the in-process guest owner one attested boot talks to: it
+// trusts platform, allows exactly digest (the launch's expected digest),
+// accepts policy when that relaxes key sharing — a trade-off the owner
+// knowingly opted into, not a silent downgrade — and releases
+// "secret-<preset>" to an agent seeded from seed.
+func ForLaunch(platform *ecdsa.PublicKey, digest [32]byte, policy sev.Policy, preset string, seed int64) *InProcess {
+	secret := []byte("secret-" + preset)
+	owner := NewOwner(platform, secret, rand.New(rand.NewSource(seed^0xA77)))
+	owner.Allow(digest)
+	if !policy.NoKeySharing {
+		owner.RequirePolicy(policy)
 	}
-	pub, err := ecdh.X25519().NewPublicKey(guestPub)
-	if err != nil {
-		return nil, fmt.Errorf("attest: guest key: %w", err)
-	}
-	shared, err := ownerPriv.ECDH(pub)
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, 12)
-	if _, err := io.ReadFull(o.rng, nonce); err != nil {
-		return nil, err
-	}
-	// The sealing construction is shared with the key broker
-	// (kbs.Seal/Open) so guest agents open both the same way.
-	ct, err := kbs.Seal(shared, nonce, o.secret)
-	if err != nil {
-		return nil, err
-	}
-	return &SecretBundle{OwnerPub: ownerPriv.PublicKey().Bytes(), Nonce: nonce, Ciphertext: ct}, nil
+	return &InProcess{Owner: owner, AgentSeed: seed, WantSecret: secret}
 }
 
 // InProcess runs the full attestation round trip inside the simulation,

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"github.com/severifast/severifast/internal/kbs"
 )
 
 // The HTTP face of the guest-owner service, mirroring the paper's nginx
@@ -73,7 +75,7 @@ func (o *Owner) Handler() http.Handler {
 }
 
 // Client posts a report to a remote owner service and returns the bundle.
-func Client(url string, reportBytes, guestPub []byte) (*SecretBundle, error) {
+func Client(url string, reportBytes, guestPub []byte) (*kbs.Bundle, error) {
 	req := attestRequest{
 		Report:   hex.EncodeToString(reportBytes),
 		GuestPub: hex.EncodeToString(guestPub),
@@ -110,5 +112,5 @@ func Client(url string, reportBytes, guestPub []byte) (*SecretBundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SecretBundle{OwnerPub: ownerPub, Nonce: nonce, Ciphertext: ct}, nil
+	return &kbs.Bundle{OwnerPub: ownerPub, Nonce: nonce, Ciphertext: ct}, nil
 }

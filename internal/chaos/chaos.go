@@ -4,9 +4,9 @@
 // pre-encryption launch-page tampering, PSP digest truncation, snapshot
 // corruption, parent-snapshot dirtying between capture and fork,
 // key-broker evidence corruption/delay/duplication/outage,
-// policy-store subversion (forged, rescoped, expired, and revoked trust
-// claims), and TCB storms (mid-run chip revocations and floor bumps with
-// forged un-revocation and floor-restore claims riding the recovery).
+// and policy-store subversion (forged, rescoped, expired, and revoked
+// trust claims, and TCB storms: mid-run chip revocations and floor bumps
+// with forged un-revocation and floor-restore claims riding the recovery).
 // Every family is a set of rows in one site table (site.go); Run arms
 // each row on a fresh Harness — the only world the package builds — runs
 // it, and an invariant oracle classifies the trial:
@@ -56,7 +56,7 @@ const (
 )
 
 // Families, in campaign order.
-var AllFamilies = []string{"guestmem", "artifact", "psp", "snapshot", "fork", "kbs", "policy", "tcbstorm"}
+var AllFamilies = []string{"guestmem", "artifact", "psp", "snapshot", "fork", "kbs", "policy"}
 
 // Config sizes a campaign.
 type Config struct {

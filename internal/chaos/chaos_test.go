@@ -107,32 +107,37 @@ func TestWeakenedVerifierEscapes(t *testing.T) {
 	}
 }
 
-// TestTCBStormFamily pins the storm family's verdicts mutation by
-// mutation: the forged un-revocation and floor-restore claims and the
-// stale-floor evidence replay must be Caught (the storm keeps biting
-// through the forgery), and the pristine recovery control — a ghost-chip
-// revocation plus an identical floor re-file that invalidates every
-// cached verdict — must be Harmless, byte for byte.
+// TestTCBStormFamily pins the policy family's verdicts mutation by
+// mutation. The store tampers and revocation storms must be Caught; so
+// must the storm rows' forged un-revocation and floor-restore claims and
+// the stale-floor evidence replay (the storm keeps biting through the
+// forgery); and the pristine recovery control — a ghost-chip revocation
+// plus an identical floor re-file that invalidates every cached verdict —
+// must be Harmless, byte for byte.
 func TestTCBStormFamily(t *testing.T) {
-	rep, err := Run(Config{Seed: 42, Boots: 3, Trials: 1, Families: []string{"tcbstorm"}})
+	rep, err := Run(Config{Seed: 42, Boots: 3, Trials: 1, Families: []string{"policy"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]Outcome{
-		"forged-unrevoke":      Caught,
-		"stale-floor-replay":   Caught,
-		"forged-floor-restore": Caught,
-		"pristine-recovery":    Harmless,
+		"forged-ref-claim":      Caught,
+		"rescoped-ref-claim":    Caught,
+		"revoke-refs-storm":     Caught,
+		"revoke-platform-floor": Caught,
+		"forged-unrevoke":       Caught,
+		"stale-floor-replay":    Caught,
+		"forged-floor-restore":  Caught,
+		"pristine-recovery":     Harmless,
 	}
 	if len(rep.Trials) != len(want) {
-		t.Fatalf("tcbstorm campaign ran %d trials, want %d", len(rep.Trials), len(want))
+		t.Fatalf("policy campaign ran %d trials, want %d", len(rep.Trials), len(want))
 	}
 	for _, tr := range rep.Trials {
-		if tr.Family != "tcbstorm" {
+		if tr.Family != "policy" {
 			t.Fatalf("foreign family in restricted campaign: %s/%s", tr.Family, tr.Name)
 		}
 		if w, ok := want[tr.Name]; !ok {
-			t.Errorf("unknown tcbstorm mutation %q", tr.Name)
+			t.Errorf("unknown policy mutation %q", tr.Name)
 		} else if tr.Outcome != w {
 			t.Errorf("%s (%s): outcome %s, want %s: %s", tr.Name, tr.Params, tr.Outcome, w, tr.Detail)
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/trace"
 )
@@ -43,7 +44,7 @@ func Fig9(opts Options) (*Fig9Data, error) {
 			data.CDFs[preset.Name+"/"+sc.name] = series
 			mean := series.Mean()
 			reduction := "-"
-			if sc.qemu {
+			if sc.kind == firecracker.SchemeQEMUOVMF {
 				qemuMean = mean
 			} else if qemuMean > 0 {
 				reduction = fmt.Sprintf("%.1f%%", 100*(1-float64(mean)/float64(qemuMean)))
@@ -87,7 +88,7 @@ func Fig10(opts Options) (*Table, error) {
 			}
 			b := out.Breakdown
 			fw := b.BootVerification
-			if sc.qemu {
+			if sc.kind == firecracker.SchemeQEMUOVMF {
 				fw = b.Firmware
 			}
 			tab.AddRow(fmt.Sprintf("%s %s", sc.name, preset.Name), ms(b.PreEncryption), ms(fw))

@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/severifast/severifast/internal/attest"
 	"github.com/severifast/severifast/internal/costmodel"
@@ -55,14 +54,11 @@ func (w *world) run() error {
 // §6.1, and a plain guest has no report).
 func (w *world) boot(sc scheme, cfg firecracker.Config, withAttest bool) (*firecracker.Result, error) {
 	if withAttest && cfg.Preset.Networking && cfg.Level.Encrypted() {
-		expected, err := sc.expectedDigest(cfg)
+		expected, err := expectedDigest(cfg)
 		if err != nil {
 			return nil, err
 		}
-		secret := []byte("volume-key-" + cfg.Preset.Name)
-		owner := attest.NewOwner(w.host.PSP.VerificationKey(), secret, rand.New(rand.NewSource(w.seed^0xA77E57)))
-		owner.Allow(expected)
-		cfg.Attestor = &attest.InProcess{Owner: owner, AgentSeed: w.seed, WantSecret: secret}
+		cfg.Attestor = attest.ForLaunch(w.host.PSP.VerificationKey(), expected, cfg.Policy(), cfg.Preset.Name, w.seed)
 	}
 	var res *firecracker.Result
 	w.spawn("boot", func(p *sim.Proc) (err error) {
@@ -76,30 +72,27 @@ func (w *world) boot(sc scheme, cfg firecracker.Config, withAttest bool) (*firec
 type scheme struct {
 	name  string
 	level sev.Level
-	kind  firecracker.Scheme // ignored for qemuFlow
-	qemu  bool
+	kind  firecracker.Scheme
 }
 
 var (
 	schemeStock       = scheme{name: "stock-fc", level: sev.None, kind: firecracker.SchemeStock}
 	schemeSEVeriFast  = scheme{name: "severifast", level: sev.SNP, kind: firecracker.SchemeSEVeriFastBz}
 	schemeSEVFVmlinux = scheme{name: "severifast-vmlinux", level: sev.SNP, kind: firecracker.SchemeSEVeriFastVmlinux}
-	schemeQEMU        = scheme{name: "qemu-ovmf", level: sev.SNP, qemu: true}
+	schemeQEMU        = scheme{name: "qemu-ovmf", level: sev.SNP, kind: firecracker.SchemeQEMUOVMF}
 )
 
 // config is the one place an experiment's launch description is
-// assembled; ablations edit the returned value. The QEMU/OVMF flow is
-// launched from the fields it shares with Firecracker
-// (qemu.FromFirecracker).
+// assembled; ablations edit the returned value.
 func (sc scheme) config(preset kernelgen.Preset, initrd []byte) (firecracker.Config, error) {
 	art, err := kernelgen.Cached(preset)
 	if err != nil {
 		return firecracker.Config{}, err
 	}
 	cfg := firecracker.Config{Preset: preset, Artifacts: art, Initrd: initrd, Level: sc.level, Scheme: sc.kind}
-	if !sc.qemu && sc.level.Encrypted() {
+	if sc.kind != firecracker.SchemeQEMUOVMF && sc.level.Encrypted() {
 		// SEVeriFast always runs with the out-of-band hash file (§4.3);
-		// the in-band ablation clears it.
+		// the in-band ablation clears it. QEMU hashes at launch.
 		h, err := cfg.ComponentHashes()
 		if err != nil {
 			return firecracker.Config{}, err
@@ -109,21 +102,21 @@ func (sc scheme) config(preset kernelgen.Preset, initrd []byte) (firecracker.Con
 	return cfg, nil
 }
 
-// expectedDigest asks the scheme's own monitor what the launch measures.
-func (sc scheme) expectedDigest(cfg firecracker.Config) ([32]byte, error) {
-	if sc.qemu {
-		return qemu.FromFirecracker(cfg).ExpectedDigest()
+// expectedDigest asks the launch's own monitor what it measures.
+func expectedDigest(cfg firecracker.Config) ([32]byte, error) {
+	if cfg.Scheme == firecracker.SchemeQEMUOVMF {
+		return qemu.LaunchDigest(cfg)
 	}
 	return cfg.ExpectedDigest()
 }
 
-// boot executes the launch on the calling process.
-func (sc scheme) boot(p *sim.Proc, host *kvm.Host, cfg firecracker.Config) (res *firecracker.Result, err error) {
-	if sc.qemu {
-		res, err = qemu.Boot(p, host, qemu.FromFirecracker(cfg))
-	} else {
-		res, err = firecracker.Boot(p, host, cfg)
+// boot executes the launch on its monitor, on the calling process.
+func (sc scheme) boot(p *sim.Proc, host *kvm.Host, cfg firecracker.Config) (*firecracker.Result, error) {
+	boot := firecracker.Boot
+	if cfg.Scheme == firecracker.SchemeQEMUOVMF {
+		boot = qemu.Boot
 	}
+	res, err := boot(p, host, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", sc.name, cfg.Preset.Name, err)
 	}

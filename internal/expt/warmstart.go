@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
@@ -58,7 +57,7 @@ func WarmStart(opts Options) (*Table, error) {
 			}
 			// Fork the donor into a fresh machine.
 			start := p.Now()
-			m, err := fork.Boot(p, w.host, cfg.Level, firecracker.LaunchPolicy(cfg.Level, cfg.AllowKeySharing))
+			m, err := fork.Boot(p, w.host, cfg.Level, cfg.Policy())
 			if err != nil {
 				return err
 			}

@@ -4,15 +4,21 @@
 // stages components for measured direct boot, and enters the guest at the
 // boot verifier.
 //
-// Three boot schemes reproduce the paper's comparisons:
+// Four boot schemes reproduce the paper's comparisons:
 //
 //	SchemeStock             Fig. 11's "Stock FC": direct vmlinux boot, no SEV
 //	SchemeSEVeriFastBz      SEVeriFast with an LZ4 bzImage (the design point)
 //	SchemeSEVeriFastVmlinux SEVeriFast with an uncompressed vmlinux over the
 //	                        optimized fw_cfg streaming protocol (§5)
+//	SchemeQEMUOVMF          the QEMU/OVMF baseline (Figs. 9 and 10), booted
+//	                        and measured by internal/qemu, not here
+//
+// Config is the one launch description of every scheme: the digest tool,
+// the hash file and the boot of either monitor all read it.
 package firecracker
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -39,6 +45,7 @@ const (
 	SchemeStock Scheme = iota
 	SchemeSEVeriFastBz
 	SchemeSEVeriFastVmlinux
+	SchemeQEMUOVMF
 )
 
 func (s Scheme) String() string {
@@ -49,9 +56,24 @@ func (s Scheme) String() string {
 		return "severifast-bz"
 	case SchemeSEVeriFastVmlinux:
 		return "severifast-vmlinux"
+	case SchemeQEMUOVMF:
+		return "qemu-ovmf"
 	}
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
+
+// monitor names the VMM that launches the scheme.
+func (s Scheme) monitor() string {
+	if s == SchemeQEMUOVMF {
+		return "qemu"
+	}
+	return "firecracker"
+}
+
+// errQEMUScheme refuses the QEMU/OVMF scheme where only Firecracker's
+// launch is known: its boot and its digest are internal/qemu's, so a
+// Firecracker boot or digest of it would describe a launch nobody runs.
+var errQEMUScheme = errors.New("firecracker: scheme qemu-ovmf launches on QEMU/OVMF; boot and measure it with the qemu flow")
 
 // Attestor performs remote attestation for a booted guest; implemented by
 // internal/attest. Nil means no attestation (e.g. the Lupine kernel, which
@@ -96,7 +118,8 @@ type Config struct {
 
 	// AllowKeySharing relaxes the launch policy's NoKeySharing bit so the
 	// guest can donate its encryption key to warm-started clones (paper
-	// §6.2/§7). The relaxed policy is visible in the measurement.
+	// §6.2/§7). The relaxed policy is visible in the measurement. The
+	// QEMU/OVMF flow never relaxes it.
 	AllowKeySharing bool
 
 	// Attestor, when set and the kernel has networking, runs remote
@@ -139,23 +162,17 @@ type Result struct {
 }
 
 // Boot runs one microVM boot to init (plus attestation when configured) on
-// the calling simulation process.
+// the calling simulation process. The QEMU/OVMF scheme is refused.
 func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
+	if cfg.Scheme == SchemeQEMUOVMF {
+		return nil, errQEMUScheme
+	}
 	if cfg.Artifacts == nil {
 		return nil, fmt.Errorf("firecracker: no kernel artifacts")
 	}
 
-	m := host.NewMachine(proc, cfg.MemSize, cfg.Level)
-	m.Timeline.Annotate("vmm", "firecracker")
-	m.Timeline.Annotate("scheme", cfg.Scheme.String())
-	m.Timeline.Annotate("level", cfg.Level.String())
-	if cfg.Scheme == SchemeSEVeriFastBz {
-		m.Timeline.Annotate("codec", string(cfg.Codec))
-	}
-	attachDevices(m, cfg.Preset)
-	proc.Sleep(host.Model.VMMProcessStart)
-
+	m := Start(proc, host, cfg)
 	if err := cfg.checkLevel(); err != nil {
 		return nil, err
 	}
@@ -171,12 +188,39 @@ func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Finish(proc, cfg, res)
+}
 
+// Start is how either monitor begins a boot of the resolved cfg: the
+// machine, annotated with its monitor, scheme and level, given its devices,
+// once the VMM process has started.
+func Start(proc *sim.Proc, host *kvm.Host, cfg Config) *kvm.Machine {
+	m := host.NewMachine(proc, cfg.MemSize, cfg.Level)
+	m.Timeline.Annotate("vmm", cfg.Scheme.monitor())
+	m.Timeline.Annotate("scheme", cfg.Scheme.String())
+	m.Timeline.Annotate("level", cfg.Level.String())
+	if cfg.Scheme == SchemeSEVeriFastBz {
+		m.Timeline.Annotate("codec", string(cfg.Codec))
+	}
+	attachDevices(m, cfg.Preset)
+	if cfg.Scheme == SchemeQEMUOVMF {
+		proc.Sleep(host.Model.QEMUProcessStart)
+	} else {
+		proc.Sleep(host.Model.VMMProcessStart)
+	}
+	return m
+}
+
+// Finish is how either monitor ends a boot of cfg that reached init:
+// remote attestation when configured and the kernel has networking, then
+// the breakdown and the closed timeline.
+func Finish(proc *sim.Proc, cfg Config, res *Result) (*Result, error) {
+	m := res.Machine
 	if cfg.Attestor != nil && cfg.Preset.Networking && cfg.Level.Encrypted() {
 		m.Timeline.Begin("attest", proc.Now())
 		m.DebugEvent(proc, sev.EvAttestStart)
 		if err := cfg.Attestor.Attest(proc, m); err != nil {
-			return nil, fmt.Errorf("firecracker: attestation: %w", err)
+			return nil, fmt.Errorf("%s: attestation: %w", cfg.Scheme.monitor(), err)
 		}
 		m.DebugEvent(proc, sev.EvAttestDone)
 		m.Timeline.End("attest", proc.Now())
@@ -268,7 +312,6 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 		m.Timeline.End("hash.components", proc.Now())
 	}
 
-	policy := LaunchPolicy(cfg.Level, cfg.AllowKeySharing)
 	regions := cfg.Plan
 	if regions == nil {
 		mc, err := cfg.MeasureConfig()
@@ -323,40 +366,10 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 	proc.Sleep(model.VMMSetupMisc)
 	m.Timeline.End("vmm.stage", proc.Now())
 
-	// The launch flow (Fig. 1): LAUNCH_START, LAUNCH_UPDATE_DATA over the
-	// plan, LAUNCH_FINISH. This is the "Pre-encryption" column of Fig. 10.
-	m.Timeline.Begin("preenc", proc.Now())
-	if err := m.StartLaunch(proc, policy); err != nil {
-		return nil, err
-	}
-	m.Timeline.Annotate("asid", fmt.Sprintf("%d", m.Launch.ASID()))
-	// Regions are staged through an update batch: PSP charges and page
-	// flips happen per region at the same virtual-time points as before,
-	// while the content hashes run across the host worker pool and fold
-	// serially at Close — same digest, less host wall-clock.
-	batch := m.Launch.NewUpdateBatch()
-	for _, r := range regions {
-		var err error
-		if r.Art != nil {
-			// Zero-copy: alias the plan's staging blob into the guest pages
-			// with provenance, so the deferred content hash is a memo hit on
-			// every boot of an already-measured image.
-			err = batch.StageArtifact(proc, r.GPA, r.Art, r.ArtOff, len(r.Data), r.Type)
-		} else {
-			err = batch.Stage(proc, r.GPA, r.Data, r.Type)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("firecracker: measuring %s: %w", r.Name, err)
-		}
-	}
-	if err := batch.Close(); err != nil {
-		return nil, fmt.Errorf("firecracker: folding launch digest: %w", err)
-	}
-	digest, err := m.Launch.LaunchFinish(proc)
+	digest, err := PreEncrypt(proc, m, cfg, regions)
 	if err != nil {
 		return nil, err
 	}
-	m.Timeline.End("preenc", proc.Now())
 
 	// Enter the guest at the boot verifier (the root of trust).
 	m.DebugEvent(proc, sev.EvGuestEntry)
@@ -376,13 +389,55 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 	}, nil
 }
 
-// checkLevel refuses the scheme/level pairs no launch exists for. Boot and
-// the digest methods share it, so the digest tool refuses exactly what the
-// VMM refuses, with the VMM's error.
+// PreEncrypt is the launch flow of either monitor (Fig. 1): LAUNCH_START
+// under cfg's policy, LAUNCH_UPDATE_DATA over the plan's regions,
+// LAUNCH_FINISH. This is the "Pre-encryption" column of Fig. 10. It
+// returns the launch digest.
+func PreEncrypt(proc *sim.Proc, m *kvm.Machine, cfg Config, regions []measure.Region) ([32]byte, error) {
+	m.Timeline.Begin("preenc", proc.Now())
+	if err := m.StartLaunch(proc, cfg.Policy()); err != nil {
+		return [32]byte{}, err
+	}
+	m.Timeline.Annotate("asid", fmt.Sprintf("%d", m.Launch.ASID()))
+	// Regions are staged through an update batch: PSP charges and page
+	// flips happen per region at the same virtual-time points as before,
+	// while the content hashes run across the host worker pool and fold
+	// serially at Close — same digest, less host wall-clock.
+	batch := m.Launch.NewUpdateBatch()
+	for _, r := range regions {
+		var err error
+		if r.Art != nil {
+			// Zero-copy: alias the plan's staging blob into the guest pages
+			// with provenance, so the deferred content hash is a memo hit on
+			// every boot of an already-measured image.
+			err = batch.StageArtifact(proc, r.GPA, r.Art, r.ArtOff, len(r.Data), r.Type)
+		} else {
+			err = batch.Stage(proc, r.GPA, r.Data, r.Type)
+		}
+		if err != nil {
+			return [32]byte{}, fmt.Errorf("%s: measuring %s: %w", cfg.Scheme.monitor(), r.Name, err)
+		}
+	}
+	if err := batch.Close(); err != nil {
+		return [32]byte{}, fmt.Errorf("%s: folding launch digest: %w", cfg.Scheme.monitor(), err)
+	}
+	digest, err := m.Launch.LaunchFinish(proc)
+	if err != nil {
+		return [32]byte{}, err
+	}
+	m.Timeline.End("preenc", proc.Now())
+	return digest, nil
+}
+
+// checkLevel refuses the scheme/level pairs no launch exists for. Both
+// monitors' boots and digest tools share it, so the digest tool refuses
+// exactly what the VMM refuses, with the VMM's error.
 func (c Config) checkLevel() error {
 	switch {
 	case c.Scheme == SchemeStock && c.Level != sev.None:
 		return fmt.Errorf("firecracker: stock scheme cannot boot a %v guest", c.Level)
+	case c.Scheme == SchemeQEMUOVMF && !c.Level.Encrypted():
+		return fmt.Errorf("qemu: this flow models SEV boots; use firecracker's stock path for %v", c.Level)
 	case c.Scheme != SchemeStock && !c.Level.Encrypted():
 		return fmt.Errorf("firecracker: SEVeriFast scheme requires an SEV level, got %v", c.Level)
 	}
@@ -391,8 +446,9 @@ func (c Config) checkLevel() error {
 
 // KernelImage returns the kernel bytes the config's scheme and codec stage
 // for measured direct boot — the image the §4.3 kernel hash covers — and
-// how the verifier loads it. The stock scheme stages no measured kernel
-// and is refused.
+// how the verifier loads it. The QEMU/OVMF flow always stages the LZ4
+// bzImage over fw_cfg. The stock scheme stages no measured kernel and is
+// refused.
 func (c Config) KernelImage() ([]byte, verifier.KernelKind, error) {
 	c.fillDefaults()
 	var (
@@ -416,6 +472,8 @@ func (c Config) KernelImage() ([]byte, verifier.KernelKind, error) {
 		}
 	case SchemeSEVeriFastVmlinux:
 		img, kind = c.Artifacts.VMLinux, verifier.KindVmlinux
+	case SchemeQEMUOVMF:
+		img, kind = c.Artifacts.BzImageLZ4, verifier.KindBzImage
 	default:
 		return nil, 0, fmt.Errorf("firecracker: scheme %v has no SEV kernel", c.Scheme)
 	}
@@ -451,10 +509,14 @@ func (c Config) ComponentHashes() (measure.ComponentHashes, error) {
 // measure's input: Boot plans from it when no Plan is supplied and
 // ExpectedDigest predicts from it, so the VMM and the digest tool cannot
 // describe different launches, and a launch Boot refuses is refused here
-// with Boot's error. Hashes, when set, are an input of the launch and taken
-// as given; nil hashes the launch's own components.
+// with Boot's error — the QEMU/OVMF scheme too, which measure does not
+// model. Hashes, when set, are an input of the launch and taken as given;
+// nil hashes the launch's own components.
 func (c Config) MeasureConfig() (measure.Config, error) {
 	c.fillDefaults()
+	if c.Scheme == SchemeQEMUOVMF {
+		return measure.Config{}, errQEMUScheme
+	}
 	if err := c.checkLevel(); err != nil {
 		return measure.Config{}, err
 	}
@@ -474,7 +536,7 @@ func (c Config) MeasureConfig() (measure.Config, error) {
 		VCPUs:                c.VCPUs,
 		MemSize:              c.MemSize,
 		Level:                c.Level,
-		Policy:               LaunchPolicy(c.Level, c.AllowKeySharing),
+		Policy:               c.Policy(),
 		PreEncryptPageTables: c.PreEncryptPageTables,
 	}, nil
 }
@@ -487,6 +549,12 @@ func (c Config) ExpectedDigest() ([32]byte, error) {
 		return [32]byte{}, err
 	}
 	return measure.ExpectedDigest(mc)
+}
+
+// Policy is the launch's policy: LaunchPolicy of its level, with key
+// sharing relaxed only where the monitor offers it (not QEMU/OVMF).
+func (c Config) Policy() sev.Policy {
+	return LaunchPolicy(c.Level, c.AllowKeySharing && c.Scheme != SchemeQEMUOVMF)
 }
 
 // LaunchPolicy returns the policy a launch at the given level uses: the
@@ -564,11 +632,11 @@ func parseVMLinux(art *kernelgen.Artifacts) (*vmImage, error) {
 	return img, nil
 }
 
-// RootfsImage is the deterministic block-device image every microVM gets:
+// rootfsImage is the deterministic block-device image every microVM gets:
 // sector 0 carries the magic the guest checks when mounting /dev/vda.
 // The image is built once and shared: the block backend only ever copies
 // sectors out of it, so every machine can serve the same canonical bytes.
-func RootfsImage() []byte {
+func rootfsImage() []byte {
 	rootfsOnce.Do(func() {
 		img := make([]byte, 128*512)
 		copy(img, "SVFROOT1")
@@ -590,7 +658,7 @@ var (
 // CONFIG_VIRTIO_BLK and CONFIG_VIRTIO_NET).
 func attachDevices(m *kvm.Machine, preset kernelgen.Preset) {
 	m.Devices = append(m.Devices,
-		virtio.NewDevice(virtio.IDBlk, virtio.FeatBlkFlush, &virtio.BlkBackend{Image: RootfsImage()}))
+		virtio.NewDevice(virtio.IDBlk, virtio.FeatBlkFlush, &virtio.BlkBackend{Image: rootfsImage()}))
 	if preset.Networking {
 		m.Devices = append(m.Devices,
 			virtio.NewDevice(virtio.IDNet, virtio.FeatNetMac, virtio.NetBackend{}))

@@ -152,3 +152,38 @@ func TestLaunchPolicyTable(t *testing.T) {
 		}
 	}
 }
+
+// TestQEMUSchemeIsNotMeasuredHere: the QEMU/OVMF scheme shares the launch
+// description — its kernel image and hash file are the LZ4 bzImage's, and
+// its policy never relaxes key sharing — but Boot, MeasureConfig and
+// ExpectedDigest refuse it, naming the QEMU flow, so no Firecracker digest
+// of a QEMU launch can be asked for.
+func TestQEMUSchemeIsNotMeasuredHere(t *testing.T) {
+	art := lupineArtifacts(t)
+	preset := kernelgen.Lupine()
+	cfg := Config{Preset: preset, Artifacts: art, Initrd: testInitrd(t), Level: sev.SNP, Scheme: SchemeQEMUOVMF, AllowKeySharing: true}
+	image, kind, err := cfg.KernelImage()
+	if err != nil || !bytes.Equal(image, art.BzImageLZ4) || kind != verifier.KindBzImage {
+		t.Fatalf("KernelImage: %d bytes kind %v (%v), want the LZ4 bzImage", len(image), kind, err)
+	}
+	if hashes, err := cfg.ComponentHashes(); err != nil || hashes != measure.HashComponents(art.BzImageLZ4, cfg.Initrd, preset.Cmdline) {
+		t.Fatalf("ComponentHashes: %v, want the LZ4 bzImage's hash file", err)
+	}
+	if got := cfg.Policy(); got != LaunchPolicy(sev.SNP, false) {
+		t.Fatalf("Policy() = %+v, want key sharing kept off", got)
+	}
+	const want = "boot and measure it with the qemu flow"
+	if _, err := cfg.MeasureConfig(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("MeasureConfig: %v, want %q", err, want)
+	}
+	if _, err := cfg.ExpectedDigest(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ExpectedDigest: %v, want %q", err, want)
+	}
+	if _, err := runBoot(t, cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Boot: %v, want %q", err, want)
+	}
+	cfg.Level = sev.None
+	if _, err := cfg.ComponentHashes(); err == nil || !strings.Contains(err.Error(), "models SEV boots") {
+		t.Errorf("ComponentHashes at level none: %v, want the flow's SEV-only refusal", err)
+	}
+}

@@ -468,10 +468,13 @@ func (o *Orchestrator) RegisterImage(name string, preset kernelgen.Preset, initr
 // it runs (plus the cached plan), and what its spec is read off. The hash
 // pass over the image bytes happens here, once — the §4.3 out-of-band
 // measurement the fleet amortizes across boots. A fleet serves measured
-// guests only, and launches them with key sharing exactly when the warm
-// tier is on, whatever launch.AllowKeySharing says.
+// Firecracker guests only, and launches them with key sharing exactly when
+// the warm tier is on, whatever launch.AllowKeySharing says.
 func (o *Orchestrator) Register(name string, launch firecracker.Config) (*Image, error) {
-	if !launch.Level.Encrypted() || launch.Scheme == firecracker.SchemeStock {
+	switch {
+	case launch.Scheme == firecracker.SchemeQEMUOVMF:
+		return nil, fmt.Errorf("fleet: image %q: a fleet serves measured Firecracker guests, not scheme %v", name, launch.Scheme)
+	case !launch.Level.Encrypted() || launch.Scheme == firecracker.SchemeStock:
 		return nil, fmt.Errorf("fleet: image %q: a fleet serves measured guests only, not scheme %v at level %v",
 			name, launch.Scheme, launch.Level)
 	}
@@ -493,7 +496,7 @@ func (o *Orchestrator) Register(name string, launch firecracker.Config) (*Image,
 		VCPUs:                launch.VCPUs,
 		MemSize:              launch.MemSize,
 		Level:                launch.Level,
-		Policy:               firecracker.LaunchPolicy(launch.Level, launch.AllowKeySharing),
+		Policy:               launch.Policy(),
 		VerifierSeed:         launch.VerifierSeed,
 		PreEncryptPageTables: launch.PreEncryptPageTables,
 	}
@@ -1151,7 +1154,7 @@ func (o *Orchestrator) runExchange(p *sim.Proc, r *request, m *kvm.Machine) erro
 		}
 		return errors.New("fleet: broker accepted a replayed nonce")
 	}
-	if _, err := agent.UnwrapBundle(res.Bundle); err != nil {
+	if _, err := agent.Unwrap(res.Bundle); err != nil {
 		return fmt.Errorf("fleet: unwrapping released secret: %w", err)
 	}
 	return nil

@@ -71,6 +71,26 @@ func TestRegisterTakesTheLaunch(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesQEMU: a QEMU/OVMF launch is refused when it
+// registers, not later inside the first cold boot.
+func TestRegisterRefusesQEMU(t *testing.T) {
+	_, o, img := testFleet(t, Config{})
+	art, err := kernelgen.Cached(kernelgen.Lupine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := firecracker.Config{
+		Preset:    kernelgen.Lupine(),
+		Artifacts: art,
+		Initrd:    img.Spec().Initrd,
+		Level:     sev.SNP,
+		Scheme:    firecracker.SchemeQEMUOVMF,
+	}
+	if _, err := o.Register("fn", launch); err == nil || !strings.Contains(err.Error(), "a fleet serves measured Firecracker guests") {
+		t.Errorf("Register(QEMU/OVMF launch) error = %v, want the Firecracker-guests refusal", err)
+	}
+}
+
 func runWorkload(t testing.TB, eng *sim.Engine, o *Orchestrator, w Workload) {
 	t.Helper()
 	if err := w.Run(eng, o); err != nil {

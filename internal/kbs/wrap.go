@@ -19,19 +19,27 @@ type Bundle struct {
 	Ciphertext []byte
 }
 
+// DeriveKey draws an X25519 private key from rng. ecdh's GenerateKey may
+// read one extra byte at random even from a seeded reader, but simulated
+// keys and the bundles wrapped for them must be reproducible per seed, so
+// the scalar is taken straight from the stream.
+func DeriveKey(rng io.Reader) (*ecdh.PrivateKey, error) {
+	var k [32]byte
+	if _, err := io.ReadFull(rng, k[:]); err != nil {
+		return nil, err
+	}
+	return ecdh.X25519().NewPrivateKey(k[:])
+}
+
 // WrapSecret seals secret for guestPub: ephemeral X25519 ECDH, then
 // AES-256-GCM under the SHA-256 of the shared secret. rng drives the
 // ephemeral key and nonce (seeded in simulation).
 func WrapSecret(rng io.Reader, guestPub, secret []byte) (*Bundle, error) {
-	priv, err := ecdh.X25519().GenerateKey(rng)
+	priv, err := DeriveKey(rng)
 	if err != nil {
 		return nil, err
 	}
-	pub, err := ecdh.X25519().NewPublicKey(guestPub)
-	if err != nil {
-		return nil, fmt.Errorf("kbs: guest key: %w", err)
-	}
-	shared, err := priv.ECDH(pub)
+	aead, err := channel(priv, guestPub, "guest")
 	if err != nil {
 		return nil, err
 	}
@@ -39,53 +47,32 @@ func WrapSecret(rng io.Reader, guestPub, secret []byte) (*Bundle, error) {
 	if _, err := io.ReadFull(rng, nonce); err != nil {
 		return nil, err
 	}
-	ct, err := Seal(shared, nonce, secret)
-	if err != nil {
-		return nil, err
-	}
+	ct := aead.Seal(nil, nonce, secret, nil)
 	return &Bundle{OwnerPub: priv.PublicKey().Bytes(), Nonce: nonce, Ciphertext: ct}, nil
 }
 
 // UnwrapSecret opens a bundle with the guest's private key.
 func UnwrapSecret(priv *ecdh.PrivateKey, b *Bundle) ([]byte, error) {
-	ownerPub, err := ecdh.X25519().NewPublicKey(b.OwnerPub)
-	if err != nil {
-		return nil, fmt.Errorf("kbs: owner key: %w", err)
-	}
-	shared, err := priv.ECDH(ownerPub)
+	aead, err := channel(priv, b.OwnerPub, "owner")
 	if err != nil {
 		return nil, err
 	}
-	return Open(shared, b.Nonce, b.Ciphertext)
+	return aead.Open(nil, b.Nonce, b.Ciphertext, nil)
 }
 
-// sealKey derives the AES-256 key from an ECDH shared secret.
-func sealKey(shared []byte) []byte {
-	k := sha256.Sum256(shared)
-	return k[:]
-}
-
-// Seal encrypts plaintext with AES-256-GCM under the key derived from
-// shared. Exported so internal/attest shares one sealing construction.
-func Seal(shared, nonce, plaintext []byte) ([]byte, error) {
-	aead, err := gcm(shared)
+// channel is the AES-256-GCM cipher both ends of a wrap derive: keyed by
+// the SHA-256 of the X25519 secret priv shares with the peer's public key.
+func channel(priv *ecdh.PrivateKey, peerPub []byte, peer string) (cipher.AEAD, error) {
+	pub, err := ecdh.X25519().NewPublicKey(peerPub)
+	if err != nil {
+		return nil, fmt.Errorf("kbs: %s key: %w", peer, err)
+	}
+	shared, err := priv.ECDH(pub)
 	if err != nil {
 		return nil, err
 	}
-	return aead.Seal(nil, nonce, plaintext, nil), nil
-}
-
-// Open reverses Seal.
-func Open(shared, nonce, ct []byte) ([]byte, error) {
-	aead, err := gcm(shared)
-	if err != nil {
-		return nil, err
-	}
-	return aead.Open(nil, nonce, ct, nil)
-}
-
-func gcm(shared []byte) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(sealKey(shared))
+	key := sha256.Sum256(shared)
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package qemu
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 	"github.com/severifast/severifast/internal/sim"
 )
 
-func runBoot(t *testing.T, cfg Config) (*firecracker.Result, error) {
+func runBoot(t *testing.T, cfg firecracker.Config) (*firecracker.Result, error) {
 	t.Helper()
 	eng := sim.NewEngine()
 	host := kvm.NewHost(eng, costmodel.Default(), 42)
@@ -38,7 +39,8 @@ func lupine(t *testing.T) (*kernelgen.Artifacts, []byte) {
 
 func TestQEMUBootReachesInit(t *testing.T) {
 	art, initrd := lupine(t)
-	res, err := runBoot(t, Config{
+	res, err := runBoot(t, firecracker.Config{
+		Scheme:    firecracker.SchemeQEMUOVMF,
 		Preset:    kernelgen.Lupine(),
 		Artifacts: art,
 		Initrd:    initrd,
@@ -67,7 +69,8 @@ func TestQEMUVerifierIsSmallFractionOfFirmware(t *testing.T) {
 	// Fig. 3's point: the boot verifier is a thin slice of the >3 s OVMF
 	// runtime.
 	art, initrd := lupine(t)
-	res, err := runBoot(t, Config{
+	res, err := runBoot(t, firecracker.Config{
+		Scheme:    firecracker.SchemeQEMUOVMF,
 		Preset:    kernelgen.Lupine(),
 		Artifacts: art,
 		Initrd:    initrd,
@@ -87,7 +90,8 @@ func TestQEMUVerifierIsSmallFractionOfFirmware(t *testing.T) {
 
 func TestQEMURejectsNonSEV(t *testing.T) {
 	art, initrd := lupine(t)
-	if _, err := runBoot(t, Config{
+	if _, err := runBoot(t, firecracker.Config{
+		Scheme:    firecracker.SchemeQEMUOVMF,
 		Preset:    kernelgen.Lupine(),
 		Artifacts: art,
 		Initrd:    initrd,
@@ -100,7 +104,8 @@ func TestQEMURejectsNonSEV(t *testing.T) {
 func TestQEMUDigestMatchesExpectedTool(t *testing.T) {
 	art, initrd := lupine(t)
 	preset := kernelgen.Lupine()
-	res, err := runBoot(t, Config{
+	res, err := runBoot(t, firecracker.Config{
+		Scheme:    firecracker.SchemeQEMUOVMF,
 		Preset:    preset,
 		Artifacts: art,
 		Initrd:    initrd,
@@ -123,11 +128,11 @@ func TestQEMUTamperedKernelRefused(t *testing.T) {
 	// QEMU hashes whatever it stages, so a tampered kernel *boots* (QEMU
 	// computed matching hashes) — but the launch digest differs and the
 	// guest owner catches it at attestation (§2.6 case 2).
-	good, err := runBoot(t, Config{Preset: kernelgen.Lupine(), Artifacts: art, Initrd: initrd, Level: sev.SNP})
+	good, err := runBoot(t, firecracker.Config{Scheme: firecracker.SchemeQEMUOVMF, Preset: kernelgen.Lupine(), Artifacts: art, Initrd: initrd, Level: sev.SNP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := runBoot(t, Config{Preset: kernelgen.Lupine(), Artifacts: &evil, Initrd: initrd, Level: sev.SNP})
+	bad, err := runBoot(t, firecracker.Config{Scheme: firecracker.SchemeQEMUOVMF, Preset: kernelgen.Lupine(), Artifacts: &evil, Initrd: initrd, Level: sev.SNP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +145,38 @@ func TestQEMUPreEncryptionDominatedByOVMFSize(t *testing.T) {
 	// Sanity on the mechanism: QEMU pre-encrypts >1.1 MiB; SEVeriFast
 	// pre-encrypts tens of KiB. Check the measured byte count.
 	art, initrd := lupine(t)
-	cfg := Config{Preset: kernelgen.Lupine(), Artifacts: art, Initrd: initrd, Level: sev.SNP}
+	cfg := firecracker.Config{Scheme: firecracker.SchemeQEMUOVMF, Preset: kernelgen.Lupine(), Artifacts: art, Initrd: initrd, Level: sev.SNP}
 	res, err := runBoot(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The boot's digest folds exactly the OVMF plan, so the plan's bytes
 	// are the ones it pre-encrypted.
-	if want, err := cfg.ExpectedDigest(); err != nil || res.LaunchDigest != want {
+	if want, err := LaunchDigest(cfg); err != nil || res.LaunchDigest != want {
 		t.Fatalf("launch digest %x, want the plan's %x (%v)", res.LaunchDigest[:8], want[:8], err)
 	}
-	got := measure.PreEncryptedBytes(ovmf.PlanRegions(1, sev.SNP, cfg.ComponentHashes()))
+	hashes, err := cfg.ComponentHashes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := measure.PreEncryptedBytes(ovmf.PlanRegions(1, sev.SNP, hashes))
 	if got < 1<<20 {
 		t.Fatalf("QEMU pre-encrypted %d bytes, want >= 1 MiB (OVMF volume)", got)
+	}
+}
+
+// TestQEMURefusesFirecrackerSchemes holds Boot and LaunchDigest to the QEMU
+// scheme: a Firecracker launch handed to this flow is refused, not booted
+// or measured as if it were a QEMU one.
+func TestQEMURefusesFirecrackerSchemes(t *testing.T) {
+	art, initrd := lupine(t)
+	for _, sc := range []firecracker.Scheme{firecracker.SchemeStock, firecracker.SchemeSEVeriFastBz, firecracker.SchemeSEVeriFastVmlinux} {
+		cfg := firecracker.Config{Scheme: sc, Preset: kernelgen.Lupine(), Artifacts: art, Initrd: initrd, Level: sev.SNP}
+		if _, err := runBoot(t, cfg); err == nil || !strings.Contains(err.Error(), "not QEMU/OVMF") {
+			t.Errorf("Boot of %v: %v, want a refusal naming QEMU/OVMF", sc, err)
+		}
+		if _, err := LaunchDigest(cfg); err == nil || !strings.Contains(err.Error(), "not QEMU/OVMF") {
+			t.Errorf("LaunchDigest of %v: %v, want a refusal naming QEMU/OVMF", sc, err)
+		}
 	}
 }

@@ -250,20 +250,18 @@ func (s *Series) Quantile(q float64) time.Duration {
 	}
 	sorted := append([]time.Duration(nil), s.obs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if q <= 0 {
-		return sorted[0]
-	}
+	return sorted[NearestRank(len(sorted), q)]
+}
+
+// NearestRank is the index, among n ascending samples, of the q-th
+// quantile (0..1) by nearest rank: the ceil(q·n)-th sample, clamped to the
+// first and the last. The product's floating-point error is forgiven, so
+// the 0.999 quantile of 1000 samples is the 999th, not the 1000th.
+func NearestRank(n int, q float64) int {
 	if q >= 1 {
-		return sorted[len(sorted)-1]
+		return n - 1
 	}
-	rank := int(float64(len(sorted))*q+0.999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	return max(int(float64(n)*q+0.999999)-1, 0)
 }
 
 // slab hands out runs of T carved from chunks it allocates: the first

@@ -301,24 +301,15 @@ func (s Series) Stddev() time.Duration {
 	return time.Duration(math.Sqrt(acc / float64(len(s))))
 }
 
-// Percentile returns the p-th percentile (0-100) using nearest-rank.
+// Percentile returns the p-th percentile (0-100) by nearest rank, the
+// rule telemetry's Series.Quantile uses.
 func (s Series) Percentile(p float64) time.Duration {
 	if len(s) == 0 {
 		return 0
 	}
 	sorted := append(Series(nil), s...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
+	return sorted[telemetry.NearestRank(len(sorted), p/100)]
 }
 
 // CDFPoint is one (x, F(x)) sample.

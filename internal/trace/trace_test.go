@@ -154,6 +154,25 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// TestPercentileForgivesFloatError: p/100·n lands a hair above an integer
+// for p = 99.9, n = 1000 and p = 7, n = 100; nearest rank must still pick
+// the 999th and the 7th sample, as telemetry's Quantile does.
+func TestPercentileForgivesFloatError(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		p    float64
+		want int
+	}{{1000, 99.9, 999}, {100, 7, 7}, {100, 0.5, 1}, {3, 50, 2}, {3, -1, 1}, {3, 1e300, 3}} {
+		var s Series
+		for i := tc.n; i >= 1; i-- {
+			s = append(s, time.Duration(i))
+		}
+		if got := s.Percentile(tc.p); got != time.Duration(tc.want) {
+			t.Errorf("Percentile(%v) of 1..%d = %d, want %d", tc.p, tc.n, got, tc.want)
+		}
+	}
+}
+
 func TestCDFMonotone(t *testing.T) {
 	s := Series{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
 	cdf := s.CDF()

@@ -121,8 +121,9 @@ func TestExpectedLaunchDigestMatchesBoot(t *testing.T) {
 			}
 		})
 	}
-	// Launches with no digest: the tool must refuse exactly those Boot
-	// refuses or never measures, with the launch's own error.
+	// Launches with no digest: the tool and the hash file must refuse
+	// exactly those Boot refuses or never measures, with the launch's own
+	// error.
 	for _, row := range []struct {
 		name string
 		cfg  Config
@@ -147,6 +148,9 @@ func TestExpectedLaunchDigestMatchesBoot(t *testing.T) {
 			}
 			if bootErr != nil && bootErr.Error() != toolErr.Error() {
 				t.Errorf("tool refuses with %q, Boot with %q", toolErr, bootErr)
+			}
+			if _, err := ComponentHashes(row.cfg); err == nil || err.Error() != toolErr.Error() {
+				t.Errorf("ComponentHashes error %v, want the tool's %q", err, toolErr)
 			}
 		})
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kvm"
@@ -116,7 +117,7 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 	// The fleet launches Firecracker only, and from its measured-image
 	// cache; an unmeasured launch is refused when the image registers.
 	switch {
-	case l.qemu:
+	case l.Scheme == firecracker.SchemeQEMUOVMF:
 		return nil, fmt.Errorf("severifast: Pool does not support %q (use Host.Boot)", cfg.Scheme)
 	case cfg.InBandHashing:
 		return nil, fmt.Errorf("severifast: Pool does not support InBandHashing (its measured-image cache is the out-of-band hash file)")
@@ -154,7 +155,7 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 		fcfg.AgentSeed = h.seed
 	}
 	p.orch = fleet.New(h.eng, h.inner, fcfg)
-	if p.img, err = p.orch.Register(string(cfg.Kernel), l.Config); err != nil {
+	if p.img, err = p.orch.Register(string(cfg.Kernel), *l); err != nil {
 		return nil, classifyErr(err)
 	}
 	return p, nil

@@ -145,17 +145,13 @@ const (
 	SchemeQEMUOVMF Scheme = "qemu-ovmf"
 )
 
-// firecracker maps the facade's Firecracker boot flows onto the VMM's
-// scheme enum. SchemeQEMUOVMF has no counterpart; callers route it to
-// internal/qemu first.
-func (s Scheme) firecracker() firecracker.Scheme {
-	switch s {
-	case SchemeSEVeriFast:
-		return firecracker.SchemeSEVeriFastBz
-	case SchemeSEVeriFastVmlinux:
-		return firecracker.SchemeSEVeriFastVmlinux
-	}
-	return firecracker.SchemeStock
+// launchSchemes maps the facade's boot flows onto the launch description's
+// scheme enum; a Scheme outside it is unknown.
+var launchSchemes = map[Scheme]firecracker.Scheme{
+	SchemeStock:             firecracker.SchemeStock,
+	SchemeSEVeriFast:        firecracker.SchemeSEVeriFastBz,
+	SchemeSEVeriFastVmlinux: firecracker.SchemeSEVeriFastVmlinux,
+	SchemeQEMUOVMF:          firecracker.SchemeQEMUOVMF,
 }
 
 // Codec selects the bzImage payload compression for SchemeSEVeriFast
@@ -254,9 +250,7 @@ func (c *Config) fillDefaults() error {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	switch c.Scheme {
-	case SchemeStock, SchemeSEVeriFast, SchemeSEVeriFastVmlinux, SchemeQEMUOVMF:
-	default:
+	if _, ok := launchSchemes[c.Scheme]; !ok {
 		return fmt.Errorf("%w %q (want stock, severifast, severifast-vmlinux, or qemu-ovmf)", ErrUnknownScheme, c.Scheme)
 	}
 	switch c.Codec {
@@ -470,18 +464,11 @@ func (h *Host) Boot(cfg Config) (*Result, error) {
 	return results[0], nil
 }
 
-// launch is a public Config resolved into the one description its VMM
-// boots and the digest tool is asked about, so the two cannot drift. The
-// QEMU/OVMF flow is launched from the fields it shares with Firecracker.
-type launch struct {
-	firecracker.Config
-	qemu bool
-}
-
 // resolve validates cfg and assembles its launch from the preset, the
-// level, the cached kernel artifacts and the cached initrd. Boot,
-// ExpectedLaunchDigest and NewPool all start here.
-func (c *Config) resolve() (*launch, error) {
+// level, the cached kernel artifacts and the cached initrd: the one
+// description its monitor boots and the digest tool is asked about, so the
+// two cannot drift. Boot, ExpectedLaunchDigest and NewPool all start here.
+func (c *Config) resolve() (*firecracker.Config, error) {
 	if err := c.fillDefaults(); err != nil {
 		return nil, err
 	}
@@ -497,27 +484,27 @@ func (c *Config) resolve() (*launch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &launch{qemu: c.Scheme == SchemeQEMUOVMF, Config: firecracker.Config{
+	return &firecracker.Config{
 		Preset:               preset,
 		Artifacts:            art,
 		Initrd:               kernelgen.CachedInitrd(c.Seed, c.InitrdMiB<<20),
 		VCPUs:                c.VCPUs,
 		MemSize:              uint64(c.MemMiB) << 20,
 		Level:                level,
-		Scheme:               c.Scheme.firecracker(),
+		Scheme:               launchSchemes[c.Scheme],
 		Codec:                bzimage.Codec(c.Codec),
 		PreEncryptPageTables: c.PreEncryptPageTables,
 		VerifierSeed:         c.VerifierSeed,
 		AllowKeySharing:      c.AllowKeySharing,
-	}}, nil
+	}, nil
 }
 
 // expectedDigest asks the launch's own monitor what it measures.
-func (l *launch) expectedDigest() ([32]byte, error) {
-	if l.qemu {
-		return qemu.FromFirecracker(l.Config).ExpectedDigest()
+func expectedDigest(l firecracker.Config) ([32]byte, error) {
+	if l.Scheme == firecracker.SchemeQEMUOVMF {
+		return qemu.LaunchDigest(l)
 	}
-	return l.Config.ExpectedDigest()
+	return l.ExpectedDigest()
 }
 
 // BootConcurrent launches n identical guests simultaneously, sharing this
@@ -533,8 +520,9 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("severifast: n must be >= 1")
 	}
-	if !l.qemu && l.Level.Encrypted() && !cfg.InBandHashing {
+	if l.Scheme != firecracker.SchemeQEMUOVMF && l.Level.Encrypted() && !cfg.InBandHashing {
 		// The §4.3 hash file: computed out of band, once for all n guests.
+		// QEMU's measured direct boot hashes at launch.
 		hashes, err := l.ComponentHashes()
 		if err != nil {
 			return nil, classifyErr(err)
@@ -568,33 +556,19 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 // bootOne runs its copy of the launch on the launch's monitor. With attested
 // set the guest gets its own in-process guest owner, primed with the digest
 // that monitor expects.
-func (h *Host) bootOne(p *sim.Proc, l launch, attested bool) (*Result, error) {
+func (h *Host) bootOne(p *sim.Proc, l firecracker.Config, attested bool) (*Result, error) {
 	if attested && l.Level.Encrypted() {
-		digest, err := l.expectedDigest()
+		digest, err := expectedDigest(l)
 		if err != nil {
 			return nil, err
 		}
-		secret := []byte("secret-" + l.Preset.Name)
-		owner := attest.NewOwner(h.PlatformKey(), secret, rand.New(rand.NewSource(h.seed^0xA77)))
-		owner.Allow(digest)
-		if !l.qemu && l.AllowKeySharing {
-			// The owner knowingly accepts the relaxed policy: key sharing is a
-			// deliberate trade-off they opted into, not a silent downgrade.
-			pol := sev.DefaultPolicy()
-			pol.NoKeySharing = false
-			owner.RequirePolicy(pol)
-		}
-		l.Attestor = &attest.InProcess{Owner: owner, AgentSeed: h.seed, WantSecret: secret}
+		l.Attestor = attest.ForLaunch(h.PlatformKey(), digest, l.Policy(), l.Preset.Name, h.seed)
 	}
-	var (
-		res *firecracker.Result
-		err error
-	)
-	if l.qemu {
-		res, err = qemu.Boot(p, h.inner, qemu.FromFirecracker(l.Config))
-	} else {
-		res, err = firecracker.Boot(p, h.inner, l.Config)
+	boot := firecracker.Boot
+	if l.Scheme == firecracker.SchemeQEMUOVMF {
+		boot = qemu.Boot
 	}
+	res, err := boot(p, h.inner, l)
 	if err != nil {
 		return nil, err
 	}
@@ -648,7 +622,7 @@ func ExpectedLaunchDigest(cfg Config) ([32]byte, error) {
 	if err != nil {
 		return [32]byte{}, err
 	}
-	d, err := l.expectedDigest()
+	d, err := expectedDigest(*l)
 	return d, classifyErr(err)
 }
 
@@ -660,9 +634,6 @@ func ComponentHashes(cfg Config) (measure.ComponentHashes, error) {
 	l, err := cfg.resolve()
 	if err != nil {
 		return measure.ComponentHashes{}, err
-	}
-	if l.qemu {
-		return qemu.FromFirecracker(l.Config).ComponentHashes(), nil
 	}
 	h, err := l.ComponentHashes()
 	return h, classifyErr(err)
