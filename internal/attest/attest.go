@@ -18,6 +18,7 @@ import (
 	"io"
 	"math/rand"
 
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/psp"
@@ -147,38 +148,46 @@ func (o *Owner) HandleReport(reportBytes, guestPub []byte) (*kbs.Bundle, error) 
 	return kbs.WrapSecret(o.rng, guestPub, o.secret)
 }
 
-// ForLaunch is the in-process guest owner one attested boot talks to: it
-// trusts platform, allows exactly digest (the launch's expected digest),
-// accepts policy when that relaxes key sharing — a trade-off the owner
-// knowingly opted into, not a silent downgrade — and releases
-// "secret-<preset>" to an agent seeded from seed.
-func ForLaunch(platform *ecdsa.PublicKey, digest [32]byte, policy sev.Policy, preset string, seed int64) *InProcess {
-	secret := []byte("secret-" + preset)
+// ForLaunch is the in-process guest owner one attested boot of launch talks
+// to, or nil where there is nothing to attest with: Lupine has no
+// networking (§6.1) and a plain guest has no report. It trusts platform,
+// allows exactly the launch's expected digest, accepts the launch's policy
+// when that relaxes key sharing — a trade-off the owner knowingly opted
+// into, not a silent downgrade — and releases "secret-<preset>" to an
+// agent seeded from seed.
+func ForLaunch(platform *ecdsa.PublicKey, launch firecracker.Config, seed int64) (firecracker.Attestor, error) {
+	if !launch.Preset.Networking || !launch.Level.Encrypted() {
+		return nil, nil
+	}
+	digest, err := launch.ExpectedDigest()
+	if err != nil {
+		return nil, err
+	}
+	secret := []byte("secret-" + launch.Preset.Name)
 	owner := NewOwner(platform, secret, rand.New(rand.NewSource(seed^0xA77)))
 	owner.Allow(digest)
-	if !policy.NoKeySharing {
+	if policy := launch.Policy(); !policy.NoKeySharing {
 		owner.RequirePolicy(policy)
 	}
-	return &InProcess{Owner: owner, AgentSeed: seed, WantSecret: secret}
+	return &inProcess{owner: owner, agentSeed: seed, wantSecret: secret}, nil
 }
 
-// InProcess runs the full attestation round trip inside the simulation,
+// inProcess runs the full attestation round trip inside the simulation,
 // charging virtual time: report generation on the shared PSP (which
 // contends under concurrency, Fig. 12) plus the network/validation span.
-// It implements the monitors' Attestor interface.
-type InProcess struct {
-	Owner     *Owner
-	AgentSeed int64
-	// WantSecret, when non-nil, is compared against the unwrapped secret.
-	WantSecret []byte
+// The unwrapped secret must equal wantSecret.
+type inProcess struct {
+	owner      *Owner
+	agentSeed  int64
+	wantSecret []byte
 }
 
 // Attest performs Fig. 1 steps 5-8 for machine m.
-func (ip *InProcess) Attest(proc *sim.Proc, m *kvm.Machine) error {
+func (ip *inProcess) Attest(proc *sim.Proc, m *kvm.Machine) error {
 	if m.Launch == nil {
 		return errors.New("attest: machine has no launch context")
 	}
-	agent := NewAgentSeeded(ip.AgentSeed + int64(m.Launch.ASID()))
+	agent := NewAgentSeeded(ip.agentSeed + int64(m.Launch.ASID()))
 	// Guest requests the report; the PSP builds and signs it (charged on
 	// the shared PSP resource).
 	report, err := m.Launch.BuildReport(proc, agent.ReportData())
@@ -187,7 +196,7 @@ func (ip *InProcess) Attest(proc *sim.Proc, m *kvm.Machine) error {
 	}
 	// Network round trip + server-side validation.
 	proc.Sleep(m.Host.Model.AttestNetwork)
-	bundle, err := ip.Owner.HandleReport(report.Marshal(), agent.PublicKey())
+	bundle, err := ip.owner.HandleReport(report.Marshal(), agent.PublicKey())
 	if err != nil {
 		return err
 	}
@@ -195,7 +204,7 @@ func (ip *InProcess) Attest(proc *sim.Proc, m *kvm.Machine) error {
 	if err != nil {
 		return err
 	}
-	if ip.WantSecret != nil && string(secret) != string(ip.WantSecret) {
+	if string(secret) != string(ip.wantSecret) {
 		return errors.New("attest: unwrapped secret mismatch")
 	}
 	return nil

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"github.com/severifast/severifast/internal/costmodel"
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kbs"
+	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 )
@@ -293,5 +295,41 @@ func TestChainAttestationRejectsWrongVCEK(t *testing.T) {
 	if _, err := attestWithChain(kbs.NewVerifier(auth.Root()), digestB, []byte("s"),
 		report.Marshal(), enrA.Chain.Marshal(), agent); !errors.Is(err, ErrSignature) {
 		t.Fatalf("cross-platform report accepted: %v", err)
+	}
+}
+
+// TestForLaunchAttestsOnlyWhatCanAttest: ForLaunch is the one rule for when
+// a boot attests. A guest without networking (Lupine) or without a report
+// (no SEV) gets no owner, and no digest is computed for it; any other
+// launch gets an owner, whichever monitor runs it.
+func TestForLaunchAttestsOnlyWhatCanAttest(t *testing.T) {
+	platform := psp.New(costmodel.Unit(), 1).VerificationKey()
+	for _, tc := range []struct {
+		name   string
+		preset kernelgen.Preset
+		scheme firecracker.Scheme
+		level  sev.Level
+		want   bool
+	}{
+		{"lupine/snp", kernelgen.Lupine(), firecracker.SchemeSEVeriFastBz, sev.SNP, false},
+		{"lupine/qemu", kernelgen.Lupine(), firecracker.SchemeQEMUOVMF, sev.SNP, false},
+		{"aws/none", kernelgen.AWS(), firecracker.SchemeStock, sev.None, false},
+		{"aws/snp", kernelgen.AWS(), firecracker.SchemeSEVeriFastBz, sev.SNP, true},
+		{"aws/qemu", kernelgen.AWS(), firecracker.SchemeQEMUOVMF, sev.SNP, true},
+	} {
+		// Without artifacts a launch has no digest, so any digest asked for
+		// fails: a nil owner with no error means none was computed.
+		launch := firecracker.Config{Preset: tc.preset, Scheme: tc.scheme, Level: tc.level}
+		if tc.want {
+			art, err := kernelgen.Cached(tc.preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			launch.Artifacts = art
+		}
+		a, err := ForLaunch(platform, launch, 1)
+		if err != nil || (a != nil) != tc.want {
+			t.Errorf("%s: ForLaunch = %v, %v; want an owner: %v", tc.name, a, err, tc.want)
+		}
 	}
 }

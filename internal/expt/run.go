@@ -8,7 +8,6 @@ import (
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
-	"github.com/severifast/severifast/internal/qemu"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
@@ -49,16 +48,15 @@ func (w *world) run() error {
 }
 
 // boot runs one boot of sc's launch cfg as the world's only process.
-// withAttest wires a guest owner that expects exactly this launch's digest
-// (skipped where there is nothing to attest with: Lupine has no networking,
-// §6.1, and a plain guest has no report).
+// withAttest wires the guest owner attest.ForLaunch gives the launch, if
+// it has anything to attest with.
 func (w *world) boot(sc scheme, cfg firecracker.Config, withAttest bool) (*firecracker.Result, error) {
-	if withAttest && cfg.Preset.Networking && cfg.Level.Encrypted() {
-		expected, err := expectedDigest(cfg)
+	if withAttest {
+		a, err := attest.ForLaunch(w.host.PSP.VerificationKey(), cfg, w.seed)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Attestor = attest.ForLaunch(w.host.PSP.VerificationKey(), expected, cfg.Policy(), cfg.Preset.Name, w.seed)
+		cfg.Attestor = a
 	}
 	var res *firecracker.Result
 	w.spawn("boot", func(p *sim.Proc) (err error) {
@@ -102,21 +100,9 @@ func (sc scheme) config(preset kernelgen.Preset, initrd []byte) (firecracker.Con
 	return cfg, nil
 }
 
-// expectedDigest asks the launch's own monitor what it measures.
-func expectedDigest(cfg firecracker.Config) ([32]byte, error) {
-	if cfg.Scheme == firecracker.SchemeQEMUOVMF {
-		return qemu.LaunchDigest(cfg)
-	}
-	return cfg.ExpectedDigest()
-}
-
 // boot executes the launch on its monitor, on the calling process.
 func (sc scheme) boot(p *sim.Proc, host *kvm.Host, cfg firecracker.Config) (*firecracker.Result, error) {
-	boot := firecracker.Boot
-	if cfg.Scheme == firecracker.SchemeQEMUOVMF {
-		boot = qemu.Boot
-	}
-	res, err := boot(p, host, cfg)
+	res, err := firecracker.Boot(p, host, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", sc.name, cfg.Preset.Name, err)
 	}

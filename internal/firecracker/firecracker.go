@@ -1,8 +1,9 @@
-// Package firecracker models the microVM monitor with SEVeriFast's
-// modifications (paper §5): the stock direct-boot path (unchanged, no SEV)
-// and the SEV boot path, which pre-encrypts the minimal root of trust,
-// stages components for measured direct boot, and enters the guest at the
-// boot verifier.
+// Package firecracker launches SEV guests on both monitors the paper
+// compares: Firecracker with SEVeriFast's modifications (paper §5) — the
+// stock direct-boot path (unchanged, no SEV) and the SEV boot path, which
+// pre-encrypts the minimal root of trust, stages components for measured
+// direct boot, and enters the guest at the boot verifier — and the
+// QEMU/OVMF baseline it is evaluated against (§2.5).
 //
 // Four boot schemes reproduce the paper's comparisons:
 //
@@ -10,15 +11,14 @@
 //	SchemeSEVeriFastBz      SEVeriFast with an LZ4 bzImage (the design point)
 //	SchemeSEVeriFastVmlinux SEVeriFast with an uncompressed vmlinux over the
 //	                        optimized fw_cfg streaming protocol (§5)
-//	SchemeQEMUOVMF          the QEMU/OVMF baseline (Figs. 9 and 10), booted
-//	                        and measured by internal/qemu, not here
+//	SchemeQEMUOVMF          the QEMU/OVMF baseline (Figs. 9 and 10): full
+//	                        OVMF pre-encryption, then UEFI boot
 //
-// Config is the one launch description of every scheme: the digest tool,
-// the hash file and the boot of either monitor all read it.
+// Config is the one launch description of every scheme: Boot launches it
+// on its monitor, and ExpectedDigest and ComponentHashes measure it.
 package firecracker
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -30,6 +30,8 @@ import (
 	"github.com/severifast/severifast/internal/linux"
 	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/mptable"
+	"github.com/severifast/severifast/internal/ovmf"
+	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/trace"
@@ -70,14 +72,10 @@ func (s Scheme) monitor() string {
 	return "firecracker"
 }
 
-// errQEMUScheme refuses the QEMU/OVMF scheme where only Firecracker's
-// launch is known: its boot and its digest are internal/qemu's, so a
-// Firecracker boot or digest of it would describe a launch nobody runs.
-var errQEMUScheme = errors.New("firecracker: scheme qemu-ovmf launches on QEMU/OVMF; boot and measure it with the qemu flow")
-
 // Attestor performs remote attestation for a booted guest; implemented by
-// internal/attest. Nil means no attestation (e.g. the Lupine kernel, which
-// has no networking — paper §6.1).
+// internal/attest, whose ForLaunch leaves it nil where there is nothing to
+// attest with (the Lupine kernel has no networking, paper §6.1; a plain
+// guest has no report).
 type Attestor interface {
 	Attest(proc *sim.Proc, m *kvm.Machine) error
 }
@@ -122,8 +120,7 @@ type Config struct {
 	// QEMU/OVMF flow never relaxes it.
 	AllowKeySharing bool
 
-	// Attestor, when set and the kernel has networking, runs remote
-	// attestation after init.
+	// Attestor, when set, runs remote attestation after init.
 	Attestor Attestor
 }
 
@@ -161,40 +158,17 @@ type Result struct {
 	LaunchDigest [32]byte
 }
 
-// Boot runs one microVM boot to init (plus attestation when configured) on
-// the calling simulation process. The QEMU/OVMF scheme is refused.
+// Boot runs one boot of cfg on its scheme's monitor to init (plus
+// attestation when configured) on the calling simulation process. A launch
+// no scheme runs is refused before any machine exists.
 func Boot(proc *sim.Proc, host *kvm.Host, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
-	if cfg.Scheme == SchemeQEMUOVMF {
-		return nil, errQEMUScheme
-	}
-	if cfg.Artifacts == nil {
-		return nil, fmt.Errorf("firecracker: no kernel artifacts")
-	}
-
-	m := Start(proc, host, cfg)
-	if err := cfg.checkLevel(); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	var (
-		res *Result
-		err error
-	)
-	if cfg.Scheme == SchemeStock {
-		res, err = bootStock(proc, host, m, cfg)
-	} else {
-		res, err = bootSEV(proc, host, m, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return Finish(proc, cfg, res)
-}
 
-// Start is how either monitor begins a boot of the resolved cfg: the
-// machine, annotated with its monitor, scheme and level, given its devices,
-// once the VMM process has started.
-func Start(proc *sim.Proc, host *kvm.Host, cfg Config) *kvm.Machine {
+	// The machine, annotated with its monitor, scheme and level, given its
+	// devices, once the VMM process has started.
 	m := host.NewMachine(proc, cfg.MemSize, cfg.Level)
 	m.Timeline.Annotate("vmm", cfg.Scheme.monitor())
 	m.Timeline.Annotate("scheme", cfg.Scheme.String())
@@ -208,15 +182,26 @@ func Start(proc *sim.Proc, host *kvm.Host, cfg Config) *kvm.Machine {
 	} else {
 		proc.Sleep(host.Model.VMMProcessStart)
 	}
-	return m
-}
 
-// Finish is how either monitor ends a boot of cfg that reached init:
-// remote attestation when configured and the kernel has networking, then
-// the breakdown and the closed timeline.
-func Finish(proc *sim.Proc, cfg Config, res *Result) (*Result, error) {
-	m := res.Machine
-	if cfg.Attestor != nil && cfg.Preset.Networking && cfg.Level.Encrypted() {
+	var (
+		res *Result
+		err error
+	)
+	switch cfg.Scheme {
+	case SchemeStock:
+		res, err = bootStock(proc, host, m, cfg)
+	case SchemeQEMUOVMF:
+		res, err = bootQEMU(proc, host, m, cfg)
+	default:
+		res, err = bootSEV(proc, host, m, cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// Remote attestation when configured, then the breakdown and the
+	// closed timeline.
+	if cfg.Attestor != nil {
 		m.Timeline.Begin("attest", proc.Now())
 		m.DebugEvent(proc, sev.EvAttestStart)
 		if err := cfg.Attestor.Attest(proc, m); err != nil {
@@ -366,7 +351,7 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 	proc.Sleep(model.VMMSetupMisc)
 	m.Timeline.End("vmm.stage", proc.Now())
 
-	digest, err := PreEncrypt(proc, m, cfg, regions)
+	digest, err := preEncrypt(proc, m, cfg, regions)
 	if err != nil {
 		return nil, err
 	}
@@ -389,11 +374,11 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 	}, nil
 }
 
-// PreEncrypt is the launch flow of either monitor (Fig. 1): LAUNCH_START
+// preEncrypt is the launch flow of either monitor (Fig. 1): LAUNCH_START
 // under cfg's policy, LAUNCH_UPDATE_DATA over the plan's regions,
 // LAUNCH_FINISH. This is the "Pre-encryption" column of Fig. 10. It
 // returns the launch digest.
-func PreEncrypt(proc *sim.Proc, m *kvm.Machine, cfg Config, regions []measure.Region) ([32]byte, error) {
+func preEncrypt(proc *sim.Proc, m *kvm.Machine, cfg Config, regions []measure.Region) ([32]byte, error) {
 	m.Timeline.Begin("preenc", proc.Now())
 	if err := m.StartLaunch(proc, cfg.Policy()); err != nil {
 		return [32]byte{}, err
@@ -429,11 +414,13 @@ func PreEncrypt(proc *sim.Proc, m *kvm.Machine, cfg Config, regions []measure.Re
 	return digest, nil
 }
 
-// checkLevel refuses the scheme/level pairs no launch exists for. Both
-// monitors' boots and digest tools share it, so the digest tool refuses
-// exactly what the VMM refuses, with the VMM's error.
-func (c Config) checkLevel() error {
+// check refuses a launch without artifacts and the scheme/level pairs no
+// launch exists for. Boot and the digest tools share it, so the digest
+// tool refuses exactly what the VMM refuses, with the VMM's error.
+func (c Config) check() error {
 	switch {
+	case c.Artifacts == nil:
+		return fmt.Errorf("%s: no kernel artifacts", c.Scheme.monitor())
 	case c.Scheme == SchemeStock && c.Level != sev.None:
 		return fmt.Errorf("firecracker: stock scheme cannot boot a %v guest", c.Level)
 	case c.Scheme == SchemeQEMUOVMF && !c.Level.Encrypted():
@@ -490,7 +477,7 @@ func (c Config) KernelImage() ([]byte, verifier.KernelKind, error) {
 // A launch Boot refuses has no hash file.
 func (c Config) ComponentHashes() (measure.ComponentHashes, error) {
 	c.fillDefaults()
-	if err := c.checkLevel(); err != nil {
+	if err := c.check(); err != nil {
 		return measure.ComponentHashes{}, err
 	}
 	kernel, _, err := c.KernelImage()
@@ -505,19 +492,19 @@ func (c Config) ComponentHashes() (measure.ComponentHashes, error) {
 	return measure.HashComponents(kernel, c.Initrd, c.Cmdline), nil
 }
 
-// MeasureConfig is the one translation of a launch description into
-// measure's input: Boot plans from it when no Plan is supplied and
+// MeasureConfig is the one translation of a Firecracker launch description
+// into measure's input: Boot plans from it when no Plan is supplied and
 // ExpectedDigest predicts from it, so the VMM and the digest tool cannot
 // describe different launches, and a launch Boot refuses is refused here
-// with Boot's error — the QEMU/OVMF scheme too, which measure does not
-// model. Hashes, when set, are an input of the launch and taken as given;
-// nil hashes the launch's own components.
+// with Boot's error. measure does not model OVMF, so the QEMU/OVMF scheme
+// is refused too. Hashes, when set, are an input of the launch and taken as
+// given; nil hashes the launch's own components.
 func (c Config) MeasureConfig() (measure.Config, error) {
 	c.fillDefaults()
 	if c.Scheme == SchemeQEMUOVMF {
-		return measure.Config{}, errQEMUScheme
+		return measure.Config{}, fmt.Errorf("firecracker: measure does not model the OVMF launch of scheme %v", c.Scheme)
 	}
-	if err := c.checkLevel(); err != nil {
+	if err := c.check(); err != nil {
 		return measure.Config{}, err
 	}
 	// The stock scheme is never measured: selecting its kernel image (under
@@ -542,8 +529,16 @@ func (c Config) MeasureConfig() (measure.Config, error) {
 }
 
 // ExpectedDigest is the §4.2 tool for this launch: the digest the PSP must
-// report, predicted host-side by measure from MeasureConfig.
+// report, predicted host-side — by measure from MeasureConfig, or for
+// QEMU/OVMF by folding the firmware's plan over the launch's hash file.
 func (c Config) ExpectedDigest() ([32]byte, error) {
+	if c.Scheme == SchemeQEMUOVMF {
+		hashes, err := c.ComponentHashes()
+		if err != nil {
+			return [32]byte{}, err
+		}
+		return measure.FoldRegions(psp.InitialDigest(c.Policy(), c.Level), ovmf.PlanRegions(ovmfSeed, c.Level, hashes)), nil
+	}
 	mc, err := c.MeasureConfig()
 	if err != nil {
 		return [32]byte{}, err
@@ -560,7 +555,7 @@ func (c Config) Policy() sev.Policy {
 // LaunchPolicy returns the policy a launch at the given level uses: the
 // strongest the level supports, with NoKeySharing relaxed when the guest
 // donates its key to warm-started clones. The policy is folded into the
-// launch digest, so every launcher (Boot, the QEMU flow, warm restores) and
+// launch digest, so every launcher (Boot, warm restores) and
 // every planner (the measured-image cache, the digest methods) calls this.
 func LaunchPolicy(level sev.Level, allowKeySharing bool) sev.Policy {
 	p := sev.DefaultPolicy()

@@ -6,9 +6,12 @@ import (
 	"testing"
 
 	"github.com/severifast/severifast/internal/bzimage"
+	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/kernelgen"
+	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/sev"
+	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/verifier"
 )
 
@@ -153,12 +156,12 @@ func TestLaunchPolicyTable(t *testing.T) {
 	}
 }
 
-// TestQEMUSchemeIsNotMeasuredHere: the QEMU/OVMF scheme shares the launch
-// description — its kernel image and hash file are the LZ4 bzImage's, and
-// its policy never relaxes key sharing — but Boot, MeasureConfig and
-// ExpectedDigest refuse it, naming the QEMU flow, so no Firecracker digest
-// of a QEMU launch can be asked for.
-func TestQEMUSchemeIsNotMeasuredHere(t *testing.T) {
+// TestQEMUSchemeIsBootedAndMeasuredHere: the QEMU/OVMF scheme shares the
+// launch description — its kernel image and hash file are the LZ4
+// bzImage's, and its policy never relaxes key sharing — and Boot and
+// ExpectedDigest answer it and agree. MeasureConfig still refuses it,
+// because measure does not model OVMF.
+func TestQEMUSchemeIsBootedAndMeasuredHere(t *testing.T) {
 	art := lupineArtifacts(t)
 	preset := kernelgen.Lupine()
 	cfg := Config{Preset: preset, Artifacts: art, Initrd: testInitrd(t), Level: sev.SNP, Scheme: SchemeQEMUOVMF, AllowKeySharing: true}
@@ -172,18 +175,71 @@ func TestQEMUSchemeIsNotMeasuredHere(t *testing.T) {
 	if got := cfg.Policy(); got != LaunchPolicy(sev.SNP, false) {
 		t.Fatalf("Policy() = %+v, want key sharing kept off", got)
 	}
-	const want = "boot and measure it with the qemu flow"
-	if _, err := cfg.MeasureConfig(); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("MeasureConfig: %v, want %q", err, want)
+	if _, err := cfg.MeasureConfig(); err == nil || !strings.Contains(err.Error(), "does not model the OVMF launch") {
+		t.Errorf("MeasureConfig: %v, want the OVMF refusal", err)
 	}
-	if _, err := cfg.ExpectedDigest(); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("ExpectedDigest: %v, want %q", err, want)
+	want, err := cfg.ExpectedDigest()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := runBoot(t, cfg); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Boot: %v, want %q", err, want)
+	res, err := runBoot(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LaunchDigest != want {
+		t.Fatalf("PSP measured %x, ExpectedDigest %x", res.LaunchDigest[:8], want[:8])
+	}
+	if res.Breakdown.Firmware == 0 {
+		t.Error("no OVMF firmware span: the launch did not boot on QEMU/OVMF")
 	}
 	cfg.Level = sev.None
 	if _, err := cfg.ComponentHashes(); err == nil || !strings.Contains(err.Error(), "models SEV boots") {
 		t.Errorf("ComponentHashes at level none: %v, want the flow's SEV-only refusal", err)
+	}
+	if _, err := cfg.ExpectedDigest(); err == nil || !strings.Contains(err.Error(), "models SEV boots") {
+		t.Errorf("ExpectedDigest at level none: %v, want the flow's SEV-only refusal", err)
+	}
+}
+
+// TestRefusedLaunchBuildsNoMachine: a launch Boot refuses — every scheme at
+// a level it has no launch for, and a launch without artifacts — is
+// refused before any machine exists: no guest memory, no timeline, no
+// OnNewMachine, no VMM process start on the virtual clock.
+func TestRefusedLaunchBuildsNoMachine(t *testing.T) {
+	art := lupineArtifacts(t)
+	type row struct {
+		scheme Scheme
+		level  sev.Level
+		art    *kernelgen.Artifacts
+		want   string
+	}
+	rows := []row{
+		{SchemeSEVeriFastBz, sev.None, art, "requires an SEV level"},
+		{SchemeSEVeriFastVmlinux, sev.None, art, "requires an SEV level"},
+		{SchemeQEMUOVMF, sev.None, art, "models SEV boots"},
+		{SchemeStock, sev.None, nil, "firecracker: no kernel artifacts"},
+		{SchemeQEMUOVMF, sev.SNP, nil, "qemu: no kernel artifacts"},
+	}
+	for _, l := range []sev.Level{sev.SEV, sev.ES, sev.SNP} {
+		rows = append(rows, row{SchemeStock, l, art, "stock scheme cannot boot a " + l.String() + " guest"})
+	}
+	for _, tc := range rows {
+		t.Run(tc.scheme.String()+"/"+tc.level.String(), func(t *testing.T) {
+			eng := sim.NewEngine()
+			host := kvm.NewHost(eng, costmodel.Default(), 42)
+			machines := 0
+			host.OnNewMachine = func(*kvm.Machine) { machines++ }
+			var err error
+			eng.Go("boot", func(p *sim.Proc) {
+				_, err = Boot(p, host, Config{Preset: kernelgen.Lupine(), Artifacts: tc.art, Level: tc.level, Scheme: tc.scheme})
+			})
+			eng.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Boot: %v, want %q", err, tc.want)
+			}
+			if machines != 0 || eng.Now() != 0 {
+				t.Fatalf("refused launch built %d machines and ran the clock to %v", machines, eng.Now())
+			}
+		})
 	}
 }

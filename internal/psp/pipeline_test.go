@@ -173,6 +173,12 @@ func TestPipelineOverlapFlushesPending(t *testing.T) {
 	}
 }
 
+// ExtendDigest is the serial, region-by-region reference FoldDigest is
+// checked against: one region's bytes hashed and folded on the spot.
+func ExtendDigest(digest [32]byte, pt sev.PageType, gpa uint64, data []byte) [32]byte {
+	return ExtendDigestContent(digest, pt, gpa, len(data), sha256.Sum256(data))
+}
+
 func TestFoldDigestMatchesExtend(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	initial := InitialDigest(sev.DefaultPolicy(), sev.SNP)

@@ -239,17 +239,12 @@ func (ctx *GuestContext) LaunchFinish(proc *sim.Proc) ([32]byte, error) {
 // Decommission releases the context (guest teardown).
 func (ctx *GuestContext) Decommission() { ctx.state = StateDead }
 
-// ExtendDigest appends one measured region to a launch digest:
-// digest' = SHA256(digest ‖ type ‖ gpa ‖ len ‖ SHA256(data)), the shape of
-// the SNP ABI's page-info chaining. internal/measure recomputes the same
-// chain host-side; the two must agree bit for bit.
-func ExtendDigest(digest [32]byte, pt sev.PageType, gpa uint64, data []byte) [32]byte {
-	return ExtendDigestContent(digest, pt, gpa, len(data), sha256.Sum256(data))
-}
-
-// ExtendDigestContent is the fold step of ExtendDigest with the region's
-// content hash already computed. It is the serial half of the parallel
-// measurement pipeline: content hashes may be produced in any order
+// ExtendDigestContent appends one measured region, of n bytes whose
+// SHA-256 is content, to a launch digest:
+// digest' = SHA256(digest ‖ type ‖ gpa ‖ len ‖ content), the shape of the
+// SNP ABI's page-info chaining. internal/measure recomputes the same chain
+// host-side; the two must agree bit for bit. It is the serial half of the
+// parallel measurement pipeline: content hashes may be produced in any order
 // across the hostwork pool (or come from the artifact memo table), but
 // the chain itself is folded one region at a time, in region order, so
 // the result is bit-identical to the fully serial computation.

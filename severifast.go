@@ -45,7 +45,6 @@ import (
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/policy"
-	"github.com/severifast/severifast/internal/qemu"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
@@ -499,14 +498,6 @@ func (c *Config) resolve() (*firecracker.Config, error) {
 	}, nil
 }
 
-// expectedDigest asks the launch's own monitor what it measures.
-func expectedDigest(l firecracker.Config) ([32]byte, error) {
-	if l.Scheme == firecracker.SchemeQEMUOVMF {
-		return qemu.LaunchDigest(l)
-	}
-	return l.ExpectedDigest()
-}
-
 // BootConcurrent launches n identical guests simultaneously, sharing this
 // host's PSP. Every guest is a full independent cold boot paying the whole
 // measurement pass; with SEV enabled, launches serialize on the PSP and
@@ -555,20 +546,16 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 
 // bootOne runs its copy of the launch on the launch's monitor. With attested
 // set the guest gets its own in-process guest owner, primed with the digest
-// that monitor expects.
+// the launch expects, when it has anything to attest with.
 func (h *Host) bootOne(p *sim.Proc, l firecracker.Config, attested bool) (*Result, error) {
-	if attested && l.Level.Encrypted() {
-		digest, err := expectedDigest(l)
+	if attested {
+		a, err := attest.ForLaunch(h.PlatformKey(), l, h.seed)
 		if err != nil {
 			return nil, err
 		}
-		l.Attestor = attest.ForLaunch(h.PlatformKey(), digest, l.Policy(), l.Preset.Name, h.seed)
+		l.Attestor = a
 	}
-	boot := firecracker.Boot
-	if l.Scheme == firecracker.SchemeQEMUOVMF {
-		boot = qemu.Boot
-	}
-	res, err := boot(p, h.inner, l)
+	res, err := firecracker.Boot(p, h.inner, l)
 	if err != nil {
 		return nil, err
 	}
@@ -622,7 +609,7 @@ func ExpectedLaunchDigest(cfg Config) ([32]byte, error) {
 	if err != nil {
 		return [32]byte{}, err
 	}
-	d, err := expectedDigest(*l)
+	d, err := l.ExpectedDigest()
 	return d, classifyErr(err)
 }
 

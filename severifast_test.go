@@ -88,13 +88,25 @@ func TestBootWithAttestation(t *testing.T) {
 	}
 }
 
+// TestLupineSkipsAttestation: Lupine has no networking (paper §6.1), so an
+// attested Lupine boot on either monitor is the unattested boot.
 func TestLupineSkipsAttestation(t *testing.T) {
-	res, err := Boot(Config{Kernel: KernelLupine, InitrdMiB: 2, Attest: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Attestation != 0 {
-		t.Fatal("lupine has no networking; attestation must be skipped (paper §6.1)")
+	for _, sc := range []Scheme{SchemeSEVeriFast, SchemeQEMUOVMF} {
+		plain, err := Boot(Config{Kernel: KernelLupine, Scheme: sc, InitrdMiB: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Boot(Config{Kernel: KernelLupine, Scheme: sc, InitrdMiB: 2, Attest: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Attestation != 0 {
+			t.Fatalf("%s: lupine has no networking; attestation must be skipped", sc)
+		}
+		if res.TotalWithAttest != plain.TotalWithAttest || res.LaunchDigest != plain.LaunchDigest ||
+			res.BootVerification != plain.BootVerification || res.PreEncryption != plain.PreEncryption {
+			t.Fatalf("%s: attested lupine boot %+v differs from the unattested %+v", sc, res, plain)
+		}
 	}
 }
 
