@@ -80,18 +80,22 @@ type Info struct {
 
 // Build wraps a vmlinux into a bzImage using the given codec. The seed
 // fixes the synthetic setup/stub bytes so identical inputs produce
-// identical images (their hashes go into the launch digest).
+// identical images (their hashes go into the launch digest). The image is
+// one buffer, written once: the payload container is appended straight
+// after room for the setup block and the stub, which are filled after it.
 func Build(vmlinux []byte, codec Codec, seed int64) ([]byte, error) {
-	payload, err := compressPayload(vmlinux, codec)
+	// A kernel image compresses to a quarter or less (Fig. 8). A worst-case
+	// buffer would be zeroed in full to be a quarter used; append regrows a
+	// short one.
+	out := make([]byte, setupSize+stubSize, setupSize+stubSize+payloadHeader+len(vmlinux)/4)
+	out, err := appendPayload(out, vmlinux, codec)
 	if err != nil {
 		return nil, err
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]byte, setupSize+stubSize+len(payload))
-
 	// Real-mode setup block: mostly 16-bit code we never execute; fill
 	// with deterministic noise, then lay down the header fields.
+	rng := rand.New(rand.NewSource(seed))
 	fill(rng, out[:setupSize])
 	le := binary.LittleEndian
 	out[0x1F1] = setupSects
@@ -102,14 +106,13 @@ func Build(vmlinux []byte, codec Codec, seed int64) ([]byte, error) {
 	le.PutUint16(out[0x206:], protocolVersion)
 	out[0x211] = 0x01 // loadflags: LOADED_HIGH
 	le.PutUint32(out[0x214:], code32Start)
-	le.PutUint32(out[0x250:], stubSize)             // payload_offset
-	le.PutUint32(out[0x254:], uint32(len(payload))) // payload_length
+	le.PutUint32(out[0x250:], stubSize) // payload_offset
 	initSize := (uint32(len(vmlinux)) + 0xFFFFF) &^ 0xFFFFF
 	le.PutUint32(out[0x260:], initSize)
 
 	// Protected-mode stub: the in-place decompressor. Synthetic bytes.
 	fill(rng, out[setupSize:setupSize+stubSize])
-	copy(out[setupSize+stubSize:], payload)
+	le.PutUint32(out[0x254:], uint32(len(out)-setupSize-stubSize)) // payload_length
 	return out, nil
 }
 
@@ -157,17 +160,18 @@ func Parse(b []byte) (*Info, error) {
 	}, nil
 }
 
-// compressPayload builds the payload container. The codec appends straight
-// after the container header, so the compressed bytes are written once.
-func compressPayload(vmlinux []byte, codec Codec) ([]byte, error) {
+// payloadHeader is the payload container's magic, codec byte and
+// uncompressed size (a uint64).
+const payloadHeader = 4 + 1 + 8
+
+// appendPayload appends the payload container to out. The codec appends
+// straight after the container header, so the compressed bytes are written
+// once.
+func appendPayload(out, vmlinux []byte, codec Codec) ([]byte, error) {
 	tag, ok := codecByte(codec)
 	if !ok {
 		return nil, fmt.Errorf("bzimage: unknown codec %q", codec)
 	}
-	// A kernel image compresses to a quarter or less (Fig. 8). A worst-case
-	// buffer would be zeroed in full to be a quarter used; append regrows a
-	// short one.
-	out := make([]byte, 0, len(payloadMagic)+1+8+len(vmlinux)/4)
 	out = append(out, payloadMagic...)
 	out = append(out, tag)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(vmlinux)))
@@ -197,7 +201,7 @@ func DecompressPayload(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := payload[len(payloadMagic)+1+8:]
+	data := payload[payloadHeader:]
 	switch codec {
 	case CodecNone:
 		if len(data) != usize {
@@ -243,7 +247,7 @@ func DecompressPayload(payload []byte) ([]byte, error) {
 }
 
 func sniffPayload(payload []byte) (Codec, int, error) {
-	if len(payload) < len(payloadMagic)+1+8 {
+	if len(payload) < payloadHeader {
 		return "", 0, fmt.Errorf("%w: short container", ErrBadPayload)
 	}
 	if !bytes.Equal(payload[:len(payloadMagic)], payloadMagic) {

@@ -6,6 +6,14 @@
 // scheduling (index-addressed outputs folded in a deterministic serial
 // pass). See DESIGN.md §9 for the determinism argument.
 //
+// The LZ4 compressor's parse of a large input may use two workers too
+// (internal/lz4): its two indices, unlike everyone else's, are not
+// independent. Index 0 waits for index 1, but only while index 1 is
+// running, never for one no worker has picked up, so the pair cannot
+// deadlock; and the output is exactly the one-pass parse's whichever way
+// the pool schedules them, because index 0 takes over index 1's sequences
+// only from a point after which the two parses provably agree.
+//
 // Workers are persistent: the first parallel Do spawns pool goroutines
 // (up to GOMAXPROCS) that live for the process and sleep on a job
 // channel between calls. A fleet booting thousands of VMs thus pays

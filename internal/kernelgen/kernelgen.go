@@ -37,6 +37,7 @@ import (
 	"github.com/severifast/severifast/internal/bzimage"
 	"github.com/severifast/severifast/internal/cpio"
 	"github.com/severifast/severifast/internal/elfx"
+	"github.com/severifast/severifast/internal/hostwork"
 	"github.com/severifast/severifast/internal/lz4"
 )
 
@@ -152,7 +153,7 @@ type gzipImage struct {
 }
 
 // BzImageGzip returns VMLinux wrapped with the gzip codec, built at most
-// once for the artifacts Build returned. A copy whose VMLinux or seed was
+// once for the artifacts build returned. A copy whose VMLinux or seed was
 // replaced shares the pointer but not the image: it gets its own build.
 func (a *Artifacts) BzImageGzip() ([]byte, error) {
 	g := a.gzip
@@ -174,10 +175,20 @@ func sameSlice(a, b []byte) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// Build generates the vmlinux and the LZ4 bzImage for the preset.
-func (p Preset) Build() (*Artifacts, error) {
+// build generates the vmlinux and the LZ4 bzImage for the preset and
+// checks the bzImage's size. alongside, if not nil, runs on the vmlinux
+// while it is compressed.
+func (p Preset) build(alongside func(vmlinux []byte)) (*Artifacts, error) {
 	vm, entry := p.buildVMLinux()
-	lz, err := bzimage.Build(vm, bzimage.CodecLZ4, p.Seed)
+	var lz []byte
+	var err error
+	hostwork.Do(2, func(i int) {
+		if i == 0 {
+			lz, err = bzimage.Build(vm, bzimage.CodecLZ4, p.Seed)
+		} else if alongside != nil {
+			alongside(vm)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +273,7 @@ type calibKey struct {
 // fraction q that generated the bytes the search returned. A row is only
 // ever the search's own output (TestPinnedCalibrationMatchesSearch; its
 // failure prints the row to commit after a change to a preset's sizes,
-// bzimage.Overhead or the ELF framing allowance), and Preset.Build's size
+// bzimage.Overhead or the ELF framing allowance), and Preset.build's size
 // check refuses a kernel a wrong row produced.
 var pinnedCalib = map[calibKey]float64{
 	{101, 24116896, 3431612}:  0x1.38b54bf23b3d5p-04, // lupine
@@ -525,17 +536,23 @@ func GenBinary(seed int64, n int) []byte {
 }
 
 // Cached returns the artifacts for p, building them at most once per
-// process: callers that miss together wait for one Build. The key is p less
+// process: callers that miss together wait for one build. The key is p less
 // the fields only the guest model reads, so the fleet's per-image command
 // lines share one set of kernels, and presets that share a name but not a
 // seed, size or target do not.
 //
-// The kernels are interned, and each bzImage — the LZ4 one now, the gzip
-// one when it is built — remembers the vmlinux it compressed
-// (bzimage.Remember), so a guest booting it loads that vmlinux instead of
-// decoding the payload. That memo is sound only while no byte changes: the
-// artifacts are shared and must never be mutated. A caller that wants a
-// tampered kernel copies it.
+// The kernels leave measured, as a kernel hasher beside the build would
+// leave them: the vmlinux is hashed while it is compressed, the bzImage
+// after, and both are interned with their digest memos filled
+// (artifact.Buf.Digest), so no boot of this process hashes a kernel
+// Cached built. A build that fails its size check leaves its vmlinux
+// interned; Cached remembers the failure for the process anyway.
+//
+// Each bzImage — the LZ4 one now, the gzip one when it is built — also
+// remembers the vmlinux it compressed (bzimage.Remember), so a guest
+// booting it loads that vmlinux instead of decoding the payload. Those
+// memos are sound only while no byte changes: the artifacts are shared and
+// must never be mutated. A caller that wants a tampered kernel copies it.
 func Cached(p Preset) (*Artifacts, error) {
 	key := p
 	key.LinuxBootBase, key.Cmdline, key.Networking = 0, "", false
@@ -548,20 +565,23 @@ func Cached(p Preset) (*Artifacts, error) {
 	}
 	c.Unlock()
 	e.once.Do(func() {
-		if e.art, e.err = p.Build(); e.err == nil {
+		e.art, e.err = p.build(func(vm []byte) { artifact.Intern(vm).Digest() })
+		if e.err == nil {
 			e.art.gzip.cached = true
-			remember(e.art.BzImageLZ4, e.art.VMLinux)
+			remember(e.art.BzImageLZ4, e.art.VMLinux).Digest()
 		}
 	})
 	return e.art, e.err
 }
 
-// remember interns img, a bzImage built from vmlinux, and records vmlinux on
-// it. Only Cached's kernels are remembered: the intern table holds what it
-// interns for the life of the process, so a Build whose kernels are dropped
-// must not pin them there.
-func remember(img, vmlinux []byte) {
-	bzimage.Remember(artifact.Intern(img), artifact.Intern(vmlinux))
+// remember interns img, a bzImage built from vmlinux, records vmlinux on
+// it, and returns img's *artifact.Buf. Only Cached's kernels are
+// remembered: the intern table holds what it interns for the life of the
+// process, so a build whose kernels are dropped must not pin them there.
+func remember(img, vmlinux []byte) *artifact.Buf {
+	b := artifact.Intern(img)
+	bzimage.Remember(b, artifact.Intern(vmlinux))
+	return b
 }
 
 type cacheEntry struct {
@@ -597,7 +617,7 @@ type initrdEntry struct {
 // treat them as read-only.
 //
 // The lock covers only the lookup: the build, which for an unseen seed is
-// a calibration search (~0.5 s at 16 MiB), runs outside it, so a hit on one
+// a calibration search (~0.1 s at 16 MiB), runs outside it, so a hit on one
 // pair never waits behind another pair's build, and callers that miss one
 // pair together wait on one build. An entry replaced while it builds still
 // hands its bytes to the callers that found it.

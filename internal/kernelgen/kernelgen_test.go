@@ -18,7 +18,9 @@ import (
 	"github.com/severifast/severifast/internal/bzimage"
 	"github.com/severifast/severifast/internal/cpio"
 	"github.com/severifast/severifast/internal/elfx"
+	"github.com/severifast/severifast/internal/hostwork"
 	"github.com/severifast/severifast/internal/lz4"
+	"github.com/severifast/severifast/internal/telemetry"
 )
 
 // TestFig8Sizes is the Fig. 8 reproduction at the artifact level: each
@@ -105,10 +107,76 @@ func TestBzImageExtractsToSameVMLinux(t *testing.T) {
 	}
 }
 
-// TestBuildDoesNotRemember: a kernel Build hands out, which nothing caches,
+// hashedBytes is how many bytes the artifact layer has hashed in this
+// process.
+func hashedBytes() int64 {
+	_, counters := telemetry.DefaultHostRecorder.Snapshot()
+	return counters["artifact.digest.bytes_hashed"]
+}
+
+// TestCachedLeavesKernelsMeasured: right after Cached the vmlinux and the
+// LZ4 bzImage are interned with their digests memoized, so asking for
+// either hashes nothing and answers its SHA-256; a Corrupt drops the memo,
+// and the next Digest hashes the changed bytes.
+func TestCachedLeavesKernelsMeasured(t *testing.T) {
+	art, err := Cached(smallPreset("measured", freshSeed()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{"vmlinux": art.VMLinux, "bzImage": art.BzImageLZ4} {
+		buf := artifact.Lookup(b)
+		if buf == nil {
+			t.Fatalf("%s: Cached did not intern it", name)
+		}
+		before := hashedBytes()
+		if buf.Digest() != sha256.Sum256(b) {
+			t.Fatalf("%s: the memoized digest is not its SHA-256", name)
+		}
+		if n := hashedBytes() - before; n != 0 {
+			t.Fatalf("%s: the first Digest after Cached hashed %d bytes, want a memo hit", name, n)
+		}
+	}
+	buf := artifact.Lookup(art.BzImageLZ4)
+	buf.Corrupt(buf.Len()/2, 0x10)
+	before := hashedBytes()
+	if buf.Digest() != sha256.Sum256(art.BzImageLZ4) {
+		t.Fatal("the digest after Corrupt is not the changed bytes' SHA-256")
+	}
+	if n := hashedBytes() - before; n != int64(buf.Len()) {
+		t.Fatalf("the first Digest after Corrupt hashed %d bytes, want the image's %d", n, buf.Len())
+	}
+}
+
+// TestPresetsSplitAsOnePass: each preset's vmlinux compresses to the same
+// block and count at pool width 2, where the compressor parses it in two
+// halves, as at width 1, where it parses it in one pass.
+func TestPresetsSplitAsOnePass(t *testing.T) {
+	if raceDetector {
+		t.Skip("four parses of 127 MiB take minutes under the race detector")
+	}
+	prev := hostwork.SetWorkers(1)
+	defer hostwork.SetWorkers(prev)
+	for _, p := range Presets() {
+		art, err := Cached(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostwork.SetWorkers(1)
+		block, n := lz4.CompressBlock(art.VMLinux), lz4.CompressedLen(art.VMLinux)
+		hostwork.SetWorkers(2)
+		if !bytes.Equal(lz4.CompressBlock(art.VMLinux), block) {
+			t.Errorf("%s: the block at width 2 differs from the one at width 1", p.Name)
+		}
+		if got := lz4.CompressedLen(art.VMLinux); got != n {
+			t.Errorf("%s: CompressedLen %d at width 2, %d at width 1", p.Name, got, n)
+		}
+	}
+}
+
+// TestBuildDoesNotRemember: a kernel build hands out, which nothing caches,
 // is not interned, so it is not pinned for the life of the process.
 func TestBuildDoesNotRemember(t *testing.T) {
-	art, err := smallPreset("unremembered", freshSeed()).Build()
+	art, err := smallPreset("unremembered", freshSeed()).build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +186,7 @@ func TestBuildDoesNotRemember(t *testing.T) {
 	}
 	for _, b := range [][]byte{art.VMLinux, art.BzImageLZ4, gz} {
 		if artifact.Lookup(b) != nil {
-			t.Fatal("Build interned a kernel")
+			t.Fatal("build interned a kernel")
 		}
 	}
 }
@@ -144,11 +212,11 @@ func TestGzipBiggerThanLZ4ButSmallerThanRaw(t *testing.T) {
 }
 
 func TestDeterministicArtifacts(t *testing.T) {
-	a, err := Lupine().Build()
+	a, err := Lupine().build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Lupine().Build()
+	b, err := Lupine().build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +427,7 @@ func TestTableAnswersWithoutSearching(t *testing.T) {
 	}
 	// Cached may have been warm already; a build of its own may not search
 	// either.
-	if _, err := Lupine().Build(); err != nil {
+	if _, err := Lupine().build(nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := calibSearches.Load() - before; n != 0 {
@@ -583,7 +651,7 @@ func TestCachedIsSingleFlight(t *testing.T) {
 // of the artifacts with another vmlinux is not handed the original's.
 func TestBzImageGzipIsLazyAndRight(t *testing.T) {
 	p := smallPreset("gzip", 5)
-	art, err := p.Build()
+	art, err := p.build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

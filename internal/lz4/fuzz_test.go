@@ -92,3 +92,37 @@ func FuzzCompressBlock(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompressSplit tiles its input past two split leads and holds the
+// split driver, below the length compressBlock splits at, to the one-pass
+// parse and to the byte-at-a-time reference, in bytes and in count.
+func FuzzCompressSplit(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte("hello hello hello hello"))
+	f.Add(blockMix(5000, 0.18))
+	f.Add(blockMix(70000, 0.5))
+	f.Fuzz(func(t *testing.T, seed []byte) {
+		if len(seed) == 0 || len(seed) > 1<<20 {
+			return
+		}
+		src := bytes.Repeat(seed, (2*splitLead+len(seed))/len(seed)+1)
+		if len(src) > 4*splitLead {
+			src = src[:4*splitLead]
+		}
+		// Invert a byte in each fifth after the first tile, so that not
+		// every match is at the tiling's period.
+		for i := len(seed); i < len(src); i += len(src) / 5 {
+			src[i] ^= 0xFF
+		}
+		block, n := onePass(src)
+		if ref := compressBlockReference(src); !bytes.Equal(block, ref) || n != len(ref) {
+			t.Fatal("the one-pass parse differs from the reference")
+		}
+		if got, _ := compressSplit(nil, src, true); !bytes.Equal(got, block) {
+			t.Fatalf("split block is %d bytes, one pass %d, or same length and different bytes", len(got), len(block))
+		}
+		if _, got := compressSplit(nil, src, false); got != n {
+			t.Fatalf("split count %d, one pass %d", got, n)
+		}
+	})
+}

@@ -8,6 +8,13 @@
 // internal/kernelgen are tuned against this compressor to reproduce the
 // paper's Fig. 8 bzImage sizes.
 //
+// An input of 1 MiB or more is parsed by two workers of internal/hostwork
+// when the pool has two: one from the start, one from a little before the
+// midpoint with a fresh table. The first hands over to the second at a
+// match end after which the two parses provably agree (compressSplit says
+// why), so the block and CompressedLen are byte for byte the one-pass
+// parse's at every pool width.
+//
 // Only the Go standard library is used.
 package lz4
 
@@ -17,6 +24,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+
+	"github.com/severifast/severifast/internal/hostwork"
 )
 
 const (
@@ -74,30 +83,49 @@ type matchTable [1 << hashLog]uint64
 
 func entry(pos int, word uint32) uint64 { return uint64(pos+1)<<32 | uint64(word) }
 
-// tables lends compressBlock its match table, 512 KiB that would otherwise
-// be allocated per call. A table is cleared on every take, so it carries
+// tables lends parse its match table, 512 KiB that would otherwise be
+// allocated per call. A table is cleared on every take, so it carries
 // nothing from one call to the next.
 var tables = sync.Pool{New: func() any { return new(matchTable) }}
 
-// compressBlock is the one match finder, with two sinks: it adds each
-// sequence's length to n, the block's length, and with emit it also appends
-// the sequence to dst; without, dst is left alone. The flag is tested once
-// per sequence, not per byte.
-func compressBlock(dst, src []byte, emit bool) (_ []byte, n int) {
-	if len(src) < mfLimit+1 {
+// compressBlock is CompressBlockAppend (emit) or CompressedLen (not): an
+// input from splitMin up to splitMax bytes is parsed in two halves when
+// the host-work pool has two workers, any other in one pass.
+func compressBlock(dst, src []byte, emit bool) ([]byte, int) {
+	if len(src) >= splitMin && len(src) < splitMax && hostwork.Workers() >= 2 {
+		return compressSplit(dst, src, emit)
+	}
+	dst, n, _ := parse(dst, src, 0, emit, nil)
+	return dst, n
+}
+
+// observer is told each sequence parse finds: the position findMatch
+// stopped at, where the match ends, and the block's length and dst's
+// after it. Returning true stops the parse at that match end.
+type observer func(found, end, n, off int) bool
+
+// parse is the one match finder. It parses src[start:] with a fresh table,
+// as a block that begins at start, and has two sinks: it adds each
+// sequence's length to n, the block's length, and with emit it also
+// appends the sequence to dst; without, dst is left alone. The flag is
+// tested once per sequence, not per byte. observe, if not nil, sees every
+// sequence; parse returns at the match end it stops at, with no final
+// literals, or at len(src) with them.
+func parse(dst, src []byte, start int, emit bool, observe observer) (_ []byte, n, stop int) {
+	if len(src)-start < mfLimit+1 {
 		// Too short for a match: one literals-only sequence (an empty
 		// block is a single empty-literal token).
 		if emit {
-			dst = appendLiterals(dst, src)
+			dst = appendLiterals(dst, src[start:])
 		}
-		return dst, literalsLen(len(src))
+		return dst, literalsLen(len(src) - start), len(src)
 	}
 
 	table := tables.Get().(*matchTable)
 	clear(table[:])
 
-	anchor := 0
-	s := 0
+	anchor := start
+	s := start
 	limit := len(src) - mfLimit
 	matchLimit := len(src) - lastLiterals
 
@@ -106,6 +134,7 @@ func compressBlock(dst, src []byte, emit bool) (_ []byte, n int) {
 		if s, ref = findMatch(table, src, s, limit); s >= limit {
 			break
 		}
+		found := s
 
 		// Extend the match backwards over bytes we already emitted as
 		// pending literals.
@@ -130,13 +159,17 @@ func compressBlock(dst, src []byte, emit bool) (_ []byte, n int) {
 			w := load32(src, s-2)
 			table[hash4(w)] = entry(s-2, w)
 		}
+		if observe != nil && observe(found, s, n, len(dst)) {
+			tables.Put(table)
+			return dst, n, s
+		}
 	}
 	tables.Put(table)
 
 	if emit {
 		dst = appendLiterals(dst, src[anchor:])
 	}
-	return dst, n + literalsLen(len(src)-anchor)
+	return dst, n + literalsLen(len(src)-anchor), len(src)
 }
 
 // findMatch scans src from s for the first position before limit whose
