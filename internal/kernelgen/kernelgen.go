@@ -176,17 +176,18 @@ func sameSlice(a, b []byte) bool {
 }
 
 // build generates the vmlinux and the LZ4 bzImage for the preset and
-// checks the bzImage's size. alongside, if not nil, runs on the vmlinux
-// while it is compressed.
-func (p Preset) build(alongside func(vmlinux []byte)) (*Artifacts, error) {
+// checks the bzImage's size. With measure, it also interns the vmlinux and
+// hashes it on a second worker while the bzImage is compressed; only
+// Cached asks, as the intern table pins what it holds.
+func (p Preset) build(measure bool) (*Artifacts, error) {
 	vm, entry := p.buildVMLinux()
 	var lz []byte
 	var err error
 	hostwork.Do(2, func(i int) {
 		if i == 0 {
 			lz, err = bzimage.Build(vm, bzimage.CodecLZ4, p.Seed)
-		} else if alongside != nil {
-			alongside(vm)
+		} else if measure {
+			artifact.Intern(vm).Digest()
 		}
 	})
 	if err != nil {
@@ -565,7 +566,7 @@ func Cached(p Preset) (*Artifacts, error) {
 	}
 	c.Unlock()
 	e.once.Do(func() {
-		e.art, e.err = p.build(func(vm []byte) { artifact.Intern(vm).Digest() })
+		e.art, e.err = p.build(true)
 		if e.err == nil {
 			e.art.gzip.cached = true
 			remember(e.art.BzImageLZ4, e.art.VMLinux).Digest()

@@ -176,7 +176,7 @@ func TestPresetsSplitAsOnePass(t *testing.T) {
 // TestBuildDoesNotRemember: a kernel build hands out, which nothing caches,
 // is not interned, so it is not pinned for the life of the process.
 func TestBuildDoesNotRemember(t *testing.T) {
-	art, err := smallPreset("unremembered", freshSeed()).build(nil)
+	art, err := smallPreset("unremembered", freshSeed()).build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +212,11 @@ func TestGzipBiggerThanLZ4ButSmallerThanRaw(t *testing.T) {
 }
 
 func TestDeterministicArtifacts(t *testing.T) {
-	a, err := Lupine().build(nil)
+	a, err := Lupine().build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Lupine().build(nil)
+	b, err := Lupine().build(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestTableAnswersWithoutSearching(t *testing.T) {
 	}
 	// Cached may have been warm already; a build of its own may not search
 	// either.
-	if _, err := Lupine().build(nil); err != nil {
+	if _, err := Lupine().build(false); err != nil {
 		t.Fatal(err)
 	}
 	if n := calibSearches.Load() - before; n != 0 {
@@ -651,7 +651,7 @@ func TestCachedIsSingleFlight(t *testing.T) {
 // of the artifacts with another vmlinux is not handed the original's.
 func TestBzImageGzipIsLazyAndRight(t *testing.T) {
 	p := smallPreset("gzip", 5)
-	art, err := p.build(nil)
+	art, err := p.build(false)
 	if err != nil {
 		t.Fatal(err)
 	}

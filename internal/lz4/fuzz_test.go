@@ -118,10 +118,10 @@ func FuzzCompressSplit(f *testing.F) {
 		if ref := compressBlockReference(src); !bytes.Equal(block, ref) || n != len(ref) {
 			t.Fatal("the one-pass parse differs from the reference")
 		}
-		if got, _ := compressSplit(nil, src, true); !bytes.Equal(got, block) {
+		if got, _, _ := compressSplit(nil, src, true); !bytes.Equal(got, block) {
 			t.Fatalf("split block is %d bytes, one pass %d, or same length and different bytes", len(got), len(block))
 		}
-		if _, got := compressSplit(nil, src, false); got != n {
+		if _, got, _ := compressSplit(nil, src, false); got != n {
 			t.Fatalf("split count %d, one pass %d", got, n)
 		}
 	})

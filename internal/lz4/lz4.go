@@ -93,7 +93,8 @@ var tables = sync.Pool{New: func() any { return new(matchTable) }}
 // the host-work pool has two workers, any other in one pass.
 func compressBlock(dst, src []byte, emit bool) ([]byte, int) {
 	if len(src) >= splitMin && len(src) < splitMax && hostwork.Workers() >= 2 {
-		return compressSplit(dst, src, emit)
+		dst, n, _ := compressSplit(dst, src, emit)
+		return dst, n
 	}
 	dst, n, _ := parse(dst, src, 0, emit, nil)
 	return dst, n

@@ -32,7 +32,8 @@ const (
 
 // compressSplit is parse over all of src, emitting or counting as emit
 // says, done by two workers of the host-work pool. Its block and count are
-// exactly the one-pass parse's.
+// exactly the one-pass parse's; joined reports whether A took over B's
+// sequences or parsed on alone.
 //
 // Let x be the midpoint and y = x - splitLead. Half B parses from y with a
 // fresh table and records each sequence whose match it found before
@@ -56,10 +57,9 @@ const (
 // parses on alone and B returns at once when a worker picks it up. So one
 // worker, or a pool whose workers are all busy, gets the one-pass parse,
 // and never a deadlock.
-func compressSplit(dst, src []byte, emit bool) ([]byte, int) {
+func compressSplit(dst, src []byte, emit bool) (_ []byte, n int, joined bool) {
 	x := len(src) / 2
 	j := &join{x: x, y: max(x-splitLead, 0), until: min(x+syncWindow, len(src)), done: make(chan struct{})}
-	var n int
 	room := cap(dst) - len(dst)
 	hostwork.Do(2, func(i int) {
 		if i == 1 {
@@ -71,17 +71,13 @@ func compressSplit(dst, src []byte, emit bool) ([]byte, int) {
 			b := j.b[j.k]
 			dst = append(dst, j.bDst[b.off:]...)
 			n += j.bN - int(b.n)
-			splitJoins.Add(1)
+			joined = true
 			return
 		}
 		j.state.CompareAndSwap(bIdle, bAlone)
 	})
-	return dst, n
+	return dst, n, joined
 }
-
-// splitJoins counts the compressSplit calls whose halves joined, for the
-// tests that require the split to happen.
-var splitJoins atomic.Int64
 
 // B's states. B moves itself from bIdle to bRunning when it starts; A moves
 // it from bIdle to bAlone when it gets to x first, or finishes first.

@@ -21,10 +21,10 @@ func onePass(src []byte) ([]byte, int) {
 // are the serial parse's, block and n.
 func splitsAsOnePass(t *testing.T, what string, src, block []byte, n int) {
 	t.Helper()
-	if got, _ := compressSplit(nil, src, true); !bytes.Equal(got, block) {
+	if got, _, _ := compressSplit(nil, src, true); !bytes.Equal(got, block) {
 		t.Fatalf("%s (%d bytes): split block is %d bytes, one pass %d, or same length and different bytes", what, len(src), len(got), len(block))
 	}
-	if _, got := compressSplit(nil, src, false); got != n {
+	if _, got, _ := compressSplit(nil, src, false); got != n {
 		t.Fatalf("%s (%d bytes): split count %d, one pass %d", what, len(src), got, n)
 	}
 }
@@ -58,7 +58,8 @@ func splitInputs(n int) map[string][]byte {
 // 2 and inside a Do that holds every worker the pool has. On a
 // kernel-like mix at width 2 the halves must join in one of twenty splits:
 // a join needs B running when A reaches the midpoint, which a loaded
-// machine may deny a few times, but not twenty.
+// machine may deny a few times, but not twenty. With one P, A reaches the
+// midpoint before the scheduler ever runs B, so there it need not join.
 func TestSplitMatchesOnePass(t *testing.T) {
 	n := 2<<20 + 123
 	if raceDetector {
@@ -88,8 +89,8 @@ func TestSplitMatchesOnePass(t *testing.T) {
 				<-finished
 				return
 			}
-			heldBlock, _ = compressSplit(nil, src, true)
-			_, heldCount = compressSplit(nil, src, false)
+			heldBlock, _, _ = compressSplit(nil, src, true)
+			_, heldCount, _ = compressSplit(nil, src, false)
 			close(finished)
 		})
 		hostwork.SetWorkers(prev)
@@ -98,15 +99,19 @@ func TestSplitMatchesOnePass(t *testing.T) {
 		}
 	}
 
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Log("GOMAXPROCS 1: not requiring the halves to join")
+		return
+	}
 	prev := hostwork.SetWorkers(2)
 	defer hostwork.SetWorkers(prev)
-	before := splitJoins.Load()
-	for try := 0; try < 20 && splitJoins.Load() == before; try++ {
-		compressSplit(nil, blockMix(n, 0.18), false)
+	src := blockMix(n, 0.18)
+	for try := 0; try < 20; try++ {
+		if _, _, joined := compressSplit(nil, src, false); joined {
+			return
+		}
 	}
-	if splitJoins.Load() == before {
-		t.Fatal("twenty splits of a kernel-like mix at width 2 never joined their halves")
-	}
+	t.Fatal("twenty splits of a kernel-like mix at width 2 never joined their halves")
 }
 
 // copiedBlocks is n bytes in blocks of one size from 16 bytes to 8 KiB,
@@ -149,19 +154,20 @@ func TestSplitJoinsOnlyEqualPairs(t *testing.T) {
 	}
 }
 
-// TestWidthOneIsOnePass: at width 1 compressBlock never splits, so the
-// halves never join, however long the input.
+// TestWidthOneIsOnePass: at width 1 the compressor gives the one-pass
+// parse, and a split run there never joins its halves: A parses alone.
 func TestWidthOneIsOnePass(t *testing.T) {
 	prev := hostwork.SetWorkers(1)
 	defer hostwork.SetWorkers(prev)
 	src := blockMix(splitMin+1, 0.18)
-	before := splitJoins.Load()
 	block, n := onePass(src)
 	if !bytes.Equal(CompressBlock(src), block) || CompressedLen(src) != n {
 		t.Fatal("width 1 differs from the one-pass parse")
 	}
-	if splitJoins.Load() != before {
-		t.Fatal("width 1 split its input")
+	for _, emit := range []bool{true, false} {
+		if _, _, joined := compressSplit(nil, src, emit); joined {
+			t.Fatal("width 1 joined the halves of a split")
+		}
 	}
 }
 
@@ -185,7 +191,7 @@ func BenchmarkSplitCompressBlock(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKiB/split", n>>10), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				out, _ := compressSplit(dst[:0], src, true)
+				out, _, _ := compressSplit(dst[:0], src, true)
 				sinkLen = len(out)
 			}
 		})
@@ -206,7 +212,7 @@ func BenchmarkSplitCompressedLen(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKiB/split", n>>10), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				_, sinkLen = compressSplit(nil, src, false)
+				_, sinkLen, _ = compressSplit(nil, src, false)
 			}
 		})
 	}
