@@ -730,7 +730,7 @@ func (c *Cluster) maybePublishWarm(p *sim.Proc, s *HostShard, img *Image) {
 		return
 	}
 	// Commit the publication before charging the seal pass: the Sleep
-	// below yields the engine, and a second boot concluding meanwhile
+	// below may yield the engine, and a second boot concluding meanwhile
 	// must see published set or it would seal and publish again.
 	img.sealedKey = artifact.BlobKey(seal)
 	img.sealedSize = snapshot.SealedLen(fork.Src.NumPages())

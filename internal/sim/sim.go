@@ -10,8 +10,9 @@
 // Model code is written as straight-line process functions (see Engine.Go)
 // that sleep on the virtual clock and queue on shared resources. Exactly one
 // process runs at a time; the engine and the running process hand control
-// back and forth as coroutines (see handoff), so there is no data race
-// between processes even though they share model state.
+// back and forth as coroutines (see handoff), unless the process's own
+// wake-up is next (see Proc.Sleep), so there is no data race between
+// processes even though they share model state.
 package sim
 
 import (
@@ -244,11 +245,31 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 
 // Sleep advances the process by d of virtual time. Negative durations are
 // treated as zero.
+//
+// A sleeper whose wake-up would be the next event dispatched keeps
+// running. Parking queues its wake-up at (at, seq+1); that event pops next
+// exactly when no queued event is due at or before at — an event already
+// queued for at has a lower seq and runs first, so the test is strict. Run
+// would then pop it at once, move the clock forward to at (never back: a
+// huge d wraps at below now, and the clock stays) and step the process
+// again, with nothing run in between. Sleep does the same without the
+// switch: it takes the seq number the event would have taken, so every
+// later (time, seq) key, and with it the dispatch order, is the one the
+// parked path gives.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.stepAt(p.eng.now.Add(d), p)
+	e := p.eng
+	at := e.now.Add(d)
+	if len(e.events) == 0 || e.events[0].at > at {
+		e.seq++
+		if at > e.now {
+			e.now = at
+		}
+		return
+	}
+	e.stepAt(at, p)
 	p.park()
 }
 

@@ -434,20 +434,49 @@ func TestProcessBlocksOnHostGoroutine(t *testing.T) {
 }
 
 // Sleep, Wake and Signal.Fire schedule the process itself, not a closure
-// over it: one allocation (the event) per step.
+// over it, and the heap holds events by value: once the queue has grown,
+// a step allocates nothing. Two sleepers due at the same instants park
+// at every Sleep; a lone sleeper's wake-up is always next, so it never
+// queues one. Either way, what a run allocates is the engine and its
+// processes, a constant.
 func TestStepAllocatesOnlyItsEvent(t *testing.T) {
 	const sleeps = 1000
-	perRun := testing.AllocsPerRun(5, func() {
-		e := NewEngine()
-		e.Go("sleeper", func(p *Proc) {
-			for i := 0; i < sleeps; i++ {
-				p.Sleep(time.Microsecond)
+	for _, tc := range []struct {
+		name  string
+		procs int
+	}{{"tied", 2}, {"lone", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			parked, queued := 0, 0
+			perRun := testing.AllocsPerRun(5, func() {
+				e := NewEngine()
+				for i := 0; i < tc.procs; i++ {
+					e.Go("sleeper", func(p *Proc) {
+						for j := 0; j < sleeps; j++ {
+							if len(e.events) > 0 {
+								queued++
+								if e.events[0].at <= e.now.Add(time.Microsecond) {
+									parked++
+								}
+							}
+							p.Sleep(time.Microsecond)
+						}
+					})
+				}
+				e.Run()
+			})
+			all := 6 * tc.procs * sleeps // AllocsPerRun runs once more to warm up
+			switch {
+			case tc.procs == 1 && queued > 0:
+				t.Fatalf("a lone sleeper found %d events queued, want none", queued)
+			case tc.procs > 1 && parked != all:
+				t.Fatalf("%d of %d tied sleeps parked, want all", parked, all)
+			}
+			perSleep := perRun / float64(tc.procs*sleeps)
+			t.Logf("%.0f allocations per run, %.3f per Sleep", perRun, perSleep)
+			if perSleep >= 0.05 {
+				t.Fatalf("%.3f allocations per Sleep, want none beyond the run's own", perSleep)
 			}
 		})
-		e.Run()
-	})
-	if perSleep := perRun / sleeps; perSleep > 1.1 {
-		t.Fatalf("%.2f allocations per Sleep, want 1", perSleep)
 	}
 }
 
