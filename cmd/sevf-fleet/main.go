@@ -7,7 +7,7 @@
 //	sevf-fleet -queue 8 -mean 1ms                # overload with backpressure
 //	sevf-fleet -fault-rate 0.2 -retries 3        # transient PSP faults
 //	sevf-fleet -kbs                              # attestation-gated boots, in-process broker
-//	sevf-fleet -kbs-url http://127.0.0.1:8443    # redeem against sevf-attestd -kbs
+//	sevf-fleet -kbs-url http://127.0.0.1:8443    # redeem against sevf-attestd
 //	sevf-fleet -kbs -fault-site forged -fault-rate 0.2   # tampered evidence, denied + retried
 package main
 
@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		width     = fs.Int("width", 60, "CDF chart width (0 disables charts)")
 
 		useKBS    = fs.Bool("kbs", false, "gate every boot behind an in-process key broker")
-		kbsURL    = fs.String("kbs-url", "", "remote key-broker base URL (sevf-attestd -kbs); implies gating")
+		kbsURL    = fs.String("kbs-url", "", "remote key-broker base URL (sevf-attestd); implies gating")
 		authSeed  = fs.Int64("auth-seed", 1, "key-authority seed; must match the broker's")
 		chipID    = fs.String("chip", "chip-0", "platform chip ID enrolled under the authority")
 		tcbStr    = fs.String("tcb", "2.1.8.115", "platform TCB (bootloader.tee.snp.microcode)")

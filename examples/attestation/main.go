@@ -1,9 +1,9 @@
 // Remote attestation end to end, over a real TCP socket: a guest owner
-// runs the attestation service (the paper's nginx stand-in), a host boots
-// an SEV-SNP guest with SEVeriFast, and the guest trades its signed PSP
-// report for the owner's secret. A second boot with a patched boot
+// runs a key broker (the paper's nginx stand-in), a host boots an SEV-SNP
+// guest with SEVeriFast, and the guest trades a signed PSP report and its
+// host's chain for the owner's secret. A second boot with a patched boot
 // verifier shows the owner refusing a launch whose measurement differs
-// (paper §2.6).
+// (paper §2.6), with the reason "measurement".
 //
 //	go run ./examples/attestation
 package main
@@ -23,8 +23,8 @@ func main() {
 		Scheme: severifast.SchemeSEVeriFast,
 	}
 
-	// Guest owner: computes the expected launch digest with the digest
-	// tool (§4.2) and serves POST /attest.
+	// Guest owner: allows the launch digest the digest tool (§4.2)
+	// computes, and serves the broker's challenge and redeem endpoints.
 	secret := []byte("luks-volume-key-5f2e")
 	owner := severifast.NewGuestOwner(host, secret)
 	if err := owner.AllowConfig(cfg); err != nil {

@@ -140,8 +140,6 @@ var fieldExemptions = map[string]string{
 	"expt.Options.Presets":           "tests shrink the sweep to one kernel",
 	"expt.Options.InitrdSize":        "tests shrink the sweep's initrd",
 	"expt.Options.ConcurrencyPoints": "tests shrink Fig. 12's sweep",
-	"kbs.Config.MinLevel":            "safety check on attestation input",
-	"kbs.Config.MinPolicy":           "safety check on attestation input",
 	"pagetable.Config.CBit":          "the hardware's C-bit position; tests build tables for another",
 }
 

@@ -1,12 +1,15 @@
-// Package attest implements remote attestation for SEV guests (paper
-// §2.4, Fig. 1 steps 5-8): the guest-side agent that requests a signed
-// report from the PSP and the guest-owner service that validates it and
-// releases secrets over a channel bound to the report.
+// Package attest is the guest side of remote attestation (paper §2.4,
+// Fig. 1 steps 5-8) and the simulated one-shot exchange an attested boot
+// runs: the agent that asks the PSP for a signed report binding its
+// ephemeral key, and the in-process guest owner that checks the report
+// and releases a secret over a channel bound to it. The relying party a
+// guest reaches over the network is the key broker, internal/kbs.
 //
 // All cryptography is real: the report signature is ECDSA P-384 verified
 // against the platform key, the channel is X25519 ECDH, and the secret is
 // wrapped with AES-256-GCM under the derived key. A report with the wrong
-// measurement, policy, level, signature, or key binding releases nothing.
+// measurement, policy, level, signature, or key binding releases nothing,
+// and every refusal is a *kbs.Denial with the reason the broker gives.
 package attest
 
 import (
@@ -24,22 +27,6 @@ import (
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
-)
-
-// ErrDenied matches every attestation refusal: errors.Is(err, ErrDenied)
-// is true whenever the owner rejected the evidence, regardless of which
-// specific check failed.
-var ErrDenied = errors.New("attest: denied")
-
-// Errors distinguish why attestation failed; tests assert the category.
-// Each wraps ErrDenied, so errors.Is works against both the specific
-// sentinel and the umbrella.
-var (
-	ErrSignature   = fmt.Errorf("%w: report signature invalid", ErrDenied)
-	ErrMeasurement = fmt.Errorf("%w: launch digest not in the allow list", ErrDenied)
-	ErrPolicy      = fmt.Errorf("%w: guest policy weaker than required", ErrDenied)
-	ErrLevel       = fmt.Errorf("%w: SEV level below required", ErrDenied)
-	ErrBinding     = fmt.Errorf("%w: report data does not bind the guest key", ErrDenied)
 )
 
 // Agent is the guest-side attestation agent, shipped in the initrd. Its
@@ -64,9 +51,12 @@ func (a *Agent) PublicKey() []byte { return a.priv.PublicKey().Bytes() }
 
 // ReportData binds the agent's public key into the attestation report:
 // SHA-256 of the key in the first half of the 64-byte field.
-func (a *Agent) ReportData() [64]byte {
+func (a *Agent) ReportData() [64]byte { return keyData(a.PublicKey()) }
+
+// keyData is the report data binding guestPub in the one-shot exchange.
+func keyData(guestPub []byte) [64]byte {
 	var rd [64]byte
-	sum := sha256.Sum256(a.PublicKey())
+	sum := sha256.Sum256(guestPub)
 	copy(rd[:32], sum[:])
 	return rd
 }
@@ -76,76 +66,6 @@ func (a *Agent) ReportData() [64]byte {
 // the guest side of both exchanges.
 func (a *Agent) Unwrap(b *kbs.Bundle) ([]byte, error) {
 	return kbs.UnwrapSecret(a.priv, b)
-}
-
-// Owner is the guest owner's validation service: it knows the platform
-// verification key, the expected launch digests (from the §4.2 digest
-// tool), and the minimum acceptable policy/level.
-type Owner struct {
-	platformKey *ecdsa.PublicKey
-	allowed     map[[32]byte]bool
-	minPolicy   sev.Policy
-	minLevel    sev.Level
-	secret      []byte
-	rng         io.Reader
-}
-
-// NewOwner builds an owner releasing secret to guests whose measurement is
-// later allowed via Allow. rng drives ephemeral key generation (seeded in
-// simulation).
-func NewOwner(platformKey *ecdsa.PublicKey, secret []byte, rng io.Reader) *Owner {
-	return &Owner{
-		platformKey: platformKey,
-		allowed:     make(map[[32]byte]bool),
-		minPolicy:   sev.DefaultPolicy(),
-		minLevel:    sev.SNP,
-		secret:      append([]byte(nil), secret...),
-		rng:         rng,
-	}
-}
-
-// Allow whitelists an expected launch digest.
-func (o *Owner) Allow(digest [32]byte) { o.allowed[digest] = true }
-
-// RequirePolicy sets the minimum policy bits (default DefaultPolicy).
-func (o *Owner) RequirePolicy(p sev.Policy) { o.minPolicy = p }
-
-// HandleReport validates a marshaled report plus the guest's public key
-// and, on success, returns the wrapped secret.
-func (o *Owner) HandleReport(reportBytes, guestPub []byte) (*kbs.Bundle, error) {
-	// Both inputs are host-relayed; reject wrong-size keys before any
-	// crypto so a garbage key cannot reach ECDH with a confusing error.
-	if len(guestPub) != 32 {
-		return nil, fmt.Errorf("%w: guest key is %d bytes, want 32", ErrBinding, len(guestPub))
-	}
-	r, err := psp.UnmarshalReport(reportBytes)
-	if err != nil {
-		return nil, err
-	}
-	if err := psp.VerifyReport(o.platformKey, r); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrSignature, err)
-	}
-	if !o.allowed[r.Measurement] {
-		return nil, fmt.Errorf("%w: %x", ErrMeasurement, r.Measurement[:8])
-	}
-	if r.Level < o.minLevel {
-		return nil, fmt.Errorf("%w: %v < %v", ErrLevel, r.Level, o.minLevel)
-	}
-	pol := sev.DecodePolicy(r.Policy)
-	if (o.minPolicy.NoDebug && !pol.NoDebug) ||
-		(o.minPolicy.NoKeySharing && !pol.NoKeySharing) ||
-		(o.minPolicy.ESRequired && !pol.ESRequired) {
-		return nil, fmt.Errorf("%w: got %+v", ErrPolicy, pol)
-	}
-	sum := sha256.Sum256(guestPub)
-	var want [64]byte
-	copy(want[:32], sum[:])
-	if r.ReportData != want {
-		return nil, ErrBinding
-	}
-
-	// Wrap the secret for the attested guest key, as the key broker does.
-	return kbs.WrapSecret(o.rng, guestPub, o.secret)
 }
 
 // ForLaunch is the in-process guest owner one attested boot of launch talks
@@ -163,23 +83,31 @@ func ForLaunch(platform *ecdsa.PublicKey, launch firecracker.Config, seed int64)
 	if err != nil {
 		return nil, err
 	}
-	secret := []byte("secret-" + launch.Preset.Name)
-	owner := NewOwner(platform, secret, rand.New(rand.NewSource(seed^0xA77)))
-	owner.Allow(digest)
+	minPolicy := sev.DefaultPolicy()
 	if policy := launch.Policy(); !policy.NoKeySharing {
-		owner.RequirePolicy(policy)
+		minPolicy = policy
 	}
-	return &inProcess{owner: owner, agentSeed: seed, wantSecret: secret}, nil
+	return &inProcess{
+		platform:  platform,
+		digest:    digest,
+		minPolicy: minPolicy,
+		secret:    []byte("secret-" + launch.Preset.Name),
+		rng:       rand.New(rand.NewSource(seed ^ 0xA77)),
+		agentSeed: seed,
+	}, nil
 }
 
 // inProcess runs the full attestation round trip inside the simulation,
 // charging virtual time: report generation on the shared PSP (which
 // contends under concurrency, Fig. 12) plus the network/validation span.
-// The unwrapped secret must equal wantSecret.
+// The guest must unwrap exactly the secret the owner released.
 type inProcess struct {
-	owner      *Owner
-	agentSeed  int64
-	wantSecret []byte
+	platform  *ecdsa.PublicKey
+	digest    [32]byte
+	minPolicy sev.Policy
+	secret    []byte
+	rng       io.Reader // the wrap's ephemeral keys and nonces
+	agentSeed int64
 }
 
 // Attest performs Fig. 1 steps 5-8 for machine m.
@@ -196,7 +124,7 @@ func (ip *inProcess) Attest(proc *sim.Proc, m *kvm.Machine) error {
 	}
 	// Network round trip + server-side validation.
 	proc.Sleep(m.Host.Model.AttestNetwork)
-	bundle, err := ip.owner.HandleReport(report.Marshal(), agent.PublicKey())
+	bundle, err := ip.release(report.Marshal(), agent.PublicKey())
 	if err != nil {
 		return err
 	}
@@ -204,8 +132,42 @@ func (ip *inProcess) Attest(proc *sim.Proc, m *kvm.Machine) error {
 	if err != nil {
 		return err
 	}
-	if string(secret) != string(ip.wantSecret) {
+	if string(secret) != string(ip.secret) {
 		return errors.New("attest: unwrapped secret mismatch")
 	}
 	return nil
+}
+
+// release is the owner's side of the exchange: it checks a marshaled
+// report and the guest key it claims to bind, and wraps the secret for
+// that key. Each refusal carries the reason kbs.Broker gives the same
+// evidence, and the level and policy floors are the broker's own check.
+func (ip *inProcess) release(reportBytes, guestPub []byte) (*kbs.Bundle, error) {
+	// Both inputs are host-relayed; a wrong-size key is refused before
+	// any crypto, as the broker refuses it.
+	if len(guestPub) != 32 {
+		return nil, refuse(kbs.ReasonMalformed, nil, "guest key is %d bytes, want 32", len(guestPub))
+	}
+	r, err := psp.UnmarshalReport(reportBytes)
+	if err != nil {
+		return nil, refuse(kbs.ReasonMalformed, err, "report: %v", err)
+	}
+	if err := psp.VerifyReport(ip.platform, r); err != nil {
+		return nil, refuse(kbs.ReasonForged, err, "%v", err)
+	}
+	if r.Measurement != ip.digest {
+		return nil, refuse(kbs.ReasonMeasurement, nil, "launch digest %x not allowed", r.Measurement[:8])
+	}
+	if err := kbs.CheckFloors(r, sev.SNP, ip.minPolicy); err != nil {
+		return nil, err
+	}
+	if r.ReportData != keyData(guestPub) {
+		return nil, refuse(kbs.ReasonBinding, nil, "report data does not bind the guest key")
+	}
+	return kbs.WrapSecret(ip.rng, guestPub, ip.secret)
+}
+
+// refuse builds the denial release returns.
+func refuse(r kbs.Reason, cause error, format string, args ...any) error {
+	return &kbs.Denial{Reason: r, Detail: fmt.Sprintf(format, args...), Cause: cause}
 }

@@ -1,10 +1,8 @@
 package attest
 
 import (
-	"errors"
-	"fmt"
+	"crypto/ecdsa"
 	"math/rand"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/severifast/severifast/internal/costmodel"
@@ -39,18 +37,38 @@ func launchGuest(t *testing.T, seed int64, level sev.Level, policy sev.Policy) (
 	return p, ctx, digest
 }
 
+// owner is the in-process owner ForLaunch builds, trusting platform,
+// allowing only digest at the default policy floor, and wrapping secret
+// from a stream seeded 7.
+func owner(platform *ecdsa.PublicKey, digest [32]byte, secret []byte) *inProcess {
+	return &inProcess{
+		platform:  platform,
+		digest:    digest,
+		minPolicy: sev.DefaultPolicy(),
+		secret:    secret,
+		rng:       rand.New(rand.NewSource(7)),
+	}
+}
+
+// wantDenial fails t unless err is a denial for reason r.
+func wantDenial(t *testing.T, err error, r kbs.Reason) {
+	t.Helper()
+	if kbs.ReasonOf(err) != r {
+		t.Fatalf("err = %v, want a %s denial", err, r)
+	}
+}
+
 func TestHappyPathReleasesSecret(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	secret := []byte("disk encryption key 0123456789ab")
-	owner := NewOwner(platform.VerificationKey(), secret, rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, secret)
 
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := owner.HandleReport(report.Marshal(), agent.PublicKey())
+	bundle, err := o.release(report.Marshal(), agent.PublicKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +83,19 @@ func TestHappyPathReleasesSecret(t *testing.T) {
 
 func TestUnknownMeasurementRefused(t *testing.T) {
 	platform, ctx, _ := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	// Nothing allowed.
+	o := owner(platform.VerificationKey(), [32]byte{}, []byte("s")) // its digest is not allowed
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.HandleReport(report.Marshal(), agent.PublicKey()); !errors.Is(err, ErrMeasurement) {
-		t.Fatalf("err = %v, want ErrMeasurement", err)
-	}
+	_, err = o.release(report.Marshal(), agent.PublicKey())
+	wantDenial(t, err, kbs.ReasonMeasurement)
 }
 
 func TestForgedSignatureRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
@@ -88,87 +103,75 @@ func TestForgedSignatureRefused(t *testing.T) {
 	}
 	raw := report.Marshal()
 	raw[len(raw)-1] ^= 0xFF // corrupt the signature
-	if _, err := owner.HandleReport(raw, agent.PublicKey()); !errors.Is(err, ErrSignature) {
-		t.Fatalf("err = %v, want ErrSignature", err)
-	}
+	_, err = o.release(raw, agent.PublicKey())
+	wantDenial(t, err, kbs.ReasonForged)
 }
 
 func TestWrongPlatformRefused(t *testing.T) {
 	_, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	other := psp.New(costmodel.Unit(), 2)
-	owner := NewOwner(other.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(other.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.HandleReport(report.Marshal(), agent.PublicKey()); !errors.Is(err, ErrSignature) {
-		t.Fatalf("err = %v, want ErrSignature", err)
-	}
+	_, err = o.release(report.Marshal(), agent.PublicKey())
+	wantDenial(t, err, kbs.ReasonForged)
 }
 
 func TestWeakPolicyRefused(t *testing.T) {
 	weak := sev.Policy{ESRequired: true} // missing NoDebug/NoKeySharing
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, weak)
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.HandleReport(report.Marshal(), agent.PublicKey()); !errors.Is(err, ErrPolicy) {
-		t.Fatalf("err = %v, want ErrPolicy", err)
-	}
+	_, err = o.release(report.Marshal(), agent.PublicKey())
+	wantDenial(t, err, kbs.ReasonPolicy)
 }
 
+// TestLowLevelRefused: a plain-SEV guest whose policy meets its own
+// floor is still refused, because the one-shot exchange wants SEV-SNP.
 func TestLowLevelRefused(t *testing.T) {
 	pol := sev.Policy{NoDebug: true, NoKeySharing: true}
 	platform, ctx, digest := launchGuest(t, 1, sev.SEV, pol)
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
-	owner.RequirePolicy(pol)
+	o := owner(platform.VerificationKey(), digest, []byte("s"))
+	o.minPolicy = pol
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.HandleReport(report.Marshal(), agent.PublicKey()); !errors.Is(err, ErrLevel) {
-		t.Fatalf("err = %v, want ErrLevel", err)
-	}
-	owner.minLevel = sev.SEV
-	if _, err := owner.HandleReport(report.Marshal(), agent.PublicKey()); err != nil {
-		t.Fatalf("lowered requirement still refused: %v", err)
-	}
+	_, err = o.release(report.Marshal(), agent.PublicKey())
+	wantDenial(t, err, kbs.ReasonPolicy)
 }
 
 func TestKeySubstitutionRefused(t *testing.T) {
 	// A MITM swapping the guest public key must fail the binding check.
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
 	mitm := NewAgentSeeded(666)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.HandleReport(report.Marshal(), mitm.PublicKey()); !errors.Is(err, ErrBinding) {
-		t.Fatalf("err = %v, want ErrBinding", err)
-	}
+	_, err = o.release(report.Marshal(), mitm.PublicKey())
+	wantDenial(t, err, kbs.ReasonBinding)
 }
 
 func TestWrongAgentCannotUnwrap(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("secret!"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, []byte("secret!"))
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := owner.HandleReport(report.Marshal(), agent.PublicKey())
+	bundle, err := o.release(report.Marshal(), agent.PublicKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,42 +186,6 @@ func TestWrongAgentCannotUnwrap(t *testing.T) {
 	}
 }
 
-func TestHTTPServerRoundTrip(t *testing.T) {
-	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	secret := []byte("network secret")
-	owner := NewOwner(platform.VerificationKey(), secret, rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
-	srv := httptest.NewServer(owner.Handler())
-	defer srv.Close()
-
-	agent := NewAgentSeeded(5)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := Client(srv.URL, report.Marshal(), agent.PublicKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := agent.Unwrap(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(secret) {
-		t.Fatal("secret differs over HTTP")
-	}
-}
-
-func TestHTTPServerRefusesBadReport(t *testing.T) {
-	platform, _, _ := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	srv := httptest.NewServer(owner.Handler())
-	defer srv.Close()
-	if _, err := Client(srv.URL, []byte("garbage"), []byte("junk")); err == nil {
-		t.Fatal("garbage report accepted over HTTP")
-	}
-}
-
 // attestWithChain is the chain-rooted owner flow on production pieces:
 // the key broker's verifier walks the host-relayed chain to the pinned
 // AMD root, and an owner keyed by the chain's VCEK validates the report
@@ -226,11 +193,9 @@ func TestHTTPServerRefusesBadReport(t *testing.T) {
 func attestWithChain(v *kbs.Verifier, digest [32]byte, secret, report, chain []byte, agent *Agent) ([]byte, error) {
 	c, _, err := v.VerifyChain(chain)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrSignature, err)
+		return nil, err
 	}
-	owner := NewOwner(c.VCEK.Key(), secret, rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
-	bundle, err := owner.HandleReport(report, agent.PublicKey())
+	bundle, err := owner(c.VCEK.Key(), digest, secret).release(report, agent.PublicKey())
 	if err != nil {
 		return nil, err
 	}
@@ -277,8 +242,8 @@ func TestChainAttestationRejectsForeignChain(t *testing.T) {
 	// the ARK pin refuses.
 	evil := kbs.NewAuthority(666).ChainFor("chip-a", kbs.TCB{SNP: 8})
 	if _, err := attestWithChain(kbs.NewVerifier(auth.Root()), digest, []byte("s"),
-		report.Marshal(), evil.Marshal(), agent); err == nil {
-		t.Fatal("foreign chain accepted")
+		report.Marshal(), evil.Marshal(), agent); kbs.ReasonOf(err) != kbs.ReasonForged {
+		t.Fatalf("foreign chain: %v, want a forged denial", err)
 	}
 }
 
@@ -293,8 +258,8 @@ func TestChainAttestationRejectsWrongVCEK(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := attestWithChain(kbs.NewVerifier(auth.Root()), digestB, []byte("s"),
-		report.Marshal(), enrA.Chain.Marshal(), agent); !errors.Is(err, ErrSignature) {
-		t.Fatalf("cross-platform report accepted: %v", err)
+		report.Marshal(), enrA.Chain.Marshal(), agent); kbs.ReasonOf(err) != kbs.ReasonForged {
+		t.Fatalf("cross-platform report: %v, want a forged denial", err)
 	}
 }
 
@@ -331,5 +296,97 @@ func TestForLaunchAttestsOnlyWhatCanAttest(t *testing.T) {
 		if err != nil || (a != nil) != tc.want {
 			t.Errorf("%s: ForLaunch = %v, %v; want an owner: %v", tc.name, a, err, tc.want)
 		}
+	}
+}
+
+// TestOneShotAndBrokerRefuseAlike feeds the in-process exchange and
+// kbs.Broker.Redeem the same evidence from one enrolled guest, each with
+// the report binding the guest key the way its side binds it, and holds
+// both to the same denial reason for every kind of bad evidence.
+func TestOneShotAndBrokerRefuseAlike(t *testing.T) {
+	auth, enr, ctx, digest := enrolledGuest(t, 1)
+	vcek := auth.VCEKKey(enr.ChipID, enr.TCB)
+	secret := []byte("one secret")
+	b := kbs.NewBroker(auth.Root(), kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
+	b.AddTenant("acme", secret)
+	if err := b.File(kbs.RefClaim(digest, "img")); err != nil {
+		t.Fatal(err)
+	}
+	// resigned applies change to the report and signs it again with the
+	// platform's VCEK, so only the change is wrong.
+	resigned := func(change func(r *psp.Report)) func(*testing.T, *psp.Report) []byte {
+		return func(t *testing.T, r *psp.Report) []byte {
+			change(r)
+			if err := r.Sign(rand.New(rand.NewSource(1)), vcek); err != nil {
+				t.Fatal(err)
+			}
+			return r.Marshal()
+		}
+	}
+	sharing := sev.DefaultPolicy()
+	sharing.NoKeySharing = false
+	key := NewAgentSeeded(99).PublicKey()
+	for _, tc := range []struct {
+		name string
+		bind []byte // the key the report binds, sent unless send is set
+		send []byte
+		// tamper returns the report bytes sent; nil sends the report.
+		tamper func(*testing.T, *psp.Report) []byte
+		want   kbs.Reason // "" is a grant
+	}{
+		{name: "genuine", bind: key},
+		{name: "forged signature", bind: key, tamper: func(_ *testing.T, r *psp.Report) []byte {
+			raw := r.Marshal()
+			raw[len(raw)-1] ^= 0xFF
+			return raw
+		}, want: kbs.ReasonForged},
+		{name: "unlisted digest", bind: key, tamper: resigned(func(r *psp.Report) { r.Measurement[0] ^= 1 }), want: kbs.ReasonMeasurement},
+		{name: "level below SNP", bind: key, tamper: resigned(func(r *psp.Report) { r.Level = sev.ES }), want: kbs.ReasonPolicy},
+		{name: "key-sharing policy", bind: key, tamper: resigned(func(r *psp.Report) { r.Policy = sharing.Encode() }), want: kbs.ReasonPolicy},
+		{name: "substituted guest key", bind: key, send: NewAgentSeeded(666).PublicKey(), want: kbs.ReasonBinding},
+		{name: "truncated report", bind: key, tamper: func(_ *testing.T, r *psp.Report) []byte {
+			raw := r.Marshal()
+			return raw[:len(raw)-1]
+		}, want: kbs.ReasonMalformed},
+		{name: "31-byte key", bind: key[:31], want: kbs.ReasonMalformed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			send := tc.send
+			if send == nil {
+				send = tc.bind
+			}
+			evidence := func(rd [64]byte) []byte {
+				r, err := ctx.BuildReport(nil, rd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.tamper == nil {
+					return r.Marshal()
+				}
+				return tc.tamper(t, r)
+			}
+			_, oneShot := owner(enr.Chain.VCEK.Key(), digest, secret).release(evidence(keyData(tc.bind)), send)
+
+			ch, err := b.Challenge("acme", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, broker := b.Redeem(kbs.RedeemRequest{
+				Tenant:   "acme",
+				Nonce:    ch.Nonce,
+				Report:   evidence(kbs.BindReportData(ch.Nonce, tc.bind)),
+				Chain:    enr.Chain.Marshal(),
+				GuestPub: send,
+			}, 0)
+
+			for _, side := range []struct {
+				name string
+				err  error
+			}{{"one-shot", oneShot}, {"broker", broker}} {
+				if kbs.ReasonOf(side.err) != tc.want || (tc.want == "") != (side.err == nil) {
+					t.Errorf("%s: %v, want reason %q", side.name, side.err, tc.want)
+				}
+			}
+		})
 	}
 }

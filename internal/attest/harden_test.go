@@ -2,7 +2,6 @@ package attest
 
 import (
 	"encoding/hex"
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,13 +11,12 @@ import (
 )
 
 // The owner ingests host-relayed bytes; truncated, oversized, and
-// wrong-size inputs must be rejected with clear errors before any
-// cryptographic processing.
+// wrong-size inputs must be rejected as malformed, with clear errors,
+// before any cryptographic processing.
 
 func TestTruncatedReportRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
@@ -26,8 +24,8 @@ func TestTruncatedReportRefused(t *testing.T) {
 	}
 	raw := report.Marshal()
 	for _, n := range []int{0, 1, 17, len(raw) - 1} {
-		if _, err := owner.HandleReport(raw[:n], agent.PublicKey()); err == nil {
-			t.Fatalf("%d-byte report accepted", n)
+		if _, err := o.release(raw[:n], agent.PublicKey()); kbs.ReasonOf(err) != kbs.ReasonMalformed {
+			t.Fatalf("%d-byte report: %v, want a malformed denial", n, err)
 		} else if !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("%d-byte report: %v, want truncation error", n, err)
 		}
@@ -36,16 +34,15 @@ func TestTruncatedReportRefused(t *testing.T) {
 
 func TestOversizedReportRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := append(report.Marshal(), 0xAA)
-	if _, err := owner.HandleReport(raw, agent.PublicKey()); err == nil {
-		t.Fatal("oversized report accepted")
+	if _, err := o.release(raw, agent.PublicKey()); kbs.ReasonOf(err) != kbs.ReasonMalformed {
+		t.Fatalf("oversized report: %v, want a malformed denial", err)
 	} else if !strings.Contains(err.Error(), "oversized") {
 		t.Fatalf("oversized report: %v, want oversize error", err)
 	}
@@ -53,16 +50,15 @@ func TestOversizedReportRefused(t *testing.T) {
 
 func TestWrongSizeGuestKeyRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("s"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pub := range [][]byte{nil, []byte("short"), make([]byte, 64)} {
-		if _, err := owner.HandleReport(report.Marshal(), pub); !errors.Is(err, ErrBinding) {
-			t.Fatalf("%d-byte guest key: %v, want ErrBinding", len(pub), err)
+		if _, err := o.release(report.Marshal(), pub); kbs.ReasonOf(err) != kbs.ReasonMalformed {
+			t.Fatalf("%d-byte guest key: %v, want a malformed denial", len(pub), err)
 		}
 	}
 }
@@ -112,8 +108,7 @@ func TestChainCacheSpeedsRepeatAttestation(t *testing.T) {
 // 32-byte key, then a 12-byte nonce.
 func TestOwnerBundleBytesArePinned(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
-	owner := NewOwner(platform.VerificationKey(), []byte("pinned secret"), rand.New(rand.NewSource(7)))
-	owner.Allow(digest)
+	o := owner(platform.VerificationKey(), digest, []byte("pinned secret"))
 	agent := NewAgentSeeded(99)
 	report, err := ctx.BuildReport(nil, agent.ReportData())
 	if err != nil {
@@ -129,7 +124,7 @@ func TestOwnerBundleBytesArePinned(t *testing.T) {
 		"de116d5e2b68bd485c02e3a73dd1336cde2db30ba4cb581385b2b6ec87",
 	}}
 	for i, w := range want {
-		b, err := owner.HandleReport(report.Marshal(), agent.PublicKey())
+		b, err := o.release(report.Marshal(), agent.PublicKey())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ type Config struct {
 	// floor are denied with ReasonStaleTCB. Zero accepts any TCB.
 	MinTCB TCB
 	// MinPolicy are the guest policy bits that must be set (only the
-	// boolean gates are enforced, matching internal/attest).
+	// boolean gates are enforced, by CheckFloors).
 	MinPolicy sev.Policy
 	// MinLevel is the minimum SEV feature level.
 	MinLevel sev.Level
@@ -342,6 +342,11 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 	if now > rec.expires {
 		return nil, deny(ReasonExpired, "nonce expired at %v, redeemed at %v", rec.expires, now)
 	}
+	// The guest key is host-relayed: refuse a wrong-size one before any
+	// crypto, so it cannot reach the wrap as an unreasoned ECDH failure.
+	if len(req.GuestPub) != 32 {
+		return nil, deny(ReasonMalformed, "guest key is %d bytes, want 32", len(req.GuestPub))
+	}
 
 	// Endorsement chain: parse + walk to the pinned root (cached by
 	// chain content).
@@ -386,7 +391,7 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 		// Broker-local guest floors (feature level, policy bits) stay
 		// outside the claim language; everything platform- and
 		// measurement-shaped is the policy engine's call.
-		if err := b.floors(r); err != nil {
+		if err := CheckFloors(r, b.cfg.MinLevel, b.cfg.MinPolicy); err != nil {
 			return nil, err
 		}
 		cert, err := b.eng.Evaluate(policy.Evidence{
@@ -423,16 +428,18 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 	return &RedeemResult{Bundle: bundle, ChainCached: chainCached, VerdictCached: verdictCached}, nil
 }
 
-// floors runs the broker-local guest floors that stay outside the claim
-// language: SEV feature level and guest policy bits.
-func (b *Broker) floors(r *psp.Report) error {
-	if r.Level < b.cfg.MinLevel {
-		return deny(ReasonPolicy, "level %v below minimum %v", r.Level, b.cfg.MinLevel)
+// CheckFloors runs the guest floors that stay outside the claim
+// language: r's SEV feature level must reach minLevel, and every boolean
+// gate set in minPolicy must be set in r's policy. The broker checks its
+// Config's floors with it, and the simulated one-shot exchange its own.
+func CheckFloors(r *psp.Report, minLevel sev.Level, minPolicy sev.Policy) error {
+	if r.Level < minLevel {
+		return deny(ReasonPolicy, "level %v below minimum %v", r.Level, minLevel)
 	}
 	pol := sev.DecodePolicy(r.Policy)
-	if (b.cfg.MinPolicy.NoDebug && !pol.NoDebug) ||
-		(b.cfg.MinPolicy.NoKeySharing && !pol.NoKeySharing) ||
-		(b.cfg.MinPolicy.ESRequired && !pol.ESRequired) {
+	if (minPolicy.NoDebug && !pol.NoDebug) ||
+		(minPolicy.NoKeySharing && !pol.NoKeySharing) ||
+		(minPolicy.ESRequired && !pol.ESRequired) {
 		return deny(ReasonPolicy, "guest policy %+v below floor", pol)
 	}
 	return nil

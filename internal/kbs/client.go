@@ -12,8 +12,8 @@ import (
 	"github.com/severifast/severifast/internal/sim"
 )
 
-// Client speaks the broker protocol against a remote sevf-attestd. It
-// implements Service, so the fleet orchestrator is indifferent to
+// Client speaks the broker protocol against a remote broker: sevf-attestd,
+// or a facade GuestOwner. It implements Service, so a fleet is indifferent to
 // whether the broker is in process or across the network — and denial
 // reasons survive the round trip: kbs.ReasonOf(err) == ReasonStaleTCB
 // holds on the client side exactly when the remote broker denied for
@@ -21,22 +21,25 @@ import (
 type Client struct {
 	// Base is the server URL, e.g. "http://127.0.0.1:8553".
 	Base string
-	// HTTP is the client to use (http.DefaultClient when nil).
-	HTTP *http.Client
 }
 
 var _ Service = (*Client)(nil)
 
-func (c *Client) post(path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
+// call sends req as JSON to path (a GET when req is nil) and decodes the
+// reply into resp, if any. A 403 carrying a reason comes back as the
+// remote broker's *Denial.
+func (c *Client) call(path string, req, resp any) error {
+	var r *http.Response
+	var err error
+	if req == nil {
+		r, err = http.Get(c.Base + path)
+	} else {
+		body, merr := json.Marshal(req)
+		if merr != nil {
+			return merr
+		}
+		r, err = http.Post(c.Base+path, "application/json", bytes.NewReader(body))
 	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	r, err := hc.Post(c.Base+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -63,7 +66,7 @@ func (c *Client) post(path string, req, resp any) error {
 // Challenge implements Service.
 func (c *Client) Challenge(tenant string, now sim.Time) (Challenge, error) {
 	var resp challengeResponse
-	if err := c.post("/challenge", challengeRequest{Tenant: tenant, Now: int64(now)}, &resp); err != nil {
+	if err := c.call("/challenge", challengeRequest{Tenant: tenant, Now: int64(now)}, &resp); err != nil {
 		return Challenge{}, err
 	}
 	var ch Challenge
@@ -87,7 +90,7 @@ func (c *Client) Redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 		Now:      int64(now),
 	}
 	var resp redeemResponse
-	if err := c.post("/redeem", wire, &resp); err != nil {
+	if err := c.call("/redeem", wire, &resp); err != nil {
 		return nil, err
 	}
 	ownerPub, err := hex.DecodeString(resp.OwnerPub)
@@ -112,29 +115,13 @@ func (c *Client) Redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 // File implements Service. The claim crosses the wire in policy's
 // canonical encoding; the remote broker signs it.
 func (c *Client) File(claim policy.Claim) error {
-	return c.post("/claim", claimRequest{Claim: hex.EncodeToString(claim.Marshal())}, nil)
+	return c.call("/claim", claimRequest{Claim: hex.EncodeToString(claim.Marshal())}, nil)
 }
 
 // Stats implements Service.
 func (c *Client) Stats() (Stats, error) {
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	r, err := hc.Get(c.Base + "/stats")
-	if err != nil {
-		return Stats{}, err
-	}
-	defer r.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return Stats{}, err
-	}
-	if r.StatusCode != http.StatusOK {
-		return Stats{}, fmt.Errorf("kbs: /stats: %s: %s", r.Status, bytes.TrimSpace(raw))
-	}
 	var s Stats
-	if err := json.Unmarshal(raw, &s); err != nil {
+	if err := c.call("/stats", nil, &s); err != nil {
 		return Stats{}, err
 	}
 	return s, nil

@@ -499,6 +499,46 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWrongSizeGuestKeyDenied: a guest key that is not 32 bytes is
+// refused as malformed before any crypto, whether the broker is in
+// process or across the wire, and the refusal is counted. Over HTTP it
+// is a 403 carrying the reason, not a 500 from the wrap.
+func TestWrongSizeGuestKeyDenied(t *testing.T) {
+	auth := kbs.NewAuthority(7)
+	pl := launch(t, auth, "chip-0", currentTCB, sev.SNP, sev.DefaultPolicy())
+	b := newBroker(auth, kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
+	if err := b.File(kbs.RefClaim(pl.digest, "img")); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(b.Handler())
+	defer srv.Close()
+	for _, svc := range []kbs.Service{b, &kbs.Client{Base: srv.URL}} {
+		for _, n := range []int{0, 31, 33, 64} {
+			// The report binds the short key, so only its size is wrong.
+			_, _, err := exchange(t, svc, pl, "acme", 0, func(req *kbs.RedeemRequest) {
+				key := make([]byte, n)
+				copy(key, req.GuestPub)
+				rd := kbs.BindReportData(req.Nonce, key)
+				r, err := pl.ctx.BuildReport(nil, rd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Report, req.GuestPub = r.Marshal(), key
+			})
+			if kbs.ReasonOf(err) != kbs.ReasonMalformed {
+				t.Fatalf("%T: %d-byte guest key: %v, want a malformed denial", svc, n, err)
+			}
+		}
+	}
+	s, err := b.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Denials["malformed"] != 8 || s.Grants != 0 {
+		t.Fatalf("stats %+v, want 8 malformed denials and no grant", s)
+	}
+}
+
 func TestWrapTamperDetected(t *testing.T) {
 	priv := guestKey(t, 5)
 	bundle, err := kbs.WrapSecret(rand.New(rand.NewSource(9)), priv.PublicKey().Bytes(), []byte("s3cret"))

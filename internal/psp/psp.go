@@ -357,8 +357,9 @@ func (r *Report) Sign(rng io.Reader, key *ecdsa.PrivateKey) error {
 }
 
 // VerifyReport checks a report's signature against the platform
-// verification key. It does NOT check the measurement — that is the guest
-// owner's job (internal/attest).
+// verification key. It does NOT check the measurement — that is the
+// relying party's job (internal/kbs, and the one-shot exchange in
+// internal/attest).
 func VerifyReport(pub *ecdsa.PublicKey, r *Report) error {
 	if r.SigR == nil || r.SigS == nil {
 		return errors.New("psp: report is unsigned")

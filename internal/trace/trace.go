@@ -29,12 +29,12 @@ type Event struct {
 const RootSpan = "vm.boot"
 
 // Timeline collects events and named spans for one boot. A timeline
-// built with NewScoped is additionally a *span scope* over a telemetry
-// registry: Begin/End become nested spans on the boot's track, Record
-// also emits instant events, and the whole boot lives under one
-// RootSpan span that Close ends. An unscoped timeline (New) collects
-// the same events and durations for Breakdown but has no span tree, so
-// nothing to render.
+// built with NewScoped over a registry is additionally a *span scope*:
+// Begin/End become nested spans on the boot's track, Record also emits
+// instant events, and the whole boot lives under one RootSpan span that
+// Close ends. An unscoped timeline (NewScoped with a nil registry)
+// collects the same events and durations for Breakdown but has no span
+// tree, so nothing to render.
 //
 // A boot records at most a dozen events and a fleet boot opens seven
 // stages (a forked one, one), so both live in slices whose first backing

@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
-	"github.com/severifast/severifast/internal/attest"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/verifier"
 )
@@ -32,14 +30,13 @@ func TestErrorTaxonomy(t *testing.T) {
 }
 
 // TestClassifyInternalErrors feeds classifyErr genuine internal failure
-// chains — the ones firecracker/qemu/attest wrap with %w — and checks the
-// facade sentinel mapping.
+// chains — the ones firecracker, fleet and the key broker wrap with %w —
+// and checks the facade sentinel mapping.
 func TestClassifyInternalErrors(t *testing.T) {
-	// A real attestation denial from the owner: garbage report bytes.
-	owner := attest.NewOwner(nil, []byte("s"), rand.New(rand.NewSource(1)))
-	_, denial := owner.HandleReport([]byte("garbage"), []byte("pub"))
+	// A real attestation denial from a guest owner: an unknown tenant.
+	_, denial := NewGuestOwner(NewHost(), []byte("s")).broker.Challenge("mallory", 0)
 	if denial == nil {
-		t.Fatal("owner accepted garbage")
+		t.Fatal("owner challenged an unknown tenant")
 	}
 	cases := []struct {
 		name string
@@ -48,7 +45,6 @@ func TestClassifyInternalErrors(t *testing.T) {
 	}{
 		{"verifier mismatch", fmt.Errorf("firecracker: %w", fmt.Errorf("%w: kernel hash", verifier.ErrVerification)), ErrMeasurementMismatch},
 		{"attest denial", fmt.Errorf("firecracker: attestation: %w", denial), ErrAttestationDenied},
-		{"attest measurement", fmt.Errorf("qemu: attestation: %w", attest.ErrMeasurement), ErrMeasurementMismatch},
 		{"kbs denial", fmt.Errorf("fleet: %w", &kbs.Denial{Reason: kbs.ReasonReplay}), ErrAttestationDenied},
 		{"kbs measurement", fmt.Errorf("fleet: %w", &kbs.Denial{Reason: kbs.ReasonMeasurement}), ErrMeasurementMismatch},
 	}
