@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"testing"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/firecracker"
+	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/verifier"
@@ -55,6 +58,20 @@ func TestKeyOfIsContentAddressed(t *testing.T) {
 		if k, _ := KeyOf(s); k == k0 {
 			t.Errorf("mutating %s did not change the key", name)
 		}
+	}
+}
+
+// TestKeyOfSeesACorruptedInitrd: a generated initrd leaves kernelgen with
+// its digest memoized, and Corrupt drops the memo, so the next KeyOf hashes
+// the tampered bytes and keys the image apart.
+func TestKeyOfSeesACorruptedInitrd(t *testing.T) {
+	spec := testSpec(0)
+	spec.Initrd = kernelgen.BuildInitrd(11, 64<<10)
+	k0, h0 := KeyOf(spec)
+	artifact.Lookup(spec.Initrd).Corrupt(len(spec.Initrd)/2, 0x01)
+	k1, h1 := KeyOf(spec)
+	if h1.Initrd != sha256.Sum256(spec.Initrd) || h1.Initrd == h0.Initrd || k1 == k0 {
+		t.Fatal("KeyOf after Corrupt answered the memo of the untampered initrd")
 	}
 }
 

@@ -147,6 +147,82 @@ func TestCachedLeavesKernelsMeasured(t *testing.T) {
 	}
 }
 
+// TestBuildInitrdLeavesItMeasured: BuildInitrd returns its archive interned
+// with a digest memo equal to crypto/sha256 over the returned bytes, so the
+// first Digest hashes nothing. The memo is checked across seeds and sizes,
+// one of them cutting every member mid-block, at pool widths 1 and 2 and
+// inside a Do that holds every worker, where the generator's hostwork jobs
+// (the search's LZ4 split from 1 MiB) run inline. Each seed's first build,
+// which runs the calibration search, runs at another of the three.
+func TestBuildInitrdLeavesItMeasured(t *testing.T) {
+	sizes := []int{64 << 10, 512 << 10, 4 << 20, DefaultInitrdSize, 300_001}
+	if raceDetector {
+		// The race detector's instrumentation makes the large sizes take
+		// 15 s.
+		sizes = []int{64 << 10, 512 << 10, 300_001}
+	}
+	atWidth := func(w int) func(func()) {
+		return func(build func()) {
+			defer hostwork.SetWorkers(hostwork.SetWorkers(w))
+			build()
+		}
+	}
+	widths := []struct {
+		name string
+		run  func(build func())
+	}{
+		{"width 1", atWidth(1)},
+		{"width 2", atWidth(2)},
+		{"busy pool", func(build func()) {
+			// Every index but 0 holds its worker until the build is done,
+			// and there are more indices than the pool has workers.
+			n := runtime.GOMAXPROCS(0) + 1
+			defer hostwork.SetWorkers(hostwork.SetWorkers(n))
+			var built atomic.Bool
+			hostwork.Do(n, func(i int) {
+				if i == 0 {
+					build()
+					built.Store(true)
+					return
+				}
+				for !built.Load() {
+					runtime.Gosched()
+				}
+			})
+		}},
+	}
+	measured := func(what string, b []byte) {
+		t.Helper()
+		buf := artifact.Lookup(b)
+		if buf == nil {
+			t.Fatalf("%s: the initrd is not interned", what)
+		}
+		before := hashedBytes()
+		if buf.Digest() != sha256.Sum256(b) {
+			t.Fatalf("%s: the memoized digest is not the archive's SHA-256", what)
+		}
+		if n := hashedBytes() - before; n != 0 {
+			t.Fatalf("%s: the first Digest hashed %d bytes, want a memo hit", what, n)
+		}
+	}
+	for _, size := range sizes {
+		for s, seed := range []int64{1, 2, 3} {
+			var first []byte
+			for k := range widths {
+				w := widths[(s+k)%len(widths)]
+				var got []byte
+				w.run(func() { got = BuildInitrd(seed, size) })
+				measured(fmt.Sprintf("size %d seed %d, %s", size, seed, w.name), got)
+				if first == nil {
+					first = got
+				} else if !bytes.Equal(got, first) {
+					t.Fatalf("size %d seed %d, %s: the bytes differ from the first build's", size, seed, w.name)
+				}
+			}
+		}
+	}
+}
+
 // TestPresetsSplitAsOnePass: each preset's vmlinux compresses to the same
 // block and count at pool width 2, where the compressor parses it in two
 // halves, as at width 1, where it parses it in one pass.

@@ -253,7 +253,7 @@ func (p *Pool) run(fn func(*sim.Proc)) {
 		fn = func(pr *sim.Proc) { on(pr); job(pr) }
 	}
 	p.worker.Run(fn)
-	p.host.eng.Run()
+	p.host.run()
 }
 
 // Stats snapshots the pool's serving history.
@@ -286,6 +286,6 @@ func (p *Pool) Close() error {
 	p.closed = true
 	p.worker.Close()
 	p.orch.Close()
-	p.host.eng.Run()
+	p.host.run()
 	return classifyErr(p.orch.Err())
 }

@@ -384,7 +384,7 @@ type Host struct {
 	inner    *kvm.Host
 	seed     int64
 	reg      *telemetry.Registry
-	pspMu    sync.Mutex      // serializes enrollment and AttestOverHTTP's reports
+	pspMu    sync.Mutex      // serializes the PSP's users: enrollment, engine runs, AttestOverHTTP's reports
 	enrolled *kbs.Enrollment // set by enrollment
 }
 
@@ -535,7 +535,7 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 			results[i], errs[i] = h.bootOne(pr, *l, cfg.Attest)
 		})
 	}
-	h.eng.Run()
+	h.run()
 	for _, e := range errs {
 		if e != nil {
 			return nil, classifyErr(e)
@@ -589,6 +589,15 @@ func (h *Host) result(res *firecracker.Result) *Result {
 		host:             h,
 		timeline:         res.Timeline,
 	}
+}
+
+// run runs the host's engine until it idles. It holds pspMu, as a Result
+// of this host attesting over HTTP builds its report on the same PSP, so
+// nothing the engine runs may enroll the host.
+func (h *Host) run() {
+	h.pspMu.Lock()
+	defer h.pspMu.Unlock()
+	h.eng.Run()
 }
 
 // Boot runs one boot on a fresh host (the common single-VM entry point).
@@ -740,7 +749,7 @@ func (h *Host) Snapshot(r *Result) (*Snapshot, error) {
 	h.eng.Go("snapshot", func(p *sim.Proc) {
 		fork, err = snapshot.CaptureFork(p, r.machine, r.LaunchDigest)
 	})
-	h.eng.Run()
+	h.run()
 	if err != nil {
 		return nil, err
 	}
@@ -775,7 +784,7 @@ func (h *Host) WarmBoot(s *Snapshot) (*Result, error) {
 			timeline: m.Timeline,
 		}
 	})
-	h.eng.Run()
+	h.run()
 	if bootErr != nil {
 		return nil, bootErr
 	}

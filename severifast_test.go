@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -225,6 +226,63 @@ func TestAttestOverHTTPEnrollsOnce(t *testing.T) {
 	}
 	if !host.PlatformKey().Equal(twin.PlatformKey()) {
 		t.Fatal("the enrolled host's platform key differs from its twin's")
+	}
+}
+
+// TestBootWhileAttestingOverHTTP: a host boots while a Result of the same
+// host attests over HTTP. Both write the host's PSP, so they must take
+// turns; run under -race, the test fails if they do not.
+func TestBootWhileAttestingOverHTTP(t *testing.T) {
+	cfg := Config{Kernel: KernelAWS, InitrdMiB: 2}
+	twin := NewHostSeed(5)
+	owner := NewGuestOwner(twin, []byte("s"))
+	if err := owner.AllowConfig(cfg); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(owner.Handler())
+	defer srv.Close()
+
+	host := NewHostSeed(5)
+	first, err := host.Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The guest attests until told to stop; the host boots until the
+	// guest has attested three times, so the two overlap.
+	var attests atomic.Int32
+	stop := make(chan struct{})
+	attested := make(chan error, 1)
+	go func() {
+		for {
+			got, err := first.AttestOverHTTP(srv.URL)
+			if err == nil && string(got) != "s" {
+				err = fmt.Errorf("secret %q", got)
+			}
+			attests.Add(1)
+			select {
+			case <-stop:
+			default:
+				if err == nil {
+					continue
+				}
+			}
+			attested <- err
+			return
+		}
+	}()
+	for attests.Load() < 3 {
+		select {
+		case err := <-attested:
+			t.Fatalf("attesting stopped early: %v", err)
+		default:
+		}
+		if _, err := host.Boot(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-attested; err != nil {
+		t.Fatal(err)
 	}
 }
 
