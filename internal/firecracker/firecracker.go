@@ -21,6 +21,7 @@ package firecracker
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/bootparams"
@@ -375,37 +376,35 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 }
 
 // preEncrypt is the launch flow of either monitor (Fig. 1): LAUNCH_START
-// under cfg's policy, LAUNCH_UPDATE_DATA over the plan's regions,
-// LAUNCH_FINISH. This is the "Pre-encryption" column of Fig. 10. It
-// returns the launch digest.
+// under cfg's policy, one LAUNCH_UPDATE_DATA per plan region, in plan
+// order, LAUNCH_FINISH. This is the "Pre-encryption" column of Fig. 10.
+// It returns the launch digest.
 func preEncrypt(proc *sim.Proc, m *kvm.Machine, cfg Config, regions []measure.Region) ([32]byte, error) {
 	m.Timeline.Begin("preenc", proc.Now())
 	if err := m.StartLaunch(proc, cfg.Policy()); err != nil {
 		return [32]byte{}, err
 	}
 	m.Timeline.Annotate("asid", fmt.Sprintf("%d", m.Launch.ASID()))
-	// Regions are staged through an update batch: PSP charges and page
-	// flips happen per region at the same virtual-time points as before,
-	// while the content hashes run across the host worker pool and fold
-	// serially at Close — same digest, less host wall-clock.
-	batch := m.Launch.NewUpdateBatch()
+	// The VMM stages each region and the command hashes it in place. A
+	// region cut from the plan's staging blob is staged zero-copy with
+	// provenance, so its hash is a memo hit on every boot of an
+	// already-measured image; a hand-built region is staged by copy.
+	start := time.Now()
 	for _, r := range regions {
 		var err error
 		if r.Art != nil {
-			// Zero-copy: alias the plan's staging blob into the guest pages
-			// with provenance, so the deferred content hash is a memo hit on
-			// every boot of an already-measured image.
-			err = batch.StageArtifact(proc, r.GPA, r.Art, r.ArtOff, len(r.Data), r.Type)
+			err = m.Mem.HostWriteArtifact(r.GPA, r.Art, r.ArtOff, len(r.Data))
 		} else {
-			err = batch.Stage(proc, r.GPA, r.Data, r.Type)
+			err = m.Mem.HostWrite(r.GPA, r.Data)
+		}
+		if err == nil {
+			err = m.Launch.LaunchUpdateData(proc, r.GPA, len(r.Data), r.Type)
 		}
 		if err != nil {
 			return [32]byte{}, fmt.Errorf("%s: measuring %s: %w", cfg.Scheme.monitor(), r.Name, err)
 		}
 	}
-	if err := batch.Close(); err != nil {
-		return [32]byte{}, fmt.Errorf("%s: folding launch digest: %w", cfg.Scheme.monitor(), err)
-	}
+	m.Mem.HostRecorder().Stage("psp.pipeline", start)
 	digest, err := m.Launch.LaunchFinish(proc)
 	if err != nil {
 		return [32]byte{}, err

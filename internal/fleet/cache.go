@@ -123,17 +123,11 @@ type Cache struct {
 	entries map[Key]*MeasuredImage
 	stats   CacheStats
 	subs    []func(*MeasuredImage)
-
-	// fold memoizes digest-chain transitions across plans, so image
-	// families sharing a component prefix (same kernel, different
-	// initrd) re-fold only their differing suffix — the delta launch
-	// measurement path.
-	fold *psp.FoldMemo
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[Key]*MeasuredImage), fold: psp.NewFoldMemo(nil)}
+	return &Cache{entries: make(map[Key]*MeasuredImage)}
 }
 
 // Stats returns a snapshot of the counters.
@@ -190,11 +184,9 @@ func (c *Cache) Plan(key Key, hashes measure.ComponentHashes, spec ImageSpec) (*
 	}
 	// Fold the expected digest over the plan we just built rather than
 	// calling measure.ExpectedDigest, which would re-plan from scratch.
-	// FoldRegionsMemo hashes region contents across the hostwork pool
-	// and folds serially through the delta memo — bit-identical to the
-	// sequential extend loop, with chain prefixes shared across image
-	// variants.
-	digest := measure.FoldRegionsMemo(psp.InitialDigest(spec.Policy, spec.Level), regions, c.fold)
+	// The plan's regions are cut from its staging blob, so their content
+	// hashes come from the blob's range-digest memo.
+	digest := measure.FoldRegions(psp.InitialDigest(spec.Policy, spec.Level), regions)
 	mi := &MeasuredImage{
 		Key:               key,
 		Hashes:            hashes,

@@ -319,8 +319,8 @@ func (m *Memory) recorder() *telemetry.HostRecorder {
 
 // HostRecorder returns the recorder this guest's counters route to —
 // the owning host's when one was installed, the process default
-// otherwise, nil once the guest is released. The PSP measurement pipeline
-// stamps its stage timings on the same recorder so per-host snapshots
+// otherwise, nil once the guest is released. The launch's region loop
+// stamps its stage timing on the same recorder so per-host snapshots
 // stay self-contained.
 func (m *Memory) HostRecorder() *telemetry.HostRecorder {
 	if m.dir == nil {
@@ -1288,8 +1288,8 @@ func (m *Memory) ArtifactRange(gpa uint64, n int, cbit bool) (*artifact.Buf, int
 // LaunchUpdateFlip is the state-change half of LAUNCH_UPDATE_DATA: it
 // flips [gpa, gpa+n) to private (assigned+validated under SNP) without
 // materializing the plain text. The measurement half is
-// PlainRangeDigest; psp.UpdateBatch runs the flips serially in virtual
-// time and the digests across the host worker pool.
+// PlainRangeDigest; psp.GuestContext.LaunchUpdateData runs the flip and
+// then the digest, in place.
 func (m *Memory) LaunchUpdateFlip(gpa uint64, n int) error {
 	if err := m.check(gpa, n); err != nil {
 		return err

@@ -1,10 +1,13 @@
-// Package hostwork provides the bounded worker pool behind the host-time
-// measurement pipeline. It parallelizes *host* work only — SHA-256 page
-// digests, AES page encryption — and never touches the virtual clock:
-// the simulation engine remains single-threaded, and every user of this
-// package must produce results that are independent of worker count and
-// scheduling (index-addressed outputs folded in a deterministic serial
-// pass). See DESIGN.md §9 for the determinism argument.
+// Package hostwork provides a bounded worker pool for host-time work:
+// the expected-digest tool's component and region hashes, a snapshot
+// export's page encryption, the two kernels a generator builds, and a
+// large LZ4 parse. No launch hands it work: LAUNCH_UPDATE_DATA hashes
+// each region in place, one command at a time. It parallelizes *host*
+// work only and never touches the virtual clock: the simulation engine
+// remains single-threaded, and every user of this package must produce
+// results that are independent of worker count and scheduling
+// (index-addressed outputs folded in a deterministic serial pass). See
+// DESIGN.md §9 for the determinism argument.
 //
 // The LZ4 compressor's parse of a large input may use two workers too
 // (internal/lz4): its two indices, unlike everyone else's, are not
@@ -17,7 +20,7 @@
 // Workers are persistent: the first parallel Do spawns pool goroutines
 // (up to GOMAXPROCS) that live for the process and sleep on a job
 // channel between calls. A fleet booting thousands of VMs thus pays
-// goroutine startup once, not once per pipeline flush, and concurrent
+// goroutine startup once, not once per job, and concurrent
 // Do calls from different OS threads share one pool instead of
 // oversubscribing the machine with transient goroutines. The caller
 // always participates in its own job, so Do makes progress even when

@@ -117,8 +117,7 @@ type GuestContext struct {
 	asid   uint32
 	state  State
 
-	digest  [32]byte // running launch digest
-	updates int
+	digest [32]byte // running launch digest
 }
 
 // LaunchStart allocates an ASID, derives a fresh memory-encryption key,
@@ -208,7 +207,6 @@ func (ctx *GuestContext) LaunchUpdateData(proc *sim.Proc, gpa uint64, n int, pt 
 		return err
 	}
 	ctx.digest = ExtendDigestContent(ctx.digest, pt, gpa, n, content)
-	ctx.updates++
 	return nil
 }
 
@@ -242,12 +240,9 @@ func (ctx *GuestContext) Decommission() { ctx.state = StateDead }
 // ExtendDigestContent appends one measured region, of n bytes whose
 // SHA-256 is content, to a launch digest:
 // digest' = SHA256(digest ‖ type ‖ gpa ‖ len ‖ content), the shape of the
-// SNP ABI's page-info chaining. internal/measure recomputes the same chain
-// host-side; the two must agree bit for bit. It is the serial half of the
-// parallel measurement pipeline: content hashes may be produced in any order
-// across the hostwork pool (or come from the artifact memo table), but
-// the chain itself is folded one region at a time, in region order, so
-// the result is bit-identical to the fully serial computation.
+// SNP ABI's page-info chaining. LaunchUpdateData extends the chain one
+// region per command; internal/measure recomputes the same chain
+// host-side through FoldDigest, and the two must agree bit for bit.
 func ExtendDigestContent(digest [32]byte, pt sev.PageType, gpa uint64, n int, content [32]byte) [32]byte {
 	var buf [32 + 1 + 16 + 32]byte
 	copy(buf[0:32], digest[:])
@@ -256,6 +251,24 @@ func ExtendDigestContent(digest [32]byte, pt sev.PageType, gpa uint64, n int, co
 	binary.LittleEndian.PutUint64(buf[41:], uint64(n))
 	copy(buf[49:], content[:])
 	return sha256.Sum256(buf[:])
+}
+
+// RegionMeta identifies one measured region in a digest fold.
+type RegionMeta struct {
+	PT  sev.PageType
+	GPA uint64
+	Len int
+}
+
+// FoldDigest folds precomputed region content hashes into a launch
+// digest chain, serially and in order. contents[i] must be SHA-256 of
+// region i's bytes.
+func FoldDigest(initial [32]byte, metas []RegionMeta, contents [][32]byte) [32]byte {
+	digest := initial
+	for i, meta := range metas {
+		digest = ExtendDigestContent(digest, meta.PT, meta.GPA, meta.Len, contents[i])
+	}
+	return digest
 }
 
 // Report is the attestation report the PSP places in guest memory

@@ -2,7 +2,9 @@ package psp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -425,5 +427,30 @@ const newPSPAllocCeiling = 19
 func TestNewAllocCeiling(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { New(costmodel.Unit(), 1) }); allocs > newPSPAllocCeiling {
 		t.Fatalf("psp.New: %v allocations, ceiling %d", allocs, newPSPAllocCeiling)
+	}
+}
+
+// ExtendDigest is the serial, region-by-region reference FoldDigest is
+// checked against: one region's bytes hashed and folded on the spot.
+func ExtendDigest(digest [32]byte, pt sev.PageType, gpa uint64, data []byte) [32]byte {
+	return ExtendDigestContent(digest, pt, gpa, len(data), sha256.Sum256(data))
+}
+
+func TestFoldDigestMatchesExtend(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	initial := InitialDigest(sev.DefaultPolicy(), sev.SNP)
+	var metas []RegionMeta
+	var contents [][32]byte
+	want := initial
+	for i := 0; i < 10; i++ {
+		data := make([]byte, 1+rng.Intn(8192))
+		rng.Read(data)
+		gpa := uint64(0x1000 * (i + 1))
+		want = ExtendDigest(want, sev.PageNormal, gpa, data)
+		metas = append(metas, RegionMeta{PT: sev.PageNormal, GPA: gpa, Len: len(data)})
+		contents = append(contents, sha256.Sum256(data))
+	}
+	if got := FoldDigest(initial, metas, contents); got != want {
+		t.Fatalf("FoldDigest %x != ExtendDigest chain %x", got, want)
 	}
 }

@@ -1,8 +1,8 @@
 package telemetry
 
 // Host-time statistics: wall-clock stage timings, cache hit/miss
-// counters, and buffer-pool stats for the host-performance layer
-// (parallel measurement pipeline, shared-artifact CoW memory).
+// counters, and buffer-pool stats for the host-performance layer (a
+// launch's region loop, shared-artifact CoW memory).
 //
 // These deliberately live OUTSIDE the virtual-time Registry. The
 // Registry's exports are stamped from sim.Time and are required to be
@@ -20,7 +20,7 @@ package telemetry
 // fixed set: a HostCounter constant per counter, added atomically into
 // an array slot, and mapped back to its dotted name ("guestmem.view.hit")
 // only when a snapshot is taken. Stage timings are keyed by name in a
-// map under the recorder's mutex; there is one per pipeline flush, not
+// map under the recorder's mutex; there is one per measured launch, not
 // one per page.
 
 import (
@@ -65,8 +65,6 @@ const (
 	ArtifactDerivedHit
 	ArtifactDerivedMiss
 	ArtifactCorrupted
-	PSPFoldPrefixHits
-	PSPFoldPrefixMisses
 
 	numHostCounters
 )
@@ -99,8 +97,6 @@ var hostCounterNames = [numHostCounters]string{
 	ArtifactDerivedHit:          "artifact.derived.hit",
 	ArtifactDerivedMiss:         "artifact.derived.miss",
 	ArtifactCorrupted:           "artifact.corrupted",
-	PSPFoldPrefixHits:           "psp.fold.prefix_hits",
-	PSPFoldPrefixMisses:         "psp.fold.prefix_misses",
 }
 
 // HostRecorder accumulates host-side wall-clock stage timings and
@@ -127,8 +123,9 @@ func NewHostRecorder() *HostRecorder {
 // such as the artifact intern table.
 var DefaultHostRecorder = NewHostRecorder()
 
-// Stage records one wall-clock timing for a named pipeline stage.
-// Typical use: defer rec.Stage("psp.fold", time.Now()).
+// Stage records one wall-clock timing for a named host stage. The
+// launch's region loop records "psp.pipeline":
+// start := time.Now(); ...; rec.Stage("psp.pipeline", start).
 func (r *HostRecorder) Stage(name string, start time.Time) {
 	d := time.Since(start)
 	r.mu.Lock()

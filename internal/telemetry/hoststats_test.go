@@ -40,8 +40,6 @@ func TestHostCounterNames(t *testing.T) {
 		{ArtifactDerivedHit, "artifact.derived.hit"},
 		{ArtifactDerivedMiss, "artifact.derived.miss"},
 		{ArtifactCorrupted, "artifact.corrupted"},
-		{PSPFoldPrefixHits, "psp.fold.prefix_hits"},
-		{PSPFoldPrefixMisses, "psp.fold.prefix_misses"},
 	}
 	if len(table) != int(numHostCounters) {
 		t.Fatalf("table pins %d counters, the recorder has %d", len(table), numHostCounters)

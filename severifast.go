@@ -430,8 +430,8 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error { return t.reg.WriteProme
 func (t *Telemetry) WriteJSONSummary(w io.Writer) error { return t.reg.WriteJSONSummary(w) }
 
 // WriteHostStats writes the host-time performance instrumentation in
-// Prometheus text format: wall-clock stage timings (e.g. the parallel
-// measurement pipeline) and cache counters (artifact digest memo hits,
+// Prometheus text format: wall-clock stage timings (e.g. a launch's
+// region loop) and cache counters (artifact digest memo hits,
 // CoW page aliasing, fork adoptions, zero-copy range views). Unlike the
 // virtual-time exporters above, these measure real CPU work on the
 // simulating host and vary run to run; the virtual-time exports stay
