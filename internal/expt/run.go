@@ -14,7 +14,7 @@ import (
 
 // initrd is the attestation initrd every experiment of a run shares.
 func (o Options) initrd() []byte {
-	return kernelgen.CachedInitrd(o.Seed, o.initrdSize())
+	return kernelgen.BuildInitrd(o.Seed, o.initrdSize())
 }
 
 // world is one fresh simulated host: its engine, the host on it, and the

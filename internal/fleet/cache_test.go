@@ -68,7 +68,9 @@ func TestKeyOfSeesACorruptedInitrd(t *testing.T) {
 	spec := testSpec(0)
 	spec.Initrd = kernelgen.BuildInitrd(11, 64<<10)
 	k0, h0 := KeyOf(spec)
-	artifact.Lookup(spec.Initrd).Corrupt(len(spec.Initrd)/2, 0x01)
+	buf := artifact.Lookup(spec.Initrd)
+	buf.Corrupt(len(spec.Initrd)/2, 0x01)
+	defer buf.Corrupt(len(spec.Initrd)/2, 0x01) // BuildInitrd hands every caller these bytes
 	k1, h1 := KeyOf(spec)
 	if h1.Initrd != sha256.Sum256(spec.Initrd) || h1.Initrd == h0.Initrd || k1 == k0 {
 		t.Fatal("KeyOf after Corrupt answered the memo of the untampered initrd")

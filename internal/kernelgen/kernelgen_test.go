@@ -147,13 +147,15 @@ func TestCachedLeavesKernelsMeasured(t *testing.T) {
 	}
 }
 
-// TestBuildInitrdLeavesItMeasured: BuildInitrd returns its archive interned
+// TestBuildInitrdLeavesItMeasured: a build returns its archive interned
 // with a digest memo equal to crypto/sha256 over the returned bytes, so the
-// first Digest hashes nothing. The memo is checked across seeds and sizes,
-// one of them cutting every member mid-block, at pool widths 1 and 2 and
-// inside a Do that holds every worker, where the generator's hostwork jobs
-// (the search's LZ4 split from 1 MiB) run inline. Each seed's first build,
-// which runs the calibration search, runs at another of the three.
+// first Digest hashes nothing. Every build here is a fresh one
+// (buildInitrd), not a hit in BuildInitrd's cache. The memo is checked
+// across seeds and sizes, one of them cutting every member mid-block, at
+// pool widths 1 and 2 and inside a Do that holds every worker, where the
+// generator's hostwork jobs (the search's LZ4 split from 1 MiB) run
+// inline. Each seed's first build, which runs the calibration search,
+// runs at another of the three.
 func TestBuildInitrdLeavesItMeasured(t *testing.T) {
 	sizes := []int{64 << 10, 512 << 10, 4 << 20, DefaultInitrdSize, 300_001}
 	if raceDetector {
@@ -211,7 +213,7 @@ func TestBuildInitrdLeavesItMeasured(t *testing.T) {
 			for k := range widths {
 				w := widths[(s+k)%len(widths)]
 				var got []byte
-				w.run(func() { got = BuildInitrd(seed, size) })
+				w.run(func() { got = buildInitrd(seed, size) })
 				measured(fmt.Sprintf("size %d seed %d, %s", size, seed, w.name), got)
 				if first == nil {
 					first = got
@@ -407,20 +409,34 @@ func TestCalibratedBytesHitsTarget(t *testing.T) {
 	}
 }
 
-// TestCachedInitrd: the cache returns BuildInitrd's bytes, the same slice
-// on a hit, from any goroutine, and never retains more than its fixed
-// number of buffers however many seeds pass through it.
-func TestCachedInitrd(t *testing.T) {
+// TestBuildInitrdReturnsOneArray: a second BuildInitrd of one (seed, size)
+// returns the first call's backing array and neither searches nor hashes,
+// so a facade boot after set-up built its initrd generates nothing.
+func TestBuildInitrdReturnsOneArray(t *testing.T) {
+	seed := freshSeed()
+	first := BuildInitrd(seed, 64<<10)
+	searches, hashed := calibSearches.Load(), hashedBytes()
+	second := BuildInitrd(seed, 64<<10)
+	if &second[0] != &first[0] || len(second) != len(first) {
+		t.Fatal("the second BuildInitrd returned another array: it built the initrd again")
+	}
+	if n, h := calibSearches.Load()-searches, hashedBytes()-hashed; n != 0 || h != 0 {
+		t.Fatalf("the second BuildInitrd ran %d searches and hashed %d bytes, want 0 and 0", n, h)
+	}
+}
+
+// TestBuildInitrdCache: BuildInitrd returns a fresh build's bytes, keyed on
+// size as well as seed, from any goroutine, and never retains more than its
+// fixed number of buffers however many seeds pass through it; a pair that
+// fell out is built again.
+func TestBuildInitrdCache(t *testing.T) {
 	const size = 64 << 10
-	want := BuildInitrd(3, size)
-	first := CachedInitrd(3, size)
+	want := buildInitrd(3, size)
+	first := BuildInitrd(3, size)
 	if !bytes.Equal(first, want) {
-		t.Fatal("cached initrd differs from BuildInitrd(3, size)")
+		t.Fatal("BuildInitrd(3, size) differs from a fresh build")
 	}
-	if again := CachedInitrd(3, size); &again[0] != &first[0] {
-		t.Fatal("second call rebuilt the initrd instead of returning the cached slice")
-	}
-	if other := CachedInitrd(3, size/2); len(other) == len(first) {
+	if other := BuildInitrd(3, size/2); len(other) == len(first) {
 		t.Fatal("size is not part of the cache key")
 	}
 
@@ -435,18 +451,19 @@ func TestCachedInitrd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = CachedInitrd(seeds[i%2], size)
+			got[i] = BuildInitrd(seeds[i%2], size)
 		}(i)
 	}
 	wg.Wait()
 	if n := calibSearches.Load() - before; n != 2 {
 		t.Errorf("8 concurrent misses of two keys ran %d searches, want 2", n)
 	}
+	fresh := [2][]byte{buildInitrd(seeds[0], size), buildInitrd(seeds[1], size)}
 	for i, b := range got {
 		if &b[0] != &got[i%2][0] {
 			t.Errorf("goroutine %d got its own copy of key %d", i, i%2)
 		}
-		if !bytes.Equal(b, BuildInitrd(seeds[i%2], size)) {
+		if !bytes.Equal(b, fresh[i%2]) {
 			t.Errorf("goroutine %d got wrong bytes", i)
 		}
 	}
@@ -454,7 +471,7 @@ func TestCachedInitrd(t *testing.T) {
 	// A sweep of seeds: the retained set stays at its bound, and a seed
 	// that fell out is rebuilt, byte-identical.
 	for seed := int64(1000); seed < 1020; seed++ {
-		CachedInitrd(seed, size)
+		BuildInitrd(seed, size)
 	}
 	retained := 0
 	for _, e := range initrdCache.entries {
@@ -465,7 +482,7 @@ func TestCachedInitrd(t *testing.T) {
 	if retained != len(initrdCache.entries) || retained > 4 {
 		t.Fatalf("cache retains %d buffers after a 20-seed sweep, bound %d", retained, len(initrdCache.entries))
 	}
-	if rebuilt := CachedInitrd(3, size); &rebuilt[0] == &first[0] || !bytes.Equal(rebuilt, want) {
+	if rebuilt := BuildInitrd(3, size); &rebuilt[0] == &first[0] || !bytes.Equal(rebuilt, want) {
 		t.Fatal("an evicted pair must be rebuilt to the same bytes")
 	}
 }
@@ -512,10 +529,10 @@ func TestTableAnswersWithoutSearching(t *testing.T) {
 
 	const size = 256 << 10
 	seed := freshSeed()
-	first := BuildInitrd(seed, size)
-	second := BuildInitrd(seed, size)
+	first := buildInitrd(seed, size)
+	second := buildInitrd(seed, size)
 	if n := calibSearches.Load() - before; n != 1 {
-		t.Fatalf("two BuildInitrd calls with one (seed, size) ran %d searches, want 1", n)
+		t.Fatalf("two builds with one (seed, size) ran %d searches, want 1", n)
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatal("the remembered answer generated different bytes than the search returned")
@@ -771,7 +788,7 @@ func TestArtifactsGenerateInPlace(t *testing.T) {
 	p := smallPreset("in-place", freshSeed())
 	seed := freshSeed()
 	for name, build := range map[string]func() []byte{
-		"initrd":  func() []byte { return BuildInitrd(seed, 4<<20) },
+		"initrd":  func() []byte { return buildInitrd(seed, 4<<20) },
 		"vmlinux": func() []byte { vm, _ := p.buildVMLinux(); return vm },
 	} {
 		want := build() // searches; the table remembers

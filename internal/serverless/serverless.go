@@ -120,7 +120,7 @@ func Run(eng *sim.Engine, host *kvm.Host, cfg Config, w Workload) (*Stats, error
 	launch := firecracker.Config{
 		Preset:    cfg.Preset,
 		Artifacts: art,
-		Initrd:    kernelgen.CachedInitrd(w.Seed, cfg.InitrdLen),
+		Initrd:    kernelgen.BuildInitrd(w.Seed, cfg.InitrdLen),
 	}
 	if cfg.Mode != ModePlain {
 		launch.Level = sev.SNP

@@ -468,7 +468,8 @@ func (h *Host) Boot(cfg Config) (*Result, error) {
 }
 
 // resolve validates cfg and assembles its launch from the preset, the
-// level, the cached kernel artifacts and the cached initrd: the one
+// level and kernelgen's cached kernels and initrd (one array per pair, so
+// a boot whose initrd set-up built generates and hashes none): the one
 // description its monitor boots and the digest tool is asked about, so the
 // two cannot drift. Boot, ExpectedLaunchDigest and NewPool all start here.
 func (c *Config) resolve() (*firecracker.Config, error) {
@@ -490,7 +491,7 @@ func (c *Config) resolve() (*firecracker.Config, error) {
 	return &firecracker.Config{
 		Preset:               preset,
 		Artifacts:            art,
-		Initrd:               kernelgen.CachedInitrd(c.Seed, c.InitrdMiB<<20),
+		Initrd:               kernelgen.BuildInitrd(c.Seed, c.InitrdMiB<<20),
 		VCPUs:                c.VCPUs,
 		MemSize:              uint64(c.MemMiB) << 20,
 		Level:                level,

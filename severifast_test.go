@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/severifast/severifast/internal/kbs"
+	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/psp"
 )
 
@@ -26,6 +27,21 @@ func TestBootDefaults(t *testing.T) {
 	}
 	if res.PreEncryption <= 0 || res.BootVerification <= 0 {
 		t.Fatal("SEV phases missing")
+	}
+}
+
+// TestResolveHandsOverTheBuiltInitrd: a launch resolved after its initrd
+// was built is handed that build's array, as a first facade boot after
+// set-up is, so the boot generates no initrd and hashes none.
+func TestResolveHandsOverTheBuiltInitrd(t *testing.T) {
+	cfg := Config{Kernel: KernelLupine, InitrdMiB: 1, Seed: 5}
+	built := kernelgen.BuildInitrd(cfg.Seed, cfg.InitrdMiB<<20)
+	l, err := cfg.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Initrd) != len(built) || &l.Initrd[0] != &built[0] {
+		t.Fatal("resolve built the initrd again instead of handing over the one already built")
 	}
 }
 
