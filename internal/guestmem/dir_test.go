@@ -639,6 +639,7 @@ func stagingArtifact(rng *rand.Rand) *artifact.Buf {
 // free lists its successors draw what it owned.
 func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, free *FreeLists, onExport func(donor *Memory, s *ForkSource)) pathTally {
 	rng := rand.New(rand.NewSource(seed))
+	zr := rand.New(rand.NewSource(^seed)) // draws the never-written ranges, so the op stream stays as it was
 	k, asid := key(byte(seed)), uint32(5)
 	rec, tally := telemetry.NewHostRecorder(), pathTally{}
 	counter := func(name string) int { return int(counterOf(rec, name)) }
@@ -1057,6 +1058,22 @@ func runDirectoryOps(t *testing.T, seed int64, snp bool, ops int, free *FreeList
 				comparePages(t, g, end-3, min(end+1, dirTestSize/PageSize), false)
 			}
 		}
+		// Up to eight pages from a random one, as far as the reference has
+		// never written them.
+		zpn := uint64(zr.Intn(dirTestSize / PageSize))
+		zend := min(zpn+1+uint64(zr.Intn(8)), dirTestSize/PageSize)
+		for pn := zpn; pn < zend; pn++ {
+			if p := g.r.pages[pn]; p != nil && p.data != nil {
+				zend = pn
+			}
+		}
+		if zoff := uint64(zr.Intn(PageSize / 2)); zend > zpn {
+			zn := int((zend-zpn)*PageSize-zoff) - zr.Intn(PageSize/2)
+			compareDigest(t, g, zpn*PageSize+zoff, zn)
+			if g.m.unbacked(zpn*PageSize+zoff, zn) {
+				tally["digest of a never-written range"]++
+			}
+		}
 		if i%50 == 49 {
 			for _, g := range guests {
 				compareWhole(t, g)
@@ -1101,7 +1118,7 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 			"thaw chunk HostWrite", "thaw chunk GuestWrite", "thaw chunk LaunchUpdateFlip", "thaw chunk ShareRange", "thaw chunk HostRestoreCiphertext",
 			"share chunk into nil slot", "share chunk into owned slot", "share chunk into template slot", "GuestCopy chunk->chunk",
 			"export shared chunk", "adopt over an owned chunk", "adopt over a shared chunk",
-			"padded edge page shared", "GuestCopy tail shares source page",
+			"padded edge page shared", "GuestCopy tail shares source page", "digest of a never-written range",
 		} {
 			if !t.Failed() && tally[path] == 0 {
 				t.Errorf("snp=%v: the op streams never took path %q (tally %v)", snp, path, tally)

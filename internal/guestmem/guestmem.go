@@ -54,9 +54,11 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
 	"sync"
 
@@ -538,6 +540,69 @@ func (m *Memory) mutable(p *page) []byte {
 
 // zeroPage is returned when reading unbacked pages.
 var zeroPage [PageSize]byte
+
+// zeroChainStep is how far apart in the all-zero stream zeroChain saves
+// SHA-256 states, and zeroStateLen the length of one saved state, a
+// SHA-256 digest's MarshalBinary form.
+const (
+	zeroChainStep = 1 << 20
+	zeroStateLen  = 108
+)
+
+// zeroChain is SHA-256 run over the all-zero stream, its state saved after
+// every zeroChainStep bytes, so the digest of a never-written range resumes
+// from the longest saved prefix and hashes only the rest. State i, after
+// (i+1)*zeroChainStep bytes, is states[i*zeroStateLen:][:zeroStateLen]. A
+// state depends on nothing but its length, so the chain is never
+// invalidated; it reaches as far as the longest zero range digested. The
+// mutex covers the lookup and the append, never the hashing.
+type zeroChain struct {
+	mu     sync.Mutex
+	states []byte
+}
+
+// zeros is the process's chain, shared by every guest.
+var zeros zeroChain
+
+// sum returns SHA-256 of n zero bytes and how many of them it fed to
+// SHA-256, saving each state it passes beyond the chain's end.
+func (z *zeroChain) sum(n int) (sum [32]byte, hashed int) {
+	h := sha256.New()
+	z.mu.Lock()
+	steps := min(n/zeroChainStep, len(z.states)/zeroStateLen)
+	if steps > 0 {
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(z.states[(steps-1)*zeroStateLen:][:zeroStateLen]); err != nil {
+			panic(err) // the chain holds only states it marshaled
+		}
+	}
+	z.mu.Unlock()
+	done := steps * zeroChainStep
+	hashed = n - done
+	for done < n {
+		chunk := min(PageSize, n-done)
+		h.Write(zeroPage[:chunk])
+		if done += chunk; done%zeroChainStep == 0 {
+			z.save(h, done/zeroChainStep)
+		}
+	}
+	h.Sum(sum[:0])
+	return sum, hashed
+}
+
+// save appends h, the state after steps*zeroChainStep zero bytes, when it
+// is the next state the chain lacks.
+func (z *zeroChain) save(h hash.Hash, steps int) {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if len(z.states) != (steps-1)*zeroStateLen {
+		return
+	}
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil || len(state) != zeroStateLen {
+		panic(fmt.Sprintf("guestmem: a SHA-256 state marshals to %d bytes (%v)", len(state), err))
+	}
+	z.states = append(z.states, state...)
+}
 
 func (p page) readable() []byte {
 	if p.data == nil {
@@ -1147,10 +1212,23 @@ func (m *Memory) rangeArtifact(gpa uint64, n int) (*artifact.Buf, int) {
 	return art, base
 }
 
+// unbacked reports whether no page of [gpa, gpa+n) has backing bytes, so
+// the range reads as n zero bytes.
+func (m *Memory) unbacked(gpa uint64, n int) bool {
+	for pn := gpa / PageSize; pn*PageSize < gpa+uint64(n); pn++ {
+		if m.look(pn).data != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // PlainRangeDigest returns SHA-256 of the current plain text of
 // [gpa, gpa+n) — exactly sha256.Sum256 of what the tests' LaunchUpdate
 // would have returned — using the artifact memo table when the range
-// aliases one interned buffer, and a zero-copy streaming hash otherwise.
+// aliases one interned buffer, the process's zero chain when no page of it
+// has backing, and a zero-copy streaming hash otherwise. The streamed-bytes
+// counter adds what is fed to SHA-256, so a resumed zero prefix adds nothing.
 func (m *Memory) PlainRangeDigest(gpa uint64, n int) ([32]byte, error) {
 	var sum [32]byte
 	if err := m.check(gpa, n); err != nil {
@@ -1161,6 +1239,11 @@ func (m *Memory) PlainRangeDigest(gpa uint64, n int) ([32]byte, error) {
 		return art.RangeDigest(base, n), nil
 	}
 	m.recorder().Add(telemetry.GuestmemDigestStreamed, 1)
+	if m.unbacked(gpa, n) {
+		sum, hashed := zeros.sum(n)
+		m.recorder().Add(telemetry.GuestmemDigestStreamedBytes, int64(hashed))
+		return sum, nil
+	}
 	m.recorder().Add(telemetry.GuestmemDigestStreamedBytes, int64(n))
 	h := sha256.New()
 	for done := 0; done < n; {

@@ -36,6 +36,9 @@ func TestRecycledDirectoryMatchesMapReference(t *testing.T) {
 				t.Errorf("snp=%v: no guest drew a released %s (tally %v)", snp, kind, tally)
 			}
 		}
+		if !t.Failed() && tally["digest of a never-written range"] == 0 {
+			t.Errorf("snp=%v: the op streams never digested a never-written range (tally %v)", snp, tally)
+		}
 	}
 }
 

@@ -357,6 +357,46 @@ func TestPreEncryptionTimeChargedOnPSP(t *testing.T) {
 	}
 }
 
+// TestTamperOfNeverWrittenMemoryMovesDigest launches Fig. 4's smallest
+// region, 3.3 MiB of guest memory nothing has written, whose digest comes
+// from guestmem's zero chain. A host write of one byte before
+// pre-encryption must move the launch digest to the fold of the bytes as
+// written.
+func TestTamperOfNeverWrittenMemoryMovesDigest(t *testing.T) {
+	const n, at = 3_460_300, 1_730_001
+	launch := func(tamper func(*guestmem.Memory, uint64, int)) [32]byte {
+		t.Helper()
+		p := New(costmodel.Unit(), 1)
+		p.PreEncryptTamper = tamper
+		ctx, err := p.LaunchStart(nil, guestmem.New(n+1<<20), sev.SNP, sev.DefaultPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.LaunchUpdateData(nil, 0, n, sev.PageNormal); err != nil {
+			t.Fatal(err)
+		}
+		d, _ := ctx.LaunchFinish(nil)
+		return d
+	}
+	fold := func(plain []byte) [32]byte {
+		return ExtendDigestContent(InitialDigest(sev.DefaultPolicy(), sev.SNP), sev.PageNormal, 0, n, sha256.Sum256(plain))
+	}
+	plain := make([]byte, n)
+	clean := launch(nil)
+	if clean != fold(plain) || launch(nil) != clean {
+		t.Fatal("a launch over never-written memory is not the fold of its zero bytes")
+	}
+	tampered := launch(func(mem *guestmem.Memory, gpa uint64, _ int) {
+		if err := mem.HostWrite(gpa+at, []byte{1}); err != nil {
+			t.Error(err)
+		}
+	})
+	plain[at] = 1
+	if tampered == clean || tampered != fold(plain) {
+		t.Fatal("a byte written before pre-encryption did not move the launch digest to the fold of the written bytes")
+	}
+}
+
 func TestConcurrentLaunchesSerializeOnPSP(t *testing.T) {
 	// The Fig. 12 mechanism: N concurrent LAUNCH_UPDATEs through one PSP
 	// finish at strictly increasing times with a constant stride.
