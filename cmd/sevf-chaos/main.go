@@ -1,9 +1,11 @@
 // sevf-chaos runs deterministic adversary campaigns against the boot
 // path: guest-memory scribbles, artifact, plan-blob and cache poisoning,
 // PSP launch tampering, sealed-snapshot corruption, fork parents dirtied
-// between capture and fork, key-broker evidence faults, and policy-store
-// subversion (forged, rescoped, and revoked trust claims, and TCB storms:
-// mid-run revocations and floor bumps with forged recovery claims) —
+// between capture and fork, key-broker evidence faults and outages
+// (including reports re-signed under a genuine VCEK of a stale TCB or of
+// a revoked twin chip), and policy-store subversion (forged, rescoped,
+// and revoked trust claims, and TCB storms: mid-run revocations and
+// floor bumps with forged recovery claims) —
 // seven families, one site table, each trial classified by the invariant
 // oracle as caught, harmless, or ESCAPE. The seed-42 campaign is pinned
 // byte for byte in testdata/.

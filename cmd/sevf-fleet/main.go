@@ -5,10 +5,13 @@
 //	sevf-fleet                                   # defaults: 64 boots, 8 workers
 //	sevf-fleet -workers 16 -arrivals 256 -warm   # warm pool on
 //	sevf-fleet -queue 8 -mean 1ms                # overload with backpressure
-//	sevf-fleet -fault-rate 0.2 -retries 3        # transient PSP faults
 //	sevf-fleet -kbs                              # attestation-gated boots, in-process broker
 //	sevf-fleet -kbs-url http://127.0.0.1:8443    # redeem against sevf-attestd
-//	sevf-fleet -kbs -fault-site forged -fault-rate 0.2   # tampered evidence, denied + retried
+//	sevf-fleet -kbs -tcb 2.1.8.114 -min-tcb 2.1.8.115    # platform below the floor: denied (stale-tcb)
+//
+// Boots retry transient failures (an unreachable broker) with exponential
+// backoff; a broker denial fails the run. Tampered evidence is sevf-chaos's
+// kbs campaign.
 package main
 
 import (
@@ -47,9 +50,7 @@ func run(args []string, out io.Writer) error {
 		preset    = fs.String("preset", "lupine", "kernel preset: lupine, aws, ubuntu")
 		initrdLen = fs.Int("initrd", 2<<20, "initrd size in bytes")
 		warm      = fs.Bool("warm", false, "enable the warm shared-key snapshot tier")
-		faultRate = fs.Float64("fault-rate", 0, "per-attempt transient fault probability")
-		faultSite = fs.String("fault-site", "psp", "fault site: psp, verifier, forged, stale-tcb, revoked, replay")
-		retries   = fs.Int("retries", 3, "retry budget per request on injected faults")
+		retries   = fs.Int("retries", 3, "retry budget per request on transient failures")
 		backoff   = fs.Duration("backoff", time.Millisecond, "base retry backoff (exponential)")
 		seed      = fs.Int64("seed", 1, "simulation seed")
 		width     = fs.Int("width", 60, "CDF chart width (0 disables charts)")
@@ -81,27 +82,6 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown preset %q (want lupine, aws, or ubuntu)", *preset)
 	}
-	var site fleet.FaultSite
-	switch strings.ToLower(*faultSite) {
-	case "psp":
-		site = fleet.FaultPSP
-	case "verifier":
-		site = fleet.FaultVerifier
-	case "forged":
-		site = fleet.FaultForged
-	case "stale-tcb":
-		site = fleet.FaultStaleTCB
-	case "revoked":
-		site = fleet.FaultRevoked
-	case "replay":
-		site = fleet.FaultReplay
-	default:
-		return fmt.Errorf("unknown fault site %q (want psp, verifier, forged, stale-tcb, revoked, or replay)", *faultSite)
-	}
-	gated := *useKBS || *kbsURL != ""
-	if site >= fleet.FaultForged && !gated {
-		return fmt.Errorf("fault site %q needs attestation gating (-kbs or -kbs-url)", site)
-	}
 	if *arrivals <= 0 {
 		return fmt.Errorf("arrivals must be positive")
 	}
@@ -117,9 +97,6 @@ func run(args []string, out io.Writer) error {
 		QueueDepth: *queue,
 		EnableWarm: *warm,
 		Retry:      fleet.RetryPolicy{Max: *retries, Backoff: *backoff},
-	}
-	if *faultRate > 0 {
-		cfg.Faults = &fleet.FaultPlan{Rate: *faultRate, Seed: *seed, Site: site}
 	}
 
 	names := make([]string, *tenants)
@@ -140,7 +117,7 @@ func run(args []string, out io.Writer) error {
 		host.Telemetry = reg
 		cfg.Telemetry = reg
 	}
-	if gated {
+	if *useKBS || *kbsURL != "" {
 		platTCB, err := kbs.ParseTCB(*tcbStr)
 		if err != nil {
 			return fmt.Errorf("-tcb: %w", err)
@@ -199,9 +176,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, ", kbs %s", *kbsURL)
 	} else if *useKBS {
 		fmt.Fprint(out, ", kbs in-process")
-	}
-	if cfg.Faults != nil {
-		fmt.Fprintf(out, ", faults %s@%.2f", site, *faultRate)
 	}
 	fmt.Fprintf(out, "\nvirtual makespan %v\n\n", eng.Now())
 	fmt.Fprint(out, o.Metrics().Report(o.CacheStats(), *width))

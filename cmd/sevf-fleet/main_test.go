@@ -2,11 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/severifast/severifast/internal/kbs"
 )
 
 func TestRunDefaultsSmall(t *testing.T) {
@@ -29,17 +35,38 @@ func TestRunDefaultsSmall(t *testing.T) {
 	}
 }
 
+// TestRunWarmAndFaults: a warm fleet against a remote broker whose
+// transport drops every third challenge or redeem retries each drop and
+// serves every boot, and the report counts the drops as faults.
 func TestRunWarmAndFaults(t *testing.T) {
+	broker := kbs.NewBroker(kbs.NewAuthority(1).Root(), kbs.Config{
+		MinTCB:   kbs.TCB{BootLoader: 2, TEE: 1, SNP: 8, Microcode: 115},
+		NonceTTL: time.Minute,
+		Seed:     1,
+	})
+	broker.AddTenant("tenant-0", []byte("k"))
+	broker.AddTenant("tenant-1", []byte("k"))
+	h := broker.Handler()
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/claim" && calls.Add(1)%3 == 0 {
+			http.Error(w, "broker overloaded", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
 	var sb strings.Builder
 	err := run([]string{
-		"-arrivals", "8", "-workers", "2", "-warm",
-		"-fault-rate", "0.3", "-retries", "6", "-mean", "2ms",
+		"-arrivals", "8", "-workers", "2", "-tenants", "2", "-warm",
+		"-kbs-url", srv.URL, "-retries", "6", "-mean", "2ms",
 	}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"warm pool", "faults psp@0.30", "faults:"} {
+	for _, want := range []string{"warm pool", "8 submitted, 8 served", "attest: 8 granted", "faults:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -87,27 +114,19 @@ func TestRunKBSInProcess(t *testing.T) {
 	}
 }
 
+// TestRunKBSDenialCounters: a platform below the broker's minimum TCB is
+// refused, and the refusal is the run's error.
 func TestRunKBSDenialCounters(t *testing.T) {
-	for _, site := range []string{"forged", "stale-tcb", "revoked", "replay"} {
-		t.Run(site, func(t *testing.T) {
-			var sb strings.Builder
-			err := run([]string{
-				"-arrivals", "3", "-workers", "1", "-kbs",
-				"-fault-site", site, "-fault-rate", "1", "-retries", "1",
-			}, &sb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := sb.String()
-			// 3 requests x (1 attempt + 1 retry), all denied for the
-			// injected site's reason.
-			for _, want := range []string{"denials: " + site + "=6", "3 failed"} {
-				if !strings.Contains(out, want) {
-					t.Errorf("output missing %q:\n%s", want, out)
-				}
-			}
-		})
-	}
+	t.Run("stale-tcb", func(t *testing.T) {
+		var sb strings.Builder
+		err := run([]string{
+			"-arrivals", "3", "-workers", "1", "-kbs",
+			"-tcb", "2.1.8.114", "-min-tcb", "2.1.8.115",
+		}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "denied (stale-tcb)") {
+			t.Fatalf("run error = %v, want a stale-tcb denial\n%s", err, sb.String())
+		}
+	})
 }
 
 func TestRunKBSDeterministic(t *testing.T) {
@@ -115,7 +134,6 @@ func TestRunKBSDeterministic(t *testing.T) {
 		var sb strings.Builder
 		if err := run([]string{
 			"-arrivals", "10", "-workers", "2", "-seed", "7", "-kbs",
-			"-fault-site", "forged", "-fault-rate", "0.3", "-retries", "5",
 		}, &sb); err != nil {
 			t.Fatal(err)
 		}
@@ -210,11 +228,9 @@ func atoi(t *testing.T, s string) int {
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-preset", "plan9"},
-		{"-fault-site", "dimm"},
 		{"-arrivals", "0"},
 		{"-tenants", "0"},
 		{"-workers", "0"},
-		{"-fault-site", "forged"}, // attest site without -kbs
 		{"-kbs", "-tcb", "not-a-tcb"},
 		{"-kbs", "-min-tcb", "9"},
 	} {

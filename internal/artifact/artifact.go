@@ -107,8 +107,8 @@ func Intern(data []byte) *Buf {
 	b := &Buf{data: data}
 	if len(intern.m) < maxInterned {
 		intern.m[k] = b
-		telemetry.HostCounterAdd(telemetry.ArtifactInterned, 1)
-		telemetry.HostCounterAdd(telemetry.ArtifactInternedBytes, int64(len(data)))
+		telemetry.DefaultHostRecorder.Add(telemetry.ArtifactInterned, 1)
+		telemetry.DefaultHostRecorder.Add(telemetry.ArtifactInternedBytes, int64(len(data)))
 	}
 	return b
 }
@@ -153,8 +153,8 @@ func (b *Buf) Digest() [32]byte {
 	if b.fullOK {
 		sum := b.full
 		b.mu.Unlock()
-		telemetry.HostCounterAdd(telemetry.ArtifactDigestHit, 1)
-		telemetry.HostCounterAdd(telemetry.ArtifactDigestBytesSpared, int64(len(b.data)))
+		telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDigestHit, 1)
+		telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDigestBytesSpared, int64(len(b.data)))
 		return sum
 	}
 	b.mu.Unlock()
@@ -165,8 +165,8 @@ func (b *Buf) Digest() [32]byte {
 	b.mu.Lock()
 	b.full, b.fullOK = sum, true
 	b.mu.Unlock()
-	telemetry.HostCounterAdd(telemetry.ArtifactDigestMiss, 1)
-	telemetry.HostCounterAdd(telemetry.ArtifactDigestBytesHashed, int64(len(b.data)))
+	telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDigestMiss, 1)
+	telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDigestBytesHashed, int64(len(b.data)))
 	return sum
 }
 
@@ -178,14 +178,14 @@ func (b *Buf) RangeDigest(off, n int) [32]byte {
 	}
 	k := rangeKey{off, n}
 	if v, ok := b.sub.Load(k); ok {
-		telemetry.HostCounterAdd(telemetry.ArtifactDigestHit, 1)
-		telemetry.HostCounterAdd(telemetry.ArtifactDigestBytesSpared, int64(n))
+		telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDigestHit, 1)
+		telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDigestBytesSpared, int64(n))
 		return v.([32]byte)
 	}
 	sum := sha256.Sum256(b.data[off : off+n])
 	b.sub.Store(k, sum)
-	telemetry.HostCounterAdd(telemetry.ArtifactDigestMiss, 1)
-	telemetry.HostCounterAdd(telemetry.ArtifactDigestBytesHashed, int64(n))
+	telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDigestMiss, 1)
+	telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDigestBytesHashed, int64(n))
 	return sum
 }
 
@@ -203,10 +203,10 @@ func (b *Buf) Derived(key string, build func() (any, error)) (any, error) {
 	e.once.Do(func() {
 		hit = false
 		e.val, e.err = build()
-		telemetry.HostCounterAdd(telemetry.ArtifactDerivedMiss, 1)
+		telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDerivedMiss, 1)
 	})
 	if hit && loaded {
-		telemetry.HostCounterAdd(telemetry.ArtifactDerivedHit, 1)
+		telemetry.DefaultHostRecorder.Add(telemetry.ArtifactDerivedHit, 1)
 	}
 	return e.val, e.err
 }
@@ -268,7 +268,7 @@ func (b *Buf) Corrupt(off int, mask byte) {
 		b.derived.Delete(k)
 		return true
 	})
-	telemetry.HostCounterAdd(telemetry.ArtifactCorrupted, 1)
+	telemetry.DefaultHostRecorder.Add(telemetry.ArtifactCorrupted, 1)
 }
 
 // Corruptions counts the Corrupt calls that have changed the buffer. A

@@ -3,7 +3,8 @@
 // canonical-artifact, plan-blob and measured-image-cache poisoning,
 // pre-encryption launch-page tampering, PSP digest truncation, snapshot
 // corruption, parent-snapshot dirtying between capture and fork,
-// key-broker evidence corruption/delay/duplication/outage,
+// key-broker evidence corruption/delay/duplication/outage and forged
+// identities (reports re-signed under a stale-TCB or revoked-twin VCEK),
 // and policy-store subversion (forged, rescoped, expired, and revoked
 // trust claims, and TCB storms: mid-run chip revocations and floor bumps
 // with forged un-revocation and floor-restore claims riding the recovery).

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/fleet"
+	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -140,6 +142,44 @@ func TestTCBStormFamily(t *testing.T) {
 			t.Errorf("unknown policy mutation %q", tr.Name)
 		} else if tr.Outcome != w {
 			t.Errorf("%s (%s): outcome %s, want %s: %s", tr.Name, tr.Params, tr.Outcome, w, tr.Detail)
+		}
+	}
+}
+
+// TestIdentityRows: evidence under a genuine VCEK of another identity —
+// the enrolled chip one TCB step back, or a revoked twin — is refused
+// with that identity's reason on every boot. The verdict calls the row
+// caught only then: a grant is an ESCAPE, any other refusal unexpected.
+func TestIdentityRows(t *testing.T) {
+	cfg := Config{Boots: 2}
+	cfg.fillDefaults()
+	initrd := kernelgen.BuildInitrd(7, 1<<20)
+	clean, err := runTrial(cfg, initrd, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []site{kbsStaleTCB(), kbsRevokedTwin()} {
+		res, err := runTrial(cfg, initrd, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, detail := classify(s, res, clean); out != Caught {
+			t.Errorf("%s (%s): %s: %s", s.name, s.params, out, detail)
+		}
+	}
+
+	stale, forged := &kbs.Denial{Reason: kbs.ReasonStaleTCB}, &kbs.Denial{Reason: kbs.ReasonForged}
+	for _, tc := range []struct {
+		errs []error
+		want Outcome
+	}{
+		{[]error{stale, stale}, Caught},
+		{[]error{stale, nil}, Escape},
+		{[]error{stale, forged}, Unexpected},
+		{[]error{fmt.Errorf("%w: connection refused", fleet.ErrKBSUnreachable), stale}, Unexpected},
+	} {
+		if out, detail, _ := identityVerdict(&RunResult{BootErrs: tc.errs}, kbs.ReasonStaleTCB); out != tc.want {
+			t.Errorf("boot errors %v: %s (%s), want %s", tc.errs, out, detail, tc.want)
 		}
 	}
 }

@@ -153,6 +153,10 @@ func catalog(cfg Config) []site {
 		add(kbsOutage(
 			time.Duration(int64(50*time.Millisecond)+r.Int63n(int64(300*time.Millisecond))),
 			time.Duration(int64(150*time.Millisecond)+r.Int63n(int64(300*time.Millisecond)))))
+		// The identity rows draw nothing, so every later row keeps its
+		// parameters.
+		add(kbsStaleTCB())
+		add(kbsRevokedTwin())
 	}
 	if want("policy") {
 		add(polForgedRef(draw().Intn(256)))
@@ -519,6 +523,75 @@ func kbsOutage(from, span time.Duration) site {
 				res.Metrics.Retries, res.Metrics.BreakerFastFails, res.Metrics.BreakerTransitions), true
 		},
 	}
+}
+
+// kbsStaleTCB presents every report under the enrolled chip's VCEK of one
+// TCB step back, with that TCB's genuine chain: the adversary holds a
+// real but superseded identity of the platform. The broker's minimum-TCB
+// floor must refuse each as stale-tcb.
+func kbsStaleTCB() site {
+	older, _ := chaosTCB.Predecessor() // chaosTCB's microcode is nonzero: it has one
+	return kbsIdentity("stale-tcb-evidence", "chip-chaos", older, kbs.ReasonStaleTCB, nil)
+}
+
+// kbsRevokedTwin files a revocation of a twin of the enrolled chip and
+// presents every report under the twin's genuine VCEK and chain: the
+// adversary holds the identity of a platform the operator has revoked.
+// The broker must refuse each as revoked.
+func kbsRevokedTwin() site {
+	const twin = "chip-chaos-revoked"
+	return kbsIdentity("revoked-twin-evidence", twin, chaosTCB, kbs.ReasonRevoked,
+		func(h *Harness) { revokeChip(h, twin) })
+}
+
+// kbsIdentity is the row shape the two identity rows share: after prep,
+// every redeem re-signs its report under the VCEK the key authority
+// issued to (chip, tcb) and sends that pair's chain. Each refusal must
+// carry exactly reason; a grant is an ESCAPE and any other refusal is
+// unexpected.
+func kbsIdentity(name, chip string, tcb kbs.TCB, reason kbs.Reason, prep func(h *Harness)) site {
+	return site{
+		family:   "kbs",
+		name:     name,
+		params:   fmt.Sprintf("chip=%s tcb=%s", chip, tcb),
+		expected: []error{kbs.ErrDenied},
+		arm: func(h *Harness) {
+			if prep != nil {
+				prep(h)
+			}
+			auth := h.Cfg.Enrollment.Authority
+			key, chain := auth.VCEKKey(chip, tcb), auth.ChainFor(chip, tcb).Marshal()
+			h.Service = &kbsProxy{
+				Service: h.Service,
+				onRedeem: func(idx int, req *kbs.RedeemRequest, now sim.Time) sim.Time {
+					// A report that does not re-sign still goes with the
+					// foreign chain, so its refusal reads as unexpected.
+					if resigned, err := kbs.ResignReport(req.Report, key, rand.New(rand.NewSource(int64(idx)))); err == nil {
+						req.Report = resigned
+					}
+					req.Chain = chain
+					return now
+				},
+			}
+		},
+		verdict: func(res, _ *RunResult) (Outcome, string, bool) {
+			return identityVerdict(res, reason)
+		},
+	}
+}
+
+// identityVerdict classifies a run in which every exchange presented a
+// forged identity: caught only if every boot was refused with reason.
+func identityVerdict(res *RunResult, reason kbs.Reason) (Outcome, string, bool) {
+	for i, err := range res.BootErrs {
+		if err == nil {
+			return Escape, fmt.Sprintf("boot %d was granted under a forged identity", i), true
+		}
+		if got := kbs.ReasonOf(err); got != reason {
+			return Unexpected, fmt.Sprintf("boot %d refused as %q, want %q: %v", i, got, reason, err), true
+		}
+	}
+	return Caught, fmt.Sprintf("%d boot(s) refused as %s", len(res.BootErrs), reason), true
 }
 
 // ---------------------------------------------------------------------------

@@ -335,8 +335,8 @@ func (c *Cluster) Shards() []*HostShard { return c.shards }
 func (c *Cluster) Replication() *artifact.Replicator { return c.repl }
 
 // Err returns the first deterministic boot or provisioning error from
-// any shard. Runs that deliberately degrade a host (fault injection,
-// broker outages) will see that host's error here; consult per-shard
+// any shard. Runs that deliberately degrade a host (revocation storms,
+// broker denials) will see that host's error here; consult per-shard
 // Orch.Err for attribution.
 func (c *Cluster) Err() error {
 	if c.firstErr != nil {

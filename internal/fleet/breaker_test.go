@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -33,6 +34,16 @@ func (f *flakyKBS) Redeem(req kbs.RedeemRequest, now sim.Time) (*kbs.RedeemResul
 		return nil, fmt.Errorf("kbs transport: connection refused")
 	}
 	return f.Service.Redeem(req, now)
+}
+
+// dropCalls makes o's broker unreachable on about rate of its calls,
+// drawn from a seeded stream so that runs repeat.
+func dropCalls(o *Orchestrator, rate float64, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	o.cfg.KBS = &flakyKBS{
+		Service: o.cfg.KBS,
+		down:    func(sim.Time) bool { return rng.Float64() < rate },
+	}
 }
 
 // breakerFleet assembles an attestation-gated fleet whose broker is

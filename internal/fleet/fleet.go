@@ -13,7 +13,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -48,8 +47,8 @@ var (
 	ErrDeadlineExceeded = errors.New("fleet: boot deadline exceeded")
 	// ErrKBSUnreachable marks a key-broker transport failure: the broker
 	// did not answer at all (as opposed to answering with a denial). It is
-	// transient — the retry loop retries it like an injected fault — and
-	// it feeds the circuit breaker's failure count.
+	// transient — the retry loop retries it with backoff — and it feeds
+	// the circuit breaker's failure count.
 	ErrKBSUnreachable = errors.New("fleet: key broker unreachable")
 	// ErrReattest marks an exchange denied while the host's enrollment was
 	// being swapped underneath it (Reenroll mid-exchange): the evidence
@@ -99,10 +98,8 @@ type Config struct {
 	// severifast.Pool facade uses it so the engine fully drains between
 	// Boot calls (a parked worker would deadlock the engine's drain).
 	Standalone bool
-	// Retry bounds recovery from injected transient faults.
+	// Retry bounds recovery from transient failures.
 	Retry RetryPolicy
-	// Faults optionally injects transient boot faults.
-	Faults *FaultPlan
 	// Cache is the measured-image cache. Nil allocates a private one;
 	// pass a shared cache to amortize measurement across shards.
 	Cache *Cache
@@ -162,8 +159,8 @@ type Config struct {
 	// broker automatically from the measured-image cache.
 	KBS kbs.Service
 	// Enrollment is the host platform's identity under the broker's key
-	// authority (kbs.Authority.Enroll of the host PSP). Required when
-	// KBS is set.
+	// authority: the chip ID, TCB and VCEK chain its Enroll issued for
+	// the host PSP. Required when KBS is set.
 	Enrollment *kbs.Enrollment
 	// AgentSeed derives each boot's guest attestation agent key.
 	AgentSeed int64
@@ -186,6 +183,28 @@ func (c *Config) fillDefaults() {
 	if c.Admission == nil {
 		c.Admission = policy.Permissive()
 	}
+}
+
+// RetryPolicy bounds retries of transient failures. Backoff is
+// exponential in virtual time: attempt k (0-based) sleeps Backoff<<k
+// before retrying.
+type RetryPolicy struct {
+	// Max is the number of retries after the first attempt; 0 means a
+	// request fails at its first transient failure.
+	Max int
+	// Backoff is the base delay before the first retry.
+	Backoff time.Duration
+}
+
+// delay returns the virtual-time backoff before retry attempt k (0-based).
+func (r RetryPolicy) delay(k int) time.Duration {
+	if r.Backoff <= 0 {
+		return 0
+	}
+	if k > 20 {
+		k = 20 // cap the shift; virtual time, but keep it sane
+	}
+	return r.Backoff << uint(k)
 }
 
 // Image is a registered function image: the artifacts plus the memoized
@@ -422,7 +441,7 @@ func (o *Orchestrator) Metrics() *Metrics { return o.met }
 
 // Reenroll swaps the host's platform identity — the rolling-update step
 // where a host's firmware moves to a new TCB and its PSP is re-enrolled
-// under the authority (kbs.Authority.Enroll re-derives the VCEK chain).
+// under the key authority (its Enroll re-derives the VCEK chain).
 // Admissions from this instant evaluate with the new identity. Exchanges
 // already in flight may straddle the swap — a report signed under one
 // VCEK redeemed with the other's chain — and their denials come back as
@@ -436,7 +455,7 @@ func (o *Orchestrator) Reenroll(e *kbs.Enrollment) {
 // CacheStats snapshots the measured-image cache counters.
 func (o *Orchestrator) CacheStats() CacheStats { return o.cfg.Cache.Stats() }
 
-// Err returns the first deterministic (non-injected) boot error, if any,
+// Err returns the first deterministic (non-transient) boot error, if any,
 // or the first reference-value provisioning failure.
 func (o *Orchestrator) Err() error {
 	if o.firstErr != nil {
@@ -599,7 +618,7 @@ func (o *Orchestrator) worker(p *sim.Proc) {
 }
 
 // serve runs one request to completion: boot (with retry on transient
-// faults) under the per-request deadline budget, then hand execution off
+// failures) under the per-request deadline budget, then hand execution off
 // to a spawned process so the worker slot frees up for the next boot.
 func (o *Orchestrator) serve(p *sim.Proc, r *request) {
 	o.met.queueWait(p.Now().Sub(r.admitted))
@@ -612,7 +631,7 @@ func (o *Orchestrator) serve(p *sim.Proc, r *request) {
 	}
 	// The policy gate, before any boot work is spent: a denied tenant or
 	// distrusted platform never reaches a worker's boot path. Denials are
-	// deterministic verdicts, not transient faults — no retry.
+	// deterministic verdicts, not transient failures — no retry.
 	if err := o.admission(p, r); err != nil {
 		giveUp(TierCold, err)
 		return
@@ -676,12 +695,13 @@ func (o *Orchestrator) serve(p *sim.Proc, r *request) {
 	}
 }
 
-// retryable reports whether a boot-attempt error is transient: injected
-// faults and key-broker transport failures are retried with backoff; any
+// retryable reports whether a boot-attempt error is transient: key-broker
+// transport failures, exchanges that straddled a re-enrollment and warm
+// boots whose pool was evicted mid-boot are retried with backoff; any
 // other error is deterministic and fails the request immediately.
 func retryable(err error) bool {
-	return errors.Is(err, ErrInjected) || errors.Is(err, ErrKBSUnreachable) ||
-		errors.Is(err, ErrReattest) || errors.Is(err, ErrWarmInvalidated)
+	return errors.Is(err, ErrKBSUnreachable) || errors.Is(err, ErrReattest) ||
+		errors.Is(err, ErrWarmInvalidated)
 }
 
 // finish runs the function body off-worker, records end-to-end latency and
@@ -757,9 +777,6 @@ func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, *kvm.Machine, er
 	// otherwise a fork from the image's shared-key snapshot.
 	if o.cfg.EnableWarm && img.fork != nil {
 		r.warmEpoch = img.warmEpoch
-		if o.bootFault() {
-			return TierWarm, nil, o.injectFault(p)
-		}
 		var m *kvm.Machine
 		if ms := o.standby[img.key]; len(ms) > 0 {
 			m = ms[len(ms)-1]
@@ -802,9 +819,6 @@ func (o *Orchestrator) bootOnce(p *sim.Proc, r *request) (Tier, *kvm.Machine, er
 		if err != nil {
 			return tier, nil, err
 		}
-	}
-	if o.bootFault() {
-		return tier, nil, o.injectFault(p)
 	}
 
 	res, err := o.bootMachine(p, img, mi)
@@ -1008,40 +1022,6 @@ func (o *Orchestrator) EvictWarm(img *Image) {
 	delete(o.standby, img.key)
 }
 
-// bootFault draws the launch-path fault hook. When the plan targets an
-// attest site the draw is deferred to the exchange instead, so a given
-// (rate, seed) plan consults the PRNG exactly once per attempt regardless
-// of site — reruns stay bit-for-bit reproducible.
-func (o *Orchestrator) bootFault() bool {
-	if o.cfg.Faults != nil && o.cfg.Faults.Site.attest() {
-		return false
-	}
-	return o.cfg.Faults.fire()
-}
-
-// attestTamper draws the attest-site fault hook.
-func (o *Orchestrator) attestTamper() (FaultSite, bool) {
-	if o.cfg.Faults == nil || !o.cfg.Faults.Site.attest() {
-		return 0, false
-	}
-	return o.cfg.Faults.Site, o.cfg.Faults.fire()
-}
-
-// injectFault charges the cost of the aborted operation and returns the
-// transient error. A PSP fault pays a LAUNCH_START slot on the shared PSP
-// (so retries contend like real launches); a verifier fault pays the time
-// to reach guest entry, modeled as the VMM load of the verifier stage.
-func (o *Orchestrator) injectFault(p *sim.Proc) error {
-	switch o.cfg.Faults.Site {
-	case FaultVerifier:
-		p.Sleep(o.host.Model.VMMLoad(64 << 10))
-		return fmt.Errorf("%w: verifier abort after guest entry", ErrInjected)
-	default:
-		o.host.PSP.Resource().UseLabeled(p, o.host.Model.PSPLaunchStart, "LAUNCH_START")
-		return fmt.Errorf("%w: PSP LAUNCH_START busy", ErrInjected)
-	}
-}
-
 // attestExchange gates a booted guest behind the key broker: challenge,
 // PSP report bound to the nonce and guest key, redemption, secret unwrap.
 // The span shows up in the machine's trace timeline as "attest" and in the
@@ -1086,16 +1066,14 @@ func (o *Orchestrator) attestExchange(p *sim.Proc, r *request, m *kvm.Machine) e
 	return nil
 }
 
-// runExchange performs one attest→key-release round trip, applying any
-// planned attest-site tamper to the evidence before redemption.
+// runExchange performs one attest→key-release round trip.
 func (o *Orchestrator) runExchange(p *sim.Proc, r *request, m *kvm.Machine) error {
-	site, tampered := o.attestTamper()
 	enrollVer := o.enrollVer
 
 	p.Sleep(o.host.Model.AttestNetwork)
 	ch, err := o.cfg.KBS.Challenge(r.Tenant, p.Now())
 	if err != nil {
-		return o.brokerErr(p, err, false, site)
+		return o.brokerErr(p, err)
 	}
 
 	// The guest agent's ephemeral key is generated inside encrypted
@@ -1109,29 +1087,22 @@ func (o *Orchestrator) runExchange(p *sim.Proc, r *request, m *kvm.Machine) erro
 	if e := o.cfg.Enrollment; o.chainOf != e {
 		o.chainOf, o.chainRaw = e, e.Chain.Marshal()
 	}
-	chainBytes := o.chainRaw
-	if tampered {
-		reportBytes, chainBytes, err = o.tamperEvidence(site, reportBytes, chainBytes, r)
-		if err != nil {
-			return err
-		}
-	}
 
 	req := kbs.RedeemRequest{
 		Tenant:   r.Tenant,
 		Nonce:    ch.Nonce,
 		Report:   reportBytes,
-		Chain:    chainBytes,
+		Chain:    o.chainRaw,
 		GuestPub: agent.PublicKey(),
 	}
 	p.Sleep(o.host.Model.AttestNetwork)
 	res, err := o.cfg.KBS.Redeem(req, p.Now())
 	if err != nil {
-		err = o.brokerErr(p, err, tampered, site)
+		err = o.brokerErr(p, err)
 		// A denial from evidence that straddled a Reenroll (report signed
 		// under one VCEK, chain or admission state from the other) is not
 		// a verdict on either identity: retry under the settled one.
-		if !tampered && errors.Is(err, kbs.ErrDenied) && o.enrollVer != enrollVer {
+		if errors.Is(err, kbs.ErrDenied) && o.enrollVer != enrollVer {
 			o.met.reattest()
 			return fmt.Errorf("%w: enrollment moved mid-exchange: %w", ErrReattest, err)
 		}
@@ -1145,15 +1116,6 @@ func (o *Orchestrator) runExchange(p *sim.Proc, r *request, m *kvm.Machine) erro
 		// chain is already in the verdict path skip this charge.
 		p.Sleep(o.host.Model.KBSChainVerify)
 	}
-	if tampered && site == FaultReplay {
-		// The first redemption was honest; the fault is the second one,
-		// replaying the consumed nonce.
-		p.Sleep(o.host.Model.AttestNetwork)
-		if _, err := o.cfg.KBS.Redeem(req, p.Now()); err != nil {
-			return o.brokerErr(p, err, true, site)
-		}
-		return errors.New("fleet: broker accepted a replayed nonce")
-	}
 	if _, err := agent.Unwrap(res.Bundle); err != nil {
 		return fmt.Errorf("fleet: unwrapping released secret: %w", err)
 	}
@@ -1161,11 +1123,11 @@ func (o *Orchestrator) runExchange(p *sim.Proc, r *request, m *kvm.Machine) erro
 }
 
 // brokerErr classifies a failed broker call. A denial is a verdict from a
-// live broker: it resets the breaker's failure count and is accounted by
-// reason. Anything else is a transport failure: it feeds the breaker and
-// comes back wrapped in ErrKBSUnreachable, which the retry loop treats as
-// transient.
-func (o *Orchestrator) brokerErr(p *sim.Proc, err error, injected bool, site FaultSite) error {
+// live broker: it resets the breaker's failure count, is accounted by
+// reason and fails the request. Anything else is a transport failure: it
+// feeds the breaker and comes back wrapped in ErrKBSUnreachable, which
+// the retry loop treats as transient.
+func (o *Orchestrator) brokerErr(p *sim.Proc, err error) error {
 	if !errors.Is(err, kbs.ErrDenied) {
 		if o.brk != nil {
 			o.brk.failure(p.Now())
@@ -1175,65 +1137,10 @@ func (o *Orchestrator) brokerErr(p *sim.Proc, err error, injected bool, site Fau
 	if o.brk != nil {
 		o.brk.success()
 	}
-	return o.denied(err, injected, site)
-}
-
-// denied accounts a broker refusal by reason and classifies it: denials
-// provoked by an injected tamper are transient (the retry path re-runs the
-// exchange with honest evidence available), genuine denials are
-// deterministic failures.
-func (o *Orchestrator) denied(err error, injected bool, site FaultSite) error {
 	reason := string(kbs.ReasonOf(err))
 	if reason == "" {
 		reason = "error"
 	}
 	o.met.denial(reason)
-	if injected {
-		return fmt.Errorf("%w: injected %s fault: %w", ErrInjected, site, err)
-	}
 	return err
-}
-
-// tamperRNG seeds the signing stream for re-signed tamper evidence. It is
-// deliberately NOT the fault plan's rng: ecdsa.Sign consumes a
-// nondeterministic number of bytes from its reader (randutil.MaybeReadByte),
-// which would desync the fault draw sequence and break run reproducibility.
-func (o *Orchestrator) tamperRNG(r *request) *rand.Rand {
-	return rand.New(rand.NewSource(o.cfg.AgentSeed ^ int64(r.id)<<16 ^ 0x5eed))
-}
-
-// tamperEvidence corrupts the exchange's evidence according to the fault
-// site: a flipped signature byte (forged), a report re-signed under the
-// platform's previous-TCB VCEK with the matching stale chain (stale-tcb),
-// or a report from a revoked twin platform (revoked). Replay leaves the
-// evidence honest — the fault is redeeming it twice.
-func (o *Orchestrator) tamperEvidence(site FaultSite, reportBytes, chainBytes []byte, r *request) ([]byte, []byte, error) {
-	e := o.cfg.Enrollment
-	switch site {
-	case FaultForged:
-		forged := append([]byte(nil), reportBytes...)
-		forged[len(forged)-1] ^= 0x01
-		return forged, chainBytes, nil
-	case FaultStaleTCB:
-		older, err := e.TCB.Predecessor()
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: stale-tcb fault needs a predecessor TCB: %w", err)
-		}
-		resigned, err := kbs.ResignReport(reportBytes, e.Authority.VCEKKey(e.ChipID, older), o.tamperRNG(r))
-		if err != nil {
-			return nil, nil, err
-		}
-		return resigned, e.Authority.ChainFor(e.ChipID, older).Marshal(), nil
-	case FaultRevoked:
-		twin := e.ChipID + "-revoked"
-		if err := o.cfg.KBS.File(kbs.RevocationClaim(twin, 0)); err != nil {
-			return nil, nil, err
-		}
-		resigned, err := kbs.ResignReport(reportBytes, e.Authority.VCEKKey(twin, e.TCB), o.tamperRNG(r))
-		if err != nil {
-			return nil, nil, err
-		}
-		return resigned, e.Authority.ChainFor(twin, e.TCB).Marshal(), nil
-	}
-	return reportBytes, chainBytes, nil
 }

@@ -57,8 +57,9 @@ type Metrics struct {
 	Rejected  int
 	// Failed counts requests that exhausted their retry budget.
 	Failed int
-	// Faults counts injected transient faults observed; Retries counts
-	// boot attempts made after a fault.
+	// Faults counts transient boot-attempt failures observed (broker
+	// unreachable, re-attestation, warm pool invalidated); Retries counts
+	// boot attempts made after one.
 	Faults  int
 	Retries int
 
@@ -72,8 +73,7 @@ type Metrics struct {
 	// unwrapped) per granted boot.
 	Attested      int
 	AttestLatency trace.Series
-	// Denials counts key-broker refusals by reason (kbs.Reason strings),
-	// injected and genuine alike.
+	// Denials counts key-broker refusals by reason (kbs.Reason strings).
 	Denials map[string]int
 	// PolicyDenials counts admission-gate refusals from the policy
 	// engine, keyed "rule/reason" (e.g. "platform/tcb-below-floor").
@@ -280,7 +280,7 @@ func (m *Metrics) Report(cache CacheStats, width int) string {
 		m.QueueWait.Percentile(50).Round(10*time.Microsecond),
 		m.QueueWait.Percentile(99).Round(10*time.Microsecond))
 	if m.Faults > 0 || m.Retries > 0 {
-		fmt.Fprintf(&sb, "  faults: %d injected, %d retries, %d requests failed\n",
+		fmt.Fprintf(&sb, "  faults: %d transient, %d retries, %d requests failed\n",
 			m.Faults, m.Retries, m.Failed)
 	}
 	if m.DeadlineExceeded > 0 || m.Degraded > 0 {

@@ -187,7 +187,7 @@ func TestWarmInvalidatedMidBoot(t *testing.T) {
 // TestRetryableSentinels pins the transient taxonomy: the storm
 // sentinels are retryable, genuine denials are not.
 func TestRetryableSentinels(t *testing.T) {
-	for _, err := range []error{ErrReattest, ErrWarmInvalidated, ErrKBSUnreachable, ErrInjected} {
+	for _, err := range []error{ErrReattest, ErrWarmInvalidated, ErrKBSUnreachable} {
 		if !retryable(err) {
 			t.Fatalf("%v not retryable", err)
 		}

@@ -484,10 +484,11 @@ func (b *Broker) Stats() (Stats, error) {
 	return s, nil
 }
 
-// ResignReport re-signs a marshaled report under key — how the fault
-// layer models platforms holding alternate identities (a stale-TCB or
-// revoked VCEK): the report body is untouched, only the signature moves
-// to the other key.
+// ResignReport re-signs a marshaled report under key — how the chaos
+// harness's stale-tcb-evidence and revoked-twin-evidence rows model an
+// adversary holding a genuine VCEK of another identity (a stale TCB or a
+// revoked twin chip): the report body is untouched, only the signature
+// moves to the other key.
 func ResignReport(reportBytes []byte, key *ecdsa.PrivateKey, rng io.Reader) ([]byte, error) {
 	r, err := psp.UnmarshalReport(reportBytes)
 	if err != nil {

@@ -23,8 +23,9 @@
 //     (verifier.go, broker.go).
 //
 // Every denial carries a distinct Reason so callers (the fleet
-// orchestrator's fault layer, tests, operators) can count and assert
-// *why* an exchange was refused, not just that it failed.
+// orchestrator's denial counters, the chaos oracle, tests, operators)
+// can count and assert *why* an exchange was refused, not just that it
+// failed.
 package kbs
 
 import (

@@ -63,8 +63,8 @@ func ParseTCB(s string) (TCB, error) {
 var ErrTCBFloor = errors.New("kbs: TCB has no predecessor")
 
 // Predecessor returns a strictly older TCB by decrementing the least
-// significant nonzero component (microcode first). The fault-injection
-// layer uses it to mint stale-TCB platform identities.
+// significant nonzero component (microcode first). The chaos harness's
+// stale-tcb-evidence row uses it to mint a stale-TCB platform identity.
 func (t TCB) Predecessor() (TCB, error) {
 	switch {
 	case t.Microcode > 0:

@@ -11,10 +11,10 @@ package telemetry
 // get their own snapshot API and exporter instead.
 //
 // Stats are recorded into a HostRecorder. Each kvm.Host owns one, so
-// two hosts in the same process never interleave counters; the
-// package-level functions delegate to DefaultHostRecorder for code
-// that has no host in scope (the artifact intern table is process-wide
-// by design and stays on the default recorder).
+// two hosts in the same process never interleave counters. Code with no
+// host in scope records on DefaultHostRecorder: the artifact intern
+// table is process-wide by design and stays there, and HostStatsSnapshot
+// reads it.
 //
 // Counters sit on every cache hit and page draw of a boot, so they are a
 // fixed set: a HostCounter constant per counter, added atomically into
@@ -121,9 +121,8 @@ func NewHostRecorder() *HostRecorder {
 	}
 }
 
-// DefaultHostRecorder receives stats from code with no host in scope:
-// the package-level HostCounterAdd helper and process-wide subsystems
-// such as the artifact intern table.
+// DefaultHostRecorder receives stats from code with no host in scope,
+// such as the process-wide artifact intern table.
 var DefaultHostRecorder = NewHostRecorder()
 
 // Stage records one wall-clock timing for a named host stage. The
@@ -207,15 +206,6 @@ func (r *HostRecorder) Write(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// HostCounterAdd bumps a counter on DefaultHostRecorder.
-//
-// Deprecated: stats recorded here are process-global and interleave
-// across hosts. Code with a host in scope should record on that host's
-// HostRecorder instead.
-func HostCounterAdd(c HostCounter, n int64) {
-	DefaultHostRecorder.Add(c, n)
 }
 
 // HostStatsSnapshot snapshots DefaultHostRecorder.
