@@ -163,9 +163,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	eng.Run()
-	if err := o.Err(); err != nil {
-		return err
-	}
 
 	fmt.Fprintf(out, "sevf-fleet: %s, %d workers, %d arrivals (mean gap %v), %d tenants",
 		p.Name, cfg.Workers, *arrivals, *mean, *tenants)
@@ -179,6 +176,10 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\nvirtual makespan %v\n\n", eng.Now())
 	fmt.Fprint(out, o.Metrics().Report(o.CacheStats(), *width))
+	// A denial fails the run, but only after the report shows its counters.
+	if err := o.Err(); err != nil {
+		return err
+	}
 	if *traceOut != "" {
 		if err := writeExport(*traceOut, reg.WriteChromeTrace); err != nil {
 			return err

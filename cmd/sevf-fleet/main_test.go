@@ -115,7 +115,8 @@ func TestRunKBSInProcess(t *testing.T) {
 }
 
 // TestRunKBSDenialCounters: a platform below the broker's minimum TCB is
-// refused, and the refusal is the run's error.
+// refused, the refusal is the run's error, and the report printed before
+// it counts the denial by reason.
 func TestRunKBSDenialCounters(t *testing.T) {
 	t.Run("stale-tcb", func(t *testing.T) {
 		var sb strings.Builder
@@ -125,6 +126,9 @@ func TestRunKBSDenialCounters(t *testing.T) {
 		}, &sb)
 		if err == nil || !strings.Contains(err.Error(), "denied (stale-tcb)") {
 			t.Fatalf("run error = %v, want a stale-tcb denial\n%s", err, sb.String())
+		}
+		if !regexp.MustCompile(`(?m)^  denials:.* stale-tcb=[1-9][0-9]*\b`).MatchString(sb.String()) {
+			t.Fatalf("report has no denials line with a stale-tcb count:\n%s", sb.String())
 		}
 	})
 }

@@ -58,7 +58,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"math"
 	"sync"
 
@@ -541,67 +540,41 @@ func (m *Memory) mutable(p *page) []byte {
 // zeroPage is returned when reading unbacked pages.
 var zeroPage [PageSize]byte
 
-// zeroChainStep is how far apart in the all-zero stream zeroChain saves
-// SHA-256 states, and zeroStateLen the length of one saved state, a
-// SHA-256 digest's MarshalBinary form.
+// zeroChainStep is the spacing of zeroStates in the all-zero stream, and
+// zeroStateLen the length of a SHA-256 digest's MarshalBinary form.
 const (
 	zeroChainStep = 1 << 20
 	zeroStateLen  = 108
 )
 
-// zeroChain is SHA-256 run over the all-zero stream, its state saved after
-// every zeroChainStep bytes, so the digest of a never-written range resumes
-// from the longest saved prefix and hashes only the rest. State i, after
-// (i+1)*zeroChainStep bytes, is states[i*zeroStateLen:][:zeroStateLen]. A
-// state depends on nothing but its length, so the chain is never
-// invalidated; it reaches as far as the longest zero range digested. The
-// mutex covers the lookup and the append, never the hashing.
-type zeroChain struct {
-	mu     sync.Mutex
-	states []byte
-}
-
-// zeros is the process's chain, shared by every guest.
-var zeros zeroChain
-
-// sum returns SHA-256 of n zero bytes and how many of them it fed to
-// SHA-256, saving each state it passes beyond the chain's end.
-func (z *zeroChain) sum(n int) (sum [32]byte, hashed int) {
+// zeroSum returns SHA-256 of n zero bytes and how many of them it fed to
+// SHA-256. It resumes from zeroStates' entry for the longest prefix of
+// whole steps the table covers and hashes only the rest.
+func zeroSum(n int) (sum [32]byte, hashed int) {
 	h := sha256.New()
-	z.mu.Lock()
-	steps := min(n/zeroChainStep, len(z.states)/zeroStateLen)
+	steps := min(n/zeroChainStep, len(zeroStates))
 	if steps > 0 {
-		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(z.states[(steps-1)*zeroStateLen:][:zeroStateLen]); err != nil {
-			panic(err) // the chain holds only states it marshaled
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(zeroState(steps)); err != nil {
+			panic(err) // TestZeroStatesMatchSHA256 holds zeroState to crypto/sha256's form
 		}
 	}
-	z.mu.Unlock()
-	done := steps * zeroChainStep
-	hashed = n - done
-	for done < n {
-		chunk := min(PageSize, n-done)
-		h.Write(zeroPage[:chunk])
-		if done += chunk; done%zeroChainStep == 0 {
-			z.save(h, done/zeroChainStep)
-		}
+	hashed = n - steps*zeroChainStep
+	for left := hashed; left > 0; left -= PageSize {
+		h.Write(zeroPage[:min(PageSize, left)])
 	}
 	h.Sum(sum[:0])
 	return sum, hashed
 }
 
-// save appends h, the state after steps*zeroChainStep zero bytes, when it
-// is the next state the chain lacks.
-func (z *zeroChain) save(h hash.Hash, steps int) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if len(z.states) != (steps-1)*zeroStateLen {
-		return
-	}
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil || len(state) != zeroStateLen {
-		panic(fmt.Sprintf("guestmem: a SHA-256 state marshals to %d bytes (%v)", len(state), err))
-	}
-	z.states = append(z.states, state...)
+// zeroState returns the MarshalBinary form of a SHA-256 digest that has
+// taken steps*zeroChainStep zero bytes: the magic, zeroStates[steps-1], an
+// empty block buffer and the length.
+func zeroState(steps int) []byte {
+	b := make([]byte, 0, zeroStateLen)
+	b = append(b, "sha\x03"...)
+	b = append(b, zeroStates[steps-1][:]...)
+	b = append(b, zeroPage[:sha256.BlockSize]...)
+	return binary.BigEndian.AppendUint64(b, uint64(steps*zeroChainStep))
 }
 
 func (p page) readable() []byte {
@@ -1226,8 +1199,8 @@ func (m *Memory) unbacked(gpa uint64, n int) bool {
 // PlainRangeDigest returns SHA-256 of the current plain text of
 // [gpa, gpa+n) — exactly sha256.Sum256 of what the tests' LaunchUpdate
 // would have returned — using the artifact memo table when the range
-// aliases one interned buffer, the process's zero chain when no page of it
-// has backing, and a zero-copy streaming hash otherwise. The streamed-bytes
+// aliases one interned buffer, the zeroStates table when no page of it has
+// backing, and a zero-copy streaming hash otherwise. The streamed-bytes
 // counter adds what is fed to SHA-256, so a resumed zero prefix adds nothing.
 func (m *Memory) PlainRangeDigest(gpa uint64, n int) ([32]byte, error) {
 	var sum [32]byte
@@ -1240,7 +1213,7 @@ func (m *Memory) PlainRangeDigest(gpa uint64, n int) ([32]byte, error) {
 	}
 	m.recorder().Add(telemetry.GuestmemDigestStreamed, 1)
 	if m.unbacked(gpa, n) {
-		sum, hashed := zeros.sum(n)
+		sum, hashed := zeroSum(n)
 		m.recorder().Add(telemetry.GuestmemDigestStreamedBytes, int64(hashed))
 		return sum, nil
 	}

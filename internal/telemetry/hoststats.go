@@ -54,7 +54,7 @@ const (
 	GuestmemDigestStreamed
 	// GuestmemDigestStreamedBytes adds the bytes a streamed digest feeds to
 	// SHA-256; the prefix of a never-written range that guestmem resumes
-	// from its zero chain is not fed, so not counted.
+	// from its zeroStates table is not fed, so not counted.
 	GuestmemDigestStreamedBytes
 	GuestmemDigestTransformed
 	GuestmemViewHit
