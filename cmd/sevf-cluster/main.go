@@ -228,6 +228,10 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprint(out, c.LatencyCDFs(*width))
 			}
 		}
+		// A cluster fault fails the run, but only after the report.
+		if err := c.Err(); err != nil {
+			return err
+		}
 		if runIdx == len(names)-1 {
 			if *metricsOut != "" {
 				if err := writeExport(*metricsOut, reg.WritePrometheus); err != nil {

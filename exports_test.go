@@ -1,14 +1,22 @@
 package severifast
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,6 +34,7 @@ var exportExemptions = map[string]string{
 	"rmp.Table.Lookup":                  "4(c) edge: the per-page state the model compares",
 	"rmp.Table.Assign":                  "4(c) edge: assign one page",
 	"rmp.Table.AssignRange":             "4(c) edge: assign a range",
+	"rmp.Table.Pvalidate":               "4(c) edge: PVALIDATE of one page",
 	"rmp.Table.CheckGuestAccess":        "4(c) edge: guest read",
 	"rmp.Table.CheckHostWrite":          "4(c) edge: host write",
 	"rmp.Table.Remap":                   "4(c) edge: remap clears the validated bit",
@@ -50,49 +59,36 @@ var stdInterfaceMethods = map[string]bool{
 // a non-test file under internal/.
 type exportedDecl struct {
 	key        string // "psp.Decommission", or "psp.GuestContext.Method"
-	pkg, name  string // import path and identifier
-	method     bool
+	obj        types.Object
 	start, end token.Pos // the declaration's extent
 }
 
 // TestExportedNamesHaveANonTestCaller holds the ROADMAP north star's rule:
 // an exported identifier under internal/ needs a caller that is not a
-// test. A package-level name is referenced by a bare identifier in a
-// non-test file of its own package or by a selector on an import of its
-// package; a method by any selector of that name. Non-test files of the
-// root module and of bench/ count; the declaration itself does not.
+// test. Uses are resolved by type: a package-level name counts where an
+// identifier denotes it, a method where a selector denotes it — through
+// its own receiver type, a type that embeds it, or an interface method
+// that its type implements. Non-test files of the root module and of
+// bench/ count; the declaration itself does not.
 func TestExportedNamesHaveANonTestCaller(t *testing.T) {
-	fset, files := parseNonTestFiles(t)
+	fset, pkgs := nonTestPackages(t)
 	var decls []exportedDecl
-	refs := map[string][]token.Pos{} // "import path.name" → where it is used
-	selectors := map[string][]token.Pos{}
-	for _, sf := range files {
-		own := map[*ast.Ident]bool{}
-		if strings.HasPrefix(sf.pkg, module+"/internal/") {
-			decls = append(decls, exportedIn(sf.f, sf.pkg, own)...)
-		}
-		imports := importsOf(sf.f)
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					key := imports[x.Name] + "." + n.Sel.Name
-					refs[key] = append(refs[key], n.Sel.Pos())
-					return false
-				}
-				selectors[n.Sel.Name] = append(selectors[n.Sel.Name], n.Sel.Pos())
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				if !own[n] {
-					key := sf.pkg + "." + n.Name
-					refs[key] = append(refs[key], n.Pos())
-				}
+	uses := map[types.Object][]token.Pos{}
+	viaInterface := map[*types.Func][]token.Pos{} // interface methods and their calls
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.types.Path(), module+"/internal/") {
+			for _, f := range p.files {
+				decls = append(decls, exportedIn(f, p.info)...)
 			}
-			return true
 		}
-		ast.Inspect(sf.f, visit)
+		for id, obj := range p.info.Uses {
+			obj = origin(obj)
+			uses[obj] = append(uses[obj], id.Pos())
+			if recv := recvOf(obj); recv != nil && types.IsInterface(recv.Type()) {
+				fn := obj.(*types.Func)
+				viaInterface[fn] = append(viaInterface[fn], id.Pos())
+			}
+		}
 	}
 
 	declared := map[string]bool{}
@@ -100,15 +96,23 @@ func TestExportedNamesHaveANonTestCaller(t *testing.T) {
 	pkgLevel := 0
 	for _, d := range decls {
 		declared[d.key] = true
-		uses := refs[d.pkg+"."+d.name]
-		if d.method {
-			uses = selectors[d.name]
+		outside := func(ps []token.Pos) bool {
+			for _, p := range ps {
+				if p < d.start || p >= d.end {
+					return true
+				}
+			}
+			return false
+		}
+		used := outside(uses[d.obj])
+		if recv := recvOf(d.obj); recv != nil {
+			for m, ps := range viaInterface {
+				if !used && m.Name() == d.obj.Name() && implements(recv.Type(), m) {
+					used = outside(ps)
+				}
+			}
 		} else {
 			pkgLevel++
-		}
-		used := false
-		for _, p := range uses {
-			used = used || p < d.start || p >= d.end
 		}
 		_, exempt := exportExemptions[d.key]
 		switch {
@@ -131,248 +135,313 @@ func TestExportedNamesHaveANonTestCaller(t *testing.T) {
 		pkgLevel, len(decls)-pkgLevel, len(exportExemptions))
 }
 
+// recvOf is the receiver of a method, or nil for any other object.
+func recvOf(obj types.Object) *types.Var {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Type().(*types.Signature).Recv()
+	}
+	return nil
+}
+
+// implements reports whether a method with receiver recv, T or *T, can be
+// reached through the interface method m: whether *T, whose method set
+// holds both kinds, implements m's interface.
+func implements(recv types.Type, m *types.Func) bool {
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	return types.Implements(types.NewPointer(recv), recvOf(m).Type().Underlying().(*types.Interface))
+}
+
 // fieldExemptions are the exported fields of option structs under
-// internal/ that may go without a non-test setter, each with its reason.
+// internal/ or of the facade that may go without a non-test setter, each
+// with its reason.
 // An entry that is no longer such a field, or that has gained a non-test
 // setter, fails the test, so the table only shrinks.
 var fieldExemptions = map[string]string{
-	"expt.Options.Model":             "tests price the sweep with a unit cost model",
 	"expt.Options.Presets":           "tests shrink the sweep to one kernel",
 	"expt.Options.InitrdSize":        "tests shrink the sweep's initrd",
 	"expt.Options.ConcurrencyPoints": "tests shrink Fig. 12's sweep",
-	"pagetable.Config.CBit":          "the hardware's C-bit position; tests build tables for another",
 }
 
 // TestConfigFieldsHaveANonTestSetter holds the options census: every
 // exported field of an exported *Config or *Options struct under internal/
-// is an option, and an option needs a setter that is not a test. A field
-// is set by a key in a composite literal of its type, or by the selector
-// of an assignment or & — matched by field name alone, as a parse carries
-// no types — outside its own type's fillDefaults. Non-test files of the
-// root module and of bench/ count.
+// or of the facade is an option, and an option needs a setter that is not
+// a test. Setters are resolved by type: a key in a composite literal that
+// denotes the field, or the selector of an assignment, ++/-- or & that
+// denotes it — on its own struct type or one that embeds it — outside its
+// own type's fillDefaults. Non-test files of the root module and of bench/
+// count.
 func TestConfigFieldsHaveANonTestSetter(t *testing.T) {
-	fset, files := parseNonTestFiles(t)
+	fset, pkgs := nonTestPackages(t)
 	type field struct {
 		key string // "fleet.Config.MemSize"
 		pos token.Pos
 	}
-	fields := map[string][]field{} // "import path.Type" → its exported fields
-	keyed := map[string]bool{}     // "import path.Type.Field" set in a literal
-	assigned := map[string]bool{}  // field names set by an assignment or &
-	for _, sf := range files {
-		if !strings.HasPrefix(sf.pkg, module+"/internal/") {
+	fields := map[*types.Var]field{}
+	structs := 0
+	for _, p := range pkgs {
+		path := p.types.Path()
+		if path != module && !strings.HasPrefix(path, module+"/internal/") {
 			continue
 		}
-		short := sf.pkg[strings.LastIndex(sf.pkg, "/")+1:]
-		for _, decl := range sf.f.Decls {
-			d, ok := decl.(*ast.GenDecl)
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
 			if !ok {
 				continue
 			}
-			for _, spec := range d.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				typ := sf.pkg + "." + ts.Name.Name
-				for _, fl := range st.Fields.List {
-					for _, id := range fl.Names {
-						if id.IsExported() {
-							fields[typ] = append(fields[typ], field{short + "." + ts.Name.Name + "." + id.Name, id.Pos()})
-						}
-					}
+			structs++
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = field{p.types.Name() + "." + name + "." + f.Name(), f.Pos()}
 				}
 			}
 		}
 	}
-	for _, sf := range files {
-		imports := importsOf(sf.f)
-		// typeOf names the option struct a type expression denotes, or "".
-		typeOf := func(e ast.Expr) string {
-			if s, ok := e.(*ast.StarExpr); ok {
-				e = s.X
-			}
-			typ := ""
-			switch e := e.(type) {
-			case *ast.Ident:
-				typ = sf.pkg + "." + e.Name
-			case *ast.SelectorExpr:
-				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					typ = imports[x.Name] + "." + e.Sel.Name
+	set := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				// A type's own defaults, recv.Field = ... in its
+				// fillDefaults, are not a setter.
+				var recv types.Object
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "fillDefaults" && fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 {
+					recv = p.info.Defs[fd.Recv.List[0].Names[0]]
 				}
-			}
-			if fields[typ] == nil {
-				return ""
-			}
-			return typ
-		}
-		for _, decl := range sf.f.Decls {
-			// A type's own defaults, recv.Field = ... in its fillDefaults,
-			// are not a setter.
-			recv := ""
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "fillDefaults" && fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 {
-				recv = fd.Recv.List[0].Names[0].Name
-			}
-			set := func(e ast.Expr) {
-				sel, ok := e.(*ast.SelectorExpr)
-				if !ok {
-					return
+				assign := func(e ast.Expr) {
+					sel, ok := e.(*ast.SelectorExpr)
+					if !ok {
+						return
+					}
+					if x, ok := sel.X.(*ast.Ident); ok && recv != nil && p.info.Uses[x] == recv {
+						return
+					}
+					if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+						set[origin(s.Obj()).(*types.Var)] = true
+					}
 				}
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == recv {
-					return
-				}
-				assigned[sel.Sel.Name] = true
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					if typ := typeOf(n.Type); typ != "" {
-						for _, el := range n.Elts {
-							if kv, ok := el.(*ast.KeyValueExpr); ok {
-								if id, ok := kv.Key.(*ast.Ident); ok {
-									keyed[typ+"."+id.Name] = true
-								}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+								set[origin(v).(*types.Var)] = true
 							}
 						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							assign(lhs)
+						}
+					case *ast.IncDecStmt:
+						assign(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							assign(n.X)
+						}
 					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						set(lhs)
-					}
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						set(n.X)
-					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	}
 
 	declared := map[string]bool{}
 	var unset []string
-	total := 0
-	for typ, fs := range fields {
-		for _, f := range fs {
-			total++
-			declared[f.key] = true
-			name := f.key[strings.LastIndex(f.key, ".")+1:]
-			isSet := keyed[typ+"."+name] || assigned[name]
-			_, exempt := fieldExemptions[f.key]
-			switch {
-			case exempt && isSet:
-				t.Errorf("stale exemption %s: it has a non-test setter now", f.key)
-			case !exempt && !isSet:
-				unset = append(unset, fset.Position(f.pos).String()+": "+f.key)
-			}
+	for v, f := range fields {
+		declared[f.key] = true
+		_, exempt := fieldExemptions[f.key]
+		switch {
+		case exempt && set[v]:
+			t.Errorf("stale exemption %s: it has a non-test setter now", f.key)
+		case !exempt && !set[v]:
+			unset = append(unset, fset.Position(f.pos).String()+": "+f.key)
 		}
 	}
 	for key := range fieldExemptions {
 		if !declared[key] {
-			t.Errorf("stale exemption %s: no such option field under internal/", key)
+			t.Errorf("stale exemption %s: no such option field", key)
 		}
 	}
 	sort.Strings(unset)
 	for _, u := range unset {
 		t.Errorf("%s has no setter outside tests: delete it or make it a constant", u)
 	}
-	t.Logf("%d option fields in %d option structs under internal/, %d exempt", total, len(fields), len(fieldExemptions))
+	t.Logf("%d option fields in %d option structs, %d exempt", len(fields), structs, len(fieldExemptions))
+}
+
+// origin maps a method or field of an instantiated generic type to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 const module = "github.com/severifast/severifast"
 
-// sourceFile is one parsed non-test Go file and its package's import path.
-type sourceFile struct {
-	pkg string
-	f   *ast.File
+// checkedPackage is one type-checked package of the root module or of
+// bench/, built from its non-test files.
+type checkedPackage struct {
+	types *types.Package
+	files []*ast.File
+	info  *types.Info
 }
 
-// parseNonTestFiles parses every non-test Go file of the root module and
-// of bench/.
-func parseNonTestFiles(t *testing.T) (*token.FileSet, []sourceFile) {
+// listedPackage is the part of go list's output the checks read.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	Standard                bool
+	GoFiles                 []string
+}
+
+// sourceTree is every package of the root module and of bench/,
+// type-checked from its non-test files.
+type sourceTree struct {
+	fset *token.FileSet
+	pkgs []checkedPackage
+}
+
+// nonTestPackages returns the tree both checks read, loading it once.
+func nonTestPackages(t *testing.T) (*token.FileSet, []checkedPackage) {
 	t.Helper()
-	fset := token.NewFileSet()
-	var files []sourceFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := module
-		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
-			pkg = module + "/" + dir
-		}
-		files = append(files, sourceFile{pkg, f})
-		return nil
-	})
+	tree, err := loadTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, files
+	return tree.fset, tree.pkgs
 }
 
-// importsOf maps each import's local name in f to its path.
-func importsOf(f *ast.File) map[string]string {
-	imports := map[string]string{}
-	for _, imp := range f.Imports {
-		p, _ := strconv.Unquote(imp.Path.Value)
-		name := p[strings.LastIndex(p, "/")+1:]
-		if imp.Name != nil {
-			name = imp.Name.Name
+// loadTree type-checks every package of the root module and of bench/
+// from its non-test files, the files go list selects under the default
+// build tags. Each package imports the others' checked source, so all of
+// them share one set of types; the standard library comes from the
+// compiler's export data, which go list -export leaves in the build cache.
+var loadTree = sync.OnceValues(func() (*sourceTree, error) {
+	dirs := []string{".", "bench"}
+	cmds := make([]*exec.Cmd, len(dirs))
+	outs := make([]bytes.Buffer, len(dirs))
+	for i, dir := range dirs {
+		cmds[i] = exec.Command("go", "list", "-C", dir, "-deps", "-export", "-json=ImportPath,Dir,Export,Standard,GoFiles", "./...")
+		cmds[i].Stdout, cmds[i].Stderr = &outs[i], os.Stderr
+		if err := cmds[i].Start(); err != nil {
+			return nil, err
 		}
-		imports[name] = p
 	}
-	return imports
-}
+	var listed []listedPackage
+	seen := map[string]bool{}
+	for i, cmd := range cmds {
+		if err := cmd.Wait(); err != nil {
+			return nil, fmt.Errorf("go list in %s: %w", dirs[i], err)
+		}
+		dec := json.NewDecoder(&outs[i])
+		for {
+			var lp listedPackage
+			if err := dec.Decode(&lp); err == io.EOF {
+				break
+			} else if err != nil {
+				return nil, err
+			}
+			if !seen[lp.ImportPath] {
+				seen[lp.ImportPath] = true
+				listed = append(listed, lp)
+			}
+		}
+	}
 
-// exportedIn lists the exported package-level names and methods one file
-// of package pkg declares, and marks their declaring identifiers in own.
-func exportedIn(f *ast.File, pkg string, own map[*ast.Ident]bool) []exportedDecl {
-	short := pkg[strings.LastIndex(pkg, "/")+1:]
+	tree := &sourceTree{fset: token.NewFileSet()}
+	exports := map[string]string{}
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(tree.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, errors.New("no export data for " + path)
+		}
+		return os.Open(exports[path])
+	})
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	// go list -deps lists a package after everything it imports.
+	for _, lp := range listed {
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
+			continue
+		}
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(tree.fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		p, err := conf.Check(lp.ImportPath, tree.fset, files, info)
+		if err != nil {
+			return nil, fmt.Errorf("type-check %s: %w", lp.ImportPath, err)
+		}
+		checked[lp.ImportPath] = p
+		tree.pkgs = append(tree.pkgs, checkedPackage{p, files, info})
+	}
+	return tree, nil
+})
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// exportedIn lists the exported package-level names and methods with an
+// exported receiver type that one file declares.
+func exportedIn(f *ast.File, info *types.Info) []exportedDecl {
 	var out []exportedDecl
-	add := func(id *ast.Ident, key string, method bool, extent ast.Node) {
-		own[id] = true
-		out = append(out, exportedDecl{key: key, pkg: pkg, name: id.Name, method: method, start: extent.Pos(), end: extent.End()})
+	add := func(id *ast.Ident, extent ast.Node) {
+		obj := info.Defs[id]
+		key := obj.Pkg().Name() + "." + obj.Name()
+		if recv := recvOf(obj); recv != nil {
+			named := recv.Type()
+			if p, ok := named.(*types.Pointer); ok {
+				named = p.Elem()
+			}
+			tn := named.(*types.Named).Obj()
+			if !tn.Exported() || stdInterfaceMethods[obj.Name()] {
+				return
+			}
+			key = obj.Pkg().Name() + "." + tn.Name() + "." + obj.Name()
+		}
+		out = append(out, exportedDecl{key: key, obj: obj, start: extent.Pos(), end: extent.End()})
 	}
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			switch {
-			case !d.Name.IsExported():
-			case d.Recv == nil:
-				add(d.Name, short+"."+d.Name.Name, false, d)
-			case !stdInterfaceMethods[d.Name.Name]:
-				if recv := receiverName(d.Recv.List[0].Type); ast.IsExported(recv) {
-					add(d.Name, short+"."+recv+"."+d.Name.Name, true, d)
-				}
+			if d.Name.IsExported() {
+				add(d.Name, d)
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					if s.Name.IsExported() {
-						add(s.Name, short+"."+s.Name.Name, false, s)
+						add(s.Name, s)
 					}
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
 						if id.IsExported() {
-							add(id, short+"."+id.Name, false, s)
+							add(id, s)
 						}
 					}
 				}
@@ -380,22 +449,4 @@ func exportedIn(f *ast.File, pkg string, own map[*ast.Ident]bool) []exportedDecl
 		}
 	}
 	return out
-}
-
-// receiverName is the type name of a method receiver: T, *T, T[P] or *T[P].
-func receiverName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
 }

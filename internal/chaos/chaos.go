@@ -40,8 +40,6 @@ import (
 	"strings"
 
 	"github.com/severifast/severifast/internal/kernelgen"
-	"github.com/severifast/severifast/internal/sim"
-	"github.com/severifast/severifast/internal/telemetry"
 )
 
 // Outcome is the oracle's verdict for one trial.
@@ -76,10 +74,6 @@ type Config struct {
 	// broken verifier) and the PSP digest is tampered on every launch.
 	// The expected result is an ESCAPE — proving the oracle can fail.
 	Weakened bool
-	// Telemetry, when set, receives campaign counters
-	// (severifast_chaos_trials_total by family and outcome) and one
-	// chaos.trial span per trial.
-	Telemetry *telemetry.Registry
 }
 
 func (c *Config) fillDefaults() {
@@ -186,14 +180,6 @@ func Run(cfg Config) (*Report, error) {
 		rep.Outcomes[tr.Outcome]++
 		if tr.Outcome == Escape {
 			rep.Escapes++
-		}
-		if reg := cfg.Telemetry; reg != nil {
-			reg.Counter("severifast_chaos_trials_total",
-				telemetry.A("family", tr.Family),
-				telemetry.A("outcome", string(tr.Outcome))).Inc()
-			reg.Record("chaos", "chaos.trial", 0, sim.Time(tr.EndNS),
-				telemetry.A("mutation", tr.Family+"/"+tr.Name),
-				telemetry.A("outcome", string(tr.Outcome)))
 		}
 	}
 	return rep, nil

@@ -165,15 +165,6 @@ type HostShard struct {
 	revoked bool
 }
 
-// Generation reports the host's chip generation.
-func (s *HostShard) Generation() string { return s.gen }
-
-// TCB reports the host's current firmware level.
-func (s *HostShard) TCB() kbs.TCB { return s.tcb }
-
-// Revoked reports whether a storm has distrusted this host's platform.
-func (s *HostShard) Revoked() bool { return s.revoked }
-
 func (s *HostShard) pspQueue() int { return s.Host.PSP.Resource().QueueLen() }
 
 // Image is a cluster-registered function image: one fleet.Image per
@@ -331,23 +322,18 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 // Shards exposes the hosts; read their stats after eng.Run returns.
 func (c *Cluster) Shards() []*HostShard { return c.shards }
 
-// Replication exposes the cross-host distribution directory.
-func (c *Cluster) Replication() *artifact.Replicator { return c.repl }
+// Err returns the cluster's own first fault: a storm whose revocation or
+// floor bump failed to file, or a warm container that failed to seal.
+// A shard's failed boots are not faults of the cluster — storms and
+// broker denials cause them on purpose — so they stay in that shard's
+// Orch.Err and in the summary's counts.
+func (c *Cluster) Err() error { return c.firstErr }
 
-// Err returns the first deterministic boot or provisioning error from
-// any shard. Runs that deliberately degrade a host (revocation storms,
-// broker denials) will see that host's error here; consult per-shard
-// Orch.Err for attribution.
-func (c *Cluster) Err() error {
-	if c.firstErr != nil {
-		return c.firstErr
+// fail records err as the cluster's fault unless one came first.
+func (c *Cluster) fail(err error) {
+	if c.firstErr == nil {
+		c.firstErr = err
 	}
-	for _, s := range c.shards {
-		if err := s.Orch.Err(); err != nil {
-			return fmt.Errorf("%s: %w", s.Name, err)
-		}
-	}
-	return nil
 }
 
 // RegisterImage registers the image on every shard (one content
@@ -724,9 +710,7 @@ func (c *Cluster) maybePublishWarm(p *sim.Proc, s *HostShard, img *Image) {
 	}
 	seal, err := fork.Seal()
 	if err != nil {
-		if c.firstErr == nil {
-			c.firstErr = fmt.Errorf("cluster: sealing warm container of %q: %w", img.Name, err)
-		}
+		c.fail(fmt.Errorf("cluster: sealing warm container of %q: %w", img.Name, err))
 		return
 	}
 	// Commit the publication before charging the seal pass: the Sleep

@@ -16,6 +16,20 @@ import (
 )
 
 // testInitrd builds a small valid initrd so boots stay fast.
+// noFaults fails t if the cluster recorded a fault of its own or any
+// shard failed a boot.
+func noFaults(t *testing.T, c *Cluster) {
+	t.Helper()
+	if err := c.Err(); err != nil {
+		t.Fatalf("cluster fault: %v", err)
+	}
+	for _, s := range c.shards {
+		if err := s.Orch.Err(); err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+	}
+}
+
 func testInitrd(n int) []byte {
 	return kernelgen.BuildInitrd(1, n)
 }
@@ -76,9 +90,7 @@ func TestClusterDeterminism(t *testing.T) {
 		}
 		cfg.Policy, _ = PolicyByName("cache-affinity", cfg.Seed)
 		c, sum := runScenario(t, cfg, smallSpec(64, 6), 6, 2*time.Millisecond)
-		if err := c.Err(); err != nil {
-			t.Fatalf("cluster error: %v", err)
-		}
+		noFaults(t, c)
 		b, err := json.Marshal(sum)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -113,9 +125,7 @@ func TestCacheAffinityBeatsRandom(t *testing.T) {
 			t.Fatalf("policy: %v", err)
 		}
 		c, sum := runScenario(t, cfg, smallSpec(96, 8), 8, 2*time.Millisecond)
-		if err := c.Err(); err != nil {
-			t.Fatalf("%s run error: %v", policy, err)
-		}
+		noFaults(t, c)
 		return sum
 	}
 	random := run("random")
@@ -149,9 +159,7 @@ func TestASIDCapRespected(t *testing.T) {
 	}
 	// Long exec pins ASIDs, forcing the dispatcher to park on exhaustion.
 	c, sum := runScenario(t, cfg, spec, 2, 20*time.Millisecond)
-	if err := c.Err(); err != nil {
-		t.Fatalf("cluster error: %v", err)
-	}
+	noFaults(t, c)
 	if sum.Served != 48 {
 		t.Fatalf("served %d of 48 (failed %d, shed %d)", sum.Served, sum.Failed, sum.Shed)
 	}
@@ -193,9 +201,7 @@ func TestClusterBackpressure(t *testing.T) {
 	if sum.QueueMax > cfg.QueueDepth {
 		t.Errorf("queue high-water %d exceeds bound %d", sum.QueueMax, cfg.QueueDepth)
 	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("cluster error: %v", err)
-	}
+	noFaults(t, c)
 }
 
 // TestWarmAdoption: with one ASID per host and two hosts, a hot image's
@@ -230,9 +236,7 @@ func TestWarmAdoption(t *testing.T) {
 	}
 	eng.Run()
 	sum := c.Summarize()
-	if err := c.Err(); err != nil {
-		t.Fatalf("cluster error: %v", err)
-	}
+	noFaults(t, c)
 	if sum.WarmPool.Captures != 1 {
 		t.Errorf("captures = %d, want 1", sum.WarmPool.Captures)
 	}
@@ -411,9 +415,15 @@ func TestPerHostBreakerIsolation(t *testing.T) {
 		Kind: TraceUniform, Arrivals: 24, MeanGap: 2 * time.Millisecond,
 		Images: 2, Tenants: 3, Seed: 77,
 	}
-	_, sum := runScenario(t, cfg, spec, 2, time.Millisecond)
-	// Do NOT assert on c.Err(): host 0's boots legitimately fail with
-	// deterministic breaker denials; isolation is the property under test.
+	c, sum := runScenario(t, cfg, spec, 2, time.Millisecond)
+	// Host 0's boots fail with deterministic breaker denials. They stay in
+	// its own Orch.Err and are no fault of the cluster.
+	if err := c.Err(); err != nil {
+		t.Errorf("cluster fault %v; host 0's failed boots are not one", err)
+	}
+	if c.shards[0].Orch.Err() == nil {
+		t.Error("host 0 failed boots but its orchestrator kept no error")
+	}
 	h0, h1 := sum.PerHost[0], sum.PerHost[1]
 	if h0.BreakerStates["open"] == 0 {
 		t.Errorf("host 0 breaker never opened under a total outage: %+v", h0.BreakerStates)
@@ -452,9 +462,7 @@ func TestClusterRace4x64(t *testing.T) {
 		Images: 6, Tenants: 4, ZipfS: 1.3, Seed: 64,
 	}
 	c, sum := runScenario(t, cfg, spec, 6, 3*time.Millisecond)
-	if err := c.Err(); err != nil {
-		t.Fatalf("cluster error: %v", err)
-	}
+	noFaults(t, c)
 	if sum.Served != 64 {
 		t.Fatalf("served %d of 64 (failed %d, shed %d)", sum.Served, sum.Failed, sum.Shed)
 	}
@@ -481,9 +489,7 @@ func TestReplicationChargesAppearInSummary(t *testing.T) {
 		Images: 2, Seed: 21,
 	}
 	c, sum := runScenario(t, cfg, spec, 2, 0)
-	if err := c.Err(); err != nil {
-		t.Fatalf("cluster error: %v", err)
-	}
+	noFaults(t, c)
 	if sum.Replication.OriginFetches == 0 {
 		t.Error("no origin fetches recorded for a cold cluster")
 	}

@@ -120,9 +120,7 @@ func TestZipfClusterAllocCeiling(t *testing.T) {
 	}
 	eng.Run()
 	runtime.ReadMemStats(&after)
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
+	noFaults(t, c)
 	served := c.Summarize().Served
 	if served != len(arr) {
 		t.Fatalf("%d of %d boots served", served, len(arr))

@@ -63,9 +63,7 @@ func TestGuestMemoryFollowsTheASID(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
+	noFaults(t, c)
 	for i, s := range c.Shards() {
 		if n := live(guests[i]); n != 0 {
 			t.Errorf("%s: %d guests still hold memory after the run", s.Name, n)

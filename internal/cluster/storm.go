@@ -100,7 +100,7 @@ func (c *Cluster) runStorm(p *sim.Proc, b *kbs.Broker, st *stormState) {
 			continue
 		}
 		if err := b.Policy().File(b.Signer(), kbs.RevocationClaim("chip-"+s.Name, at)); err != nil {
-			c.stormFail(fmt.Errorf("cluster: revoking %s: %w", s.Name, err))
+			c.fail(fmt.Errorf("cluster: revoking %s: %w", s.Name, err))
 			return
 		}
 		s.revoked = true
@@ -110,7 +110,7 @@ func (c *Cluster) runStorm(p *sim.Proc, b *kbs.Broker, st *stormState) {
 	}
 	if st.cfg.Floor != (kbs.TCB{}) {
 		if err := b.Policy().BumpFloor(b.Signer(), st.cfg.Floor.Encode(), at); err != nil {
-			c.stormFail(fmt.Errorf("cluster: bumping floor: %w", err))
+			c.fail(fmt.Errorf("cluster: bumping floor: %w", err))
 			return
 		}
 		c.floor = st.cfg.Floor
@@ -226,10 +226,4 @@ func (c *Cluster) denialCounts() map[string]int {
 		}
 	}
 	return out
-}
-
-func (c *Cluster) stormFail(err error) {
-	if c.firstErr == nil {
-		c.firstErr = err
-	}
 }

@@ -3,12 +3,15 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -214,5 +217,47 @@ func TestTCBAwareBeatsRandomUnderDrift(t *testing.T) {
 	}
 	if aware.Storm.TaintedWarmServed != 0 || random.Storm.TaintedWarmServed != 0 {
 		t.Error("tainted warm serves under either policy")
+	}
+}
+
+// TestStormFilingFaultIsReturned: a storm whose revocation cannot be
+// filed is a fault of the cluster, and Err returns it. The revocation of
+// h0 is filed ahead of the storm, so the storm's own filing is a
+// duplicate.
+func TestStormFilingFaultIsReturned(t *testing.T) {
+	eng := sim.NewEngine()
+	auth := kbs.NewAuthority(5)
+	broker := kbs.NewBroker(auth.Root(), kbs.Config{MinTCB: stormTCB, Seed: 5})
+	broker.AddTenant("t0", []byte("key"))
+	c, err := New(eng, Config{
+		Hosts: 2, ASIDsPerHost: 4, WorkersPerHost: 1, Seed: 42, Generations: 2,
+		Telemetry: telemetry.NewRegistry(),
+		KBS:       broker, Authority: auth, TCB: stormTCB, AgentSeed: 9,
+		Admission: broker.PolicyEngine(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InstallStorm(broker, StormConfig{At: 10 * time.Millisecond, Generation: "gen0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := broker.Policy().File(broker.Signer(), kbs.RevocationClaim("chip-h0", sim.Time(time.Hour))); err != nil {
+		t.Fatal(err)
+	}
+	img, err := c.RegisterImage("a", kernelgen.Lupine(), kernelgen.BuildInitrd(1, 128<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := TraceSpec{Kind: TraceZipf, Arrivals: 4, MeanGap: 5 * time.Millisecond, Images: 1, Tenants: 1, ZipfS: 1.2, Seed: 11}
+	arr, err := spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Play(arr, []*Image{img}, 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if err := c.Err(); !errors.Is(err, policy.ErrDuplicate) || !strings.Contains(err.Error(), "revoking h0") {
+		t.Fatalf("Err() = %v, want the storm's duplicate revocation of h0", err)
 	}
 }

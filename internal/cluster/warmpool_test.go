@@ -159,9 +159,7 @@ func TestStormDuringTransferServesCold(t *testing.T) {
 		}},
 	)
 	sum := w.c.Summarize()
-	if err := w.c.Err(); err != nil {
-		t.Fatal(err)
-	}
+	noFaults(t, w.c)
 	// A completed fetch and no adoption pin the storm inside the transfer:
 	// a storm before it would have skipped the fetch, one after it would
 	// have found the pool adopted.
@@ -278,9 +276,7 @@ func TestReseededPublicationIsADifferentBlob(t *testing.T) {
 		}},
 	)
 	sum := w.c.Summarize()
-	if err := w.c.Err(); err != nil {
-		t.Fatal(err)
-	}
+	noFaults(t, w.c)
 	if got := w.c.repl.Stats().PerHost[1]; got.PeerFetches != 2 || got.PeerBytes != 2*int64(w.img.sealedSize) {
 		t.Fatalf("h1 paid %d peer fetches / %d bytes, want one per publication (2 / %d)",
 			got.PeerFetches, got.PeerBytes, 2*w.img.sealedSize)
@@ -328,9 +324,7 @@ func TestWarmParentHeldOnce(t *testing.T) {
 			}
 		}},
 	)
-	if err := w.c.Err(); err != nil {
-		t.Fatal(err)
-	}
+	noFaults(t, w.c)
 	if w.c.captures != 1 || w.c.adoptions != hosts-1 {
 		t.Fatalf("captures %d, adoptions %d; want 1, %d", w.c.captures, w.c.adoptions, hosts-1)
 	}
@@ -376,9 +370,7 @@ func TestTamperedAliasedArtifactRefusedAtAdoption(t *testing.T) {
 		}},
 		step{2 * time.Second, w.boot}, // h1: cold, from honest bytes
 	)
-	if err := w.c.Err(); err != nil {
-		t.Fatal(err)
-	}
+	noFaults(t, w.c)
 	if w.c.failed != 0 || w.c.served != 2 || w.c.shards[1].tiers[fleet.TierCold] != 1 {
 		t.Fatalf("served %d, failed %d, h1 cold %d; want both boots served, h1's cold", w.c.served, w.c.failed, w.c.shards[1].tiers[fleet.TierCold])
 	}

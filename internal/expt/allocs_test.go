@@ -40,12 +40,10 @@ const (
 // Cold: vms workers, vms open-loop arrivals, the first boot measures and
 // the rest hit the measured-image cache. Warm: a standalone orchestrator
 // serves one cold seed and then vms-1 sequential forks of its snapshot.
-// hugePage turns on the host's strict 2 MiB validation accounting.
-func allocFleetIteration(tb testing.TB, preset kernelgen.Preset, initrd []byte, vms int, warm, hugePage bool) (sim.Time, *kvm.Host) {
+func allocFleetIteration(tb testing.TB, preset kernelgen.Preset, initrd []byte, vms int, warm bool) (sim.Time, *kvm.Host) {
 	tb.Helper()
 	eng := sim.NewEngine()
 	host := kvm.NewHost(eng, costmodel.Default(), 1)
-	host.HugePageValidation = hugePage
 	if warm {
 		o := fleet.New(eng, host, fleet.Config{Standalone: true, EnableWarm: true})
 		img, err := o.RegisterImage("fn", preset, initrd)
@@ -99,11 +97,11 @@ func measureFleet(t *testing.T, vms int, warm bool) (allocs, bytes float64, last
 	// One untimed pass warms the process-lifetime caches (generated
 	// kernels, decompressed payloads, interned artifacts), as they
 	// would be across fleet shards in one host process.
-	allocFleetIteration(t, preset, initrd, vms, warm, false)
+	allocFleetIteration(t, preset, initrd, vms, warm)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		_, last = allocFleetIteration(t, preset, initrd, vms, warm, false)
+		_, last = allocFleetIteration(t, preset, initrd, vms, warm)
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs, last
@@ -140,7 +138,7 @@ func TestColdBootAllocCeiling(t *testing.T) {
 // stores to: 18 KiB of page state where nine dense leaves were 108.
 func TestColdBootOwnsOnlyDirtiedChunks(t *testing.T) {
 	const vms = 8
-	_, host := allocFleetIteration(t, kernelgen.Lupine(), kernelgen.BuildInitrd(7, 4<<20), vms, false, false)
+	_, host := allocFleetIteration(t, kernelgen.Lupine(), kernelgen.BuildInitrd(7, 4<<20), vms, false)
 	_, counters := host.HostStats.Snapshot()
 	for _, c := range []struct {
 		name string
@@ -320,7 +318,7 @@ func TestFirstBzBootDecodesNothing(t *testing.T) {
 }
 
 // TestFleetVirtualMakespanPins holds the virtual makespan of the
-// 1024-VM same-image fleet, in nanoseconds, for the three scenarios the
+// 1024-VM same-image fleet, in nanoseconds, for the two scenarios the
 // iteration above runs. Host-side work (caches, zero-copy loaders, fork
 // aliasing, worker counts) never moves these; a change to the cost model
 // or to what a boot charges does, and says so by editing a pin. The
@@ -329,26 +327,17 @@ func TestFleetVirtualMakespanPins(t *testing.T) {
 	const vms = 1024
 	preset := kernelgen.Lupine()
 	initrd := kernelgen.BuildInitrd(7, 4<<20)
-	got := map[string]sim.Time{}
 	for _, tc := range []struct {
-		name           string
-		warm, hugePage bool
-		want           sim.Time
+		name string
+		warm bool
+		want sim.Time
 	}{
-		{"cold", false, false, 29349565470},
-		{"cold-hugepage", false, true, 29350042370},
-		{"warm-fork", true, false, 93397749027},
+		{"cold", false, 29349565470},
+		{"warm-fork", true, 93397749027},
 	} {
-		got[tc.name], _ = allocFleetIteration(t, preset, initrd, vms, tc.warm, tc.hugePage)
-		if got[tc.name] != tc.want {
-			t.Errorf("%s: virtual makespan %d ns, pinned %d ns", tc.name, got[tc.name], tc.want)
+		if got, _ := allocFleetIteration(t, preset, initrd, vms, tc.warm); got != tc.want {
+			t.Errorf("%s: virtual makespan %d ns, pinned %d ns", tc.name, got, tc.want)
 		}
-	}
-	// §6.1 at fleet scale: strict 2 MiB accounting re-validates the
-	// ranges the lazy mode skips, and 1024 guests pay for it.
-	if got["cold"] >= got["cold-hugepage"] {
-		t.Errorf("strict huge-page accounting cost no virtual time: cold %d ns, cold-hugepage %d ns",
-			got["cold"], got["cold-hugepage"])
 	}
 	// ROADMAP: no tier-1 test process over 1 GiB. ru_maxrss is the
 	// process's peak so far — every test that ran before this one

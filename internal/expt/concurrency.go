@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/trace"
@@ -43,7 +44,7 @@ func concurrentMean(opts Options, preset kernelgen.Preset, sc scheme, n int) (ti
 	if err != nil {
 		return 0, err
 	}
-	w := newWorld(opts.model(), opts.Seed)
+	w := newWorld(costmodel.Default(), opts.Seed)
 	var series trace.Series
 	for i := 0; i < n; i++ {
 		w.spawn(fmt.Sprintf("vm-%d", i), func(p *sim.Proc) error {

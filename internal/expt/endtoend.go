@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/trace"
@@ -60,7 +61,7 @@ func Fig9(opts Options) (*Fig9Data, error) {
 func bootSeries(opts Options, preset kernelgen.Preset, sc scheme, rng *rand.Rand) (trace.Series, error) {
 	var series trace.Series
 	for run := 0; run < opts.runs(); run++ {
-		model := jitterModel(opts.model(), rng, opts.Jitter)
+		model := jitterModel(costmodel.Default(), rng, opts.Jitter)
 		p := jitterPreset(preset, rng, opts.Jitter)
 		out, err := bootOnce(model, p, opts.initrd(), sc, opts.Seed+int64(run), true)
 		if err != nil {
@@ -82,7 +83,7 @@ func Fig10(opts Options) (*Table, error) {
 	// QEMU rows first, then SEVeriFast, matching the paper's layout.
 	for _, sc := range []scheme{schemeQEMU, schemeSEVeriFast} {
 		for _, preset := range opts.presets() {
-			out, err := bootOnce(opts.model(), preset, opts.initrd(), sc, opts.Seed, false)
+			out, err := bootOnce(costmodel.Default(), preset, opts.initrd(), sc, opts.Seed, false)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +110,7 @@ func Fig11(opts Options) (*Table, error) {
 	}
 	for _, preset := range opts.presets() {
 		for _, sc := range []scheme{schemeStock, schemeSEVeriFast, schemeSEVFVmlinux} {
-			out, err := bootOnce(opts.model(), preset, opts.initrd(), sc, opts.Seed, false)
+			out, err := bootOnce(costmodel.Default(), preset, opts.initrd(), sc, opts.Seed, false)
 			if err != nil {
 				return nil, err
 			}

@@ -23,8 +23,6 @@ import (
 
 // Options configures a harness run.
 type Options struct {
-	// Model is the cost model; zero value means costmodel.Default().
-	Model *costmodel.Model
 	// Runs is the boots per configuration for distribution experiments
 	// (the paper uses 100).
 	Runs int
@@ -39,13 +37,6 @@ type Options struct {
 	InitrdSize int
 	// ConcurrencyPoints overrides Fig. 12's sweep (default 1..50).
 	ConcurrencyPoints []int
-}
-
-func (o Options) model() costmodel.Model {
-	if o.Model != nil {
-		return *o.Model
-	}
-	return costmodel.Default()
 }
 
 func (o Options) runs() int {

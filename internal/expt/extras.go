@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
@@ -16,11 +17,11 @@ func MemoryFootprint(opts Options) (*Table, error) {
 		Title:   "Memory footprint (paper §6.3)",
 		Columns: []string{"metric", "value"},
 	}
-	out, err := bootOnce(opts.model(), kernelgen.AWS(), opts.initrd(), schemeSEVeriFast, opts.Seed, false)
+	out, err := bootOnce(costmodel.Default(), kernelgen.AWS(), opts.initrd(), schemeSEVeriFast, opts.Seed, false)
 	if err != nil {
 		return nil, err
 	}
-	stockOut, err := bootOnce(opts.model(), kernelgen.AWS(), opts.initrd(), schemeStock, opts.Seed, false)
+	stockOut, err := bootOnce(costmodel.Default(), kernelgen.AWS(), opts.initrd(), schemeStock, opts.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +46,7 @@ func AblationOutOfBandHashing(opts Options) (*Table, error) {
 		Columns: []string{"kernel", "out-of-band total", "in-band total", "saved"},
 	}
 	for _, preset := range opts.presets() {
-		oob, err := bootOnce(opts.model(), preset, opts.initrd(), schemeSEVeriFast, opts.Seed, false)
+		oob, err := bootOnce(costmodel.Default(), preset, opts.initrd(), schemeSEVeriFast, opts.Seed, false)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +67,7 @@ func AblationPreEncryptPageTables(opts Options) (*Table, error) {
 		Columns: []string{"kernel", "generate (total)", "pre-encrypt (total)", "preenc span generate", "preenc span pre-encrypt"},
 	}
 	for _, preset := range opts.presets() {
-		gen, err := bootOnce(opts.model(), preset, opts.initrd(), schemeSEVeriFast, opts.Seed, false)
+		gen, err := bootOnce(costmodel.Default(), preset, opts.initrd(), schemeSEVeriFast, opts.Seed, false)
 		if err != nil {
 			return nil, err
 		}

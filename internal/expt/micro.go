@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/severifast/severifast/internal/bootparams"
+	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kernelgen"
@@ -20,7 +21,7 @@ import (
 // of the AWS kernel, decomposed into PI phases plus the boot verifier —
 // showing the verifier is a small slice of >3 s of firmware.
 func Fig3(opts Options) (*Table, error) {
-	out, err := bootOnce(opts.model(), kernelgen.AWS(), opts.initrd(), schemeQEMU, opts.Seed, false)
+	out, err := bootOnce(costmodel.Default(), kernelgen.AWS(), opts.initrd(), schemeQEMU, opts.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +82,7 @@ func Fig4(opts Options) (*Table, error) {
 
 // preEncryptOnce measures a single LAUNCH_UPDATE_DATA of n bytes.
 func preEncryptOnce(opts Options, n int, level sev.Level) (time.Duration, error) {
-	w := newWorld(opts.model(), opts.Seed)
+	w := newWorld(costmodel.Default(), opts.Seed)
 	var elapsed time.Duration
 	w.spawn("preenc", func(p *sim.Proc) error {
 		mem := guestmem.New(uint64(n) + 1<<20)
@@ -103,7 +104,7 @@ func preEncryptOnce(opts Options, n int, level sev.Level) (time.Duration, error)
 // decompress for each kernel format and for the initrd, per preset. The
 // takeaways: LZ4 bzImage wins for the kernel; raw wins for the initrd.
 func Fig5(opts Options) (*Table, error) {
-	m := opts.model()
+	m := costmodel.Default()
 	tab := &Table{
 		Title:   "Figure 5: measured direct boot step costs",
 		Note:    "copy+hash scale with transferred bytes; decompression with uncompressed bytes.",
@@ -190,7 +191,7 @@ func RootOfTrust(opts Options) (*Table, error) {
 		Title:   "Root-of-trust size: bytes pre-encrypted per flow",
 		Columns: []string{"flow", "bytes", "modeled pre-encryption time"},
 	}
-	m := opts.model()
+	m := costmodel.Default()
 	h := measure.HashComponents([]byte("k"), []byte("i"), "c")
 	regions, err := measure.Plan(measure.Config{
 		Verifier: make([]byte, 13*1024),

@@ -126,7 +126,7 @@ func bootVariant(opts Options, preset kernelgen.Preset, ablate func(*firecracker
 	if err != nil {
 		return nil, err
 	}
-	w := newWorld(opts.model(), opts.Seed)
+	w := newWorld(costmodel.Default(), opts.Seed)
 	ablate(&cfg, w.host)
 	return w.boot(schemeSEVeriFast, cfg, false)
 }

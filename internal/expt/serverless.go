@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/serverless"
 )
@@ -29,7 +30,7 @@ func Serverless(opts Options) (*Table, error) {
 		Seed:             opts.Seed,
 	}
 	for _, mode := range []serverless.Mode{serverless.ModePlain, serverless.ModeSEVCold, serverless.ModeSEVWarm} {
-		platform := newWorld(opts.model(), opts.Seed)
+		platform := newWorld(costmodel.Default(), opts.Seed)
 		stats, err := serverless.Run(platform.eng, platform.host, serverless.Config{
 			Mode:      mode,
 			Preset:    kernelgen.AWS(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
@@ -31,7 +32,7 @@ func WarmStart(opts Options) (*Table, error) {
 
 		var cold, warm time.Duration
 		var images []*snapshot.Image
-		w := newWorld(opts.model(), opts.Seed)
+		w := newWorld(costmodel.Default(), opts.Seed)
 		w.spawn("warmstart", func(p *sim.Proc) error {
 			res, err := sc.boot(p, w.host, cfg)
 			if err != nil {

@@ -87,7 +87,6 @@ type Config struct {
 	Preset    kernelgen.Preset
 	Artifacts *kernelgen.Artifacts
 	Initrd    []byte
-	Cmdline   string // defaults to the preset's
 	VCPUs     int    // defaults to 1
 	MemSize   uint64 // defaults to 256 MiB
 	Level     sev.Level
@@ -133,9 +132,6 @@ func (c Config) Resolved() Config {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Cmdline == "" {
-		c.Cmdline = c.Preset.Cmdline
-	}
 	if c.VCPUs == 0 {
 		c.VCPUs = 1
 	}
@@ -292,7 +288,7 @@ func bootSEV(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resul
 	// Component hashes: out-of-band (free at boot time) or in-band.
 	if cfg.Hashes == nil {
 		m.Timeline.Begin("hash.components", proc.Now())
-		hashes := measure.HashComponents(kernelImage, cfg.Initrd, cfg.Cmdline)
+		hashes := measure.HashComponents(kernelImage, cfg.Initrd, cfg.Preset.Cmdline)
 		cfg.Hashes = &hashes
 		proc.Sleep(model.Hash(len(kernelImage)) + model.Hash(len(cfg.Initrd)))
 		m.Timeline.End("hash.components", proc.Now())
@@ -488,7 +484,7 @@ func (c Config) ComponentHashes() (measure.ComponentHashes, error) {
 	// hashed once per process, not once here and once there.
 	artifact.Intern(kernel)
 	artifact.Intern(c.Initrd)
-	return measure.HashComponents(kernel, c.Initrd, c.Cmdline), nil
+	return measure.HashComponents(kernel, c.Initrd, c.Preset.Cmdline), nil
 }
 
 // MeasureConfig is the one translation of a Firecracker launch description
@@ -518,7 +514,7 @@ func (c Config) MeasureConfig() (measure.Config, error) {
 	return measure.Config{
 		Verifier:             verifier.Image(c.VerifierSeed),
 		Hashes:               *c.Hashes,
-		Cmdline:              c.Cmdline,
+		Cmdline:              c.Preset.Cmdline,
 		VCPUs:                c.VCPUs,
 		MemSize:              c.MemSize,
 		Level:                c.Level,
@@ -572,7 +568,7 @@ func LaunchPolicy(level sev.Level, allowKeySharing bool) sev.Policy {
 func writeBootStructures(m *kvm.Machine, cfg Config, initrdSize int) error {
 	zp, err := bootparams.Build(bootparams.Params{
 		CmdlinePtr:   measure.GPACmdline,
-		CmdlineSize:  uint32(len(cfg.Cmdline)),
+		CmdlineSize:  uint32(len(cfg.Preset.Cmdline)),
 		RamdiskImage: measure.GPAInitrd,
 		RamdiskSize:  uint32(initrdSize),
 		E820:         bootparams.StandardE820(cfg.MemSize),
@@ -583,7 +579,7 @@ func writeBootStructures(m *kvm.Machine, cfg Config, initrdSize int) error {
 	if err := m.Mem.HostWrite(measure.GPAZeroPage, zp); err != nil {
 		return err
 	}
-	if err := m.Mem.HostWrite(measure.GPACmdline, []byte(cfg.Cmdline)); err != nil {
+	if err := m.Mem.HostWrite(measure.GPACmdline, []byte(cfg.Preset.Cmdline)); err != nil {
 		return err
 	}
 	return m.Mem.HostWrite(measure.GPAMPTable, mptable.Build(cfg.VCPUs, measure.GPAMPTable))

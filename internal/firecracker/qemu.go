@@ -73,7 +73,7 @@ func bootQEMU(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resu
 	// cached per cmdline string so every boot aliases one interned buffer
 	// instead of materializing a fresh copy.
 	cmdlineStage := uint64(measure.GPAStageB) + uint64(len(cfg.Initrd)+4096)&^4095
-	if err := m.Mem.HostWriteAliased(cmdlineStage, cmdlineBytes(cfg.Cmdline)); err != nil {
+	if err := m.Mem.HostWriteAliased(cmdlineStage, cmdlineBytes(cfg.Preset.Cmdline)); err != nil {
 		return nil, err
 	}
 	proc.Sleep(model.VMMSetupMisc)
@@ -102,7 +102,7 @@ func bootQEMU(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resu
 		InitrdDstGPA:        measure.GPAInitrd,
 		ScratchGPA:          measure.GPAScratch,
 		CmdlineStageGPA:     cmdlineStage,
-		CmdlineSize:         len(cfg.Cmdline),
+		CmdlineSize:         len(cfg.Preset.Cmdline),
 		GenerateBootStructs: true,
 		VCPUs:               cfg.VCPUs,
 	}

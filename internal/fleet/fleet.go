@@ -511,7 +511,7 @@ func (o *Orchestrator) Register(name string, launch firecracker.Config) (*Image,
 	spec := ImageSpec{
 		Kernel:               kernel,
 		Initrd:               launch.Initrd,
-		Cmdline:              launch.Cmdline,
+		Cmdline:              launch.Preset.Cmdline,
 		VCPUs:                launch.VCPUs,
 		MemSize:              launch.MemSize,
 		Level:                launch.Level,

@@ -117,12 +117,3 @@ func (c *Client) Redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 func (c *Client) File(claim policy.Claim) error {
 	return c.call("/claim", claimRequest{Claim: hex.EncodeToString(claim.Marshal())}, nil)
 }
-
-// Stats implements Service.
-func (c *Client) Stats() (Stats, error) {
-	var s Stats
-	if err := c.call("/stats", nil, &s); err != nil {
-		return Stats{}, err
-	}
-	return s, nil
-}

@@ -192,5 +192,4 @@ type Service interface {
 	// RevocationClaim builds (its note aside), is refused. Filing a claim
 	// whose ID is already filed succeeds.
 	File(c policy.Claim) error
-	Stats() (Stats, error)
 }

@@ -2,8 +2,10 @@ package kbs_test
 
 import (
 	"crypto/ecdh"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -460,6 +462,21 @@ func TestResignReport(t *testing.T) {
 	}
 }
 
+// remoteStats reads a served broker's counters from its /stats endpoint.
+func remoteStats(t *testing.T, base string) kbs.Stats {
+	t.Helper()
+	r, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var s kbs.Stats
+	if err := json.NewDecoder(r.Body).Decode(&s); err != nil {
+		t.Fatalf("/stats: %v", err)
+	}
+	return s
+}
+
 func TestHTTPRoundTrip(t *testing.T) {
 	auth := kbs.NewAuthority(7)
 	pl := launch(t, auth, "chip-0", currentTCB, sev.SNP, sev.DefaultPolicy())
@@ -490,11 +507,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if kbs.ReasonOf(err) != kbs.ReasonRevoked || !errors.Is(err, kbs.ErrDenied) {
 		t.Fatalf("remote denial lost its reason: %v", err)
 	}
-	s, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Grants != 1 || s.Denials["revoked"] != 1 || s.Tenants != 1 {
+	if s := remoteStats(t, srv.URL); s.Grants != 1 || s.Denials["revoked"] != 1 || s.Tenants != 1 {
 		t.Fatalf("remote stats wrong: %+v", s)
 	}
 }

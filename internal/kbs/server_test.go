@@ -284,7 +284,7 @@ func TestFileOverTheWire(t *testing.T) {
 			t.Fatalf("filing the reference value, call %d: %v", i, err)
 		}
 	}
-	if s, _ := c.Stats(); s.RefValues != 1 {
+	if s := remoteStats(t, srv.URL); s.RefValues != 1 {
 		t.Fatalf("RefValues = %d after four filings of one digest, want 1", s.RefValues)
 	}
 	if _, _, err := exchange(t, c, pl, "acme", 0, nil); err != nil {

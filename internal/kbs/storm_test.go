@@ -51,11 +51,7 @@ func TestRevokeUnknownTargetSemantics(t *testing.T) {
 			t.Fatalf("remote revoke %d of unknown chip: %v", i, err)
 		}
 	}
-	s, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Revoked != 3 {
+	if s := remoteStats(t, srv.URL); s.Revoked != 3 {
 		t.Fatalf("revocation claims = %d, want 3", s.Revoked)
 	}
 

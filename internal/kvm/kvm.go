@@ -37,15 +37,6 @@ type Host struct {
 	// guests validate memory with 2 MiB pvalidate operations.
 	THP bool
 
-	// HugePageValidation selects the hardware-faithful huge-page
-	// validation accounting (the paper's 2 MiB ablation): the verifier
-	// issues one pvalidate per uniformly-unvalidated PageSize block and
-	// falls back to per-4KiB instructions over fragmented ranges, and is
-	// charged for the instructions actually issued rather than the flat
-	// size/pageSize estimate. Off by default — it legitimately changes
-	// virtual-time charges, so it gets its own goldens and bench labels.
-	HugePageValidation bool
-
 	// Telemetry, when set, makes every machine's timeline a span scope
 	// on the booting proc's track. The engine's tracer is not needed for
 	// that; installed too, it adds only scheduler spans (PSP queueing).

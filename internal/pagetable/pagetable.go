@@ -39,9 +39,6 @@ type Config struct {
 	Base uint64
 	// MapSize is how much memory to identity-map (rounded up to 2 MiB).
 	MapSize uint64
-	// CBit is the bit position of the encryption bit; <= 0 means
-	// DefaultCBit.
-	CBit int
 	// SetCBit controls whether entries carry the C-bit (true for SEV
 	// guests; false for the non-SEV boot path).
 	SetCBit bool
@@ -53,13 +50,9 @@ var ErrNotMapped = errors.New("pagetable: address not mapped")
 // Build returns the three physical pages (PML4, PDPT, PD) as one
 // TotalSize-byte buffer to be placed at cfg.Base.
 func Build(cfg Config) []byte {
-	cbit := cfg.CBit
-	if cbit <= 0 {
-		cbit = DefaultCBit
-	}
 	var enc uint64
 	if cfg.SetCBit {
-		enc = 1 << uint(cbit)
+		enc = 1 << DefaultCBit
 	}
 	out := make([]byte, TotalSize)
 	le := binary.LittleEndian
@@ -91,11 +84,7 @@ func Walk(table []byte, cfg Config, vaddr uint64) (pa uint64, cbitSet bool, err 
 	if len(table) < TotalSize {
 		return 0, false, fmt.Errorf("pagetable: table truncated (%d bytes)", len(table))
 	}
-	cbit := cfg.CBit
-	if cbit <= 0 {
-		cbit = DefaultCBit
-	}
-	cmask := uint64(1) << uint(cbit)
+	const cmask = uint64(1) << DefaultCBit
 	addrMask := uint64(0x000F_FFFF_FFFF_F000) &^ cmask
 	le := binary.LittleEndian
 

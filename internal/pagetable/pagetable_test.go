@@ -79,23 +79,6 @@ func TestWalkUnmappedHighAddress(t *testing.T) {
 	}
 }
 
-func TestCustomCBitPosition(t *testing.T) {
-	c := Config{Base: 0, MapSize: 1 << 30, SetCBit: true, CBit: 47}
-	table := Build(c)
-	pa, cbit, err := Walk(table, c, 0x400000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cbit || pa != 0x400000 {
-		t.Fatalf("custom C-bit walk: pa=%#x cbit=%v", pa, cbit)
-	}
-	// Walking with the wrong C-bit position must not report the bit.
-	_, wrongCbit, err := Walk(table, Config{Base: 0, MapSize: 1 << 30, CBit: 51}, 0x400000)
-	if err == nil && wrongCbit {
-		t.Fatal("C-bit visible at wrong position")
-	}
-}
-
 func TestCBitFromCPUID(t *testing.T) {
 	// EPYC Milan: EAX bit 1 set, EBX[5:0] = 51.
 	on, pos := CBitFromCPUID(0b10, 51)

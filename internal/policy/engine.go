@@ -72,9 +72,6 @@ type Engine struct {
 	store *Store
 }
 
-// Store returns the engine's backing store.
-func (e *Engine) Store() *Store { return e.store }
-
 // Valid reports whether a certificate still stands: minted under the
 // store's current version, decision "allow", and not past its expiry
 // instant.
@@ -107,7 +104,7 @@ func (e *Engine) Evaluate(ev Evidence, now sim.Time) (*Certificate, error) {
 			Rule: rule, Outcome: "deny", Reason: string(reason), ClaimID: claimID, Detail: detail,
 		})
 		d := &Denial{Rule: rule, Reason: reason, Detail: detail, Cert: cert}
-		s.record(ev.Tenant, now, d)
+		s.record(d)
 		return cert, d
 	}
 
@@ -239,7 +236,7 @@ func (e *Engine) Evaluate(ev Evidence, now sim.Time) (*Certificate, error) {
 		cert.Rules = append(cert.Rules, pass)
 	}
 
-	s.record(ev.Tenant, now, nil)
+	s.record(nil)
 	return cert, nil
 }
 
@@ -345,7 +342,7 @@ func scopeCovers(scope, tenant string) bool {
 
 // Permissive returns the shared default-allow engine: one wildcard
 // domain whose two claims trust every platform and every measurement,
-// with no expiry and no telemetry. It is what fleet and cluster gates
+// with no expiry. It is what fleet and cluster gates
 // fall back to when no policy is configured, so every admission flows
 // through Evaluate while the default behaviour — and every golden-pinned
 // virtual-time artifact — is unchanged.

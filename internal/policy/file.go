@@ -64,9 +64,6 @@ type FileEvidence struct {
 	NowMS       int64  `json:"now_ms"`
 }
 
-// HasPlatform reports whether the evidence asserts a platform.
-func (e *FileEvidence) HasPlatform() bool { return e.Chip != "" }
-
 // FileMutation is one policy mutation applied at a virtual instant
 // before every evidence package whose now has reached it.
 type FileMutation struct {

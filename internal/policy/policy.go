@@ -68,7 +68,7 @@ const (
 )
 
 // Reason classifies a denial. The string form is stable: it keys the
-// per-rule denial counters in telemetry and the HTTP wire format.
+// per-rule denial counters in Stats and the HTTP wire format.
 type Reason string
 
 // Denial reasons.

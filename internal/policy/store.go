@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/severifast/severifast/internal/sim"
-	"github.com/severifast/severifast/internal/telemetry"
 )
 
 // Store errors.
@@ -99,7 +98,6 @@ type Store struct {
 	domains   map[string]*domain
 	version   uint64
 	intercept func(Claim) Claim
-	reg       *telemetry.Registry
 	stats     statsInner
 	engine    *Engine
 }
@@ -143,14 +141,6 @@ func NewStore() *Store {
 
 // Engine returns the evaluation engine bound to this store.
 func (s *Store) Engine() *Engine { return s.engine }
-
-// Instrument mirrors evaluation counters (severifast_policy_*) and
-// zero-width evaluation spans into reg. Nil detaches the mirror.
-func (s *Store) Instrument(reg *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg = reg
-}
 
 // AddSigner registers a signer's public key under the ID its claims name
 // as Issuer.
@@ -466,27 +456,14 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// record books one evaluation outcome into stats and telemetry. Called
-// with s.mu held.
-func (s *Store) record(tenant string, now sim.Time, den *Denial) {
+// record books one evaluation outcome into stats. Called with s.mu held.
+func (s *Store) record(den *Denial) {
 	s.stats.evals++
-	decision := "allow"
-	if den != nil {
-		decision = "deny"
-		s.stats.denials++
-		s.stats.denialsByReason[string(den.Reason)]++
-		s.stats.denialsByRule[den.Rule+"/"+string(den.Reason)]++
-		s.reg.Counter("severifast_policy_denials_total",
-			telemetry.A("tenant", tenant),
-			telemetry.A("rule", den.Rule),
-			telemetry.A("reason", string(den.Reason))).Inc()
-	} else {
+	if den == nil {
 		s.stats.grants++
+		return
 	}
-	s.reg.Counter("severifast_policy_evals_total",
-		telemetry.A("tenant", tenant),
-		telemetry.A("decision", decision)).Inc()
-	s.reg.Record("policy", "policy.evaluate", now, now,
-		telemetry.A("tenant", tenant),
-		telemetry.A("decision", decision))
+	s.stats.denials++
+	s.stats.denialsByReason[string(den.Reason)]++
+	s.stats.denialsByRule[den.Rule+"/"+string(den.Reason)]++
 }

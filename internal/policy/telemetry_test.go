@@ -1,22 +1,17 @@
 package policy
 
 import (
-	"bytes"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
-
-	"github.com/severifast/severifast/internal/telemetry"
 )
 
-// runInstrumented drives an identical evaluation sequence — grants and
+// runEvaluations drives an identical evaluation sequence — grants and
 // denials across two tenants, a revocation mid-sequence — against a
-// fresh instrumented store, and returns both exporter outputs.
-func runInstrumented(t *testing.T) (prom, sum []byte) {
+// fresh store, and returns its Stats.
+func runEvaluations(t *testing.T) Stats {
 	t.Helper()
 	p := newPKI(t)
-	reg := telemetry.NewRegistry()
-	p.store.Instrument(reg)
 	p.add(Claim{ID: "plat", Kind: KindPlatform, Scope: "*", Subject: "*", MinTCB: testTCB, Issuer: "root"})
 	p.add(Claim{ID: "meas", Kind: KindMeasurement, Scope: "*", Subject: "00ff", Issuer: "root"})
 	eng := p.store.Engine()
@@ -32,48 +27,23 @@ func runInstrumented(t *testing.T) (prom, sum []byte) {
 		t.Fatal(err)
 	}
 	eng.Evaluate(good, ms(11))
-
-	var pb, sb bytes.Buffer
-	if err := reg.WritePrometheus(&pb); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WriteJSONSummary(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return pb.Bytes(), sb.Bytes()
+	return p.store.Stats()
 }
 
-// TestPolicyTelemetryDeterminism pins the per-reason denial counters
-// into both exporters and requires byte-identical output across two
+// TestPolicyTelemetryDeterminism pins the store's evaluation and
+// per-rule denial counters and requires them identical across two
 // identical runs.
 func TestPolicyTelemetryDeterminism(t *testing.T) {
-	prom1, sum1 := runInstrumented(t)
-	prom2, sum2 := runInstrumented(t)
-	if !bytes.Equal(prom1, prom2) {
-		t.Fatal("Prometheus export differs across identical runs")
+	s1, s2 := runEvaluations(t), runEvaluations(t)
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("Stats differ across identical runs:\n%+v\n%+v", s1, s2)
 	}
-	if !bytes.Equal(sum1, sum2) {
-		t.Fatal("JSON summary differs across identical runs")
+	if s1.Evals != 7 || s1.Grants != 3 || s1.Denials != 4 {
+		t.Errorf("evals/grants/denials = %d/%d/%d, want 7/3/4", s1.Evals, s1.Grants, s1.Denials)
 	}
-	for _, want := range []string{
-		`severifast_policy_evals_total{decision="allow",tenant="t0"} 3`,
-		`severifast_policy_evals_total{decision="deny",tenant="t1"} 3`,
-		`severifast_policy_evals_total{decision="deny",tenant="t0"} 1`,
-		`severifast_policy_denials_total{reason="tcb-below-floor",rule="platform",tenant="t1"} 3`,
-		`severifast_policy_denials_total{reason="claim-expired",rule="measurement",tenant="t0"} 1`,
-	} {
-		if !strings.Contains(string(prom1), want) {
-			t.Errorf("Prometheus export missing %q:\n%s", want, prom1)
-		}
-	}
-	for _, want := range []string{
-		"severifast_policy_denials_total",
-		"tcb-below-floor",
-		"claim-expired",
-	} {
-		if !strings.Contains(string(sum1), want) {
-			t.Errorf("JSON summary missing %q", want)
-		}
+	want := map[string]int{"platform/tcb-below-floor": 3, "measurement/claim-expired": 1}
+	if !reflect.DeepEqual(s1.DenialsByRule, want) {
+		t.Errorf("DenialsByRule = %v, want %v", s1.DenialsByRule, want)
 	}
 }
 
@@ -82,8 +52,6 @@ func TestPolicyTelemetryDeterminism(t *testing.T) {
 // engine processes and cache-publish callbacks in fleet runs.
 func TestStoreEvaluateRace(t *testing.T) {
 	p := newPKI(t)
-	reg := telemetry.NewRegistry()
-	p.store.Instrument(reg)
 	p.add(Claim{ID: "plat", Kind: KindPlatform, Scope: "*", Subject: "*", Issuer: "root"})
 	eng := p.store.Engine()
 	ev := Evidence{Tenant: "t0", ChipID: "chip-0", TCB: testTCB, HasPlatform: true}

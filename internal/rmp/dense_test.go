@@ -75,8 +75,6 @@ func (t *denseTable) PvalidateSpan(gpa uint64, n int, asid uint32, opts SpanOpti
 	before := t.Validations
 	var err error
 	switch {
-	case opts.Strict:
-		err = t.pvalidateStrict(gpa, n, ps, asid)
 	case opts.SkipValidated:
 		err = t.pvalidateSkip(gpa, n, ps, asid)
 	default:
@@ -120,50 +118,6 @@ func (t *denseTable) pvalidateSkip(gpa uint64, n, ps int, asid uint32) error {
 			did = true
 		}
 		if did {
-			t.Validations++
-		}
-	}
-	return nil
-}
-
-// pvalidateStrict is the hardware-faithful huge-page walk: a PageSize
-// instruction may only cover a block whose every RMP entry is touched by
-// the range and needs work; otherwise the guest falls back to per-4KiB
-// pvalidates for exactly the work pages. Validations counts instructions.
-func (t *denseTable) pvalidateStrict(gpa uint64, n, ps int, asid uint32) error {
-	for off := uint64(0); off < uint64(n); off += uint64(ps) {
-		base := gpa + off
-		// Classify the block: uniform-work blocks take one instruction.
-		uniform := true
-		pages := 0
-		for sub := uint64(0); sub < uint64(ps) && base+sub < gpa+uint64(n); sub += PageSize {
-			e := t.at(pfn(base + sub))
-			if e.Assigned && e.ASID != asid {
-				uniform = false
-				break
-			}
-			if e.Assigned && e.Validated {
-				uniform = false
-			}
-			pages++
-		}
-		if uniform && pages == ps/PageSize {
-			for sub := uint64(0); sub < uint64(ps) && base+sub < gpa+uint64(n); sub += PageSize {
-				t.set(pfn(base+sub), Entry{ASID: asid, Assigned: true, Validated: true})
-			}
-			t.Validations++
-			continue
-		}
-		// Fragmented, partial, or failing: per-4KiB instructions.
-		for sub := uint64(0); sub < uint64(ps) && base+sub < gpa+uint64(n); sub += PageSize {
-			e := t.at(pfn(base + sub))
-			if e.Assigned && e.ASID != asid {
-				return fmt.Errorf("%w: pfn %#x", ErrOwner, pfn(base+sub))
-			}
-			if e.Assigned && e.Validated {
-				continue
-			}
-			t.set(pfn(base+sub), Entry{ASID: asid, Assigned: true, Validated: true})
 			t.Validations++
 		}
 	}

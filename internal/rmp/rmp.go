@@ -270,15 +270,6 @@ type SpanOptions struct {
 	// assigned-and-validated for this guest are skipped, unassigned pages
 	// are taken over, and pages owned by a different guest fail.
 	SkipValidated bool
-
-	// Strict models hardware-faithful huge-page validation: a PageSize
-	// pvalidate instruction may only cover a block that is fully inside
-	// the range and uniformly in need of work — any skipped (already
-	// validated) page, or a partial tail, forces that block back to
-	// per-4KiB instructions. Validations then counts instructions
-	// actually issued, not blocks walked, so fragmented layouts
-	// legitimately cost more. Strict implies SkipValidated semantics.
-	Strict bool
 }
 
 // PvalidateSpan validates [gpa, gpa+n) for asid as one range operation
@@ -299,7 +290,7 @@ func (t *Table) PvalidateSpan(gpa uint64, n int, asid uint32, opts SpanOptions) 
 	}
 	pfn0 := pfn(gpa)
 	full := state{asid: asid, assigned: true, validated: true}
-	skip := opts.SkipValidated || opts.Strict
+	skip := opts.SkipValidated
 
 	// Classification pass: find the first failing pfn and collect the
 	// "work" intervals (pages the walk would mutate), in k-space where
@@ -339,8 +330,6 @@ func (t *Table) PvalidateSpan(gpa uint64, n int, asid uint32, opts SpanOptions) 
 		} else {
 			ops = int((uint64(n) + ps - 1) / ps)
 		}
-	case opts.Strict:
-		ops = strictOps(work, pages, ps, uint64(n), errK, hasErr)
 	default:
 		// Lazy skip mode: one tick per block that contains any work page
 		// and completed before the failure.
@@ -380,46 +369,6 @@ func (t *Table) PvalidateSpan(gpa uint64, n int, asid uint32, opts SpanOptions) 
 	t.setRange(pfn0, pfn0+pages, full)
 	t.Validations += uint64(ops)
 	return ops, nil
-}
-
-// strictOps counts pvalidate instructions for Strict mode: a block gets
-// one PageSize instruction only when all of its ps/PageSize entries are
-// work; otherwise each work page is its own 4 KiB instruction. On error
-// the failing block falls back to per-page and stops at the failing pfn
-// (work is already clipped to [0, errK) by the classification pass).
-func strictOps(work []span, pages, ps, n, errK uint64, hasErr bool) int {
-	perBlock := ps / PageSize
-	errBlock := uint64(1<<63 - 1)
-	if hasErr {
-		errBlock = errK * PageSize / ps
-	}
-	ops := 0
-	curBlock := int64(-1)
-	curWork := uint64(0)
-	flush := func() {
-		if curBlock < 0 {
-			return
-		}
-		if curWork == perBlock && uint64(curBlock) != errBlock {
-			ops++ // one huge-page instruction covers the uniform block
-		} else {
-			ops += int(curWork) // fragmented or failing: per-4K fallback
-		}
-	}
-	for _, w := range work {
-		for k := w.lo; k < w.hi; {
-			b := int64(k * PageSize / ps)
-			if b != curBlock {
-				flush()
-				curBlock, curWork = b, 0
-			}
-			blockEnd := min((uint64(b)+1)*ps/PageSize, w.hi)
-			curWork += blockEnd - k
-			k = blockEnd
-		}
-	}
-	flush()
-	return ops
 }
 
 // PvalidateRangeSkipValidated takes guest ownership of [gpa, gpa+n): for
@@ -525,8 +474,3 @@ func (t *Table) AssignedPages(asid uint32) int {
 	}
 	return int(n)
 }
-
-// Spans returns how many coalesced runs the table currently holds —
-// an observability hook for the batching layer (a healthy boot stays in
-// the tens regardless of image size).
-func (t *Table) Spans() int { return len(t.spans) }

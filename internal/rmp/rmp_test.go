@@ -143,6 +143,12 @@ func TestPvalidateRangeHugePages(t *testing.T) {
 			t.Fatalf("sub-page at +%#x not validated: %v", off, err)
 		}
 	}
+	// A partial tail block is one more 2 MiB instruction.
+	tb = New()
+	ops, err := tb.PvalidateSpan(0, n+3*PageSize, 1, SpanOptions{PageSize: 2 << 20, SkipValidated: true})
+	if err != nil || ops != 2 {
+		t.Fatalf("huge + tail: ops=%d err=%v, want 2, nil", ops, err)
+	}
 }
 
 func TestPvalidateRangePartialTail(t *testing.T) {

@@ -28,9 +28,6 @@ func NewResource(name string, capacity int) *Resource {
 	return &Resource{name: name, capacity: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
 // Rename changes the resource's name. Multi-host models rename otherwise
 // identical resources ("psp" → "psp-h3") so tracer output and telemetry
 // tracks stay per-instance. Rename before the first Acquire; renaming a

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"time"
 
 	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/bootparams"
@@ -37,7 +36,6 @@ import (
 	"github.com/severifast/severifast/internal/measure"
 	"github.com/severifast/severifast/internal/mptable"
 	"github.com/severifast/severifast/internal/pagetable"
-	"github.com/severifast/severifast/internal/rmp"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
 )
@@ -161,25 +159,10 @@ func Run(proc *sim.Proc, m *kvm.Machine, in Inputs) (*Handoff, error) {
 	if m.Level.HasRMP() {
 		pageSize := m.Host.PvalidatePageSize()
 		table, asid := m.Mem.RMP()
-		if m.Host.HugePageValidation {
-			// Hardware-faithful accounting: a huge-page pvalidate only
-			// covers uniformly-unvalidated blocks; launch-updated pages
-			// fragment those blocks into per-4KiB instructions, and the
-			// guest pays for the instructions actually issued.
-			ops, err := table.PvalidateSpan(0, int(m.Mem.Size()), asid, rmp.SpanOptions{
-				PageSize: pageSize,
-				Strict:   true,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("verifier: pvalidate: %w", err)
-			}
-			proc.Sleep(time.Duration(ops) * model.PvalidatePerPage)
-		} else {
-			if err := table.PvalidateRangeSkipValidated(0, int(m.Mem.Size()), pageSize, asid); err != nil {
-				return nil, fmt.Errorf("verifier: pvalidate: %w", err)
-			}
-			proc.Sleep(model.Pvalidate(int(m.Mem.Size()), pageSize))
+		if err := table.PvalidateRangeSkipValidated(0, int(m.Mem.Size()), pageSize, asid); err != nil {
+			return nil, fmt.Errorf("verifier: pvalidate: %w", err)
 		}
+		proc.Sleep(model.Pvalidate(int(m.Mem.Size()), pageSize))
 	}
 
 	// With memory validated, establish the GHCB so later #VC exits (debug

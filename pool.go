@@ -140,7 +140,6 @@ func NewPool(cfg Config, opts PoolOptions) (*Pool, error) {
 	}
 	h := NewHostSeed(cfgSeed(cfg))
 	h.inner.THP = !cfg.DisableTHP
-	h.inner.HugePageValidation = cfg.HugePageValidation
 	h.eng.SetTracer(nil)
 	h.reg.StopIndexing()
 	p := &Pool{host: h, cfg: cfg, worker: sim.NewWorker(h.eng, "pool")}
@@ -193,19 +192,10 @@ func (p *Pool) Boot() (*Result, error) {
 	if p.bootErr != nil {
 		return nil, classifyErr(p.bootErr)
 	}
-	res := &Result{
-		Total: p.total,
-		host:  p.host,
-	}
 	if m := p.lastServed; m != nil {
-		res.machine = m
-		res.timeline = m.Timeline
-		res.CPUs = p.cfg.VCPUs
-		if m.Launch != nil {
-			res.LaunchDigest = m.Launch.Digest()
-		}
+		return p.host.servedResult(m, p.total, p.cfg.VCPUs), nil
 	}
-	return res, nil
+	return &Result{Total: p.total, host: p.host}, nil
 }
 
 // serve is a Boot's body on the pool's process.

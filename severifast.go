@@ -70,9 +70,6 @@ var (
 	// ErrAttestationDenied reports that a relying party (guest owner or
 	// key broker) refused the attestation evidence.
 	ErrAttestationDenied = errors.New("severifast: attestation denied")
-	// ErrDeadlineExceeded reports a boot abandoned because its
-	// virtual-time budget ran out (the fleet's per-request deadline).
-	ErrDeadlineExceeded = errors.New("severifast: boot deadline exceeded")
 	// ErrPolicyDenied reports that the trust-domain policy engine refused
 	// an admission — a revoked or expired claim, a TCB below a claimed
 	// floor, or an untrusted measurement — whether the refusal came from
@@ -89,7 +86,7 @@ func classifyErr(err error) error {
 	}
 	switch {
 	case errors.Is(err, ErrMeasurementMismatch), errors.Is(err, ErrAttestationDenied),
-		errors.Is(err, ErrDeadlineExceeded), errors.Is(err, ErrPolicyDenied):
+		errors.Is(err, ErrPolicyDenied):
 		return err // already classified
 	case errors.Is(err, verifier.ErrVerification), errors.Is(err, kbs.ErrMeasurement),
 		errors.Is(err, fleet.ErrDigestMismatch):
@@ -98,8 +95,6 @@ func classifyErr(err error) error {
 		return fmt.Errorf("%w: %w", ErrAttestationDenied, err)
 	case errors.Is(err, policy.ErrDenied):
 		return fmt.Errorf("%w: %w", ErrPolicyDenied, err)
-	case errors.Is(err, fleet.ErrDeadlineExceeded):
-		return fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
 	case errors.Is(err, kernelgen.ErrUnknownPreset):
 		return fmt.Errorf("%w: %w", ErrUnknownKernel, err)
 	}
@@ -188,16 +183,6 @@ type Config struct {
 	// DisableTHP validates guest memory with 4 KiB pvalidate operations
 	// instead of 2 MiB (paper §6.1).
 	DisableTHP bool
-
-	// HugePageValidation opts into hardware-faithful 2 MiB validation
-	// accounting (the paper's huge-page ablation): a huge-page pvalidate
-	// only covers blocks that are uniformly unvalidated, so blocks
-	// fragmented by launch-updated pages fall back to per-4 KiB
-	// instructions and the verifier is charged for the instructions
-	// actually issued instead of the flat size/pageSize estimate.
-	// Changes virtual-time outputs; ignored with DisableTHP's 4 KiB
-	// granularity except for the per-instruction accounting.
-	HugePageValidation bool
 
 	// AllowKeySharing relaxes the launch policy so this guest's key can
 	// be shared with warm-started clones (paper §6.2/§7). Visible in the
@@ -526,7 +511,6 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 		l.Hashes = &hashes
 	}
 	h.inner.THP = !cfg.DisableTHP
-	h.inner.HugePageValidation = cfg.HugePageValidation
 
 	results := make([]*Result, n)
 	errs := make([]error, n)
@@ -590,6 +574,24 @@ func (h *Host) result(res *firecracker.Result) *Result {
 		host:             h,
 		timeline:         res.Timeline,
 	}
+}
+
+// servedResult is the Result of a guest served on machine m without a
+// boot breakdown of its own: a Pool boot or a WarmBoot fork. A SEV guest
+// reports the digest its launch context holds, the donor's for a fork.
+func (h *Host) servedResult(m *kvm.Machine, total time.Duration, cpus int) *Result {
+	res := &Result{
+		Total:            total,
+		CPUs:             cpus,
+		SEVMetadataBytes: m.Mem.SEVMetadataBytes(),
+		machine:          m,
+		host:             h,
+		timeline:         m.Timeline,
+	}
+	if m.Launch != nil {
+		res.LaunchDigest = m.Launch.Digest()
+	}
+	return res
 }
 
 // run runs the host's engine until it idles. It holds pspMu, as a Result
@@ -736,6 +738,7 @@ func (r *Result) AttestOverHTTP(baseURL string) ([]byte, error) {
 // resident memory frozen in place for forking.
 type Snapshot struct {
 	fork *snapshot.Fork
+	cpus int // the donor's, which every fork runs with
 }
 
 // Snapshot captures a booted guest as a warm parent. The guest is parked
@@ -754,7 +757,7 @@ func (h *Host) Snapshot(r *Result) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{fork: fork}, nil
+	return &Snapshot{fork: fork, cpus: r.CPUs}, nil
 }
 
 // WarmBoot starts a new guest forked from a snapshot instead of
@@ -778,12 +781,7 @@ func (h *Host) WarmBoot(s *Snapshot) (*Result, error) {
 			return
 		}
 		m.Timeline.Close(p.Now())
-		res = &Result{
-			Total:    p.Now().Sub(start),
-			machine:  m,
-			host:     h,
-			timeline: m.Timeline,
-		}
+		res = h.servedResult(m, p.Now().Sub(start), s.cpus)
 	})
 	h.run()
 	if bootErr != nil {

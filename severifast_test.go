@@ -403,40 +403,11 @@ func TestDisableTHPOption(t *testing.T) {
 	if slow.BootVerification-fast.BootVerification < 50*time.Millisecond {
 		t.Fatal("4 KiB pvalidate penalty missing")
 	}
-}
-
-func TestHugePageValidationOption(t *testing.T) {
-	// The paper's 2 MiB ablation, hardware-faithful: a huge-page
-	// pvalidate only covers uniformly-unvalidated blocks, so the blocks
-	// fragmented by launch-updated pages fall back to per-4 KiB
-	// instructions. Strict accounting therefore sits strictly between
-	// the flat THP estimate and full 4 KiB validation — and its exact
-	// virtual-time output is a golden of its own.
-	def, err := Boot(Config{Kernel: KernelLupine, InitrdMiB: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, err := Boot(Config{Kernel: KernelLupine, InitrdMiB: 2, HugePageValidation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fourK, err := Boot(Config{Kernel: KernelLupine, InitrdMiB: 2, DisableTHP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(def.BootVerification < hp.BootVerification && hp.BootVerification < fourK.BootVerification) {
-		t.Fatalf("strict huge-page verification %v not between THP %v and 4 KiB %v",
-			hp.BootVerification, def.BootVerification, fourK.BootVerification)
-	}
-	// Goldens: the option off must not move the default's virtual time,
-	// and the option on has its own pinned output.
-	const defGolden = 164645338 * time.Nanosecond
-	const hpGolden = 165122238 * time.Nanosecond
-	if def.Total != defGolden {
-		t.Fatalf("default cold boot drifted: %v, golden %v", def.Total, defGolden)
-	}
-	if hp.Total != hpGolden {
-		t.Fatalf("huge-page cold boot drifted: %v, golden %v", hp.Total, hpGolden)
+	// The default boot's virtual time is a golden: one flat 2 MiB
+	// pvalidate charge over guest memory.
+	const golden = 164645338 * time.Nanosecond
+	if fast.Total != golden {
+		t.Fatalf("default cold boot drifted: %v, golden %v", fast.Total, golden)
 	}
 }
 
@@ -483,6 +454,44 @@ func TestWarmBootFromSnapshot(t *testing.T) {
 	}
 	if warm.Total <= 0 {
 		t.Fatal("zero warm-start time")
+	}
+}
+
+// TestWarmBootReportsDonorDigest: a SEV fork attests with its donor's
+// launch digest, so its Result reports that digest — the one
+// ExpectedLaunchDigest predicts for the donor's Config — along with the
+// donor's vCPUs and its own SEV metadata. A stock fork has no digest.
+func TestWarmBootReportsDonorDigest(t *testing.T) {
+	warmOf := func(cfg Config) (cold, warm *Result) {
+		t.Helper()
+		host := NewHost()
+		cold, err := host.Boot(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := host.Snapshot(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm, err = host.WarmBoot(snap); err != nil {
+			t.Fatal(err)
+		}
+		return cold, warm
+	}
+	cfg := Config{Kernel: KernelLupine, InitrdMiB: 2, VCPUs: 2, AllowKeySharing: true}
+	cold, warm := warmOf(cfg)
+	want, err := ExpectedLaunchDigest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.LaunchDigest != cold.LaunchDigest || warm.LaunchDigest != want {
+		t.Fatalf("warm digest %x, donor %x, expected %x", warm.LaunchDigest[:8], cold.LaunchDigest[:8], want[:8])
+	}
+	if warm.CPUs != 2 || warm.SEVMetadataBytes == 0 {
+		t.Fatalf("warm CPUs %d, SEV metadata %d bytes; want 2 and nonzero", warm.CPUs, warm.SEVMetadataBytes)
+	}
+	if _, warm := warmOf(Config{Kernel: KernelLupine, Scheme: SchemeStock, InitrdMiB: 2}); warm.LaunchDigest != ([32]byte{}) {
+		t.Fatalf("stock warm boot reports digest %x", warm.LaunchDigest[:8])
 	}
 }
 
