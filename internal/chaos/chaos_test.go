@@ -285,9 +285,9 @@ func TestArtifactFamily(t *testing.T) {
 }
 
 // TestPlanBlobLeftAsFound drives one plan-blob-dirty site by hand, so the
-// test can hold the staging blob the site flips: the flip must be seen by
-// boot 1 (it is refused) and the blob must be byte-identical before the
-// flip and after the trial.
+// test can hold the bytes the site flips (the region bulkRegion picks):
+// the flip must be seen by boot 1 (it is refused) and the bytes must be
+// identical before the flip and after the trial.
 func TestPlanBlobLeftAsFound(t *testing.T) {
 	h, err := newHarness(kernelgen.BuildInitrd(7, 1<<20), 4, false)
 	if err != nil {
@@ -302,11 +302,7 @@ func TestPlanBlobLeftAsFound(t *testing.T) {
 	flip := h.Between
 	h.Between = func(next int, img *fleet.Image) {
 		if next == 1 {
-			for _, r := range h.Cfg.Cache.Get(img.CacheKey()).Regions {
-				if r.Art != nil && (blob == nil || r.Art.Len() > blob.Len()) {
-					blob = r.Art
-				}
-			}
+			blob = bulkRegion(h.Cfg.Cache.Get(img.CacheKey()).Regions).Art
 			before = sha256.Sum256(blob.Bytes())
 		}
 		flip(next, img)

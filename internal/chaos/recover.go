@@ -224,10 +224,11 @@ var planFamily = recoverSite{
 	},
 }
 
-// planBlobDirty attacks the largest blob-backed region of the cached
-// plan: the bulk loader payload, whose bytes are opaque to the guest — no
-// structural checksum trips first, so the launch digest is the only
-// defense.
+// planBlobDirty attacks the largest staged region of the cached plan
+// (bulkRegion): the verifier image, whose bytes are opaque to the host —
+// no structural checksum trips first, so the launch digest is the only
+// defense. The plan points at the one verifier image every plan of its
+// seed shares, so the flip reaches every later launch until it is undone.
 func planBlobDirty(off int, mask byte) site {
 	rs := planFamily
 	rs.name, rs.params, rs.mask = "plan-blob-dirty", fmt.Sprintf("off=%d mask=%#02x", off, mask), mask
@@ -236,18 +237,25 @@ func planBlobDirty(off int, mask byte) site {
 		if mi == nil {
 			return nil, 0, fmt.Errorf("cold boot left no cached plan")
 		}
-		var reg measure.Region
-		for _, r := range mi.Regions {
-			if r.Art != nil && len(r.Data) > len(reg.Data) {
-				reg = r
-			}
-		}
+		reg := bulkRegion(mi.Regions)
 		if reg.Art == nil {
 			return nil, 0, fmt.Errorf("cached plan has no blob-backed regions to attack")
 		}
 		return reg.Art, reg.ArtOff + off%len(reg.Data), nil
 	}
 	return rs.site()
+}
+
+// bulkRegion is the largest region of a plan that stages from bytes the
+// plan points at (Region.Art): the one plan-blob-dirty flips.
+func bulkRegion(regions []measure.Region) measure.Region {
+	var reg measure.Region
+	for _, r := range regions {
+		if r.Art != nil && len(r.Data) > len(reg.Data) {
+			reg = r
+		}
+	}
+	return reg
 }
 
 func planPristine() site {

@@ -1,9 +1,7 @@
 package firecracker
 
 import (
-	"sync"
-
-	"github.com/severifast/severifast/internal/artifact"
+	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
 	"github.com/severifast/severifast/internal/linux"
 	"github.com/severifast/severifast/internal/measure"
@@ -12,22 +10,6 @@ import (
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/verifier"
 )
-
-// cmdlineCache holds the canonical interned byte form of each distinct
-// cmdline string (a handful per fleet), so staging writes alias one
-// immutable buffer with provenance instead of copying fresh bytes every
-// boot.
-var cmdlineCache sync.Map // string -> []byte
-
-func cmdlineBytes(s string) []byte {
-	if v, ok := cmdlineCache.Load(s); ok {
-		return v.([]byte)
-	}
-	b := []byte(s)
-	artifact.Intern(b)
-	v, _ := cmdlineCache.LoadOrStore(s, b)
-	return v.([]byte)
-}
 
 // ovmfSeed selects the one OVMF build the QEMU/OVMF flow boots.
 const ovmfSeed = 1
@@ -69,11 +51,11 @@ func bootQEMU(proc *sim.Proc, host *kvm.Host, m *kvm.Machine, cfg Config) (*Resu
 		proc.Sleep(model.VMMLoad(len(cfg.Initrd)))
 	}
 	// The cmdline travels over fw_cfg too: staged shared, verified in the
-	// guest against the pre-encrypted hash page. The canonical bytes are
-	// cached per cmdline string so every boot aliases one interned buffer
-	// instead of materializing a fresh copy.
+	// guest against the pre-encrypted hash page. Every boot of one cmdline
+	// aliases the one interned buffer kernelgen keeps for it instead of
+	// materializing a fresh copy.
 	cmdlineStage := uint64(measure.GPAStageB) + uint64(len(cfg.Initrd)+4096)&^4095
-	if err := m.Mem.HostWriteAliased(cmdlineStage, cmdlineBytes(cfg.Preset.Cmdline)); err != nil {
+	if err := m.Mem.HostWriteAliased(cmdlineStage, kernelgen.CmdlineBytes(cfg.Preset.Cmdline)); err != nil {
 		return nil, err
 	}
 	proc.Sleep(model.VMMSetupMisc)

@@ -363,15 +363,15 @@ func TestInitrdSizeAndCompressibility(t *testing.T) {
 }
 
 func TestGenBinaryDeterministicAndSized(t *testing.T) {
-	a := GenBinary(5, 13*1024)
-	b := GenBinary(5, 13*1024)
+	a := genBinary(nil, 5, 13*1024)
+	b := genBinary(nil, 5, 13*1024)
 	if !bytes.Equal(a, b) {
-		t.Fatal("GenBinary not deterministic")
+		t.Fatal("genBinary not deterministic")
 	}
 	if len(a) != 13*1024 {
-		t.Fatalf("GenBinary size %d", len(a))
+		t.Fatalf("genBinary size %d", len(a))
 	}
-	if bytes.Equal(a, GenBinary(6, 13*1024)) {
+	if bytes.Equal(a, genBinary(nil, 6, 13*1024)) {
 		t.Fatal("different seeds produced identical binaries")
 	}
 }
@@ -474,13 +474,15 @@ func TestBuildInitrdCache(t *testing.T) {
 		BuildInitrd(seed, size)
 	}
 	retained := 0
-	for _, e := range initrdCache.entries {
-		if e != nil && e.data != nil {
+	inputs.Lock()
+	for k, e := range inputs.m {
+		if k.kind == kindInitrd && e.data != nil {
 			retained++
 		}
 	}
-	if retained != len(initrdCache.entries) || retained > 4 {
-		t.Fatalf("cache retains %d buffers after a 20-seed sweep, bound %d", retained, len(initrdCache.entries))
+	inputs.Unlock()
+	if retained != len(inputs.initrds) || retained > 4 {
+		t.Fatalf("cache retains %d initrds after a 20-seed sweep, bound %d", retained, len(inputs.initrds))
 	}
 	if rebuilt := BuildInitrd(3, size); &rebuilt[0] == &first[0] || !bytes.Equal(rebuilt, want) {
 		t.Fatal("an evicted pair must be rebuilt to the same bytes")
@@ -806,9 +808,9 @@ func TestArtifactsGenerateInPlace(t *testing.T) {
 }
 
 // TestKnownGenerationAllocatesOnlySourceAndOutput: a generation whose
-// fraction is already known — GenBinary, which verifier.Image runs on every
-// measurement, and a remembered calibration key — allocates the random
-// source and the bytes it returns, nothing else.
+// fraction is already known — genBinary, which builds the verifier and
+// firmware binaries once per process, and a remembered calibration key —
+// allocates the random source and the bytes it returns, nothing else.
 func TestKnownGenerationAllocatesOnlySourceAndOutput(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates on its own")
@@ -817,7 +819,7 @@ func TestKnownGenerationAllocatesOnlySourceAndOutput(t *testing.T) {
 	const n = 13 << 10
 	calibratedBytes(nil, seed, n, n/2) // the table remembers the key
 	for name, gen := range map[string]func() []byte{
-		"GenBinary":       func() []byte { return GenBinary(seed, n) },
+		"genBinary":       func() []byte { return genBinary(nil, seed, n) },
 		"calibratedBytes": func() []byte { return calibratedBytes(nil, seed, n, n/2) },
 	} {
 		if allocs := testing.AllocsPerRun(20, func() { gen() }); allocs > 2 {

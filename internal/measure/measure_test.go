@@ -15,7 +15,7 @@ import (
 
 func sampleConfig() Config {
 	return Config{
-		Verifier: kernelgen.GenBinary(1, 13*1024),
+		Verifier: kernelgen.BuildBinary(1, 13*1024),
 		Hashes:   HashComponents([]byte("kernel"), []byte("initrd"), "console=ttyS0"),
 		Cmdline:  "console=ttyS0",
 		VCPUs:    1,
@@ -241,7 +241,7 @@ func TestExpectedDigestSensitivity(t *testing.T) {
 		}
 		return d
 	}
-	if mutate(func(c *Config) { c.Verifier = kernelgen.GenBinary(2, 13*1024) }) == base {
+	if mutate(func(c *Config) { c.Verifier = kernelgen.BuildBinary(2, 13*1024) }) == base {
 		t.Fatal("digest ignores verifier bytes")
 	}
 	if mutate(func(c *Config) { c.Hashes.Kernel[0] ^= 1 }) == base {

@@ -8,7 +8,6 @@ package ovmf
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
@@ -29,55 +28,33 @@ const (
 const (
 	GPACode     = 0x0FC00000
 	GPAVarStore = GPACode + CodeSize
-	GPASecrets  = 0x3000 // SNP secrets page
-	GPACPUID    = 0x4000 // SNP CPUID page
+	gpaSecrets  = 0x3000 // SNP secrets page
+	gpaCPUID    = 0x4000 // SNP CPUID page
 )
 
 // Volume returns the firmware volume bytes (deterministic stand-in for a
 // compiled OVMF.fd).
-func Volume(seed int64) []byte { return kernelgen.GenBinary(seed^0x0FF, CodeSize) }
+//
+// Volume and VarStore return kernelgen.BuildBinary's bytes: generated once
+// per seed per process, shared by every caller and interned with their
+// digest memo filled, so a plan points at them instead of copying them.
+// Never mutate them: a caller that wants tampered firmware copies it
+// first.
+func Volume(seed int64) []byte { return kernelgen.BuildBinary(seed^0x0FF, CodeSize) }
 
 // VarStore returns the NVRAM varstore bytes.
-func VarStore(seed int64) []byte { return kernelgen.GenBinary(seed^0xFAB, VarStoreSize) }
-
-// planKey identifies one cached OVMF plan: the firmware build, the
-// protection level (which decides the SNP metadata pages and the VMSA),
-// and the measured-direct-boot component hashes.
-type planKey struct {
-	seed   int64
-	level  sev.Level
-	hashes measure.ComponentHashes
-}
-
-var planCache struct {
-	mu sync.Mutex
-	m  map[planKey][]measure.Region
-}
+func VarStore(seed int64) []byte { return kernelgen.BuildBinary(seed^0xFAB, VarStoreSize) }
 
 // PlanRegions returns OVMF's pre-encryption plan: everything the QEMU flow
 // measures before guest entry. Compare measure.Plan: the difference in
 // byte count is the whole Fig. 10 pre-encryption story.
 //
-// Plans are cached per (seed, level, hashes) and bound to a staging
-// blob: the >1 MiB firmware volume is generated and concatenated once,
-// and every boot of the same firmware stages the same immutable bytes
-// zero-copy. Callers must treat the returned regions as read-only.
+// The firmware volume and varstore regions point at the shared firmware
+// bytes, and only the per-launch pages (hash page, SNP pages, VMSA) are
+// copied into the plan's own staging blob: a plan for new component hashes
+// builds about 16 KiB and hashes nothing of the firmware. Callers must
+// treat the returned regions as read-only.
 func PlanRegions(seed int64, level sev.Level, hashes measure.ComponentHashes) []measure.Region {
-	k := planKey{seed: seed, level: level, hashes: hashes}
-	planCache.mu.Lock()
-	defer planCache.mu.Unlock()
-	if regions, ok := planCache.m[k]; ok {
-		return regions
-	}
-	regions := planRegions(seed, level, hashes)
-	if planCache.m == nil {
-		planCache.m = make(map[planKey][]measure.Region)
-	}
-	planCache.m[k] = regions
-	return regions
-}
-
-func planRegions(seed int64, level sev.Level, hashes measure.ComponentHashes) []measure.Region {
 	regions := []measure.Region{
 		{Name: "ovmf-code", GPA: GPACode, Data: Volume(seed), Type: sev.PageNormal},
 		{Name: "ovmf-vars", GPA: GPAVarStore, Data: VarStore(seed), Type: sev.PageNormal},
@@ -85,8 +62,8 @@ func planRegions(seed int64, level sev.Level, hashes measure.ComponentHashes) []
 	}
 	if level.HasRMP() {
 		regions = append(regions,
-			measure.Region{Name: "secrets", GPA: GPASecrets, Data: make([]byte, 4096), Type: sev.PageSecrets},
-			measure.Region{Name: "cpuid", GPA: GPACPUID, Data: make([]byte, 4096), Type: sev.PageCPUID},
+			measure.Region{Name: "secrets", GPA: gpaSecrets, Data: make([]byte, 4096), Type: sev.PageSecrets},
+			measure.Region{Name: "cpuid", GPA: gpaCPUID, Data: make([]byte, 4096), Type: sev.PageCPUID},
 		)
 	}
 	if level >= sev.ES {

@@ -50,7 +50,13 @@ const GPAGHCB = 0x1000
 // Image returns the verifier binary artifact (deterministic bytes standing
 // in for the compiled Rust binary). Its content is measured, so changing
 // the seed models shipping a different — e.g. malicious — verifier.
-func Image(seed int64) []byte { return kernelgen.GenBinary(seed^0x13B00, ImageSize) }
+//
+// The bytes are kernelgen.BuildBinary's: generated once per seed per
+// process, shared by every caller and interned with their digest memo
+// filled, so a launch plan points at them instead of copying them. Never
+// mutate them: a caller that wants a tampered verifier copies the image
+// first.
+func Image(seed int64) []byte { return kernelgen.BuildBinary(seed^0x13B00, ImageSize) }
 
 // ErrVerification is returned when a staged component does not match its
 // pre-encrypted hash (Fig. 2 step 5 failing).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"github.com/severifast/severifast/internal/artifact"
@@ -282,7 +283,7 @@ func TestRunDetectsCorruptedEdgePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	artifact.Intern(art.BzImageLZ4)
-	initrd := kernelgen.GenBinary(77, 1<<20+1500) // this test's own bytes: it corrupts them
+	initrd := ownBytes(77, 1<<20+1500) // this test's own bytes: it corrupts them
 	buf := artifact.Intern(initrd)
 	h := measure.HashComponents(art.BzImageLZ4, initrd, "console=ttyS0 root=/dev/vda")
 	off := len(initrd) - 700
@@ -324,7 +325,7 @@ func TestStoreIntoSharedPageStaysInItsGuest(t *testing.T) {
 		t.Fatal(err)
 	}
 	artifact.Intern(art.BzImageLZ4)
-	initrd := kernelgen.GenBinary(78, 1<<20+1500)
+	initrd := ownBytes(78, 1<<20+1500)
 	artifact.Intern(initrd)
 	h := measure.HashComponents(art.BzImageLZ4, initrd, "console=ttyS0 root=/dev/vda")
 	edge := measure.GPAInitrd + uint64(len(initrd))&^4095
@@ -618,7 +619,7 @@ func TestRunNonSEVSkipsVerification(t *testing.T) {
 }
 
 func TestRunRejectsNonBzImage(t *testing.T) {
-	junk := kernelgen.GenBinary(3, 1<<20)
+	junk := kernelgen.BuildBinary(3, 1<<20)
 	initrd := kernelgen.BuildInitrd(1, 1<<20)
 	h := measure.HashComponents(junk, initrd, "console=ttyS0 root=/dev/vda")
 
@@ -631,4 +632,12 @@ func TestRunRejectsNonBzImage(t *testing.T) {
 		}
 	})
 	eng.Run()
+}
+
+// ownBytes returns n bytes from seed in an array of the caller's own, which
+// it may tamper without touching anything another test shares.
+func ownBytes(seed int64, n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
 }

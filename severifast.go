@@ -502,13 +502,22 @@ func (h *Host) BootConcurrent(cfg Config, n int) ([]*Result, error) {
 		return nil, fmt.Errorf("severifast: n must be >= 1")
 	}
 	if l.Scheme != firecracker.SchemeQEMUOVMF && l.Level.Encrypted() && !cfg.InBandHashing {
-		// The §4.3 hash file: computed out of band, once for all n guests.
-		// QEMU's measured direct boot hashes at launch.
+		// The §4.3 hash file and the VMM's launch plan: computed out of
+		// band, once for all n guests, which stage the one plan. QEMU's
+		// measured direct boot hashes at launch. An attested guest's owner
+		// still plans on its own.
 		hashes, err := l.ComponentHashes()
 		if err != nil {
 			return nil, classifyErr(err)
 		}
 		l.Hashes = &hashes
+		mc, err := l.MeasureConfig()
+		if err != nil {
+			return nil, classifyErr(err)
+		}
+		if l.Plan, err = measure.Plan(mc); err != nil {
+			return nil, classifyErr(err)
+		}
 	}
 	h.inner.THP = !cfg.DisableTHP
 
