@@ -221,7 +221,9 @@ func (r *Replicator) Present(host int, key BlobKey) bool {
 func (r *Replicator) Fetch(p *sim.Proc, host int, key BlobKey) (Source, error) {
 	b := r.blobs[key]
 	if b == nil {
-		return SourceLocal, fmt.Errorf("%w: %x", ErrUnknownBlob, key[:6])
+		// An array, not a slice of key: that would move key to the heap
+		// on every call, not only on this one.
+		return SourceLocal, fmt.Errorf("%w: %x", ErrUnknownBlob, [6]byte(key[:6]))
 	}
 	for {
 		if b.present[host] {
@@ -242,7 +244,7 @@ func (r *Replicator) Fetch(p *sim.Proc, host int, key BlobKey) (Source, error) {
 		src = SourcePeer
 		d = r.cost.peer(b.size)
 	} else if !b.origin {
-		return SourceLocal, fmt.Errorf("%w: %x has no holder and no origin", ErrUnknownBlob, key[:6])
+		return SourceLocal, fmt.Errorf("%w: %x has no holder and no origin", ErrUnknownBlob, [6]byte(key[:6]))
 	}
 	sig := sim.NewSignal()
 	b.fetching[host] = sig

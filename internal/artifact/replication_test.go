@@ -173,6 +173,27 @@ func TestPublishMakesPeerSource(t *testing.T) {
 	}
 }
 
+// TestLocalHitFetchAllocatesNothing: a cluster boot fetches its kernel
+// and initrd, and a blob already on the host is a free hit in host memory
+// too. Only a failed fetch formats its key.
+func TestLocalHitFetchAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	r := NewReplicator(1, 1, unitCost(), nil)
+	key := blobKey("kernel")
+	r.Register(key, 10)
+	var allocs float64
+	eng.Go("f", func(p *sim.Proc) {
+		if _, err := r.Fetch(p, 0, key); err != nil {
+			t.Error(err)
+		}
+		allocs = testing.AllocsPerRun(100, func() { r.Fetch(p, 0, key) })
+	})
+	eng.Run()
+	if allocs != 0 {
+		t.Errorf("a local-hit Fetch allocates %v times, want 0", allocs)
+	}
+}
+
 func TestFetchUnknownBlob(t *testing.T) {
 	eng := sim.NewEngine()
 	r := NewReplicator(1, 1, unitCost(), nil)

@@ -26,8 +26,8 @@ import (
 // ceilings are looser still: counts alone let a dense 512 KiB page table
 // per guest (two allocations) go unpinned for five PRs.
 const (
-	coldAllocCeilingPerBoot = 62 // measured ~56.8 at 64 VMs, ~59.5 under -race; ~68 while each launch staged through an update batch and a hostwork job; ~69 when the admission gate's certificate appended its rule trace and covering domains instead of being one allocation; ~98 when the launch's update batch, the verifier's stages, the E820 table, the RMP's spans and the virtio reads regrew step-scoped slices on every boot; ~118 when each recorded span, metric-key lookup, Timeline map, intern-table key and launch-digest hash allocated; ~179 when every scheduled simulator event was an allocation of its own, ~186 when the host's GHCB decode returned each exit's view on the heap and the kernel stage and verifier copied out four reads they only parse
-	coldKiBCeilingPerBoot   = 51 // measured ~47: the 64 boots arrive together, so none is built from another's released memory (TestSecondCachedColdBootOwnsNothingNew pins that one is); ~58 when the kernel copied out its boot_params page and MP table and the virtio driver its used ring, response and ring zeros, ~63 with the four copies above, ~126 when a boot copied twelve pages every boot writes the same and built its page tables afresh, ~247 when it owned nine dense 512-page leaves, ~415 when it owned all 24 it touches, 1143 with a dense per-guest table
+	coldAllocCeilingPerBoot = 57 // measured ~52.7 at 64 VMs, ~54.6 under -race; ~56.7 (~59.1) while the kernel's MP-table read decrypted the never-written page past the EBDA and it made strings of its command line and rootfs sector to inspect them; ~68 while each launch staged through an update batch and a hostwork job; ~69 when the admission gate's certificate appended its rule trace and covering domains instead of being one allocation; ~98 when the launch's update batch, the verifier's stages, the E820 table, the RMP's spans and the virtio reads regrew step-scoped slices on every boot; ~118 when each recorded span, metric-key lookup, Timeline map, intern-table key and launch-digest hash allocated; ~179 when every scheduled simulator event was an allocation of its own, ~186 when the host's GHCB decode returned each exit's view on the heap and the kernel stage and verifier copied out four reads they only parse
+	coldKiBCeilingPerBoot   = 47 // measured ~42.5 (~42.7 under -race): the 64 boots arrive together, so none is built from another's released memory (TestSecondCachedColdBootOwnsNothingNew pins that one is); ~43.6 with the MP-table decrypt and the two strings above, ~58 when the kernel copied out its boot_params page and MP table and the virtio driver its used ring, response and ring zeros, ~63 with the four copies above, ~126 when a boot copied twelve pages every boot writes the same and built its page tables afresh, ~247 when it owned nine dense 512-page leaves, ~415 when it owned all 24 it touches, 1143 with a dense per-guest table
 	// The warm iteration amortizes one full cold seed (plan + staging
 	// blob + snapshot capture) over the fleet, so its per-boot figure
 	// sits above the steady-state fork cost.

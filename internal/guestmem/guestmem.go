@@ -642,13 +642,9 @@ func (m *Memory) HostReadInto(gpa uint64, dst []byte) error {
 	if err := m.check(gpa, len(dst)); err != nil {
 		return err
 	}
-	return m.readSpans(dst, gpa, false)
-}
-
-// readSpans fills dst span by span (readSpan), so dst does not escape.
-func (m *Memory) readSpans(dst []byte, gpa uint64, cbit bool) error {
+	// Span by span (readSpan), so dst does not escape.
 	for done := 0; done < len(dst); {
-		n, err := m.readSpan(dst[done:], gpa+uint64(done), cbit)
+		n, err := m.readSpan(dst[done:], gpa+uint64(done), false)
 		if err != nil {
 			return err
 		}
@@ -742,22 +738,6 @@ func (m *Memory) GuestRead(gpa uint64, n int, cbit bool) ([]byte, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// GuestReadInto is GuestRead into the caller's buffer, len(dst) bytes from
-// gpa. Like HostReadInto it never hands dst to the cipher, so a buffer on
-// the caller's stack stays there: the kernel reads its MP table this way.
-func (m *Memory) GuestReadInto(dst []byte, gpa uint64, cbit bool) error {
-	if err := m.check(gpa, len(dst)); err != nil {
-		return err
-	}
-	if cbit && m.rmp != nil {
-		base, span := rmpSpan(gpa, len(dst))
-		if err := m.rmp.CheckGuestAccessRange(base, span, m.asid); err != nil {
-			return err
-		}
-	}
-	return m.readSpans(dst, gpa, cbit)
 }
 
 // GuestCopy copies n bytes from src to dst inside the guest, reading with

@@ -14,8 +14,9 @@
 package linux
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/severifast/severifast/internal/artifact"
@@ -130,15 +131,7 @@ func runBootstrapLoader(proc *sim.Proc, m *kvm.Machine, h *verifier.Handoff, cbi
 		loaded += r.Len
 	}
 	proc.Sleep(model.Copy(loaded))
-	return binaryLE64(vmlinux[24:]), nil
-}
-
-func binaryLE64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+	return binary.LittleEndian.Uint64(vmlinux[24:]), nil
 }
 
 // kernelInit is the vmlinux stage: consume the boot structures, mount the
@@ -181,18 +174,25 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 	if err != nil {
 		return nil, fmt.Errorf("linux: reading cmdline: %w", err)
 	}
-	cmdline := string(cmdRaw)
-	if params.CmdlineSize > 0 && !strings.Contains(cmdline, "=") {
-		return nil, fmt.Errorf("linux: implausible cmdline %q", cmdline)
+	if params.CmdlineSize > 0 && bytes.IndexByte(cmdRaw, '=') < 0 {
+		return nil, fmt.Errorf("linux: implausible cmdline %q", cmdRaw)
 	}
 
-	// MP table discovery (scan the EBDA for _MP_). The scan straddles a
-	// page boundary, so no view covers it: it is read onto the stack.
-	var mpRaw [2048]byte
-	if err := m.Mem.GuestReadInto(mpRaw[:], measure.GPAMPTable, cbit); err != nil {
+	// MP table discovery: the _MP_ floating pointer is in the EBDA's first
+	// KiB, the window Linux's smp_scan_config scans, which ends on a page
+	// boundary, so it is a view. The config table follows the pointer, and
+	// one longer than the window (38 vCPUs or more) is read by the length
+	// its header declares.
+	mpRaw, _, err := m.Mem.GuestView(measure.GPAMPTable, 1024, cbit)
+	if err == nil && string(mpRaw[:4]) == "_MP_" && string(mpRaw[16:20]) == "PCMP" {
+		if n := 16 + int(binary.LittleEndian.Uint16(mpRaw[20:])); n > len(mpRaw) {
+			mpRaw, err = m.Mem.GuestRead(measure.GPAMPTable, n, cbit)
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("linux: reading mptable: %w", err)
 	}
-	mpInfo, err := mptable.Parse(mpRaw[:])
+	mpInfo, err := mptable.Parse(mpRaw)
 	if err != nil {
 		return nil, fmt.Errorf("linux: %w", err)
 	}
@@ -263,7 +263,7 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 			if err != nil {
 				return nil, fmt.Errorf("linux: reading rootfs superblock: %w", err)
 			}
-			rootfsOK = strings.HasPrefix(string(sector), "SVFROOT1")
+			rootfsOK = bytes.HasPrefix(sector, []byte("SVFROOT1"))
 			if !rootfsOK {
 				return nil, fmt.Errorf("linux: /dev/vda has no rootfs magic")
 			}
@@ -284,7 +284,7 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 
 	return &BootReport{
 		CPUs:          mpInfo.CPUs,
-		CmdlineLen:    len(cmdline),
+		CmdlineLen:    len(cmdRaw),
 		InitrdOK:      initrdOK,
 		Entry:         entry,
 		DevicesOK:     devicesOK,

@@ -236,11 +236,25 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 			p.done = true
 			e.procs--
 		}()
+		growStack(0)
 		fn(p)
 	})
 	// First activation happens via the event queue so that processes
 	// started at the same instant run in start order.
 	e.stepAt(e.now, p)
+}
+
+// growStack grows a new process's 2 KiB stack once, before its body
+// runs, to the 8 KiB a fleet boot fits (internal/expt's stack budget
+// test), so the runtime copies this two-frame stack once instead of a
+// boot's deep stack at each doubling. A bigger frame overshoots to 16 KiB
+// that no process uses. The index is an argument so that the compiler
+// keeps the array.
+//
+//go:noinline
+func growStack(i int) byte {
+	var frame [5 << 10]byte
+	return frame[i]
 }
 
 // Sleep advances the process by d of virtual time. Negative durations are

@@ -37,6 +37,10 @@ const queueSize = 64
 // descriptors, the avail ring, at most 3 bytes of alignment, the used ring.
 const ringAreaMax = queueSize*descSize + 4 + 2*queueSize + 3 + 4 + 8*queueSize
 
+// ringZeros is what Probe writes over a ring area. It is never written, and
+// being no frame's local it keeps the probe's stack small.
+var ringZeros [ringAreaMax]byte
+
 // ringLayout: descriptors, then avail ring, then used ring, each aligned.
 func (dr *Driver) descGPA() uint64  { return dr.ringGPA }
 func (dr *Driver) availGPA() uint64 { return dr.ringGPA + uint64(dr.queueNum)*descSize }
@@ -117,9 +121,8 @@ func Probe(dev *Device, mem *guestmem.Memory, ringGPA, bufGPA uint64, wantFeatur
 	}
 	// Zero the ring area in shared memory (the guest writes rings without
 	// the C-bit so the device can read them).
-	var zeros [ringAreaMax]byte
 	ringBytes := int(dr.usedGPA()+4+8*uint64(dr.queueNum)) - int(dr.ringGPA)
-	if err := mem.GuestWrite(dr.ringGPA, zeros[:ringBytes], false); err != nil {
+	if err := mem.GuestWrite(dr.ringGPA, ringZeros[:ringBytes], false); err != nil {
 		return nil, err
 	}
 

@@ -30,6 +30,22 @@ func TestBootDefaults(t *testing.T) {
 	}
 }
 
+// TestBootSeesEveryVCPU: the kernel reads the MP table by the length its
+// header declares. 37 and 38 vCPUs straddle the EBDA's first KiB, where
+// the floating pointer is found; 88 and 89 the 2 KiB the kernel once read
+// whatever the table's length; 255 is the table's 8-bit APIC-id ceiling.
+func TestBootSeesEveryVCPU(t *testing.T) {
+	for _, n := range []int{1, 37, 38, 88, 89, 255} {
+		res, err := Boot(Config{Kernel: KernelLupine, Scheme: SchemeSEVeriFast, VCPUs: n})
+		if err != nil {
+			t.Fatalf("%d vCPUs: %v", n, err)
+		}
+		if res.CPUs != n {
+			t.Errorf("%d vCPUs: the kernel saw %d", n, res.CPUs)
+		}
+	}
+}
+
 // TestResolveHandsOverTheBuiltInitrd: a launch resolved after its initrd
 // was built is handed that build's array, as a first facade boot after
 // set-up is, so the boot generates no initrd and hashes none.
