@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/severifast/severifast/internal/costmodel"
+	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/snapshot"
@@ -34,15 +35,11 @@ func WarmStart(opts Options) (*Table, error) {
 		var images []*snapshot.Image
 		w := newWorld(costmodel.Default(), opts.Seed)
 		w.spawn("warmstart", func(p *sim.Proc) error {
-			res, err := sc.boot(p, w.host, cfg)
+			res, fork, err := w.captureDonor(p, sc, cfg)
 			if err != nil {
 				return err
 			}
 			cold = res.Breakdown.Total
-			fork, err := snapshot.CaptureFork(p, res.Machine, res.LaunchDigest)
-			if err != nil {
-				return err
-			}
 			// Three snapshots of identically-booted guests for the dedup
 			// measurement.
 			for i := 0; i < 3; i++ {
@@ -58,11 +55,9 @@ func WarmStart(opts Options) (*Table, error) {
 			}
 			// Fork the donor into a fresh machine.
 			start := p.Now()
-			m, err := fork.Boot(p, w.host, cfg.Level, cfg.Policy())
-			if err != nil {
+			if err := w.forkBoot(p, fork, cfg); err != nil {
 				return err
 			}
-			m.Timeline.Close(p.Now())
 			warm = p.Now().Sub(start)
 			return nil
 		})
@@ -81,4 +76,26 @@ func WarmStart(opts Options) (*Table, error) {
 			fmt.Sprintf("%.1fx", float64(cold)/float64(warm)), shared)
 	}
 	return tab, nil
+}
+
+// captureDonor cold-boots cfg and captures the fork the world's warm
+// starts restore.
+func (w *world) captureDonor(p *sim.Proc, sc scheme, cfg firecracker.Config) (*firecracker.Result, *snapshot.Fork, error) {
+	res, err := sc.boot(p, w.host, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	fork, err := snapshot.CaptureFork(p, res.Machine, res.LaunchDigest)
+	return res, fork, err
+}
+
+// forkBoot boots one clone of fork at cfg's level and policy and closes
+// its timeline.
+func (w *world) forkBoot(p *sim.Proc, fork *snapshot.Fork, cfg firecracker.Config) error {
+	m, err := fork.Boot(p, w.host, cfg.Level, cfg.Policy())
+	if err != nil {
+		return err
+	}
+	m.Timeline.Close(p.Now())
+	return nil
 }

@@ -197,40 +197,12 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 		return nil, fmt.Errorf("linux: %w", err)
 	}
 
-	// Initrd: unpack the CPIO and find /init. When the resident initrd
-	// pages still carry their canonical-artifact provenance (the zero-copy
-	// fleet path), the parse is memoized on the artifact: every boot of a
-	// registered image resolves to the same (artifact, offset), so the
-	// multi-megabyte archive is read and unpacked once per image, not once
-	// per boot.
+	// Initrd: unpack the CPIO and find /init.
 	initrdOK := false
 	if params.RamdiskSize > 0 {
-		rdGPA, rdSize := uint64(params.RamdiskImage), int(params.RamdiskSize)
-		art, base, err := m.Mem.ArtifactRange(rdGPA, rdSize, cbit)
-		if err != nil {
-			return nil, fmt.Errorf("linux: reading initrd: %w", err)
-		}
-		var files []cpio.File
-		if art != nil {
-			filesAny, derr := art.Derived(fmt.Sprintf("cpio.files:%d:%d", base, rdSize), func() (any, error) {
-				return cpio.Parse(art.Bytes()[base : base+rdSize])
-			})
-			if derr != nil {
-				return nil, fmt.Errorf("linux: unpacking initrd: %w", derr)
-			}
-			files = filesAny.([]cpio.File)
-		} else {
-			archive, err := m.Mem.GuestRead(rdGPA, rdSize, cbit)
-			if err != nil {
-				return nil, fmt.Errorf("linux: reading initrd: %w", err)
-			}
-			files, err = cpio.Parse(archive)
-			if err != nil {
-				return nil, fmt.Errorf("linux: unpacking initrd: %w", err)
-			}
-		}
-		if cpio.Lookup(files, "init") == nil {
-			return nil, fmt.Errorf("linux: initrd has no /init")
+		rdSize := int(params.RamdiskSize)
+		if err := unpackInitrd(m, uint64(params.RamdiskImage), rdSize, cbit); err != nil {
+			return nil, err
 		}
 		initrdOK = true
 		// Unpacking cost: the CPIO is copied into the tmpfs rootfs.
@@ -290,6 +262,49 @@ func kernelInit(proc *sim.Proc, m *kvm.Machine, entry uint64, preset kernelgen.P
 		DevicesOK:     devicesOK,
 		RootfsMagicOK: rootfsOK,
 	}, nil
+}
+
+// unpackInitrd unpacks the CPIO archive at [gpa, gpa+n) and finds its
+// /init. When the resident initrd pages still carry their
+// canonical-artifact provenance (the zero-copy fleet path), the parse is
+// memoized on the artifact: every boot of a registered image resolves to
+// the same (artifact, offset), so the multi-megabyte archive is read and
+// unpacked once per image, not once per boot, and a boot that hits the
+// memo allocates nothing.
+func unpackInitrd(m *kvm.Machine, gpa uint64, n int, cbit bool) error {
+	art, base, err := m.Mem.ArtifactRange(gpa, n, cbit)
+	if err != nil {
+		return fmt.Errorf("linux: reading initrd: %w", err)
+	}
+	var files []cpio.File
+	if art != nil {
+		var v any
+		v, err = art.Derived(initrdKey(art, base, n), func() (any, error) {
+			return cpio.Parse(art.Bytes()[base : base+n])
+		})
+		files, _ = v.([]cpio.File)
+	} else if archive, rerr := m.Mem.GuestRead(gpa, n, cbit); rerr != nil {
+		return fmt.Errorf("linux: reading initrd: %w", rerr)
+	} else {
+		files, err = cpio.Parse(archive)
+	}
+	if err != nil {
+		return fmt.Errorf("linux: unpacking initrd: %w", err)
+	}
+	if cpio.Lookup(files, "init") == nil {
+		return fmt.Errorf("linux: initrd has no /init")
+	}
+	return nil
+}
+
+// initrdKey names the memo of the CPIO archive at art.Bytes()[base:base+n].
+// The whole buffer, which is what every registered image stages, has a
+// constant key.
+func initrdKey(art *artifact.Buf, base, n int) string {
+	if base == 0 && n == art.Len() {
+		return "cpio.files"
+	}
+	return fmt.Sprintf("cpio.files:%d:%d", base, n)
 }
 
 func multDuration(d time.Duration, f float64) time.Duration {

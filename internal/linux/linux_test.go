@@ -265,3 +265,31 @@ func TestBootEmitsOrderedEvents(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// A repeat boot of a registered image finds its initrd's parse memoized
+// on the artifact, and that step allocates nothing: its memo key is a
+// constant when the initrd is the whole artifact.
+func TestMemoizedInitrdUnpackAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	host := kvm.NewHost(eng, costmodel.Default(), 1)
+	var allocs float64
+	var err error
+	eng.Go("vcpu", func(p *sim.Proc) {
+		m, h, _ := plainGuest(t, p, host, nil)
+		if err = unpackInitrd(m, h.InitrdGPA, h.InitrdSize, false); err != nil {
+			return
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if e := unpackInitrd(m, h.InitrdGPA, h.InitrdSize, false); e != nil {
+				err = e
+			}
+		})
+	})
+	eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a memoized initrd unpack allocates %.1f times, want 0", allocs)
+	}
+}
