@@ -44,7 +44,6 @@ var exportExemptions = map[string]string{
 	// Test hooks other packages' tests need.
 	"artifact.ResetForTest":                 "internal/verifier tests start from an empty intern table",
 	"costmodel.Unit":                        "unit-cost model for exact arithmetic in the attest, kbs, kvm and psp tests",
-	"hostwork.SetWorkers":                   "internal/guestmem tests pin the pool width",
 	"guestmem.Memory.HostRestoreCiphertext": "§7 evidence: snapshot's cross-key test replays captured ciphertext",
 }
 

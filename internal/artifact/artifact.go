@@ -159,8 +159,9 @@ func (b *Buf) Digest() [32]byte {
 	}
 	b.mu.Unlock()
 	// Hash outside the lock so concurrent first callers of different
-	// buffers (the hostwork pool) do not serialize; racing callers of the
-	// same buffer compute the same sum twice, which is merely wasteful.
+	// buffers (hosts booting side by side) do not serialize; racing
+	// callers of the same buffer compute the same sum twice, which is
+	// merely wasteful.
 	sum := sha256.Sum256(b.data)
 	b.mu.Lock()
 	b.full, b.fullOK = sum, true

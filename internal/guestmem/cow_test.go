@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"github.com/severifast/severifast/internal/artifact"
-	"github.com/severifast/severifast/internal/hostwork"
 	"github.com/severifast/severifast/internal/telemetry"
 )
 
@@ -144,53 +143,49 @@ func TestCoWNoCrossGuestWriteLeak(t *testing.T) {
 }
 
 func TestRangeDigestsMatchShaOfReads(t *testing.T) {
-	defer hostwork.SetWorkers(0)
-	for _, workers := range []int{1, 4} {
-		hostwork.SetWorkers(workers)
-		data, _ := internedBuf(33+int64(workers), 5*PageSize+123)
-		m := New(1 << 20)
-		m.SetKey(key(9), 7)
+	data, _ := internedBuf(34, 5*PageSize+123)
+	m := New(1 << 20)
+	m.SetKey(key(9), 7)
 
-		// Aliased shared range (artifact memo path).
-		if err := m.HostWriteAliased(0x4000, data); err != nil {
-			t.Fatal(err)
-		}
-		// Plain copied range (streaming path).
-		plain := bytes.Repeat([]byte("copied-bytes"), 900)
-		if err := m.HostWrite(0x20000, plain); err != nil {
-			t.Fatal(err)
-		}
-		// Private guest-written range (transform path for cbit=false,
-		// plain path for cbit=true).
-		secret := bytes.Repeat([]byte("sekrit"), 2000)
-		if err := m.GuestWrite(0x40000, secret, true); err != nil {
-			t.Fatal(err)
-		}
+	// Aliased shared range (artifact memo path).
+	if err := m.HostWriteAliased(0x4000, data); err != nil {
+		t.Fatal(err)
+	}
+	// Plain copied range (streaming path).
+	plain := bytes.Repeat([]byte("copied-bytes"), 900)
+	if err := m.HostWrite(0x20000, plain); err != nil {
+		t.Fatal(err)
+	}
+	// Private guest-written range (transform path for cbit=false,
+	// plain path for cbit=true).
+	secret := bytes.Repeat([]byte("sekrit"), 2000)
+	if err := m.GuestWrite(0x40000, secret, true); err != nil {
+		t.Fatal(err)
+	}
 
-		cases := []struct {
-			name string
-			gpa  uint64
-			n    int
-			cbit bool
-		}{
-			{"aliased-shared", 0x4000, len(data), false},
-			{"aliased-subrange", 0x4000 + 100, 2*PageSize + 50, false},
-			{"copied-shared", 0x20000, len(plain), false},
-			{"private-cbit", 0x40000, len(secret), true},
-			{"private-ciphertext", 0x40000, len(secret), false},
+	cases := []struct {
+		name string
+		gpa  uint64
+		n    int
+		cbit bool
+	}{
+		{"aliased-shared", 0x4000, len(data), false},
+		{"aliased-subrange", 0x4000 + 100, 2*PageSize + 50, false},
+		{"copied-shared", 0x20000, len(plain), false},
+		{"private-cbit", 0x40000, len(secret), true},
+		{"private-ciphertext", 0x40000, len(secret), false},
+	}
+	for _, tc := range cases {
+		want, err := m.GuestRead(tc.gpa, tc.n, tc.cbit)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, tc := range cases {
-			want, err := m.GuestRead(tc.gpa, tc.n, tc.cbit)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			got, err := m.HashRange(tc.gpa, tc.n, tc.cbit)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if got != sha256.Sum256(want) {
-				t.Fatalf("workers %d, %s: HashRange != sha256(GuestRead)", workers, tc.name)
-			}
+		got, err := m.HashRange(tc.gpa, tc.n, tc.cbit)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != sha256.Sum256(want) {
+			t.Fatalf("%s: HashRange != sha256(GuestRead)", tc.name)
 		}
 	}
 }
@@ -264,40 +259,36 @@ func TestGuestCopyPropagatesProvenance(t *testing.T) {
 }
 
 func TestExportPagesMatchesHostRead(t *testing.T) {
-	defer hostwork.SetWorkers(0)
-	for _, workers := range []int{1, 5} {
-		hostwork.SetWorkers(workers)
-		m := New(1 << 20)
-		m.SetKey(key(11), 5)
-		if err := m.HostWrite(0x1000, bytes.Repeat([]byte("shared"), 1000)); err != nil {
-			t.Fatal(err)
+	m := New(1 << 20)
+	m.SetKey(key(11), 5)
+	if err := m.HostWrite(0x1000, bytes.Repeat([]byte("shared"), 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.GuestWrite(0x8000, bytes.Repeat([]byte("private"), 1200), true); err != nil {
+		t.Fatal(err)
+	}
+	exports, err := m.ExportPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exports) == 0 {
+		t.Fatal("no pages exported")
+	}
+	lastPN := uint64(0)
+	for i, e := range exports {
+		if i > 0 && e.PN <= lastPN {
+			t.Fatal("exports not sorted by page number")
 		}
-		if err := m.GuestWrite(0x8000, bytes.Repeat([]byte("private"), 1200), true); err != nil {
-			t.Fatal(err)
-		}
-		exports, err := m.ExportPages()
+		lastPN = e.PN
+		want, err := m.HostRead(e.PN*PageSize, PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(exports) == 0 {
-			t.Fatal("no pages exported")
+		if !bytes.Equal(e.Data, want) {
+			t.Fatalf("exported page %d differs from HostRead", e.PN)
 		}
-		lastPN := uint64(0)
-		for i, e := range exports {
-			if i > 0 && e.PN <= lastPN {
-				t.Fatal("exports not sorted by page number")
-			}
-			lastPN = e.PN
-			want, err := m.HostRead(e.PN*PageSize, PageSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(e.Data, want) {
-				t.Fatalf("workers %d: exported page %d differs from HostRead", workers, e.PN)
-			}
-			if e.Private != m.IsPrivate(e.PN*PageSize) {
-				t.Fatalf("page %d private flag mismatch", e.PN)
-			}
+		if e.Private != m.IsPrivate(e.PN*PageSize) {
+			t.Fatalf("page %d private flag mismatch", e.PN)
 		}
 	}
 }

@@ -62,7 +62,6 @@ import (
 	"sync"
 
 	"github.com/severifast/severifast/internal/artifact"
-	"github.com/severifast/severifast/internal/hostwork"
 	"github.com/severifast/severifast/internal/rmp"
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -1352,10 +1351,9 @@ type PageExport struct {
 }
 
 // ExportPages returns every resident page ordered by page number, with
-// private pages encrypted exactly as HostRead would produce them. The
-// per-page AES transforms run across the hostwork pool; the result is
-// index-addressed and independent of worker count. Snapshot capture
-// uses this instead of page-at-a-time HostRead.
+// private pages encrypted exactly as HostRead would produce them, in one
+// pass on the caller's goroutine. Snapshot capture uses this instead of
+// page-at-a-time HostRead.
 func (m *Memory) ExportPages() ([]PageExport, error) {
 	if m.dir == nil {
 		return nil, ErrReleased
@@ -1370,8 +1368,7 @@ func (m *Memory) ExportPages() ([]PageExport, error) {
 		return nil, ErrNoKey
 	}
 	out := make([]PageExport, len(pns))
-	hostwork.Do(len(pns), func(i int) {
-		pn := pns[i]
+	for i, pn := range pns {
 		p := m.look(pn)
 		data := make([]byte, PageSize)
 		if p.encrypted {
@@ -1380,6 +1377,6 @@ func (m *Memory) ExportPages() ([]PageExport, error) {
 			copy(data, p.readable())
 		}
 		out[i] = PageExport{PN: pn, Data: data, Private: p.encrypted}
-	})
+	}
 	return out, nil
 }

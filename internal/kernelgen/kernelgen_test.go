@@ -18,7 +18,6 @@ import (
 	"github.com/severifast/severifast/internal/bzimage"
 	"github.com/severifast/severifast/internal/cpio"
 	"github.com/severifast/severifast/internal/elfx"
-	"github.com/severifast/severifast/internal/hostwork"
 	"github.com/severifast/severifast/internal/lz4"
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -152,10 +151,9 @@ func TestCachedLeavesKernelsMeasured(t *testing.T) {
 // first Digest hashes nothing. Every build here is a fresh one
 // (buildInitrd), not a hit in BuildInitrd's cache. The memo is checked
 // across seeds and sizes, one of them cutting every member mid-block, at
-// pool widths 1 and 2 and inside a Do that holds every worker, where the
-// generator's hostwork jobs (the search's LZ4 split from 1 MiB) run
-// inline. Each seed's first build, which runs the calibration search,
-// runs at another of the three.
+// GOMAXPROCS 1, where the search's LZ4 count runs in one pass, and 2, where
+// it splits from 1 MiB. Each seed's first build, which runs the
+// calibration search, runs at the other one.
 func TestBuildInitrdLeavesItMeasured(t *testing.T) {
 	sizes := []int{64 << 10, 512 << 10, 4 << 20, DefaultInitrdSize, 300_001}
 	if raceDetector {
@@ -163,36 +161,8 @@ func TestBuildInitrdLeavesItMeasured(t *testing.T) {
 		// 15 s.
 		sizes = []int{64 << 10, 512 << 10, 300_001}
 	}
-	atWidth := func(w int) func(func()) {
-		return func(build func()) {
-			defer hostwork.SetWorkers(hostwork.SetWorkers(w))
-			build()
-		}
-	}
-	widths := []struct {
-		name string
-		run  func(build func())
-	}{
-		{"width 1", atWidth(1)},
-		{"width 2", atWidth(2)},
-		{"busy pool", func(build func()) {
-			// Every index but 0 holds its worker until the build is done,
-			// and there are more indices than the pool has workers.
-			n := runtime.GOMAXPROCS(0) + 1
-			defer hostwork.SetWorkers(hostwork.SetWorkers(n))
-			var built atomic.Bool
-			hostwork.Do(n, func(i int) {
-				if i == 0 {
-					build()
-					built.Store(true)
-					return
-				}
-				for !built.Load() {
-					runtime.Gosched()
-				}
-			})
-		}},
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := []int{1, 2}
 	measured := func(what string, b []byte) {
 		t.Helper()
 		buf := artifact.Lookup(b)
@@ -210,15 +180,15 @@ func TestBuildInitrdLeavesItMeasured(t *testing.T) {
 	for _, size := range sizes {
 		for s, seed := range []int64{1, 2, 3} {
 			var first []byte
-			for k := range widths {
-				w := widths[(s+k)%len(widths)]
-				var got []byte
-				w.run(func() { got = buildInitrd(seed, size) })
-				measured(fmt.Sprintf("size %d seed %d, %s", size, seed, w.name), got)
+			for k := range procs {
+				p := procs[(s+k)%len(procs)]
+				runtime.GOMAXPROCS(p)
+				got := buildInitrd(seed, size)
+				measured(fmt.Sprintf("size %d seed %d, GOMAXPROCS %d", size, seed, p), got)
 				if first == nil {
 					first = got
 				} else if !bytes.Equal(got, first) {
-					t.Fatalf("size %d seed %d, %s: the bytes differ from the first build's", size, seed, w.name)
+					t.Fatalf("size %d seed %d, GOMAXPROCS %d: the bytes differ from the first build's", size, seed, p)
 				}
 			}
 		}
@@ -226,27 +196,26 @@ func TestBuildInitrdLeavesItMeasured(t *testing.T) {
 }
 
 // TestPresetsSplitAsOnePass: each preset's vmlinux compresses to the same
-// block and count at pool width 2, where the compressor parses it in two
-// halves, as at width 1, where it parses it in one pass.
+// block and count at GOMAXPROCS 2, where the compressor parses it in two
+// halves, as at GOMAXPROCS 1, where it parses it in one pass.
 func TestPresetsSplitAsOnePass(t *testing.T) {
 	if raceDetector {
 		t.Skip("four parses of 127 MiB take minutes under the race detector")
 	}
-	prev := hostwork.SetWorkers(1)
-	defer hostwork.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range Presets() {
 		art, err := Cached(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hostwork.SetWorkers(1)
+		runtime.GOMAXPROCS(1)
 		block, n := lz4.CompressBlock(art.VMLinux), lz4.CompressedLen(art.VMLinux)
-		hostwork.SetWorkers(2)
+		runtime.GOMAXPROCS(2)
 		if !bytes.Equal(lz4.CompressBlock(art.VMLinux), block) {
-			t.Errorf("%s: the block at width 2 differs from the one at width 1", p.Name)
+			t.Errorf("%s: the block at GOMAXPROCS 2 differs from the one at GOMAXPROCS 1", p.Name)
 		}
 		if got := lz4.CompressedLen(art.VMLinux); got != n {
-			t.Errorf("%s: CompressedLen %d at width 2, %d at width 1", p.Name, got, n)
+			t.Errorf("%s: CompressedLen %d at GOMAXPROCS 2, %d at GOMAXPROCS 1", p.Name, got, n)
 		}
 	}
 }

@@ -8,12 +8,13 @@
 // internal/kernelgen are tuned against this compressor to reproduce the
 // paper's Fig. 8 bzImage sizes.
 //
-// An input of 1 MiB or more is parsed by two workers of internal/hostwork
-// when the pool has two: one from the start, one from a little before the
-// midpoint with a fresh table. The first hands over to the second at a
-// match end after which the two parses provably agree (compressSplit says
-// why), so the block and CompressedLen are byte for byte the one-pass
-// parse's at every pool width.
+// An input of 1 MiB or more is parsed in two halves when the process has
+// two Ps (GOMAXPROCS): one on the caller's goroutine from the start, one on
+// a goroutine of its own from a little before the midpoint with a fresh
+// table. The first hands over to the second at a match end after which the
+// two parses provably agree (compressSplit says why), so the block and
+// CompressedLen are byte for byte the one-pass parse's however the two are
+// scheduled.
 //
 // Only the Go standard library is used.
 package lz4
@@ -23,9 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
-
-	"github.com/severifast/severifast/internal/hostwork"
 )
 
 const (
@@ -90,9 +90,9 @@ var tables = sync.Pool{New: func() any { return new(matchTable) }}
 
 // compressBlock is CompressBlockAppend (emit) or CompressedLen (not): an
 // input from splitMin up to splitMax bytes is parsed in two halves when
-// the host-work pool has two workers, any other in one pass.
+// GOMAXPROCS is at least 2, any other in one pass.
 func compressBlock(dst, src []byte, emit bool) ([]byte, int) {
-	if len(src) >= splitMin && len(src) < splitMax && hostwork.Workers() >= 2 {
+	if len(src) >= splitMin && len(src) < splitMax && runtime.GOMAXPROCS(0) >= 2 {
 		dst, n, _ := compressSplit(dst, src, emit)
 		return dst, n
 	}

@@ -1,10 +1,6 @@
 package lz4
 
-import (
-	"sync/atomic"
-
-	"github.com/severifast/severifast/internal/hostwork"
-)
+import "sync/atomic"
 
 const (
 	// splitMin is the shortest input compressBlock parses in two halves.
@@ -31,9 +27,9 @@ const (
 )
 
 // compressSplit is parse over all of src, emitting or counting as emit
-// says, done by two workers of the host-work pool. Its block and count are
-// exactly the one-pass parse's; joined reports whether A took over B's
-// sequences or parsed on alone.
+// says, in two halves: A on the caller's goroutine, B on one it starts.
+// Its block and count are exactly the one-pass parse's; joined reports
+// whether A took over B's sequences or parsed on alone.
 //
 // Let x be the midpoint and y = x - splitLead. Half B parses from y with a
 // fresh table and records each sequence whose match it found before
@@ -54,29 +50,34 @@ const (
 //
 // If the lists do not agree by the end of B's, A parses on alone. A waits
 // for B only while B is running: if B has not started when A reaches x, A
-// parses on alone and B returns at once when a worker picks it up. So one
-// worker, or a pool whose workers are all busy, gets the one-pass parse,
-// and never a deadlock.
-func compressSplit(dst, src []byte, emit bool) (_ []byte, n int, joined bool) {
-	x := len(src) / 2
-	j := &join{x: x, y: max(x-splitLead, 0), until: min(x+syncWindow, len(src)), done: make(chan struct{})}
-	room := cap(dst) - len(dst)
-	hostwork.Do(2, func(i int) {
-		if i == 1 {
-			j.runB(src, emit, room)
-			return
-		}
-		var stop int
-		if dst, n, stop = parse(dst, src, 0, emit, j.observeA); stop < len(src) {
-			b := j.b[j.k]
-			dst = append(dst, j.bDst[b.off:]...)
-			n += j.bN - int(b.n)
-			joined = true
-			return
-		}
-		j.state.CompareAndSwap(bIdle, bAlone)
-	})
+// parses on alone and B, when it is scheduled, returns at once. So however
+// late the scheduler starts B, the block is the one-pass parse's and the
+// halves cannot deadlock. compressSplit returns once B has returned.
+func compressSplit(dst, src []byte, emit bool) ([]byte, int, bool) {
+	j := newJoin(len(src))
+	go j.runB(src, emit, cap(dst)-len(dst))
+	dst, n, joined := j.runA(dst, src, emit)
+	<-j.done
 	return dst, n, joined
+}
+
+// newJoin is the state the two halves of a split of n bytes share.
+func newJoin(n int) *join {
+	x := n / 2
+	return &join{x: x, y: max(x-splitLead, 0), until: min(x+syncWindow, n), done: make(chan struct{})}
+}
+
+// runA is half A: the parse from 0, which ends with B's block from the
+// match end where the two agree, or alone.
+func (j *join) runA(dst, src []byte, emit bool) (_ []byte, n int, joined bool) {
+	var stop int
+	if dst, n, stop = parse(dst, src, 0, emit, j.observeA); stop < len(src) {
+		b := j.b[j.k]
+		dst = append(dst, j.bDst[b.off:]...)
+		return dst, n + j.bN - int(b.n), true
+	}
+	j.state.CompareAndSwap(bIdle, bAlone)
+	return dst, n, false
 }
 
 // B's states. B moves itself from bIdle to bRunning when it starts; A moves
@@ -102,7 +103,7 @@ type seq struct{ found, end, n, off int32 }
 type join struct {
 	x, y, until int
 	state       atomic.Int32
-	done        chan struct{} // closed when B has finished
+	done        chan struct{} // closed when B has returned
 
 	// B's, read by A once done is closed: its sequences that found their
 	// match before until, and its block and count from y.
@@ -117,12 +118,14 @@ type join struct {
 	run   int // where the run of agreeing pairs to A's last match end starts; -1 for none
 }
 
-// runB is half B. room is what the caller left free in the block's buffer.
+// runB is half B. room is what the caller left free in the block's
+// buffer. It closes done when it returns, whether it parsed or found A
+// already alone.
 func (j *join) runB(src []byte, emit bool, room int) {
+	defer close(j.done)
 	if !j.state.CompareAndSwap(bIdle, bRunning) {
 		return
 	}
-	defer close(j.done)
 	var dst []byte
 	if emit {
 		// B's buffer takes B's share of the caller's room: a caller that

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"github.com/severifast/severifast/internal/hostwork"
 )
 
 // onePass is the serial parse of src: the block and its length.
@@ -26,6 +24,35 @@ func splitsAsOnePass(t *testing.T, what string, src, block []byte, n int) {
 	}
 	if _, got, _ := compressSplit(nil, src, false); got != n {
 		t.Fatalf("%s (%d bytes): split count %d, one pass %d", what, len(src), got, n)
+	}
+}
+
+// aloneAsOnePass fails the test unless half A, with B not started when it
+// reaches the midpoint, parses on alone to the serial parse's block and n
+// without joining, and a B that starts after A has finished returns at
+// once, parsing nothing.
+func aloneAsOnePass(t *testing.T, what string, src, block []byte, n int) {
+	t.Helper()
+	for _, emit := range []bool{true, false} {
+		j := newJoin(len(src))
+		got, gotN, joined := j.runA(nil, src, emit)
+		switch {
+		case joined:
+			t.Fatalf("%s, emit %v: A joined a B that never ran", what, emit)
+		case emit && !bytes.Equal(got, block):
+			t.Fatalf("%s: A alone emitted %d bytes, one pass %d, or same length and different bytes", what, len(got), len(block))
+		case gotN != n:
+			t.Fatalf("%s, emit %v: A alone counted %d, one pass %d", what, emit, gotN, n)
+		}
+		j.runB(src, emit, 0)
+		select {
+		case <-j.done:
+		default:
+			t.Fatalf("%s, emit %v: a late B returned without closing done", what, emit)
+		}
+		if j.b != nil || j.bDst != nil {
+			t.Fatalf("%s, emit %v: a late B parsed", what, emit)
+		}
 	}
 }
 
@@ -54,64 +81,42 @@ func splitInputs(n int) map[string][]byte {
 }
 
 // TestSplitMatchesOnePass holds the split to the serial parse, in bytes
-// and in count, and to the byte-at-a-time reference, at pool widths 1 and
-// 2 and inside a Do that holds every worker the pool has. On a
-// kernel-like mix at width 2 the halves must join in one of twenty splits:
-// a join needs B running when A reaches the midpoint, which a loaded
-// machine may deny a few times, but not twenty. With one P, A reaches the
-// midpoint before the scheduler ever runs B, so there it need not join.
+// and in count, and to the byte-at-a-time reference, at GOMAXPROCS 1 and
+// 2 and with B not started before A is done. On a kernel-like mix at GOMAXPROCS 2 the halves must join in one of
+// twenty splits: a join needs B running when A reaches the midpoint, which
+// a loaded machine may deny a few times, but not twenty. With one P, A
+// usually reaches the midpoint before the scheduler runs B, so there it
+// need not join.
 func TestSplitMatchesOnePass(t *testing.T) {
 	n := 2<<20 + 123
 	if raceDetector {
 		n = 3*splitLead + 123
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for what, src := range splitInputs(n) {
 		block, count := onePass(src)
 		if ref := compressBlockReference(src); !bytes.Equal(block, ref) || count != len(ref) {
 			t.Fatalf("%s: the one-pass parse differs from the reference", what)
 		}
-		for _, w := range []int{1, 2} {
-			prev := hostwork.SetWorkers(w)
-			splitsAsOnePass(t, fmt.Sprintf("%s, width %d", what, w), src, block, count)
-			hostwork.SetWorkers(prev)
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			splitsAsOnePass(t, fmt.Sprintf("%s, GOMAXPROCS %d", what, procs), src, block, count)
 		}
-		// Every worker the pool may spawn waits in an outer Do until the
-		// split is done, so the split's own Do finds none to enlist. The
-		// split runs on whichever participant takes index 0, which may not
-		// be the test's goroutine: it only computes, and the test checks
-		// afterwards.
-		prev := hostwork.SetWorkers(runtime.GOMAXPROCS(0) + 1)
-		finished := make(chan struct{})
-		var heldBlock []byte
-		var heldCount int
-		hostwork.Do(runtime.GOMAXPROCS(0)+1, func(i int) {
-			if i > 0 {
-				<-finished
-				return
-			}
-			heldBlock, _, _ = compressSplit(nil, src, true)
-			_, heldCount, _ = compressSplit(nil, src, false)
-			close(finished)
-		})
-		hostwork.SetWorkers(prev)
-		if !bytes.Equal(heldBlock, block) || heldCount != count {
-			t.Fatalf("%s, pool held: the split differs from the one-pass parse", what)
-		}
+		aloneAsOnePass(t, what, src, block, count)
 	}
 
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Log("GOMAXPROCS 1: not requiring the halves to join")
+	if runtime.NumCPU() < 2 {
+		t.Log("one CPU: not requiring the halves to join")
 		return
 	}
-	prev := hostwork.SetWorkers(2)
-	defer hostwork.SetWorkers(prev)
+	runtime.GOMAXPROCS(2)
 	src := blockMix(n, 0.18)
 	for try := 0; try < 20; try++ {
 		if _, _, joined := compressSplit(nil, src, false); joined {
 			return
 		}
 	}
-	t.Fatal("twenty splits of a kernel-like mix at width 2 never joined their halves")
+	t.Fatal("twenty splits of a kernel-like mix at GOMAXPROCS 2 never joined their halves")
 }
 
 // copiedBlocks is n bytes in blocks of one size from 16 bytes to 8 KiB,
@@ -145,8 +150,7 @@ func copiedBlocks(seed int64, n int) []byte {
 // count towards the run A joins after. Seeds 33 and 42 are two such
 // inputs; the split must still equal the one-pass parse on all fifty.
 func TestSplitJoinsOnlyEqualPairs(t *testing.T) {
-	prev := hostwork.SetWorkers(2)
-	defer hostwork.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for seed := int64(0); seed < 50; seed++ {
 		src := copiedBlocks(seed, 3*splitLead)
 		block, n := onePass(src)
@@ -154,20 +158,14 @@ func TestSplitJoinsOnlyEqualPairs(t *testing.T) {
 	}
 }
 
-// TestWidthOneIsOnePass: at width 1 the compressor gives the one-pass
-// parse, and a split run there never joins its halves: A parses alone.
+// TestWidthOneIsOnePass: with one P the compressor does not split, and its
+// block and count are the one-pass parse's.
 func TestWidthOneIsOnePass(t *testing.T) {
-	prev := hostwork.SetWorkers(1)
-	defer hostwork.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	src := blockMix(splitMin+1, 0.18)
 	block, n := onePass(src)
 	if !bytes.Equal(CompressBlock(src), block) || CompressedLen(src) != n {
-		t.Fatal("width 1 differs from the one-pass parse")
-	}
-	for _, emit := range []bool{true, false} {
-		if _, _, joined := compressSplit(nil, src, emit); joined {
-			t.Fatal("width 1 joined the halves of a split")
-		}
+		t.Fatal("GOMAXPROCS 1 differs from the one-pass parse")
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/kernelgen"
+	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 )
 
@@ -303,5 +305,45 @@ func TestLayoutNoOverlaps(t *testing.T) {
 				t.Errorf("layout overlap: %s [%#x,%#x) vs %s [%#x,%#x)", a.name, a.lo, a.hi, b.name, b.lo, b.hi)
 			}
 		}
+	}
+}
+
+// TestHashComponentsOnInternedInputsAllocatesOnce: the owner's hash pass
+// over an interned kernel and initrd is two digest-memo hits and one
+// command-line hash, done on the caller's goroutine with nothing handed
+// to another. Its one allocation is the bytes of a command line longer
+// than 32 bytes, which every preset's is.
+func TestHashComponentsOnInternedInputsAllocatesOnce(t *testing.T) {
+	kernel := artifact.Intern(bytes.Repeat([]byte("kernel"), 4096)).Bytes()
+	initrd := artifact.Intern(bytes.Repeat([]byte("initrd"), 4096)).Bytes()
+	const cmdline = "console=ttyS0 reboot=k panic=1 pci=off nomodules"
+	want := HashComponents(kernel, initrd, cmdline)
+	var got ComponentHashes
+	if allocs := testing.AllocsPerRun(100, func() { got = HashComponents(kernel, initrd, cmdline) }); allocs > 1 {
+		t.Fatalf("HashComponents allocated %v times per call, want at most 1", allocs)
+	}
+	if got != want {
+		t.Fatal("HashComponents changed its answer between calls")
+	}
+}
+
+// TestFoldRegionsOnSharedInputsAllocatesTwice: folding a plan whose
+// regions all point at memoized bytes (the interned verifier and the
+// plan's staging blob) allocates only the region metadata and content
+// hashes FoldDigest folds.
+func TestFoldRegionsOnSharedInputsAllocatesTwice(t *testing.T) {
+	cfg := sampleConfig()
+	regions, err := Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := psp.InitialDigest(cfg.Policy, cfg.Level)
+	want := FoldRegions(initial, regions)
+	var got [32]byte
+	if allocs := testing.AllocsPerRun(100, func() { got = FoldRegions(initial, regions) }); allocs > 2 {
+		t.Fatalf("FoldRegions allocated %v times per call, want at most 2", allocs)
+	}
+	if got != want {
+		t.Fatal("FoldRegions changed its answer between calls")
 	}
 }

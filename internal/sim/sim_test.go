@@ -414,8 +414,8 @@ func TestRunOnLockedThread(t *testing.T) {
 	}
 }
 
-// A process may block on real synchronisation (hostwork fans digests out
-// to worker goroutines and waits for them) without losing its turn.
+// A process may block on real synchronisation (an LZ4 split waits for the
+// goroutine that parses its second half) without losing its turn.
 func TestProcessBlocksOnHostGoroutine(t *testing.T) {
 	e := NewEngine()
 	got := 0

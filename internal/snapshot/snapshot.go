@@ -63,8 +63,7 @@ func Capture(proc *sim.Proc, m *kvm.Machine) (*Image, error) {
 		Private: make(map[uint64]bool),
 		SEV:     m.Level.Encrypted(),
 	}
-	// Bulk export: one pass over resident pages with the per-page AES
-	// transforms spread across the hostwork pool, instead of a
+	// Bulk export: one pass over resident pages instead of a
 	// page-at-a-time HostRead loop. The host-visible bytes are identical.
 	exports, err := m.Mem.ExportPages()
 	if err != nil {

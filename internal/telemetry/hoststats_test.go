@@ -90,9 +90,9 @@ func TestHostCounterAddAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestHostCounterConcurrentAdds: adds from many goroutines, as the
-// hostwork pool and fleet workers make them, sum exactly. Run under
-// -race.
+// TestHostCounterConcurrentAdds: adds from many goroutines, as hosts
+// booting side by side and the generator's hashing goroutine make them,
+// sum exactly. Run under -race.
 func TestHostCounterConcurrentAdds(t *testing.T) {
 	const goroutines, adds = 8, 5000
 	r := NewHostRecorder()

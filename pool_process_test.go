@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/severifast/severifast/internal/hostwork"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -130,13 +129,9 @@ func sameProcess(procs []*sim.Proc) bool {
 }
 
 // TestPoolCloseLeavesNoGoroutine: the pool's standing process is the only
-// goroutine a Pool keeps, and Close ends it. The baseline is taken after
-// one pool has come and gone, so process-wide workers started on first use
-// are in it. The host worker pool is held at one worker: a wider one may
-// start another worker whenever the ones it has are busy, which is not the
-// pool's goroutine.
+// goroutine a Pool keeps, and Close ends it. The baseline is taken before
+// the first pool.
 func TestPoolCloseLeavesNoGoroutine(t *testing.T) {
-	defer hostwork.SetWorkers(hostwork.SetWorkers(1))
 	cycle := func() {
 		pool := newTestPool(t)
 		bootOrFatal(t, pool)
@@ -148,7 +143,6 @@ func TestPoolCloseLeavesNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cycle()
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		cycle()
