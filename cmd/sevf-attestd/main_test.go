@@ -17,6 +17,7 @@ import (
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -51,7 +52,7 @@ func TestAllowTakesNoClaims(t *testing.T) {
 	if err := (&kbs.Client{Base: srv.URL}).File(kbs.RefClaim(evil.LaunchDigest, "patched")); err == nil {
 		t.Fatal("the daemon filed a client's reference value next to -allow")
 	}
-	if _, err := evil.AttestOverHTTP(srv.URL); !kbsDenied(err, kbs.ReasonMeasurement) ||
+	if _, err := evil.AttestOverHTTP(srv.URL); !kbsDenied(err, "measurement") ||
 		!errors.Is(err, severifast.ErrMeasurementMismatch) {
 		t.Fatalf("patched verifier after a claim attempt: %v, want a measurement denial", err)
 	}
@@ -186,8 +187,8 @@ func TestKBSModeServesFleet(t *testing.T) {
 	}
 }
 
-func kbsDenied(err error, want kbs.Reason) bool {
-	return err != nil && kbs.ReasonOf(err) == want
+func kbsDenied(err error, want policy.Reason) bool {
+	return err != nil && keyOf(err) == want
 }
 
 func TestKBSModeRejectsBadFlags(t *testing.T) {
@@ -211,4 +212,13 @@ func TestSetupRejectsBadAllowEntry(t *testing.T) {
 	if _, _, err := setup([]string{"-allow", "gentoo/severifast"}, &out); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
+}
+
+// keyOf is the key a refusal is counted under, or "" for an error that
+// is no refusal.
+func keyOf(err error) policy.Reason {
+	if d := policy.DenialOf(err); d != nil {
+		return policy.Reason(d.Key())
+	}
+	return ""
 }

@@ -528,8 +528,8 @@ func oneShotDenialRows(t *testing.T) []string {
 		h.eng.Go("oneshot", func(p *sim.Proc) { _, got = firecracker.Boot(p, h.inner, *l) })
 		h.run()
 		key := "-"
-		if r := kbs.ReasonOf(got); r != "" {
-			key = "reason:" + string(r)
+		if d := policy.DenialOf(got); d != nil {
+			key = "reason:" + d.Key()
 		}
 		return denialRow(name, got, key)
 	}

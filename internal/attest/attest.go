@@ -9,7 +9,7 @@
 // against the platform key, the channel is X25519 ECDH, and the secret is
 // wrapped with AES-256-GCM under the derived key. A report with the wrong
 // measurement, policy, level, signature, or key binding releases nothing,
-// and every refusal is a *kbs.Denial with the reason the broker gives.
+// and every refusal is a broker-gate *policy.Denial with the broker's key.
 package attest
 
 import (
@@ -24,6 +24,7 @@ import (
 	"github.com/severifast/severifast/internal/firecracker"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
@@ -49,9 +50,9 @@ func NewAgentSeeded(seed int64) *Agent {
 // PublicKey returns the agent's public key bytes, sent with the report.
 func (a *Agent) PublicKey() []byte { return a.priv.PublicKey().Bytes() }
 
-// ReportData binds the agent's public key into the attestation report:
+// reportData binds the agent's public key into the attestation report:
 // SHA-256 of the key in the first half of the 64-byte field.
-func (a *Agent) ReportData() [64]byte { return keyData(a.PublicKey()) }
+func (a *Agent) reportData() [64]byte { return keyData(a.PublicKey()) }
 
 // keyData is the report data binding guestPub in the one-shot exchange.
 func keyData(guestPub []byte) [64]byte {
@@ -118,7 +119,7 @@ func (ip *inProcess) Attest(proc *sim.Proc, m *kvm.Machine) error {
 	agent := NewAgentSeeded(ip.agentSeed + int64(m.Launch.ASID()))
 	// Guest requests the report; the PSP builds and signs it (charged on
 	// the shared PSP resource).
-	report, err := m.Launch.BuildReport(proc, agent.ReportData())
+	report, err := m.Launch.BuildReport(proc, agent.reportData())
 	if err != nil {
 		return err
 	}
@@ -156,7 +157,7 @@ func (ip *inProcess) release(reportBytes, guestPub []byte) (*kbs.Bundle, error) 
 		return nil, refuse(kbs.ReasonForged, err, "%v", err)
 	}
 	if r.Measurement != ip.digest {
-		return nil, refuse(kbs.ReasonMeasurement, nil, "launch digest %x not allowed", r.Measurement[:8])
+		return nil, refuse(policy.ReasonMeasurementUnknown, nil, "launch digest %x not allowed", r.Measurement[:8])
 	}
 	if err := kbs.CheckFloors(r, sev.SNP, ip.minPolicy); err != nil {
 		return nil, err
@@ -167,7 +168,8 @@ func (ip *inProcess) release(reportBytes, guestPub []byte) (*kbs.Bundle, error) 
 	return kbs.WrapSecret(ip.rng, guestPub, ip.secret)
 }
 
-// refuse builds the denial release returns.
-func refuse(r kbs.Reason, cause error, format string, args ...any) error {
-	return &kbs.Denial{Reason: r, Detail: fmt.Sprintf(format, args...), Cause: cause}
+// refuse builds the denial release returns: a broker-gate one, with no
+// rule, as its digest check is not the engine's.
+func refuse(r policy.Reason, cause error, format string, args ...any) error {
+	return &policy.Denial{Gate: policy.GateBroker, Reason: r, Detail: fmt.Sprintf(format, args...), Cause: cause}
 }

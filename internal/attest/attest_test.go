@@ -10,6 +10,7 @@ import (
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 )
@@ -51,9 +52,9 @@ func owner(platform *ecdsa.PublicKey, digest [32]byte, secret []byte) *inProcess
 }
 
 // wantDenial fails t unless err is a denial for reason r.
-func wantDenial(t *testing.T, err error, r kbs.Reason) {
+func wantDenial(t *testing.T, err error, r policy.Reason) {
 	t.Helper()
-	if kbs.ReasonOf(err) != r {
+	if keyOf(err) != r {
 		t.Fatalf("err = %v, want a %s denial", err, r)
 	}
 }
@@ -64,7 +65,7 @@ func TestHappyPathReleasesSecret(t *testing.T) {
 	o := owner(platform.VerificationKey(), digest, secret)
 
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +86,19 @@ func TestUnknownMeasurementRefused(t *testing.T) {
 	platform, ctx, _ := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	o := owner(platform.VerificationKey(), [32]byte{}, []byte("s")) // its digest is not allowed
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = o.release(report.Marshal(), agent.PublicKey())
-	wantDenial(t, err, kbs.ReasonMeasurement)
+	wantDenial(t, err, "measurement")
 }
 
 func TestForgedSignatureRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestWrongPlatformRefused(t *testing.T) {
 	other := psp.New(costmodel.Unit(), 2)
 	o := owner(other.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestWeakPolicyRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, weak)
 	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestLowLevelRefused(t *testing.T) {
 	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	o.minPolicy = pol
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestKeySubstitutionRefused(t *testing.T) {
 	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
 	mitm := NewAgentSeeded(666)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestWrongAgentCannotUnwrap(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	o := owner(platform.VerificationKey(), digest, []byte("secret!"))
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestChainBasedAttestation(t *testing.T) {
 	auth, enr, ctx, digest := enrolledGuest(t, 1)
 	secret := []byte("chain-released secret")
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestChainBasedAttestation(t *testing.T) {
 func TestChainAttestationRejectsForeignChain(t *testing.T) {
 	auth, _, ctx, digest := enrolledGuest(t, 1)
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestChainAttestationRejectsForeignChain(t *testing.T) {
 	// the ARK pin refuses.
 	evil := kbs.NewAuthority(666).ChainFor("chip-a", kbs.TCB{SNP: 8})
 	if _, err := attestWithChain(kbs.NewVerifier(auth.Root()), digest, []byte("s"),
-		report.Marshal(), evil.Marshal(), agent); kbs.ReasonOf(err) != kbs.ReasonForged {
+		report.Marshal(), evil.Marshal(), agent); keyOf(err) != kbs.ReasonForged {
 		t.Fatalf("foreign chain: %v, want a forged denial", err)
 	}
 }
@@ -253,12 +254,12 @@ func TestChainAttestationRejectsWrongVCEK(t *testing.T) {
 	auth, enrA, _, _ := enrolledGuest(t, 1)
 	_, ctxB, digestB := launchGuest(t, 2, sev.SNP, sev.DefaultPolicy())
 	agent := NewAgentSeeded(99)
-	report, err := ctxB.BuildReport(nil, agent.ReportData())
+	report, err := ctxB.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := attestWithChain(kbs.NewVerifier(auth.Root()), digestB, []byte("s"),
-		report.Marshal(), enrA.Chain.Marshal(), agent); kbs.ReasonOf(err) != kbs.ReasonForged {
+		report.Marshal(), enrA.Chain.Marshal(), agent); keyOf(err) != kbs.ReasonForged {
 		t.Fatalf("cross-platform report: %v, want a forged denial", err)
 	}
 }
@@ -332,7 +333,7 @@ func TestOneShotAndBrokerRefuseAlike(t *testing.T) {
 		send []byte
 		// tamper returns the report bytes sent; nil sends the report.
 		tamper func(*testing.T, *psp.Report) []byte
-		want   kbs.Reason // "" is a grant
+		want   policy.Reason // "" is a grant
 	}{
 		{name: "genuine", bind: key},
 		{name: "forged signature", bind: key, tamper: func(_ *testing.T, r *psp.Report) []byte {
@@ -340,7 +341,7 @@ func TestOneShotAndBrokerRefuseAlike(t *testing.T) {
 			raw[len(raw)-1] ^= 0xFF
 			return raw
 		}, want: kbs.ReasonForged},
-		{name: "unlisted digest", bind: key, tamper: resigned(func(r *psp.Report) { r.Measurement[0] ^= 1 }), want: kbs.ReasonMeasurement},
+		{name: "unlisted digest", bind: key, tamper: resigned(func(r *psp.Report) { r.Measurement[0] ^= 1 }), want: "measurement"},
 		{name: "level below SNP", bind: key, tamper: resigned(func(r *psp.Report) { r.Level = sev.ES }), want: kbs.ReasonPolicy},
 		{name: "key-sharing policy", bind: key, tamper: resigned(func(r *psp.Report) { r.Policy = sharing.Encode() }), want: kbs.ReasonPolicy},
 		{name: "substituted guest key", bind: key, send: NewAgentSeeded(666).PublicKey(), want: kbs.ReasonBinding},
@@ -383,10 +384,19 @@ func TestOneShotAndBrokerRefuseAlike(t *testing.T) {
 				name string
 				err  error
 			}{{"one-shot", oneShot}, {"broker", broker}} {
-				if kbs.ReasonOf(side.err) != tc.want || (tc.want == "") != (side.err == nil) {
+				if keyOf(side.err) != tc.want || (tc.want == "") != (side.err == nil) {
 					t.Errorf("%s: %v, want reason %q", side.name, side.err, tc.want)
 				}
 			}
 		})
 	}
+}
+
+// keyOf is the key a refusal is counted under, or "" for an error that
+// is no refusal.
+func keyOf(err error) policy.Reason {
+	if d := policy.DenialOf(err); d != nil {
+		return policy.Reason(d.Key())
+	}
+	return ""
 }

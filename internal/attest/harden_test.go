@@ -18,13 +18,13 @@ func TestTruncatedReportRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := report.Marshal()
 	for _, n := range []int{0, 1, 17, len(raw) - 1} {
-		if _, err := o.release(raw[:n], agent.PublicKey()); kbs.ReasonOf(err) != kbs.ReasonMalformed {
+		if _, err := o.release(raw[:n], agent.PublicKey()); keyOf(err) != kbs.ReasonMalformed {
 			t.Fatalf("%d-byte report: %v, want a malformed denial", n, err)
 		} else if !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("%d-byte report: %v, want truncation error", n, err)
@@ -36,12 +36,12 @@ func TestOversizedReportRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw := append(report.Marshal(), 0xAA)
-	if _, err := o.release(raw, agent.PublicKey()); kbs.ReasonOf(err) != kbs.ReasonMalformed {
+	if _, err := o.release(raw, agent.PublicKey()); keyOf(err) != kbs.ReasonMalformed {
 		t.Fatalf("oversized report: %v, want a malformed denial", err)
 	} else if !strings.Contains(err.Error(), "oversized") {
 		t.Fatalf("oversized report: %v, want oversize error", err)
@@ -52,12 +52,12 @@ func TestWrongSizeGuestKeyRefused(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	o := owner(platform.VerificationKey(), digest, []byte("s"))
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pub := range [][]byte{nil, []byte("short"), make([]byte, 64)} {
-		if _, err := o.release(report.Marshal(), pub); kbs.ReasonOf(err) != kbs.ReasonMalformed {
+		if _, err := o.release(report.Marshal(), pub); keyOf(err) != kbs.ReasonMalformed {
 			t.Fatalf("%d-byte guest key: %v, want a malformed denial", len(pub), err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestUnwrapBundle(t *testing.T) {
 func TestChainCacheSpeedsRepeatAttestation(t *testing.T) {
 	auth, enr, ctx, digest := enrolledGuest(t, 1)
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestOwnerBundleBytesArePinned(t *testing.T) {
 	platform, ctx, digest := launchGuest(t, 1, sev.SNP, sev.DefaultPolicy())
 	o := owner(platform.VerificationKey(), digest, []byte("pinned secret"))
 	agent := NewAgentSeeded(99)
-	report, err := ctx.BuildReport(nil, agent.ReportData())
+	report, err := ctx.BuildReport(nil, agent.reportData())
 	if err != nil {
 		t.Fatal(err)
 	}

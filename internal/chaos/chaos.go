@@ -199,7 +199,7 @@ func runTrial(cfg Config, initrd []byte, s *site) (*RunResult, error) {
 		}
 		s.arm(h)
 	}
-	return h.Run()
+	return h.run()
 }
 
 // classify is the invariant oracle.

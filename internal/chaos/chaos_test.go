@@ -12,6 +12,7 @@ import (
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
+	"github.com/severifast/severifast/internal/policy"
 )
 
 // TestCampaignZeroEscapes is the headline acceptance run: a fixed-seed
@@ -160,7 +161,9 @@ func TestIdentityRows(t *testing.T) {
 		}
 	}
 
-	stale, forged := &kbs.Denial{Reason: kbs.ReasonStaleTCB}, &kbs.Denial{Reason: kbs.ReasonForged}
+	want := &policy.Denial{Gate: policy.GateBroker, Rule: policy.RulePlatform, Reason: policy.ReasonTCBFloor}
+	stale := &policy.Denial{Gate: policy.GateBroker, Rule: policy.RulePlatform, Reason: policy.ReasonTCBFloor, Detail: "below floor"}
+	forged := &policy.Denial{Gate: policy.GateBroker, Reason: kbs.ReasonForged}
 	for _, tc := range []struct {
 		errs []error
 		want Outcome
@@ -170,7 +173,7 @@ func TestIdentityRows(t *testing.T) {
 		{[]error{stale, forged}, Unexpected},
 		{[]error{fmt.Errorf("%w: connection refused", fleet.ErrKBSUnreachable), stale}, Unexpected},
 	} {
-		if out, detail, _ := identityVerdict(&RunResult{BootErrs: tc.errs}, kbs.ReasonStaleTCB); out != tc.want {
+		if out, detail, _ := identityVerdict(&RunResult{BootErrs: tc.errs}, want); out != tc.want {
 			t.Errorf("boot errors %v: %s (%s), want %s", tc.errs, out, detail, tc.want)
 		}
 	}
@@ -310,7 +313,7 @@ func TestPlanBlobLeftAsFound(t *testing.T) {
 			dirty = sha256.Sum256(blob.Bytes())
 		}
 	}
-	res, err := h.Run()
+	res, err := h.run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ var chaosTCB = kbs.TCB{BootLoader: 2, TEE: 1, SNP: 8, Microcode: 115}
 // site. It is the only world the package builds: every family's trials,
 // and the clean reference, run on one. Sites reach into it from arm:
 // schedule virtual-time events on Eng, install PSP tamper hooks via
-// Host.PSP, observe machines via OnMachine or OnServed, wrap Service,
+// Host.PSP, observe machines via onMachine or OnServed, wrap Service,
 // subscribe to Cfg.Cache, or switch the arrival shape with closedLoop and
 // register a Between step.
 type Harness struct {
@@ -137,9 +137,9 @@ func newHarness(initrd []byte, boots int, weakened bool) (*Harness, error) {
 	return h, nil
 }
 
-// OnMachine registers an observer for every machine the host creates,
+// onMachine registers an observer for every machine the host creates,
 // in creation order. Mutations use it to target guest memory mid-boot.
-func (h *Harness) OnMachine(fn func(*kvm.Machine)) {
+func (h *Harness) onMachine(fn func(*kvm.Machine)) {
 	h.hooks = append(h.hooks, fn)
 }
 
@@ -219,13 +219,13 @@ func (r *RunResult) fingerprint() string {
 	return fmt.Sprintf("%x", hsh.Sum(nil))
 }
 
-// Run registers the image, drives the arrivals, and runs the engine to
+// run registers the image, drives the arrivals, and runs the engine to
 // quiescence. Open loop (the default) submits boots at fixed virtual-time
 // spacing to the worker pool; closed loop (Cfg.Standalone) serves them
 // back to back, running the Between step in each gap. The orchestrator is
 // built here — after arm — so sites that edit Cfg (breaker policy, cache
 // subscriptions, arrival shape) or wrap Service take effect.
-func (h *Harness) Run() (*RunResult, error) {
+func (h *Harness) run() (*RunResult, error) {
 	cfg := h.Cfg
 	cfg.KBS = h.Service
 	res := &RunResult{BootErrs: make([]error, h.Boots), Tiers: make([]fleet.Tier, h.Boots)}

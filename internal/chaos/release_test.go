@@ -32,7 +32,7 @@ func TestScribblePastReleaseRefused(t *testing.T) {
 	}
 	var first *kvm.Machine
 	var released sim.Time
-	h.OnMachine(func(m *kvm.Machine) {
+	h.onMachine(func(m *kvm.Machine) {
 		if first == nil {
 			first = m
 		}
@@ -42,7 +42,7 @@ func TestScribblePastReleaseRefused(t *testing.T) {
 			released = p.Now()
 		}
 	}
-	clean, err := h.Run()
+	clean, err := h.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestScribblePastReleaseRefused(t *testing.T) {
 	s.arm(h)
 	var writeErr error
 	seen := false
-	h.OnMachine(func(m *kvm.Machine) {
+	h.onMachine(func(m *kvm.Machine) {
 		if !seen {
 			seen = true
 			h.Eng.After(delay, func() {
@@ -70,7 +70,7 @@ func TestScribblePastReleaseRefused(t *testing.T) {
 			})
 		}
 	})
-	res, err := h.Run()
+	res, err := h.run()
 	if err != nil {
 		t.Fatal(err)
 	}

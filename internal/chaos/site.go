@@ -196,7 +196,7 @@ func memScribble(machine int, page uint64, delay time.Duration, mask byte, unuse
 		expected: []error{fleet.ErrDigestMismatch, verifier.ErrVerification, mptable.ErrCorrupt},
 		arm: func(h *Harness) {
 			count := 0
-			h.OnMachine(func(mach *kvm.Machine) {
+			h.onMachine(func(mach *kvm.Machine) {
 				if count == machine {
 					h.Eng.After(delay, func() {
 						// The RMP may refuse (page already private): that refusal
@@ -531,7 +531,7 @@ func kbsOutage(from, span time.Duration) site {
 // floor must refuse each as stale-tcb.
 func kbsStaleTCB() site {
 	older, _ := chaosTCB.Predecessor() // chaosTCB's microcode is nonzero: it has one
-	return kbsIdentity("stale-tcb-evidence", "chip-chaos", older, kbs.ReasonStaleTCB, nil)
+	return kbsIdentity("stale-tcb-evidence", "chip-chaos", older, policy.ReasonTCBFloor, nil)
 }
 
 // kbsRevokedTwin files a revocation of a twin of the enrolled chip and
@@ -540,16 +540,17 @@ func kbsStaleTCB() site {
 // The broker must refuse each as revoked.
 func kbsRevokedTwin() site {
 	const twin = "chip-chaos-revoked"
-	return kbsIdentity("revoked-twin-evidence", twin, chaosTCB, kbs.ReasonRevoked,
+	return kbsIdentity("revoked-twin-evidence", twin, chaosTCB, policy.ReasonRevoked,
 		func(h *Harness) { revokeChip(h, twin) })
 }
 
 // kbsIdentity is the row shape the two identity rows share: after prep,
 // every redeem re-signs its report under the VCEK the key authority
 // issued to (chip, tcb) and sends that pair's chain. Each refusal must
-// carry exactly reason; a grant is an ESCAPE and any other refusal is
-// unexpected.
-func kbsIdentity(name, chip string, tcb kbs.TCB, reason kbs.Reason, prep func(h *Harness)) site {
+// be the broker's platform verdict for exactly reason; a grant is an
+// ESCAPE and any other refusal is unexpected.
+func kbsIdentity(name, chip string, tcb kbs.TCB, reason policy.Reason, prep func(h *Harness)) site {
+	want := &policy.Denial{Gate: policy.GateBroker, Rule: policy.RulePlatform, Reason: reason}
 	return site{
 		family:   "kbs",
 		name:     name,
@@ -575,23 +576,23 @@ func kbsIdentity(name, chip string, tcb kbs.TCB, reason kbs.Reason, prep func(h 
 			}
 		},
 		verdict: func(res, _ *RunResult) (Outcome, string, bool) {
-			return identityVerdict(res, reason)
+			return identityVerdict(res, want)
 		},
 	}
 }
 
 // identityVerdict classifies a run in which every exchange presented a
-// forged identity: caught only if every boot was refused with reason.
-func identityVerdict(res *RunResult, reason kbs.Reason) (Outcome, string, bool) {
+// forged identity: caught only if every boot was refused as want.
+func identityVerdict(res *RunResult, want *policy.Denial) (Outcome, string, bool) {
 	for i, err := range res.BootErrs {
 		if err == nil {
 			return Escape, fmt.Sprintf("boot %d was granted under a forged identity", i), true
 		}
-		if got := kbs.ReasonOf(err); got != reason {
-			return Unexpected, fmt.Sprintf("boot %d refused as %q, want %q: %v", i, got, reason, err), true
+		if !errors.Is(err, want) {
+			return Unexpected, fmt.Sprintf("boot %d refused, want %s: %v", i, want.Key(), err), true
 		}
 	}
-	return Caught, fmt.Sprintf("%d boot(s) refused as %s", len(res.BootErrs), reason), true
+	return Caught, fmt.Sprintf("%d boot(s) refused as %s", len(res.BootErrs), want.Key()), true
 }
 
 // ---------------------------------------------------------------------------

@@ -256,9 +256,9 @@ type Cluster struct {
 	// floor tracks the broker's current minimum-TCB floor (Config.TCB
 	// until a storm bumps it) — the reference the tcb-aware policy
 	// compares host firmware against.
-	floor           kbs.TCB
-	dispatchDenials map[string]int
-	storm           *stormState
+	floor   kbs.TCB
+	denials policy.Ledger // the dispatch gate's refusals
+	storm   *stormState
 
 	firstErr error
 }
@@ -565,10 +565,8 @@ func (c *Cluster) admission(p *sim.Proc, s *HostShard, r *pending) error {
 	if _, err := c.cfg.Admission.Evaluate(ev, p.Now()); err != nil {
 		c.policyDenied++
 		if d := policy.DenialOf(err); d != nil {
-			if c.dispatchDenials == nil {
-				c.dispatchDenials = make(map[string]int)
-			}
-			c.dispatchDenials[d.Rule+"/"+string(d.Reason)]++
+			d.Gate = policy.GateDispatch
+			c.denials.Add(d)
 		}
 		c.cfg.Telemetry.Counter("severifast_cluster_policy_denials_total",
 			telemetry.A("host", s.Name)).Inc()

@@ -8,6 +8,7 @@ import (
 
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 	"github.com/severifast/severifast/internal/telemetry"
 )
@@ -57,7 +58,7 @@ type stormState struct {
 	pendingGreen int
 	greenAt      sim.Time
 
-	preDenials map[string]int
+	pre policy.Ledger // at the storm instant; the spike is what came since
 }
 
 // InstallStorm arms the storm and drift processes on the cluster's
@@ -94,7 +95,7 @@ func (c *Cluster) runStorm(p *sim.Proc, b *kbs.Broker, st *stormState) {
 	}
 	at := p.Now()
 	st.at = at
-	st.preDenials = c.denialCounts()
+	st.pre = c.ledger()
 	for _, s := range c.shards {
 		if st.cfg.Generation == "" || s.gen != st.cfg.Generation {
 			continue
@@ -206,24 +207,11 @@ func (c *Cluster) stormObserve(p *sim.Proc, s *HostShard, r *pending, tier fleet
 	}
 }
 
-// denialCounts merges every denial the trust plane has issued so far —
-// dispatch-gate refusals, fleet admission-gate refusals, and broker
-// denials as seen by the fleets — keyed by their reason strings. The
-// storm snapshots it at the instant it fires; the summary reports the
-// delta as the denial spike.
-func (c *Cluster) denialCounts() map[string]int {
-	out := make(map[string]int)
-	for k, v := range c.dispatchDenials {
-		out["dispatch/"+k] += v
-	}
+// ledger sums the dispatch gate's ledger and every fleet's.
+func (c *Cluster) ledger() policy.Ledger {
+	l := c.denials
 	for _, s := range c.shards {
-		met := s.Orch.Metrics()
-		for k, v := range met.Denials {
-			out["kbs/"+k] += v
-		}
-		for k, v := range met.PolicyDenials {
-			out["fleet/"+k] += v
-		}
+		l.Merge(&s.Orch.Metrics().Ledger)
 	}
-	return out
+	return l
 }

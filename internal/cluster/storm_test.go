@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,9 +29,10 @@ func stormFloor() kbs.TCB {
 // runStormScenario replays the acceptance trace — 8 hosts in two chip
 // generations, 512 Zipf boots arriving across the storm, warm pools on
 // — through a generation revocation plus floor bump at virtual 2s, with
-// rolling drift from 1s every 250ms straddling it. Returns the summary,
-// its JSON bytes, and the broker for gate reconciliation.
-func runStormScenario(t *testing.T, policy string) (Summary, []byte, *kbs.Broker) {
+// rolling drift from 1s every 250ms straddling it. Each opt adjusts the
+// config first. Returns the summary, its JSON bytes, and the broker and
+// cluster for gate reconciliation.
+func runStormScenario(t *testing.T, policy string, opts ...func(*Config)) (Summary, []byte, *kbs.Broker, *Cluster) {
 	t.Helper()
 	eng := sim.NewEngine()
 	auth := kbs.NewAuthority(5)
@@ -50,6 +52,9 @@ func runStormScenario(t *testing.T, policy string) (Summary, []byte, *kbs.Broker
 	cfg.Policy, err = PolicyByName(policy, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, opt := range opts {
+		opt(&cfg)
 	}
 	c, err := New(eng, cfg)
 	if err != nil {
@@ -90,15 +95,16 @@ func runStormScenario(t *testing.T, policy string) (Summary, []byte, *kbs.Broker
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum, blob, broker
+	return sum, blob, broker, c
 }
 
 // reconcileGates pins the three-gate ledger on any storm run: the
 // dispatch gate's per-reason map sums to the refused-placement count,
-// every broker denial was observed by exactly one fleet (and vice
-// versa, minus the fleet-local breaker reason), and every failed boot
-// is attributable to the dispatch gate or a fleet-level exhaustion.
-func reconcileGates(t *testing.T, sum Summary, broker *kbs.Broker) {
+// the broker's ledger equals the sum of the fleets' broker-gate ledgers
+// (every broker denial was observed by exactly one fleet, and a fleet
+// observed no breaker fast-fail), and every failed boot is attributable
+// to the dispatch gate or a fleet-level exhaustion.
+func reconcileGates(t *testing.T, c *Cluster, sum Summary, broker *kbs.Broker) {
 	t.Helper()
 	dispatch := 0
 	for _, v := range sum.DispatchDenials {
@@ -112,19 +118,14 @@ func reconcileGates(t *testing.T, sum Summary, broker *kbs.Broker) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for reason, n := range stats.Denials {
-		if got := sum.Denials[reason]; got != n {
-			t.Errorf("broker denied %d %s exchanges, fleets observed %d", n, reason, got)
-		}
+	fleets := c.ledger()
+	observed := fleets.Counts(policy.GateBroker)
+	if n := observed[string(kbs.ReasonUnavailable)]; n != 0 {
+		t.Errorf("unexpected breaker fast-fails in a fault-free run: %d", n)
+		delete(observed, string(kbs.ReasonUnavailable))
 	}
-	for reason, n := range sum.Denials {
-		if reason == string(kbs.ReasonUnavailable) {
-			t.Errorf("unexpected breaker fast-fails in a fault-free run: %d", n)
-			continue
-		}
-		if got := stats.Denials[reason]; got != n {
-			t.Errorf("fleets observed %d %s denials, broker issued %d", n, reason, got)
-		}
+	if !reflect.DeepEqual(stats.Denials, observed) {
+		t.Errorf("broker's ledger %v, fleets' broker-gate ledgers %v", stats.Denials, observed)
 	}
 
 	fleetFailed := 0
@@ -143,8 +144,8 @@ func reconcileGates(t *testing.T, sum Summary, broker *kbs.Broker) {
 // from a revoked donor, and the recovery makespan and warm-pool
 // invalidation cost must land in the JSON summary.
 func TestStormGoldenRun(t *testing.T) {
-	sum, blob, broker := runStormScenario(t, "tcb-aware")
-	_, blob2, _ := runStormScenario(t, "tcb-aware")
+	sum, blob, broker, c := runStormScenario(t, "tcb-aware")
+	_, blob2, _, _ := runStormScenario(t, "tcb-aware")
 	if !bytes.Equal(blob, blob2) {
 		t.Errorf("storm summaries differ across identical runs:\n%s\n%s", blob, blob2)
 	}
@@ -172,15 +173,28 @@ func TestStormGoldenRun(t *testing.T) {
 	if st.Drifted == 0 {
 		t.Error("rolling drift updated no hosts")
 	}
-	if len(st.DenialSpike) == 0 {
-		t.Error("storm produced no denial spike")
+	// The spike is the cluster ledger's difference across the storm
+	// instant, and it holds the storm's own revocations.
+	since := c.ledger()
+	since.Sub(&c.storm.pre)
+	spike := map[string]int{}
+	for _, g := range []policy.Gate{policy.GateDispatch, policy.GateFleet, policy.GateBroker} {
+		for k, n := range since.Counts(g) {
+			spike[g.String()+"/"+k] = n
+		}
+	}
+	if !reflect.DeepEqual(st.DenialSpike, spike) {
+		t.Errorf("denial spike %v, ledger difference %v", st.DenialSpike, spike)
+	}
+	if spike["dispatch/platform/platform-revoked"]+spike["fleet/platform/platform-revoked"]+spike["kbs/revoked"] == 0 {
+		t.Errorf("storm's denial spike %v holds no revocation", spike)
 	}
 	for _, h := range sum.PerHost {
 		if h.Revoked && h.TCB == "" {
 			t.Errorf("%s: revoked host missing TCB in summary", h.Host)
 		}
 	}
-	reconcileGates(t, sum, broker)
+	reconcileGates(t, c, sum, broker)
 }
 
 // TestTCBAwareBeatsRandomUnderDrift pins the placement win: on the
@@ -198,10 +212,10 @@ func TestTCBAwareBeatsRandomUnderDrift(t *testing.T) {
 		}
 		return n
 	}
-	random, _, randomBroker := runStormScenario(t, "random")
-	aware, _, awareBroker := runStormScenario(t, "tcb-aware")
-	reconcileGates(t, random, randomBroker)
-	reconcileGates(t, aware, awareBroker)
+	random, _, randomBroker, randomCluster := runStormScenario(t, "random")
+	aware, _, awareBroker, awareCluster := runStormScenario(t, "tcb-aware")
+	reconcileGates(t, randomCluster, random, randomBroker)
+	reconcileGates(t, awareCluster, aware, awareBroker)
 	if da, dr := denials(aware), denials(random); da >= dr {
 		t.Errorf("tcb-aware saw %d denials, random %d — tcb-aware must be strictly lower", da, dr)
 	}
@@ -259,5 +273,58 @@ func TestStormFilingFaultIsReturned(t *testing.T) {
 	eng.Run()
 	if err := c.Err(); !errors.Is(err, policy.ErrDuplicate) || !strings.Contains(err.Error(), "revoking h0") {
 		t.Fatalf("Err() = %v, want the storm's duplicate revocation of h0", err)
+	}
+}
+
+// revokedSeen passes a host's exchanges through to the broker and keeps
+// every refusal counted as revoked.
+type revokedSeen struct {
+	kbs.Service
+	seen *[]*policy.Denial
+}
+
+func (r revokedSeen) Redeem(req kbs.RedeemRequest, now sim.Time) (*kbs.RedeemResult, error) {
+	res, err := r.Service.Redeem(req, now)
+	if d := policy.DenialOf(err); d != nil && d.Key() == "revoked" {
+		*r.seen = append(*r.seen, d)
+	}
+	return res, err
+}
+
+// TestStormDenialsNameTheirClaims: a refusal names the claim that decided
+// it at every gate. Each broker revoked denial a fleet observes in the
+// storm names the revocation claim the storm filed for that host's chip,
+// and the dispatch gate's refusal of a revoked host names the same claim.
+func TestStormDenialsNameTheirClaims(t *testing.T) {
+	var seen []*policy.Denial
+	_, _, _, c := runStormScenario(t, "random", func(cfg *Config) {
+		cfg.WrapKBS = func(_ int, svc kbs.Service) kbs.Service { return revokedSeen{Service: svc, seen: &seen} }
+	})
+	filed := map[string]bool{}
+	var revoked *HostShard
+	for _, s := range c.Shards() {
+		if s.revoked {
+			filed["revoked-chip-"+s.Name] = true
+			revoked = s
+		}
+	}
+	fleets := c.ledger()
+	if n := fleets.Counts(policy.GateBroker)["revoked"]; n == 0 || n != len(seen) {
+		t.Fatalf("fleets counted %d revoked denials, the wrapper saw %d; want the same, and some", n, len(seen))
+	}
+	for _, d := range seen {
+		if !filed[d.Claim] || d.Gate != policy.GateBroker || d.Rule != policy.RulePlatform {
+			t.Errorf("revoked denial %v names claim %q, gate %v, rule %q; want one of %v", d, d.Claim, d.Gate, d.Rule, filed)
+		}
+	}
+
+	var err error
+	c.eng.Go("dispatch-probe", func(p *sim.Proc) {
+		err = c.admission(p, revoked, &pending{Request: Request{Tenant: "t0"}})
+	})
+	c.eng.Run()
+	d := policy.DenialOf(err)
+	if d == nil || d.Gate != policy.GateDispatch || d.Claim != "revoked-chip-"+revoked.Name {
+		t.Fatalf("dispatch refusal of %s = %v (%+v), want gate dispatch naming revoked-chip-%s", revoked.Name, err, d, revoked.Name)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"github.com/severifast/severifast/internal/artifact"
 	"github.com/severifast/severifast/internal/fleet"
 	"github.com/severifast/severifast/internal/kbs"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/trace"
 )
 
@@ -161,10 +163,10 @@ type Summary struct {
 	// tcb-aware policy's wait-for-drift behaviour under a storm.
 	Deferred int `json:"deferred,omitempty"`
 	// Cluster-level trust-plane aggregates (all omitted when empty):
-	// DispatchDenials is the dispatch gate's per-rule/reason refusals;
-	// Denials, PolicyDenials, and BreakerStates sum the same-named
-	// per-host fleet counters, so the three admission gates reconcile in
-	// one place.
+	// DispatchDenials, Denials and PolicyDenials are the dispatch, broker
+	// and fleet gates' views of one ledger, the dispatch gate's and every
+	// host fleet's summed, so the three admission gates reconcile in one
+	// place; BreakerStates sums the per-host fleet counters.
 	DispatchDenials map[string]int `json:"dispatch_denials,omitempty"`
 	Denials         map[string]int `json:"denials,omitempty"`
 	PolicyDenials   map[string]int `json:"policy_denials,omitempty"`
@@ -242,14 +244,10 @@ func (c *Cluster) Summarize() Summary {
 		for t := fleet.TierWarm; t <= fleet.TierCold; t++ {
 			hs.TierBoots[t.String()] = s.tiers[t]
 		}
-		if len(met.Denials) > 0 {
-			hs.Denials = copyCounts(met.Denials)
-		}
-		if len(met.PolicyDenials) > 0 {
-			hs.PolicyDenials = copyCounts(met.PolicyDenials)
-		}
+		// Metrics builds both views afresh on every call.
+		hs.Denials, hs.PolicyDenials = met.Denials, met.PolicyDenials
 		if len(met.BreakerTransitions) > 0 {
-			hs.BreakerStates = copyCounts(met.BreakerTransitions)
+			hs.BreakerStates = maps.Clone(met.BreakerTransitions)
 		}
 		if c.cfg.Generations > 1 {
 			hs.Generation = s.gen
@@ -262,14 +260,18 @@ func (c *Cluster) Summarize() Summary {
 		hs.Reattests = met.Reattests
 		hs.ReattestQueuePeak = met.ReattestQueuePeak
 		hs.WarmInvalidated = met.WarmInvalidated
-		mergeCounts(&sum.Denials, met.Denials)
-		mergeCounts(&sum.PolicyDenials, met.PolicyDenials)
-		mergeCounts(&sum.BreakerStates, met.BreakerTransitions)
+		for k, v := range met.BreakerTransitions {
+			if sum.BreakerStates == nil {
+				sum.BreakerStates = make(map[string]int)
+			}
+			sum.BreakerStates[k] += v
+		}
 		sum.PerHost = append(sum.PerHost, hs)
 	}
-	if len(c.dispatchDenials) > 0 {
-		sum.DispatchDenials = copyCounts(c.dispatchDenials)
-	}
+	trust := c.ledger()
+	sum.DispatchDenials = trust.Counts(policy.GateDispatch)
+	sum.Denials = trust.Counts(policy.GateBroker)
+	sum.PolicyDenials = trust.Counts(policy.GateFleet)
 	if st := c.storm; st != nil && st.fired {
 		sum.Storm = c.stormSummary(st)
 	}
@@ -296,12 +298,14 @@ func (c *Cluster) stormSummary(st *stormState) *StormSummary {
 	if st.greenAt > 0 || st.pendingGreen == 0 {
 		ss.MakespanToGreenNs = int64(st.greenAt.Sub(st.at))
 	}
-	for k, v := range c.denialCounts() {
-		if d := v - st.preDenials[k]; d > 0 {
+	spike := c.ledger()
+	spike.Sub(&st.pre)
+	for _, g := range []policy.Gate{policy.GateDispatch, policy.GateFleet, policy.GateBroker} {
+		for k, n := range spike.Counts(g) {
 			if ss.DenialSpike == nil {
 				ss.DenialSpike = make(map[string]int)
 			}
-			ss.DenialSpike[k] = d
+			ss.DenialSpike[g.String()+"/"+k] = n
 		}
 	}
 	for _, s := range c.shards {
@@ -313,28 +317,6 @@ func (c *Cluster) stormSummary(st *stormState) *StormSummary {
 		}
 	}
 	return ss
-}
-
-// mergeCounts sums src into *dst, allocating it on first use so empty
-// aggregates stay omitted from the JSON.
-func mergeCounts(dst *map[string]int, src map[string]int) {
-	if len(src) == 0 {
-		return
-	}
-	if *dst == nil {
-		*dst = make(map[string]int)
-	}
-	for k, v := range src {
-		(*dst)[k] += v
-	}
-}
-
-func copyCounts(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // Report renders a human-readable account of the run: the cluster

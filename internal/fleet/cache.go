@@ -103,7 +103,7 @@ type CacheStats struct {
 	// HashedBytes counts image bytes hashed by measurement passes (the
 	// uncached cold boots' in-band hashing work).
 	HashedBytes uint64
-	// Evictions counts entries removed by Evict — the degraded-mode
+	// Evictions counts entries removed by evict — the degraded-mode
 	// policy discarding entries it proved poisoned.
 	Evictions uint64
 	Entries   int
@@ -213,12 +213,12 @@ func (c *Cache) Plan(key Key, hashes measure.ComponentHashes, spec ImageSpec) (*
 	return mi, nil
 }
 
-// Evict removes a published entry, reporting whether it was present. The
+// evict removes a published entry, reporting whether it was present. The
 // degraded-mode boot policy uses it to discard an entry it has proved
 // poisoned (the entry's prediction disagrees with a launch measured from
 // bytes that still match their registration hashes); the next boot of the
 // key replans from ground truth.
-func (c *Cache) Evict(key Key) bool {
+func (c *Cache) evict(key Key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; !ok {

@@ -437,7 +437,11 @@ func (o *Orchestrator) Serve(p *sim.Proc, req Request) {
 }
 
 // Metrics exposes the registry; read it after eng.Run returns.
-func (o *Orchestrator) Metrics() *Metrics { return o.met }
+func (o *Orchestrator) Metrics() *Metrics {
+	o.met.Denials = o.met.Ledger.Counts(policy.GateBroker)
+	o.met.PolicyDenials = o.met.Ledger.Counts(policy.GateFleet)
+	return o.met
+}
 
 // Reenroll swaps the host's platform identity — the rolling-update step
 // where a host's firmware moves to a new TCB and its PSP is re-enrolled
@@ -882,7 +886,8 @@ func (o *Orchestrator) admission(p *sim.Proc, r *request) error {
 	cert, err := o.cfg.Admission.Evaluate(ev, now)
 	if err != nil {
 		if d := policy.DenialOf(err); d != nil {
-			o.met.policyDenied(d.Rule, string(d.Reason))
+			d.Gate = policy.GateFleet
+			o.met.denied(d)
 		}
 		return fmt.Errorf("fleet: admission refused for tenant %q: %w", r.Tenant, err)
 	}
@@ -932,7 +937,7 @@ func (o *Orchestrator) degradedRecover(p *sim.Proc, r *request, img *Image, mism
 	if fresh != img.hashes {
 		return TierCold, nil, fmt.Errorf("fleet: degraded-mode check: image bytes diverge from registration hashes: %w", mismatch)
 	}
-	o.cfg.Cache.Evict(img.key)
+	o.cfg.Cache.evict(img.key)
 	o.met.degraded()
 	mi, err := o.cfg.Cache.Plan(img.key, img.hashes, img.spec)
 	if err != nil {
@@ -1038,7 +1043,7 @@ func (o *Orchestrator) attestExchange(p *sim.Proc, r *request, m *kvm.Machine) e
 		// The refusal is a kbs "unavailable" denial — deterministic, so
 		// the request fails fast instead of burning its retry budget.
 		o.met.breakerFastFail()
-		o.met.denial(string(kbs.ReasonUnavailable))
+		o.met.denied(kbs.ErrUnavailable)
 		return fmt.Errorf("fleet: circuit breaker open: %w", kbs.ErrUnavailable)
 	}
 	start := p.Now()
@@ -1050,8 +1055,8 @@ func (o *Orchestrator) attestExchange(p *sim.Proc, r *request, m *kvm.Machine) e
 	outcome := "granted"
 	if err != nil {
 		outcome = "denied"
-		if reason := kbs.ReasonOf(err); reason != "" {
-			outcome = string(reason)
+		if d := policy.DenialOf(err); d != nil && d.Gate == policy.GateBroker {
+			outcome = d.Key()
 		}
 	}
 	// The broker's side of the exchange, on its own track, so the trace
@@ -1137,10 +1142,7 @@ func (o *Orchestrator) brokerErr(p *sim.Proc, err error) error {
 	if o.brk != nil {
 		o.brk.success()
 	}
-	reason := string(kbs.ReasonOf(err))
-	if reason == "" {
-		reason = "error"
-	}
-	o.met.denial(reason)
+	// Only a *policy.Denial matches kbs.ErrDenied, so one is in the chain.
+	o.met.denied(policy.DenialOf(err))
 	return err
 }

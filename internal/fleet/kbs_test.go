@@ -11,6 +11,7 @@ import (
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sim"
 )
@@ -115,12 +116,12 @@ func TestKBSDenialSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		reason kbs.Reason
+		reason policy.Reason
 		tcb    kbs.TCB
 		revoke bool
 	}{
-		{kbs.ReasonStaleTCB, stale, false},
-		{kbs.ReasonRevoked, fleetTCB, true},
+		{"stale-tcb", stale, false},
+		{"revoked", fleetTCB, true},
 	} {
 		t.Run(string(tc.reason), func(t *testing.T) {
 			eng, o, img, broker := kbsFleetAt(t, Config{
@@ -158,7 +159,7 @@ func TestKBSDenialSites(t *testing.T) {
 			if want := fmt.Sprintf("%s=%d", tc.reason, arrivals); !strings.Contains(report, want) {
 				t.Fatalf("report missing denial counter %s:\n%s", want, report)
 			}
-			if err := o.Err(); kbs.ReasonOf(err) != tc.reason || !errors.Is(err, kbs.ErrDenied) {
+			if err := o.Err(); keyOf(err) != tc.reason || !errors.Is(err, kbs.ErrDenied) {
 				t.Fatalf("Err() = %v, want the %s denial", err, tc.reason)
 			}
 		})
@@ -213,7 +214,7 @@ func TestKBSUnknownTenantFailsDeterministically(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown tenant was granted")
 	}
-	if kbs.ReasonOf(err) != kbs.ReasonTenant || !errors.Is(err, kbs.ErrDenied) {
+	if keyOf(err) != kbs.ReasonTenant || !errors.Is(err, kbs.ErrDenied) {
 		t.Fatalf("error %v is not a tenant denial", err)
 	}
 	m := o.Metrics()
@@ -311,8 +312,8 @@ func TestKBSRefStoreHoldsOnlyMeasuredDigests(t *testing.T) {
 	if err := o.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := kbs.ReasonOf(denial); got != kbs.ReasonMeasurement {
-		t.Fatalf("initial-digest redeem: reason %q (err %v), want %q", got, denial, kbs.ReasonMeasurement)
+	if got := keyOf(denial); got != "measurement" {
+		t.Fatalf("initial-digest redeem: reason %q (err %v), want %q", got, denial, "measurement")
 	}
 	bs, err := broker.Stats()
 	if err != nil {
@@ -324,4 +325,13 @@ func TestKBSRefStoreHoldsOnlyMeasuredDigests(t *testing.T) {
 	if bs.Grants != 2*images {
 		t.Fatalf("broker granted %d, want %d", bs.Grants, 2*images)
 	}
+}
+
+// keyOf is the key a refusal is counted under, or "" for an error that
+// is no refusal.
+func keyOf(err error) policy.Reason {
+	if d := policy.DenialOf(err); d != nil {
+		return policy.Reason(d.Key())
+	}
+	return ""
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/telemetry"
 	"github.com/severifast/severifast/internal/trace"
 )
@@ -73,11 +74,12 @@ type Metrics struct {
 	// unwrapped) per granted boot.
 	Attested      int
 	AttestLatency trace.Series
-	// Denials counts key-broker refusals by reason (kbs.Reason strings).
-	Denials map[string]int
-	// PolicyDenials counts admission-gate refusals from the policy
-	// engine, keyed "rule/reason" (e.g. "platform/tcb-below-floor").
+	// Denials ("stale-tcb") and PolicyDenials ("platform/tcb-below-floor")
+	// are the broker and fleet gates' views of Ledger, every refusal this
+	// fleet issued or observed; Orchestrator.Metrics fills them.
+	Denials       map[string]int
 	PolicyDenials map[string]int
+	Ledger        policy.Ledger `json:"-"`
 
 	// DeadlineExceeded counts requests abandoned because their per-boot
 	// virtual-time budget (Config.BootDeadline) ran out.
@@ -183,21 +185,15 @@ func (m *Metrics) attested(d time.Duration) {
 	m.reg.Series("severifast_fleet_attest_latency_seconds").Observe(d)
 }
 
-func (m *Metrics) denial(reason string) {
-	if m.Denials == nil {
-		m.Denials = make(map[string]int)
+// denied counts one refusal, at the broker gate or the fleet's own.
+func (m *Metrics) denied(d *policy.Denial) {
+	m.Ledger.Add(d)
+	if d.Gate == policy.GateBroker {
+		m.reg.Counter("severifast_fleet_denials_total", telemetry.A("reason", d.Key())).Inc()
+		return
 	}
-	m.Denials[reason]++
-	m.reg.Counter("severifast_fleet_denials_total", telemetry.A("reason", reason)).Inc()
-}
-
-func (m *Metrics) policyDenied(rule, reason string) {
-	if m.PolicyDenials == nil {
-		m.PolicyDenials = make(map[string]int)
-	}
-	m.PolicyDenials[rule+"/"+reason]++
 	m.reg.Counter("severifast_fleet_policy_denials_total",
-		telemetry.A("reason", reason), telemetry.A("rule", rule)).Inc()
+		telemetry.A("reason", string(d.Reason)), telemetry.A("rule", d.Rule)).Inc()
 }
 
 func (m *Metrics) deadline() {
@@ -288,16 +284,7 @@ func (m *Metrics) Report(cache CacheStats, width int) string {
 			m.DeadlineExceeded, m.Degraded)
 	}
 	if len(m.BreakerTransitions) > 0 || m.BreakerFastFails > 0 {
-		states := make([]string, 0, len(m.BreakerTransitions))
-		for s := range m.BreakerTransitions {
-			states = append(states, s)
-		}
-		sort.Strings(states)
-		fmt.Fprintf(&sb, "  breaker: %d fast-fails, transitions", m.BreakerFastFails)
-		for _, s := range states {
-			fmt.Fprintf(&sb, " %s=%d", s, m.BreakerTransitions[s])
-		}
-		sb.WriteByte('\n')
+		writeCounts(&sb, fmt.Sprintf("  breaker: %d fast-fails, transitions", m.BreakerFastFails), m.BreakerTransitions)
 	}
 	if m.Reenrolls > 0 || m.Reattests > 0 || m.WarmInvalidated > 0 {
 		fmt.Fprintf(&sb, "  storm: %d reenrolls, %d reattests (queue peak %d), %d warm invalidations\n",
@@ -308,41 +295,13 @@ func (m *Metrics) Report(cache CacheStats, width int) string {
 			m.AttestLatency.Percentile(50).Round(10*time.Microsecond),
 			m.AttestLatency.Percentile(99).Round(10*time.Microsecond))
 	}
-	if len(m.Denials) > 0 {
-		reasons := make([]string, 0, len(m.Denials))
-		for r := range m.Denials {
-			reasons = append(reasons, r)
+	for _, c := range []struct {
+		head   string
+		counts map[string]int
+	}{{"  denials:", m.Denials}, {"  policy denials:", m.PolicyDenials}, {"  tenants:", m.PerTenant}} {
+		if len(c.counts) > 0 {
+			writeCounts(&sb, c.head, c.counts)
 		}
-		sort.Strings(reasons)
-		sb.WriteString("  denials:")
-		for _, r := range reasons {
-			fmt.Fprintf(&sb, " %s=%d", r, m.Denials[r])
-		}
-		sb.WriteByte('\n')
-	}
-	if len(m.PolicyDenials) > 0 {
-		keys := make([]string, 0, len(m.PolicyDenials))
-		for k := range m.PolicyDenials {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sb.WriteString("  policy denials:")
-		for _, k := range keys {
-			fmt.Fprintf(&sb, " %s=%d", k, m.PolicyDenials[k])
-		}
-		sb.WriteByte('\n')
-	}
-	if len(m.PerTenant) > 0 {
-		tenants := make([]string, 0, len(m.PerTenant))
-		for t := range m.PerTenant {
-			tenants = append(tenants, t)
-		}
-		sort.Strings(tenants)
-		sb.WriteString("  tenants:")
-		for _, t := range tenants {
-			fmt.Fprintf(&sb, " %s=%d", t, m.PerTenant[t])
-		}
-		sb.WriteByte('\n')
 	}
 	for t := Tier(0); t < numTiers; t++ {
 		if len(m.Latency[t]) > 1 {
@@ -350,4 +309,19 @@ func (m *Metrics) Report(cache CacheStats, width int) string {
 		}
 	}
 	return sb.String()
+}
+
+// writeCounts writes head and then every count of m, sorted by key, as
+// one line.
+func writeCounts(sb *strings.Builder, head string, m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	sb.WriteString(head)
+	for _, k := range keys {
+		fmt.Fprintf(sb, " %s=%d", k, m[k])
+	}
+	sb.WriteByte('\n')
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/severifast/severifast/internal/kbs"
 	"github.com/severifast/severifast/internal/kernelgen"
 	"github.com/severifast/severifast/internal/kvm"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 )
 
@@ -192,7 +193,7 @@ func TestRetryableSentinels(t *testing.T) {
 			t.Fatalf("%v not retryable", err)
 		}
 	}
-	if retryable(&kbs.Denial{Reason: kbs.ReasonStaleTCB}) || retryable(errors.New("deterministic")) {
+	if retryable(&policy.Denial{Gate: policy.GateBroker, Rule: policy.RulePlatform, Reason: policy.ReasonTCBFloor}) || retryable(errors.New("deterministic")) {
 		t.Fatal("deterministic errors classified transient")
 	}
 }

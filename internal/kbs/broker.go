@@ -26,7 +26,7 @@ const DefaultNonceTTL = time.Second
 type Config struct {
 	// MinTCB is the initial minimum platform TCB, filed as the store's
 	// floor claim (Policy().BumpFloor raises it); VCEKs minted below the
-	// floor are denied with ReasonStaleTCB. Zero accepts any TCB.
+	// floor are denied as stale-tcb. Zero accepts any TCB.
 	MinTCB TCB
 	// MinPolicy are the guest policy bits that must be set (only the
 	// boolean gates are enforced, by CheckFloors).
@@ -114,6 +114,7 @@ type Broker struct {
 	nonces   map[[32]byte]nonceRec
 	verdicts map[verdictKey]verdictRec
 	stats    Stats
+	denials  policy.Ledger // Stats.Denials' table
 	reg      *telemetry.Registry
 }
 
@@ -265,7 +266,7 @@ func (b *Broker) Challenge(tenant string, now sim.Time) (Challenge, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, ok := b.tenants[tenant]; !ok {
-		return Challenge{}, deny(ReasonTenant, "unknown tenant %q", tenant)
+		return Challenge{}, refusal(ReasonTenant, nil, "unknown tenant %q", tenant)
 	}
 	for n, rec := range b.nonces {
 		if now > rec.expires {
@@ -282,10 +283,10 @@ func (b *Broker) Challenge(tenant string, now sim.Time) (Challenge, error) {
 }
 
 // BindReportData is the report user-data layout both sides compute: the
-// first half binds the guest's ephemeral public key (compatible with
-// attest.Agent.ReportData), the second half binds the challenge nonce, so
-// a report can neither be replayed under a new nonce nor redeemed for a
-// key it was not minted with.
+// first half binds the guest's ephemeral public key (as the one-shot
+// agent's report data does), the second half binds the challenge nonce,
+// so a report can neither be replayed under a new nonce nor redeemed for
+// a key it was not minted with.
 func BindReportData(nonce [32]byte, guestPub []byte) [64]byte {
 	var rd [64]byte
 	key := sha256.Sum256(guestPub)
@@ -299,19 +300,16 @@ func BindReportData(nonce [32]byte, guestPub []byte) [64]byte {
 
 // Redeem runs the full relying-party check sequence over one exchange
 // and, if every gate passes, wraps the tenant secret for the attested
-// guest key. Each denial carries a distinct Reason; the order below is
-// cheapest-first and fails before any cached verdict could mask a
-// per-exchange check.
+// guest key. Each refusal is a broker-gate *policy.Denial; the order
+// below is cheapest-first and fails before any cached verdict could mask
+// a per-exchange check.
 func (b *Broker) Redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) {
 	res, err := b.redeem(req, now)
 	b.mu.Lock()
 	if err != nil {
-		if r := ReasonOf(err); r != "" {
-			if b.stats.Denials == nil {
-				b.stats.Denials = make(map[string]int)
-			}
-			b.stats.Denials[string(r)]++
-			b.reg.Counter("severifast_kbs_denials_total", telemetry.A("reason", string(r))).Inc()
+		if d := policy.DenialOf(err); d != nil {
+			b.denials.Add(d)
+			b.reg.Counter("severifast_kbs_denials_total", telemetry.A("reason", d.Key())).Inc()
 		}
 	} else {
 		b.stats.Grants++
@@ -331,21 +329,21 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 	delete(b.nonces, req.Nonce)
 	b.mu.Unlock()
 	if !tenantOK {
-		return nil, deny(ReasonTenant, "unknown tenant %q", req.Tenant)
+		return nil, refusal(ReasonTenant, nil, "unknown tenant %q", req.Tenant)
 	}
 	if !nonceOK {
-		return nil, deny(ReasonReplay, "nonce unknown or already redeemed")
+		return nil, refusal(ReasonReplay, nil, "nonce unknown or already redeemed")
 	}
 	if rec.tenant != req.Tenant {
-		return nil, deny(ReasonTenant, "nonce issued to %q, redeemed by %q", rec.tenant, req.Tenant)
+		return nil, refusal(ReasonTenant, nil, "nonce issued to %q, redeemed by %q", rec.tenant, req.Tenant)
 	}
 	if now > rec.expires {
-		return nil, deny(ReasonExpired, "nonce expired at %v, redeemed at %v", rec.expires, now)
+		return nil, refusal(ReasonExpired, nil, "nonce expired at %v, redeemed at %v", rec.expires, now)
 	}
 	// The guest key is host-relayed: refuse a wrong-size one before any
 	// crypto, so it cannot reach the wrap as an unreasoned ECDH failure.
 	if len(req.GuestPub) != 32 {
-		return nil, deny(ReasonMalformed, "guest key is %d bytes, want 32", len(req.GuestPub))
+		return nil, refusal(ReasonMalformed, nil, "guest key is %d bytes, want 32", len(req.GuestPub))
 	}
 
 	// Endorsement chain: parse + walk to the pinned root (cached by
@@ -358,7 +356,7 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 
 	r, err := psp.UnmarshalReport(req.Report)
 	if err != nil {
-		return nil, denyCause(ReasonMalformed, err, "report: %v", err)
+		return nil, refusal(ReasonMalformed, err, "report: %v", err)
 	}
 
 	// Policy/TCB/measurement verdict, cached per (chip, TCB, digest,
@@ -402,7 +400,12 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 			Measurement: r.Measurement[:],
 		}, now)
 		if err != nil {
-			return nil, mapPolicyDenial(err)
+			// The engine's own verdict, stamped: its rule, reason and
+			// claim reach the caller as the engine gave them.
+			if d := policy.DenialOf(err); d != nil {
+				d.Gate = policy.GateBroker
+			}
+			return nil, err
 		}
 		b.mu.Lock()
 		b.verdicts[vk] = verdictRec{version: cert.Version, expires: cert.Expires}
@@ -413,10 +416,10 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 	// chain's VCEK, and the binding of nonce + guest key into the
 	// report's user data.
 	if err := psp.VerifyReport(chain.VCEK.Key(), r); err != nil {
-		return nil, denyCause(ReasonForged, err, "%v", err)
+		return nil, refusal(ReasonForged, err, "%v", err)
 	}
 	if r.ReportData != BindReportData(req.Nonce, req.GuestPub) {
-		return nil, deny(ReasonBinding, "report data does not bind nonce and guest key")
+		return nil, refusal(ReasonBinding, nil, "report data does not bind nonce and guest key")
 	}
 
 	b.mu.Lock()
@@ -434,36 +437,15 @@ func (b *Broker) redeem(req RedeemRequest, now sim.Time) (*RedeemResult, error) 
 // Config's floors with it, and the simulated one-shot exchange its own.
 func CheckFloors(r *psp.Report, minLevel sev.Level, minPolicy sev.Policy) error {
 	if r.Level < minLevel {
-		return deny(ReasonPolicy, "level %v below minimum %v", r.Level, minLevel)
+		return refusal(ReasonPolicy, nil, "level %v below minimum %v", r.Level, minLevel)
 	}
 	pol := sev.DecodePolicy(r.Policy)
 	if (minPolicy.NoDebug && !pol.NoDebug) ||
 		(minPolicy.NoKeySharing && !pol.NoKeySharing) ||
 		(minPolicy.ESRequired && !pol.ESRequired) {
-		return deny(ReasonPolicy, "guest policy %+v below floor", pol)
+		return refusal(ReasonPolicy, nil, "guest policy %+v below floor", pol)
 	}
 	return nil
-}
-
-// mapPolicyDenial translates a policy-engine denial into the broker's
-// historic reason taxonomy, keeping the policy denial in the cause chain
-// so errors.Is(err, policy.ErrDenied) still holds for callers that care
-// which layer refused.
-func mapPolicyDenial(err error) error {
-	d := policy.DenialOf(err)
-	if d == nil {
-		return err
-	}
-	switch {
-	case d.Reason == policy.ReasonTCBFloor:
-		return denyCause(ReasonStaleTCB, err, "%s", d.Detail)
-	case d.Reason == policy.ReasonRevoked:
-		return denyCause(ReasonRevoked, err, "%s", d.Detail)
-	case d.Rule == policy.RuleMeasurement:
-		return denyCause(ReasonMeasurement, err, "%s", d.Detail)
-	default:
-		return denyCause(ReasonPolicy, err, "%s", d.Detail)
-	}
 }
 
 // Stats snapshots the broker counters.
@@ -471,10 +453,7 @@ func (b *Broker) Stats() (Stats, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := b.stats
-	s.Denials = make(map[string]int, len(b.stats.Denials))
-	for k, v := range b.stats.Denials {
-		s.Denials[k] = v
-	}
+	s.Denials = b.denials.Counts(policy.GateBroker)
 	s.ChainHits, s.ChainMiss = b.verifier.CacheStats()
 	refs, revokedRefs := b.pol.CountKind(policy.KindMeasurement)
 	s.RefValues = refs - revokedRefs

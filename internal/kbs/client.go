@@ -14,10 +14,8 @@ import (
 
 // Client speaks the broker protocol against a remote broker: sevf-attestd,
 // or a facade GuestOwner. It implements Service, so a fleet is indifferent to
-// whether the broker is in process or across the network — and denial
-// reasons survive the round trip: kbs.ReasonOf(err) == ReasonStaleTCB
-// holds on the client side exactly when the remote broker denied for
-// that reason.
+// whether the broker is in process or across the network — and a denial
+// survives the round trip, all but its certificate and cause.
 type Client struct {
 	// Base is the server URL, e.g. "http://127.0.0.1:8553".
 	Base string
@@ -27,7 +25,7 @@ var _ Service = (*Client)(nil)
 
 // call sends req as JSON to path (a GET when req is nil) and decodes the
 // reply into resp, if any. A 403 carrying a reason comes back as the
-// remote broker's *Denial.
+// remote broker's *policy.Denial.
 func (c *Client) call(path string, req, resp any) error {
 	var r *http.Response
 	var err error
@@ -51,7 +49,8 @@ func (c *Client) call(path string, req, resp any) error {
 	if r.StatusCode == http.StatusForbidden {
 		var d denialBody
 		if json.Unmarshal(raw, &d) == nil && d.Reason != "" {
-			return &Denial{Reason: Reason(d.Reason), Detail: d.Detail}
+			return &policy.Denial{Gate: policy.GateBroker, Rule: d.Rule, Reason: policy.Reason(d.Reason),
+				Detail: d.Detail, Claim: d.Claim}
 		}
 	}
 	if r.StatusCode != http.StatusOK {

@@ -22,112 +22,54 @@
 //     check: signatures and nonce binding are verified on every redeem
 //     (verifier.go, broker.go).
 //
-// Every denial carries a distinct Reason so callers (the fleet
-// orchestrator's denial counters, the chaos oracle, tests, operators)
-// can count and assert *why* an exchange was refused, not just that it
-// failed.
+// Every refusal is a broker-gate *policy.Denial, with a Reason below or
+// the engine's own verdict, so callers count and assert *why* an
+// exchange was refused by its Key, not just that it failed.
 package kbs
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/sim"
 )
 
-// Reason classifies why the broker refused an exchange. The string form
-// is stable: it keys denial counters in fleet reports and the HTTP wire
-// format.
-type Reason string
-
-// Denial reasons, one per enforcement step.
+// The broker's own refusals, one per check it runs itself; an engine
+// verdict keeps the engine's reason.
 const (
-	ReasonTenant      Reason = "tenant"      // unknown tenant or nonce/tenant mismatch
-	ReasonReplay      Reason = "replay"      // nonce unknown or already consumed
-	ReasonExpired     Reason = "expired"     // nonce past its TTL
-	ReasonMalformed   Reason = "malformed"   // report or chain bytes fail to parse
-	ReasonForged      Reason = "forged"      // chain or report signature invalid
-	ReasonRevoked     Reason = "revoked"     // VCEK's chip ID is on the revocation list
-	ReasonStaleTCB    Reason = "stale-tcb"   // VCEK minted below the minimum TCB
-	ReasonPolicy      Reason = "policy"      // guest policy/level below the floor
-	ReasonMeasurement Reason = "measurement" // launch digest not in the reference store
-	ReasonBinding     Reason = "binding"     // report data does not bind nonce+guest key
+	ReasonTenant    policy.Reason = "tenant"    // unknown tenant or nonce/tenant mismatch
+	ReasonReplay    policy.Reason = "replay"    // nonce unknown or already consumed
+	ReasonExpired   policy.Reason = "expired"   // nonce past its TTL
+	ReasonMalformed policy.Reason = "malformed" // report or chain bytes fail to parse
+	ReasonForged    policy.Reason = "forged"    // chain or report signature invalid
+	ReasonBinding   policy.Reason = "binding"   // report data does not bind nonce+guest key
+	ReasonPolicy    policy.Reason = "policy"    // guest policy/level below the floor (CheckFloors)
 	// ReasonUnavailable is not a broker verdict: it marks an exchange the
 	// caller refused to attempt because the broker is considered down
 	// (the fleet's circuit breaker fast-failing while open). It lives in
 	// the denial taxonomy so breaker refusals classify as attestation
 	// denials — the boot was refused a key — while staying countable
 	// apart from genuine policy verdicts.
-	ReasonUnavailable Reason = "unavailable"
+	ReasonUnavailable policy.Reason = "unavailable"
 )
 
 // ErrDenied matches every broker denial: errors.Is(err, ErrDenied) is
 // true exactly when the broker refused the exchange (as opposed to an
 // internal or transport failure).
-var ErrDenied = errors.New("kbs: denied")
+var ErrDenied error = &policy.Denial{Gate: policy.GateBroker}
 
-// Sentinels for errors.Is against a specific reason, e.g.
+// Sentinels for errors.Is against one key, e.g.
 // errors.Is(err, kbs.ErrReplay).
 var (
-	ErrReplay      = &Denial{Reason: ReasonReplay}
-	ErrExpired     = &Denial{Reason: ReasonExpired}
-	ErrMeasurement = &Denial{Reason: ReasonMeasurement}
-	ErrUnavailable = &Denial{Reason: ReasonUnavailable}
+	ErrReplay      = &policy.Denial{Gate: policy.GateBroker, Reason: ReasonReplay}
+	ErrExpired     = &policy.Denial{Gate: policy.GateBroker, Reason: ReasonExpired}
+	ErrMeasurement = &policy.Denial{Gate: policy.GateBroker, Reason: policy.ReasonMeasurementUnknown}
+	ErrUnavailable = &policy.Denial{Gate: policy.GateBroker, Reason: ReasonUnavailable}
 )
 
-// Denial is a refusal with its reason. It matches ErrDenied and any
-// Denial with the same Reason under errors.Is.
-type Denial struct {
-	Reason Reason
-	Detail string
-	// Cause, when non-nil, is the underlying error behind the refusal
-	// (e.g. the parse failure behind a malformed denial), reachable
-	// through errors.Is/As via Unwrap. Detail stays the stable wire/log
-	// string; Cause preserves the chain for programmatic classification.
-	Cause error
-}
-
-// Error implements error.
-func (d *Denial) Error() string {
-	if d.Detail == "" {
-		return fmt.Sprintf("kbs: denied (%s)", d.Reason)
-	}
-	return fmt.Sprintf("kbs: denied (%s): %s", d.Reason, d.Detail)
-}
-
-// Is matches ErrDenied and same-reason Denials.
-func (d *Denial) Is(target error) bool {
-	if target == ErrDenied {
-		return true
-	}
-	t, ok := target.(*Denial)
-	return ok && t.Reason == d.Reason
-}
-
-// Unwrap exposes the underlying cause, if any.
-func (d *Denial) Unwrap() error { return d.Cause }
-
-// deny builds a reasoned denial.
-func deny(r Reason, format string, args ...any) error {
-	return &Denial{Reason: r, Detail: fmt.Sprintf(format, args...)}
-}
-
-// denyCause builds a reasoned denial that keeps err reachable through
-// the error chain, so callers can classify by the root failure (e.g.
-// psp parse sentinels behind a malformed denial) and not only by reason.
-func denyCause(r Reason, err error, format string, args ...any) error {
-	return &Denial{Reason: r, Detail: fmt.Sprintf(format, args...), Cause: err}
-}
-
-// ReasonOf extracts the denial reason from an error chain, or "" if the
-// error is not a broker denial.
-func ReasonOf(err error) Reason {
-	var d *Denial
-	if errors.As(err, &d) {
-		return d.Reason
-	}
-	return ""
+// refusal is the broker's own refusal for reason r.
+func refusal(r policy.Reason, cause error, format string, args ...any) error {
+	return &policy.Denial{Gate: policy.GateBroker, Reason: r, Detail: fmt.Sprintf(format, args...), Cause: cause}
 }
 
 // Challenge is a freshness nonce issued to one tenant. The guest must
@@ -167,7 +109,7 @@ type RedeemResult struct {
 type Stats struct {
 	Challenges int
 	Grants     int
-	Denials    map[string]int // reason -> count
+	Denials    map[string]int // Denial.Key -> count, nil when none
 	ChainHits  int
 	ChainMiss  int
 	VerdictHit int

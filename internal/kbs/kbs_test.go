@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"github.com/severifast/severifast/internal/costmodel"
 	"github.com/severifast/severifast/internal/guestmem"
 	"github.com/severifast/severifast/internal/kbs"
+	"github.com/severifast/severifast/internal/policy"
 	"github.com/severifast/severifast/internal/psp"
 	"github.com/severifast/severifast/internal/sev"
 	"github.com/severifast/severifast/internal/sim"
@@ -233,7 +235,7 @@ func TestDenialReasons(t *testing.T) {
 
 	t.Run("tenant", func(t *testing.T) {
 		b := setup(base)
-		if _, err := b.Challenge("nobody", 0); kbs.ReasonOf(err) != kbs.ReasonTenant {
+		if _, err := b.Challenge("nobody", 0); keyOf(err) != kbs.ReasonTenant {
 			t.Fatalf("err = %v", err)
 		}
 		// A nonce issued to one tenant cannot be redeemed by another.
@@ -241,7 +243,7 @@ func TestDenialReasons(t *testing.T) {
 			b.AddTenant("mallory", []byte("m"))
 			req.Tenant = "mallory"
 		})
-		if kbs.ReasonOf(err) != kbs.ReasonTenant {
+		if keyOf(err) != kbs.ReasonTenant {
 			t.Fatalf("cross-tenant redeem: %v", err)
 		}
 	})
@@ -287,13 +289,13 @@ func TestDenialReasons(t *testing.T) {
 		_, _, err := exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.Chain = []byte("junk")
 		})
-		if kbs.ReasonOf(err) != kbs.ReasonMalformed {
+		if keyOf(err) != kbs.ReasonMalformed {
 			t.Fatalf("junk chain: %v", err)
 		}
 		_, _, err = exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.Report = req.Report[:10]
 		})
-		if kbs.ReasonOf(err) != kbs.ReasonMalformed {
+		if keyOf(err) != kbs.ReasonMalformed {
 			t.Fatalf("truncated report: %v", err)
 		}
 	})
@@ -304,7 +306,7 @@ func TestDenialReasons(t *testing.T) {
 		_, _, err := exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.Report[len(req.Report)-1] ^= 0xFF
 		})
-		if kbs.ReasonOf(err) != kbs.ReasonForged {
+		if keyOf(err) != kbs.ReasonForged {
 			t.Fatalf("flipped signature: %v", err)
 		}
 		// Self-minted chain from a hierarchy outside the pinned root.
@@ -312,7 +314,7 @@ func TestDenialReasons(t *testing.T) {
 		_, _, err = exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.Chain = rogue.ChainFor("chip-0", currentTCB).Marshal()
 		})
-		if kbs.ReasonOf(err) != kbs.ReasonForged {
+		if keyOf(err) != kbs.ReasonForged {
 			t.Fatalf("rogue chain: %v", err)
 		}
 	})
@@ -323,7 +325,7 @@ func TestDenialReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, pl, "acme", 0, nil)
-		if kbs.ReasonOf(err) != kbs.ReasonRevoked {
+		if keyOf(err) != "revoked" {
 			t.Fatalf("revoked chip: %v", err)
 		}
 	})
@@ -338,7 +340,7 @@ func TestDenialReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, stale, "acme", 0, nil)
-		if kbs.ReasonOf(err) != kbs.ReasonStaleTCB {
+		if keyOf(err) != "stale-tcb" {
 			t.Fatalf("stale TCB: %v", err)
 		}
 		// The same broker still grants to a current platform.
@@ -358,7 +360,7 @@ func TestDenialReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := exchange(t, b, weak, "acme", 0, nil)
-		if kbs.ReasonOf(err) != kbs.ReasonPolicy {
+		if keyOf(err) != kbs.ReasonPolicy {
 			t.Fatalf("weak policy: %v", err)
 		}
 		low := launch(t, auth, "chip-low", currentTCB, sev.ES,
@@ -367,7 +369,7 @@ func TestDenialReasons(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err = exchange(t, b, low, "acme", 0, nil)
-		if kbs.ReasonOf(err) != kbs.ReasonPolicy {
+		if keyOf(err) != kbs.ReasonPolicy {
 			t.Fatalf("low level: %v", err)
 		}
 	})
@@ -386,7 +388,7 @@ func TestDenialReasons(t *testing.T) {
 		_, _, err := exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 			req.GuestPub = mitm.PublicKey().Bytes()
 		})
-		if kbs.ReasonOf(err) != kbs.ReasonBinding {
+		if keyOf(err) != kbs.ReasonBinding {
 			t.Fatalf("substituted guest key: %v", err)
 		}
 	})
@@ -418,7 +420,7 @@ func TestVerificationCaches(t *testing.T) {
 	_, _, err = exchange(t, b, pl, "acme", 0, func(req *kbs.RedeemRequest) {
 		req.Report[len(req.Report)-1] ^= 0xFF
 	})
-	if kbs.ReasonOf(err) != kbs.ReasonForged {
+	if keyOf(err) != kbs.ReasonForged {
 		t.Fatalf("forged report on hot path: %v", err)
 	}
 	s, err := b.Stats()
@@ -504,7 +506,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = exchange(t, c, pl, "acme", 0, nil)
-	if kbs.ReasonOf(err) != kbs.ReasonRevoked || !errors.Is(err, kbs.ErrDenied) {
+	if keyOf(err) != "revoked" || !errors.Is(err, kbs.ErrDenied) {
 		t.Fatalf("remote denial lost its reason: %v", err)
 	}
 	if s := remoteStats(t, srv.URL); s.Grants != 1 || s.Denials["revoked"] != 1 || s.Tenants != 1 {
@@ -538,7 +540,7 @@ func TestWrongSizeGuestKeyDenied(t *testing.T) {
 				}
 				req.Report, req.GuestPub = r.Marshal(), key
 			})
-			if kbs.ReasonOf(err) != kbs.ReasonMalformed {
+			if keyOf(err) != kbs.ReasonMalformed {
 				t.Fatalf("%T: %d-byte guest key: %v, want a malformed denial", svc, n, err)
 			}
 		}
@@ -564,12 +566,80 @@ func TestWrapTamperDetected(t *testing.T) {
 	}
 }
 
-func TestReasonOf(t *testing.T) {
-	if kbs.ReasonOf(errors.New("plain")) != "" {
+func TestDenialOfFindsWrappedRefusal(t *testing.T) {
+	if keyOf(errors.New("plain")) != "" {
 		t.Fatal("plain error has a reason")
 	}
-	wrapped := errors.Join(errors.New("ctx"), &kbs.Denial{Reason: kbs.ReasonStaleTCB})
-	if kbs.ReasonOf(wrapped) != kbs.ReasonStaleTCB {
+	stale := &policy.Denial{Gate: policy.GateBroker, Rule: policy.RulePlatform, Reason: policy.ReasonTCBFloor}
+	wrapped := errors.Join(errors.New("ctx"), stale)
+	if keyOf(wrapped) != "stale-tcb" {
 		t.Fatal("wrapped denial lost its reason")
+	}
+}
+
+// keyOf is the key a refusal is counted under, or "" for an error that
+// is no refusal.
+func keyOf(err error) policy.Reason {
+	if d := policy.DenialOf(err); d != nil {
+		return policy.Reason(d.Key())
+	}
+	return ""
+}
+
+// TestBrokerReasonsHaveLedgerCells: every reason the broker refuses with
+// on its own is a cell of policy.Ledger, counted under its own word.
+func TestBrokerReasonsHaveLedgerCells(t *testing.T) {
+	for _, r := range []policy.Reason{kbs.ReasonTenant, kbs.ReasonReplay, kbs.ReasonExpired, kbs.ReasonMalformed,
+		kbs.ReasonForged, kbs.ReasonBinding, kbs.ReasonPolicy, kbs.ReasonUnavailable} {
+		var l policy.Ledger
+		l.Add(&policy.Denial{Gate: policy.GateBroker, Reason: r})
+		if got, want := l.Counts(policy.GateBroker), map[string]int{string(r): 1}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s counted as %v, want %v", r, got, want)
+		}
+	}
+}
+
+// engineRefusalAllocCeiling bounds the objects one Redeem allocates when
+// the policy engine refuses it (an unlisted launch digest; chain cached,
+// verdict re-evaluated). The broker returns the engine's own denial,
+// stamped, where it once wrapped it in a second type with its detail
+// formatted again, and finds it without errors.As: 22 objects before, 16
+// since.
+const engineRefusalAllocCeiling = 16
+
+// TestEngineRefusalAllocations holds a broker's engine refusal to
+// engineRefusalAllocCeiling objects, counting Redeem alone.
+func TestEngineRefusalAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	auth := kbs.NewAuthority(7)
+	pl := launch(t, auth, "chip-0", currentTCB, sev.SNP, sev.DefaultPolicy())
+	b := newBroker(auth, kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3}) // no reference value
+	const runs = 50
+	reqs := make([]kbs.RedeemRequest, runs+1)
+	pub := guestKey(t, 99).PublicKey().Bytes()
+	for i := range reqs {
+		ch, err := b.Challenge("acme", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := pl.ctx.BuildReport(nil, kbs.BindReportData(ch.Nonce, pub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = kbs.RedeemRequest{Tenant: "acme", Nonce: ch.Nonce, Report: report.Marshal(),
+			Chain: pl.enr.Chain.Marshal(), GuestPub: pub}
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if _, err := b.Redeem(reqs[i], 0); !errors.Is(err, kbs.ErrMeasurement) {
+			t.Fatalf("redeem %d: %v, want a measurement refusal", i, err)
+		}
+		i++
+	})
+	t.Logf("an engine refusal allocates %v objects", got)
+	if got > engineRefusalAllocCeiling {
+		t.Errorf("an engine refusal allocates %v objects, want at most %d", got, engineRefusalAllocCeiling)
 	}
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package kbs_test
+
+const raceDetector = false

@@ -15,9 +15,9 @@ import (
 // travels in the request body — the broker has no clock of its own, so a
 // remote broker behaves bit-for-bit like an in-process one.
 //
-// Denials are returned as 403 with a JSON {reason, detail} body; Client
-// turns them back into *Denial, so errors.Is(err, kbs.ErrReplay) works
-// identically on both sides of the wire.
+// Denials are returned as 403 with a JSON {rule, reason, detail, claim}
+// body; Client turns them back into the same *policy.Denial, so errors.Is
+// and its claim work identically on both sides of the wire.
 
 type challengeRequest struct {
 	Tenant string `json:"tenant"`
@@ -51,8 +51,10 @@ type claimRequest struct {
 }
 
 type denialBody struct {
+	Rule   string `json:"rule,omitempty"`
 	Reason string `json:"reason"`
 	Detail string `json:"detail"`
+	Claim  string `json:"claim,omitempty"`
 }
 
 // Handler exposes the broker over HTTP: POST /challenge, /redeem,
@@ -173,18 +175,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeDenial maps a broker denial to 403 with its reason on the wire;
+// writeDenial maps a broker denial to 403 with its fields on the wire;
 // anything else is a 500.
 func writeDenial(w http.ResponseWriter, err error) {
-	if r := ReasonOf(err); r != "" {
+	if d := policy.DenialOf(err); d != nil && d.Reason != "" {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusForbidden)
-		var d *Denial
-		detail := err.Error()
-		if errors.As(err, &d) {
-			detail = d.Detail
-		}
-		_ = json.NewEncoder(w).Encode(denialBody{Reason: string(r), Detail: detail})
+		_ = json.NewEncoder(w).Encode(denialBody{Rule: d.Rule, Reason: string(d.Reason), Detail: d.Detail, Claim: d.Claim})
 		return
 	}
 	http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -163,13 +163,20 @@ func TestClaimIDsAreTheBrokers(t *testing.T) {
 	if err := b.File(kbs.RevocationClaim("chip-0", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := exchange(t, c, pl, "acme", 0, nil); kbs.ReasonOf(err) != kbs.ReasonRevoked {
+	_, _, err := exchange(t, c, pl, "acme", 0, nil)
+	if keyOf(err) != "revoked" {
 		t.Fatalf("exchange from a revoked chip: %v, want revoked", err)
+	}
+	// The engine's verdict crosses the wire whole: its rule, and the
+	// claim that decided it.
+	if d := policy.DenialOf(err); !errors.Is(err, policy.ErrDenied) || d.Claim != "revoked-chip-0" || d.Rule != policy.RulePlatform {
+		t.Fatalf("revoked denial over the wire = %+v, want the platform rule naming revoked-chip-0", d)
 	}
 }
 
-// TestDenialBodyShape pins the 403 wire format: {reason, detail} JSON,
-// with the detail carrying the broker's refusal text.
+// TestDenialBodyShape pins the 403 wire format: {rule, reason, detail,
+// claim} JSON, with the detail carrying the broker's refusal text and the
+// rule and claim omitted for the broker's own checks.
 func TestDenialBodyShape(t *testing.T) {
 	auth := kbs.NewAuthority(7)
 	b := newBroker(auth, kbs.Config{MinLevel: sev.SNP, MinPolicy: sev.DefaultPolicy(), Seed: 3})
@@ -182,18 +189,15 @@ func TestDenialBodyShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Reason string `json:"reason"`
-		Detail string `json:"detail"`
-	}
+	var body map[string]string
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Reason != string(kbs.ReasonTenant) {
-		t.Errorf("reason = %q, want %q", body.Reason, kbs.ReasonTenant)
+	if len(body) != 2 || body["reason"] != string(kbs.ReasonTenant) {
+		t.Errorf("body = %v, want only the reason %q and a detail", body, kbs.ReasonTenant)
 	}
-	if !strings.Contains(body.Detail, "nobody") {
-		t.Errorf("detail %q does not name the tenant", body.Detail)
+	if !strings.Contains(body["detail"], "nobody") {
+		t.Errorf("detail %q does not name the tenant", body["detail"])
 	}
 }
 
@@ -298,7 +302,7 @@ func TestFileOverTheWire(t *testing.T) {
 	} {
 		for i, svc := range []kbs.Service{b, c} {
 			err := svc.File(bad)
-			if err == nil || kbs.ReasonOf(err) != "" {
+			if err == nil || keyOf(err) != "" {
 				t.Fatalf("%s claim, service %d: %v, want a refusal that is not an exchange denial", bad.Kind, i, err)
 			}
 		}

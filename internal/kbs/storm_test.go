@@ -136,7 +136,7 @@ func TestFloorBumpBoundary(t *testing.T) {
 	}
 	// One instant later the denial is stale-tcb — the replacement floor
 	// claim's refusal, not the revoked claim's expiry.
-	if _, _, err := exchange(t, b, stale, "acme", bumpAt+1, nil); kbs.ReasonOf(err) != kbs.ReasonStaleTCB {
+	if _, _, err := exchange(t, b, stale, "acme", bumpAt+1, nil); keyOf(err) != "stale-tcb" {
 		t.Fatalf("exchange past the bump: %v, want a stale-tcb denial", err)
 	}
 	// A platform at the new floor admits after the bump.
@@ -155,7 +155,7 @@ func TestFloorBumpBoundary(t *testing.T) {
 	if _, _, err := exchange(t, b, fresh, "acme", bump2, nil); err != nil {
 		t.Fatalf("exchange at second bump instant: %v", err)
 	}
-	if _, _, err := exchange(t, b, fresh, "acme", bump2+1, nil); kbs.ReasonOf(err) != kbs.ReasonStaleTCB {
+	if _, _, err := exchange(t, b, fresh, "acme", bump2+1, nil); keyOf(err) != "stale-tcb" {
 		t.Fatalf("exchange past second bump: %v, want a stale-tcb denial", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestGenerationRevocationBoundary(t *testing.T) {
 	if _, _, err := exchange(t, b, pl, "acme", at, nil); err != nil {
 		t.Fatalf("exchange at the revocation instant: %v", err)
 	}
-	if _, _, err := exchange(t, b, pl, "acme", at+1, nil); kbs.ReasonOf(err) != kbs.ReasonRevoked {
+	if _, _, err := exchange(t, b, pl, "acme", at+1, nil); keyOf(err) != "revoked" {
 		t.Fatalf("exchange past the revocation: %v, want ErrRevoked", err)
 	}
 
@@ -196,7 +196,7 @@ func TestGenerationRevocationBoundary(t *testing.T) {
 	if err := b2.File(kbs.RevocationClaim("chip-0", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := exchange(t, b2, pl, "acme", 0, nil); kbs.ReasonOf(err) != kbs.ReasonRevoked {
+	if _, _, err := exchange(t, b2, pl, "acme", 0, nil); keyOf(err) != "revoked" {
 		t.Fatalf("revocation at zero not in force at time zero: %v", err)
 	}
 }
@@ -232,7 +232,7 @@ func TestVerdictCacheEndsWhereARevocationBites(t *testing.T) {
 		t.Fatalf("exchange the instant before the revocation bites: %+v, %v, want a cached grant", res, err)
 	}
 	for _, at := range []sim.Time{opens, 3 * opens / 2} {
-		if _, _, err := exchange(t, b, pl, "acme", at, nil); kbs.ReasonOf(err) != kbs.ReasonRevoked {
+		if _, _, err := exchange(t, b, pl, "acme", at, nil); keyOf(err) != "revoked" {
 			t.Fatalf("exchange at %v: %v, want revoked", at, err)
 		}
 	}

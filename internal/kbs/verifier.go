@@ -48,10 +48,10 @@ func (v *Verifier) VerifyChain(chainBytes []byte) (*psp.Chain, bool, error) {
 
 	ch, err := psp.UnmarshalChain(chainBytes)
 	if err != nil {
-		return nil, false, denyCause(ReasonMalformed, err, "chain: %v", err)
+		return nil, false, refusal(ReasonMalformed, err, "chain: %v", err)
 	}
 	if err := ch.Verify(v.ark); err != nil {
-		return nil, false, denyCause(ReasonForged, err, "chain: %v", err)
+		return nil, false, refusal(ReasonForged, err, "chain: %v", err)
 	}
 	v.mu.Lock()
 	v.cache[key] = ch

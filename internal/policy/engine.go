@@ -103,7 +103,7 @@ func (e *Engine) Evaluate(ev Evidence, now sim.Time) (*Certificate, error) {
 		cert.Rules = append(cert.Rules, RuleResult{
 			Rule: rule, Outcome: "deny", Reason: string(reason), ClaimID: claimID, Detail: detail,
 		})
-		d := &Denial{Rule: rule, Reason: reason, Detail: detail, Cert: cert}
+		d := &Denial{Rule: rule, Reason: reason, Detail: detail, Claim: claimID, Cert: cert}
 		s.record(d)
 		return cert, d
 	}

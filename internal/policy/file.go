@@ -261,7 +261,7 @@ func (m *FileMutation) Apply(s *Store) error {
 	case "revoke-kind":
 		return s.RevokeKind(m.Domain, Kind(m.Kind), at)
 	case "rotate-anchor":
-		return s.RotateAnchor(m.Domain, m.Old, m.New, at)
+		return s.rotateAnchor(m.Domain, m.Old, m.New, at)
 	}
 	return fmt.Errorf("policy: unknown mutation op %q", m.Op)
 }

@@ -12,7 +12,7 @@ import (
 // speaks for exactly one byte string, so Marshal(Unmarshal(b)) == b for
 // every accepted b.
 func FuzzClaimWire(f *testing.F) {
-	c, err := NewSigner("root", 11).Sign(Claim{
+	c, err := NewSigner("root", 11).sign(Claim{
 		ID:        "ref-1",
 		Kind:      KindMeasurement,
 		Scope:     "t0",

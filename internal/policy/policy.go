@@ -31,7 +31,6 @@ package policy
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 
 	"github.com/severifast/severifast/internal/sim"
@@ -68,7 +67,8 @@ const (
 )
 
 // Reason classifies a denial. The string form is stable: it keys the
-// per-rule denial counters in Stats and the HTTP wire format.
+// denial counters and crosses the HTTP wire. The broker's own are in
+// internal/kbs.
 type Reason string
 
 // Denial reasons.
@@ -84,34 +84,94 @@ const (
 	ReasonUnauthorized       Reason = "issuer-unauthorized"   // issuer has no anchor/delegation path
 )
 
-// ErrDenied matches every policy denial: errors.Is(err, ErrDenied) is
-// true exactly when the engine refused an admission.
+// ErrDenied matches every engine verdict, at whichever gate it refused.
 var ErrDenied = errors.New("policy: denied")
 
-// Denial is a refusal with the rule that refused and why. It matches
-// ErrDenied under errors.Is; DenialOf recovers it to classify by Reason.
+// Gate names where a refusal was issued; zero is a verdict not yet
+// stamped by the gate that asked for it.
+type Gate uint8
+
+// The gates, in the order a boot passes them.
+const (
+	GateDispatch Gate = iota + 1 // the cluster's placement gate
+	GateFleet                    // a fleet's admission gate
+	GateBroker                   // the key broker's redemption
+	numGates
+)
+
+// String is the gate's word in a denial spike's keys.
+func (g Gate) String() string { return [...]string{"engine", "dispatch", "fleet", "kbs"}[g] }
+
+// Denial is one refusal: the gate, the engine rule and reason (no rule
+// for the broker's own checks), and the claim that decided it. An engine
+// verdict reaches its gate as this value, stamped, and crosses the wire.
 type Denial struct {
+	Gate   Gate
 	Rule   string
 	Reason Reason
 	Detail string
-	// Cert, when non-nil, is the full certificate (decision trace) the
-	// evaluation produced alongside the refusal.
-	Cert *Certificate
+	Claim  string       // the revocation naming the chip, or the first claim refused
+	Cert   *Certificate // the evaluation's decision trace, for a verdict
+	Cause  error        // the failure behind it, e.g. a report's parse error
 }
 
-// Error implements error.
-func (d *Denial) Error() string {
-	if d.Detail == "" {
-		return fmt.Sprintf("policy: denied (%s/%s)", d.Rule, d.Reason)
+// Key is the word a refusal is counted under: "rule/reason", or at the
+// broker its own reason, or for a verdict stale-tcb, revoked, measurement
+// or policy.
+func (d *Denial) Key() string {
+	switch {
+	case d.Rule == "" && d.Reason == "":
+		return ""
+	case d.Gate != GateBroker:
+		return d.Rule + "/" + string(d.Reason)
+	case d.Reason == ReasonTCBFloor:
+		return "stale-tcb"
+	case d.Reason == ReasonRevoked:
+		return "revoked"
+	case d.Rule == RuleMeasurement || d.Reason == ReasonMeasurementUnknown:
+		return "measurement"
+	case d.Rule != "":
+		return "policy"
 	}
-	return fmt.Sprintf("policy: denied (%s/%s): %s", d.Rule, d.Reason, d.Detail)
+	return string(d.Reason)
 }
 
-// Is matches ErrDenied.
-func (d *Denial) Is(target error) bool { return target == ErrDenied }
+// Error implements error: "kbs: denied (key): detail" at the broker,
+// "policy: denied (rule/reason): detail" elsewhere.
+func (d *Denial) Error() string {
+	prefix := "policy: denied"
+	if d.Gate == GateBroker {
+		prefix = "kbs: denied"
+	}
+	switch k := d.Key(); {
+	case k == "":
+		return prefix
+	case d.Detail == "":
+		return prefix + " (" + k + ")"
+	default:
+		return prefix + " (" + k + "): " + d.Detail
+	}
+}
 
-// DenialOf extracts the policy denial from an error chain, or nil.
+// Is matches ErrDenied when d is an engine verdict, and a same-gate
+// Denial with no key or d's key.
+func (d *Denial) Is(target error) bool {
+	if target == ErrDenied {
+		return d.Rule != ""
+	}
+	t, ok := target.(*Denial)
+	return ok && t.Gate == d.Gate && (t.Key() == "" || t.Key() == d.Key())
+}
+
+// Unwrap exposes the cause, if any.
+func (d *Denial) Unwrap() error { return d.Cause }
+
+// DenialOf extracts the denial from an error chain, or nil; a bare one
+// without errors.As, whose target escapes.
 func DenialOf(err error) *Denial {
+	if d, ok := err.(*Denial); ok {
+		return d
+	}
 	var d *Denial
 	if errors.As(err, &d) {
 		return d

@@ -45,9 +45,9 @@ func (p *testPKI) signer(c Claim) *Signer {
 
 func (p *testPKI) signed(c Claim) Claim {
 	p.t.Helper()
-	c, err := p.signer(c).Sign(c)
+	c, err := p.signer(c).sign(c)
 	if err != nil {
-		p.t.Fatalf("Sign(%s): %v", c.ID, err)
+		p.t.Fatalf("sign(%s): %v", c.ID, err)
 	}
 	return c
 }
@@ -281,7 +281,7 @@ func TestAnchorRotation(t *testing.T) {
 	p := newPKI(t)
 	p.addSigner("root2", 4)
 	p.add(Claim{ID: "meas-old", Kind: KindMeasurement, Scope: "*", Subject: "00ff", Issuer: "root"})
-	if err := p.store.RotateAnchor("*", "root", "root2", ms(30)); err != nil {
+	if err := p.store.rotateAnchor("*", "root", "root2", ms(30)); err != nil {
 		t.Fatal(err)
 	}
 	p.add(Claim{ID: "meas-new", Kind: KindMeasurement, Scope: "*", Subject: "11ee", Issuer: "root2"})
@@ -384,7 +384,7 @@ func TestUnknownTargetIsNotFound(t *testing.T) {
 		"revoke claim unknown domain": func() error { return p.store.RevokeClaim("nope", "meas", ms(1)) },
 		"revoke claim unknown claim":  func() error { return p.store.RevokeClaim("*", "nope", ms(1)) },
 		"revoke kind unknown domain":  func() error { return p.store.RevokeKind("nope", KindMeasurement, ms(1)) },
-		"rotate unknown anchor":       func() error { return p.store.RotateAnchor("*", "ghost", "root", ms(1)) },
+		"rotate unknown anchor":       func() error { return p.store.rotateAnchor("*", "ghost", "root", ms(1)) },
 		"bump floor never filed":      func() error { return p.store.BumpFloor(root, testTCB, ms(1)) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -506,7 +506,7 @@ func TestRevocationBehindFutureAuthority(t *testing.T) {
 			p.addSigner("root2", 4)
 			p.store.EnsureDomain("*", "ops")
 			p.add(Claim{ID: "plat", Kind: KindPlatform, Scope: "*", Subject: "*", Issuer: "ops"})
-			if err := p.store.RotateAnchor("*", "root", "root2", ms(opens)); err != nil {
+			if err := p.store.rotateAnchor("*", "root", "root2", ms(opens)); err != nil {
 				t.Fatal(err)
 			}
 			return "root2"

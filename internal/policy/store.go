@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/severifast/severifast/internal/sim"
@@ -103,11 +104,10 @@ type Store struct {
 }
 
 type statsInner struct {
-	evals           int
-	grants          int
-	denials         int
-	denialsByReason map[string]int
-	denialsByRule   map[string]int
+	evals   int
+	grants  int
+	denials int
+	ledger  Ledger // every verdict, unstamped
 }
 
 // Stats is a deterministic snapshot of the store.
@@ -118,9 +118,10 @@ type Stats struct {
 	Revoked int
 	Version uint64
 
-	Evals           int
-	Grants          int
-	Denials         int
+	Evals   int
+	Grants  int
+	Denials int
+	// Views of the store's ledger, nil while the engine refused nothing.
 	DenialsByReason map[string]int
 	DenialsByRule   map[string]int
 }
@@ -130,10 +131,6 @@ func NewStore() *Store {
 	s := &Store{
 		signers: make(map[string]*ecdsa.PublicKey),
 		domains: make(map[string]*domain),
-		stats: statsInner{
-			denialsByReason: make(map[string]int),
-			denialsByRule:   make(map[string]int),
-		},
 	}
 	s.engine = &Engine{store: s}
 	return s
@@ -193,7 +190,7 @@ func (s *Store) EnsureDomain(name string, anchors ...string) {
 // and the engine's per-claim verification decides its fate at evaluation
 // time.
 func (s *Store) File(by *Signer, c Claim) error {
-	c, err := by.Sign(c)
+	c, err := by.sign(c)
 	if err != nil {
 		return err
 	}
@@ -372,12 +369,12 @@ func (s *Store) BumpFloor(by *Signer, minTCB uint64, at sim.Time) error {
 	})
 }
 
-// RotateAnchor closes the old anchor's window at `at` and opens the new
+// rotateAnchor closes the old anchor's window at `at` and opens the new
 // anchor's window from `at`: both keys are live at exactly the rotation
 // instant, the old one invalid strictly after. Claims issued by the old
 // anchor stop evaluating once it leaves its window — rotating a
 // compromised root implicitly revokes everything it signed.
-func (s *Store) RotateAnchor(domainName, oldID, newID string, at sim.Time) error {
+func (s *Store) rotateAnchor(domainName, oldID, newID string, at sim.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d := s.domains[domainName]
@@ -430,14 +427,13 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Domains:         len(s.domains),
-		Signers:         len(s.signers),
-		Version:         s.version,
-		Evals:           s.stats.evals,
-		Grants:          s.stats.grants,
-		Denials:         s.stats.denials,
-		DenialsByReason: make(map[string]int, len(s.stats.denialsByReason)),
-		DenialsByRule:   make(map[string]int, len(s.stats.denialsByRule)),
+		Domains:       len(s.domains),
+		Signers:       len(s.signers),
+		Version:       s.version,
+		Evals:         s.stats.evals,
+		Grants:        s.stats.grants,
+		Denials:       s.stats.denials,
+		DenialsByRule: s.stats.ledger.Counts(0),
 	}
 	for _, d := range s.domains {
 		st.Claims += len(d.claims)
@@ -447,11 +443,11 @@ func (s *Store) Stats() Stats {
 			}
 		}
 	}
-	for k, v := range s.stats.denialsByReason {
-		st.DenialsByReason[k] = v
-	}
-	for k, v := range s.stats.denialsByRule {
-		st.DenialsByRule[k] = v
+	for k, n := range st.DenialsByRule {
+		if st.DenialsByReason == nil {
+			st.DenialsByReason = make(map[string]int)
+		}
+		st.DenialsByReason[k[strings.IndexByte(k, '/')+1:]] += n
 	}
 	return st
 }
@@ -464,6 +460,5 @@ func (s *Store) record(den *Denial) {
 		return
 	}
 	s.stats.denials++
-	s.stats.denialsByReason[string(den.Reason)]++
-	s.stats.denialsByRule[den.Rule+"/"+string(den.Reason)]++
+	s.stats.ledger.Add(den)
 }

@@ -140,9 +140,9 @@ func NewSigner(id string, seed int64) *Signer {
 	return &Signer{ID: id, key: psp.DeriveKey(rng), rng: rng}
 }
 
-// Sign returns c issued by s: Issuer set to s.ID and the signature over
+// sign returns c issued by s: Issuer set to s.ID and the signature over
 // the canonical body installed.
-func (s *Signer) Sign(c Claim) (Claim, error) {
+func (s *Signer) sign(c Claim) (Claim, error) {
 	c.Issuer = s.ID
 	sum := sha512.Sum384(c.body())
 	s.mu.Lock()

@@ -7,7 +7,7 @@ import (
 
 func sampleClaim(t *testing.T) Claim {
 	t.Helper()
-	c, err := NewSigner("ops-root", 7).Sign(Claim{
+	c, err := NewSigner("ops-root", 7).sign(Claim{
 		ID:        "ref-abc123",
 		Kind:      KindMeasurement,
 		Scope:     "t0",

@@ -45,8 +45,8 @@ func TestClassifyInternalErrors(t *testing.T) {
 	}{
 		{"verifier mismatch", fmt.Errorf("firecracker: %w", fmt.Errorf("%w: kernel hash", verifier.ErrVerification)), ErrMeasurementMismatch},
 		{"attest denial", fmt.Errorf("firecracker: attestation: %w", denial), ErrAttestationDenied},
-		{"kbs denial", fmt.Errorf("fleet: %w", &kbs.Denial{Reason: kbs.ReasonReplay}), ErrAttestationDenied},
-		{"kbs measurement", fmt.Errorf("fleet: %w", &kbs.Denial{Reason: kbs.ReasonMeasurement}), ErrMeasurementMismatch},
+		{"kbs denial", fmt.Errorf("fleet: %w", kbs.ErrReplay), ErrAttestationDenied},
+		{"kbs measurement", fmt.Errorf("fleet: %w", kbs.ErrMeasurement), ErrMeasurementMismatch},
 	}
 	for _, tc := range cases {
 		got := classifyErr(tc.err)
